@@ -16,8 +16,8 @@ from .errors import (DecreaseIdentityError, DegenerateConstraintError,
                      ScenarioError, SharingInfeasibleError, SimulationError)
 from .filters import (CONTROLLER_NAMES, FilterConfig, Region, RegionLabel,
                       cbf_qp_filter, classify_region, clf_cbf_qp_filter,
-                      closed_form_ustar, hybrid_control, make_controller,
-                      make_filter_config, s_cbf_qp_filter)
+                      closed_form_ustar, evaluate, hybrid_control,
+                      make_controller, make_filter_config, s_cbf_qp_filter)
 from .qp import QPSolution, QPSpec, lp_feasible, solve_qp
 from .scenarios import (SCENARIO_NAMES, ScenarioBundle, build_scenario,
                         load_scenario)

@@ -1,8 +1,7 @@
 """Command-line front end: simulate, sweep, doa, verify, plot.
 
 Exit codes: 0 success, 1 runtime failure (infeasible QP, blow-up, failed
-check), 2 usage or configuration error. The sweep worker pool is capped by
-the SAFESTAB_THREADS environment variable.
+check), 2 usage or configuration error.
 """
 from __future__ import annotations
 
@@ -12,14 +11,14 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .doa import awc_boundary_points, compute_c_star, largest_clf_sublevel_inside
+from .doa import (awc_boundary_points, compute_c_star, largest_clf_sublevel_inside,
+                  ray_exit)
 from .errors import SafeStabError, ScenarioError, SimulationError
 from .filters import CONTROLLER_NAMES, make_controller, make_filter_config
 from .scenarios import SCENARIO_NAMES, build_scenario, load_scenario
@@ -78,13 +77,6 @@ def _load_bundle(args):
     if os.path.isfile(args.scenario):
         return load_scenario(args.scenario)
     return build_scenario(args.scenario)
-
-
-def _workers(n_jobs: int) -> int:
-    cap = os.environ.get("SAFESTAB_THREADS")
-    if cap:
-        return max(1, min(int(cap), n_jobs))
-    return max(1, min(4, n_jobs))
 
 
 def _sim_args(p: argparse.ArgumentParser) -> None:
@@ -163,15 +155,13 @@ def cmd_sweep(args) -> int:
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
-    def cell(value):
+    results = []
+    for value in values:
         cell_manifest = replace(manifest, **{("gamma" if args.param == "gamma" else "p"): value})
         traj, metrics = _run_one(bundle, cell_manifest)
         path = out / f"{bundle.name}_{manifest.controller}_{args.param}_{value:g}_traj.csv"
         write_trajectory_csv(traj, path)
-        return value, traj, metrics, path
-
-    with ThreadPoolExecutor(max_workers=_workers(len(values))) as pool:
-        results = list(pool.map(cell, values))
+        results.append((value, traj, metrics, path))
 
     table = out / f"{bundle.name}_{args.controller}_{args.param}_sweep.csv"
     with open(table, "w", newline="") as fh:
@@ -312,23 +302,10 @@ def _safe_boundary_polyline(bundle, n_points: int = 256):
     pts = []
     for theta in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False):
         d = np.array([math.cos(theta), math.sin(theta)])
-        lo, hi = 0.0, None
-        t = 1.0
-        while t <= 1e6:
-            if bundle.safe_set.min_value(x_e + t * d) < 0.0:
-                hi = t
-                break
-            lo = t
-            t *= 2.0
-        if hi is None:
+        bracket = ray_exit(bundle.safe_set.contains, x_e, d)
+        if bracket is None:
             return None
-        for _ in range(50):
-            mid = 0.5 * (lo + hi)
-            if bundle.safe_set.min_value(x_e + mid * d) < 0.0:
-                hi = mid
-            else:
-                lo = mid
-        pts.append((x_e + lo * d).tolist())
+        pts.append((x_e + bracket[0] * d).tolist())
     return pts
 
 

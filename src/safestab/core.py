@@ -21,7 +21,9 @@ from .errors import ScenarioError
 
 
 def as_vector(x, size: Optional[int] = None) -> np.ndarray:
-    v = np.atleast_1d(np.asarray(x, dtype=float)).ravel()
+    v = np.asarray(x, dtype=float)
+    if v.ndim != 1:
+        v = v.ravel()
     if size is not None and v.size != size:
         raise ValueError(f"expected vector of length {size}, got {v.size}")
     return v
@@ -199,11 +201,15 @@ def clf_value(clf: QuadraticCLF, x) -> float:
 def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
     """Return (a, b) with a = gradW'(f + g u_e) and b = gradW' g (an m-row)."""
     x = as_vector(x, sys.n)
-    w = clf.grad(x)
-    G = sys.input_map(x)
-    a = float(w @ (sys.drift(x) + G @ clf.equilibrium.u_e))
-    b = w @ G
+    _, a, b = clf_lie_terms(clf, x, sys.drift(x), sys.input_map(x))
     return a, b
+
+
+def clf_lie_terms(clf: QuadraticCLF, x: np.ndarray, f: np.ndarray, G: np.ndarray):
+    """Return (gradW, a, b) at the state vector x from f = f(x) and G = g(x),
+    with a = gradW'(f + G u_e) and b = gradW' G."""
+    grad_w = clf.grad(x)
+    return grad_w, float(grad_w @ (f + G @ clf.equilibrium.u_e)), grad_w @ G
 
 
 def barrier_lie_derivatives(sys: ControlAffineSystem, barrier: Barrier, x):

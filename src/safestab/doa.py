@@ -12,29 +12,53 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .core import as_vector
 from .errors import SharingInfeasibleError
-from .filters import FilterConfig, cbf_rows
+# cbf_rows is unused here but stays bound: the benchmark's tracer
+# (bench/instrument.py) wraps it in this module
+from .filters import FilterConfig, cbf_rows, evaluate  # noqa: F401
 from .qp import lp_feasible
 
 
 def control_sharing_holds(cfg: FilterConfig, x, eps_share: Optional[float] = None) -> bool:
     """True iff one input satisfies every barrier row and gives
     gradW'(f + g u) <= -eps_share (strict decrease surrogate)."""
-    x = as_vector(x, cfg.sys.n)
+    ev = evaluate(cfg, x)
     if eps_share is None:
-        eps_share = 1e-9 * (1.0 + cfg.clf.value(x))
-    A_cbf, lb_cbf = cbf_rows(cfg, x)
-    grad_w = cfg.clf.grad(x)
-    lfw = float(grad_w @ cfg.sys.drift(x))
-    b_row = grad_w @ cfg.sys.input_map(x)
-    A = np.vstack([A_cbf, -b_row[None, :]])
-    lb = np.concatenate([lb_cbf, [lfw + eps_share]])
+        eps_share = 1e-9 * (1.0 + cfg.clf.value(ev.x))
+    A = np.vstack([ev.A, -ev.b[None, :]])
+    lb = np.concatenate([ev.lb, [ev.lfw + eps_share]])
     return lp_feasible(A, lb)
+
+
+def ray_exit(inside: Callable[[np.ndarray], bool], origin: np.ndarray,
+             direction: np.ndarray, t_max: float = 1e6
+             ) -> Optional[Tuple[float, float]]:
+    """Bracket (lo, hi) of the first exit of origin + t*direction from the
+    set `inside`: t doubles from 1 while the point stays inside, up to t_max,
+    then 60 bisection steps keep lo inside and hi outside. None when no
+    outside point was found up to t_max."""
+    lo, hi = 0.0, None
+    t = 1.0
+    while t <= t_max:
+        if not inside(origin + t * direction):
+            hi = t
+            break
+        lo = t
+        t *= 2.0
+    if hi is None:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if inside(origin + mid * direction):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
 
 
 @dataclass
@@ -151,29 +175,15 @@ def largest_clf_sublevel_inside(cfg: FilterConfig, n_directions: int = 256,
     inside the safe set}: walk rays from x_e to the safe-set boundary and take
     the smallest W found there."""
     rng = np.random.default_rng(seed)
-    n = cfg.sys.n
     x_e = cfg.clf.equilibrium.x_e
     best = math.inf
-    dirs = rng.normal(size=(n_directions, n))
+    dirs = rng.normal(size=(n_directions, cfg.sys.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for d in dirs:
-        lo, hi = 0.0, None
-        t = 1.0
-        while t <= t_max:
-            if cfg.safe_set.min_value(x_e + t * d) < 0.0:
-                hi = t
-                break
-            lo = t
-            t *= 2.0
-        if hi is None:
+        bracket = ray_exit(cfg.safe_set.contains, x_e, d, t_max)
+        if bracket is None:
             continue  # safe set unbounded along this ray
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if cfg.safe_set.min_value(x_e + mid * d) < 0.0:
-                hi = mid
-            else:
-                lo = mid
-        best = min(best, cfg.clf.value(x_e + hi * d))
+        best = min(best, cfg.clf.value(x_e + bracket[1] * d))
     if not math.isfinite(best):
         raise SharingInfeasibleError("no safe-set boundary found along any ray")
     return best
@@ -183,33 +193,18 @@ def awc_boundary_points(estimate: DoaEstimate, cfg: FilterConfig,
                         n_directions: int = 256, seed: int = 0) -> np.ndarray:
     """Ray-cast samples of the boundary of A_WC for plotting."""
     rng = np.random.default_rng(seed)
-    n = cfg.sys.n
     x_e = cfg.clf.equilibrium.x_e
 
     def inside(x):
         return in_awc(estimate, cfg, x)
 
-    dirs = rng.normal(size=(n_directions, n))
+    dirs = rng.normal(size=(n_directions, cfg.sys.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = []
     for d in dirs:
-        lo, hi = 0.0, None
-        t = 1.0
-        while t <= 1e6:
-            if not inside(x_e + t * d):
-                hi = t
-                break
-            lo = t
-            t *= 2.0
-        if hi is None:
-            continue
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if inside(x_e + mid * d):
-                lo = mid
-            else:
-                hi = mid
-        pts.append(x_e + lo * d)
+        bracket = ray_exit(inside, x_e, d)
+        if bracket is not None:
+            pts.append(x_e + bracket[0] * d)
     return np.array(pts)
 
 

@@ -1,6 +1,9 @@
 """Pointwise QP controllers and the hybrid switching law.
 
-Three filters share the barrier rows L_f h_i + L_g h_i u >= -alpha_i(h_i):
+Every controller reads the same pointwise quantities, which `evaluate`
+computes from one call each of f and g: Sontag's terms a, b and input u_son,
+the barrier rows L_f h_i + L_g h_i u >= -alpha_i(h_i) stacked as A u >= lb,
+the barrier values h, and the R1/R2 label. Three filters share the rows:
 
 * cbf_qp_filter      minimizes |u - u_nom|^2 (nominal defaults to Sontag),
 * clf_cbf_qp_filter  minimizes |u|^2 + p*delta^2 with a slacked CLF row,
@@ -15,15 +18,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from .core import (ControlAffineSystem, ExtendedClassK, QuadraticCLF, SafeSet,
-                   as_vector, barrier_lie_derivatives)
+                   as_vector, clf_lie_terms)
 from .errors import DegenerateConstraintError, InfeasibleQPError, SafeStabError
 from .qp import QPSpec, solve_qp
-from .sontag import SontagLaw, sontag_control, sontag_terms
+# sontag_terms and sontag_control are unused here but stay bound: the
+# benchmark's tracer (bench/instrument.py) wraps them in this module
+from .sontag import SontagLaw, sontag_control, sontag_kappa, sontag_terms  # noqa: F401
 
 CONTROLLER_NAMES = ("sontag", "cbf-qp", "clf-cbf-qp", "s-cbf-qp", "hybrid")
 
@@ -52,11 +57,6 @@ class FilterConfig:
     def __post_init__(self):
         if not self.p > 0.0:
             raise ValueError("slack weight p must be positive")
-        # hot-path caches for the per-step hybrid evaluation
-        self._bar_cache = tuple(
-            (bar.h, bar.grad_h if bar.grad_h is not None else bar.gradient,
-             bar.alpha.lam)
-            for bar in self.safe_set.barriers)
 
 
 def make_filter_config(sys, clf, safe_set, gamma: float = 1.0, p: float = 10.0,
@@ -67,18 +67,67 @@ def make_filter_config(sys, clf, safe_set, gamma: float = 1.0, p: float = 10.0,
                         alpha_w=ExtendedClassK(alpha_w_lambda), qp_reg=qp_reg)
 
 
+class Evaluation(NamedTuple):
+    """Pointwise quantities at one state, from one call each of f and g."""
+
+    x: np.ndarray
+    f: np.ndarray        # drift f(x)
+    grad_w: np.ndarray   # gradient of W
+    a: float             # gradW'(f + g u_e)
+    b: np.ndarray        # gradW' g, an m-row
+    u_son: np.ndarray    # Sontag input
+    A: np.ndarray        # barrier rows A u >= lb with A_i = L_g h_i
+    lb: np.ndarray       # and lb_i = -alpha_i(h_i) - L_f h_i
+    h: np.ndarray        # barrier values h_i(x)
+    label: RegionLabel   # R1 iff u_son satisfies every row
+
+    @property
+    def lfw(self) -> float:
+        """L_f W = gradW' f, the drift term of the CLF-decrease row."""
+        return float(self.grad_w @ self.f)
+
+
+def evaluate(cfg: FilterConfig, x) -> Evaluation:
+    """The one pointwise evaluation behind every controller, the simulator's
+    bookkeeping, control sharing and verify.
+
+    This is the per-step hot path of the simulator, so the scenario's
+    closures are called directly rather than through the validating
+    wrappers of ControlAffineSystem and Barrier."""
+    x = as_vector(x, cfg.sys.n)
+    f = np.asarray(cfg.sys.f(x), dtype=float)
+    G = np.asarray(cfg.sys.g(x), dtype=float)
+    if G.shape != (cfg.sys.n, cfg.sys.m):   # rk4_step relies on this check
+        raise ValueError(f"g(x) must be ({cfg.sys.n}, {cfg.sys.m}), got {G.shape}")
+    grad_w, a, b = clf_lie_terms(cfg.clf, x, f, G)
+    u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.sontag, a, b)
+    barriers = cfg.safe_set.barriers
+    k = len(barriers)
+    A = np.empty((k, cfg.sys.m))
+    lb = np.empty(k)
+    h = np.empty(k)
+    for i, bar in enumerate(barriers):
+        grad = bar.grad_h(x) if bar.grad_h is not None else bar.gradient(x)
+        h_i = float(bar.h(x))
+        h[i] = h_i
+        A[i] = grad @ G
+        lb[i] = -bar.alpha.lam * h_i - float(grad @ f)   # alpha is linear
+    margin = float(row_margins(A, lb, u_son).min())
+    label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
+    return Evaluation(x, f, grad_w, a, b, u_son, A, lb, h, label)
+
+
 def cbf_rows(cfg: FilterConfig, x) -> Tuple[np.ndarray, np.ndarray]:
     """Stack the barrier rows as A u >= lb with A_i = L_g h_i and
     lb_i = -alpha_i(h_i) - L_f h_i."""
-    x = as_vector(x, cfg.sys.n)
-    k = len(cfg.safe_set)
-    A = np.zeros((k, cfg.sys.m))
-    lb = np.zeros(k)
-    for i, bar in enumerate(cfg.safe_set.barriers):
-        lfh, lgh = barrier_lie_derivatives(cfg.sys, bar, x)
-        A[i] = lgh
-        lb[i] = -bar.alpha(bar.value(x)) - lfh
-    return A, lb
+    ev = evaluate(cfg, x)
+    return ev.A, ev.lb
+
+
+def classify_region(cfg: FilterConfig, x) -> RegionLabel:
+    """R1 where the Sontag input satisfies every barrier row (minimum slack
+    >= 0, ties assigned to R1), R2 otherwise."""
+    return evaluate(cfg, x).label
 
 
 def row_margins(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -100,20 +149,35 @@ def _solve_or_raise(spec: QPSpec, what: str, x):
     return sol
 
 
+def _cbf_qp(cfg: FilterConfig, ev: Evaluation, u_nom: np.ndarray) -> np.ndarray:
+    m = cfg.sys.m
+    spec = QPSpec(2.0 * np.eye(m), np.zeros(m), ev.A, ev.lb - ev.A @ u_nom,
+                  reg=cfg.qp_reg)
+    return u_nom + _solve_or_raise(spec, "CBF-QP", ev.x).z_star
+
+
 def cbf_qp_filter(cfg: FilterConfig, x, u_nom=None) -> np.ndarray:
     """Minimum-deviation safety filter: min |u - u_nom|^2 s.t. barrier rows.
 
     Solved in the shifted variable v = u - u_nom so the Tikhonov term is
     centered at the nominal input and a feasible nominal is returned
     unchanged."""
-    x = as_vector(x, cfg.sys.n)
-    if u_nom is None:
-        u_nom = sontag_control(cfg.sontag, x)
-    u_nom = as_vector(u_nom, cfg.sys.m)
-    A, lb = cbf_rows(cfg, x)
-    spec = QPSpec(2.0 * np.eye(cfg.sys.m), np.zeros(cfg.sys.m),
-                  A, lb - A @ u_nom, reg=cfg.qp_reg)
-    return u_nom + _solve_or_raise(spec, "CBF-QP", x).z_star
+    ev = evaluate(cfg, x)
+    u_nom = ev.u_son if u_nom is None else as_vector(u_nom, cfg.sys.m)
+    return _cbf_qp(cfg, ev, u_nom)
+
+
+def _clf_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> Tuple[np.ndarray, float]:
+    m = cfg.sys.m
+    H = np.zeros((m + 1, m + 1))
+    H[:m, :m] = 2.0 * np.eye(m)
+    H[m, m] = 2.0 * cfg.p
+    clf_row = np.concatenate([-ev.b, [1.0]])
+    A = np.vstack([clf_row, np.hstack([ev.A, np.zeros((len(ev.lb), 1))])])
+    lb = np.concatenate([[ev.lfw + cfg.alpha_w(cfg.clf.value(ev.x))], ev.lb])
+    spec = QPSpec(H, np.zeros(m + 1), A, lb, reg=cfg.qp_reg)
+    z = _solve_or_raise(spec, "CLF-CBF-QP", ev.x).z_star
+    return z[:m], float(z[m])
 
 
 def clf_cbf_qp_filter(cfg: FilterConfig, x) -> Tuple[np.ndarray, float]:
@@ -123,36 +187,25 @@ def clf_cbf_qp_filter(cfg: FilterConfig, x) -> Tuple[np.ndarray, float]:
         s.t. gradW'f + gradW'g u <= -alpha_W(W) + delta,  barrier rows.
 
     Returns (u, delta)."""
-    x = as_vector(x, cfg.sys.n)
-    m = cfg.sys.m
-    grad_w = cfg.clf.grad(x)
-    lfw = float(grad_w @ cfg.sys.drift(x))
-    b_row = grad_w @ cfg.sys.input_map(x)
-    A_cbf, lb_cbf = cbf_rows(cfg, x)
+    return _clf_cbf_qp(cfg, evaluate(cfg, x))
 
-    H = np.zeros((m + 1, m + 1))
-    H[:m, :m] = 2.0 * np.eye(m)
-    H[m, m] = 2.0 * cfg.p
-    clf_row = np.concatenate([-b_row, [1.0]])
-    A = np.vstack([clf_row, np.hstack([A_cbf, np.zeros((len(lb_cbf), 1))])])
-    lb = np.concatenate([[lfw + cfg.alpha_w(cfg.clf.value(x))], lb_cbf])
-    spec = QPSpec(H, np.zeros(m + 1), A, lb, reg=cfg.qp_reg)
-    z = _solve_or_raise(spec, "CLF-CBF-QP", x).z_star
-    return z[:m], float(z[m])
+
+def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
+    """The Sontag-weighted filter QP in the shifted variable v = u - u_son:
+    min v'(Q + reg*I)v with Q = b'b, s.t. A v >= lb - A u_son."""
+    return QPSpec(2.0 * np.outer(ev.b, ev.b), np.zeros(cfg.sys.m),
+                  ev.A, ev.lb - ev.A @ ev.u_son, reg=cfg.qp_reg)
+
+
+def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
+    return ev.u_son + _solve_or_raise(s_cbf_qp_spec(cfg, ev), "S-CBF-QP", ev.x).z_star
 
 
 def s_cbf_qp_filter(cfg: FilterConfig, x) -> np.ndarray:
     """Sontag-weighted safety filter: min |u - u_son|^2_{Q+reg*I} s.t. barrier
     rows, with Q = b'b. Solved in the shifted variable v = u - u_son so the
     Tikhonov term is centered at the nominal input."""
-    x = as_vector(x, cfg.sys.n)
-    u_son = sontag_control(cfg.sontag, x)
-    _, b_row = sontag_terms(cfg.sys, cfg.clf, x)
-    A, lb = cbf_rows(cfg, x)
-    Q = np.outer(b_row, b_row)
-    spec = QPSpec(2.0 * Q, np.zeros(cfg.sys.m), A, lb - A @ u_son, reg=cfg.qp_reg)
-    v = _solve_or_raise(spec, "S-CBF-QP", x).z_star
-    return u_son + v
+    return _s_cbf_qp(cfg, evaluate(cfg, x))
 
 
 def closed_form_ustar(cfg: FilterConfig, x, barrier_index: int = 0
@@ -165,85 +218,37 @@ def closed_form_ustar(cfg: FilterConfig, x, barrier_index: int = 0
 
     Raises DegenerateConstraintError when L_g h vanishes, and SafeStabError
     when the multiplier comes out negative at a state classified R2."""
-    x = as_vector(x, cfg.sys.n)
-    bar = cfg.safe_set.barriers[barrier_index]
-    lfh, lgh = barrier_lie_derivatives(cfg.sys, bar, x)
+    ev = evaluate(cfg, x)
+    lgh = ev.A[barrier_index]
     nrm2 = float(lgh @ lgh)
     if math.sqrt(nrm2) <= 1e-12:
+        name = cfg.safe_set.barriers[barrier_index].name
         raise DegenerateConstraintError(
-            f"L_g h ~ 0 for barrier {bar.name!r}; closed form undefined")
-    rate = lfh + bar.alpha(bar.value(x))
+            f"L_g h ~ 0 for barrier {name!r}; closed form undefined")
+    rate = -ev.lb[barrier_index]   # L_f h + alpha(h)
     u_star = -(rate / nrm2) * lgh
-    u_son = sontag_control(cfg.sontag, x)
-    _, b_row = sontag_terms(cfg.sys, cfg.clf, x)
-    Q = np.outer(b_row, b_row)
-    lam = float((u_star - u_son) @ Q @ lgh) / nrm2
-    label = classify_region(cfg, x)
-    if label.value == Region.R2 and lam < -1e-9 * (1.0 + abs(lam)):
-        raise SafeStabError(f"negative multiplier {lam} on R2 at x={x.tolist()}")
+    Q = np.outer(ev.b, ev.b)
+    lam = float((u_star - ev.u_son) @ Q @ lgh) / nrm2
+    if ev.label.value == Region.R2 and lam < -1e-9 * (1.0 + abs(lam)):
+        raise SafeStabError(f"negative multiplier {lam} on R2 at x={ev.x.tolist()}")
     return u_star, lam
 
 
-def classify_region(cfg: FilterConfig, x) -> RegionLabel:
-    """R1 where the Sontag input satisfies every barrier row (minimum slack
-    >= 0, ties assigned to R1), R2 otherwise."""
-    x = as_vector(x, cfg.sys.n)
-    u_son = sontag_control(cfg.sontag, x)
-    A, lb = cbf_rows(cfg, x)
-    margin = float(row_margins(A, lb, u_son).min())
-    value = Region.R1 if margin >= 0.0 else Region.R2
-    return RegionLabel(value, margin)
+def _hybrid(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
+    return ev.u_son if ev.label.value == Region.R1 else _s_cbf_qp(cfg, ev)
 
 
 def hybrid_control(cfg: FilterConfig, x) -> Tuple[np.ndarray, RegionLabel]:
     """Sontag input on R1, Sontag-weighted QP on R2."""
-    u, label, _, _, _ = _hybrid_step(cfg, x)
-    return u, label
-
-
-def _hybrid_step(cfg: FilterConfig, x):
-    """Shared hybrid evaluation returning (u, label, rows A, rows lb, h).
-
-    Evaluates the vector fields once per call; this is the per-step hot path
-    of the simulator, so closures are called directly and the universal
-    formula is inlined."""
-    x = as_vector(x, cfg.sys.n)
-    f = np.asarray(cfg.sys.f(x), dtype=float)
-    G = np.asarray(cfg.sys.g(x), dtype=float)
-    eq = cfg.clf.equilibrium
-    grad_w = 2.0 * (cfg.clf.P @ (x - eq.x_e))
-    a = float(grad_w @ (f + G @ eq.u_e))
-    b_row = grad_w @ G
-    bb = float(b_row @ b_row)
-    law = cfg.sontag
-    if math.sqrt(bb) <= law.b_floor:
-        u_son = eq.u_e.copy()
-    else:
-        u_son = eq.u_e + b_row * ((-a - law.gamma * math.sqrt(a * a + bb * bb)) / bb)
-    k = len(cfg._bar_cache)
-    A = np.empty((k, cfg.sys.m))
-    lb = np.empty(k)
-    h_vals = np.empty(k)
-    for i, (h_fn, grad_fn, lam) in enumerate(cfg._bar_cache):
-        grad = grad_fn(x)
-        h_i = float(h_fn(x))
-        h_vals[i] = h_i
-        A[i] = grad @ G
-        lb[i] = -lam * h_i - float(grad @ f)
-    margin = float((A @ u_son - lb).min())
-    if margin >= 0.0:
-        return u_son, RegionLabel(Region.R1, margin), A, lb, h_vals
-    Q = np.outer(b_row, b_row)
-    spec = QPSpec(2.0 * Q, np.zeros(cfg.sys.m), A, lb - A @ u_son, reg=cfg.qp_reg)
-    v = _solve_or_raise(spec, "S-CBF-QP", x).z_star
-    return u_son + v, RegionLabel(Region.R2, margin), A, lb, h_vals
+    ev = evaluate(cfg, x)
+    return _hybrid(cfg, ev), ev.label
 
 
 @dataclass
 class ControlDecision:
-    """Per-step controller output; rows and barrier values are carried along
-    so the simulator can log activation flags without recomputing Lie
-    derivatives."""
+    """Per-step controller output; the built-in controllers carry the rows,
+    region and barrier values of their evaluation along so the simulator can
+    log activation flags without recomputing Lie derivatives."""
 
     u: np.ndarray
     region: Optional[RegionLabel] = None
@@ -252,31 +257,26 @@ class ControlDecision:
     h_values: Optional[np.ndarray] = None
 
 
+# controller tag -> law mapping an evaluation to (u, CLF slack or None)
+_LAWS = {
+    "sontag": lambda cfg, ev: (ev.u_son, None),
+    "cbf-qp": lambda cfg, ev: (_cbf_qp(cfg, ev, ev.u_son), None),
+    "clf-cbf-qp": _clf_cbf_qp,
+    "s-cbf-qp": lambda cfg, ev: (_s_cbf_qp(cfg, ev), None),
+    "hybrid": lambda cfg, ev: (_hybrid(cfg, ev), None),
+}
+
+
 def make_controller(cfg: FilterConfig, name: str) -> Callable[[np.ndarray], ControlDecision]:
     """Controller factory for the tags accepted by the CLI."""
-    if name == "sontag":
-        def control(x):
-            return ControlDecision(sontag_control(cfg.sontag, x))
-    elif name == "cbf-qp":
-        def control(x):
-            u_son = sontag_control(cfg.sontag, x)
-            A, lb = cbf_rows(cfg, x)
-            spec = QPSpec(2.0 * np.eye(cfg.sys.m), np.zeros(cfg.sys.m),
-                          A, lb - A @ u_son, reg=cfg.qp_reg)
-            u = u_son + _solve_or_raise(spec, "CBF-QP", x).z_star
-            return ControlDecision(u, rows=(A, lb))
-    elif name == "clf-cbf-qp":
-        def control(x):
-            u, delta = clf_cbf_qp_filter(cfg, x)
-            return ControlDecision(u, delta=delta)
-    elif name == "s-cbf-qp":
-        def control(x):
-            return ControlDecision(s_cbf_qp_filter(cfg, x))
-    elif name == "hybrid":
-        def control(x):
-            u, label, A, lb, h_vals = _hybrid_step(cfg, x)
-            return ControlDecision(u, region=label, rows=(A, lb), h_values=h_vals)
-    else:
+    if name not in _LAWS:
         raise ValueError(f"unknown controller {name!r}; choose from {CONTROLLER_NAMES}")
+    law = _LAWS[name]
+
+    def control(x):
+        ev = evaluate(cfg, x)
+        u, delta = law(cfg, ev)
+        return ControlDecision(u, ev.label, delta, (ev.A, ev.lb), ev.h)
+
     control.__name__ = f"{name}_controller"
     return control

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional
 import numpy as np
 
 from .core import as_vector
-from .errors import InfeasibleQPError, SimulationError
+from .errors import InfeasibleQPError, QPIterationError, SimulationError
 from .filters import (ControlDecision, FilterConfig, active_flags, cbf_rows,
                       classify_region)
 
@@ -25,6 +25,7 @@ BLOWUP_LIMIT = 1e6
 STATUS_OK = "ok"
 STATUS_BLOWUP = "blowup"
 STATUS_INFEASIBLE = "infeasible"
+STATUS_QP_ITERATION = "qp_iteration"
 
 
 @dataclass
@@ -112,8 +113,12 @@ def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecis
     start of every step and holding its input through the RK4 stages.
 
     The initial state must lie in the safe set. Non-finite states, states
-    beyond the blow-up guard, and controller infeasibility truncate the run
-    with a diagnostic instead of raising."""
+    beyond the blow-up guard, controller infeasibility and a controller QP
+    that exceeds its iteration budget truncate the run with a diagnostic
+    instead of raising.
+
+    Rows, region and barrier values come from the controller's decision;
+    they are recomputed only for a controller that returns a bare u."""
     x = as_vector(simcfg.x0, cfg.sys.n)
     if cfg.safe_set.min_value(x) < 0.0:
         raise SimulationError(f"x0 outside the safe set: min h = {cfg.safe_set.min_value(x)}")
@@ -142,6 +147,10 @@ def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecis
             status = STATUS_INFEASIBLE
             diagnostic = f"controller infeasible at t={t}: {exc}"
             break
+        except QPIterationError as exc:
+            status = STATUS_QP_ITERATION
+            diagnostic = f"controller QP did not converge at t={t}, x={x.tolist()}: {exc}"
+            break
         u = np.asarray(decision.u, dtype=float)
         if decision.rows is not None:
             A, lb = decision.rows
@@ -169,7 +178,7 @@ def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecis
         if step == n_steps:
             break
         x = rk4_step(cfg.sys, x, u, simcfg.dt)
-        if not np.all(np.isfinite(x)) or np.abs(x).max() > BLOWUP_LIMIT:
+        if not np.abs(x).max() <= BLOWUP_LIMIT:   # also true for nan and inf
             status = STATUS_BLOWUP
             diagnostic = f"state blew up at t={t + simcfg.dt}"
             break

@@ -32,8 +32,8 @@ class SontagLaw:
 
 
 def sontag_kappa(law: SontagLaw, a: float, b: np.ndarray) -> np.ndarray:
-    """Correction term of the universal formula; zero when b (nearly) vanishes."""
-    b = as_vector(b, law.sys.m)
+    """Correction term of the universal formula for the terms a and b (an
+    m-array); zero when b (nearly) vanishes."""
     bb = float(b @ b)
     if math.sqrt(bb) <= law.b_floor:
         return np.zeros(law.sys.m)

@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from safestab import build_scenario, read_trajectory_csv
+from safestab import QPIterationError, build_scenario, cli, read_trajectory_csv
 from safestab.cli import main
 from safestab.verify import run_checks
 
@@ -99,12 +99,33 @@ def test_sweep_p_input_tv_trendline(tmp_path):
     assert slope >= 0.0, tvs.tolist()
 
 
-def test_sweep_thread_cap_env(tmp_path, monkeypatch):
-    monkeypatch.setenv("SAFESTAB_THREADS", "1")
-    rc = main(["sweep", "--scenario", "linear2d", "--controller", "sontag",
-               "--param", "gamma", "--values", "1.0,2.0", "--t-final", "0.5",
-               "--x0", "0.5,-0.4", "--out", str(tmp_path)])
-    assert rc == 0
+def test_sweep_writes_table_when_a_cell_qp_stalls(tmp_path, monkeypatch):
+    # the p=1000 cell's QP stops converging at its fourth step; the sweep
+    # still writes the table and every cell CSV, then exits 1
+    make = cli.make_controller
+
+    def stalling_make_controller(cfg, name):
+        ctrl = make(cfg, name)
+        calls = [0]
+
+        def control(x):
+            calls[0] += 1
+            if cfg.p == 1000.0 and calls[0] == 4:
+                raise QPIterationError("active-set did not converge")
+            return ctrl(x)
+        return control
+
+    monkeypatch.setattr(cli, "make_controller", stalling_make_controller)
+    rc = main(["sweep", "--scenario", "linear2d", "--controller", "clf-cbf-qp",
+               "--param", "p", "--values", "10,1000", "--t-final", "0.05",
+               "--out", str(tmp_path)])
+    assert rc == 1
+    with open(tmp_path / "linear2d_clf-cbf-qp_p_sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["ok", "qp_iteration"]
+    for r in rows:
+        assert (tmp_path / r["csv"]).exists()
+    assert read_trajectory_csv(tmp_path / rows[1]["csv"]).n_samples == 3
 
 
 def test_doa_reports_c_star(tmp_path, capsys):
@@ -133,8 +154,10 @@ def test_verify_detects_corrupted_clf_matrix(linear):
     bundle = build_scenario("linear2d")
     bundle.clf.P = np.array([[3.4142, -2.4142], [-2.0, 2.4142]])  # injected fault
     results = run_checks(bundle, seed=0)
-    failed = {r.name for r in results if not r.passed}
+    assert len(results) == 10
+    failed = {r.name: r.detail for r in results if not r.passed}
     assert "clf_matrix" in failed
+    assert "not symmetric" in failed["clf_matrix"]
 
 
 def test_verify_corrupted_scenario_file_nonzero_exit(tmp_path):

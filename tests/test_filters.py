@@ -3,12 +3,13 @@ import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
                       ExtendedClassK, InfeasibleQPError, QuadraticCLF, SafeSet,
-                      barrier_lie_derivatives, cbf_qp_filter, classify_region,
-                      clf_cbf_qp_filter, closed_form_ustar, hybrid_control,
-                      s_cbf_qp_filter, sontag_control, sontag_terms)
+                      SimConfig, barrier_lie_derivatives, cbf_qp_filter,
+                      classify_region, clf_cbf_qp_filter, closed_form_ustar,
+                      hybrid_control, integrate, s_cbf_qp_filter,
+                      sontag_control, sontag_terms)
 from safestab.errors import DegenerateConstraintError
-from safestab.filters import (Region, cbf_rows, make_controller,
-                              make_filter_config, row_margins)
+from safestab.filters import (CONTROLLER_NAMES, ControlDecision, Region, cbf_rows,
+                              make_controller, make_filter_config, row_margins)
 
 from conftest import sample_safe_states
 
@@ -324,6 +325,56 @@ def test_safety_rows_hold_for_all_filters(linear_cfg, linear):
         ]
         for u in candidates:
             assert row_margins(A, lb, u).min() >= -1e-8
+
+
+@pytest.mark.parametrize("scenario", ["linear2d", "tumor3d"])
+@pytest.mark.parametrize("name", CONTROLLER_NAMES)
+def test_decision_carries_the_standalone_quantities(name, scenario, request):
+    # the rows, region and barrier values a built-in controller hands to the
+    # simulator equal the standalone helpers and the core Lie derivatives bit
+    # for bit, and integrating its bare inputs reproduces the trajectory
+    bundle = request.getfixturevalue("linear" if scenario == "linear2d" else "tumor")
+    cfg = request.getfixturevalue("linear_cfg" if scenario == "linear2d" else "tumor_cfg")
+    ctrl = make_controller(cfg, name)
+    checked = 0
+    for x in sample_safe_states(bundle, 12, 83, w_cap=10.0):
+        try:
+            dec = ctrl(x)
+        except InfeasibleQPError:
+            continue
+        checked += 1
+        A, lb = dec.rows
+        A_ref, lb_ref = cbf_rows(cfg, x)
+        assert A.tobytes() == A_ref.tobytes() and lb.tobytes() == lb_ref.tobytes()
+        for i, bar in enumerate(cfg.safe_set.barriers):
+            lfh, lgh = barrier_lie_derivatives(cfg.sys, bar, x)
+            assert A[i].tobytes() == lgh.tobytes()
+            assert lb[i] == -bar.alpha(bar.value(x)) - lfh
+        label = classify_region(cfg, x)
+        assert dec.region.value == label.value and dec.region.margin == label.margin
+        margin = float(row_margins(A, lb, sontag_control(cfg.sontag, x)).min())
+        assert dec.region.margin == margin
+        assert dec.h_values.tobytes() == cfg.safe_set.values(x).tobytes()
+    assert checked > 0
+
+    simcfg = SimConfig(x0=np.asarray(bundle.defaults["x0"]), t_final=0.2, dt=1e-3)
+    full = integrate(cfg, ctrl, simcfg)
+    bare = integrate(cfg, lambda x: ControlDecision(ctrl(x).u), simcfg)
+    assert full.status == bare.status == "ok"
+    for field in ("times", "states", "inputs", "regions", "w_values", "h_values", "active"):
+        assert getattr(full, field).tobytes() == getattr(bare, field).tobytes(), field
+    assert len(full.switch_events) == len(bare.switch_events)
+
+
+def test_evaluate_rejects_misshapen_input_map():
+    sys = ControlAffineSystem(n=2, m=1, f=lambda x: np.zeros(2),
+                              g=lambda x: np.zeros((1, 2)), name="bad-g")
+    clf = QuadraticCLF(np.eye(2), EquilibriumPair([0.0, 0.0], [0.0]))
+    bar = Barrier(h=lambda x: 1.0, alpha=ExtendedClassK(1.0),
+                  grad_h=lambda x: np.zeros(2), name="always")
+    cfg = make_filter_config(sys, clf, SafeSet((bar,)))
+    with pytest.raises(ValueError, match=r"g\(x\) must be \(2, 1\)"):
+        make_controller(cfg, "hybrid")(np.ones(2))
 
 
 def test_make_controller_rejects_unknown(linear_cfg):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
-                      ExtendedClassK, QuadraticCLF, SafeSet, SimConfig,
-                      SimulationError, compute_metrics, integrate,
+                      ExtendedClassK, QPIterationError, QuadraticCLF, SafeSet,
+                      SimConfig, SimulationError, compute_metrics, integrate,
                       read_trajectory_csv, write_trajectory_csv)
 from safestab.filters import ControlDecision, make_controller, make_filter_config
 from safestab.sim import rk4_step
@@ -84,6 +84,24 @@ def test_infeasible_controller_truncates(tumor_cfg):
                      SimConfig(x0=[9.5, 0.5, 0.5], t_final=1.0, dt=1e-3))
     assert traj.status == "infeasible"
     assert traj.n_samples == 0
+
+
+def test_qp_iteration_error_truncates_with_diagnostic():
+    cfg = flat_config()
+    calls = [0]
+
+    def stalls_at_step_5(x):
+        calls[0] += 1
+        if calls[0] == 6:
+            raise QPIterationError("active-set did not converge in 240 iterations")
+        return ControlDecision(np.zeros(1))
+
+    traj = integrate(cfg, stalls_at_step_5, SimConfig(x0=[0.4, -0.7], t_final=1.0, dt=1e-2))
+    assert traj.status == "qp_iteration"
+    assert traj.n_samples == 5
+    assert "t=0.05" in traj.diagnostic
+    assert "x=[0.4, -0.7]" in traj.diagnostic
+    assert "240 iterations" in traj.diagnostic
 
 
 def test_record_every_decimates_but_keeps_last(linear_cfg):
