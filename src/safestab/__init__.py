@@ -7,7 +7,7 @@ harness with two bundled case studies.
 """
 from .core import (Barrier, ControlAffineSystem, EquilibriumPair,
                    ExtendedClassK, QuadraticCLF, SafeSet,
-                   barrier_lie_derivatives, clf_value, equilibrium_residual,
+                   barrier_lie_derivatives, equilibrium_residual,
                    is_valid_local_clf, linearize, sontag_terms)
 from .doa import (DoaEstimate, compute_c_star, control_sharing_holds, in_awc,
                   largest_clf_sublevel_inside)

@@ -193,11 +193,6 @@ class SafeSet:
         return self.min_value(x) >= -tol
 
 
-def clf_value(clf: QuadraticCLF, x) -> float:
-    """Quadratic Lyapunov value (x - x_e)' P (x - x_e)."""
-    return clf.value(x)
-
-
 def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
     """Return (a, b) with a = gradW'(f + g u_e) and b = gradW' g (an m-row)."""
     x = as_vector(x, sys.n)

@@ -1,10 +1,23 @@
-"""Dense active-set solver for small strictly convex QPs, plus an LP
+"""Dual active-set solver for small strictly convex QPs, plus an LP
 feasibility check used by the control-sharing test.
 
 Problem shape:  minimize 0.5 z'(H + reg*I)z + c'z  subject to  A z >= b.
+
+The method is that of Goldfarb and Idnani ("A numerically stable dual method
+for solving strictly convex quadratic programs", Math. Programming 27, 1983).
+It starts from the unconstrained minimizer, which is optimal for the dual
+with every multiplier zero, and adds violated rows one at a time while every
+multiplier stays nonnegative, so it needs no feasible starting point. A
+violated row that is a nonpositive combination of the active rows proves the
+rows inconsistent.
+
+With H + reg*I = LL' it works in y = L'z, where the cost is a shifted
+|y|^2 / 2, and projects through a QR factorization of the active normals.
+That stays accurate when two rows are nearly parallel in the cost metric,
+where the normal equations of the active normals lose their rank.
 Problems here are tiny (a handful of variables, a handful of rows), so
 everything is dense numpy, each call allocates its own workspace, and the
-working set is identified exactly (needed for the closed-form cross-checks).
+active set is identified exactly (needed for the closed-form cross-checks).
 """
 from __future__ import annotations
 
@@ -19,8 +32,13 @@ from .errors import QPIterationError
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
 
-_STEP_TOL = 1e-12
-_DUAL_TOL = 1e-10
+# a row counts as violated when its slack is below -_FEAS_TOL times its scale
+_FEAS_TOL = 1e-13
+# slacks of subnormal size are rounding whatever the scale of the problem
+_TINY = np.finfo(float).tiny
+# a row whose normal is within this sine of the active span adds no primal
+# step (the computed sine carries a rounding error of a few 1e-16)
+_DEP_TOL = 1e-14
 
 
 @dataclass
@@ -78,168 +96,140 @@ class QPSolution:
 def _kkt_residual(H, c, A, b, z, lam) -> float:
     """Max of the four (scaled) KKT residuals: stationarity, primal, dual,
     complementarity."""
-    slack = A @ z - b if b.size else np.zeros(0)
-    r_stat = np.abs(H @ z + c - (A.T @ lam if b.size else 0.0)).max(initial=0.0)
-    r_stat /= 1.0 + np.abs(H @ z).max(initial=0.0) + np.abs(c).max(initial=0.0)
-    if b.size:
-        scale_p = 1.0 + np.abs(b).max()
-        r_pri = max(0.0, float(-slack.min())) / scale_p
-        r_dual = max(0.0, float(-lam.min())) / (1.0 + np.abs(lam).max())
-        r_comp = np.abs(lam * slack).max() / (1.0 + np.abs(lam).max() * (1.0 + np.abs(slack).max()))
-    else:
-        r_pri = r_dual = r_comp = 0.0
-    return float(max(r_stat, r_pri, r_dual, r_comp))
+    Hz = H @ z
+    r_stat = np.abs(Hz + c - lam @ A).max() / (1.0 + np.abs(Hz).max() + np.abs(c).max())
+    if not b.size:
+        return float(r_stat)
+    slack = A @ z - b
+    lam_max = np.abs(lam).max()
+    r_pri = -slack.min() / (1.0 + np.abs(b).max())
+    r_dual = -lam.min() / (1.0 + lam_max)
+    r_comp = np.abs(lam * slack).max() / (1.0 + lam_max * (1.0 + np.abs(slack).max()))
+    return float(max(r_stat, r_pri, r_dual, r_comp, 0.0))
 
 
-def _active_set_iterate(H, c, A, b, z0, working0, max_iter):
-    """Primal active-set loop from a feasible z0. H must be positive definite.
-
-    Returns (z, multipliers over all rows, working set, iterations).
-    Entry tie-break: smallest row index; exit rule: most negative multiplier.
-    """
-    d = z0.size
-    k = b.size
-    z = z0.copy()
-    working: List[int] = list(working0)
-    for it in range(1, max_iter + 1):
-        g = H @ z + c
-        if working:
-            Aw = A[working]
-            kkt = np.block([[H, -Aw.T], [Aw, np.zeros((len(working), len(working)))]])
-            rhs = np.concatenate([-g, np.zeros(len(working))])
-            try:
-                sol = np.linalg.solve(kkt, rhs)
-            except np.linalg.LinAlgError:
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-            p = sol[:d]
-            mu = sol[d:]
-        else:
-            p = np.linalg.solve(H, -g)
-            mu = np.zeros(0)
-
-        if np.abs(p).max(initial=0.0) <= _STEP_TOL * (1.0 + np.abs(z).max(initial=0.0)):
-            if mu.size == 0 or mu.min() >= -_DUAL_TOL * (1.0 + np.abs(mu).max()):
-                lam = np.zeros(k)
-                if working:
-                    lam[working] = np.clip(mu, 0.0, None)
-                return z, lam, sorted(working), it
-            drop_pos = int(np.argmin(mu))
-            # ties on the most negative multiplier: drop smallest row index
-            worst = mu[drop_pos]
-            for j, m_j in enumerate(mu):
-                if m_j <= worst + 1e-15 and working[j] < working[drop_pos]:
-                    drop_pos = j
-            working.pop(drop_pos)
-            continue
-
-        alpha = 1.0
-        blocker = -1
-        if k:
-            ap = A @ p
-            for i in range(k):
-                if i in working:
-                    continue
-                if ap[i] < -1e-14 * (1.0 + abs(ap[i])):
-                    step = (b[i] - float(A[i] @ z)) / ap[i]
-                    step = max(step, 0.0)
-                    if step < alpha - 1e-14:
-                        alpha = step
-                        blocker = i
-                    elif blocker >= 0 and abs(step - alpha) <= 1e-14 and i < blocker:
-                        blocker = i
-        z = z + alpha * p
-        if blocker >= 0 and alpha < 1.0:
-            working.append(blocker)
-    raise QPIterationError(f"active-set did not converge in {max_iter} iterations")
+def _split(Q, q, n):
+    """Coordinates of n in the orthonormal columns Q[:, :q] and the part of n
+    orthogonal to them, by two Gram-Schmidt passes (the second restores the
+    orthogonality that cancellation loses when n nearly lies in their span)."""
+    Qa = Q[:, :q]
+    d1 = Qa.T @ n
+    s = n - Qa @ d1
+    e = Qa.T @ s
+    return d1 + e, s - Qa @ e
 
 
-def _phase_one(A, b):
-    """Least max-violation point for A z >= b via the auxiliary QP in (z, s):
-
-        minimize s^2   s.t.  A z + s >= b,  s >= 0,
-
-    started from the trivially feasible (0, max(b, 0) + 1).
-    Returns (z, s_star)."""
-    k, d = A.shape
-    H = np.zeros((d + 1, d + 1))
-    H[d, d] = 2.0
-    c = np.zeros(d + 1)
-    A_aug = np.hstack([A, np.ones((k, 1))])
-    s_row = np.zeros((1, d + 1))
-    s_row[0, d] = 1.0
-    A_aug = np.vstack([A_aug, s_row])
-    b_aug = np.concatenate([b, [0.0]])
-    reg = 1e-12
-    y0 = np.zeros(d + 1)
-    y0[d] = max(0.0, float(b.max(initial=0.0))) + 1.0
-    y, _, _, _ = _active_set_iterate(H + reg * np.eye(d + 1), c, A_aug, b_aug, y0,
-                                     [], max_iter=60 * (k + 2))
-    return y[:d], float(y[d])
-
-
-def _repair_feasibility(A, b, z, tol, rounds=30):
-    """Push a nearly feasible point onto the feasible side of its violated
-    rows; returns the repaired point or None when the projections stall
-    (taken as evidence of inconsistency at desk scale)."""
-    for _ in range(rounds):
-        viol = b - A @ z
-        idx = np.where(viol > 0.0)[0]
-        if idx.size == 0:
-            return z
-        delta = np.linalg.lstsq(A[idx], viol[idx] + tol, rcond=None)[0]
-        z = z + delta
-    viol = b - A @ z
-    if viol.max(initial=0.0) > 0.0:
-        return None
-    return z
+def _append(Q, R_inv, q, r, s):
+    """Grow the thin QR of the active normals by a column with split (d1, s),
+    given r = R^-1 d1: R gains the column (d1, |s|), so its inverse gains
+    (-r, 1) / |s|."""
+    rho = math.sqrt(float(s @ s))
+    Q[:, q] = s / rho
+    R_inv[:q, q] = r / -rho
+    R_inv[q, q] = 1.0 / rho
 
 
 def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     """KKT-certified minimizer of the given problem, or status 'infeasible'
-    when the phase-one problem proves the rows inconsistent."""
+    when a violated row is a nonpositive combination of the active rows
+    (a Farkas certificate from the dual).
+
+    Each iteration either certifies the current point optimal, takes a step
+    toward the chosen violated row p (adding p once it holds) or drops the
+    active row whose multiplier reached zero first."""
     d = spec.dim
     k = spec.n_rows
     H = spec.H + spec.reg * np.eye(d)
-    c = spec.c
+    A, b, c = spec.A, spec.b, spec.c
     if max_iter is None:
         max_iter = 60 * (k + 2)
 
-    if k == 0:
-        z = np.linalg.solve(H, -c)
-        res = _kkt_residual(H, c, spec.A, spec.b, z, np.zeros(0))
-        return QPSolution(z, np.zeros(0), [], res, STATUS_OPTIMAL, 1)
+    # rows scaled by powers of two, which is exact, so that their squared
+    # norms below neither underflow nor overflow
+    w = np.ldexp(1.0, -np.frexp(np.abs(A).max(axis=1, initial=0.0))[1])
+    bw = b * w
+    # y = L'z with H = LL': the cost becomes 0.5|y|^2 + (L^-1 c)'y and row i
+    # reads N[:, i]'y >= bw_i with N = L^-1 A' diag(w)
+    L_inv = np.linalg.inv(np.linalg.cholesky(H))
+    N = L_inv @ (A.T * w)
+    y = -(L_inv @ c)
+    nrm = np.sqrt(np.einsum("ij,ij->j", N, N))
+    # a slack's rounding grows with the largest point met, not the current one
+    y_max = float(np.abs(y).max(initial=0.0))
+    tol_b = _FEAS_TOL * np.abs(bw) + _TINY
+    tol_n = _FEAS_TOL * nrm
+    nrm_safe = np.maximum(nrm, 1e-300)
+    active: List[int] = []
+    u: List[float] = []          # multipliers of the active rows, then p's
+    Q = np.empty((d, d))         # active normals = Q[:, :q] R[:q, :q]
+    R_inv = np.zeros((d, d))     # upper triangular, so zero below
+    p = -1
+    for it in range(1, max_iter + 1):
+        if p < 0:
+            slack = y @ N - bw
+            viol = slack < -(tol_b + tol_n * y_max)
+            viol[active] = False
+            if not viol.any():
+                z = L_inv.T @ y
+                lam = np.zeros(k)
+                lam[active] = np.maximum(u, 0.0) * w[active]
+                res = _kkt_residual(H, c, A, b, z, lam)
+                tol = 1e-10 * (1.0 + np.abs(b).max(initial=0.0))
+                kept = [i for i in sorted(active)
+                        if lam[i] > 0.0 or abs(float(A[i] @ z - b[i])) <= tol]
+                return QPSolution(z, lam, kept, res, STATUS_OPTIMAL, it)
+            p = int(np.argmin(np.where(viol, slack / nrm_safe, np.inf)))
+            u.append(0.0)
+        q = len(active)
+        n_p = N[:, p]
+        d1, s = _split(Q, q, n_p)
+        r = R_inv[:q, :q] @ d1
+        r_list = r.tolist()
+        # dual step: the first active multiplier to reach zero
+        t1, drop = math.inf, -1
+        for j, r_j in enumerate(r_list):
+            if r_j > 0.0 and u[j] / r_j < t1:
+                t1, drop = u[j] / r_j, j
+        # primal step: the one making row p hold with equality; none when p's
+        # normal lies in the span of the active normals (a full active set)
+        ss = float(s @ s)
+        t2 = math.inf
+        if q < d and ss > (_DEP_TOL * nrm[p]) ** 2:
+            t2 = (bw[p] - float(n_p @ y)) / ss
+        if t1 == math.inf and t2 == math.inf:
+            return QPSolution(None, None, [], math.inf, STATUS_INFEASIBLE, it)
+        t = min(t1, t2)
+        for j, r_j in enumerate(r_list):
+            u[j] -= t * r_j
+        u[q] += t
+        if t2 < math.inf:
+            y = y + t * s
+            y_max = max(y_max, float(np.abs(y).max()))
+        if t2 <= t1:
+            _append(Q, R_inv, q, r, s)
+            active.append(p)
+            p = -1
+        else:
+            del active[drop], u[drop]
+            for j, i in enumerate(active):
+                d1, s = _split(Q, j, N[:, i])
+                _append(Q, R_inv, j, R_inv[:j, :j] @ d1, s)
+    raise QPIterationError(f"dual active set did not converge in {max_iter} iterations")
 
-    A, b = spec.A, spec.b
-    feas_scale = 1.0 + np.abs(b).max()
 
-    z0 = None
-    for cand in (np.linalg.solve(H, -c), np.zeros(d)):
-        if (A @ cand - b).min() >= 0.0:
-            z0 = cand
-            break
-        if (A @ cand - b).min() >= -1e-12 * feas_scale:
-            z0 = _repair_feasibility(A, b, cand, 1e-15)
-            if z0 is not None:
-                break
-    if z0 is None:
-        # regularization bias can dominate the phase-one optimum when the
-        # feasible set sits far out, so feasibility is decided by exact repair
-        z_p, _ = _phase_one(A, b)
-        z0 = _repair_feasibility(A, b, z_p, 1e-12 * feas_scale)
-        if z0 is None:
-            return QPSolution(None, None, [], math.inf, STATUS_INFEASIBLE, 0)
-
-    z, lam, active, it = _active_set_iterate(H, c, A, b, z0, [], max_iter)
-    res = _kkt_residual(H, c, A, b, z, lam)
-    active = [i for i in active if lam[i] > 0.0 or abs(float(A[i] @ z - b[i])) <= 1e-10 * feas_scale]
-    return QPSolution(z, lam, active, res, STATUS_OPTIMAL, it)
+def _phase_one(A, b) -> bool:
+    """Feasibility of A z >= b by one dual solve of min 0.5|z|^2 s.t.
+    A z >= b: a strictly convex QP is feasible exactly when its rows are.
+    (The name is the one the benchmark's tracer counts calls under.)"""
+    d = A.shape[1]
+    return solve_qp(QPSpec(np.eye(d), np.zeros(d), A, b, reg=0.0)).optimal
 
 
 def lp_feasible(A, b) -> bool:
     """True iff some z satisfies A z >= b.
 
     The one-variable case is decided by exact interval intersection; larger
-    systems go through the phase-one auxiliary QP.
+    systems by the dual method on the minimum-norm problem.
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float).ravel()
@@ -257,7 +247,4 @@ def lp_feasible(A, b) -> bool:
             elif b_i > 0.0:
                 return False
         return lo <= hi
-    z_p, s_star = _phase_one(A, b)
-    if s_star <= 1e-9 * (1.0 + np.abs(b).max()):
-        return True
-    return _repair_feasibility(A, b, z_p, 0.0) is not None
+    return _phase_one(A, b)

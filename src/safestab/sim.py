@@ -183,14 +183,17 @@ def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecis
             diagnostic = f"state blew up at t={t + simcfg.dt}"
             break
 
+    # reshaped so that a run stopped at its first step has (0, n)-style
+    # arrays, which the CSV writer and the metrics accept
+    k = len(cfg.safe_set.barriers)
     return Trajectory(
         times=np.array(times),
-        states=np.array(states),
-        inputs=np.array(inputs),
+        states=np.array(states).reshape(-1, cfg.sys.n),
+        inputs=np.array(inputs).reshape(-1, cfg.sys.m),
         regions=np.array(regions, dtype=int),
         w_values=np.array(w_values),
-        h_values=np.array(h_values),
-        active=np.array(act, dtype=int),
+        h_values=np.array(h_values).reshape(-1, k),
+        active=np.array(act, dtype=int).reshape(-1, k),
         switch_events=events,
         status=status,
         diagnostic=diagnostic,
@@ -223,9 +226,11 @@ def compute_metrics(traj: Trajectory, eq, eps: float = 1e-2) -> Metrics:
     convergence_time is the first recorded time after which the state stays
     within eps of x_e (inf when it never settles); input_tv is the summed
     1-norm of input increments; w_monotone_violation is the largest positive
-    inter-sample jump of W."""
+    inter-sample jump of W. A run stopped before its first sample (its
+    status says why) has nan for every summary."""
     if traj.n_samples == 0:
-        raise SimulationError("empty trajectory")
+        nan = math.nan
+        return Metrics(nan, nan, nan, nan, nan, eps)
     dist = np.linalg.norm(traj.states - as_vector(eq.x_e)[None, :], axis=1)
     outside = np.where(dist > eps)[0]
     if outside.size == 0:

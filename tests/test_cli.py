@@ -218,3 +218,31 @@ def test_console_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "safestab" in proc.stdout
+
+
+def test_simulate_infeasible_first_step_writes_metrics_and_exits_1(tmp_path):
+    # the resting-cell row has L_g h = 0 and lb > 0 at this start, so the very
+    # first CBF-QP is infeasible and the trajectory has no samples
+    rc = main(["simulate", "--scenario", "tumor3d", "--controller", "cbf-qp",
+               "--x0", "9.5,0.5,0.5", "--t-final", "0.1", "--out", str(tmp_path)])
+    assert rc == 1
+    summary = json.loads((tmp_path / "tumor3d_cbf-qp_metrics.json").read_text())
+    assert summary["status"] == "infeasible"
+    assert "t=0.0" in summary["diagnostic"]
+    assert all(np.isnan(summary["metrics"][key])
+               for key in ("convergence_time", "min_h", "input_tv"))
+    with open(tmp_path / "tumor3d_cbf-qp_traj.csv") as fh:
+        assert len(list(csv.reader(fh))) == 1   # the header alone
+
+
+def test_sweep_writes_table_when_a_cell_fails_at_its_first_step(tmp_path):
+    rc = main(["sweep", "--scenario", "tumor3d", "--controller", "cbf-qp",
+               "--param", "gamma", "--values", "0.5,1", "--x0", "9.5,0.5,0.5",
+               "--t-final", "0.1", "--out", str(tmp_path)])
+    assert rc == 1
+    with open(tmp_path / "tumor3d_cbf-qp_gamma_sweep.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [r["status"] for r in rows] == ["infeasible", "infeasible"]
+    assert [r["min_h"] for r in rows] == ["nan", "nan"]
+    for r in rows:
+        assert (tmp_path / r["csv"]).exists()

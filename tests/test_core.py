@@ -3,7 +3,7 @@ import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
                       ExtendedClassK, QuadraticCLF, SafeSet, ScenarioError,
-                      barrier_lie_derivatives, clf_value, equilibrium_residual,
+                      barrier_lie_derivatives, equilibrium_residual,
                       is_valid_local_clf, linearize, sontag_terms)
 from safestab.core import fd_gradient, sample_ball
 
@@ -11,12 +11,12 @@ from conftest import sample_safe_states
 
 
 def test_clf_value_at_equilibrium_is_zero(linear):
-    assert clf_value(linear.clf, linear.eq.x_e) == 0.0
+    assert linear.clf.value(linear.eq.x_e) == 0.0
 
 
 def test_clf_value_linear_example_printed_matrix(linear):
     # (1,0)' P (1,0) is the top-left entry of the printed matrix
-    assert clf_value(linear.clf, [1.0, 0.0]) == pytest.approx(3.4142, abs=1e-12)
+    assert linear.clf.value([1.0, 0.0]) == pytest.approx(3.4142, abs=1e-12)
 
 
 def test_clf_value_matches_dense_quadratic_oracle(tumor):
@@ -27,7 +27,7 @@ def test_clf_value_matches_dense_quadratic_oracle(tumor):
         x = rng.uniform(0.0, 10.0, size=3)
         d = x - x_e
         oracle = sum(d[i] * P[i, j] * d[j] for i in range(3) for j in range(3))
-        assert clf_value(tumor.clf, x) == pytest.approx(oracle, rel=1e-12)
+        assert tumor.clf.value(x) == pytest.approx(oracle, rel=1e-12)
 
 
 def test_clf_gradient_matches_finite_differences(linear, tumor):

@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from safestab import QPSpec, lp_feasible, solve_qp
+from safestab import (QPSpec, SimConfig, clf_cbf_qp_filter, evaluate, integrate,
+                      lp_feasible, make_controller, make_filter_config, solve_qp)
 from safestab.errors import QPIterationError
 
 
@@ -210,3 +214,104 @@ def test_lp_feasible_random_systems_match_grid_oracle():
                 near = any((A @ np.array([best[1] + d1, best[2] + d2]) - b).min() >= -1e-9
                            for d1 in fine for d2 in fine)
                 assert near, "lp_feasible says feasible but no point found nearby"
+
+
+def test_clf_cbf_qp_nearly_parallel_rows_match_hand_solution(linear):
+    # far out on the blow-up of the linear example the CLF row and the
+    # barrier row are nearly parallel in the cost metric (sin^2 ~ 5e-14);
+    # both hold with equality: u from the barrier row, delta from the CLF row
+    cfg = make_filter_config(linear.sys, linear.clf, linear.safe_set, gamma=1.0, p=1000.0)
+    x = np.array([34225.97160832805, 3260.4241165073945])
+    u, delta = clf_cbf_qp_filter(cfg, x)
+    ev = evaluate(cfg, x)
+    u_hand = ev.lb[0] / ev.A[0, 0]
+    delta_hand = ev.lfw + cfg.alpha_w(cfg.clf.value(x)) + float(ev.b[0]) * u_hand
+    assert u_hand == pytest.approx(15036.37468839, rel=1e-9)
+    assert u[0] == pytest.approx(u_hand, rel=1e-9)
+    assert delta == pytest.approx(delta_hand, rel=1e-9)
+
+
+def test_rows_meeting_in_one_point():
+    # the feasible set is the origin alone; the second row the solver adds
+    # lands on it, and the third then holds up to rounding
+    spec = QPSpec(np.eye(2), np.array([0.0, 1.0]),
+                  np.array([[0.0, -1.0], [-0.5, 1.0], [1.0, 1.0]]), np.zeros(3))
+    sol = solve_qp(spec)
+    assert sol.optimal
+    assert np.abs(sol.z_star).max() <= 1e-15
+
+
+def test_row_below_the_square_root_of_the_smallest_double():
+    # 1e-170 z1 >= 1e-170 is z1 >= 1; the row's squared norm underflows to 0
+    spec = QPSpec(np.eye(2), np.zeros(2), np.array([[1e-170, 0.0]]),
+                  np.array([1e-170]), reg=0.0)
+    sol = solve_qp(spec)
+    assert sol.optimal
+    assert sol.z_star == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert sol.multipliers[0] == pytest.approx(1e170, rel=1e-12)
+
+
+def test_lp_feasible_three_dependent_rows_in_2d():
+    # trial 96 of test_lp_feasible_random_systems_match_grid_oracle
+    A = np.array([[-1.9373326164042046, -1.197599108410216],
+                  [1.5261445982916175, 1.006951591794048],
+                  [1.8757092617658273, 0.5658403384579376]])
+    b = np.array([-0.47745105185448605, 0.8596386488851683, -0.4365011184709154])
+    assert not lp_feasible(A, b)
+
+
+def test_linear_clf_cbf_qp_run_does_not_stall(linear):
+    # from this start the p=1000 run reaches the nearly parallel rows above;
+    # a solver that needs a feasible start stalled there at t = 2.134 s
+    cfg = make_filter_config(linear.sys, linear.clf, linear.safe_set, gamma=1.0, p=1000.0)
+    traj = integrate(cfg, make_controller(cfg, "clf-cbf-qp"),
+                     SimConfig(x0=[2.2166634801674006, -1.8151809514247237],
+                               t_final=3.0, controller="clf-cbf-qp"))
+    assert traj.status != "qp_iteration", traj.diagnostic
+
+
+@st.composite
+def strictly_convex_specs(draw):
+    """Random strictly convex QP with d <= 3 variables and k <= 4 rows, each
+    row's largest entry of size 1e-3..1e5, holding with a margin of 0.1..1
+    times that size at a drawn point. (Without a margin, two nearly parallel
+    rows can pin the solution to a sliver whose position no double-precision
+    solver resolves.)"""
+    d = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 4))
+    unit = st.floats(-1.0, 1.0)
+    M = draw(hnp.arrays(float, (d, d), elements=unit))
+    H = M.T @ M + np.diag(draw(hnp.arrays(float, d, elements=st.floats(1e-2, 1.0))))
+    c = draw(hnp.arrays(float, d, elements=st.floats(-10.0, 10.0)))
+    A = draw(hnp.arrays(float, (k, d), elements=unit))
+    scale = 10.0 ** draw(hnp.arrays(float, k, elements=st.floats(-3.0, 5.0)))
+    z_feas = draw(hnp.arrays(float, d, elements=st.floats(-10.0, 10.0)))
+    margin = draw(hnp.arrays(float, k, elements=st.floats(0.1, 1.0)))
+    top = np.abs(A).max(axis=1, keepdims=True)
+    A = scale[:, None] * np.divide(A, top, out=np.zeros_like(A), where=top > 0.0)
+    return QPSpec(H, c, A, A @ z_feas - scale * margin)
+
+
+@settings(max_examples=300, deadline=None)
+@given(strictly_convex_specs())
+def test_feasible_specs_solve_to_kkt_points(spec):
+    sol = solve_qp(spec)
+    assert sol.optimal
+    assert sol.kkt_residual <= 1e-7
+    # each row relative to the size of its terms at the unconstrained
+    # minimizer the solver starts from and at the solution; a subnormal
+    # violation is rounding at any scale
+    z = sol.z_star
+    z_unc = np.linalg.solve(spec.H + spec.reg * np.eye(spec.dim), -spec.c)
+    size = np.abs(z).sum() + np.abs(z_unc).sum()
+    row_scale = np.abs(spec.b) + np.abs(spec.A).max(axis=1) * size
+    assert (spec.A @ z - spec.b >= -(1e-9 * row_scale + np.finfo(float).tiny)).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(strictly_convex_specs(), st.floats(1e-6, 1e3), st.integers(0, 4))
+def test_zero_row_with_positive_bound_is_infeasible(spec, b_zero, pos):
+    pos = min(pos, spec.n_rows)
+    A = np.insert(spec.A, pos, 0.0, axis=0)
+    b = np.insert(spec.b, pos, b_zero)
+    assert solve_qp(QPSpec(spec.H, spec.c, A, b)).status == "infeasible"
