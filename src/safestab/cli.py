@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,6 +29,9 @@ from .verify import run_checks
 EXIT_OK = 0
 EXIT_RUNTIME = 1
 EXIT_USAGE = 2
+
+# vertices of the safe-set boundary polyline in a 2D plot script
+BOUNDARY_POINTS = 256
 
 
 @dataclass
@@ -53,8 +56,10 @@ class RunManifest:
             raise ScenarioError(f"unknown controller {self.controller!r}")
         for name, val in (("gamma", self.gamma), ("p", self.p),
                           ("dt", self.dt), ("t_final", self.t_final)):
-            if not val > 0.0:
-                raise ScenarioError(f"{name} must be positive, got {val}")
+            if not 0.0 < val < math.inf:
+                raise ScenarioError(f"{name} must be positive and finite, got {val}")
+        if not np.all(np.isfinite(self.x0)):
+            raise ScenarioError(f"x0 must be finite, got {self.x0.tolist()}")
 
     def as_dict(self) -> dict:
         return {
@@ -117,7 +122,6 @@ def _run_one(bundle, manifest: RunManifest):
                              gamma=manifest.gamma, p=manifest.p)
     ctrl = make_controller(cfg, manifest.controller)
     simcfg = SimConfig(x0=manifest.x0, t_final=manifest.t_final, dt=manifest.dt,
-                       controller=manifest.controller,
                        record_every=manifest.record_every)
     traj = integrate(cfg, ctrl, simcfg)
     metrics = compute_metrics(traj, bundle.eq)
@@ -133,11 +137,14 @@ def cmd_simulate(args) -> int:
     stem = f"{bundle.name}_{manifest.controller}"
     csv_path = out / f"{stem}_traj.csv"
     write_trajectory_csv(traj, csv_path)
+    # strict JSON has no inf or nan: a run that never settles or stopped at
+    # its first step reports null for those metrics
     summary = dict(manifest.as_dict(), status=traj.status,
                    diagnostic=traj.diagnostic, switches=len(traj.switch_events),
-                   metrics=metrics.as_dict())
+                   metrics={key: val if math.isfinite(val) else None
+                            for key, val in asdict(metrics).items()})
     with open(out / f"{stem}_metrics.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
     print(f"wrote {csv_path} ({traj.n_samples} samples, status {traj.status})")
     if traj.status != "ok":
         print(f"runtime failure: {traj.diagnostic}", file=sys.stderr)
@@ -294,13 +301,14 @@ print("figures written")
 '''
 
 
-def _safe_boundary_polyline(bundle, n_points: int = 256):
-    """Polyline of the safe-set boundary for 2D scenarios by ray casting."""
+def _safe_boundary_polyline(bundle):
+    """Polyline of the safe-set boundary for 2D scenarios by ray casting
+    BOUNDARY_POINTS evenly spaced directions."""
     if bundle.sys.n != 2:
         return None
     x_e = bundle.eq.x_e
     pts = []
-    for theta in np.linspace(0.0, 2.0 * math.pi, n_points, endpoint=False):
+    for theta in np.linspace(0.0, 2.0 * math.pi, BOUNDARY_POINTS, endpoint=False):
         d = np.array([math.cos(theta), math.sin(theta)])
         bracket = ray_exit(bundle.safe_set.contains, x_e, d)
         if bracket is None:

@@ -29,35 +29,33 @@ def as_vector(x, size: Optional[int] = None) -> np.ndarray:
     return v
 
 
-def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray,
-                rel_step: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient with per-axis step rel_step*max(1, |x_i|)."""
-    x = as_vector(x)
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        step = rel_step * max(1.0, abs(x[i]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        grad[i] = (fn(xp) - fn(xm)) / (2.0 * step)
-    return grad
+# relative step of the central differences: step_i = FD_REL_STEP * max(1, |x_i|)
+FD_REL_STEP = 1e-6
+# |b(x)| at or below this counts as a vanishing input direction (Sontag's
+# small-control convention at the equilibrium, and the local CLF check)
+B_FLOOR = 1e-10
+# states sampled by is_valid_local_clf
+LOCAL_CLF_SAMPLES = 200
 
 
-def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray,
-                rel_step: float = 1e-6) -> np.ndarray:
+def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
+    """Central finite-difference gradient of a scalar map: the one row of
+    fd_jacobian."""
+    return fd_jacobian(fn, x)[0]
+
+
+def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
     """Central finite-difference Jacobian of a vector map, one column per axis."""
     x = as_vector(x)
-    f0 = as_vector(fn(x))
-    jac = np.zeros((f0.size, x.size))
+    cols = []
     for i in range(x.size):
-        step = rel_step * max(1.0, abs(x[i]))
+        step = FD_REL_STEP * max(1.0, abs(x[i]))
         xp = x.copy()
         xm = x.copy()
         xp[i] += step
         xm[i] -= step
-        jac[:, i] = (as_vector(fn(xp)) - as_vector(fn(xm))) / (2.0 * step)
-    return jac
+        cols.append((as_vector(fn(xp)) - as_vector(fn(xm))) / (2.0 * step))
+    return np.stack(cols, axis=1)
 
 
 @dataclass
@@ -105,11 +103,8 @@ class ExtendedClassK:
     """Rate function for barrier rows; only the linear form alpha(s) = lam * s is shipped."""
 
     lam: float = 1.0
-    kind: str = "linear"
 
     def __post_init__(self):
-        if self.kind != "linear":
-            raise ScenarioError(f"unsupported class-K kind {self.kind!r}")
         if not self.lam > 0.0:
             raise ScenarioError("class-K gain must be positive")
 
@@ -216,13 +211,12 @@ def barrier_lie_derivatives(sys: ControlAffineSystem, barrier: Barrier, x):
     return lfh, lgh
 
 
-def linearize(sys: ControlAffineSystem, eq: EquilibriumPair,
-              rel_step: float = 1e-6) -> np.ndarray:
+def linearize(sys: ControlAffineSystem, eq: EquilibriumPair) -> np.ndarray:
     """Jacobian of x -> f(x) + g(x) u_e at x_e by central differences."""
     def closed(x):
         return sys.drift(x) + sys.input_map(x) @ eq.u_e
 
-    jac = fd_jacobian(closed, eq.x_e, rel_step=rel_step)
+    jac = fd_jacobian(closed, eq.x_e)
     if not np.all(np.isfinite(jac)):
         raise ScenarioError("linearization produced non-finite entries")
     return jac
@@ -240,25 +234,25 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
 
 
 def is_valid_local_clf(sys: ControlAffineSystem, clf: QuadraticCLF, radius: float,
-                       n_samples: int = 200, seed: int = 0, gamma: float = 1.0,
-                       b_floor: float = 1e-10):
-    """Sample the ball around x_e and look for a state at which no input
+                       seed: int = 0):
+    """Sample LOCAL_CLF_SAMPLES states of the ball around x_e and look for a state at which no input
     (searched through the Sontag feedback) strictly decreases W.
 
     Returns (ok, witness); witness is the first failing state or None.
     A state fails only when b(x) vanishes while a(x) >= 0, because otherwise
-    the Sontag input already yields dW/dt = -gamma*sqrt(a^2 + |b|^4) < 0.
+    the Sontag input of any gain gamma > 0 already yields
+    dW/dt = -gamma*sqrt(a^2 + |b|^4) < 0.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     x_e = clf.equilibrium.x_e
-    samples = sample_ball(x_e, radius, n_samples, rng)
+    samples = sample_ball(x_e, radius, LOCAL_CLF_SAMPLES, rng)
     for x in samples:
         if np.linalg.norm(x - x_e) < 1e-12:
             continue
         a, b = sontag_terms(sys, clf, x)
-        if math.sqrt(float(b @ b)) > b_floor:
+        if math.sqrt(float(b @ b)) > B_FLOOR:
             continue
         if a >= 0.0:
             return False, x

@@ -23,6 +23,19 @@ from .errors import SharingInfeasibleError
 from .filters import FilterConfig, cbf_rows, evaluate  # noqa: F401
 from .qp import lp_feasible
 
+# the bisection for c* stops once its bracket is narrower than this fraction
+# of its upper end
+C_STAR_REL_TOL = 1e-3
+# grid points this close to x_e are not checked: b and the required decrease
+# both vanish at x_e
+EXCLUDE_RADIUS = 1e-3
+# rays cast from x_e by largest_clf_sublevel_inside and awc_boundary_points
+N_DIRECTIONS = 256
+# largest_clf_sublevel_inside treats a ray as unbounded past this parameter
+SUBLEVEL_T_MAX = 1e3
+# draws sample_states_in_awc makes before it gives up
+AWC_MAX_TRIES = 100000
+
 
 def control_sharing_holds(cfg: FilterConfig, x, eps_share: Optional[float] = None) -> bool:
     """True iff one input satisfies every barrier row and gives
@@ -63,18 +76,16 @@ def ray_exit(inside: Callable[[np.ndarray], bool], origin: np.ndarray,
 
 @dataclass
 class DoaEstimate:
-    """Result of the bisection; violations inside {W <= c_star} are empty by
-    construction, diagnostics for the tightest rejected level are kept in
-    first_infeasible_violations."""
+    """Result of the bisection. first_infeasible_c is the smallest level
+    found infeasible (None when c_hi passed), and first_infeasible_violations
+    the grid states at or below it that fail control sharing."""
 
     c_star: float
     grid_resolution: Tuple[int, ...]
     verified_points: int
-    violations: List[np.ndarray]
     tested: List[Tuple[float, bool]] = field(default_factory=list)
     first_infeasible_c: Optional[float] = None
     first_infeasible_violations: List[np.ndarray] = field(default_factory=list)
-    grid_bounds: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not self.c_star > 0.0:
@@ -90,13 +101,15 @@ def sublevel_bounding_box(cfg: FilterConfig, c: float) -> np.ndarray:
 
 
 def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
-                   c_bounds: Tuple[float, float], rel_tol: float = 1e-3,
-                   exclude_radius: float = 1e-3) -> DoaEstimate:
+                   c_bounds: Tuple[float, float]) -> DoaEstimate:
     """Bisection for the largest c whose grid points in {W <= c} inside the
-    safe set all pass control sharing.
+    safe set all pass control sharing, down to a bracket of C_STAR_REL_TOL
+    times its upper end.
 
-    Sharing at a point does not depend on c, so each grid point is verified
-    once and memoized across bisection probes."""
+    Sharing at a point does not depend on c, so every candidate (W <= c_hi,
+    inside the safe set, farther than EXCLUDE_RADIUS from x_e) is checked
+    once, and a level c passes exactly when it lies below the smallest W
+    among the failing candidates."""
     c_lo, c_hi = float(c_bounds[0]), float(c_bounds[1])
     if not (0.0 < c_lo < c_hi):
         raise ValueError("c_bounds must satisfy 0 < c_lo < c_hi")
@@ -112,54 +125,36 @@ def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
 
     x_e = cfg.clf.equilibrium.x_e
     w_vals = np.array([cfg.clf.value(p) for p in points])
-    in_safe = np.array([cfg.safe_set.min_value(p) >= 0.0 for p in points])
-    near_eq = np.linalg.norm(points - x_e, axis=1) <= exclude_radius
-    candidate = in_safe & ~near_eq & (w_vals <= c_hi)
+    near_eq = np.linalg.norm(points - x_e, axis=1) <= EXCLUDE_RADIUS
+    idxs = [i for i in np.flatnonzero(~near_eq & (w_vals <= c_hi))
+            if cfg.safe_set.min_value(points[i]) >= 0.0]
+    failing = np.array([i for i in idxs if not control_sharing_holds(cfg, points[i])],
+                       dtype=int)
+    w_fail = float(w_vals[failing].min(initial=math.inf))
 
-    shared: dict = {}
-
-    def point_ok(idx: int) -> bool:
-        if idx not in shared:
-            shared[idx] = control_sharing_holds(cfg, points[idx])
-        return shared[idx]
-
-    tested: List[Tuple[float, bool]] = []
-    first_bad_c: Optional[float] = None
-    first_bad_states: List[np.ndarray] = []
-
-    def feasible(c: float) -> bool:
-        nonlocal first_bad_c, first_bad_states
-        idxs = np.where(candidate & (w_vals <= c))[0]
-        bad = [i for i in idxs if not point_ok(int(i))]
-        ok = not bad
-        tested.append((c, ok))
-        if not ok and (first_bad_c is None or c < first_bad_c):
-            first_bad_c = c
-            first_bad_states = [points[i].copy() for i in bad]
-        return ok
-
-    if not feasible(c_lo):
+    if not c_lo < w_fail:
         raise SharingInfeasibleError(
             f"control sharing fails already at c={c_lo}; CLF/CBF incompatible near x_e")
-    if feasible(c_hi):
-        lo = c_hi
-    else:
-        lo, hi = c_lo, c_hi
-        while hi - lo > rel_tol * hi:
-            mid = 0.5 * (lo + hi)
-            if feasible(mid):
-                lo = mid
-            else:
-                hi = mid
+    tested = [(c_lo, True), (c_hi, c_hi < w_fail)]
+    lo, hi = (c_hi, c_hi) if c_hi < w_fail else (c_lo, c_hi)
+    while hi - lo > C_STAR_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        tested.append((mid, mid < w_fail))
+        if mid < w_fail:
+            lo = mid
+        else:
+            hi = mid
+    # hi is now the smallest level tested infeasible, unless c_hi passed
+    first_bad_c = None if c_hi < w_fail else hi
+    first_bad_states = [] if first_bad_c is None else \
+        list(points[failing[w_vals[failing] <= first_bad_c]])
     return DoaEstimate(
         c_star=lo,
         grid_resolution=resolution,
-        verified_points=len(shared),
-        violations=[],
+        verified_points=len(idxs),
         tested=tested,
         first_infeasible_c=first_bad_c,
         first_infeasible_violations=first_bad_states,
-        grid_bounds=bounds,
     )
 
 
@@ -169,18 +164,17 @@ def in_awc(estimate: DoaEstimate, cfg: FilterConfig, x) -> bool:
     return cfg.clf.value(x) <= estimate.c_star and cfg.safe_set.min_value(x) >= 0.0
 
 
-def largest_clf_sublevel_inside(cfg: FilterConfig, n_directions: int = 256,
-                                seed: int = 0, t_max: float = 1e3) -> float:
+def largest_clf_sublevel_inside(cfg: FilterConfig, seed: int = 0) -> float:
     """Line-search estimate of the conservative level c_triv = max{c : {W<=c}
     inside the safe set}: walk rays from x_e to the safe-set boundary and take
     the smallest W found there."""
     rng = np.random.default_rng(seed)
     x_e = cfg.clf.equilibrium.x_e
     best = math.inf
-    dirs = rng.normal(size=(n_directions, cfg.sys.n))
+    dirs = rng.normal(size=(N_DIRECTIONS, cfg.sys.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     for d in dirs:
-        bracket = ray_exit(cfg.safe_set.contains, x_e, d, t_max)
+        bracket = ray_exit(cfg.safe_set.contains, x_e, d, SUBLEVEL_T_MAX)
         if bracket is None:
             continue  # safe set unbounded along this ray
         best = min(best, cfg.clf.value(x_e + bracket[1] * d))
@@ -190,7 +184,7 @@ def largest_clf_sublevel_inside(cfg: FilterConfig, n_directions: int = 256,
 
 
 def awc_boundary_points(estimate: DoaEstimate, cfg: FilterConfig,
-                        n_directions: int = 256, seed: int = 0) -> np.ndarray:
+                        seed: int = 0) -> np.ndarray:
     """Ray-cast samples of the boundary of A_WC for plotting."""
     rng = np.random.default_rng(seed)
     x_e = cfg.clf.equilibrium.x_e
@@ -198,7 +192,7 @@ def awc_boundary_points(estimate: DoaEstimate, cfg: FilterConfig,
     def inside(x):
         return in_awc(estimate, cfg, x)
 
-    dirs = rng.normal(size=(n_directions, cfg.sys.n))
+    dirs = rng.normal(size=(N_DIRECTIONS, cfg.sys.n))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = []
     for d in dirs:
@@ -209,19 +203,18 @@ def awc_boundary_points(estimate: DoaEstimate, cfg: FilterConfig,
 
 
 def sample_states_in_awc(estimate: DoaEstimate, cfg: FilterConfig, count: int,
-                         seed: int = 0, w_fraction: float = 1.0,
-                         max_tries: int = 100000) -> np.ndarray:
-    """Seeded rejection sampling of states with W <= w_fraction * c* inside the
-    safe set."""
+                         seed: int = 0) -> np.ndarray:
+    """Seeded rejection sampling of states in A_WC (W <= c* inside the safe
+    set), at most AWC_MAX_TRIES draws."""
     rng = np.random.default_rng(seed)
-    cap = w_fraction * estimate.c_star
+    cap = estimate.c_star
     bounds = sublevel_bounding_box(cfg, cap)
     out = []
-    for _ in range(max_tries):
+    for _ in range(AWC_MAX_TRIES):
         x = rng.uniform(bounds[:, 0], bounds[:, 1])
         if cfg.clf.value(x) <= cap and cfg.safe_set.min_value(x) >= 0.0:
             out.append(x)
             if len(out) == count:
                 return np.array(out)
     raise SharingInfeasibleError(
-        f"could not draw {count} states inside A_WC within {max_tries} tries")
+        f"could not draw {count} states inside A_WC within {AWC_MAX_TRIES} tries")

@@ -16,14 +16,13 @@ barrier row (region R1) and the Sontag-weighted QP elsewhere (region R2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import (ControlAffineSystem, ExtendedClassK, QuadraticCLF, SafeSet,
-                   as_vector, clf_lie_terms)
+from .core import ControlAffineSystem, QuadraticCLF, SafeSet, as_vector, clf_lie_terms
 from .errors import DegenerateConstraintError, InfeasibleQPError, SafeStabError
 from .qp import QPSpec, solve_qp
 # sontag_terms and sontag_control are unused here but stay bound: the
@@ -31,6 +30,12 @@ from .qp import QPSpec, solve_qp
 from .sontag import SontagLaw, sontag_control, sontag_kappa, sontag_terms  # noqa: F401
 
 CONTROLLER_NAMES = ("sontag", "cbf-qp", "clf-cbf-qp", "s-cbf-qp", "hybrid")
+
+# rate of the CLF-decrease row of the CLF-CBF-QP: alpha_W(W) = ALPHA_W * W
+ALPHA_W = 1.0
+# a barrier row counts as active when its slack is at most ACTIVE_TOL times
+# its scale
+ACTIVE_TOL = 1e-6
 
 
 class Region(IntEnum):
@@ -51,20 +56,15 @@ class FilterConfig:
     safe_set: SafeSet
     sontag: SontagLaw
     p: float = 10.0
-    alpha_w: ExtendedClassK = field(default_factory=ExtendedClassK)
-    qp_reg: float = 1e-9
 
     def __post_init__(self):
         if not self.p > 0.0:
             raise ValueError("slack weight p must be positive")
 
 
-def make_filter_config(sys, clf, safe_set, gamma: float = 1.0, p: float = 10.0,
-                       alpha_w_lambda: float = 1.0, b_floor: float = 1e-10,
-                       qp_reg: float = 1e-9) -> FilterConfig:
-    law = SontagLaw(sys, clf, gamma=gamma, b_floor=b_floor)
-    return FilterConfig(sys, clf, safe_set, law, p=p,
-                        alpha_w=ExtendedClassK(alpha_w_lambda), qp_reg=qp_reg)
+def make_filter_config(sys, clf, safe_set, gamma: float = 1.0,
+                       p: float = 10.0) -> FilterConfig:
+    return FilterConfig(sys, clf, safe_set, SontagLaw(sys, clf, gamma=gamma), p=p)
 
 
 class Evaluation(NamedTuple):
@@ -135,11 +135,10 @@ def row_margins(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
     return A @ u - lb
 
 
-def active_flags(A: np.ndarray, lb: np.ndarray, u: np.ndarray,
-                 tol: float = 1e-6) -> np.ndarray:
-    """Rows whose slack at u is below tol (relative to the row scale)."""
+def active_flags(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Rows whose slack at u is at most ACTIVE_TOL relative to the row scale."""
     scale = 1.0 + np.abs(lb) + np.abs(A) @ np.abs(u)
-    return row_margins(A, lb, u) <= tol * scale
+    return row_margins(A, lb, u) <= ACTIVE_TOL * scale
 
 
 def _solve_or_raise(spec: QPSpec, what: str, x):
@@ -151,8 +150,7 @@ def _solve_or_raise(spec: QPSpec, what: str, x):
 
 def _cbf_qp(cfg: FilterConfig, ev: Evaluation, u_nom: np.ndarray) -> np.ndarray:
     m = cfg.sys.m
-    spec = QPSpec(2.0 * np.eye(m), np.zeros(m), ev.A, ev.lb - ev.A @ u_nom,
-                  reg=cfg.qp_reg)
+    spec = QPSpec(2.0 * np.eye(m), np.zeros(m), ev.A, ev.lb - ev.A @ u_nom)
     return u_nom + _solve_or_raise(spec, "CBF-QP", ev.x).z_star
 
 
@@ -174,8 +172,8 @@ def _clf_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> Tuple[np.ndarray, float]:
     H[m, m] = 2.0 * cfg.p
     clf_row = np.concatenate([-ev.b, [1.0]])
     A = np.vstack([clf_row, np.hstack([ev.A, np.zeros((len(ev.lb), 1))])])
-    lb = np.concatenate([[ev.lfw + cfg.alpha_w(cfg.clf.value(ev.x))], ev.lb])
-    spec = QPSpec(H, np.zeros(m + 1), A, lb, reg=cfg.qp_reg)
+    lb = np.concatenate([[ev.lfw + ALPHA_W * cfg.clf.value(ev.x)], ev.lb])
+    spec = QPSpec(H, np.zeros(m + 1), A, lb)
     z = _solve_or_raise(spec, "CLF-CBF-QP", ev.x).z_star
     return z[:m], float(z[m])
 
@@ -192,9 +190,10 @@ def clf_cbf_qp_filter(cfg: FilterConfig, x) -> Tuple[np.ndarray, float]:
 
 def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
     """The Sontag-weighted filter QP in the shifted variable v = u - u_son:
-    min v'(Q + reg*I)v with Q = b'b, s.t. A v >= lb - A u_son."""
+    min v'(Q + reg*I)v with Q = b'b, s.t. A v >= lb - A u_son, where reg is
+    QPSpec's default (1e-9), as in the other two filters."""
     return QPSpec(2.0 * np.outer(ev.b, ev.b), np.zeros(cfg.sys.m),
-                  ev.A, ev.lb - ev.A @ ev.u_son, reg=cfg.qp_reg)
+                  ev.A, ev.lb - ev.A @ ev.u_son)
 
 
 def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:

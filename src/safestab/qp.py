@@ -62,8 +62,12 @@ class QPSpec:
         scale = 1.0 + np.abs(self.H).max(initial=0.0)
         if np.abs(self.H - self.H.T).max(initial=0.0) > 1e-9 * scale:
             raise ValueError("H must be symmetric")
-        if np.linalg.eigvalsh(self.H + self.reg * np.eye(d)).min() <= 0.0:
-            raise ValueError("H + reg*I must be positive definite")
+        # H + reg*I is positive definite exactly when its Cholesky factor
+        # exists; solve_qp reuses the factor
+        try:
+            self._chol = np.linalg.cholesky(self.H + self.reg * np.eye(d))
+        except np.linalg.LinAlgError:
+            raise ValueError("H + reg*I must be positive definite") from None
 
     @property
     def dim(self) -> int:
@@ -150,7 +154,7 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     bw = b * w
     # y = L'z with H = LL': the cost becomes 0.5|y|^2 + (L^-1 c)'y and row i
     # reads N[:, i]'y >= bw_i with N = L^-1 A' diag(w)
-    L_inv = np.linalg.inv(np.linalg.cholesky(H))
+    L_inv = np.linalg.inv(spec._chol)
     N = L_inv @ (A.T * w)
     y = -(L_inv @ c)
     nrm = np.sqrt(np.einsum("ij,ij->j", N, N))

@@ -33,7 +33,6 @@ class SimConfig:
     x0: np.ndarray
     t_final: float
     dt: float = 1e-3
-    controller: str = "hybrid"
     record_every: int = 1
 
     def __post_init__(self):
@@ -208,16 +207,6 @@ class Metrics:
     w_monotone_violation: float
     final_distance: float
     eps: float
-
-    def as_dict(self) -> dict:
-        return {
-            "convergence_time": self.convergence_time,
-            "min_h": self.min_h,
-            "input_tv": self.input_tv,
-            "w_monotone_violation": self.w_monotone_violation,
-            "final_distance": self.final_distance,
-            "eps": self.eps,
-        }
 
 
 def compute_metrics(traj: Trajectory, eq, eps: float = 1e-2) -> Metrics:

@@ -4,7 +4,7 @@ support for non-zero equilibrium inputs.
 u(x) = u_e + kappa(x),   kappa = b' * (-a - gamma*sqrt(a^2 + |b'|^4)) / |b'|^2,
 
 with a = gradW'(f + g u_e), b = gradW' g, and kappa := 0 wherever |b| falls
-below b_floor (the small-control convention at the equilibrium).
+to core.B_FLOOR or below (the small-control convention at the equilibrium).
 """
 from __future__ import annotations
 
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ControlAffineSystem, QuadraticCLF, as_vector, sontag_terms
+from .core import B_FLOOR, ControlAffineSystem, QuadraticCLF, as_vector, sontag_terms
 from .errors import DecreaseIdentityError
 
 
@@ -22,20 +22,17 @@ class SontagLaw:
     sys: ControlAffineSystem
     clf: QuadraticCLF
     gamma: float = 1.0
-    b_floor: float = 1e-10
 
     def __post_init__(self):
         if not self.gamma > 0.0:
             raise ValueError("gamma must be positive")
-        if not self.b_floor > 0.0:
-            raise ValueError("b_floor must be positive")
 
 
 def sontag_kappa(law: SontagLaw, a: float, b: np.ndarray) -> np.ndarray:
     """Correction term of the universal formula for the terms a and b (an
     m-array); zero when b (nearly) vanishes."""
     bb = float(b @ b)
-    if math.sqrt(bb) <= law.b_floor:
+    if math.sqrt(bb) <= B_FLOOR:
         return np.zeros(law.sys.m)
     return b * ((-a - law.gamma * math.sqrt(a * a + bb * bb)) / bb)
 
@@ -56,7 +53,7 @@ def sontag_decrease_rate(law: SontagLaw, x) -> float:
     x = as_vector(x, law.sys.n)
     a, b = sontag_terms(law.sys, law.clf, x)
     bb = float(b @ b)
-    if math.sqrt(bb) <= law.b_floor:
+    if math.sqrt(bb) <= B_FLOOR:
         if np.linalg.norm(x - law.clf.equilibrium.x_e) <= 1e-9:
             return 0.0
         raise ValueError("decrease rate undefined where b vanishes away from x_e")

@@ -20,6 +20,16 @@ from .qp import QPSpec, solve_qp  # noqa: F401
 from .scenarios import ScenarioBundle
 from .sontag import sontag_decrease_rate
 
+EQ_TOL = 1e-3                # max-norm of f(x_e) + g(x_e) u_e
+GRADIENT_SAMPLES = 100       # states per finite-difference gradient check
+DECREASE_SAMPLES = 1000      # states for the decrease identity
+KKT_SAMPLES = 200            # safe states whose filter QP is solved
+CLOSED_FORM_SAMPLES = 200    # R2 states compared with the closed form
+LOCAL_CLF_RADIUS = 0.5       # ball around x_e searched for a local-CLF failure
+R1_RADIUS = 1e-2             # ball around x_e that must classify R1 throughout
+R1_SAMPLES = 100             # states drawn from that ball
+SAFE_MAX_TRIES = 50000       # draws _sample_safe makes before it stops
+
 
 @dataclass
 class CheckResult:
@@ -32,9 +42,9 @@ def _sample_domain(bundle: ScenarioBundle, count: int, rng) -> np.ndarray:
     return rng.uniform(bundle.domain[:, 0], bundle.domain[:, 1], size=(count, bundle.sys.n))
 
 
-def _sample_safe(bundle: ScenarioBundle, count: int, rng, max_tries=50000) -> np.ndarray:
+def _sample_safe(bundle: ScenarioBundle, count: int, rng) -> np.ndarray:
     out = []
-    for _ in range(max_tries):
+    for _ in range(SAFE_MAX_TRIES):
         x = rng.uniform(bundle.domain[:, 0], bundle.domain[:, 1])
         if bundle.safe_set.min_value(x) >= 0.0:
             out.append(x)
@@ -43,10 +53,10 @@ def _sample_safe(bundle: ScenarioBundle, count: int, rng, max_tries=50000) -> np
     return np.array(out)
 
 
-def check_equilibrium(bundle: ScenarioBundle, tol: float = 1e-3) -> CheckResult:
+def check_equilibrium(bundle: ScenarioBundle) -> CheckResult:
     res = equilibrium_residual(bundle.sys, bundle.eq)
-    return CheckResult("equilibrium_residual", res <= tol,
-                       f"|f(x_e)+g(x_e)u_e|_inf = {res:.3e} (tol {tol:.0e})")
+    return CheckResult("equilibrium_residual", res <= EQ_TOL,
+                       f"|f(x_e)+g(x_e)u_e|_inf = {res:.3e} (tol {EQ_TOL:.0e})")
 
 
 def check_clf_matrix(bundle: ScenarioBundle) -> CheckResult:
@@ -57,19 +67,19 @@ def check_clf_matrix(bundle: ScenarioBundle) -> CheckResult:
     return CheckResult("clf_matrix", True, "P symmetric positive definite")
 
 
-def check_clf_gradient(bundle: ScenarioBundle, seed: int, count: int = 100) -> CheckResult:
+def check_clf_gradient(bundle: ScenarioBundle, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for x in _sample_domain(bundle, count, rng):
+    for x in _sample_domain(bundle, GRADIENT_SAMPLES, rng):
         g_true = bundle.clf.grad(x)
         g_fd = fd_gradient(bundle.clf.value, x)
         worst = max(worst, float(np.abs(g_true - g_fd).max() / (1.0 + np.abs(g_true).max())))
     return CheckResult("clf_gradient_fd", worst <= 1e-5, f"worst rel err {worst:.2e}")
 
 
-def check_barrier_gradients(bundle: ScenarioBundle, seed: int, count: int = 100) -> CheckResult:
+def check_barrier_gradients(bundle: ScenarioBundle, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    pts = _sample_safe(bundle, count, rng)
+    pts = _sample_safe(bundle, GRADIENT_SAMPLES, rng)
     worst = 0.0
     for bar in bundle.safe_set.barriers:
         for x in pts:
@@ -79,13 +89,12 @@ def check_barrier_gradients(bundle: ScenarioBundle, seed: int, count: int = 100)
     return CheckResult("barrier_gradient_fd", worst <= 1e-5, f"worst rel err {worst:.2e}")
 
 
-def check_decrease_identity(cfg: FilterConfig, bundle: ScenarioBundle, seed: int,
-                            count: int = 1000) -> CheckResult:
+def check_decrease_identity(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     tested = 0
     strict_ok = True
     try:
-        for x in _sample_domain(bundle, count, rng):
+        for x in _sample_domain(bundle, DECREASE_SAMPLES, rng):
             _, b = sontag_terms(cfg.sys, cfg.clf, x)
             if np.linalg.norm(b) <= 1e-8:
                 continue
@@ -99,12 +108,11 @@ def check_decrease_identity(cfg: FilterConfig, bundle: ScenarioBundle, seed: int
                        f"identity held at {tested} states, strict decrease {strict_ok}")
 
 
-def check_kkt_residuals(cfg: FilterConfig, bundle: ScenarioBundle, seed: int,
-                        count: int = 200) -> CheckResult:
+def check_kkt_residuals(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     worst = 0.0
     solved = active = 0
-    for x in _sample_safe(bundle, count, rng):
+    for x in _sample_safe(bundle, KKT_SAMPLES, rng):
         sol = solve_qp(s_cbf_qp_spec(cfg, evaluate(cfg, x)))
         if sol.optimal:
             solved += 1
@@ -115,16 +123,15 @@ def check_kkt_residuals(cfg: FilterConfig, bundle: ScenarioBundle, seed: int,
                        f"worst residual {worst:.2e}")
 
 
-def check_closed_form(cfg: FilterConfig, bundle: ScenarioBundle, seed: int,
-                      count: int = 200) -> CheckResult:
+def check_closed_form(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> CheckResult:
     if cfg.sys.m != 1 or len(cfg.safe_set) != 1:
         return CheckResult("closed_form_equivalence", True,
                            "skipped (needs m=1 and a single barrier)")
     rng = np.random.default_rng(seed)
     worst = 0.0
     found = 0
-    for x in _sample_safe(bundle, 20 * count, rng):
-        if found >= count:
+    for x in _sample_safe(bundle, 20 * CLOSED_FORM_SAMPLES, rng):
+        if found >= CLOSED_FORM_SAMPLES:
             break
         label = classify_region(cfg, x)
         if label.value != Region.R2:
@@ -140,25 +147,24 @@ def check_closed_form(cfg: FilterConfig, bundle: ScenarioBundle, seed: int,
                        f"{found} R2 states, worst |u_formula - u_qp| = {worst:.2e}")
 
 
-def check_local_clf(bundle: ScenarioBundle, seed: int, radius: float = 0.5) -> CheckResult:
-    ok, witness = is_valid_local_clf(bundle.sys, bundle.clf, radius, seed=seed)
+def check_local_clf(bundle: ScenarioBundle, seed: int) -> CheckResult:
+    ok, witness = is_valid_local_clf(bundle.sys, bundle.clf, LOCAL_CLF_RADIUS, seed=seed)
     detail = "no counterexample" if ok else f"witness {witness}"
     return CheckResult("local_clf_validity", ok, detail)
 
 
-def check_r1_proper(cfg: FilterConfig, seed: int, radius: float = 1e-2,
-                    count: int = 100) -> CheckResult:
+def check_r1_proper(cfg: FilterConfig, seed: int) -> CheckResult:
     """Numerical stand-in for the assumption that R1 contains x_e in its
     interior: a small ball around x_e must classify R1 throughout."""
     rng = np.random.default_rng(seed)
     x_e = cfg.clf.equilibrium.x_e
     from .core import sample_ball
-    for x in sample_ball(x_e, radius, count, rng):
+    for x in sample_ball(x_e, R1_RADIUS, R1_SAMPLES, rng):
         if cfg.safe_set.min_value(x) < 0.0:
             return CheckResult("r1_proper", False, f"safe set excludes {x}")
         if classify_region(cfg, x).value != Region.R1:
             return CheckResult("r1_proper", False, f"R2 state at distance {np.linalg.norm(x - x_e):.1e}")
-    return CheckResult("r1_proper", True, f"ball radius {radius} all R1")
+    return CheckResult("r1_proper", True, f"ball radius {R1_RADIUS} all R1")
 
 
 def check_barrier_positive_at_eq(bundle: ScenarioBundle) -> CheckResult:

@@ -11,6 +11,13 @@ from safestab.cli import main
 from safestab.verify import run_checks
 
 
+def read_strict_json(path):
+    """Parse with the non-standard NaN/Infinity/-Infinity tokens rejected."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def test_simulate_writes_csv_and_metrics(tmp_path):
     rc = main(["simulate", "--scenario", "linear2d", "--controller", "hybrid",
                "--t-final", "1.0", "--out", str(tmp_path)])
@@ -226,13 +233,30 @@ def test_simulate_infeasible_first_step_writes_metrics_and_exits_1(tmp_path):
     rc = main(["simulate", "--scenario", "tumor3d", "--controller", "cbf-qp",
                "--x0", "9.5,0.5,0.5", "--t-final", "0.1", "--out", str(tmp_path)])
     assert rc == 1
-    summary = json.loads((tmp_path / "tumor3d_cbf-qp_metrics.json").read_text())
+    summary = read_strict_json(tmp_path / "tumor3d_cbf-qp_metrics.json")
     assert summary["status"] == "infeasible"
     assert "t=0.0" in summary["diagnostic"]
-    assert all(np.isnan(summary["metrics"][key])
+    assert all(summary["metrics"][key] is None
                for key in ("convergence_time", "min_h", "input_tv"))
     with open(tmp_path / "tumor3d_cbf-qp_traj.csv") as fh:
         assert len(list(csv.reader(fh))) == 1   # the header alone
+
+
+def test_simulate_metrics_json_is_strict_when_the_run_never_settles(tmp_path):
+    rc = main(["simulate", "--scenario", "linear2d", "--controller", "hybrid",
+               "--t-final", "0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    metrics = read_strict_json(tmp_path / "linear2d_hybrid_metrics.json")["metrics"]
+    assert metrics["convergence_time"] is None
+    assert metrics["min_h"] > 0.0
+
+
+def test_simulate_rejects_non_finite_parameters(tmp_path):
+    for flag, value in (("--gamma", "inf"), ("--t-final", "nan"), ("--x0", "nan,0")):
+        rc = main(["simulate", "--scenario", "linear2d", flag, value,
+                   "--out", str(tmp_path)])
+        assert rc == 2
+    assert not list(tmp_path.iterdir())
 
 
 def test_sweep_writes_table_when_a_cell_fails_at_its_first_step(tmp_path):

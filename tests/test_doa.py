@@ -88,11 +88,22 @@ def test_bisection_feasibility_is_monotone(linear_estimate):
 
 def test_estimate_fields(linear_estimate):
     assert linear_estimate.c_star > 0.0
-    assert linear_estimate.violations == []
     assert linear_estimate.grid_resolution == (41, 41)
     assert linear_estimate.verified_points > 0
     assert linear_estimate.first_infeasible_c is None or \
         linear_estimate.first_infeasible_c > linear_estimate.c_star
+
+
+def assert_first_violations_fail_sharing(cfg, est):
+    assert est.first_infeasible_c is not None
+    assert est.first_infeasible_violations
+    for x in est.first_infeasible_violations:
+        assert not control_sharing_holds(cfg, x)
+        assert est.c_star < cfg.clf.value(x) <= est.first_infeasible_c
+
+
+def test_first_infeasible_violations_fail_sharing(linear_cfg, linear_estimate):
+    assert_first_violations_fail_sharing(linear_cfg, linear_estimate)
 
 
 def test_no_feasible_level_raises(linear_cfg):
@@ -170,3 +181,4 @@ def test_tumor_c_star_exceeds_trivial(tumor_cfg):
     c_triv = largest_clf_sublevel_inside(tumor_cfg, seed=1)
     assert est.c_star >= c_triv
     assert est.c_star == pytest.approx(18.33, rel=0.05)
+    assert_first_violations_fail_sharing(tumor_cfg, est)

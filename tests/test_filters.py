@@ -8,8 +8,9 @@ from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
                       hybrid_control, integrate, s_cbf_qp_filter,
                       sontag_control, sontag_terms)
 from safestab.errors import DegenerateConstraintError
-from safestab.filters import (CONTROLLER_NAMES, ControlDecision, Region, cbf_rows,
-                              make_controller, make_filter_config, row_margins)
+from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, ControlDecision, Region,
+                              cbf_rows, make_controller, make_filter_config,
+                              row_margins)
 
 from conftest import sample_safe_states
 
@@ -118,7 +119,7 @@ def test_clf_cbf_qp_satisfies_rows(linear_cfg, linear):
         assert row_margins(A, lb, u).min() >= -1e-8
         grad_w = linear_cfg.clf.grad(x)
         lhs = float(grad_w @ linear.sys.xdot(x, u))
-        rhs = -linear_cfg.alpha_w(linear_cfg.clf.value(x)) + delta
+        rhs = -ALPHA_W * linear_cfg.clf.value(x) + delta
         assert lhs <= rhs + 1e-7 * (1.0 + abs(rhs))
 
 
@@ -232,7 +233,7 @@ def test_closed_form_multiplier_matches_qp(linear_cfg, linear):
         _, b_row = sontag_terms(linear_cfg.sys, linear_cfg.clf, x)
         A, lb = cbf_rows(linear_cfg, x)
         spec = QPSpec(2.0 * np.outer(b_row, b_row), np.zeros(1),
-                      A, lb - A @ u_son, reg=linear_cfg.qp_reg)
+                      A, lb - A @ u_son)   # the filters' reg, QPSpec's default
         sol = solve_qp(spec)
         # Lagrangians differ by the factor 2 on the quadratic form
         assert sol.multipliers[0] / 2.0 == pytest.approx(lam_cf, rel=1e-6, abs=1e-9)

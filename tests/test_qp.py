@@ -7,6 +7,7 @@ from hypothesis.extra import numpy as hnp
 from safestab import (QPSpec, SimConfig, clf_cbf_qp_filter, evaluate, integrate,
                       lp_feasible, make_controller, make_filter_config, solve_qp)
 from safestab.errors import QPIterationError
+from safestab.filters import ALPHA_W
 
 
 def grid_search_oracle(spec, box_half=None, points=15, rounds=18):
@@ -225,7 +226,7 @@ def test_clf_cbf_qp_nearly_parallel_rows_match_hand_solution(linear):
     u, delta = clf_cbf_qp_filter(cfg, x)
     ev = evaluate(cfg, x)
     u_hand = ev.lb[0] / ev.A[0, 0]
-    delta_hand = ev.lfw + cfg.alpha_w(cfg.clf.value(x)) + float(ev.b[0]) * u_hand
+    delta_hand = ev.lfw + ALPHA_W * cfg.clf.value(x) + float(ev.b[0]) * u_hand
     assert u_hand == pytest.approx(15036.37468839, rel=1e-9)
     assert u[0] == pytest.approx(u_hand, rel=1e-9)
     assert delta == pytest.approx(delta_hand, rel=1e-9)
@@ -266,7 +267,7 @@ def test_linear_clf_cbf_qp_run_does_not_stall(linear):
     cfg = make_filter_config(linear.sys, linear.clf, linear.safe_set, gamma=1.0, p=1000.0)
     traj = integrate(cfg, make_controller(cfg, "clf-cbf-qp"),
                      SimConfig(x0=[2.2166634801674006, -1.8151809514247237],
-                               t_final=3.0, controller="clf-cbf-qp"))
+                               t_final=3.0))
     assert traj.status != "qp_iteration", traj.diagnostic
 
 

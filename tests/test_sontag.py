@@ -154,5 +154,3 @@ def test_feedback_not_invariant_under_clf_rescaling_counterexample(linear):
 def test_law_rejects_bad_parameters(linear):
     with pytest.raises(ValueError):
         SontagLaw(linear.sys, linear.clf, gamma=0.0)
-    with pytest.raises(ValueError):
-        SontagLaw(linear.sys, linear.clf, b_floor=0.0)
