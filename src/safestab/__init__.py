@@ -6,8 +6,7 @@ with an explicit domain-of-attraction estimate, and a closed-loop simulation
 harness with two bundled case studies.
 """
 from .core import (Barrier, ControlAffineSystem, EquilibriumPair,
-                   ExtendedClassK, QuadraticCLF, SafeSet,
-                   barrier_lie_derivatives, equilibrium_residual,
+                   QuadraticCLF, SafeSet, equilibrium_residual,
                    is_valid_local_clf, linearize, sontag_terms)
 from .doa import (DoaEstimate, compute_c_star, control_sharing_holds, in_awc,
                   largest_clf_sublevel_inside)
@@ -23,6 +22,6 @@ from .scenarios import (SCENARIO_NAMES, ScenarioBundle, build_scenario,
                         load_scenario)
 from .sim import (Metrics, SimConfig, Trajectory, compute_metrics, integrate,
                   read_trajectory_csv, write_trajectory_csv)
-from .sontag import SontagLaw, sontag_control, sontag_decrease_rate
+from .sontag import sontag_control, sontag_decrease_rate
 
 __version__ = "0.1.0"

@@ -50,16 +50,10 @@ class RunManifest:
     record_every: int = 1
 
     def __post_init__(self):
+        # the values are checked where they are used: gamma and p by
+        # FilterConfig, dt, t_final and x0 by SimConfig
         self.x0 = np.asarray(self.x0, dtype=float)
         self.out_dir = Path(self.out_dir)
-        if self.controller not in CONTROLLER_NAMES:
-            raise ScenarioError(f"unknown controller {self.controller!r}")
-        for name, val in (("gamma", self.gamma), ("p", self.p),
-                          ("dt", self.dt), ("t_final", self.t_final)):
-            if not 0.0 < val < math.inf:
-                raise ScenarioError(f"{name} must be positive and finite, got {val}")
-        if not np.all(np.isfinite(self.x0)):
-            raise ScenarioError(f"x0 must be finite, got {self.x0.tolist()}")
 
     def as_dict(self) -> dict:
         return {
@@ -117,13 +111,18 @@ def _resolve_manifest(bundle, args) -> RunManifest:
     )
 
 
-def _run_one(bundle, manifest: RunManifest):
+def _configs(bundle, manifest: RunManifest):
+    """The run's filter and simulation configs; built before anything is
+    written, so that a bad parameter leaves no output behind."""
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set,
                              gamma=manifest.gamma, p=manifest.p)
-    ctrl = make_controller(cfg, manifest.controller)
     simcfg = SimConfig(x0=manifest.x0, t_final=manifest.t_final, dt=manifest.dt,
                        record_every=manifest.record_every)
-    traj = integrate(cfg, ctrl, simcfg)
+    return cfg, simcfg
+
+
+def _run_one(bundle, manifest: RunManifest, cfg, simcfg):
+    traj = integrate(cfg, make_controller(cfg, manifest.controller), simcfg)
     metrics = compute_metrics(traj, bundle.eq)
     return traj, metrics
 
@@ -131,9 +130,10 @@ def _run_one(bundle, manifest: RunManifest):
 def cmd_simulate(args) -> int:
     bundle = _load_bundle(args)
     manifest = _resolve_manifest(bundle, args)
+    cfg, simcfg = _configs(bundle, manifest)
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    traj, metrics = _run_one(bundle, manifest)
+    traj, metrics = _run_one(bundle, manifest, cfg, simcfg)
     stem = f"{bundle.name}_{manifest.controller}"
     csv_path = out / f"{stem}_traj.csv"
     write_trajectory_csv(traj, csv_path)
@@ -159,13 +159,14 @@ def cmd_sweep(args) -> int:
     if len(values) < 2:
         print("sweep needs at least two --values", file=sys.stderr)
         return EXIT_USAGE
+    cells = [replace(manifest, **{args.param: value}) for value in values]
+    configs = [_configs(bundle, cell) for cell in cells]
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for value in values:
-        cell_manifest = replace(manifest, **{("gamma" if args.param == "gamma" else "p"): value})
-        traj, metrics = _run_one(bundle, cell_manifest)
+    for value, cell, (cfg, simcfg) in zip(values, cells, configs):
+        traj, metrics = _run_one(bundle, cell, cfg, simcfg)
         path = out / f"{bundle.name}_{manifest.controller}_{args.param}_{value:g}_traj.csv"
         write_trajectory_csv(traj, path)
         results.append((value, traj, metrics, path))

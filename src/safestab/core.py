@@ -1,5 +1,6 @@
-"""Control-affine systems, quadratic CLFs, barriers, and the scalar quantities
-(a, b, L_f h, L_g h) every controller downstream consumes.
+"""Control-affine systems, quadratic CLFs, barriers, and Sontag's scalar
+terms (a, b); filters.evaluate combines them with the barrier rows
+(L_f h, L_g h) that every controller downstream consumes.
 
 Conventions
 -----------
@@ -99,20 +100,6 @@ def equilibrium_residual(sys: ControlAffineSystem, eq: EquilibriumPair) -> float
 
 
 @dataclass
-class ExtendedClassK:
-    """Rate function for barrier rows; only the linear form alpha(s) = lam * s is shipped."""
-
-    lam: float = 1.0
-
-    def __post_init__(self):
-        if not self.lam > 0.0:
-            raise ScenarioError("class-K gain must be positive")
-
-    def __call__(self, s: float) -> float:
-        return self.lam * float(s)
-
-
-@dataclass
 class QuadraticCLF:
     """W(x) = (x - x_e)' P (x - x_e) with P symmetric positive definite."""
 
@@ -147,20 +134,23 @@ def validate_clf_matrix(P: np.ndarray) -> None:
 
 @dataclass
 class Barrier:
-    """Scalar barrier h with safe side h >= 0 and decay rate alpha."""
+    """Scalar barrier h with safe side h >= 0, its gradient, and the rate
+    alpha of the linear class-K function alpha * h in its barrier row."""
 
     h: Callable[[np.ndarray], float]
-    alpha: ExtendedClassK
-    grad_h: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    alpha: float
+    grad_h: Callable[[np.ndarray], np.ndarray]
     name: str = "h"
+
+    def __post_init__(self):
+        if not 0.0 < self.alpha < math.inf:
+            raise ScenarioError(f"class-K rate alpha must be positive and finite, got {self.alpha}")
 
     def value(self, x) -> float:
         return float(self.h(as_vector(x)))
 
     def gradient(self, x) -> np.ndarray:
-        if self.grad_h is not None:
-            return as_vector(self.grad_h(as_vector(x)))
-        return fd_gradient(lambda y: float(self.h(y)), x)
+        return as_vector(self.grad_h(as_vector(x)))
 
 
 @dataclass
@@ -200,15 +190,6 @@ def clf_lie_terms(clf: QuadraticCLF, x: np.ndarray, f: np.ndarray, G: np.ndarray
     with a = gradW'(f + G u_e) and b = gradW' G."""
     grad_w = clf.grad(x)
     return grad_w, float(grad_w @ (f + G @ clf.equilibrium.u_e)), grad_w @ G
-
-
-def barrier_lie_derivatives(sys: ControlAffineSystem, barrier: Barrier, x):
-    """Return (L_f h, L_g h) = (gradh' f, gradh' g) at x."""
-    x = as_vector(x, sys.n)
-    grad = barrier.gradient(x)
-    lfh = float(grad @ sys.drift(x))
-    lgh = grad @ sys.input_map(x)
-    return lfh, lgh
 
 
 def linearize(sys: ControlAffineSystem, eq: EquilibriumPair) -> np.ndarray:

@@ -109,10 +109,11 @@ def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
     Sharing at a point does not depend on c, so every candidate (W <= c_hi,
     inside the safe set, farther than EXCLUDE_RADIUS from x_e) is checked
     once, and a level c passes exactly when it lies below the smallest W
-    among the failing candidates."""
+    among the failing candidates. Raises ValueError when there is no
+    candidate, since c_hi would then pass without a single check."""
     c_lo, c_hi = float(c_bounds[0]), float(c_bounds[1])
-    if not (0.0 < c_lo < c_hi):
-        raise ValueError("c_bounds must satisfy 0 < c_lo < c_hi")
+    if not (0.0 < c_lo < c_hi < math.inf):
+        raise ValueError("c_bounds must satisfy 0 < c_lo < c_hi < inf")
     resolution = tuple(int(r) for r in grid_resolution)
     if len(resolution) != cfg.sys.n or any(r < 2 for r in resolution):
         raise ValueError("grid_resolution needs one count >= 2 per state axis")
@@ -128,6 +129,10 @@ def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
     near_eq = np.linalg.norm(points - x_e, axis=1) <= EXCLUDE_RADIUS
     idxs = [i for i in np.flatnonzero(~near_eq & (w_vals <= c_hi))
             if cfg.safe_set.min_value(points[i]) >= 0.0]
+    if not idxs:
+        raise ValueError(
+            f"no grid point of {{W <= {c_hi}}} inside the safe set to verify at "
+            f"resolution {resolution}")
     failing = np.array([i for i in idxs if not control_sharing_holds(cfg, points[i])],
                        dtype=int)
     w_fail = float(w_vals[failing].min(initial=math.inf))
@@ -207,12 +212,11 @@ def sample_states_in_awc(estimate: DoaEstimate, cfg: FilterConfig, count: int,
     """Seeded rejection sampling of states in A_WC (W <= c* inside the safe
     set), at most AWC_MAX_TRIES draws."""
     rng = np.random.default_rng(seed)
-    cap = estimate.c_star
-    bounds = sublevel_bounding_box(cfg, cap)
+    bounds = sublevel_bounding_box(cfg, estimate.c_star)
     out = []
     for _ in range(AWC_MAX_TRIES):
         x = rng.uniform(bounds[:, 0], bounds[:, 1])
-        if cfg.clf.value(x) <= cap and cfg.safe_set.min_value(x) >= 0.0:
+        if in_awc(estimate, cfg, x):
             out.append(x)
             if len(out) == count:
                 return np.array(out)

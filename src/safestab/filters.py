@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import DegenerateConstraintError, InfeasibleQPError, SafeStabError
 from .qp import QPSpec, solve_qp
 # sontag_terms and sontag_control are unused here but stay bound: the
 # benchmark's tracer (bench/instrument.py) wraps them in this module
-from .sontag import SontagLaw, sontag_control, sontag_kappa, sontag_terms  # noqa: F401
+from .sontag import sontag_control, sontag_kappa, sontag_terms  # noqa: F401
 
 CONTROLLER_NAMES = ("sontag", "cbf-qp", "clf-cbf-qp", "s-cbf-qp", "hybrid")
 
@@ -51,20 +51,22 @@ class RegionLabel:
 
 @dataclass
 class FilterConfig:
+    """What every controller reads: the system, the CLF, the safe set,
+    Sontag's rate gain gamma and the CLF-CBF-QP's slack weight p."""
+
     sys: ControlAffineSystem
     clf: QuadraticCLF
     safe_set: SafeSet
-    sontag: SontagLaw
+    gamma: float = 1.0
     p: float = 10.0
 
     def __post_init__(self):
-        if not self.p > 0.0:
-            raise ValueError("slack weight p must be positive")
+        for name, val in (("gamma", self.gamma), ("slack weight p", self.p)):
+            if not 0.0 < val < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {val}")
 
 
-def make_filter_config(sys, clf, safe_set, gamma: float = 1.0,
-                       p: float = 10.0) -> FilterConfig:
-    return FilterConfig(sys, clf, safe_set, SontagLaw(sys, clf, gamma=gamma), p=p)
+make_filter_config = FilterConfig
 
 
 class Evaluation(NamedTuple):
@@ -100,18 +102,18 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
     if G.shape != (cfg.sys.n, cfg.sys.m):   # rk4_step relies on this check
         raise ValueError(f"g(x) must be ({cfg.sys.n}, {cfg.sys.m}), got {G.shape}")
     grad_w, a, b = clf_lie_terms(cfg.clf, x, f, G)
-    u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.sontag, a, b)
+    u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
     barriers = cfg.safe_set.barriers
     k = len(barriers)
     A = np.empty((k, cfg.sys.m))
     lb = np.empty(k)
     h = np.empty(k)
     for i, bar in enumerate(barriers):
-        grad = bar.grad_h(x) if bar.grad_h is not None else bar.gradient(x)
+        grad = bar.grad_h(x)
         h_i = float(bar.h(x))
         h[i] = h_i
         A[i] = grad @ G
-        lb[i] = -bar.alpha.lam * h_i - float(grad @ f)   # alpha is linear
+        lb[i] = -bar.alpha * h_i - float(grad @ f)
     margin = float(row_margins(A, lb, u_son).min())
     label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
     return Evaluation(x, f, grad_w, a, b, u_son, A, lb, h, label)
@@ -243,39 +245,28 @@ def hybrid_control(cfg: FilterConfig, x) -> Tuple[np.ndarray, RegionLabel]:
     return _hybrid(cfg, ev), ev.label
 
 
-@dataclass
-class ControlDecision:
-    """Per-step controller output; the built-in controllers carry the rows,
-    region and barrier values of their evaluation along so the simulator can
-    log activation flags without recomputing Lie derivatives."""
-
-    u: np.ndarray
-    region: Optional[RegionLabel] = None
-    delta: Optional[float] = None
-    rows: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    h_values: Optional[np.ndarray] = None
-
-
-# controller tag -> law mapping an evaluation to (u, CLF slack or None)
+# controller tag -> law mapping an evaluation to the input u
 _LAWS = {
-    "sontag": lambda cfg, ev: (ev.u_son, None),
-    "cbf-qp": lambda cfg, ev: (_cbf_qp(cfg, ev, ev.u_son), None),
-    "clf-cbf-qp": _clf_cbf_qp,
-    "s-cbf-qp": lambda cfg, ev: (_s_cbf_qp(cfg, ev), None),
-    "hybrid": lambda cfg, ev: (_hybrid(cfg, ev), None),
+    "sontag": lambda cfg, ev: ev.u_son,
+    "cbf-qp": lambda cfg, ev: _cbf_qp(cfg, ev, ev.u_son),
+    "clf-cbf-qp": lambda cfg, ev: _clf_cbf_qp(cfg, ev)[0],
+    "s-cbf-qp": _s_cbf_qp,
+    "hybrid": _hybrid,
 }
 
 
-def make_controller(cfg: FilterConfig, name: str) -> Callable[[np.ndarray], ControlDecision]:
-    """Controller factory for the tags accepted by the CLI."""
+def make_controller(cfg: FilterConfig, name: str
+                    ) -> Callable[[np.ndarray], Tuple[np.ndarray, Evaluation]]:
+    """Controller factory for the tags accepted by the CLI. The controller
+    maps a state x to (u, ev): its input and the evaluation it was computed
+    from, whose rows, label and barrier values the simulator logs."""
     if name not in _LAWS:
         raise ValueError(f"unknown controller {name!r}; choose from {CONTROLLER_NAMES}")
     law = _LAWS[name]
 
     def control(x):
         ev = evaluate(cfg, x)
-        u, delta = law(cfg, ev)
-        return ControlDecision(u, ev.label, delta, (ev.A, ev.lb), ev.h)
+        return law(cfg, ev), ev
 
     control.__name__ = f"{name}_controller"
     return control

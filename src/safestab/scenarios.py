@@ -31,8 +31,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .core import (Barrier, ControlAffineSystem, EquilibriumPair,
-                   ExtendedClassK, QuadraticCLF, SafeSet, as_vector,
-                   equilibrium_residual)
+                   QuadraticCLF, SafeSet, as_vector, equilibrium_residual)
 from .errors import ScenarioError
 
 SCENARIO_NAMES = ("linear2d", "tumor3d")
@@ -83,7 +82,7 @@ DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, Callable, int, int
 
 def _build_barrier(entry: dict, n: int) -> Barrier:
     kind = entry.get("kind")
-    alpha = ExtendedClassK(float(entry.get("alpha", {}).get("lambda", 1.0)))
+    alpha = float(entry.get("alpha", {}).get("lambda", 1.0))
     name = entry.get("name", kind or "h")
     if kind == "quadratic":
         offset = float(entry.get("offset", 0.0))

@@ -11,13 +11,15 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .core import as_vector
 from .errors import InfeasibleQPError, QPIterationError, SimulationError
-from .filters import (ControlDecision, FilterConfig, active_flags, cbf_rows,
+# cbf_rows and classify_region are unused here but stay bound: the
+# benchmark's tracer (bench/instrument.py) wraps them in this module
+from .filters import (Evaluation, FilterConfig, active_flags, cbf_rows,  # noqa: F401
                       classify_region)
 
 BLOWUP_LIMIT = 1e6
@@ -37,10 +39,11 @@ class SimConfig:
 
     def __post_init__(self):
         self.x0 = as_vector(self.x0)
-        if not self.dt > 0.0:
-            raise SimulationError("dt must be positive")
-        if not self.t_final > 0.0:
-            raise SimulationError("t_final must be positive")
+        for name, val in (("dt", self.dt), ("t_final", self.t_final)):
+            if not 0.0 < val < math.inf:
+                raise SimulationError(f"{name} must be positive and finite, got {val}")
+        if not np.all(np.isfinite(self.x0)):
+            raise SimulationError(f"x0 must be finite, got {self.x0.tolist()}")
         if self.record_every < 1:
             raise SimulationError("record_every must be >= 1")
 
@@ -106,7 +109,8 @@ def rk4_step(sys, x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecision],
+def integrate(cfg: FilterConfig,
+              controller: Callable[[np.ndarray], Tuple[np.ndarray, Evaluation]],
               simcfg: SimConfig) -> Trajectory:
     """Run the closed loop from simcfg.x0, re-evaluating the controller at the
     start of every step and holding its input through the RK4 stages.
@@ -116,8 +120,9 @@ def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecis
     that exceeds its iteration budget truncate the run with a diagnostic
     instead of raising.
 
-    Rows, region and barrier values come from the controller's decision;
-    they are recomputed only for a controller that returns a bare u."""
+    The controller maps x to (u, ev) as make_controller's do; the logged
+    region, activation flags and barrier values come from the evaluation ev
+    at x."""
     x = as_vector(simcfg.x0, cfg.sys.n)
     if cfg.safe_set.min_value(x) < 0.0:
         raise SimulationError(f"x0 outside the safe set: min h = {cfg.safe_set.min_value(x)}")
@@ -141,7 +146,7 @@ def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecis
     for step in range(n_steps + 1):
         t = step * simcfg.dt
         try:
-            decision = controller(x)
+            u, ev = controller(x)
         except InfeasibleQPError as exc:
             status = STATUS_INFEASIBLE
             diagnostic = f"controller infeasible at t={t}: {exc}"
@@ -150,14 +155,9 @@ def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecis
             status = STATUS_QP_ITERATION
             diagnostic = f"controller QP did not converge at t={t}, x={x.tolist()}: {exc}"
             break
-        u = np.asarray(decision.u, dtype=float)
-        if decision.rows is not None:
-            A, lb = decision.rows
-        else:
-            A, lb = cbf_rows(cfg, x)
-        label = decision.region if decision.region is not None else classify_region(cfg, x)
-        flags = active_flags(A, lb, u)
-        region = int(label.value)
+        u = np.asarray(u, dtype=float)
+        flags = active_flags(ev.A, ev.lb, u)
+        region = int(ev.label.value)
 
         if prev_region is not None and region != prev_region:
             events.append(SwitchEvent(t, prev_region, region, prev_u, u,
@@ -170,8 +170,7 @@ def integrate(cfg: FilterConfig, controller: Callable[[np.ndarray], ControlDecis
             inputs.append(u.copy())
             regions.append(region)
             w_values.append(cfg.clf.value(x))
-            h_values.append(decision.h_values if decision.h_values is not None
-                            else cfg.safe_set.values(x))
+            h_values.append(ev.h)
             act.append(flags.astype(int))
 
         if step == n_steps:

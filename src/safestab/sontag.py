@@ -5,44 +5,38 @@ u(x) = u_e + kappa(x),   kappa = b' * (-a - gamma*sqrt(a^2 + |b'|^4)) / |b'|^2,
 
 with a = gradW'(f + g u_e), b = gradW' g, and kappa := 0 wherever |b| falls
 to core.B_FLOOR or below (the small-control convention at the equilibrium).
+sontag_control and sontag_decrease_rate read the system, the CLF and gamma
+from a filters.FilterConfig.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import B_FLOOR, ControlAffineSystem, QuadraticCLF, as_vector, sontag_terms
+from .core import B_FLOOR, as_vector, sontag_terms
 from .errors import DecreaseIdentityError
 
-
-@dataclass
-class SontagLaw:
-    sys: ControlAffineSystem
-    clf: QuadraticCLF
-    gamma: float = 1.0
-
-    def __post_init__(self):
-        if not self.gamma > 0.0:
-            raise ValueError("gamma must be positive")
+if TYPE_CHECKING:
+    from .filters import FilterConfig
 
 
-def sontag_kappa(law: SontagLaw, a: float, b: np.ndarray) -> np.ndarray:
-    """Correction term of the universal formula for the terms a and b (an
-    m-array); zero when b (nearly) vanishes."""
+def sontag_kappa(gamma: float, a: float, b: np.ndarray) -> np.ndarray:
+    """Correction term of the universal formula with gain gamma for the terms
+    a and b (an m-array); zero when b (nearly) vanishes."""
     bb = float(b @ b)
     if math.sqrt(bb) <= B_FLOOR:
-        return np.zeros(law.sys.m)
-    return b * ((-a - law.gamma * math.sqrt(a * a + bb * bb)) / bb)
+        return np.zeros_like(b)
+    return b * ((-a - gamma * math.sqrt(a * a + bb * bb)) / bb)
 
 
-def sontag_control(law: SontagLaw, x) -> np.ndarray:
-    a, b = sontag_terms(law.sys, law.clf, x)
-    return law.clf.equilibrium.u_e + sontag_kappa(law, a, b)
+def sontag_control(cfg: FilterConfig, x) -> np.ndarray:
+    a, b = sontag_terms(cfg.sys, cfg.clf, x)
+    return cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
 
 
-def sontag_decrease_rate(law: SontagLaw, x) -> float:
+def sontag_decrease_rate(cfg: FilterConfig, x) -> float:
     """dW/dt along the closed loop, checked against -gamma*sqrt(a^2 + |b|^4).
 
     Raises DecreaseIdentityError when the algebraic identity from the
@@ -50,17 +44,17 @@ def sontag_decrease_rate(law: SontagLaw, x) -> float:
     where b vanishes away from the equilibrium (the identity does not apply
     there).
     """
-    x = as_vector(x, law.sys.n)
-    a, b = sontag_terms(law.sys, law.clf, x)
+    x = as_vector(x, cfg.sys.n)
+    a, b = sontag_terms(cfg.sys, cfg.clf, x)
     bb = float(b @ b)
     if math.sqrt(bb) <= B_FLOOR:
-        if np.linalg.norm(x - law.clf.equilibrium.x_e) <= 1e-9:
+        if np.linalg.norm(x - cfg.clf.equilibrium.x_e) <= 1e-9:
             return 0.0
         raise ValueError("decrease rate undefined where b vanishes away from x_e")
-    u = law.clf.equilibrium.u_e + sontag_kappa(law, a, b)
-    wdot = float(law.clf.grad(x) @ law.sys.xdot(x, u))
-    target = -law.gamma * math.sqrt(a * a + bb * bb)
-    tol = 1e-9 * (1.0 + abs(a) + bb) * max(1.0, law.gamma)
+    u = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
+    wdot = float(cfg.clf.grad(x) @ cfg.sys.xdot(x, u))
+    target = -cfg.gamma * math.sqrt(a * a + bb * bb)
+    tol = 1e-9 * (1.0 + abs(a) + bb) * max(1.0, cfg.gamma)
     if abs(wdot - target) > tol:
         raise DecreaseIdentityError(
             f"decrease identity violated: dW/dt={wdot!r}, expected {target!r}")

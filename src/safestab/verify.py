@@ -98,7 +98,7 @@ def check_decrease_identity(cfg: FilterConfig, bundle: ScenarioBundle, seed: int
             _, b = sontag_terms(cfg.sys, cfg.clf, x)
             if np.linalg.norm(b) <= 1e-8:
                 continue
-            rate = sontag_decrease_rate(cfg.sontag, x)
+            rate = sontag_decrease_rate(cfg, x)
             tested += 1
             if np.linalg.norm(x - cfg.clf.equilibrium.x_e) > 1e-9 and rate >= 0.0:
                 strict_ok = False

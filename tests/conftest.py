@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from safestab import build_scenario
+from safestab import build_scenario, evaluate
 from safestab.filters import make_filter_config
 
 
@@ -39,3 +39,17 @@ def sample_safe_states(bundle, count, seed, w_cap=None):
         if len(out) == count:
             return np.array(out)
     raise RuntimeError("rejection sampling exhausted")
+
+
+def lie_derivative_fd(bar, x, direction, eps=1e-6):
+    """Central finite difference of the barrier value along a direction: the
+    oracle for L_f h (direction f(x)) and L_g h (a column of g(x))."""
+    return (bar.value(x + eps * direction) - bar.value(x - eps * direction)) / (2 * eps)
+
+
+def lie_derivatives(cfg, x, i):
+    """(L_f h_i, L_g h_i) read off evaluate's barrier row i, A_i u >= lb_i
+    with A_i = L_g h_i and lb_i = -alpha_i h_i - L_f h_i."""
+    ev = evaluate(cfg, x)
+    alpha = cfg.safe_set.barriers[i].alpha
+    return -ev.lb[i] - alpha * ev.h[i], ev.A[i]

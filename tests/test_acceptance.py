@@ -103,7 +103,7 @@ def test_criterion_02_sontag_decrease_identity(linear_bundle, tumor_bundle):
             bb = float(b @ b)
             if math.sqrt(bb) <= 1e-8:
                 continue
-            u = sontag_control(cfg.sontag, x)
+            u = sontag_control(cfg, x)
             wdot = float(bundle.clf.grad(x) @ bundle.sys.xdot(x, u))
             err = abs(wdot + math.sqrt(a * a + bb * bb)) / (1.0 + abs(a) + bb)
             worst = max(worst, err)
@@ -234,12 +234,12 @@ def test_criterion_09_switching_continuity(tumor_runs, pathology_runs):
 
 
 def test_criterion_10_rk4_order_sanity(linear_bundle):
-    from safestab.filters import ControlDecision
+    from safestab.filters import evaluate
     t0 = time.perf_counter()
     cfg = make_filter_config(linear_bundle.sys, linear_bundle.clf,
                              linear_bundle.safe_set)
     x0 = np.asarray(linear_bundle.defaults["x0"])
-    zero = lambda x: ControlDecision(np.zeros(1))
+    zero = lambda x: (np.zeros(1), evaluate(cfg, x))
     finals = {}
     for dt in (1e-3, 5e-4):
         traj = integrate(cfg, zero, SimConfig(x0=x0, t_final=1.0, dt=dt))

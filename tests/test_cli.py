@@ -252,11 +252,34 @@ def test_simulate_metrics_json_is_strict_when_the_run_never_settles(tmp_path):
 
 
 def test_simulate_rejects_non_finite_parameters(tmp_path):
-    for flag, value in (("--gamma", "inf"), ("--t-final", "nan"), ("--x0", "nan,0")):
+    for flag, value in (("--gamma", "inf"), ("--p", "inf"), ("--dt", "inf"),
+                        ("--t-final", "nan"), ("--x0", "nan,0")):
         rc = main(["simulate", "--scenario", "linear2d", flag, value,
                    "--out", str(tmp_path)])
-        assert rc == 2
+        assert rc == 2, flag
     assert not list(tmp_path.iterdir())
+
+
+def test_doa_and_verify_reject_non_finite_gamma(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["doa", "--scenario", "linear2d", "--gamma", "inf", "--out", str(out)])
+    assert rc == 2
+    rc = main(["verify", "--scenario", "linear2d", "--gamma", "inf"])
+    assert rc == 2
+    assert "PASS" not in capsys.readouterr().out
+    assert not out.exists()
+
+
+def test_doa_rejects_a_grid_with_no_point_to_verify(tmp_path):
+    # too coarse a grid leaves no candidate, and c_hi = inf none either; both
+    # would otherwise certify c* = c_hi with no point checked
+    out = tmp_path / "out"
+    for scenario, extra in (("linear2d", ["--grid", "3,3"]),
+                            ("tumor3d", ["--grid", "2,2,2"]),
+                            ("linear2d", ["--grid", "21,21", "--c-hi", "inf"])):
+        rc = main(["doa", "--scenario", scenario, "--out", str(out)] + extra)
+        assert rc == 2, (scenario, extra)
+    assert not out.exists()
 
 
 def test_sweep_writes_table_when_a_cell_fails_at_its_first_step(tmp_path):

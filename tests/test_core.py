@@ -1,13 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
-                      ExtendedClassK, QuadraticCLF, SafeSet, ScenarioError,
-                      barrier_lie_derivatives, equilibrium_residual,
-                      is_valid_local_clf, linearize, sontag_terms)
+                      QuadraticCLF, SafeSet, ScenarioError, equilibrium_residual,
+                      is_valid_local_clf, linearize, make_filter_config,
+                      sontag_terms)
 from safestab.core import LOCAL_CLF_SAMPLES, fd_gradient, sample_ball
 
-from conftest import sample_safe_states
+from conftest import lie_derivative_fd, lie_derivatives, sample_safe_states
 
 
 def test_clf_value_at_equilibrium_is_zero(linear):
@@ -61,27 +63,24 @@ def test_sontag_terms_linear_example_hand_values(linear):
     assert b[0] == pytest.approx(b_oracle, rel=1e-15)
 
 
-def test_barrier_lie_derivatives_structural_zero_input_column(tumor):
+def test_barrier_lie_derivatives_structural_zero_input_column(tumor_cfg):
     # input enters only the first state equation, so Lgh vanishes for the
     # positivity barriers on x2 and x3
     rng = np.random.default_rng(3)
     for _ in range(20):
         x = rng.uniform(0.5, 9.0, size=3)
-        for bar in tumor.safe_set.barriers[1:]:
-            _, lgh = barrier_lie_derivatives(tumor.sys, bar, x)
+        for i in (1, 2):
+            _, lgh = lie_derivatives(tumor_cfg, x, i)
             assert lgh[0] == 0.0
 
 
-def test_barrier_lie_derivatives_match_finite_difference_oracle(tumor):
+def test_barrier_lie_derivatives_match_finite_difference_oracle(tumor_cfg, tumor):
     x = tumor.eq.x_e
     bar = tumor.safe_set.barriers[0]
-    lfh, lgh = barrier_lie_derivatives(tumor.sys, bar, x)
+    lfh, lgh = lie_derivatives(tumor_cfg, x, 0)
     # central finite differences of h along the drift / input directions
-    eps = 1e-6
-    f = tumor.sys.drift(x)
-    lfh_fd = (bar.value(x + eps * f) - bar.value(x - eps * f)) / (2 * eps)
-    g_col = tumor.sys.input_map(x)[:, 0]
-    lgh_fd = (bar.value(x + eps * g_col) - bar.value(x - eps * g_col)) / (2 * eps)
+    lfh_fd = lie_derivative_fd(bar, x, tumor.sys.drift(x))
+    lgh_fd = lie_derivative_fd(bar, x, tumor.sys.input_map(x)[:, 0])
     assert lfh == pytest.approx(lfh_fd, rel=1e-5, abs=1e-5)
     assert lgh[0] == pytest.approx(lgh_fd, rel=1e-5, abs=1e-5)
 
@@ -97,10 +96,12 @@ def test_barrier_gradients_match_fd_on_safe_samples(linear, tumor):
 
 
 def test_zero_gradient_gives_zero_lie_derivatives(linear):
-    flat = Barrier(h=lambda x: 1.0, alpha=ExtendedClassK(1.0),
+    flat = Barrier(h=lambda x: 1.0, alpha=1.0,
                    grad_h=lambda x: np.zeros(2), name="flat")
-    lfh, lgh = barrier_lie_derivatives(linear.sys, flat, [0.3, -0.8])
-    assert lfh == 0.0
+    cfg = make_filter_config(linear.sys, linear.clf, SafeSet((flat,)))
+    x = np.array([0.3, -0.8])
+    lfh, lgh = lie_derivatives(cfg, x, 0)
+    assert lfh == 0.0 == lie_derivative_fd(flat, x, linear.sys.drift(x))
     assert np.all(lgh == 0.0)
 
 
@@ -152,13 +153,16 @@ def test_quadratic_clf_rejects_asymmetric_or_indefinite(linear):
 
 
 def test_extended_class_k_is_linear_and_increasing():
-    alpha = ExtendedClassK(2.5)
-    assert alpha(0.0) == 0.0
-    grid = np.linspace(-3.0, 3.0, 101)
-    vals = [alpha(s) for s in grid]
-    assert all(v1 < v2 for v1, v2 in zip(vals, vals[1:]))
-    with pytest.raises(ScenarioError):
-        ExtendedClassK(0.0)
+    # the barrier row's class-K function is alpha * h, increasing iff
+    # 0 < alpha; an infinite or nan rate is no rate at all
+    def make(alpha):
+        return Barrier(h=lambda x: 1.0, alpha=alpha,
+                       grad_h=lambda x: np.zeros(1), name="rate")
+
+    assert make(2.5).alpha == 2.5
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ScenarioError, match="alpha"):
+            make(bad)
 
 
 def test_safe_set_membership(linear):

@@ -2,17 +2,16 @@ import numpy as np
 import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
-                      ExtendedClassK, InfeasibleQPError, QuadraticCLF, SafeSet,
-                      SimConfig, barrier_lie_derivatives, cbf_qp_filter,
-                      classify_region, clf_cbf_qp_filter, closed_form_ustar,
-                      hybrid_control, integrate, s_cbf_qp_filter,
-                      sontag_control, sontag_terms)
+                      InfeasibleQPError, QuadraticCLF, SafeSet, SimConfig,
+                      cbf_qp_filter, classify_region, clf_cbf_qp_filter,
+                      closed_form_ustar, hybrid_control, integrate,
+                      s_cbf_qp_filter, sontag_control, sontag_terms)
 from safestab.errors import DegenerateConstraintError
-from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, ControlDecision, Region,
+from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, Region, active_flags,
                               cbf_rows, make_controller, make_filter_config,
                               row_margins)
 
-from conftest import sample_safe_states
+from conftest import lie_derivative_fd, lie_derivatives, sample_safe_states
 
 
 def qp_grid_oracle_1d(cfg, x, u_nom, weight, lo=-80.0, hi=80.0):
@@ -66,8 +65,11 @@ def test_cbf_qp_single_active_row_closed_form(linear_cfg, linear):
     # force the row active with a nominal far on the infeasible side
     x = np.array([1.5, -2.2])
     bar = linear.safe_set.barriers[0]
-    lfh, lgh = barrier_lie_derivatives(linear.sys, bar, x)
-    u_expected = -(lfh + bar.alpha(bar.value(x))) / lgh[0]
+    lfh, lgh = lie_derivatives(linear_cfg, x, 0)
+    assert lfh == pytest.approx(lie_derivative_fd(bar, x, linear.sys.drift(x)), rel=1e-6)
+    assert lgh[0] == pytest.approx(lie_derivative_fd(bar, x, linear.sys.input_map(x)[:, 0]),
+                                   rel=1e-6)
+    u_expected = -(lfh + bar.alpha * bar.value(x)) / lgh[0]
     u_nom = np.array([u_expected - 50.0 * np.sign(lgh[0])])
     u = cbf_qp_filter(linear_cfg, x, u_nom)
     assert u[0] == pytest.approx(u_expected, rel=1e-10, abs=1e-10)
@@ -81,7 +83,7 @@ def test_cbf_qp_matches_grid_oracle_near_boundary(linear_cfg, linear):
         h = linear.safe_set.min_value(x)
         if not 0.0 <= h <= 0.1:
             continue
-        u_son = sontag_control(linear_cfg.sontag, x)
+        u_son = sontag_control(linear_cfg, x)
         try:
             u = cbf_qp_filter(linear_cfg, x, u_son)
         except InfeasibleQPError:
@@ -139,7 +141,7 @@ def test_s_cbf_qp_returns_sontag_on_r1(linear_cfg, linear):
         if classify_region(linear_cfg, x).value != Region.R1:
             continue
         u = s_cbf_qp_filter(linear_cfg, x)
-        u_son = sontag_control(linear_cfg.sontag, x)
+        u_son = sontag_control(linear_cfg, x)
         assert np.all(u == u_son)
         checked += 1
     assert checked >= 50
@@ -159,7 +161,7 @@ def test_s_cbf_qp_tumor_active_row_matches_grid_oracle(tumor_cfg, tumor):
     for x in xs:
         u = s_cbf_qp_filter(tumor_cfg, x)
         _, b_row = sontag_terms(tumor_cfg.sys, tumor_cfg.clf, x)
-        u_son = sontag_control(tumor_cfg.sontag, x)
+        u_son = sontag_control(tumor_cfg, x)
         weight = float(b_row @ b_row) + 1e-9
         oracle = qp_grid_oracle_1d(tumor_cfg, x, u_son[0], weight)
         assert u[0] == pytest.approx(oracle, abs=1e-6)
@@ -172,7 +174,7 @@ def test_s_cbf_qp_cost_identity(linear_cfg, tumor_cfg, linear, tumor):
         for _ in range(100):
             x = rng.uniform(bundle.domain[:, 0], bundle.domain[:, 1])
             u = rng.normal(scale=3.0, size=cfg.sys.m)
-            u_son = sontag_control(cfg.sontag, x)
+            u_son = sontag_control(cfg, x)
             _, b_row = sontag_terms(cfg.sys, cfg.clf, x)
             Q = np.outer(b_row, b_row)
             lhs = float((u - u_son) @ Q @ (u - u_son))
@@ -192,7 +194,7 @@ def test_closed_form_simple_row():
                               g=lambda x: np.array([[1.0]]), name="int")
     eq = EquilibriumPair([0.0], [0.0])
     clf = QuadraticCLF(np.array([[1.0]]), eq)
-    bar = Barrier(h=lambda x: float(x[0]), alpha=ExtendedClassK(1.0),
+    bar = Barrier(h=lambda x: float(x[0]), alpha=1.0,
                   grad_h=lambda x: np.ones(1), name="halfline")
     cfg = make_filter_config(sys, clf, SafeSet((bar,)))
     u_star, lam = closed_form_ustar(cfg, np.zeros(1))
@@ -214,7 +216,7 @@ def test_closed_form_equals_sontag_on_region_boundary(linear_cfg, linear):
                 hi = mid
         x_b = 0.5 * (lo + hi)
         u_star, _ = closed_form_ustar(linear_cfg, x_b)
-        u_son = sontag_control(linear_cfg.sontag, x_b)
+        u_son = sontag_control(linear_cfg, x_b)
         assert np.abs(u_star - u_son).max() <= 1e-6 * (1.0 + np.abs(u_son).max())
 
 
@@ -229,7 +231,7 @@ def test_closed_form_multiplier_matches_qp(linear_cfg, linear):
     xs = find_r2_states(linear_cfg, linear, 20, 29, w_cap=34.0)
     for x in xs:
         u_cf, lam_cf = closed_form_ustar(linear_cfg, x)
-        u_son = sontag_control(linear_cfg.sontag, x)
+        u_son = sontag_control(linear_cfg, x)
         _, b_row = sontag_terms(linear_cfg.sys, linear_cfg.clf, x)
         A, lb = cbf_rows(linear_cfg, x)
         spec = QPSpec(2.0 * np.outer(b_row, b_row), np.zeros(1),
@@ -262,7 +264,7 @@ def test_exact_zero_margin_assigned_r1():
                               g=lambda x: np.array([[1.0]]), name="int")
     eq = EquilibriumPair([0.0], [0.0])
     clf = QuadraticCLF(np.array([[1.0]]), eq)
-    bar = Barrier(h=lambda x: 0.0, alpha=ExtendedClassK(1.0),
+    bar = Barrier(h=lambda x: 0.0, alpha=1.0,
                   grad_h=lambda x: np.zeros(1), name="flat")
     cfg = make_filter_config(sys, clf, SafeSet((bar,)))
     label = classify_region(cfg, np.array([0.5]))
@@ -273,7 +275,7 @@ def test_exact_zero_margin_assigned_r1():
 def test_multi_barrier_margin_is_minimum(tumor_cfg, tumor):
     pts = sample_safe_states(tumor, 50, 3)
     for x in pts:
-        u_son = sontag_control(tumor_cfg.sontag, x)
+        u_son = sontag_control(tumor_cfg, x)
         A, lb = cbf_rows(tumor_cfg, x)
         label = classify_region(tumor_cfg, x)
         assert label.margin == pytest.approx(float(row_margins(A, lb, u_son).min()), rel=1e-12)
@@ -287,7 +289,7 @@ def test_hybrid_selects_branch(linear_cfg, linear):
     for x in pts:
         u, label = hybrid_control(linear_cfg, x)
         if label.value == Region.R1:
-            assert np.all(u == sontag_control(linear_cfg.sontag, x))
+            assert np.all(u == sontag_control(linear_cfg, x))
         else:
             assert np.abs(u - s_cbf_qp_filter(linear_cfg, x)).max() <= 1e-12
 
@@ -331,47 +333,51 @@ def test_safety_rows_hold_for_all_filters(linear_cfg, linear):
 @pytest.mark.parametrize("scenario", ["linear2d", "tumor3d"])
 @pytest.mark.parametrize("name", CONTROLLER_NAMES)
 def test_decision_carries_the_standalone_quantities(name, scenario, request):
-    # the rows, region and barrier values a built-in controller hands to the
-    # simulator equal the standalone helpers and the core Lie derivatives bit
-    # for bit, and integrating its bare inputs reproduces the trajectory
+    # the evaluation a built-in controller hands to the simulator equals the
+    # standalone helpers bit for bit, its rows match finite differences of h,
+    # and the simulator logs exactly what that evaluation says
     bundle = request.getfixturevalue("linear" if scenario == "linear2d" else "tumor")
     cfg = request.getfixturevalue("linear_cfg" if scenario == "linear2d" else "tumor_cfg")
     ctrl = make_controller(cfg, name)
     checked = 0
     for x in sample_safe_states(bundle, 12, 83, w_cap=10.0):
         try:
-            dec = ctrl(x)
+            u, ev = ctrl(x)
         except InfeasibleQPError:
             continue
         checked += 1
-        A, lb = dec.rows
         A_ref, lb_ref = cbf_rows(cfg, x)
-        assert A.tobytes() == A_ref.tobytes() and lb.tobytes() == lb_ref.tobytes()
+        assert ev.A.tobytes() == A_ref.tobytes() and ev.lb.tobytes() == lb_ref.tobytes()
+        G = cfg.sys.input_map(x)
         for i, bar in enumerate(cfg.safe_set.barriers):
-            lfh, lgh = barrier_lie_derivatives(cfg.sys, bar, x)
-            assert A[i].tobytes() == lgh.tobytes()
-            assert lb[i] == -bar.alpha(bar.value(x)) - lfh
+            lfh, lgh = lie_derivatives(cfg, x, i)
+            assert lfh == pytest.approx(lie_derivative_fd(bar, x, cfg.sys.drift(x)),
+                                        rel=1e-5, abs=1e-5)
+            assert lgh[0] == pytest.approx(lie_derivative_fd(bar, x, G[:, 0]),
+                                           rel=1e-5, abs=1e-5)
         label = classify_region(cfg, x)
-        assert dec.region.value == label.value and dec.region.margin == label.margin
-        margin = float(row_margins(A, lb, sontag_control(cfg.sontag, x)).min())
-        assert dec.region.margin == margin
-        assert dec.h_values.tobytes() == cfg.safe_set.values(x).tobytes()
+        assert ev.label.value == label.value and ev.label.margin == label.margin
+        margin = float(row_margins(ev.A, ev.lb, sontag_control(cfg, x)).min())
+        assert ev.label.margin == margin
+        assert ev.h.tobytes() == cfg.safe_set.values(x).tobytes()
     assert checked > 0
 
     simcfg = SimConfig(x0=np.asarray(bundle.defaults["x0"]), t_final=0.2, dt=1e-3)
-    full = integrate(cfg, ctrl, simcfg)
-    bare = integrate(cfg, lambda x: ControlDecision(ctrl(x).u), simcfg)
-    assert full.status == bare.status == "ok"
-    for field in ("times", "states", "inputs", "regions", "w_values", "h_values", "active"):
-        assert getattr(full, field).tobytes() == getattr(bare, field).tobytes(), field
-    assert len(full.switch_events) == len(bare.switch_events)
+    traj = integrate(cfg, ctrl, simcfg)
+    assert traj.status == "ok" and traj.n_samples == 201
+    for i, x in enumerate(traj.states):
+        u, ev = ctrl(x)
+        assert traj.inputs[i].tobytes() == u.tobytes()
+        assert traj.h_values[i].tobytes() == ev.h.tobytes()
+        assert traj.regions[i] == int(ev.label.value)
+        assert np.all(traj.active[i] == active_flags(ev.A, ev.lb, u))
 
 
 def test_evaluate_rejects_misshapen_input_map():
     sys = ControlAffineSystem(n=2, m=1, f=lambda x: np.zeros(2),
                               g=lambda x: np.zeros((1, 2)), name="bad-g")
     clf = QuadraticCLF(np.eye(2), EquilibriumPair([0.0, 0.0], [0.0]))
-    bar = Barrier(h=lambda x: 1.0, alpha=ExtendedClassK(1.0),
+    bar = Barrier(h=lambda x: 1.0, alpha=1.0,
                   grad_h=lambda x: np.zeros(2), name="always")
     cfg = make_filter_config(sys, clf, SafeSet((bar,)))
     with pytest.raises(ValueError, match=r"g\(x\) must be \(2, 1\)"):

@@ -90,7 +90,7 @@ def test_load_scenario_from_file(tmp_path, linear):
     path.write_text(json.dumps(cfg))
     bundle = load_scenario(path)
     assert bundle.name == "custom"
-    assert bundle.safe_set.barriers[0].alpha.lam == 2.0
+    assert bundle.safe_set.barriers[0].alpha == 2.0
 
 
 def test_scenario_validation_errors(tmp_path):
@@ -121,6 +121,14 @@ def test_scenario_validation_errors(tmp_path):
     missing = {k: v for k, v in base.items() if k != "clf"}
     with pytest.raises(ScenarioError, match="malformed"):
         scenario_from_dict(missing)
+    # a rate too large for a double parses as inf and is no rate at all
+    text = json.dumps(base).replace('"lambda": 1.0', '"lambda": 1e400')
+    with pytest.raises(ScenarioError, match="alpha"):
+        scenario_from_dict(json.loads(text))
+    for rate in (0.0, -1.0):
+        bad_rate = dict(base, barriers=[dict(base["barriers"][0], alpha={"lambda": rate})])
+        with pytest.raises(ScenarioError, match="alpha"):
+            scenario_from_dict(bad_rate)
 
 
 def test_exp_positivity_barrier_index_bounds():

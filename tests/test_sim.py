@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
-                      ExtendedClassK, QPIterationError, QuadraticCLF, SafeSet,
-                      SimConfig, SimulationError, compute_metrics, integrate,
+                      QPIterationError, QuadraticCLF, SafeSet, SimConfig,
+                      SimulationError, compute_metrics, evaluate, integrate,
                       read_trajectory_csv, write_trajectory_csv)
-from safestab.filters import ControlDecision, make_controller, make_filter_config
+from safestab.filters import make_controller, make_filter_config
 from safestab.sim import rk4_step
 
 
@@ -17,25 +17,26 @@ def flat_config(n=2, m=1, f=None, g=None):
     sys = ControlAffineSystem(n=n, m=m, f=f, g=g, name="synthetic")
     eq = EquilibriumPair(np.zeros(n), np.zeros(m))
     clf = QuadraticCLF(np.eye(n), eq)
-    bar = Barrier(h=lambda x: 1.0, alpha=ExtendedClassK(1.0),
+    bar = Barrier(h=lambda x: 1.0, alpha=1.0,
                   grad_h=lambda x: np.zeros(n), name="always")
     return make_filter_config(sys, clf, SafeSet((bar,)))
 
 
-def zero_controller(m=1):
-    return lambda x: ControlDecision(np.zeros(m))
+def zero_controller(cfg):
+    """Open loop: u = 0, with the evaluation the simulator logs."""
+    return lambda x: (np.zeros(cfg.sys.m), evaluate(cfg, x))
 
 
 def test_zero_fields_give_constant_trajectory():
     cfg = flat_config()
-    traj = integrate(cfg, zero_controller(), SimConfig(x0=[0.4, -0.7], t_final=1.0, dt=1e-2))
+    traj = integrate(cfg, zero_controller(cfg), SimConfig(x0=[0.4, -0.7], t_final=1.0, dt=1e-2))
     assert traj.status == "ok"
     assert np.abs(traj.states - np.array([0.4, -0.7])).max() == 0.0
 
 
 def test_rk4_matches_cosh_sinh_solution(linear_cfg):
     # with u = 0 the flow from (1, 0) is (cosh t, -sinh t)
-    traj = integrate(linear_cfg, zero_controller(),
+    traj = integrate(linear_cfg, zero_controller(linear_cfg),
                      SimConfig(x0=[1.0, 0.0], t_final=1.0, dt=1e-3))
     t = traj.times[-1]
     exact = np.array([math.cosh(t), -math.sinh(t)])
@@ -48,7 +49,7 @@ def test_rk4_step_halving_changes_little(linear_cfg, linear):
     x0 = np.asarray(linear.defaults["x0"])
     final = {}
     for dt in (1e-3, 5e-4):
-        traj = integrate(linear_cfg, zero_controller(),
+        traj = integrate(linear_cfg, zero_controller(linear_cfg),
                          SimConfig(x0=x0, t_final=1.0, dt=dt))
         final[dt] = traj.states[-1]
     assert np.abs(final[1e-3] - final[5e-4]).max() <= 1e-6
@@ -66,13 +67,13 @@ def test_tumor_hybrid_near_equilibrium(tumor_cfg, tumor):
 
 def test_initial_state_outside_safe_set_rejected(linear_cfg):
     with pytest.raises(SimulationError):
-        integrate(linear_cfg, zero_controller(), SimConfig(x0=[4.0, 4.0], t_final=1.0))
+        integrate(linear_cfg, zero_controller(linear_cfg), SimConfig(x0=[4.0, 4.0], t_final=1.0))
 
 
 def test_blowup_truncates_with_diagnostic():
     cfg = flat_config(n=1, f=lambda x: np.array([x[0] ** 2]),
                       g=lambda x: np.zeros((1, 1)))
-    traj = integrate(cfg, zero_controller(), SimConfig(x0=[3.0], t_final=10.0, dt=1e-2))
+    traj = integrate(cfg, zero_controller(cfg), SimConfig(x0=[3.0], t_final=10.0, dt=1e-2))
     assert traj.status == "blowup"
     assert "blew up" in traj.diagnostic
     assert traj.n_samples > 0
@@ -94,7 +95,7 @@ def test_qp_iteration_error_truncates_with_diagnostic():
         calls[0] += 1
         if calls[0] == 6:
             raise QPIterationError("active-set did not converge in 240 iterations")
-        return ControlDecision(np.zeros(1))
+        return np.zeros(1), evaluate(cfg, x)
 
     traj = integrate(cfg, stalls_at_step_5, SimConfig(x0=[0.4, -0.7], t_final=1.0, dt=1e-2))
     assert traj.status == "qp_iteration"
@@ -114,7 +115,7 @@ def test_record_every_decimates_but_keeps_last(linear_cfg):
 
 def test_metrics_constant_trajectory_at_equilibrium():
     cfg = flat_config()
-    traj = integrate(cfg, zero_controller(), SimConfig(x0=[0.0, 0.0], t_final=0.5, dt=1e-2))
+    traj = integrate(cfg, zero_controller(cfg), SimConfig(x0=[0.0, 0.0], t_final=0.5, dt=1e-2))
     m = compute_metrics(traj, cfg.clf.equilibrium, eps=0.1)
     assert m.convergence_time == 0.0
     assert m.input_tv == 0.0
@@ -123,7 +124,7 @@ def test_metrics_constant_trajectory_at_equilibrium():
 
 def test_metrics_convergence_sentinel():
     cfg = flat_config()
-    traj = integrate(cfg, zero_controller(), SimConfig(x0=[2.0, 0.0], t_final=0.5, dt=1e-2))
+    traj = integrate(cfg, zero_controller(cfg), SimConfig(x0=[2.0, 0.0], t_final=0.5, dt=1e-2))
     m = compute_metrics(traj, cfg.clf.equilibrium, eps=0.1)
     assert m.convergence_time == math.inf
 
@@ -184,6 +185,13 @@ def test_simconfig_validation():
         SimConfig(x0=[0.0], t_final=-1.0)
     with pytest.raises(SimulationError):
         SimConfig(x0=[0.0], t_final=1.0, record_every=0)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(SimulationError, match="dt"):
+            SimConfig(x0=[0.0], t_final=1.0, dt=bad)
+        with pytest.raises(SimulationError, match="t_final"):
+            SimConfig(x0=[0.0], t_final=bad)
+        with pytest.raises(SimulationError, match="x0"):
+            SimConfig(x0=[0.0, bad], t_final=1.0)
 
 
 def test_rk4_step_order():

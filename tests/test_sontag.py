@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from safestab import (DecreaseIdentityError, QuadraticCLF, SontagLaw,
+from safestab import (DecreaseIdentityError, QuadraticCLF, make_filter_config,
                       sontag_control, sontag_decrease_rate, sontag_terms)
 
 from conftest import sample_safe_states
+
+
+def config(bundle, clf=None, gamma=1.0):
+    """The filter config the Sontag functions read (system, CLF, gamma)."""
+    return make_filter_config(bundle.sys, clf or bundle.clf, bundle.safe_set, gamma=gamma)
 
 
 def scalar_formula_oracle(a, b, gamma=1.0):
@@ -16,54 +21,54 @@ def scalar_formula_oracle(a, b, gamma=1.0):
 
 def test_control_at_equilibrium_returns_ue(linear, tumor):
     for bundle in (linear, tumor):
-        law = SontagLaw(bundle.sys, bundle.clf)
-        u = sontag_control(law, bundle.eq.x_e)
+        cfg = config(bundle)
+        u = sontag_control(cfg, bundle.eq.x_e)
         assert np.abs(u - bundle.eq.u_e).max() == 0.0
 
 
 def test_linear_example_value(linear):
-    law = SontagLaw(linear.sys, linear.clf, gamma=1.0)
+    cfg = config(linear, gamma=1.0)
     x = np.array([1.0, 0.0])
     a, b = sontag_terms(linear.sys, linear.clf, x)
     expected = scalar_formula_oracle(a, b[0])
-    u = sontag_control(law, x)
+    u = sontag_control(cfg, x)
     assert u[0] == pytest.approx(expected, rel=1e-14)
     assert u[0] == pytest.approx(5.931, abs=2e-4)
 
 
 def test_vanishing_b_returns_ue(linear):
-    law = SontagLaw(linear.sys, linear.clf)
+    cfg = config(linear)
     # on the diagonal x1 = x2 the input channel is orthogonal to gradW
     x = np.array([0.7, 0.7])
     _, b = sontag_terms(linear.sys, linear.clf, x)
     assert abs(b[0]) <= 1e-12
-    assert np.all(sontag_control(law, x) == linear.eq.u_e)
+    assert np.all(sontag_control(cfg, x) == linear.eq.u_e)
 
 
 def test_decrease_rate_matches_closed_form(linear):
-    law = SontagLaw(linear.sys, linear.clf, gamma=1.0)
+    cfg = config(linear, gamma=1.0)
     x = np.array([1.0, 0.0])
     a, b = sontag_terms(linear.sys, linear.clf, x)
-    rate = sontag_decrease_rate(law, x)
+    rate = sontag_decrease_rate(cfg, x)
     assert rate == pytest.approx(-math.sqrt(a * a + b[0] ** 4), rel=1e-12)
 
 
 def test_decrease_rate_zero_at_equilibrium(tumor):
-    law = SontagLaw(tumor.sys, tumor.clf)
-    assert sontag_decrease_rate(law, tumor.eq.x_e) == 0.0
+    cfg = config(tumor)
+    assert sontag_decrease_rate(cfg, tumor.eq.x_e) == 0.0
 
 
 def test_decrease_rate_scales_linearly_in_gamma(linear):
     x = np.array([0.4, -1.1])
-    r1 = sontag_decrease_rate(SontagLaw(linear.sys, linear.clf, gamma=1.0), x)
-    r2 = sontag_decrease_rate(SontagLaw(linear.sys, linear.clf, gamma=2.0), x)
+    r1 = sontag_decrease_rate(config(linear, gamma=1.0), x)
+    r2 = sontag_decrease_rate(config(linear, gamma=2.0), x)
     assert r2 == pytest.approx(2.0 * r1, rel=1e-12)
 
 
 @pytest.mark.parametrize("scenario_name,seed", [("linear", 101), ("tumor", 202)])
 def test_decrease_identity_thousand_random_states(scenario_name, seed, linear, tumor):
     bundle = {"linear": linear, "tumor": tumor}[scenario_name]
-    law = SontagLaw(bundle.sys, bundle.clf, gamma=1.0)
+    cfg = config(bundle, gamma=1.0)
     rng = np.random.default_rng(seed)
     tested = 0
     while tested < 1000:
@@ -72,7 +77,7 @@ def test_decrease_identity_thousand_random_states(scenario_name, seed, linear, t
         bb = float(b @ b)
         if math.sqrt(bb) <= 1e-8:
             continue
-        u = sontag_control(law, x)
+        u = sontag_control(cfg, x)
         wdot = float(bundle.clf.grad(x) @ bundle.sys.xdot(x, u))
         target = -math.sqrt(a * a + bb * bb)
         assert abs(wdot - target) <= 1e-9 * (1.0 + abs(a) + bb)
@@ -97,20 +102,20 @@ def test_decrease_rate_reports_identity_violation(linear):
         def value(self, x):
             return self._clf.value(x)
 
-    law = SontagLaw(linear.sys, FlickeringCLF(linear.clf))
+    cfg = config(linear, FlickeringCLF(linear.clf))
     with pytest.raises(DecreaseIdentityError):
-        sontag_decrease_rate(law, np.array([1.3, -0.4]))
+        sontag_decrease_rate(cfg, np.array([1.3, -0.4]))
 
 
 def test_decrease_rate_rejects_b_vanishing_away_from_equilibrium(linear):
-    law = SontagLaw(linear.sys, linear.clf)
+    cfg = config(linear)
     with pytest.raises(ValueError):
-        sontag_decrease_rate(law, np.array([0.7, 0.7]))
+        sontag_decrease_rate(cfg, np.array([0.7, 0.7]))
 
 
 def test_continuity_at_equilibrium_shrinking_radii(linear, tumor):
     for bundle in (linear, tumor):
-        law = SontagLaw(bundle.sys, bundle.clf)
+        cfg = config(bundle)
         rng = np.random.default_rng(9)
         prev_max = math.inf
         for radius in (1.0, 0.3, 0.1, 0.03, 0.01, 0.003, 1e-3, 1e-4, 1e-5):
@@ -118,7 +123,7 @@ def test_continuity_at_equilibrium_shrinking_radii(linear, tumor):
             for _ in range(50):
                 d = rng.normal(size=bundle.sys.n)
                 d /= np.linalg.norm(d)
-                u = sontag_control(law, bundle.eq.x_e + radius * d)
+                u = sontag_control(cfg, bundle.eq.x_e + radius * d)
                 worst = max(worst, float(np.abs(u - bundle.eq.u_e).max()))
             assert worst <= prev_max + 1e-12
             prev_max = worst
@@ -141,16 +146,20 @@ def test_terms_scale_linearly_under_clf_rescaling(linear, tumor):
 
 
 def test_feedback_not_invariant_under_clf_rescaling_counterexample(linear):
-    law1 = SontagLaw(linear.sys, linear.clf)
-    law2 = SontagLaw(linear.sys, QuadraticCLF(2.0 * linear.clf.P, linear.eq))
+    cfg1 = config(linear)
+    cfg2 = config(linear, QuadraticCLF(2.0 * linear.clf.P, linear.eq))
     x = np.array([1.0, 0.0])
-    u1 = sontag_control(law1, x)
-    u2 = sontag_control(law2, x)
+    u1 = sontag_control(cfg1, x)
+    u2 = sontag_control(cfg2, x)
     # scalar oracle: kappa(1,1) = -1-sqrt(2) vs kappa(2,2)/1 = (-2-sqrt(20))/2
     assert (-1.0 - math.sqrt(2.0)) != pytest.approx((-2.0 - math.sqrt(20.0)) / 2.0)
     assert abs(u1[0] - u2[0]) > 1.0
 
 
 def test_law_rejects_bad_parameters(linear):
-    with pytest.raises(ValueError):
-        SontagLaw(linear.sys, linear.clf, gamma=0.0)
+    # gamma and the slack weight p are checked once, where they are held
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            config(linear, gamma=bad)
+        with pytest.raises(ValueError, match="slack weight p"):
+            make_filter_config(linear.sys, linear.clf, linear.safe_set, p=bad)
