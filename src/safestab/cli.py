@@ -112,12 +112,16 @@ def _resolve_manifest(bundle, args) -> RunManifest:
 
 
 def _configs(bundle, manifest: RunManifest):
-    """The run's filter and simulation configs; built before anything is
-    written, so that a bad parameter leaves no output behind."""
+    """The run's filter and simulation configs; built, and x0 checked against
+    the safe set as integrate does, before anything is written, so that a bad
+    parameter leaves no output behind."""
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set,
                              gamma=manifest.gamma, p=manifest.p)
     simcfg = SimConfig(x0=manifest.x0, t_final=manifest.t_final, dt=manifest.dt,
                        record_every=manifest.record_every)
+    min_h = bundle.safe_set.min_value(simcfg.x0)
+    if min_h < 0.0:
+        raise SimulationError(f"x0 outside the safe set: min h = {min_h}")
     return cfg, simcfg
 
 
@@ -308,14 +312,12 @@ def _safe_boundary_polyline(bundle):
     if bundle.sys.n != 2:
         return None
     x_e = bundle.eq.x_e
-    pts = []
-    for theta in np.linspace(0.0, 2.0 * math.pi, BOUNDARY_POINTS, endpoint=False):
-        d = np.array([math.cos(theta), math.sin(theta)])
-        bracket = ray_exit(bundle.safe_set.contains, x_e, d)
-        if bracket is None:
-            return None
-        pts.append((x_e + bracket[0] * d).tolist())
-    return pts
+    dirs = np.array([[math.cos(theta), math.sin(theta)] for theta in
+                     np.linspace(0.0, 2.0 * math.pi, BOUNDARY_POINTS, endpoint=False)])
+    lo, hi = ray_exit(bundle.safe_set.contains, x_e, dirs)
+    if not np.all(hi < math.inf):
+        return None
+    return (x_e + lo[:, None] * dirs).tolist()
 
 
 def cmd_plot(args) -> int:

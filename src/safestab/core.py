@@ -5,6 +5,13 @@ terms (a, b); filters.evaluate combines them with the barrier rows
 Conventions
 -----------
 * States, inputs and gradients are 1-D float arrays; g(x) is (n, m).
+* The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad,
+  SafeSet.values/min_value/contains and clf_lie_terms also accept a stack
+  X of shape (N, n) and then return their results with a leading axis of N
+  (g(X) is (N, n, m)). Each chooses its body from x.ndim: the one-state body
+  is the per-step path, the stack body serves the many-state callers (doa,
+  verify) and rounds exactly as N one-state calls do, because it writes every
+  dot product and quadratic form as a stacked matmul.
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
   vanishes at a non-zero equilibrium.
 * All objects are treated as immutable after construction and every operation
@@ -37,6 +44,8 @@ FD_REL_STEP = 1e-6
 B_FLOOR = 1e-10
 # states sampled by is_valid_local_clf
 LOCAL_CLF_SAMPLES = 200
+# largest stack of states one rejection_sample draw makes
+SAMPLE_BLOCK = 1024
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
@@ -113,11 +122,18 @@ class QuadraticCLF:
             raise ScenarioError(f"P must be ({n}, {n}), got {self.P.shape}")
         validate_clf_matrix(self.P)
 
-    def value(self, x) -> float:
+    def value(self, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            D = x - self.equilibrium.x_e
+            return (D[:, None, :] @ self.P @ D[:, :, None])[:, 0, 0]
         d = as_vector(x) - self.equilibrium.x_e
         return float(d @ self.P @ d)
 
     def grad(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return 2.0 * (self.P @ (x - self.equilibrium.x_e)[:, :, None])[:, :, 0]
         return 2.0 * (self.P @ (as_vector(x) - self.equilibrium.x_e))
 
 
@@ -168,13 +184,19 @@ class SafeSet:
         return len(self.barriers)
 
     def values(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.stack([b.h(x) for b in self.barriers], axis=1)
         x = as_vector(x)
         return np.array([b.value(x) for b in self.barriers])
 
-    def min_value(self, x) -> float:
-        return float(self.values(x).min())
+    def min_value(self, x):
+        vals = self.values(x)
+        if vals.ndim == 2:
+            return vals.min(axis=1)
+        return float(vals.min())
 
-    def contains(self, x, tol: float = 0.0) -> bool:
+    def contains(self, x, tol: float = 0.0):
         return self.min_value(x) >= -tol
 
 
@@ -187,8 +209,13 @@ def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
 
 def clf_lie_terms(clf: QuadraticCLF, x: np.ndarray, f: np.ndarray, G: np.ndarray):
     """Return (gradW, a, b) at the state vector x from f = f(x) and G = g(x),
-    with a = gradW'(f + G u_e) and b = gradW' G."""
+    with a = gradW'(f + G u_e) and b = gradW' G; for a stack x, f (N, n) and
+    G (N, n, m), the same with a leading axis."""
     grad_w = clf.grad(x)
+    if x.ndim == 2:
+        row = grad_w[:, None, :]
+        drift = f + G @ clf.equilibrium.u_e
+        return grad_w, (row @ drift[:, :, None])[:, 0, 0], (row @ G)[:, 0, :]
     return grad_w, float(grad_w @ (f + G @ clf.equilibrium.u_e)), grad_w @ G
 
 
@@ -212,6 +239,25 @@ def sample_ball(center: np.ndarray, radius: float, count: int,
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * rng.uniform(size=(count, 1)) ** (1.0 / n)
     return center + dirs * radii
+
+
+def rejection_sample(rng: np.random.Generator, lo: np.ndarray, hi: np.ndarray,
+                     accept: Callable[[np.ndarray], np.ndarray], count: int,
+                     max_tries: int) -> np.ndarray:
+    """The first count of at most max_tries uniform draws from the box
+    [lo, hi] that accept keeps, in draw order; fewer when the draws run out,
+    and none drawn for count 0. accept maps a stack (B, n) to a boolean array.
+    The draws come in blocks of at most SAMPLE_BLOCK states, which give the
+    same states as one draw at a time."""
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    kept, found, drawn = [], 0, 0
+    while found < count and drawn < max_tries:
+        X = rng.uniform(lo, hi, size=(min(SAMPLE_BLOCK, max_tries - drawn), lo.size))
+        drawn += X.shape[0]
+        kept.append(X[accept(X)][:count - found])
+        found += kept[-1].shape[0]
+    return np.concatenate(kept) if kept else np.empty((0, lo.size))
 
 
 def is_valid_local_clf(sys: ControlAffineSystem, clf: QuadraticCLF, radius: float,

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import as_vector
+from .core import as_vector, rejection_sample
 from .errors import SharingInfeasibleError
 # cbf_rows is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module
@@ -37,40 +37,47 @@ SUBLEVEL_T_MAX = 1e3
 AWC_MAX_TRIES = 100000
 
 
-def control_sharing_holds(cfg: FilterConfig, x, eps_share: Optional[float] = None) -> bool:
+def control_sharing_holds(cfg: FilterConfig, x, eps_share: Optional[float] = None):
     """True iff one input satisfies every barrier row and gives
-    gradW'(f + g u) <= -eps_share (strict decrease surrogate)."""
+    gradW'(f + g u) <= -eps_share (strict decrease surrogate). For a stack
+    of states (N, n), a boolean array (N,) from one evaluation and one
+    stacked LP test."""
     ev = evaluate(cfg, x)
     if eps_share is None:
         eps_share = 1e-9 * (1.0 + cfg.clf.value(ev.x))
-    A = np.vstack([ev.A, -ev.b[None, :]])
-    lb = np.concatenate([ev.lb, [ev.lfw + eps_share]])
+    # the CLF row -b u >= L_f W + eps_share below the barrier rows
+    A = np.concatenate([ev.A, -ev.b[..., None, :]], axis=-2)
+    lb = np.concatenate([ev.lb, np.expand_dims(ev.lfw + eps_share, -1)], axis=-1)
     return lp_feasible(A, lb)
 
 
-def ray_exit(inside: Callable[[np.ndarray], bool], origin: np.ndarray,
-             direction: np.ndarray, t_max: float = 1e6
-             ) -> Optional[Tuple[float, float]]:
-    """Bracket (lo, hi) of the first exit of origin + t*direction from the
-    set `inside`: t doubles from 1 while the point stays inside, up to t_max,
-    then 60 bisection steps keep lo inside and hi outside. None when no
-    outside point was found up to t_max."""
-    lo, hi = 0.0, None
+def ray_exit(inside: Callable[[np.ndarray], np.ndarray], origin: np.ndarray,
+             directions: np.ndarray, t_max: float = 1e6
+             ) -> Tuple[np.ndarray, np.ndarray]:
+    """Brackets (lo, hi) of the first exit of origin + t*d from the set
+    `inside`, for each row d of directions (R, n), all rays in lockstep.
+    `inside` maps a stack of states to a boolean array. Along each ray t
+    doubles from 1 while the point stays inside, up to t_max, then 60
+    bisection steps keep lo inside and hi outside. hi is inf, and lo the last
+    inside t, for a ray with no outside point up to t_max."""
+    R = directions.shape[0]
+    lo = np.zeros(R)
+    hi = np.full(R, math.inf)
+    going = np.arange(R)
     t = 1.0
-    while t <= t_max:
-        if not inside(origin + t * direction):
-            hi = t
-            break
-        lo = t
+    while t <= t_max and going.size:
+        inn = inside(origin + t * directions[going])
+        hi[going[~inn]] = t
+        going = going[inn]
+        lo[going] = t
         t *= 2.0
-    if hi is None:
-        return None
+    ends = np.flatnonzero(hi < math.inf)
+    d_end = directions[ends]
     for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if inside(origin + mid * direction):
-            lo = mid
-        else:
-            hi = mid
+        mid = 0.5 * (lo[ends] + hi[ends])
+        inn = inside(origin + mid[:, None] * d_end)
+        lo[ends[inn]] = mid[inn]
+        hi[ends[~inn]] = mid[~inn]
     return lo, hi
 
 
@@ -125,16 +132,15 @@ def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
     x_e = cfg.clf.equilibrium.x_e
-    w_vals = np.array([cfg.clf.value(p) for p in points])
+    w_vals = cfg.clf.value(points)
     near_eq = np.linalg.norm(points - x_e, axis=1) <= EXCLUDE_RADIUS
-    idxs = [i for i in np.flatnonzero(~near_eq & (w_vals <= c_hi))
-            if cfg.safe_set.min_value(points[i]) >= 0.0]
-    if not idxs:
+    cands = np.flatnonzero(~near_eq & (w_vals <= c_hi))
+    idxs = cands[cfg.safe_set.min_value(points[cands]) >= 0.0]
+    if not idxs.size:
         raise ValueError(
             f"no grid point of {{W <= {c_hi}}} inside the safe set to verify at "
             f"resolution {resolution}")
-    failing = np.array([i for i in idxs if not control_sharing_holds(cfg, points[i])],
-                       dtype=int)
+    failing = idxs[~control_sharing_holds(cfg, points[idxs])]
     w_fail = float(w_vals[failing].min(initial=math.inf))
 
     if not c_lo < w_fail:
@@ -156,69 +162,66 @@ def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
     return DoaEstimate(
         c_star=lo,
         grid_resolution=resolution,
-        verified_points=len(idxs),
+        verified_points=int(idxs.size),
         tested=tested,
         first_infeasible_c=first_bad_c,
         first_infeasible_violations=first_bad_states,
     )
 
 
-def in_awc(estimate: DoaEstimate, cfg: FilterConfig, x) -> bool:
-    """Membership in the closed set {W <= c*} intersect {min_i h_i >= 0}."""
+def in_awc(estimate: DoaEstimate, cfg: FilterConfig, x):
+    """Membership in the closed set {W <= c*} intersect {min_i h_i >= 0}; for
+    a stack (N, n), a boolean array whose barriers are evaluated only where
+    W <= c*, as the one-state test does."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        inside = cfg.clf.value(x) <= estimate.c_star
+        inside[inside] = cfg.safe_set.min_value(x[inside]) >= 0.0
+        return inside
     x = as_vector(x, cfg.sys.n)
     return cfg.clf.value(x) <= estimate.c_star and cfg.safe_set.min_value(x) >= 0.0
+
+
+def _directions(n: int, seed: int) -> np.ndarray:
+    """N_DIRECTIONS seeded unit vectors in R^n."""
+    dirs = np.random.default_rng(seed).normal(size=(N_DIRECTIONS, n))
+    return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
 def largest_clf_sublevel_inside(cfg: FilterConfig, seed: int = 0) -> float:
     """Line-search estimate of the conservative level c_triv = max{c : {W<=c}
     inside the safe set}: walk rays from x_e to the safe-set boundary and take
     the smallest W found there."""
-    rng = np.random.default_rng(seed)
     x_e = cfg.clf.equilibrium.x_e
-    best = math.inf
-    dirs = rng.normal(size=(N_DIRECTIONS, cfg.sys.n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    for d in dirs:
-        bracket = ray_exit(cfg.safe_set.contains, x_e, d, SUBLEVEL_T_MAX)
-        if bracket is None:
-            continue  # safe set unbounded along this ray
-        best = min(best, cfg.clf.value(x_e + bracket[1] * d))
-    if not math.isfinite(best):
+    dirs = _directions(cfg.sys.n, seed)
+    _, hi = ray_exit(cfg.safe_set.contains, x_e, dirs, SUBLEVEL_T_MAX)
+    ends = hi < math.inf   # the safe set is unbounded along the other rays
+    if not ends.any():
         raise SharingInfeasibleError("no safe-set boundary found along any ray")
-    return best
+    return float(cfg.clf.value(x_e + hi[ends, None] * dirs[ends]).min())
 
 
 def awc_boundary_points(estimate: DoaEstimate, cfg: FilterConfig,
                         seed: int = 0) -> np.ndarray:
-    """Ray-cast samples of the boundary of A_WC for plotting."""
-    rng = np.random.default_rng(seed)
+    """Ray-cast samples of the boundary of A_WC for plotting, one (n,) row
+    per ray that leaves A_WC."""
     x_e = cfg.clf.equilibrium.x_e
-
-    def inside(x):
-        return in_awc(estimate, cfg, x)
-
-    dirs = rng.normal(size=(N_DIRECTIONS, cfg.sys.n))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    pts = []
-    for d in dirs:
-        bracket = ray_exit(inside, x_e, d)
-        if bracket is not None:
-            pts.append(x_e + bracket[0] * d)
-    return np.array(pts)
+    dirs = _directions(cfg.sys.n, seed)
+    lo, hi = ray_exit(lambda X: in_awc(estimate, cfg, X), x_e, dirs)
+    ends = hi < math.inf
+    return x_e + lo[ends, None] * dirs[ends]
 
 
 def sample_states_in_awc(estimate: DoaEstimate, cfg: FilterConfig, count: int,
                          seed: int = 0) -> np.ndarray:
-    """Seeded rejection sampling of states in A_WC (W <= c* inside the safe
-    set), at most AWC_MAX_TRIES draws."""
+    """Seeded rejection sampling of count states in A_WC (W <= c* inside
+    the safe set), at most AWC_MAX_TRIES draws; an empty (0, n) array for
+    count 0 and ValueError for a negative count."""
     rng = np.random.default_rng(seed)
     bounds = sublevel_bounding_box(cfg, estimate.c_star)
-    out = []
-    for _ in range(AWC_MAX_TRIES):
-        x = rng.uniform(bounds[:, 0], bounds[:, 1])
-        if in_awc(estimate, cfg, x):
-            out.append(x)
-            if len(out) == count:
-                return np.array(out)
-    raise SharingInfeasibleError(
-        f"could not draw {count} states inside A_WC within {AWC_MAX_TRIES} tries")
+    out = rejection_sample(rng, bounds[:, 0], bounds[:, 1],
+                           lambda X: in_awc(estimate, cfg, X), count, AWC_MAX_TRIES)
+    if len(out) < count:
+        raise SharingInfeasibleError(
+            f"could not draw {count} states inside A_WC within {AWC_MAX_TRIES} tries")
+    return out

@@ -45,6 +45,9 @@ class Region(IntEnum):
 
 @dataclass
 class RegionLabel:
+    """R1/R2 and the smallest row slack at u_son; for a stack, arrays of
+    Region values and of slacks."""
+
     value: Region
     margin: float
 
@@ -70,7 +73,8 @@ make_filter_config = FilterConfig
 
 
 class Evaluation(NamedTuple):
-    """Pointwise quantities at one state, from one call each of f and g."""
+    """Pointwise quantities at one state, from one call each of f and g; for
+    a stack of N states, every field has a leading axis of N."""
 
     x: np.ndarray
     f: np.ndarray        # drift f(x)
@@ -86,6 +90,8 @@ class Evaluation(NamedTuple):
     @property
     def lfw(self) -> float:
         """L_f W = gradW' f, the drift term of the CLF-decrease row."""
+        if self.f.ndim == 2:
+            return (self.grad_w[:, None, :] @ self.f[:, :, None])[:, 0, 0]
         return float(self.grad_w @ self.f)
 
 
@@ -95,7 +101,11 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
 
     This is the per-step hot path of the simulator, so the scenario's
     closures are called directly rather than through the validating
-    wrappers of ControlAffineSystem and Barrier."""
+    wrappers of ControlAffineSystem and Barrier. A stack x of shape (N, n)
+    takes _evaluate_stack, which gives the same values in one numpy pass."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return _evaluate_stack(cfg, x)
     x = as_vector(x, cfg.sys.n)
     f = np.asarray(cfg.sys.f(x), dtype=float)
     G = np.asarray(cfg.sys.g(x), dtype=float)
@@ -119,6 +129,35 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
     return Evaluation(x, f, grad_w, a, b, u_son, A, lb, h, label)
 
 
+def _evaluate_stack(cfg: FilterConfig, X: np.ndarray) -> Evaluation:
+    """evaluate on the rows of X, with every dot product a stacked matmul so
+    that each state rounds as in the one-state body."""
+    n, m = cfg.sys.n, cfg.sys.m
+    N = X.shape[0]
+    if X.shape[1] != n:
+        raise ValueError(f"expected states of length {n}, got {X.shape[1]}")
+    f = np.asarray(cfg.sys.f(X), dtype=float)
+    G = np.asarray(cfg.sys.g(X), dtype=float)
+    if G.shape != (N, n, m):
+        raise ValueError(f"g(X) must be ({N}, {n}, {m}), got {G.shape}")
+    grad_w, a, b = clf_lie_terms(cfg.clf, X, f, G)
+    u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
+    barriers = cfg.safe_set.barriers
+    k = len(barriers)
+    A = np.empty((N, k, m))
+    lb = np.empty((N, k))
+    h = np.empty((N, k))
+    for i, bar in enumerate(barriers):
+        grad = bar.grad_h(X)[:, None, :]
+        h_i = bar.h(X)
+        h[:, i] = h_i
+        A[:, i] = (grad @ G)[:, 0, :]
+        lb[:, i] = -bar.alpha * h_i - (grad @ f[:, :, None])[:, 0, 0]
+    margin = row_margins(A, lb, u_son).min(axis=1)
+    label = RegionLabel(np.where(margin >= 0.0, Region.R1, Region.R2), margin)
+    return Evaluation(X, f, grad_w, a, b, u_son, A, lb, h, label)
+
+
 def cbf_rows(cfg: FilterConfig, x) -> Tuple[np.ndarray, np.ndarray]:
     """Stack the barrier rows as A u >= lb with A_i = L_g h_i and
     lb_i = -alpha_i(h_i) - L_f h_i."""
@@ -133,7 +172,10 @@ def classify_region(cfg: FilterConfig, x) -> RegionLabel:
 
 
 def row_margins(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Slack of each barrier row at the input u (nonnegative means satisfied)."""
+    """Slack of each barrier row at the input u (nonnegative means satisfied);
+    for stacks A (N, k, m), lb (N, k) and u (N, m), an (N, k) array."""
+    if A.ndim == 3:
+        return (A @ u[:, :, None])[:, :, 0] - lb
     return A @ u - lb
 
 

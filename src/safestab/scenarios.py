@@ -39,12 +39,16 @@ SCENARIO_NAMES = ("linear2d", "tumor3d")
 
 def _linear2d_dynamics(params: dict) -> Tuple[Callable, Callable, int, int]:
     def f(x):
-        return np.array([-x[1], -x[0]])
+        if x.ndim == 1:
+            return np.array([-x[1], -x[0]])
+        return np.stack([-x[:, 1], -x[:, 0]], axis=1)
 
     g_mat = np.array([[0.0], [1.0]])
 
     def g(x):
-        return g_mat
+        if x.ndim == 1:
+            return g_mat
+        return np.broadcast_to(g_mat, (x.shape[0], 2, 1))
 
     return f, g, 2, 1
 
@@ -58,18 +62,30 @@ def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, int, int]:
     r_r = float(params["R_R"])
     r_t = float(params["R_T"])
 
-    # Python floats: the same IEEE arithmetic as numpy scalars, at half the cost
+    # one state: Python floats, the same IEEE arithmetic as numpy scalars at
+    # half the cost; a stack (N, 3): the same expressions on its columns
     def f(x):
-        x1, x2, x3 = x.tolist()
-        return np.array([
+        if x.ndim == 1:
+            x1, x2, x3 = x.tolist()
+            return np.array([
+                r_t * x1 - (r_t / k_t) * x1 * x1 - (a_tn * r_t / k_t) * x1 * x2,
+                -a_nt * x2 * x1 + beta * x2 * x3,
+                r_r * x3 - (r_r / k_r) * x3 * x3 - (beta * r_r / k_r) * x2 * x3,
+            ])
+        x1, x2, x3 = x.T
+        return np.stack([
             r_t * x1 - (r_t / k_t) * x1 * x1 - (a_tn * r_t / k_t) * x1 * x2,
             -a_nt * x2 * x1 + beta * x2 * x3,
             r_r * x3 - (r_r / k_r) * x3 * x3 - (beta * r_r / k_r) * x2 * x3,
-        ])
+        ], axis=1)
 
     def g(x):
-        x1, x2, _ = x.tolist()
-        return np.array([[-(r_t / k_t) * x1 * x2], [0.0], [0.0]])
+        if x.ndim == 1:
+            x1, x2, _ = x.tolist()
+            return np.array([[-(r_t / k_t) * x1 * x2], [0.0], [0.0]])
+        G = np.zeros((x.shape[0], 3, 1))
+        G[:, 0, 0] = -(r_t / k_t) * x[:, 0] * x[:, 1]
+        return G
 
     return f, g, 3, 1
 
@@ -90,11 +106,18 @@ def _build_barrier(entry: dict, n: int) -> Barrier:
         quad = np.asarray(entry["quad"], dtype=float).reshape(n, n)
         quad = 0.5 * (quad + quad.T)
 
+        # a stack (N, n) takes stacked matmuls, which round as the 1-D
+        # products do (a single matrix-vector product does not)
         def h(x, _o=offset, _l=lin, _q=quad):
-            return _o + float(_l @ x) + float(x @ _q @ x)
+            if x.ndim == 1:
+                return _o + float(_l @ x) + float(x @ _q @ x)
+            return (_o + (x[:, None, :] @ _l[:, None])[:, 0, 0]
+                    + (x[:, None, :] @ _q @ x[:, :, None])[:, 0, 0])
 
         def grad_h(x, _l=lin, _q=quad):
-            return _l + 2.0 * (_q @ x)
+            if x.ndim == 1:
+                return _l + 2.0 * (_q @ x)
+            return _l + 2.0 * (_q @ x[:, :, None])[:, :, 0]
 
         return Barrier(h=h, alpha=alpha, grad_h=grad_h, name=name)
     if kind == "exp_positivity":
@@ -103,11 +126,17 @@ def _build_barrier(entry: dict, n: int) -> Barrier:
             raise ScenarioError(f"barrier index {idx} out of range for n={n}")
 
         def h(x, _i=idx):
-            return 1.0 - float(np.exp(-x[_i]))
+            if x.ndim == 1:
+                return 1.0 - float(np.exp(-x[_i]))
+            return 1.0 - np.exp(-x[:, _i])
 
         def grad_h(x, _i=idx, _n=n):
-            grad = np.zeros(_n)
-            grad[_i] = float(np.exp(-x[_i]))
+            if x.ndim == 1:
+                grad = np.zeros(_n)
+                grad[_i] = float(np.exp(-x[_i]))
+                return grad
+            grad = np.zeros(x.shape)
+            grad[:, _i] = np.exp(-x[:, _i])
             return grad
 
         return Barrier(h=h, alpha=alpha, grad_h=grad_h, name=name)

@@ -22,9 +22,18 @@ if TYPE_CHECKING:
     from .filters import FilterConfig
 
 
-def sontag_kappa(gamma: float, a: float, b: np.ndarray) -> np.ndarray:
+def sontag_kappa(gamma: float, a, b: np.ndarray) -> np.ndarray:
     """Correction term of the universal formula with gain gamma for the terms
-    a and b (an m-array); zero when b (nearly) vanishes."""
+    a and b (an m-array); zero when b (nearly) vanishes. For a stack, a is
+    (N,) and b (N, m)."""
+    if b.ndim == 2:
+        bb = (b[:, None, :] @ b[:, :, None])[:, 0, 0]
+        on = ~(np.sqrt(bb) <= B_FLOOR)   # NaN takes the formula, as below
+        kappa = np.zeros_like(b)
+        a_on, bb_on = a[on], bb[on]
+        kappa[on] = b[on] * ((-a_on - gamma * np.sqrt(a_on * a_on + bb_on * bb_on))
+                             / bb_on)[:, None]
+        return kappa
     bb = float(b @ b)
     if math.sqrt(bb) <= B_FLOOR:
         return np.zeros_like(b)

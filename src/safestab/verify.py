@@ -10,10 +10,10 @@ from typing import List
 import numpy as np
 
 from .core import (equilibrium_residual, fd_gradient, is_valid_local_clf,
-                   sontag_terms, validate_clf_matrix)
+                   rejection_sample, sample_ball, sontag_terms, validate_clf_matrix)
 from .errors import DecreaseIdentityError, SafeStabError, ScenarioError
-from .filters import (FilterConfig, Region, classify_region, closed_form_ustar,
-                      evaluate, make_filter_config, s_cbf_qp_filter, s_cbf_qp_spec)
+from .filters import (FilterConfig, Region, closed_form_ustar, evaluate,
+                      make_filter_config, s_cbf_qp_filter, s_cbf_qp_spec)
 # QPSpec is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module
 from .qp import QPSpec, solve_qp  # noqa: F401
@@ -43,14 +43,9 @@ def _sample_domain(bundle: ScenarioBundle, count: int, rng) -> np.ndarray:
 
 
 def _sample_safe(bundle: ScenarioBundle, count: int, rng) -> np.ndarray:
-    out = []
-    for _ in range(SAFE_MAX_TRIES):
-        x = rng.uniform(bundle.domain[:, 0], bundle.domain[:, 1])
-        if bundle.safe_set.min_value(x) >= 0.0:
-            out.append(x)
-            if len(out) == count:
-                break
-    return np.array(out)
+    return rejection_sample(rng, bundle.domain[:, 0], bundle.domain[:, 1],
+                            lambda X: bundle.safe_set.min_value(X) >= 0.0,
+                            count, SAFE_MAX_TRIES)
 
 
 def check_equilibrium(bundle: ScenarioBundle) -> CheckResult:
@@ -130,12 +125,10 @@ def check_closed_form(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> C
     rng = np.random.default_rng(seed)
     worst = 0.0
     found = 0
-    for x in _sample_safe(bundle, 20 * CLOSED_FORM_SAMPLES, rng):
+    pts = _sample_safe(bundle, 20 * CLOSED_FORM_SAMPLES, rng)
+    for x in pts[evaluate(cfg, pts).label.value == Region.R2]:
         if found >= CLOSED_FORM_SAMPLES:
             break
-        label = classify_region(cfg, x)
-        if label.value != Region.R2:
-            continue
         try:
             u_formula, _ = closed_form_ustar(cfg, x)
             u_qp = s_cbf_qp_filter(cfg, x)
@@ -158,11 +151,13 @@ def check_r1_proper(cfg: FilterConfig, seed: int) -> CheckResult:
     interior: a small ball around x_e must classify R1 throughout."""
     rng = np.random.default_rng(seed)
     x_e = cfg.clf.equilibrium.x_e
-    from .core import sample_ball
-    for x in sample_ball(x_e, R1_RADIUS, R1_SAMPLES, rng):
-        if cfg.safe_set.min_value(x) < 0.0:
+    pts = sample_ball(x_e, R1_RADIUS, R1_SAMPLES, rng)
+    unsafe = cfg.safe_set.min_value(pts) < 0.0
+    r2 = evaluate(cfg, pts).label.value != Region.R1
+    for x, x_unsafe, x_r2 in zip(pts, unsafe, r2):
+        if x_unsafe:
             return CheckResult("r1_proper", False, f"safe set excludes {x}")
-        if classify_region(cfg, x).value != Region.R1:
+        if x_r2:
             return CheckResult("r1_proper", False, f"R2 state at distance {np.linalg.norm(x - x_e):.1e}")
     return CheckResult("r1_proper", True, f"ball radius {R1_RADIUS} all R1")
 

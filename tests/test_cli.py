@@ -293,3 +293,15 @@ def test_sweep_writes_table_when_a_cell_fails_at_its_first_step(tmp_path):
     assert [r["min_h"] for r in rows] == ["nan", "nan"]
     for r in rows:
         assert (tmp_path / r["csv"]).exists()
+
+
+def test_simulate_and_sweep_reject_an_unsafe_x0_before_writing(tmp_path):
+    # linear2d's safe set excludes (4, 4): min h = -4.6
+    out = tmp_path / "o1" / "sub"
+    rc = main(["simulate", "--scenario", "linear2d", "--x0", "4.0,4.0",
+               "--t-final", "1", "--out", str(out)])
+    assert rc == 2
+    rc = main(["sweep", "--scenario", "linear2d", "--x0", "4.0,4.0", "--param", "p",
+               "--values", "1,10", "--t-final", "1", "--out", str(out)])
+    assert rc == 2
+    assert not (tmp_path / "o1").exists()

@@ -150,6 +150,22 @@ def test_sampled_awc_states_are_members(linear_cfg, linear_estimate):
         assert in_awc(linear_estimate, linear_cfg, x)
 
 
+def test_sample_zero_awc_states_draws_nothing(linear_cfg, linear_estimate, monkeypatch):
+    import safestab.doa as doa
+
+    def no_draw(*args):
+        raise AssertionError("a state was drawn")
+
+    monkeypatch.setattr(doa, "in_awc", no_draw)
+    xs = sample_states_in_awc(linear_estimate, linear_cfg, 0, seed=5)
+    assert xs.shape == (0, 2)
+
+
+def test_sample_negative_awc_count_raises(linear_cfg, linear_estimate):
+    with pytest.raises(ValueError):
+        sample_states_in_awc(linear_estimate, linear_cfg, -1, seed=5)
+
+
 def test_clf_decrease_under_hybrid_on_awc(linear_cfg, linear_estimate, linear):
     # W strictly decreases along the hybrid field everywhere sampled in A_WC
     from safestab.filters import hybrid_control

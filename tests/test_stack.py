@@ -1,0 +1,254 @@
+"""The stack path against the one-state path, bit for bit.
+
+The closures, QuadraticCLF, SafeSet, evaluate, control_sharing_holds and
+lp_feasible take a stack of states (N, n) in one numpy pass; compute_c_star,
+the lockstep ray_exit and the block samplers are built on it. Each test
+compares bytes (`tobytes()`) with N one-state calls or with a per-item
+reference written here, on both bundled scenarios."""
+import math
+
+import numpy as np
+import pytest
+
+from safestab import cli, doa, verify
+from safestab.core import SAMPLE_BLOCK
+from safestab.doa import (SUBLEVEL_T_MAX, compute_c_star, control_sharing_holds,
+                          in_awc, ray_exit, sample_states_in_awc)
+from safestab.filters import evaluate
+from safestab.qp import lp_feasible
+
+
+def same(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def stack(items):
+    return np.array([np.asarray(v, dtype=float) for v in items])
+
+
+@pytest.fixture(params=["linear", "tumor"])
+def case(request, linear, tumor, linear_cfg, tumor_cfg):
+    return (linear, linear_cfg) if request.param == "linear" else (tumor, tumor_cfg)
+
+
+def probe_states(bundle, count=600, seed=11):
+    """Uniform states of the scenario's domain, x_e, states within 1e-12 of
+    the surface b = 0 (where the input direction of W vanishes) and states
+    where g vanishes; for tumor3d also [9.5, 0.5, 0.5], where L_g h = 0
+    while lb > 0."""
+    rng = np.random.default_rng(seed)
+    lo, hi = bundle.domain[:, 0], bundle.domain[:, 1]
+    x_e, P = bundle.eq.x_e, bundle.clf.P
+    # b = gradW' g vanishes where (P (x - x_e))_j = 0 for the one row j of g
+    # that is not zero
+    j = int(np.argmax(np.abs(bundle.sys.g(x_e)[:, 0])))
+    near_b0 = []
+    for eps in (0.0, 1e-15, -1e-15, 1e-12, -1e-12, 1e-9):
+        for _ in range(10):
+            d = rng.uniform(lo, hi) - x_e
+            d[j] = (eps - (P[j] @ d - P[j, j] * d[j])) / P[j, j]
+            near_b0.append(x_e + d)
+    g_zero = [np.where(np.arange(x_e.size) == i, 0.0, x_e) for i in range(x_e.size)]
+    extra = [x_e] + near_b0 + g_zero
+    if bundle.sys.n == 3:
+        extra.append(np.array([9.5, 0.5, 0.5]))
+    return np.vstack([rng.uniform(lo, hi, size=(count, lo.size)), extra])
+
+
+def test_closures_clf_and_safe_set_match_one_state(case):
+    bundle, _ = case
+    X = probe_states(bundle)
+    sys, clf, safe = bundle.sys, bundle.clf, bundle.safe_set
+    assert same(sys.f(X), stack(sys.f(x) for x in X))
+    assert same(sys.g(X), stack(sys.g(x) for x in X))
+    for bar in safe.barriers:
+        assert same(bar.h(X), stack(bar.h(x) for x in X))
+        assert same(bar.grad_h(X), stack(bar.grad_h(x) for x in X))
+    assert same(clf.value(X), stack(clf.value(x) for x in X))
+    assert same(clf.grad(X), stack(clf.grad(x) for x in X))
+    assert same(safe.values(X), stack(safe.values(x) for x in X))
+    assert same(safe.min_value(X), stack(safe.min_value(x) for x in X))
+    assert same(safe.contains(X), np.array([safe.contains(x) for x in X]))
+
+
+def test_evaluate_matches_one_state(case):
+    bundle, cfg = case
+    X = probe_states(bundle)
+    ev = evaluate(cfg, X)
+    evs = [evaluate(cfg, x) for x in X]
+    for name in ("x", "f", "grad_w", "a", "b", "u_son", "A", "lb", "h", "lfw"):
+        assert same(getattr(ev, name), stack(getattr(e, name) for e in evs)), name
+    assert same(ev.label.value, np.array([int(e.label.value) for e in evs]))
+    assert same(ev.label.margin, stack(e.label.margin for e in evs))
+    # the probes reach both regions, zero Sontag corrections, and for tumor3d
+    # the row L_g h = 0 with lb > 0
+    assert set(ev.label.value.tolist()) == {0, 1}
+    assert (ev.u_son == cfg.clf.equilibrium.u_e).all(axis=1).any()
+    if bundle.sys.n == 3:
+        assert ((ev.A[:, :, 0] == 0.0) & (ev.lb > 0.0)).any()
+
+
+def test_control_sharing_and_awc_membership_match_one_state(case):
+    bundle, cfg = case
+    X = probe_states(bundle)
+    held = control_sharing_holds(cfg, X)
+    assert same(held, np.array([control_sharing_holds(cfg, x) for x in X]))
+    assert held.any() and not held.all()
+    est = compute_c_star(cfg, (21,) * bundle.sys.n, (0.2, 60.0))
+    assert same(in_awc(est, cfg, X), np.array([in_awc(est, cfg, x) for x in X]))
+
+
+def test_lp_feasible_stack_matches_per_system():
+    rng = np.random.default_rng(3)
+    for d, k in ((1, 4), (1, 0), (2, 3), (2, 0)):
+        A = rng.normal(size=(300, k, d))
+        b = rng.normal(size=(300, k))
+        if d == 1 and k:
+            # exact zeros in A, with either sign of b, and a NaN ratio in a
+            # system whose other rows hold on [0.5, 1]
+            A[::7, 1] = 0.0
+            b[::14, 1] = 0.5
+            A[5, :, 0], b[5] = [1.0, -1.0, math.inf, 1.0], [0.0, -1.0, math.inf, 0.5]
+        got = lp_feasible(A, b)
+        with np.errstate(invalid="ignore"):   # the one-state inf / inf
+            want = np.array([lp_feasible(A_i, b_i) for A_i, b_i in zip(A, b)])
+        assert same(got, want), (d, k)
+        assert d > 1 or not k or got[5]
+        if k:
+            assert got.any() and not got.all(), (d, k)
+
+
+def c_star_per_point(cfg, grid, c_bounds):
+    """compute_c_star written point by point with one-state calls."""
+    c_lo, c_hi = c_bounds
+    bounds = doa.sublevel_bounding_box(cfg, c_hi)
+    axes = [np.linspace(bounds[i, 0], bounds[i, 1], grid[i]) for i in range(cfg.sys.n)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    x_e = cfg.clf.equilibrium.x_e
+    w_vals = np.array([cfg.clf.value(p) for p in points])
+    idxs = [i for i, p in enumerate(points)
+            if np.linalg.norm(p - x_e) > doa.EXCLUDE_RADIUS and w_vals[i] <= c_hi
+            and cfg.safe_set.min_value(p) >= 0.0]
+    failing = [i for i in idxs if not control_sharing_holds(cfg, points[i])]
+    w_fail = min((w_vals[i] for i in failing), default=math.inf)
+    tested = [(c_lo, True), (c_hi, c_hi < w_fail)]
+    lo, hi = (c_hi, c_hi) if c_hi < w_fail else (c_lo, c_hi)
+    while hi - lo > doa.C_STAR_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        tested.append((mid, mid < w_fail))
+        lo, hi = (mid, hi) if mid < w_fail else (lo, mid)
+    first_bad_c = None if c_hi < w_fail else hi
+    bad = [points[i] for i in failing if first_bad_c is not None and w_vals[i] <= first_bad_c]
+    return lo, tested, len(idxs), first_bad_c, bad
+
+
+@pytest.mark.parametrize("scenario, grid, c_bounds", [
+    ("tumor", (21, 21, 21), (0.2, 60.0)),
+    ("linear", (41, 41), (0.5, 120.0)),
+])
+def test_compute_c_star_matches_per_point_reference(scenario, grid, c_bounds,
+                                                    linear_cfg, tumor_cfg):
+    cfg = linear_cfg if scenario == "linear" else tumor_cfg
+    est = compute_c_star(cfg, grid, c_bounds)
+    c_star, tested, verified, first_bad_c, bad = c_star_per_point(cfg, grid, c_bounds)
+    assert same(est.c_star, c_star)
+    assert est.tested == tested
+    assert est.verified_points == verified
+    assert est.first_infeasible_c == first_bad_c
+    assert same(stack(est.first_infeasible_violations), stack(bad))
+    if scenario == "tumor":
+        assert bad   # the grid level is set by failing points
+
+
+def ray_exit_per_ray(inside, origin, direction, t_max):
+    """One ray at a time with a one-state predicate: None or (lo, hi)."""
+    lo, hi = 0.0, None
+    t = 1.0
+    while t <= t_max:
+        if not inside(origin + t * direction):
+            hi = t
+            break
+        lo = t
+        t *= 2.0
+    if hi is None:
+        return None
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if inside(origin + mid * direction):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+def assert_rays_match(inside, origin, dirs, t_max):
+    lo, hi = ray_exit(inside, origin, dirs, t_max)
+    ref = [ray_exit_per_ray(inside, origin, d, t_max) for d in dirs]
+    ends = hi < math.inf
+    assert same(ends, np.array([r is not None for r in ref]))
+    assert same(lo[ends], stack(r[0] for r in ref if r is not None))
+    assert same(hi[ends], stack(r[1] for r in ref if r is not None))
+    return ends
+
+
+def test_lockstep_ray_exit_matches_per_ray_loop(case):
+    bundle, cfg = case
+    x_e = cfg.clf.equilibrium.x_e
+    # the last axis: tumor3d's safe set is unbounded along it
+    dirs = np.vstack([doa._directions(cfg.sys.n, 4), np.eye(cfg.sys.n)[-1]])
+    ends = assert_rays_match(cfg.safe_set.contains, x_e, dirs, SUBLEVEL_T_MAX)
+    assert ends[:-1].all() and ends[-1] == (cfg.sys.n == 2)
+    est = compute_c_star(cfg, (21,) * cfg.sys.n, (0.2, 60.0))
+    assert assert_rays_match(lambda x: in_awc(est, cfg, x), x_e, dirs, 1e6).all()
+    assert not assert_rays_match(cfg.safe_set.contains, x_e, dirs, 0.5).any()
+
+
+def test_plot_polyline_matches_per_ray_loop(linear):
+    ref = []
+    for theta in np.linspace(0.0, 2.0 * math.pi, cli.BOUNDARY_POINTS, endpoint=False):
+        d = np.array([math.cos(theta), math.sin(theta)])
+        lo, _ = ray_exit_per_ray(linear.safe_set.contains, linear.eq.x_e, d, 1e6)
+        ref.append((linear.eq.x_e + lo * d).tolist())
+    assert cli._safe_boundary_polyline(linear) == ref
+
+
+def draws_one_at_a_time(rng, lo, hi, accept, count, max_tries):
+    out = []
+    for _ in range(max_tries):
+        if len(out) == count:
+            break
+        x = rng.uniform(lo, hi)
+        if accept(x):
+            out.append(x)
+    return stack(out).reshape(-1, lo.size)
+
+
+def test_block_drawn_awc_states_match_single_draws(case):
+    bundle, cfg = case
+    est = compute_c_star(cfg, (21,) * cfg.sys.n, (0.2, 60.0))
+    box = doa.sublevel_bounding_box(cfg, est.c_star)
+    for count in (10, SAMPLE_BLOCK + 100):
+        ref = draws_one_at_a_time(np.random.default_rng(42), box[:, 0], box[:, 1],
+                                  lambda x: in_awc(est, cfg, x), count, doa.AWC_MAX_TRIES)
+        assert same(sample_states_in_awc(est, cfg, count, seed=42), ref)
+
+
+def test_block_drawn_safe_states_match_single_draws(case, monkeypatch):
+    bundle, _ = case
+    lo, hi = bundle.domain[:, 0], bundle.domain[:, 1]
+
+    def safe(x):
+        return bundle.safe_set.min_value(x) >= 0.0
+
+    for count in (100, 2 * SAMPLE_BLOCK + 1):
+        ref = draws_one_at_a_time(np.random.default_rng(7), lo, hi, safe, count,
+                                  verify.SAFE_MAX_TRIES)
+        got = verify._sample_safe(bundle, count, np.random.default_rng(7))
+        assert same(got, ref)
+    # draws running out inside a block return what they found
+    monkeypatch.setattr(verify, "SAFE_MAX_TRIES", SAMPLE_BLOCK + 50)
+    ref = draws_one_at_a_time(np.random.default_rng(7), lo, hi, safe, 10 ** 6,
+                              SAMPLE_BLOCK + 50)
+    got = verify._sample_safe(bundle, 10 ** 6, np.random.default_rng(7))
+    assert same(got, ref) and len(got) <= SAMPLE_BLOCK + 50
