@@ -5,6 +5,12 @@ terms (a, b); filters.evaluate combines them with the barrier rows
 Conventions
 -----------
 * States, inputs and gradients are 1-D float arrays; g(x) is (n, m).
+* ControlAffineSystem.rhs(xs, us) is the one-state derivative f(x) + g(x) u
+  on Python floats: xs and us are lists of floats, the result is a list. The
+  RK4 stages call only rhs. A bundled dynamics kind supplies it from the
+  float expressions of its one-state f and g, equal to the numpy form bit for
+  bit; a system built from f and g alone gets the adapter, which evaluates
+  f(y) + g(y) @ u in numpy and returns .tolist().
 * The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad,
   SafeSet.values/min_value/contains and clf_lie_terms also accept a stack
   X of shape (N, n) and then return their results with a leading axis of N
@@ -20,8 +26,8 @@ Conventions
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, List, Optional
 
 import numpy as np
 
@@ -70,13 +76,26 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nda
 
 @dataclass
 class ControlAffineSystem:
-    """System x' = f(x) + g(x) u with state dimension n and input dimension m."""
+    """System x' = f(x) + g(x) u with state dimension n and input dimension m.
+
+    rhs(xs, us) gives f(x) + g(x) u on float lists; when it is not supplied,
+    the numpy adapter _affine_rhs serves, reading f and g at each call."""
 
     n: int
     m: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     name: str = "system"
+    rhs: Optional[Callable[[List[float], List[float]], List[float]]] = field(
+        default=None, repr=False)
+
+    def __post_init__(self):
+        if self.rhs is None:
+            self.rhs = self._affine_rhs
+
+    def _affine_rhs(self, xs: List[float], us: List[float]) -> List[float]:
+        y = np.array(xs)
+        return (self.f(y) + self.g(y) @ np.array(us)).tolist()
 
     def drift(self, x) -> np.ndarray:
         return as_vector(self.f(as_vector(x, self.n)), self.n)

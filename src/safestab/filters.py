@@ -109,7 +109,7 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
     x = as_vector(x, cfg.sys.n)
     f = np.asarray(cfg.sys.f(x), dtype=float)
     G = np.asarray(cfg.sys.g(x), dtype=float)
-    if G.shape != (cfg.sys.n, cfg.sys.m):   # rk4_step relies on this check
+    if G.shape != (cfg.sys.n, cfg.sys.m):   # the Lie terms and rows below rely on it
         raise ValueError(f"g(x) must be ({cfg.sys.n}, {cfg.sys.m}), got {G.shape}")
     grad_w, a, b = clf_lie_terms(cfg.clf, x, f, G)
     u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)

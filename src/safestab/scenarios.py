@@ -20,6 +20,16 @@ Two scenarios ship with the package: a 2D linear system with one elliptic
 barrier, and a 3D tumor/immune model with three positivity barriers. The 2D
 barrier carries a +1 offset making the printed quadratic a nonempty safe set;
 the offset is configurable in the file.
+
+A registered dynamics kind returns (f, g, rhs, n, m). Its rhs(xs, us) is the
+one-state derivative on Python floats that the RK4 stages call, and it must
+equal f(x) + g(x) @ u bit for bit; a kind that returns None for rhs gets the
+numpy adapter of ControlAffineSystem instead. The bundled kinds (m = 1) write
+their one-state f and g columns once, as float expressions (drift, gain),
+and build the one-state f, g and rhs from them; their stack bodies take the
+same expressions on columns. Row i of their rhs is f_i + (0.0 + g_i u):
+numpy's g(x) @ u sums its one term from +0.0, and writing that sum out keeps
+the rows equal to the numpy form in signed zeros and non-finite inputs too.
 """
 from __future__ import annotations
 
@@ -37,23 +47,33 @@ from .errors import ScenarioError
 SCENARIO_NAMES = ("linear2d", "tumor3d")
 
 
-def _linear2d_dynamics(params: dict) -> Tuple[Callable, Callable, int, int]:
+def _linear2d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, int]:
+    def drift(x1, x2):
+        return [-x2, -x1]
+
+    def gain(x1, x2):
+        return [0.0, 1.0]
+
     def f(x):
         if x.ndim == 1:
-            return np.array([-x[1], -x[0]])
+            return np.array(drift(*x.tolist()))
         return np.stack([-x[:, 1], -x[:, 0]], axis=1)
 
-    g_mat = np.array([[0.0], [1.0]])
+    g_mat = np.array(gain(0.0, 0.0))[:, None]
 
     def g(x):
         if x.ndim == 1:
             return g_mat
         return np.broadcast_to(g_mat, (x.shape[0], 2, 1))
 
-    return f, g, 2, 1
+    def rhs(xs, us):
+        (f1, f2), (g1, g2), (u,) = drift(*xs), gain(*xs), us
+        return [f1 + (0.0 + g1 * u), f2 + (0.0 + g2 * u)]
+
+    return f, g, rhs, 2, 1
 
 
-def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, int, int]:
+def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, int]:
     a_nt = float(params["alpha_NT"])
     a_tn = float(params["alpha_TN"])
     beta = float(params["beta"])
@@ -64,14 +84,19 @@ def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, int, int]:
 
     # one state: Python floats, the same IEEE arithmetic as numpy scalars at
     # half the cost; a stack (N, 3): the same expressions on its columns
+    def drift(x1, x2, x3):
+        return [
+            r_t * x1 - (r_t / k_t) * x1 * x1 - (a_tn * r_t / k_t) * x1 * x2,
+            -a_nt * x2 * x1 + beta * x2 * x3,
+            r_r * x3 - (r_r / k_r) * x3 * x3 - (beta * r_r / k_r) * x2 * x3,
+        ]
+
+    def gain(x1, x2, x3):
+        return [-(r_t / k_t) * x1 * x2, 0.0, 0.0]
+
     def f(x):
         if x.ndim == 1:
-            x1, x2, x3 = x.tolist()
-            return np.array([
-                r_t * x1 - (r_t / k_t) * x1 * x1 - (a_tn * r_t / k_t) * x1 * x2,
-                -a_nt * x2 * x1 + beta * x2 * x3,
-                r_r * x3 - (r_r / k_r) * x3 * x3 - (beta * r_r / k_r) * x2 * x3,
-            ])
+            return np.array(drift(*x.tolist()))
         x1, x2, x3 = x.T
         return np.stack([
             r_t * x1 - (r_t / k_t) * x1 * x1 - (a_tn * r_t / k_t) * x1 * x2,
@@ -81,16 +106,19 @@ def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, int, int]:
 
     def g(x):
         if x.ndim == 1:
-            x1, x2, _ = x.tolist()
-            return np.array([[-(r_t / k_t) * x1 * x2], [0.0], [0.0]])
+            return np.array(gain(*x.tolist()))[:, None]
         G = np.zeros((x.shape[0], 3, 1))
         G[:, 0, 0] = -(r_t / k_t) * x[:, 0] * x[:, 1]
         return G
 
-    return f, g, 3, 1
+    def rhs(xs, us):
+        (f1, f2, f3), (g1, g2, g3), (u,) = drift(*xs), gain(*xs), us
+        return [f1 + (0.0 + g1 * u), f2 + (0.0 + g2 * u), f3 + (0.0 + g3 * u)]
+
+    return f, g, rhs, 3, 1
 
 
-DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, Callable, int, int]]] = {
+DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, Callable, Callable, int, int]]] = {
     "linear2d": _linear2d_dynamics,
     "tumor3d": _tumor3d_dynamics,
 }
@@ -161,8 +189,8 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         kind = dyn["kind"]
         if kind not in DYNAMICS_REGISTRY:
             raise ScenarioError(f"unknown dynamics kind {kind!r}")
-        f, g, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
-        sys = ControlAffineSystem(n=n, m=m, f=f, g=g, name=name)
+        f, g, rhs, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
+        sys = ControlAffineSystem(n=n, m=m, f=f, g=g, name=name, rhs=rhs)
         eq = EquilibriumPair(as_vector(cfg["equilibrium"]["x"], n),
                              as_vector(cfg["equilibrium"]["u"], m))
         clf = QuadraticCLF(np.asarray(cfg["clf"]["P"], dtype=float), eq)

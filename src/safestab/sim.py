@@ -97,16 +97,21 @@ class Trajectory:
 
 
 def rk4_step(sys, x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
-    # raw f/g calls; shapes were validated when the trajectory started
-    f, g = sys.f, sys.g
-    k1 = f(x) + g(x) @ u
-    y = x + 0.5 * dt * k1
-    k2 = f(y) + g(y) @ u
-    y = x + 0.5 * dt * k2
-    k3 = f(y) + g(y) @ u
-    y = x + dt * k3
-    k4 = f(y) + g(y) @ u
-    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    """One classical RK4 step of x' = sys.rhs(x, u) with u held, on Python
+    floats. The stages keep the operation order of the numpy form
+    x + 0.5*dt*k1, ..., x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), elementwise, so
+    the result equals it bit for bit; only the result becomes an array.
+    u must have sys.m entries (integrate checks it)."""
+    rhs = sys.rhs
+    xs, us = x.tolist(), u.tolist()
+    half = 0.5 * dt
+    k1 = rhs(xs, us)
+    k2 = rhs([xi + half * ki for xi, ki in zip(xs, k1)], us)
+    k3 = rhs([xi + half * ki for xi, ki in zip(xs, k2)], us)
+    k4 = rhs([xi + dt * ki for xi, ki in zip(xs, k3)], us)
+    sixth = dt / 6.0
+    return np.array([xi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+                     for xi, a, b, c, d in zip(xs, k1, k2, k3, k4)])
 
 
 def integrate(cfg: FilterConfig,
@@ -118,7 +123,8 @@ def integrate(cfg: FilterConfig,
     The initial state must lie in the safe set. Non-finite states, states
     beyond the blow-up guard, controller infeasibility and a controller QP
     that exceeds its iteration budget truncate the run with a diagnostic
-    instead of raising.
+    instead of raising. A controller input whose shape is not (m,) raises
+    ValueError naming the step.
 
     The controller maps x to (u, ev) as make_controller's do; the logged
     region, activation flags and barrier values come from the evaluation ev
@@ -156,6 +162,9 @@ def integrate(cfg: FilterConfig,
             diagnostic = f"controller QP did not converge at t={t}, x={x.tolist()}: {exc}"
             break
         u = np.asarray(u, dtype=float)
+        if u.shape != (cfg.sys.m,):
+            raise ValueError(f"controller input at step {step} (t={t}) has shape "
+                             f"{u.shape}, expected ({cfg.sys.m},)")
         flags = active_flags(ev.A, ev.lb, u)
         region = int(ev.label.value)
 
@@ -166,7 +175,7 @@ def integrate(cfg: FilterConfig,
 
         if step % simcfg.record_every == 0 or step == n_steps:
             times.append(t)
-            states.append(x.copy())
+            states.append(x)
             inputs.append(u.copy())
             regions.append(region)
             w_values.append(cfg.clf.value(x))
@@ -176,7 +185,8 @@ def integrate(cfg: FilterConfig,
         if step == n_steps:
             break
         x = rk4_step(cfg.sys, x, u, simcfg.dt)
-        if not np.abs(x).max() <= BLOWUP_LIMIT:   # also true for nan and inf
+        # the comparison is false for nan, so nan and inf both stop the run
+        if not all(abs(v) <= BLOWUP_LIMIT for v in x.tolist()):
             status = STATUS_BLOWUP
             diagnostic = f"state blew up at t={t + simcfg.dt}"
             break

@@ -79,6 +79,40 @@ def test_blowup_truncates_with_diagnostic():
     assert traj.n_samples > 0
 
 
+@pytest.mark.parametrize("n, bad_axis, bad_value", [
+    (1, 0, math.nan), (2, 1, math.nan), (1, 0, math.inf), (2, 0, -math.inf)])
+def test_blowup_on_non_finite_drift(n, bad_axis, bad_value):
+    # the drift is 1 on every axis until x_1 passes 1.03, then one axis turns
+    # non-finite; a NaN after a finite entry is what an order-dependent max misses
+    def f(x):
+        out = np.ones(n)
+        if not x[0] < 1.03:
+            out[bad_axis] = bad_value
+        return out
+
+    cfg = flat_config(n=n, f=f, g=lambda x: np.zeros((n, 1)))
+    traj = integrate(cfg, zero_controller(cfg),
+                     SimConfig(x0=np.ones(n), t_final=1.0, dt=1e-2))
+    assert traj.status == "blowup"
+    assert traj.diagnostic == "state blew up at t=0.03"
+    assert traj.n_samples == 3
+    assert np.all(np.isfinite(traj.states))
+
+
+@pytest.mark.parametrize("bad_u", [np.zeros(2), np.zeros((1, 1)), np.float64(0.0)])
+def test_controller_input_of_wrong_shape_raises(linear_cfg, bad_u):
+    calls = [0]
+
+    def wrong_from_step_3(x):
+        calls[0] += 1
+        u = np.zeros(1) if calls[0] <= 3 else bad_u
+        return u, evaluate(linear_cfg, x)
+
+    with pytest.raises(ValueError, match=r"step 3 .* shape \(.*\), expected \(1,\)"):
+        integrate(linear_cfg, wrong_from_step_3,
+                  SimConfig(x0=[0.5, -0.5], t_final=0.1, dt=1e-2))
+
+
 def test_infeasible_controller_truncates(tumor_cfg):
     ctrl = make_controller(tumor_cfg, "cbf-qp")
     traj = integrate(tumor_cfg, ctrl,
@@ -192,6 +226,85 @@ def test_simconfig_validation():
             SimConfig(x0=[0.0], t_final=bad)
         with pytest.raises(SimulationError, match="x0"):
             SimConfig(x0=[0.0, bad], t_final=1.0)
+
+
+def rk4_oracle(sys, x, u, dt):
+    """The numpy RK4 step that rk4_step's float stages replaced; they must
+    equal it bit for bit."""
+    f, g = sys.f, sys.g
+    k1 = f(x) + g(x) @ u
+    y = x + 0.5 * dt * k1
+    k2 = f(y) + g(y) @ u
+    y = x + 0.5 * dt * k2
+    k3 = f(y) + g(y) @ u
+    y = x + dt * k3
+    k4 = f(y) + g(y) @ u
+    return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_draws(bundle, count, seed):
+    """(x, u, dt) draws: x from the domain or within 1e-12..1e-1 of 0 (either
+    sign), u = 0, u_e or +-10^[-3, 5], dt in {1e-4, 1e-3, 1e-2}; plus exact
+    zero states."""
+    rng = np.random.default_rng(seed)
+    n, m = bundle.sys.n, bundle.sys.m
+    lo, hi = bundle.domain[:, 0], bundle.domain[:, 1]
+    draws = [(np.array([z] * n), np.array([v] * m), 1e-3)
+             for z in (0.0, -0.0) for v in (0.0, -0.0, 1.0, -1.0)]
+    for i in range(count):
+        if i % 2:
+            x = rng.uniform(lo, hi)
+        else:
+            x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-12.0, -1.0, n)
+        kind = i % 7
+        if kind == 0:
+            u = np.zeros(m)
+        elif kind == 1:
+            u = bundle.eq.u_e.copy()
+        else:
+            u = rng.choice([-1.0, 1.0], m) * 10.0 ** rng.uniform(-3.0, 5.0, m)
+        draws.append((x, u, (1e-4, 1e-3, 1e-2)[i % 3]))
+    return draws
+
+
+@pytest.mark.parametrize("name", ["linear2d", "tumor3d"])
+def test_rk4_step_equals_numpy_oracle_bitwise(name, linear, tumor):
+    bundle = {"linear2d": linear, "tumor3d": tumor}[name]
+    for x, u, dt in rk4_draws(bundle, 2400, seed=7):
+        got = rk4_step(bundle.sys, x, u, dt)
+        assert got.tobytes() == rk4_oracle(bundle.sys, x, u, dt).tobytes(), (x, u, dt)
+
+
+@pytest.mark.parametrize("name", ["linear2d", "tumor3d"])
+def test_bundled_rhs_equals_f_plus_g_u_bitwise(name, linear, tumor):
+    bundle = {"linear2d": linear, "tumor3d": tumor}[name]
+    sys = bundle.sys
+    draws = rk4_draws(bundle, 600, seed=8)
+    extra = [(x, np.array([v]), 1e-3) for x, _, _ in draws[:20]
+             for v in (math.inf, -math.inf, math.nan)]
+    for x, u, _ in draws + extra:
+        with np.errstate(invalid="ignore"):   # 0 * inf in the matmul
+            want = sys.f(x) + sys.g(x) @ u
+        got = np.array(sys.rhs(x.tolist(), u.tolist()))
+        assert got.tobytes() == want.tobytes(), (x, u)
+
+
+def test_rk4_step_adapter_for_systems_built_from_f_and_g():
+    # n = 2, m = 2: g(x) @ u has two terms a row, summed by numpy's matmul in
+    # the adapter exactly as in the oracle
+    sys = ControlAffineSystem(
+        n=2, m=2, f=lambda x: np.array([x[1] * x[0] - x[0], np.sin(x[0]) - x[1] ** 3]),
+        g=lambda x: np.array([[1.0 + x[1] ** 2, x[0]], [0.5 * x[1], 2.0 - x[0]]]),
+        name="synthetic")
+    assert sys.rhs == sys._affine_rhs
+    rng = np.random.default_rng(9)
+    for i in range(2000):
+        x = rng.uniform(-3.0, 3.0, 2)
+        u = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 5.0, 2)
+        dt = (1e-4, 1e-3, 1e-2)[i % 3]
+        assert rk4_step(sys, x, u, dt).tobytes() == rk4_oracle(sys, x, u, dt).tobytes()
+        want = sys.f(x) + sys.g(x) @ u
+        assert np.array(sys.rhs(x.tolist(), u.tolist())).tobytes() == want.tobytes()
 
 
 def test_rk4_step_order():
