@@ -163,6 +163,14 @@ def cmd_sweep(args) -> int:
     if len(values) < 2:
         print("sweep needs at least two --values", file=sys.stderr)
         return EXIT_USAGE
+    # each cell's CSV is named by its value to 6 significant digits ({:g});
+    # two values with the same name would overwrite one cell with another
+    names = [f"{value:g}" for value in values]
+    clash = sorted({name for name in names if names.count(name) > 1})
+    if clash:
+        print(f"sweep values {args.values!r} repeat the cell name(s) {', '.join(clash)} "
+              f"(values are named to 6 significant digits)", file=sys.stderr)
+        return EXIT_USAGE
     cells = [replace(manifest, **{args.param: value}) for value in values]
     configs = [_configs(bundle, cell) for cell in cells]
     out = manifest.out_dir

@@ -12,6 +12,12 @@ the barrier values h, and the R1/R2 label. Three filters share the rows:
 
 The hybrid law applies Sontag's input wherever it already satisfies every
 barrier row (region R1) and the Sontag-weighted QP elsewhere (region R2).
+
+The costs of cbf_qp (2I) and clf_cbf_qp (diag(2, .., 2, 2p)) do not depend on
+the state, so make_controller builds each one QPSpec, factored once, and every
+step adds its rows with QPSpec.with_rows; the Sontag-weighted cost 2 b'b
+changes with the state and is built at each solve. No controller reads the
+solution's KKT residual, which is computed only when read (verify does).
 """
 from __future__ import annotations
 
@@ -192,9 +198,14 @@ def _solve_or_raise(spec: QPSpec, what: str, x):
     return sol
 
 
-def _cbf_qp(cfg: FilterConfig, ev: Evaluation, u_nom: np.ndarray) -> np.ndarray:
-    m = cfg.sys.m
-    spec = QPSpec(2.0 * np.eye(m), np.zeros(m), ev.A, ev.lb - ev.A @ u_nom)
+def _cbf_qp_cost(m: int) -> QPSpec:
+    """min |v|^2 over the shift v = u - u_nom, factored once; each step adds
+    its rows with QPSpec.with_rows."""
+    return QPSpec(2.0 * np.eye(m), np.zeros(m), np.zeros((0, m)), np.zeros(0))
+
+
+def _cbf_qp(cost: QPSpec, ev: Evaluation, u_nom: np.ndarray) -> np.ndarray:
+    spec = cost.with_rows(ev.A, ev.lb - ev.A @ u_nom)
     return u_nom + _solve_or_raise(spec, "CBF-QP", ev.x).z_star
 
 
@@ -206,20 +217,34 @@ def cbf_qp_filter(cfg: FilterConfig, x, u_nom=None) -> np.ndarray:
     unchanged."""
     ev = evaluate(cfg, x)
     u_nom = ev.u_son if u_nom is None else as_vector(u_nom, cfg.sys.m)
-    return _cbf_qp(cfg, ev, u_nom)
+    return _cbf_qp(_cbf_qp_cost(cfg.sys.m), ev, u_nom)
 
 
-def _clf_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> Tuple[np.ndarray, float]:
-    m = cfg.sys.m
+def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarray, float]]:
+    """The CLF-CBF-QP as a map from an evaluation to (u, delta). Its cost
+    diag(2, .., 2, 2p) does not depend on the state, so it is factored here
+    once, with cfg.p as it is now; each call fills a copy of the row
+    template, whose delta column (1 in the CLF row, 0 in the barrier rows)
+    never changes."""
+    m, k = cfg.sys.m, len(cfg.safe_set.barriers)
     H = np.zeros((m + 1, m + 1))
     H[:m, :m] = 2.0 * np.eye(m)
     H[m, m] = 2.0 * cfg.p
-    clf_row = np.concatenate([-ev.b, [1.0]])
-    A = np.vstack([clf_row, np.hstack([ev.A, np.zeros((len(ev.lb), 1))])])
-    lb = np.concatenate([[ev.lfw + ALPHA_W * cfg.clf.value(ev.x)], ev.lb])
-    spec = QPSpec(H, np.zeros(m + 1), A, lb)
-    z = _solve_or_raise(spec, "CLF-CBF-QP", ev.x).z_star
-    return z[:m], float(z[m])
+    cost = QPSpec(H, np.zeros(m + 1), np.zeros((0, m + 1)), np.zeros(0))
+    rows = np.zeros((k + 1, m + 1))
+    rows[0, m] = 1.0
+
+    def clf_cbf_qp(ev: Evaluation) -> Tuple[np.ndarray, float]:
+        A = rows.copy()
+        A[0, :m] = -ev.b
+        A[1:, :m] = ev.A
+        lb = np.empty(k + 1)
+        lb[0] = ev.lfw + ALPHA_W * cfg.clf.value(ev.x)
+        lb[1:] = ev.lb
+        z = _solve_or_raise(cost.with_rows(A, lb), "CLF-CBF-QP", ev.x).z_star
+        return z[:m], float(z[m])
+
+    return clf_cbf_qp
 
 
 def clf_cbf_qp_filter(cfg: FilterConfig, x) -> Tuple[np.ndarray, float]:
@@ -229,7 +254,7 @@ def clf_cbf_qp_filter(cfg: FilterConfig, x) -> Tuple[np.ndarray, float]:
         s.t. gradW'f + gradW'g u <= -alpha_W(W) + delta,  barrier rows.
 
     Returns (u, delta)."""
-    return _clf_cbf_qp(cfg, evaluate(cfg, x))
+    return _clf_cbf_qp_law(cfg)(evaluate(cfg, x))
 
 
 def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
@@ -287,14 +312,22 @@ def hybrid_control(cfg: FilterConfig, x) -> Tuple[np.ndarray, RegionLabel]:
     return _hybrid(cfg, ev), ev.label
 
 
-# controller tag -> law mapping an evaluation to the input u
-_LAWS = {
-    "sontag": lambda cfg, ev: ev.u_son,
-    "cbf-qp": lambda cfg, ev: _cbf_qp(cfg, ev, ev.u_son),
-    "clf-cbf-qp": lambda cfg, ev: _clf_cbf_qp(cfg, ev)[0],
-    "s-cbf-qp": _s_cbf_qp,
-    "hybrid": _hybrid,
-}
+def _law(cfg: FilterConfig, name: str) -> Callable[[Evaluation], np.ndarray]:
+    """The map from an evaluation to the input u of controller `name`; the
+    filters whose cost does not depend on the state factor it here, once."""
+    if name == "sontag":
+        return lambda ev: ev.u_son
+    if name == "cbf-qp":
+        cost = _cbf_qp_cost(cfg.sys.m)
+        return lambda ev: _cbf_qp(cost, ev, ev.u_son)
+    if name == "clf-cbf-qp":
+        clf_cbf_qp = _clf_cbf_qp_law(cfg)
+        return lambda ev: clf_cbf_qp(ev)[0]
+    if name == "s-cbf-qp":
+        return lambda ev: _s_cbf_qp(cfg, ev)
+    if name == "hybrid":
+        return lambda ev: _hybrid(cfg, ev)
+    raise ValueError(f"unknown controller {name!r}; choose from {CONTROLLER_NAMES}")
 
 
 def make_controller(cfg: FilterConfig, name: str
@@ -302,13 +335,11 @@ def make_controller(cfg: FilterConfig, name: str
     """Controller factory for the tags accepted by the CLI. The controller
     maps a state x to (u, ev): its input and the evaluation it was computed
     from, whose rows, label and barrier values the simulator logs."""
-    if name not in _LAWS:
-        raise ValueError(f"unknown controller {name!r}; choose from {CONTROLLER_NAMES}")
-    law = _LAWS[name]
+    law = _law(cfg, name)
 
     def control(x):
         ev = evaluate(cfg, x)
-        return law(cfg, ev), ev
+        return law(ev), ev
 
     control.__name__ = f"{name}_controller"
     return control

@@ -15,14 +15,26 @@ With H + reg*I = LL' it works in y = L'z, where the cost is a shifted
 |y|^2 / 2, and projects through a QR factorization of the active normals.
 That stays accurate when two rows are nearly parallel in the cost metric,
 where the normal equations of the active normals lose their rank.
-Problems here are tiny (a handful of variables, a handful of rows), so
-everything is dense numpy, each call allocates its own workspace, and the
-active set is identified exactly (needed for the closed-form cross-checks).
+Problems here are tiny (a handful of variables, a handful of rows), so the
+active set is identified exactly (needed for the closed-form cross-checks)
+and the work per call is mostly fixed cost, which the solver keeps small:
+
+* a QPSpec factors its cost when built (Cholesky factor, its inverse, the
+  symmetry and definiteness checks); `QPSpec.with_rows` gives a spec with
+  new rows that shares that factor, so a controller whose cost does not
+  depend on the state factors it once;
+* `QPSolution.kkt_residual` is computed from the spec when first read;
+* the iteration's bookkeeping (violation test, choice of row, tolerances,
+  the largest |y| met) runs on Python floats, while every dot and matrix
+  product stays a numpy call of the shape it always had, so the results are
+  the same bits as an all-numpy body (a length-2 `a @ b` may round
+  differently from `a0*b0 + a1*b1`).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Optional
 
 import numpy as np
@@ -35,7 +47,7 @@ STATUS_INFEASIBLE = "infeasible"
 # a row counts as violated when its slack is below -_FEAS_TOL times its scale
 _FEAS_TOL = 1e-13
 # slacks of subnormal size are rounding whatever the scale of the problem
-_TINY = np.finfo(float).tiny
+_TINY = float(np.finfo(float).tiny)
 # a row whose normal is within this sine of the active span adds no primal
 # step (the computed sine carries a rounding error of a few 1e-16)
 _DEP_TOL = 1e-14
@@ -55,19 +67,32 @@ class QPSpec:
         self.c = np.asarray(self.c, dtype=float).ravel()
         d = self.c.size
         self.H = np.asarray(self.H, dtype=float).reshape(d, d)
-        self.A = np.asarray(self.A, dtype=float).reshape(-1, d)
-        self.b = np.asarray(self.b, dtype=float).ravel()
-        if self.A.shape[0] != self.b.size:
-            raise ValueError("row count of A and length of b disagree")
+        self._set_rows(self.A, self.b)
         scale = 1.0 + np.abs(self.H).max(initial=0.0)
         if np.abs(self.H - self.H.T).max(initial=0.0) > 1e-9 * scale:
             raise ValueError("H must be symmetric")
         # H + reg*I is positive definite exactly when its Cholesky factor
-        # exists; solve_qp reuses the factor
+        # LL' exists; solve_qp works with L^-1
+        self._Hr = self.H + self.reg * np.eye(d)
         try:
-            self._chol = np.linalg.cholesky(self.H + self.reg * np.eye(d))
+            chol = np.linalg.cholesky(self._Hr)
         except np.linalg.LinAlgError:
             raise ValueError("H + reg*I must be positive definite") from None
+        self._L_inv = np.linalg.inv(chol)
+
+    def _set_rows(self, A, b):
+        self.A = np.asarray(A, dtype=float).reshape(-1, self.c.size)
+        self.b = np.asarray(b, dtype=float).ravel()
+        if self.A.shape[0] != self.b.size:
+            raise ValueError("row count of A and length of b disagree")
+
+    def with_rows(self, A, b) -> "QPSpec":
+        """The same cost with the rows A z >= b, sharing this spec's factor:
+        it solves exactly as QPSpec(H, c, A, b, reg) would."""
+        spec = object.__new__(QPSpec)
+        spec.__dict__.update(self.__dict__)
+        spec._set_rows(A, b)
+        return spec
 
     @property
     def dim(self) -> int:
@@ -79,22 +104,33 @@ class QPSpec:
 
     def objective(self, z) -> float:
         z = np.asarray(z, dtype=float).ravel()
-        Hr = self.H + self.reg * np.eye(self.dim)
-        return float(0.5 * z @ Hr @ z + self.c @ z)
+        return float(0.5 * z @ self._Hr @ z + self.c @ z)
 
 
 @dataclass
 class QPSolution:
+    """Outcome of solve_qp (z_star and multipliers None when infeasible).
+    kkt_residual is computed from spec when first read, so the spec's
+    arrays must not change before then."""
+
     z_star: Optional[np.ndarray]
     multipliers: Optional[np.ndarray]
     active_set: List[int]
-    kkt_residual: float
     status: str
     iterations: int = 0
+    spec: Optional[QPSpec] = field(default=None, repr=False, compare=False)
 
     @property
     def optimal(self) -> bool:
         return self.status == STATUS_OPTIMAL
+
+    @cached_property
+    def kkt_residual(self) -> float:
+        """Largest scaled KKT residual; inf when infeasible."""
+        if self.z_star is None:
+            return math.inf
+        s = self.spec
+        return _kkt_residual(s._Hr, s.c, s.A, s.b, self.z_star, self.multipliers)
 
 
 def _kkt_residual(H, c, A, b, z, lam) -> float:
@@ -123,14 +159,27 @@ def _split(Q, q, n):
     return d1 + e, s - Qa @ e
 
 
-def _append(Q, R_inv, q, r, s):
+def _append(Q, R_inv, q, r, s, ss):
     """Grow the thin QR of the active normals by a column with split (d1, s),
-    given r = R^-1 d1: R gains the column (d1, |s|), so its inverse gains
-    (-r, 1) / |s|."""
-    rho = math.sqrt(float(s @ s))
+    given r = R^-1 d1 and ss = s's: R gains the column (d1, |s|), so its
+    inverse gains (-r, 1) / |s|."""
+    rho = math.sqrt(ss)
     Q[:, q] = s / rho
-    R_inv[:q, q] = r / -rho
+    if q:
+        R_inv[:q, q] = r / -rho
     R_inv[q, q] = 1.0 / rho
+
+
+def _max_abs(values) -> float:
+    """float(np.abs(values).max()) on floats: NaN when any value is NaN."""
+    top = 0.0
+    for v in values:
+        a = abs(v)
+        if not a <= top:   # larger, or NaN
+            if a != a:
+                return a
+            top = a
+    return top
 
 
 def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
@@ -143,26 +192,26 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     active row whose multiplier reached zero first."""
     d = spec.dim
     k = spec.n_rows
-    H = spec.H + spec.reg * np.eye(d)
-    A, b, c = spec.A, spec.b, spec.c
+    A, b = spec.A, spec.b
     if max_iter is None:
         max_iter = 60 * (k + 2)
 
     # rows scaled by powers of two, which is exact, so that their squared
     # norms below neither underflow nor overflow
     w = np.ldexp(1.0, -np.frexp(np.abs(A).max(axis=1, initial=0.0))[1])
-    bw = b * w
-    # y = L'z with H = LL': the cost becomes 0.5|y|^2 + (L^-1 c)'y and row i
-    # reads N[:, i]'y >= bw_i with N = L^-1 A' diag(w)
-    L_inv = np.linalg.inv(spec._chol)
+    # y = L'z with H + reg*I = LL': the cost becomes 0.5|y|^2 + (L^-1 c)'y
+    # and row i reads N[:, i]'y >= bw_i with N = L^-1 A' diag(w)
+    L_inv = spec._L_inv
     N = L_inv @ (A.T * w)
-    y = -(L_inv @ c)
-    nrm = np.sqrt(np.einsum("ij,ij->j", N, N))
+    bw_arr = b * w
+    y = -(L_inv @ spec.c)
+    nrm_arr = np.sqrt(np.einsum("ij,ij->j", N, N))
+    nrm = nrm_arr.tolist()
+    w, bw = w.tolist(), bw_arr.tolist()
     # a slack's rounding grows with the largest point met, not the current one
-    y_max = float(np.abs(y).max(initial=0.0))
-    tol_b = _FEAS_TOL * np.abs(bw) + _TINY
-    tol_n = _FEAS_TOL * nrm
-    nrm_safe = np.maximum(nrm, 1e-300)
+    y_max = _max_abs(y.tolist())
+    tol_b = [_FEAS_TOL * abs(v) + _TINY for v in bw]
+    tol_n = [_FEAS_TOL * v for v in nrm]
     active: List[int] = []
     u: List[float] = []          # multipliers of the active rows, then p's
     Q = np.empty((d, d))         # active normals = Q[:, :q] R[:q, :q]
@@ -170,25 +219,35 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     p = -1
     for it in range(1, max_iter + 1):
         if p < 0:
-            slack = y @ N - bw
-            viol = slack < -(tol_b + tol_n * y_max)
-            viol[active] = False
-            if not viol.any():
+            # the most violated inactive row relative to its norm, the first
+            # one on ties; a NaN slack or tolerance violates nothing
+            slack = (y @ N - bw_arr).tolist()
+            worst = math.inf
+            for i in range(k):
+                s_i = slack[i]
+                if s_i < -(tol_b[i] + tol_n[i] * y_max) and i not in active:
+                    ratio = s_i / max(nrm[i], 1e-300)
+                    if ratio < worst:
+                        worst, p = ratio, i
+            if p < 0:
                 z = L_inv.T @ y
                 lam = np.zeros(k)
-                lam[active] = np.maximum(u, 0.0) * w[active]
-                res = _kkt_residual(H, c, A, b, z, lam)
-                tol = 1e-10 * (1.0 + np.abs(b).max(initial=0.0))
+                # as np.maximum(u, 0.0): u starts at +0.0, so it is never -0.0
+                for i, u_i in zip(active, u):
+                    lam[i] = max(u_i, 0.0) * w[i]
+                tol = 1e-10 * (1.0 + _max_abs(b.tolist()))
                 kept = [i for i in sorted(active)
                         if lam[i] > 0.0 or abs(float(A[i] @ z - b[i])) <= tol]
-                return QPSolution(z, lam, kept, res, STATUS_OPTIMAL, it)
-            p = int(np.argmin(np.where(viol, slack / nrm_safe, np.inf)))
+                return QPSolution(z, lam, kept, STATUS_OPTIMAL, it, spec)
             u.append(0.0)
         q = len(active)
         n_p = N[:, p]
-        d1, s = _split(Q, q, n_p)
-        r = R_inv[:q, :q] @ d1
-        r_list = r.tolist()
+        if q:
+            d1, s = _split(Q, q, n_p)
+            r = R_inv[:q, :q] @ d1
+            r_list = r.tolist()
+        else:   # nothing to project out
+            s, r, r_list = n_p, None, []
         # dual step: the first active multiplier to reach zero
         t1, drop = math.inf, -1
         for j, r_j in enumerate(r_list):
@@ -198,26 +257,26 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
         # normal lies in the span of the active normals (a full active set)
         ss = float(s @ s)
         t2 = math.inf
-        if q < d and ss > (_DEP_TOL * nrm[p]) ** 2:
+        if q < d and ss > (_DEP_TOL * nrm_arr[p]) ** 2:   # x * x may round otherwise
             t2 = (bw[p] - float(n_p @ y)) / ss
         if t1 == math.inf and t2 == math.inf:
-            return QPSolution(None, None, [], math.inf, STATUS_INFEASIBLE, it)
+            return QPSolution(None, None, [], STATUS_INFEASIBLE, it, spec)
         t = min(t1, t2)
         for j, r_j in enumerate(r_list):
             u[j] -= t * r_j
         u[q] += t
         if t2 < math.inf:
             y = y + t * s
-            y_max = max(y_max, float(np.abs(y).max()))
+            y_max = max(y_max, _max_abs(y.tolist()))
         if t2 <= t1:
-            _append(Q, R_inv, q, r, s)
+            _append(Q, R_inv, q, r, s, ss)
             active.append(p)
             p = -1
         else:
             del active[drop], u[drop]
             for j, i in enumerate(active):
                 d1, s = _split(Q, j, N[:, i])
-                _append(Q, R_inv, j, R_inv[:j, :j] @ d1, s)
+                _append(Q, R_inv, j, R_inv[:j, :j] @ d1, s, float(s @ s))
     raise QPIterationError(f"dual active set did not converge in {max_iter} iterations")
 
 

@@ -61,6 +61,25 @@ def test_sweep_single_value_exits_2(tmp_path):
     assert rc == 2
 
 
+def test_sweep_values_with_the_same_cell_name_exit_2(tmp_path, capsys):
+    # 10 and 10.000001 both format as "10": the second cell would overwrite
+    # the first one's CSV and both table rows would name it
+    out = tmp_path / "o"
+    rc = main(["sweep", "--scenario", "linear2d", "--controller", "clf-cbf-qp",
+               "--param", "p", "--values", "10,10.000001", "--t-final", "0.05",
+               "--out", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    assert "10" in capsys.readouterr().err
+    rc = main(["sweep", "--scenario", "linear2d", "--controller", "clf-cbf-qp",
+               "--param", "p", "--values", "10,10.0001", "--t-final", "0.05",
+               "--out", str(out)])
+    assert rc == 0
+    assert sorted(f.name for f in out.iterdir()) == [
+        "linear2d_clf-cbf-qp_p_10.0001_traj.csv", "linear2d_clf-cbf-qp_p_10_traj.csv",
+        "linear2d_clf-cbf-qp_p_sweep.csv"]
+
+
 def test_sweep_writes_table_and_cell_csvs(tmp_path):
     rc = main(["sweep", "--scenario", "linear2d", "--controller", "hybrid",
                "--param", "gamma", "--values", "0.5,2.0", "--t-final", "2.0",

@@ -1,13 +1,19 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from safestab import (QPSpec, SimConfig, clf_cbf_qp_filter, evaluate, integrate,
-                      lp_feasible, make_controller, make_filter_config, solve_qp)
-from safestab.errors import QPIterationError
+import safestab.filters
+import safestab.qp
+from safestab import (QPSpec, SimConfig, cbf_qp_filter, clf_cbf_qp_filter, evaluate,
+                      integrate, lp_feasible, make_controller, make_filter_config, solve_qp)
+from safestab.errors import InfeasibleQPError, QPIterationError
 from safestab.filters import ALPHA_W
+from safestab.qp import _DEP_TOL, _FEAS_TOL, _kkt_residual
 
 
 def grid_search_oracle(spec, box_half=None, points=15, rounds=18):
@@ -316,3 +322,362 @@ def test_zero_row_with_positive_bound_is_infeasible(spec, b_zero, pos):
     A = np.insert(spec.A, pos, 0.0, axis=0)
     b = np.insert(spec.b, pos, b_zero)
     assert solve_qp(QPSpec(spec.H, spec.c, A, b)).status == "infeasible"
+
+
+# -- bit identity with the all-numpy body ------------------------------------
+
+def _split_oracle(Q, q, n):
+    Qa = Q[:, :q]
+    d1 = Qa.T @ n
+    s = n - Qa @ d1
+    e = Qa.T @ s
+    return d1 + e, s - Qa @ e
+
+
+def _append_oracle(Q, R_inv, q, r, s):
+    rho = math.sqrt(float(s @ s))
+    Q[:, q] = s / rho
+    R_inv[:q, q] = r / -rho
+    R_inv[q, q] = 1.0 / rho
+
+
+def solve_qp_oracle(spec, max_iter=None):
+    """The dual active-set method with all its bookkeeping in numpy arrays
+    (violation mask, argmin, tolerances, y_max, a general split at q = 0),
+    its factor and KKT residual computed inside the call. solve_qp must give
+    the same bits: z_star, multipliers, active_set, status, iterations and
+    kkt_residual."""
+    d = spec.dim
+    k = spec.n_rows
+    H = spec.H + spec.reg * np.eye(d)
+    A, b, c = spec.A, spec.b, spec.c
+    if max_iter is None:
+        max_iter = 60 * (k + 2)
+    w = np.ldexp(1.0, -np.frexp(np.abs(A).max(axis=1, initial=0.0))[1])
+    bw = b * w
+    L_inv = np.linalg.inv(np.linalg.cholesky(H))
+    N = L_inv @ (A.T * w)
+    y = -(L_inv @ c)
+    nrm = np.sqrt(np.einsum("ij,ij->j", N, N))
+    y_max = float(np.abs(y).max(initial=0.0))
+    tol_b = _FEAS_TOL * np.abs(bw) + np.finfo(float).tiny
+    tol_n = _FEAS_TOL * nrm
+    nrm_safe = np.maximum(nrm, 1e-300)
+    active, u = [], []
+    Q = np.empty((d, d))
+    R_inv = np.zeros((d, d))
+    p = -1
+    for it in range(1, max_iter + 1):
+        if p < 0:
+            slack = y @ N - bw
+            viol = slack < -(tol_b + tol_n * y_max)
+            viol[active] = False
+            if not viol.any():
+                z = L_inv.T @ y
+                lam = np.zeros(k)
+                lam[active] = np.maximum(u, 0.0) * w[active]
+                res = _kkt_residual(H, c, A, b, z, lam)
+                tol = 1e-10 * (1.0 + np.abs(b).max(initial=0.0))
+                kept = [i for i in sorted(active)
+                        if lam[i] > 0.0 or abs(float(A[i] @ z - b[i])) <= tol]
+                return SimpleNamespace(z_star=z, multipliers=lam, active_set=kept,
+                                       kkt_residual=res, status="optimal", iterations=it)
+            p = int(np.argmin(np.where(viol, slack / nrm_safe, np.inf)))
+            u.append(0.0)
+        q = len(active)
+        n_p = N[:, p]
+        d1, s = _split_oracle(Q, q, n_p)
+        r = R_inv[:q, :q] @ d1
+        r_list = r.tolist()
+        t1, drop = math.inf, -1
+        for j, r_j in enumerate(r_list):
+            if r_j > 0.0 and u[j] / r_j < t1:
+                t1, drop = u[j] / r_j, j
+        ss = float(s @ s)
+        t2 = math.inf
+        if q < d and ss > (_DEP_TOL * nrm[p]) ** 2:
+            t2 = (bw[p] - float(n_p @ y)) / ss
+        if t1 == math.inf and t2 == math.inf:
+            return SimpleNamespace(z_star=None, multipliers=None, active_set=[],
+                                   kkt_residual=math.inf, status="infeasible", iterations=it)
+        t = min(t1, t2)
+        for j, r_j in enumerate(r_list):
+            u[j] -= t * r_j
+        u[q] += t
+        if t2 < math.inf:
+            y = y + t * s
+            y_max = max(y_max, float(np.abs(y).max()))
+        if t2 <= t1:
+            _append_oracle(Q, R_inv, q, r, s)
+            active.append(p)
+            p = -1
+        else:
+            del active[drop], u[drop]
+            for j, i in enumerate(active):
+                d1, s = _split_oracle(Q, j, N[:, i])
+                _append_oracle(Q, R_inv, j, R_inv[:j, :j] @ d1, s)
+    raise QPIterationError(f"dual active set did not converge in {max_iter} iterations")
+
+
+def _bits(v):
+    return None if v is None else np.asarray(v, dtype=float).tobytes()
+
+
+def assert_same_solution(got, want):
+    assert got.status == want.status
+    assert got.iterations == want.iterations
+    assert got.active_set == want.active_set
+    assert _bits(got.z_star) == _bits(want.z_star)
+    assert _bits(got.multipliers) == _bits(want.multipliers)
+    assert _bits(got.kkt_residual) == _bits(want.kkt_residual)
+
+
+def assert_matches_oracle(spec, max_iter=None):
+    """solve_qp(spec) against solve_qp_oracle(spec), bit for bit, including
+    whether the iteration budget runs out; returns the oracle's outcome."""
+    with np.errstate(all="ignore"):
+        try:
+            want = solve_qp_oracle(spec, max_iter)
+        except QPIterationError:
+            with pytest.raises(QPIterationError):
+                solve_qp(spec, max_iter)
+            return None
+        assert_same_solution(solve_qp(spec, max_iter), want)
+    return want
+
+
+def random_spec(rng, d, k, reg=None):
+    """A strictly convex cost and k rows with entries of mixed size, some
+    exactly zero; the rows are feasible or not, as the draw falls."""
+    M = rng.normal(size=(d, d))
+    H = M.T @ M + np.diag(10.0 ** rng.uniform(-3.0, 1.0, size=d))
+    c = rng.normal(size=d) * 10.0 ** rng.uniform(-3.0, 3.0)
+    A = rng.normal(size=(k, d)) * 10.0 ** rng.uniform(-4.0, 4.0, size=(k, 1))
+    A[rng.random(size=(k, d)) < 0.15] = 0.0
+    b = rng.normal(size=k) * 10.0 ** rng.uniform(-4.0, 4.0, size=k)
+    b[rng.random(size=k) < 0.15] = 0.0
+    if reg is None:
+        reg = (0.0, 1e-9)[int(rng.integers(2))]
+    return QPSpec(H, c, A, b, reg=reg)
+
+
+def test_solver_matches_numpy_bookkeeping_on_random_specs():
+    rng = np.random.default_rng(808)
+    statuses = set()
+    for d in (1, 2, 3):
+        for k in range(7):
+            for _ in range(150):
+                want = assert_matches_oracle(random_spec(rng, d, k))
+                statuses.add(want.status)
+    assert statuses == {"optimal", "infeasible"}
+
+
+def _special_specs(rng):
+    """Exact zeros, ties, nearly parallel rows, tiny and huge rows,
+    infeasible systems."""
+    eye2 = np.eye(2)
+    yield QPSpec(eye2, np.zeros(2), np.zeros((2, 2)), np.zeros(2), reg=0.0)
+    yield QPSpec(eye2, np.zeros(2), np.zeros((1, 2)), np.array([1.0]))
+    yield QPSpec(eye2, np.zeros(2), np.array([[0.0, 0.0], [1.0, 0.0]]),
+                 np.array([-1.0, 0.0]))
+    yield QPSpec(eye2, np.array([0.0, 1.0]),
+                 np.array([[0.0, -1.0], [-0.5, 1.0], [1.0, 1.0]]), np.zeros(3))
+    yield QPSpec(eye2, np.zeros(2), np.array([[1e-170, 0.0]]), np.array([1e-170]), reg=0.0)
+    yield QPSpec(eye2, np.zeros(2), np.array([[1e-170, 1e-170], [-1e-170, 2e-170]]),
+                 np.array([1e-170, 1e-170]))
+    yield QPSpec(eye2, np.zeros(2), np.array([[1e170, 0.0], [0.0, -1e150]]),
+                 np.array([1e170, 1e150]))
+    yield QPSpec(np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
+    yield QPSpec(np.eye(3), np.zeros(3), np.vstack([np.eye(3), -np.ones((1, 3))]),
+                 np.array([1.0, 1.0, 1.0, -2.0]))
+    # a row that holds only once the tolerance has grown with the largest
+    # |y| met, and one whose zero multiplier leaves it out of the active set
+    # unless the NaN bound of another row makes the tolerance NaN
+    yield QPSpec(2.0 * eye2, np.zeros(2), np.array([[1.0, -1.0], [-2.0, 2.0], [-1.0, -1.0],
+                                                    [0.0, -1.0]]),
+                 np.array([-1.0, 0.0, 1.0, math.nan]), reg=0.0)
+    yield QPSpec(np.diag([2.0, 1.0, 2.0]), np.array([-3.0, 2.0, -3.0]),
+                 np.array([[-2.0, 2.0, -2.0], [2.0, 1.0, 0.0], [-1.0, -1.0, -2.0],
+                           [1.0, 2.0, -2.0], [-2.0, -1.0, 1.0], [2.0, 1.0, -2.0],
+                           [2.0, 0.0, 2.0]]),
+                 np.array([-3.0, -1.0, -3.0, -3.0, -1.0, 3.0, math.nan]), reg=0.0)
+    # small integers: rows through common vertices, exact ties and zero
+    # multipliers on active rows, half of them with a NaN bound added
+    for i in range(1500):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(2, 7))
+        A = rng.integers(-2, 3, size=(k, d)).astype(float)
+        b = rng.integers(-3, 4, size=k).astype(float)
+        if i % 2:
+            A = np.vstack([A, rng.integers(-2, 3, size=(1, d))])
+            b = np.append(b, math.nan)
+        yield QPSpec(np.diag(rng.integers(1, 4, size=d).astype(float)),
+                     rng.integers(-3, 4, size=d).astype(float), A, b, reg=0.0)
+    for _ in range(150):
+        d = int(rng.integers(1, 4))
+        H = random_spec(rng, d, 0).H
+        c = rng.normal(size=d)
+        a = rng.normal(size=d)
+        scale = 10.0 ** rng.uniform(-170.0, 170.0)
+        # duplicated rows: equal slacks, so the choice of row is a tie
+        yield QPSpec(H, c, np.vstack([a, a, -a]) * scale,
+                     np.array([1.0, 1.0, -3.0]) * scale * rng.uniform(0.5, 2.0))
+        # nearly parallel rows, an angle of 1e-6..1e-13 apart
+        tilt = rng.normal(size=d) * 10.0 ** rng.uniform(-13.0, -6.0)
+        yield QPSpec(H, c, np.vstack([a, a + tilt, rng.normal(size=d)]),
+                     rng.normal(size=3) + np.array([2.0, 2.0, 0.0]))
+        # a pair that cannot hold together, among random rows
+        rows = np.vstack([a, -a, rng.normal(size=(2, d))])
+        yield QPSpec(H, c, rows, np.array([1.0, rng.uniform(-0.9, 0.0) - 0.2,
+                                           -5.0, -5.0]))
+        # rows scaled to either end of the exponent range
+        A = rng.normal(size=(3, d)) * 10.0 ** rng.choice([-170.0, -150.0, 150.0, 170.0],
+                                                         size=(3, 1))
+        yield QPSpec(H, c, A, A @ rng.normal(size=d) + rng.normal(size=3) * np.abs(A).max(axis=1))
+
+
+def test_solver_matches_numpy_bookkeeping_on_special_specs():
+    rng = np.random.default_rng(909)
+    outcomes = [assert_matches_oracle(spec) for spec in _special_specs(rng)]
+    assert {o.status for o in outcomes if o is not None} == {"optimal", "infeasible"}
+    # ties occur: two rows of a solved problem share one slack exactly
+    assert any(o is not None and len(o.active_set) > 1 for o in outcomes)
+
+
+def test_solver_matches_numpy_bookkeeping_under_a_tight_budget():
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        assert_matches_oracle(random_spec(rng, 3, 6), max_iter=int(rng.integers(1, 4)))
+
+
+def _recorded_filter_specs(monkeypatch, cfg, controller, x0, t_final):
+    specs = []
+
+    def record(spec, *args):
+        specs.append(spec)
+        return solve_qp(spec, *args)
+
+    monkeypatch.setattr(safestab.filters, "solve_qp", record)
+    integrate(cfg, make_controller(cfg, controller), SimConfig(x0=x0, t_final=t_final))
+    monkeypatch.undo()
+    return specs
+
+
+@pytest.mark.parametrize("scenario,controller,p,t_final", [
+    ("linear2d", "clf-cbf-qp", 1000.0, 2.5),
+    ("linear2d", "cbf-qp", 10.0, 1.0),
+    ("linear2d", "hybrid", 10.0, 2.0),
+    ("tumor3d", "clf-cbf-qp", 10.0, 0.5),
+    ("tumor3d", "cbf-qp", 10.0, 0.5),
+    ("tumor3d", "s-cbf-qp", 10.0, 0.5),
+])
+def test_solver_matches_numpy_bookkeeping_along_runs(scenario, controller, p, t_final,
+                                                     monkeypatch, request):
+    bundle = request.getfixturevalue("linear" if scenario == "linear2d" else "tumor")
+    cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set, gamma=1.0, p=p)
+    x0 = ([2.2166634801674006, -1.8151809514247237] if scenario == "linear2d"
+          else bundle.defaults["x0"])
+    specs = _recorded_filter_specs(monkeypatch, cfg, controller, x0, t_final)
+    assert len(specs) >= 100
+    for spec in specs:
+        assert_matches_oracle(spec)
+
+
+@pytest.mark.parametrize("where", ["A", "b", "c"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_inputs_keep_the_numpy_outcome(where, value):
+    rng = np.random.default_rng([ord(where), int(value > 0.0), int(math.isnan(value))])
+    for _ in range(80):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
+        spec = random_spec(rng, d, k)
+        arr = getattr(spec, where)
+        for _ in range(int(rng.integers(1, 3))):
+            arr.flat[int(rng.integers(arr.size))] = value
+        assert_matches_oracle(spec)
+
+
+def test_nan_iterate_and_nan_rows_are_pinned():
+    # a NaN in c makes y NaN, so every slack is NaN and no row counts as
+    # violated: "optimal" at once, with a NaN point
+    spec = QPSpec(np.eye(2), np.array([math.nan, 0.0]), np.array([[1.0, 0.0]]),
+                  np.array([5.0]))
+    with np.errstate(all="ignore"):
+        sol = solve_qp(spec)
+    assert sol.status == "optimal" and sol.iterations == 1 and sol.active_set == []
+    assert np.isnan(sol.z_star).all() and math.isnan(sol.kkt_residual)
+    assert_matches_oracle(spec)
+    # a NaN row has a NaN tolerance and is never chosen; the other row is
+    spec = QPSpec(np.eye(2), np.zeros(2), np.array([[math.nan, 1.0], [1.0, 0.0]]),
+                  np.array([1.0, 2.0]))
+    with np.errstate(all="ignore"):
+        sol = solve_qp(spec)
+    assert sol.status == "optimal" and sol.active_set == [1]
+    assert sol.z_star.tolist() == [2.0, 0.0]
+    assert_matches_oracle(spec)
+    # an infinite bound makes its row's tolerance infinite: never violated
+    spec = QPSpec(np.eye(1), np.zeros(1), np.array([[1.0]]), np.array([math.inf]))
+    assert solve_qp(spec).z_star.tolist() == [0.0]
+    assert_matches_oracle(spec)
+
+
+# -- shared factor and the residual computed on read --------------------------
+
+def test_spec_sharing_a_factor_solves_as_a_fresh_spec():
+    rng = np.random.default_rng(55)
+    for _ in range(300):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(0, 7))
+        fresh = random_spec(rng, d, k)
+        template = QPSpec(fresh.H, fresh.c, np.zeros((0, d)), np.zeros(0), reg=fresh.reg)
+        shared = template.with_rows(fresh.A.tolist(), fresh.b.tolist())
+        assert shared._L_inv is template._L_inv and template.n_rows == 0
+        assert shared.A.tobytes() == fresh.A.tobytes()
+        assert_same_solution(solve_qp(shared), solve_qp(fresh))
+    with pytest.raises(ValueError):
+        template.with_rows(np.ones((2, d)), np.ones(3))
+
+
+def test_controllers_with_a_shared_factor_match_the_standalone_filters(linear_cfg,
+                                                                      linear):
+    cbf = make_controller(linear_cfg, "cbf-qp")
+    clf_cbf = make_controller(linear_cfg, "clf-cbf-qp")
+    rng = np.random.default_rng(3)
+    checked = 0
+    for x in rng.uniform(linear.domain[:, 0], linear.domain[:, 1], size=(60, 2)):
+        if linear.safe_set.min_value(x) < 0.0:
+            continue
+        checked += 1
+        assert clf_cbf(x)[0].tobytes() == clf_cbf_qp_filter(linear_cfg, x)[0].tobytes()
+        try:
+            want = cbf_qp_filter(linear_cfg, x)
+        except InfeasibleQPError:
+            with pytest.raises(InfeasibleQPError):
+                cbf(x)
+            continue
+        assert cbf(x)[0].tobytes() == want.tobytes()
+    assert checked > 10
+
+
+def test_kkt_residual_is_computed_from_the_spec_when_read():
+    rng = np.random.default_rng(66)
+    for _ in range(200):
+        d, k = int(rng.integers(1, 4)), int(rng.integers(0, 7))
+        spec = random_spec(rng, d, k)
+        sol = solve_qp(spec)
+        assert "kkt_residual" not in vars(sol)   # nothing computed yet
+        if not sol.optimal:
+            assert sol.kkt_residual == math.inf
+            continue
+        want = _kkt_residual(spec.H + spec.reg * np.eye(d), spec.c, spec.A, spec.b,
+                             sol.z_star, sol.multipliers)
+        assert _bits(sol.kkt_residual) == _bits(want)
+
+
+def test_integrate_never_computes_the_kkt_residual(linear, monkeypatch):
+    def unused(*args):
+        raise AssertionError("KKT residual computed")
+
+    monkeypatch.setattr(safestab.qp, "_kkt_residual", unused)
+    cfg = make_filter_config(linear.sys, linear.clf, linear.safe_set, gamma=1.0, p=10.0)
+    for name in ("cbf-qp", "clf-cbf-qp", "s-cbf-qp", "hybrid"):
+        traj = integrate(cfg, make_controller(cfg, name),
+                         SimConfig(x0=linear.defaults["x0"], t_final=0.2))
+        assert traj.status == "ok"
