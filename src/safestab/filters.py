@@ -119,17 +119,15 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
         raise ValueError(f"g(x) must be ({cfg.sys.n}, {cfg.sys.m}), got {G.shape}")
     grad_w, a, b = clf_lie_terms(cfg.clf, x, f, G)
     u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
+    # L_g h and L_f h of the k barriers from one stacked product each over
+    # the gradients (k, 1, n), whose slices round as grad @ G and grad @ f
     barriers = cfg.safe_set.barriers
-    k = len(barriers)
-    A = np.empty((k, cfg.sys.m))
-    lb = np.empty(k)
-    h = np.empty(k)
-    for i, bar in enumerate(barriers):
-        grad = bar.grad_h(x)
-        h_i = float(bar.h(x))
-        h[i] = h_i
-        A[i] = grad @ G
-        lb[i] = -bar.alpha * h_i - float(grad @ f)
+    grads = np.array([bar.grad_h(x) for bar in barriers])[:, None, :]
+    hs = [float(bar.h(x)) for bar in barriers]
+    A = (grads @ G)[:, 0, :]
+    lfh = (grads @ f)[:, 0].tolist()
+    lb = np.array([-bar.alpha * h_i - l for bar, h_i, l in zip(barriers, hs, lfh)])
+    h = np.array(hs)
     margin = float(row_margins(A, lb, u_son).min())
     label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
     return Evaluation(x, f, grad_w, a, b, u_son, A, lb, h, label)
@@ -186,8 +184,13 @@ def row_margins(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def active_flags(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rows whose slack at u is at most ACTIVE_TOL relative to the row scale."""
-    scale = 1.0 + np.abs(lb) + np.abs(A) @ np.abs(u)
+    """Rows whose slack at u is at most ACTIVE_TOL relative to the row scale;
+    for stacks A (N, k, m), lb (N, k) and u (N, m), an (N, k) array that
+    rounds as N one-state calls."""
+    if A.ndim == 3:
+        scale = 1.0 + np.abs(lb) + (np.abs(A) @ np.abs(u)[:, :, None])[:, :, 0]
+    else:
+        scale = 1.0 + np.abs(lb) + np.abs(A) @ np.abs(u)
     return row_margins(A, lb, u) <= ACTIVE_TOL * scale
 
 

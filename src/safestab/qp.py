@@ -219,20 +219,26 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     p = -1
     for it in range(1, max_iter + 1):
         if p < 0:
-            # the most violated inactive row relative to its norm, the first
-            # one on ties; a NaN slack or tolerance violates nothing
+            # the most violated row relative to its norm, the first one on
+            # ties; a NaN slack or tolerance violates nothing. An active row
+            # is never violated: its slack is the rounding left by the step
+            # that made it hold and by later steps along s, orthogonal to it
+            # to working precision, a few ulps of nrm[i] * y_max, far under
+            # the threshold of about 450 ulps
             slack = (y @ N - bw_arr).tolist()
             worst = math.inf
             for i in range(k):
                 s_i = slack[i]
-                if s_i < -(tol_b[i] + tol_n[i] * y_max) and i not in active:
+                if s_i < -(tol_b[i] + tol_n[i] * y_max):
                     ratio = s_i / max(nrm[i], 1e-300)
                     if ratio < worst:
                         worst, p = ratio, i
             if p < 0:
                 z = L_inv.T @ y
                 lam = np.zeros(k)
-                # as np.maximum(u, 0.0): u starts at +0.0, so it is never -0.0
+                # a multiplier that reaches zero on the step adding a row
+                # (t1 == t2) can round to -1e-16; clamped as np.maximum(u, 0.0)
+                # would, since u starts at +0.0 and is never -0.0
                 for i, u_i in zip(active, u):
                     lam[i] = max(u_i, 0.0) * w[i]
                 tol = 1e-10 * (1.0 + _max_abs(b.tolist()))

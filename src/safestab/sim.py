@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -44,8 +45,10 @@ class SimConfig:
                 raise SimulationError(f"{name} must be positive and finite, got {val}")
         if not np.all(np.isfinite(self.x0)):
             raise SimulationError(f"x0 must be finite, got {self.x0.tolist()}")
-        if self.record_every < 1:
-            raise SimulationError("record_every must be >= 1")
+        # an integer: integrate sizes its records by it
+        if not isinstance(self.record_every, numbers.Integral) or self.record_every < 1:
+            raise SimulationError(f"record_every must be an integer >= 1, got {self.record_every!r}")
+        self.record_every = int(self.record_every)
 
 
 @dataclass
@@ -127,30 +130,35 @@ def integrate(cfg: FilterConfig,
     ValueError naming the step.
 
     The controller maps x to (u, ev) as make_controller's do; the logged
-    region, activation flags and barrier values come from the evaluation ev
-    at x."""
-    x = as_vector(simcfg.x0, cfg.sys.n)
+    region, barrier values and rows come from the evaluation ev at x. Every
+    record_every-th step and the last one are written into arrays allocated
+    for the run (trimmed when it stops early), and after the loop W and the
+    activation flags of all of them come from one stacked pass, which rounds
+    as one-state calls do. A switch event computes the flags of its two
+    steps one state at a time."""
+    sys = cfg.sys
+    x = as_vector(simcfg.x0, sys.n)
     if cfg.safe_set.min_value(x) < 0.0:
         raise SimulationError(f"x0 outside the safe set: min h = {cfg.safe_set.min_value(x)}")
-    n_steps = int(round(simcfg.t_final / simcfg.dt))
-
-    times: List[float] = []
-    states: List[np.ndarray] = []
-    inputs: List[np.ndarray] = []
-    regions: List[int] = []
-    w_values: List[float] = []
-    h_values: List[np.ndarray] = []
-    act: List[np.ndarray] = []
+    dt, every = simcfg.dt, simcfg.record_every
+    n_steps = int(round(simcfg.t_final / dt))
+    k = len(cfg.safe_set.barriers)
+    n_rec = n_steps // every + 1 + (n_steps % every != 0)
+    times = np.empty(n_rec)
+    states = np.empty((n_rec, sys.n))
+    inputs = np.empty((n_rec, sys.m))
+    regions = np.empty(n_rec, dtype=int)
+    h_values = np.empty((n_rec, k))
+    rows_A = np.empty((n_rec, k, sys.m))
+    rows_lb = np.empty((n_rec, k))
+    rec = 0
     events: List[SwitchEvent] = []
     status = STATUS_OK
     diagnostic = ""
-
-    prev_region: Optional[int] = None
-    prev_u: Optional[np.ndarray] = None
-    prev_flags: Optional[np.ndarray] = None
+    prev_region = prev_u = prev_ev = None
 
     for step in range(n_steps + 1):
-        t = step * simcfg.dt
+        t = step * dt
         try:
             u, ev = controller(x)
         except InfeasibleQPError as exc:
@@ -162,46 +170,47 @@ def integrate(cfg: FilterConfig,
             diagnostic = f"controller QP did not converge at t={t}, x={x.tolist()}: {exc}"
             break
         u = np.asarray(u, dtype=float)
-        if u.shape != (cfg.sys.m,):
+        if u.shape != (sys.m,):
             raise ValueError(f"controller input at step {step} (t={t}) has shape "
-                             f"{u.shape}, expected ({cfg.sys.m},)")
-        flags = active_flags(ev.A, ev.lb, u)
+                             f"{u.shape}, expected ({sys.m},)")
         region = int(ev.label.value)
-
         if prev_region is not None and region != prev_region:
             events.append(SwitchEvent(t, prev_region, region, prev_u, u,
-                                      prev_flags, flags))
-        prev_region, prev_u, prev_flags = region, u, flags
+                                      active_flags(prev_ev.A, prev_ev.lb, prev_u),
+                                      active_flags(ev.A, ev.lb, u)))
+        prev_region, prev_u, prev_ev = region, u, ev
 
-        if step % simcfg.record_every == 0 or step == n_steps:
-            times.append(t)
-            states.append(x)
-            inputs.append(u.copy())
-            regions.append(region)
-            w_values.append(cfg.clf.value(x))
-            h_values.append(ev.h)
-            act.append(flags.astype(int))
+        if step % every == 0 or step == n_steps:
+            times[rec] = t
+            states[rec] = x
+            inputs[rec] = u
+            regions[rec] = region
+            h_values[rec] = ev.h
+            rows_A[rec] = ev.A
+            rows_lb[rec] = ev.lb
+            rec += 1
 
         if step == n_steps:
             break
-        x = rk4_step(cfg.sys, x, u, simcfg.dt)
+        x = rk4_step(sys, x, u, dt)
         # the comparison is false for nan, so nan and inf both stop the run
         if not all(abs(v) <= BLOWUP_LIMIT for v in x.tolist()):
             status = STATUS_BLOWUP
-            diagnostic = f"state blew up at t={t + simcfg.dt}"
+            diagnostic = f"state blew up at t={t + dt}"
             break
 
-    # reshaped so that a run stopped at its first step has (0, n)-style
-    # arrays, which the CSV writer and the metrics accept
-    k = len(cfg.safe_set.barriers)
+    if rec < n_rec:   # copies, so that a short run keeps no full-size buffer
+        times, states, inputs, regions, h_values, rows_A, rows_lb = (
+            a[:rec].copy() for a in (times, states, inputs, regions, h_values,
+                                     rows_A, rows_lb))
     return Trajectory(
-        times=np.array(times),
-        states=np.array(states).reshape(-1, cfg.sys.n),
-        inputs=np.array(inputs).reshape(-1, cfg.sys.m),
-        regions=np.array(regions, dtype=int),
-        w_values=np.array(w_values),
-        h_values=np.array(h_values).reshape(-1, k),
-        active=np.array(act, dtype=int).reshape(-1, k),
+        times=times,
+        states=states,
+        inputs=inputs,
+        regions=regions,
+        w_values=cfg.clf.value(states),
+        h_values=h_values,
+        active=active_flags(rows_A, rows_lb, inputs).astype(int),
         switch_events=events,
         status=status,
         diagnostic=diagnostic,
@@ -262,21 +271,19 @@ def csv_header(n: int, m: int, k: int) -> List[str]:
 
 
 def write_trajectory_csv(traj: Trajectory, path) -> None:
+    """Write the trajectory in the CSV schema of this module: floats as their
+    shortest round-trip repr, region and flags as integers. The float and
+    the integer columns each become Python numbers in one tolist call."""
     n = traj.states.shape[1]
     m = traj.inputs.shape[1]
     k = traj.h_values.shape[1]
+    floats = np.column_stack([traj.times, traj.states, traj.inputs, traj.w_values,
+                              traj.h_values]).astype(float, copy=False).tolist()
+    ints = np.column_stack([traj.regions, traj.active]).astype(int, copy=False).tolist()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(csv_header(n, m, k))
-        for i in range(traj.n_samples):
-            row = [repr(float(traj.times[i]))]
-            row += [repr(float(v)) for v in traj.states[i]]
-            row += [repr(float(v)) for v in traj.inputs[i]]
-            row.append(repr(float(traj.w_values[i])))
-            row += [repr(float(v)) for v in traj.h_values[i]]
-            row.append(str(int(traj.regions[i])))
-            row += [str(int(v)) for v in traj.active[i]]
-            writer.writerow(row)
+        writer.writerows([a + b for a, b in zip(floats, ints)])
 
 
 def read_trajectory_csv(path) -> Trajectory:

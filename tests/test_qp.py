@@ -619,6 +619,21 @@ def test_nan_iterate_and_nan_rows_are_pinned():
     assert_matches_oracle(spec)
 
 
+def test_multiplier_rounded_below_zero_is_clamped():
+    # rows enter in the order 2, 1, 0; the step that adds row 0 brings row
+    # 2's multiplier to zero just as row 0 comes to hold (t1 == t2 = 16/3, so
+    # row 2 stays active), and u - t * r rounds to -1.1e-16 there; the clamp
+    # reports +0.0, as the oracle's np.maximum does
+    spec = QPSpec(np.eye(3), [0.7333333333333333, -2.0952380952380953, 1.333333333333333],
+                  [[0.2, 0.0, 5.0], [1.0, -1.6666666666666667, 0.0], [0.6, 0.0, 4.0]],
+                  [10.08, -0.3142857142857143, 8.24], reg=0.0)
+    sol = solve_qp(spec)
+    assert sol.status == "optimal" and sol.active_set == [0, 1, 2]
+    assert sol.multipliers.tolist() == [0.6666666666666666, 1.0, 0.0]
+    assert not np.signbit(sol.multipliers).any()
+    assert_matches_oracle(spec)
+
+
 # -- shared factor and the residual computed on read --------------------------
 
 def test_spec_sharing_a_factor_solves_as_a_fresh_spec():

@@ -1,14 +1,19 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
-                      QPIterationError, QuadraticCLF, SafeSet, SimConfig,
-                      SimulationError, compute_metrics, evaluate, integrate,
-                      read_trajectory_csv, write_trajectory_csv)
-from safestab.filters import make_controller, make_filter_config
-from safestab.sim import rk4_step
+                      InfeasibleQPError, QPIterationError, QuadraticCLF, SafeSet,
+                      SimConfig, SimulationError, compute_metrics, evaluate,
+                      integrate, read_trajectory_csv, write_trajectory_csv)
+from safestab.core import as_vector
+from safestab.filters import (CONTROLLER_NAMES, active_flags, make_controller,
+                              make_filter_config)
+from safestab.sim import (BLOWUP_LIMIT, STATUS_BLOWUP, STATUS_INFEASIBLE, STATUS_OK,
+                          STATUS_QP_ITERATION, SwitchEvent, Trajectory, csv_header,
+                          rk4_step)
 
 
 def flat_config(n=2, m=1, f=None, g=None):
@@ -219,6 +224,10 @@ def test_simconfig_validation():
         SimConfig(x0=[0.0], t_final=-1.0)
     with pytest.raises(SimulationError):
         SimConfig(x0=[0.0], t_final=1.0, record_every=0)
+    for bad in (2.5, 2.0, "2", None, math.nan):
+        with pytest.raises(SimulationError, match="record_every"):
+            SimConfig(x0=[0.0], t_final=1.0, record_every=bad)
+    assert SimConfig(x0=[0.0], t_final=1.0, record_every=np.int64(3)).record_every == 3
     for bad in (math.inf, math.nan):
         with pytest.raises(SimulationError, match="dt"):
             SimConfig(x0=[0.0], t_final=1.0, dt=bad)
@@ -317,3 +326,220 @@ def test_rk4_step_order():
         x1 = rk4_step(sys, x0, np.zeros(1), dt)
         errs.append(abs(float(x1[0]) - math.exp(dt)))
     assert errs[1] <= errs[0] / 16.0  # at least 4th order step scaling
+
+
+def integrate_oracle(cfg, controller, simcfg):
+    """The loop that integrate's preallocated records replaced: per-step
+    lists, W and the activation flags computed one state at every step.
+    integrate must give the same bits in every field and switch event."""
+    x = as_vector(simcfg.x0, cfg.sys.n)
+    if cfg.safe_set.min_value(x) < 0.0:
+        raise SimulationError(f"x0 outside the safe set: min h = {cfg.safe_set.min_value(x)}")
+    n_steps = int(round(simcfg.t_final / simcfg.dt))
+    times, states, inputs, regions, w_values, h_values, act, events = ([] for _ in range(8))
+    status, diagnostic = STATUS_OK, ""
+    prev_region = prev_u = prev_flags = None
+    for step in range(n_steps + 1):
+        t = step * simcfg.dt
+        try:
+            u, ev = controller(x)
+        except InfeasibleQPError as exc:
+            status = STATUS_INFEASIBLE
+            diagnostic = f"controller infeasible at t={t}: {exc}"
+            break
+        except QPIterationError as exc:
+            status = STATUS_QP_ITERATION
+            diagnostic = f"controller QP did not converge at t={t}, x={x.tolist()}: {exc}"
+            break
+        u = np.asarray(u, dtype=float)
+        if u.shape != (cfg.sys.m,):
+            raise ValueError(f"controller input at step {step} (t={t}) has shape "
+                             f"{u.shape}, expected ({cfg.sys.m},)")
+        flags = active_flags(ev.A, ev.lb, u)
+        region = int(ev.label.value)
+        if prev_region is not None and region != prev_region:
+            events.append(SwitchEvent(t, prev_region, region, prev_u, u, prev_flags, flags))
+        prev_region, prev_u, prev_flags = region, u, flags
+        if step % simcfg.record_every == 0 or step == n_steps:
+            times.append(t)
+            states.append(x)
+            inputs.append(u.copy())
+            regions.append(region)
+            w_values.append(cfg.clf.value(x))
+            h_values.append(ev.h)
+            act.append(flags.astype(int))
+        if step == n_steps:
+            break
+        x = rk4_step(cfg.sys, x, u, simcfg.dt)
+        if not all(abs(v) <= BLOWUP_LIMIT for v in x.tolist()):
+            status = STATUS_BLOWUP
+            diagnostic = f"state blew up at t={t + simcfg.dt}"
+            break
+    k = len(cfg.safe_set.barriers)
+    return Trajectory(
+        times=np.array(times), states=np.array(states).reshape(-1, cfg.sys.n),
+        inputs=np.array(inputs).reshape(-1, cfg.sys.m),
+        regions=np.array(regions, dtype=int), w_values=np.array(w_values),
+        h_values=np.array(h_values).reshape(-1, k),
+        active=np.array(act, dtype=int).reshape(-1, k),
+        switch_events=events, status=status, diagnostic=diagnostic)
+
+
+def same_array(a, b):
+    return (isinstance(a, np.ndarray) and isinstance(b, np.ndarray) and a.dtype == b.dtype
+            and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+def assert_same_trajectory(got, want):
+    for name in ("times", "states", "inputs", "regions", "w_values", "h_values", "active"):
+        assert same_array(getattr(got, name), getattr(want, name)), name
+    assert (got.status, got.diagnostic) == (want.status, want.diagnostic)
+    assert len(got.switch_events) == len(want.switch_events)
+    for e, f in zip(got.switch_events, want.switch_events):
+        assert (repr(e.t), e.from_region, e.to_region) == (repr(f.t), f.from_region, f.to_region)
+        for name in ("u_before", "u_after", "flags_before", "flags_after"):
+            assert same_array(getattr(e, name), getattr(f, name)), name
+
+
+def assert_matches_integrate_oracle(cfg, make_ctrl, simcfg):
+    """Run integrate and the oracle, each with a fresh controller from
+    make_ctrl(), and compare; returns integrate's trajectory."""
+    got = integrate(cfg, make_ctrl(), simcfg)
+    assert_same_trajectory(got, integrate_oracle(cfg, make_ctrl(), simcfg))
+    return got
+
+
+def synthetic_m2_config():
+    """n = 3, m = 2 with a state-dependent g, a ball barrier and a half-space
+    x_1 <= 1.2 that the closed loop runs into."""
+    def f(x):
+        return np.array([x[1] * x[2] - x[0] + 0.8, np.sin(x[0]) - x[1],
+                         x[0] * x[2] - x[2] ** 3 - x[2]])
+
+    def g(x):
+        return np.array([[1.0 + x[1] ** 2, 0.3 * x[0]], [0.5 * x[2], 2.0 - x[0]],
+                         [x[0] * x[1], 1.0]])
+
+    sys = ControlAffineSystem(n=3, m=2, f=f, g=g, name="synthetic-m2")
+    eq = EquilibriumPair(np.zeros(3), np.zeros(2))
+    clf = QuadraticCLF(np.array([[2.0, 0.3, 0.0], [0.3, 1.0, 0.1], [0.0, 0.1, 1.5]]), eq)
+    ball = Barrier(h=lambda x: 9.0 - float(x @ x), alpha=2.0, grad_h=lambda x: -2.0 * x,
+                   name="ball")
+    wall = Barrier(h=lambda x: 1.2 - float(x[0]), alpha=0.5,
+                   grad_h=lambda x: np.array([-1.0, 0.0, 0.0]), name="wall")
+    return make_filter_config(sys, clf, SafeSet((ball, wall)), gamma=1.0, p=10.0)
+
+
+# the tumor3d start lies in A_WC; its hybrid run switches into R2 and back
+TUMOR_SWITCH_X0 = [1.5332973949760351, 4.258482076721906, 4.8267385751631195]
+
+
+@pytest.mark.parametrize("controller", CONTROLLER_NAMES)
+@pytest.mark.parametrize("scenario", ["linear2d", "tumor3d"])
+def test_integrate_matches_oracle_for_every_controller(scenario, controller, linear,
+                                                       linear_cfg, tumor_cfg):
+    cfg = linear_cfg if scenario == "linear2d" else tumor_cfg
+    x0 = linear.defaults["x0"] if scenario == "linear2d" else TUMOR_SWITCH_X0
+    traj = assert_matches_integrate_oracle(cfg, lambda: make_controller(cfg, controller),
+                                           SimConfig(x0=x0, t_final=1.0))
+    assert traj.status == "ok" and traj.n_samples == 1001
+    if controller == "hybrid":
+        assert traj.switch_events and traj.active.any()
+
+
+@pytest.mark.parametrize("record_every", [1, 7, 11, 2100, 5000])
+def test_integrate_matches_oracle_when_decimating(record_every, linear_cfg, linear):
+    # 2100 steps: 7 divides them, 11 does not, 2100 records the ends only and
+    # 5000 records step 0 and the last step
+    simcfg = SimConfig(x0=linear.defaults["x0"], t_final=2.1, record_every=record_every)
+    traj = assert_matches_integrate_oracle(
+        linear_cfg, lambda: make_controller(linear_cfg, "hybrid"), simcfg)
+    assert traj.n_samples == 2100 // record_every + 1 + (2100 % record_every != 0)
+    assert traj.switch_events
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_integrate_matches_oracle_on_a_synthetic_m2_system(record_every):
+    cfg = synthetic_m2_config()
+    for controller in CONTROLLER_NAMES:
+        traj = assert_matches_integrate_oracle(
+            cfg, lambda: make_controller(cfg, controller),
+            SimConfig(x0=[0.5, 2.0, 1.0], t_final=1.0, record_every=record_every))
+        assert traj.status == "ok"
+        if controller == "hybrid":
+            assert traj.switch_events and traj.active.any()
+
+
+def test_integrate_matches_oracle_on_truncated_runs(tumor_cfg):
+    blowup = flat_config(n=1, f=lambda x: np.array([x[0] ** 2]), g=lambda x: np.zeros((1, 1)))
+    traj = assert_matches_integrate_oracle(
+        blowup, lambda: make_controller(blowup, "sontag"),
+        SimConfig(x0=[3.0], t_final=10.0, dt=1e-2, record_every=3))
+    assert traj.status == "blowup" and traj.n_samples > 0
+
+    # the hybrid law from this A_WC start meets an infeasible S-CBF-QP mid-run
+    x0 = [2.464011171223679, 0.0034475939545500767, 3.0832051417641333]
+    traj = assert_matches_integrate_oracle(
+        tumor_cfg, lambda: make_controller(tumor_cfg, "hybrid"), SimConfig(x0=x0, t_final=2.0))
+    assert traj.status == "infeasible" and traj.n_samples > 0 and traj.switch_events
+
+    # infeasible at the first step: every array is empty, with its width
+    traj = assert_matches_integrate_oracle(
+        tumor_cfg, lambda: make_controller(tumor_cfg, "cbf-qp"),
+        SimConfig(x0=[9.5, 0.5, 0.5], t_final=1.0))
+    assert traj.status == "infeasible" and traj.n_samples == 0
+    assert traj.states.shape == (0, 3) and traj.active.shape == (0, 3)
+
+    cfg = flat_config()
+    for stall_at in (0, 5):
+        def stalls():
+            calls = [0]
+
+            def ctrl(x):
+                calls[0] += 1
+                if calls[0] == stall_at + 1:
+                    raise QPIterationError("active-set did not converge in 240 iterations")
+                return np.zeros(1), evaluate(cfg, x)
+            return ctrl
+
+        traj = assert_matches_integrate_oracle(
+            cfg, stalls, SimConfig(x0=[0.4, -0.7], t_final=1.0, dt=1e-2, record_every=2))
+        assert traj.status == "qp_iteration" and traj.n_samples == (stall_at + 1) // 2
+
+
+def write_trajectory_csv_oracle(traj, path):
+    """The writer that converted each cell with float() or int(); the
+    one-tolist-per-array writer must give the same bytes."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(csv_header(traj.states.shape[1], traj.inputs.shape[1],
+                                   traj.h_values.shape[1]))
+        for i in range(traj.n_samples):
+            row = [repr(float(traj.times[i]))]
+            row += [repr(float(v)) for v in traj.states[i]]
+            row += [repr(float(v)) for v in traj.inputs[i]]
+            row.append(repr(float(traj.w_values[i])))
+            row += [repr(float(v)) for v in traj.h_values[i]]
+            row.append(str(int(traj.regions[i])))
+            row += [str(int(v)) for v in traj.active[i]]
+            writer.writerow(row)
+
+
+def test_csv_writer_matches_per_cell_writer_bytes(tmp_path, linear_cfg):
+    traj = integrate(linear_cfg, make_controller(linear_cfg, "hybrid"),
+                     SimConfig(x0=[1.2, -0.9], t_final=0.3, dt=1e-3))
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -1.7976931348623157e308,
+               0.1, 1e22, 123456789.125]
+    for name in ("states", "inputs", "w_values", "h_values"):
+        getattr(traj, name).reshape(-1)[:len(special)] = special
+    empty = Trajectory(times=np.zeros(0), states=np.zeros((0, 2)), inputs=np.zeros((0, 1)),
+                       regions=np.zeros(0, dtype=int), w_values=np.zeros(0),
+                       h_values=np.zeros((0, 1)), active=np.zeros((0, 1), dtype=int))
+    for i, tr in enumerate((traj, empty)):
+        got, want = tmp_path / f"got{i}.csv", tmp_path / f"want{i}.csv"
+        write_trajectory_csv(tr, got)
+        write_trajectory_csv_oracle(tr, want)
+        assert got.read_bytes() == want.read_bytes()
+    text = (tmp_path / "got0.csv").read_text()
+    assert all(v in text for v in (",-0.0,", ",inf,", ",-inf,", ",nan,", ",5e-324,"))
+    assert (tmp_path / "got1.csv").read_text().count("\n") == 1

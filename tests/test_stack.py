@@ -1,8 +1,9 @@
 """The stack path against the one-state path, bit for bit.
 
-The closures, QuadraticCLF, SafeSet, evaluate, control_sharing_holds and
-lp_feasible take a stack of states (N, n) in one numpy pass; compute_c_star,
-the lockstep ray_exit and the block samplers are built on it. Each test
+The closures, QuadraticCLF, SafeSet, evaluate, active_flags,
+control_sharing_holds and lp_feasible take a stack of states (N, n) in one
+numpy pass; compute_c_star, the lockstep ray_exit and the block samplers are
+built on it. Each test
 compares bytes (`tobytes()`) with N one-state calls or with a per-item
 reference written here, on both bundled scenarios."""
 import math
@@ -14,7 +15,7 @@ from safestab import cli, doa, verify
 from safestab.core import SAMPLE_BLOCK
 from safestab.doa import (SUBLEVEL_T_MAX, compute_c_star, control_sharing_holds,
                           in_awc, ray_exit, sample_states_in_awc)
-from safestab.filters import evaluate
+from safestab.filters import active_flags, evaluate
 from safestab.qp import lp_feasible
 
 
@@ -87,6 +88,56 @@ def test_evaluate_matches_one_state(case):
     assert (ev.u_son == cfg.clf.equilibrium.u_e).all(axis=1).any()
     if bundle.sys.n == 3:
         assert ((ev.A[:, :, 0] == 0.0) & (ev.lb > 0.0)).any()
+
+
+def flag_inputs(rng, A, lb, u):
+    """Copies of the stacks (A, lb, u) with +-0, +-inf and NaN written into
+    some entries of each, and states whose u is 0, -0 or u scaled by 1e300."""
+    A, lb, u = A.copy(), lb.copy(), u.copy()
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
+    N = A.shape[0]
+    for arr in (A, lb, u):
+        flat = arr.reshape(N, -1)
+        rows = rng.choice(N, N // 4, replace=False)
+        flat[rows, rng.integers(0, flat.shape[1], rows.size)] = rng.choice(special, rows.size)
+    u[:10] = 0.0
+    u[10:20] = -0.0
+    u[20:30] *= 1e300
+    return A, lb, u
+
+
+def assert_flags_match_one_state(A, lb, u):
+    with np.errstate(invalid="ignore", over="ignore"):   # inf - inf, 0 * inf
+        got = active_flags(A, lb, u)
+        want = np.array([active_flags(A_i, lb_i, u_i) for A_i, lb_i, u_i in zip(A, lb, u)])
+    assert same(got, want)
+    return got
+
+
+def test_active_flags_match_one_state(case):
+    bundle, cfg = case
+    X = probe_states(bundle)
+    ev = evaluate(cfg, X)
+    rng = np.random.default_rng(5)
+    # at u_son the violated rows of R2 states are flagged and the rows of
+    # most R1 states are not; an input on row 0's boundary flags row 0
+    flags = assert_flags_match_one_state(ev.A, ev.lb, ev.u_son)
+    A0 = ev.A[:, 0, 0]
+    on_row = np.where(A0 != 0.0, ev.lb[:, 0] / np.where(A0 != 0.0, A0, 1.0), 0.0)[:, None]
+    assert assert_flags_match_one_state(ev.A, ev.lb, on_row)[:, 0].any()
+    assert flags.any() and not flags.all()
+    assert_flags_match_one_state(*flag_inputs(rng, ev.A, ev.lb, ev.u_son))
+
+
+def test_active_flags_match_one_state_for_two_inputs():
+    rng = np.random.default_rng(6)
+    N, k, m = 800, 3, 2
+    A = rng.normal(size=(N, k, m)) * 10.0 ** rng.uniform(-6.0, 6.0, (N, k, m))
+    u = rng.normal(size=(N, m)) * 10.0 ** rng.uniform(-6.0, 6.0, (N, m))
+    lb = (A @ u[:, :, None])[:, :, 0] - rng.choice([0.0, 1e-9, 1e-3, 1.0], (N, k))
+    flags = assert_flags_match_one_state(A, lb, u)
+    assert flags.any() and not flags.all()
+    assert_flags_match_one_state(*flag_inputs(rng, A, lb, u))
 
 
 def test_control_sharing_and_awc_membership_match_one_state(case):
