@@ -11,7 +11,7 @@ from .core import (Barrier, ControlAffineSystem, EquilibriumPair,
 from .doa import (DoaEstimate, compute_c_star, control_sharing_holds, in_awc,
                   largest_clf_sublevel_inside)
 from .errors import (DecreaseIdentityError, DegenerateConstraintError,
-                     InfeasibleQPError, QPIterationError, SafeStabError,
+                     IndefiniteQPError, InfeasibleQPError, QPIterationError, SafeStabError,
                      ScenarioError, SharingInfeasibleError, SimulationError)
 from .filters import (CONTROLLER_NAMES, FilterConfig, Region, RegionLabel,
                       cbf_qp_filter, classify_region, clf_cbf_qp_filter,

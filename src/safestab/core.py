@@ -5,19 +5,32 @@ terms (a, b); filters.evaluate combines them with the barrier rows
 Conventions
 -----------
 * States, inputs and gradients are 1-D float arrays; g(x) is (n, m).
-* ControlAffineSystem.rhs(xs, us) is the one-state derivative f(x) + g(x) u
-  on Python floats: xs and us are lists of floats, the result is a list. The
-  RK4 stages call only rhs. A bundled dynamics kind supplies it from the
-  float expressions of its one-state f and g, equal to the numpy form bit for
-  bit; a system built from f and g alone gets the adapter, which evaluates
-  f(y) + g(y) @ u in numpy and returns .tolist().
-* The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad,
-  SafeSet.values/min_value/contains and clf_lie_terms also accept a stack
-  X of shape (N, n) and then return their results with a leading axis of N
-  (g(X) is (N, n, m)). Each chooses its body from x.ndim: the one-state body
+* Every dot product, matrix-vector product and quadratic form behind the
+  pointwise quantities (W and its gradient, Sontag's a and b, the barrier
+  values, gradients and rows, the row margins and activation flags) is an
+  explicit sum that starts from +0.0 and adds its terms left to right
+  (dot_of, matvec_of, affine_of), with no BLAS call. The one-state body
+  evaluates these sums on Python floats, the stack body evaluates the same
+  expressions on numpy columns, so the two agree bit for bit (up to the sign
+  and payload of a NaN, which IEEE 754 leaves open), and neither depends on
+  which kernel the CPU's BLAS dispatches to. BLAS is left to the QP solver
+  (solve_qp and the products that build its specs), to the numpy adapters
+  of a system built from f and g alone, and to checks off the per-step path
+  (xdot, linearize, closed_form_ustar, verify's decrease identity).
+* A system's float form fg(xs) gives f(x) as a list of n floats and g(x) as
+  a list of m columns of n floats; rhs(xs, us) is f(x) + g(x) u from it, row
+  i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m) (affine_of), and
+  rhs_from(f, G, us) is the same from an fg already evaluated. A bundled
+  dynamics kind supplies fg; a system built from the numpy f and g alone
+  gets adapters: fg reads f and g, and rhs and rhs_from evaluate
+  f(y) + g(y) @ u in numpy. A barrier likewise has hgrad(xs), its value and
+  gradient (a list) from one body, or an adapter over h and grad_h.
+* The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad and
+  SafeSet.values/min_value/contains also accept a stack X of shape (N, n)
+  and then return their results with a leading axis of N (g(X) is
+  (N, n, m)). Each chooses its body from x.ndim: the one-state body
   is the per-step path, the stack body serves the many-state callers (doa,
-  verify) and rounds exactly as N one-state calls do, because it writes every
-  dot product and quadratic form as a stacked matmul.
+  verify, the simulator's records).
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
   vanishes at a non-zero equilibrium.
 * All objects are treated as immutable after construction and every operation
@@ -27,7 +40,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from functools import lru_cache
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,6 +68,41 @@ LOCAL_CLF_SAMPLES = 200
 SAMPLE_BLOCK = 1024
 
 
+def _sum(terms) -> str:
+    return "(0.0" + "".join(" + " + t for t in terms) + ")"
+
+
+# The explicit sums, unrolled for their sizes (a loop costs about three times
+# as much on floats). Their entries are Python floats for one state or numpy
+# columns for a stack, so both bodies run the same additions in the same
+# order.
+@lru_cache(maxsize=None)
+def dot_of(n: int) -> Callable:
+    """u, v -> 0.0 + u[0]*v[0] + ... + u[n-1]*v[n-1], added left to right."""
+    return eval(f"lambda u, v: {_sum(f'u[{i}] * v[{i}]' for i in range(n))}")
+
+
+@lru_cache(maxsize=None)
+def matvec_of(r: int, n: int) -> Callable:
+    """M, v -> [dot_of(n)(M[0], v), ..., dot_of(n)(M[r-1], v)] for r rows
+    of n entries."""
+    rows = (_sum(f"M[{k}][{i}] * v[{i}]" for i in range(n)) for k in range(r))
+    return eval(f"lambda M, v: [{', '.join(rows)}]")
+
+
+@lru_cache(maxsize=None)
+def affine_of(n: int, m: int) -> Callable:
+    """f, G, u -> f + G u for G given as its m columns of n entries: row i is
+    f[i] + (0.0 + G[0][i]*u[0] + ... + G[m-1][i]*u[m-1])."""
+    rows = (f"f[{i}] + " + _sum(f"G[{j}][{i}] * u[{j}]" for j in range(m)) for i in range(n))
+    return eval(f"lambda f, G, u: [{', '.join(rows)}]")
+
+
+def columns(X: np.ndarray) -> list:
+    """The columns X[:, i] of a stack, the entries a stack body sums."""
+    return list(X.T)
+
+
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of a scalar map: the one row of
     fd_jacobian."""
@@ -78,24 +127,43 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nda
 class ControlAffineSystem:
     """System x' = f(x) + g(x) u with state dimension n and input dimension m.
 
-    rhs(xs, us) gives f(x) + g(x) u on float lists; when it is not supplied,
-    the numpy adapter _affine_rhs serves, reading f and g at each call."""
+    fg(xs) gives f(x) and the m columns of g(x) on Python floats; when it is
+    not supplied, adapters over the numpy f and g serve fg, rhs and rhs_from
+    (see the module's Conventions)."""
 
     n: int
     m: int
     f: Callable[[np.ndarray], np.ndarray]
     g: Callable[[np.ndarray], np.ndarray]
     name: str = "system"
-    rhs: Optional[Callable[[List[float], List[float]], List[float]]] = field(
+    fg: Optional[Callable[[List[float]], Tuple[List[float], List[List[float]]]]] = field(
         default=None, repr=False)
 
     def __post_init__(self):
-        if self.rhs is None:
-            self.rhs = self._affine_rhs
+        if self.fg is None:
+            self.fg = self._numpy_fg
+            self.rhs, self.rhs_from = self._affine_rhs, self._affine_rhs_from
+        else:
+            fg = self.fg
+            rhs_from = self.rhs_from = affine_of(self.n, self.m)
+            self.rhs = lambda xs, us: rhs_from(*fg(xs), us)
+
+    def _numpy_fg(self, xs: List[float]):
+        y = np.array(xs)
+        G = np.asarray(self.g(y), dtype=float)
+        if G.shape != (self.n, self.m):
+            raise ValueError(f"g(x) must be ({self.n}, {self.m}), got {G.shape}")
+        return np.asarray(self.f(y), dtype=float).tolist(), G.T.tolist()
 
     def _affine_rhs(self, xs: List[float], us: List[float]) -> List[float]:
         y = np.array(xs)
-        return (self.f(y) + self.g(y) @ np.array(us)).tolist()
+        G = np.ascontiguousarray(self.g(y), dtype=float)
+        return (np.asarray(self.f(y), dtype=float) + G @ np.array(us)).tolist()
+
+    def _affine_rhs_from(self, fs, gcols, us) -> List[float]:
+        # the C-ordered G of _affine_rhs, so that numpy sums as it does there
+        G = np.ascontiguousarray(np.array(gcols).T)
+        return (np.array(fs) + G @ np.array(us)).tolist()
 
     def drift(self, x) -> np.ndarray:
         return as_vector(self.f(as_vector(x, self.n)), self.n)
@@ -129,7 +197,8 @@ def equilibrium_residual(sys: ControlAffineSystem, eq: EquilibriumPair) -> float
 
 @dataclass
 class QuadraticCLF:
-    """W(x) = (x - x_e)' P (x - x_e) with P symmetric positive definite."""
+    """W(x) = (x - x_e)' P (x - x_e) with P symmetric positive definite,
+    summed as d . (P d) with d = x - x_e, and gradient 2 P d."""
 
     P: np.ndarray
     equilibrium: EquilibriumPair
@@ -140,20 +209,31 @@ class QuadraticCLF:
         if self.P.shape != (n, n):
             raise ScenarioError(f"P must be ({n}, {n}), got {self.P.shape}")
         validate_clf_matrix(self.P)
+        self._rows = self.P.tolist()
+        self._x_e = self.equilibrium.x_e.tolist()
+        self._u_e = self.equilibrium.u_e.tolist()
+        self._dot, self._pd = dot_of(n), matvec_of(n, n)
+
+    def _offset_and_pd(self, xs):
+        """d = x - x_e and P d, on floats or on columns."""
+        d = [xi - ei for xi, ei in zip(xs, self._x_e)]
+        return d, self._pd(self._rows, d)
 
     def value(self, x):
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            D = x - self.equilibrium.x_e
-            return (D[:, None, :] @ self.P @ D[:, :, None])[:, 0, 0]
-        d = as_vector(x) - self.equilibrium.x_e
-        return float(d @ self.P @ d)
+        d, pd = self._offset_and_pd(columns(x) if x.ndim == 2 else as_vector(x).tolist())
+        return self._dot(d, pd)
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.ndim == 2:
-            return 2.0 * (self.P @ (x - self.equilibrium.x_e)[:, :, None])[:, :, 0]
-        return 2.0 * (self.P @ (as_vector(x) - self.equilibrium.x_e))
+            return np.stack([2.0 * v for v in self._offset_and_pd(columns(x))[1]], axis=1)
+        return np.array([2.0 * v for v in self._offset_and_pd(as_vector(x).tolist())[1]])
+
+    def lie_terms(self, xs, fs, gcols):
+        """(gradW, a, b) from the float form at one state, or from columns."""
+        grad = [2.0 * v for v in self._offset_and_pd(xs)[1]]
+        return (grad,) + lie_sums(grad, fs, gcols, self._u_e)
 
 
 def validate_clf_matrix(P: np.ndarray) -> None:
@@ -170,16 +250,27 @@ def validate_clf_matrix(P: np.ndarray) -> None:
 @dataclass
 class Barrier:
     """Scalar barrier h with safe side h >= 0, its gradient, and the rate
-    alpha of the linear class-K function alpha * h in its barrier row."""
+    alpha of the linear class-K function alpha * h in its barrier row.
+
+    hgrad(xs) gives h(x) and its gradient (a list) on Python floats from one
+    body; when it is not supplied, an adapter reads h and grad_h."""
 
     h: Callable[[np.ndarray], float]
     alpha: float
     grad_h: Callable[[np.ndarray], np.ndarray]
     name: str = "h"
+    hgrad: Optional[Callable[[List[float]], Tuple[float, List[float]]]] = field(
+        default=None, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.alpha < math.inf:
             raise ScenarioError(f"class-K rate alpha must be positive and finite, got {self.alpha}")
+        if self.hgrad is None:
+            self.hgrad = self._numpy_hgrad
+
+    def _numpy_hgrad(self, xs: List[float]):
+        y = np.array(xs)
+        return float(self.h(y)), as_vector(self.grad_h(y)).tolist()
 
     def value(self, x) -> float:
         return float(self.h(as_vector(x)))
@@ -226,16 +317,21 @@ def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
     return a, b
 
 
+def lie_sums(grad, fs, gcols, u_e):
+    """(a, b) with a = grad . (f + G u_e) and b_j = grad . G_j, on floats or
+    on columns; b is a list."""
+    n, m = len(grad), len(gcols)
+    return (dot_of(n)(grad, affine_of(n, m)(fs, gcols, u_e)),
+            matvec_of(m, n)(gcols, grad))
+
+
 def clf_lie_terms(clf: QuadraticCLF, x: np.ndarray, f: np.ndarray, G: np.ndarray):
     """Return (gradW, a, b) at the state vector x from f = f(x) and G = g(x),
-    with a = gradW'(f + G u_e) and b = gradW' G; for a stack x, f (N, n) and
-    G (N, n, m), the same with a leading axis."""
+    with a = gradW'(f + G u_e) and b = gradW' G: gradW is clf.grad(x), and a
+    and b are lie_sums on its floats."""
     grad_w = clf.grad(x)
-    if x.ndim == 2:
-        row = grad_w[:, None, :]
-        drift = f + G @ clf.equilibrium.u_e
-        return grad_w, (row @ drift[:, :, None])[:, 0, 0], (row @ G)[:, 0, :]
-    return grad_w, float(grad_w @ (f + G @ clf.equilibrium.u_e)), grad_w @ G
+    a, b = lie_sums(grad_w.tolist(), f.tolist(), G.T.tolist(), clf.equilibrium.u_e.tolist())
+    return grad_w, a, np.array(b)
 
 
 def linearize(sys: ControlAffineSystem, eq: EquilibriumPair) -> np.ndarray:
@@ -298,7 +394,7 @@ def is_valid_local_clf(sys: ControlAffineSystem, clf: QuadraticCLF, radius: floa
         if np.linalg.norm(x - x_e) < 1e-12:
             continue
         a, b = sontag_terms(sys, clf, x)
-        if math.sqrt(float(b @ b)) > B_FLOOR:
+        if math.sqrt(dot_of(b.size)(b.tolist(), b.tolist())) > B_FLOOR:
             continue
         if a >= 0.0:
             return False, x

@@ -17,6 +17,11 @@ class QPIterationError(SafeStabError):
     """Active-set iteration exceeded its budget (cycling or degeneracy)."""
 
 
+class IndefiniteQPError(SafeStabError, ValueError):
+    """H + reg*I of a QP cost has no Cholesky factor (for the Sontag-weighted
+    cost 2bb' with m >= 2, reg is lost against a large |b|^2)."""
+
+
 class DecreaseIdentityError(SafeStabError):
     """The Sontag decrease identity failed outside numerical tolerance."""
 

@@ -1,7 +1,8 @@
 """Pointwise QP controllers and the hybrid switching law.
 
 Every controller reads the same pointwise quantities, which `evaluate`
-computes from one call each of f and g: Sontag's terms a, b and input u_son,
+computes from one call of the system's float form fg (f and the columns of
+g) on Python floats: Sontag's terms a, b and input u_son,
 the barrier rows L_f h_i + L_g h_i u >= -alpha_i(h_i) stacked as A u >= lb,
 the barrier values h, and the R1/R2 label. Three filters share the rows:
 
@@ -28,8 +29,10 @@ from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
-from .core import ControlAffineSystem, QuadraticCLF, SafeSet, as_vector, clf_lie_terms
-from .errors import DegenerateConstraintError, InfeasibleQPError, SafeStabError
+from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, as_vector, columns, dot_of,
+                   matvec_of)
+from .errors import (DegenerateConstraintError, IndefiniteQPError, InfeasibleQPError,
+                     SafeStabError)
 from .qp import QPSpec, solve_qp
 # sontag_terms and sontag_control are unused here but stay bound: the
 # benchmark's tracer (bench/instrument.py) wraps them in this module
@@ -79,8 +82,9 @@ make_filter_config = FilterConfig
 
 
 class Evaluation(NamedTuple):
-    """Pointwise quantities at one state, from one call each of f and g; for
-    a stack of N states, every field has a leading axis of N."""
+    """Pointwise quantities at one state, from one call of the system's float
+    form fg; for a stack of N states, every array field has a leading axis of
+    N."""
 
     x: np.ndarray
     f: np.ndarray        # drift f(x)
@@ -92,50 +96,74 @@ class Evaluation(NamedTuple):
     lb: np.ndarray       # and lb_i = -alpha_i(h_i) - L_f h_i
     h: np.ndarray        # barrier values h_i(x)
     label: RegionLabel   # R1 iff u_son satisfies every row
+    fg: tuple = None     # sys.fg(x), (f, columns of g) as floats; None for a stack
 
     @property
     def lfw(self) -> float:
         """L_f W = gradW' f, the drift term of the CLF-decrease row."""
         if self.f.ndim == 2:
-            return (self.grad_w[:, None, :] @ self.f[:, :, None])[:, 0, 0]
-        return float(self.grad_w @ self.f)
+            return dot_of(self.f.shape[1])(columns(self.grad_w), columns(self.f))
+        return dot_of(self.f.size)(self.grad_w.tolist(), self.f.tolist())
+
+
+def _barrier_rows(barriers, hgrads, FG):
+    """The rows A u >= lb of the barriers, from their (h, grad h) pairs and
+    FG = [f, G_1, ..., G_m]: A_i = (grad . G_1, ..., grad . G_m) and
+    lb_i = -alpha_i h_i - grad . f; on floats or on columns."""
+    row_of = matvec_of(len(FG), len(FG[0]))
+    A, lb = [], []
+    for bar, (h, grad) in zip(barriers, hgrads):
+        r = row_of(FG, grad)   # grad . f, grad . G_1, ..., grad . G_m
+        A.append(r[1:])
+        lb.append(-bar.alpha * h - r[0])
+    return A, lb
+
+
+def _margins(A, lb, u):
+    """The slack A_i . u - lb_i of each row, on floats or on columns."""
+    return [v - lb_i for v, lb_i in zip(matvec_of(len(A), len(u))(A, u), lb)]
+
+
+def _min_first(values):
+    """The least value, NaN if any is NaN, as numpy's min; on floats."""
+    least = values[0]
+    for v in values[1:]:
+        if v < least or v != v:
+            least = v
+    return least
 
 
 def evaluate(cfg: FilterConfig, x) -> Evaluation:
     """The one pointwise evaluation behind every controller, the simulator's
     bookkeeping, control sharing and verify.
 
-    This is the per-step hot path of the simulator, so the scenario's
-    closures are called directly rather than through the validating
-    wrappers of ControlAffineSystem and Barrier. A stack x of shape (N, n)
-    takes _evaluate_stack, which gives the same values in one numpy pass."""
+    This is the per-step hot path of the simulator: it runs on Python floats
+    from the system's float form fg and each barrier's hgrad, with every sum
+    written out (core.dot_of, matvec_of, affine_of), and makes arrays only of
+    the fields it returns. A stack x of shape (N, n) takes _evaluate_stack, which sums the
+    same expressions on numpy columns and so gives the same bits."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         return _evaluate_stack(cfg, x)
     x = as_vector(x, cfg.sys.n)
-    f = np.asarray(cfg.sys.f(x), dtype=float)
-    G = np.asarray(cfg.sys.g(x), dtype=float)
-    if G.shape != (cfg.sys.n, cfg.sys.m):   # the Lie terms and rows below rely on it
-        raise ValueError(f"g(x) must be ({cfg.sys.n}, {cfg.sys.m}), got {G.shape}")
-    grad_w, a, b = clf_lie_terms(cfg.clf, x, f, G)
-    u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
-    # L_g h and L_f h of the k barriers from one stacked product each over
-    # the gradients (k, 1, n), whose slices round as grad @ G and grad @ f
+    xs = x.tolist()
+    fg = fs, gcols = cfg.sys.fg(xs)
+    grad_w, a, b = cfg.clf.lie_terms(xs, fs, gcols)
+    u_son = [ue + k for ue, k in zip(cfg.clf.equilibrium.u_e.tolist(),
+                                     sontag_kappa(cfg.gamma, a, b))]
     barriers = cfg.safe_set.barriers
-    grads = np.array([bar.grad_h(x) for bar in barriers])[:, None, :]
-    hs = [float(bar.h(x)) for bar in barriers]
-    A = (grads @ G)[:, 0, :]
-    lfh = (grads @ f)[:, 0].tolist()
-    lb = np.array([-bar.alpha * h_i - l for bar, h_i, l in zip(barriers, hs, lfh)])
-    h = np.array(hs)
-    margin = float(row_margins(A, lb, u_son).min())
+    hgrads = [bar.hgrad(xs) for bar in barriers]
+    A, lb = _barrier_rows(barriers, hgrads, [fs] + gcols)
+    h = [h_i for h_i, _ in hgrads]
+    margin = _min_first(_margins(A, lb, u_son))
     label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
-    return Evaluation(x, f, grad_w, a, b, u_son, A, lb, h, label)
+    return Evaluation(x, np.array(fs), np.array(grad_w), a, np.array(b), np.array(u_son),
+                      np.array(A), np.array(lb), np.array(h), label, fg)
 
 
 def _evaluate_stack(cfg: FilterConfig, X: np.ndarray) -> Evaluation:
-    """evaluate on the rows of X, with every dot product a stacked matmul so
-    that each state rounds as in the one-state body."""
+    """evaluate on the rows of X: f, g, h and grad h from the closures' stack
+    bodies, and every sum of the one-state body on their columns."""
     n, m = cfg.sys.n, cfg.sys.m
     N = X.shape[0]
     if X.shape[1] != n:
@@ -144,22 +172,24 @@ def _evaluate_stack(cfg: FilterConfig, X: np.ndarray) -> Evaluation:
     G = np.asarray(cfg.sys.g(X), dtype=float)
     if G.shape != (N, n, m):
         raise ValueError(f"g(X) must be ({N}, {n}, {m}), got {G.shape}")
-    grad_w, a, b = clf_lie_terms(cfg.clf, X, f, G)
+    xs, fs = columns(X), columns(f)
+    gcols = [columns(G[:, :, j]) for j in range(m)]
+    grad_w, a, b = cfg.clf.lie_terms(xs, fs, gcols)
+    b = np.stack(b, axis=1)
     u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
     barriers = cfg.safe_set.barriers
-    k = len(barriers)
-    A = np.empty((N, k, m))
-    lb = np.empty((N, k))
-    h = np.empty((N, k))
-    for i, bar in enumerate(barriers):
-        grad = bar.grad_h(X)[:, None, :]
-        h_i = bar.h(X)
-        h[:, i] = h_i
-        A[:, i] = (grad @ G)[:, 0, :]
-        lb[:, i] = -bar.alpha * h_i - (grad @ f[:, :, None])[:, 0, 0]
-    margin = row_margins(A, lb, u_son).min(axis=1)
+    hgrads = [(np.broadcast_to(np.asarray(bar.h(X), dtype=float), (N,)), columns(bar.grad_h(X)))
+              for bar in barriers]
+    A, lb = _barrier_rows(barriers, hgrads, [fs] + gcols)
+    h = [h_i for h_i, _ in hgrads]
+    margins = _margins(A, lb, columns(u_son))
+    margin = margins[0]
+    for v in margins[1:]:   # _min_first on columns
+        margin = np.where((v < margin) | (v != v), v, margin)
     label = RegionLabel(np.where(margin >= 0.0, Region.R1, Region.R2), margin)
-    return Evaluation(X, f, grad_w, a, b, u_son, A, lb, h, label)
+    A = np.stack([np.stack(row, axis=1) for row in A], axis=1)
+    return Evaluation(X, f, np.stack(grad_w, axis=1), a, b, u_son, A,
+                      np.stack(lb, axis=1), np.stack(h, axis=1), label)
 
 
 def cbf_rows(cfg: FilterConfig, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -177,21 +207,32 @@ def classify_region(cfg: FilterConfig, x) -> RegionLabel:
 
 def row_margins(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Slack of each barrier row at the input u (nonnegative means satisfied);
-    for stacks A (N, k, m), lb (N, k) and u (N, m), an (N, k) array."""
+    for stacks A (N, k, m), lb (N, k) and u (N, m), an (N, k) array. Each
+    A_i . u is an explicit sum, on floats for one state and on columns for a
+    stack, so a stack row equals its one-state call bit for bit."""
     if A.ndim == 3:
-        return (A @ u[:, :, None])[:, :, 0] - lb
-    return A @ u - lb
+        return np.stack(_margins([columns(A_i) for A_i in A.transpose(1, 0, 2)],
+                                 columns(lb), columns(u)), axis=1)
+    return np.array(_margins(A.tolist(), lb.tolist(), u.tolist()))
+
+
+def _flags(A, lb, u):
+    """_margins_i <= ACTIVE_TOL * ((1 + |lb_i|) + |A_i| . |u|), on floats or
+    on columns."""
+    scale = matvec_of(len(A), len(u))([[abs(v) for v in row] for row in A], [abs(v) for v in u])
+    return [r <= ACTIVE_TOL * ((1.0 + abs(lb_i)) + s)
+            for r, lb_i, s in zip(_margins(A, lb, u), lb, scale)]
 
 
 def active_flags(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Rows whose slack at u is at most ACTIVE_TOL relative to the row scale;
-    for stacks A (N, k, m), lb (N, k) and u (N, m), an (N, k) array that
-    rounds as N one-state calls."""
+    """Rows whose slack at u is at most ACTIVE_TOL relative to the row scale
+    1 + |lb_i| + |A_i| . |u|; for stacks A (N, k, m), lb (N, k) and u (N, m),
+    an (N, k) array. The sums are explicit, as in row_margins, so a stack row
+    equals its one-state call bit for bit."""
     if A.ndim == 3:
-        scale = 1.0 + np.abs(lb) + (np.abs(A) @ np.abs(u)[:, :, None])[:, :, 0]
-    else:
-        scale = 1.0 + np.abs(lb) + np.abs(A) @ np.abs(u)
-    return row_margins(A, lb, u) <= ACTIVE_TOL * scale
+        return np.stack(_flags([columns(A_i) for A_i in A.transpose(1, 0, 2)],
+                               columns(lb), columns(u)), axis=1)
+    return np.array(_flags(A.tolist(), lb.tolist(), u.tolist()))
 
 
 def _solve_or_raise(spec: QPSpec, what: str, x):
@@ -269,7 +310,13 @@ def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
 
 
 def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
-    return ev.u_son + _solve_or_raise(s_cbf_qp_spec(cfg, ev), "S-CBF-QP", ev.x).z_star
+    try:
+        spec = s_cbf_qp_spec(cfg, ev)
+    except IndefiniteQPError as exc:
+        raise IndefiniteQPError(f"S-CBF-QP cost at x={ev.x.tolist()}, |b|^2="
+                                f"{dot_of(ev.b.size)(ev.b.tolist(), ev.b.tolist())!r}: "
+                                f"{exc}") from None
+    return ev.u_son + _solve_or_raise(spec, "S-CBF-QP", ev.x).z_star
 
 
 def s_cbf_qp_filter(cfg: FilterConfig, x) -> np.ndarray:

@@ -39,7 +39,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .errors import QPIterationError
+from .errors import IndefiniteQPError, QPIterationError
 
 STATUS_OPTIMAL = "optimal"
 STATUS_INFEASIBLE = "infeasible"
@@ -77,7 +77,7 @@ class QPSpec:
         try:
             chol = np.linalg.cholesky(self._Hr)
         except np.linalg.LinAlgError:
-            raise ValueError("H + reg*I must be positive definite") from None
+            raise IndefiniteQPError("H + reg*I must be positive definite") from None
         self._L_inv = np.linalg.inv(chol)
 
     def _set_rows(self, A, b):

@@ -21,15 +21,20 @@ barrier, and a 3D tumor/immune model with three positivity barriers. The 2D
 barrier carries a +1 offset making the printed quadratic a nonempty safe set;
 the offset is configurable in the file.
 
-A registered dynamics kind returns (f, g, rhs, n, m). Its rhs(xs, us) is the
-one-state derivative on Python floats that the RK4 stages call, and it must
-equal f(x) + g(x) @ u bit for bit; a kind that returns None for rhs gets the
-numpy adapter of ControlAffineSystem instead. The bundled kinds (m = 1) write
-their one-state f and g columns once, as float expressions (drift, gain),
-and build the one-state f, g and rhs from them; their stack bodies take the
-same expressions on columns. Row i of their rhs is f_i + (0.0 + g_i u):
-numpy's g(x) @ u sums its one term from +0.0, and writing that sum out keeps
-the rows equal to the numpy form in signed zeros and non-finite inputs too.
+A registered dynamics kind returns (f, g, fg, n, m). Its fg(xs) gives the
+one-state f(x) as a list of n floats and g(x) as a list of its m columns, and
+the system derives rhs, the float derivative the RK4 stages call, from it
+(core.affine_of: row i is f_i + (0.0 + g_i1 u_1 + ... + g_im u_m)); a kind
+that returns None for fg gets the numpy adapters of ControlAffineSystem
+instead. The bundled kinds (m = 1) write their one-state f and g column once,
+as the float expressions of fg, and build the numpy one-state f and g from
+it; their stack bodies take the same expressions on columns.
+
+The bundled barrier kinds compute h and its gradient together in hgrad, with
+one np.exp for exp_positivity. Every dot product and quadratic form in them
+is an explicit left-to-right sum (core.dot_of), and their numpy h and grad_h
+evaluate that one body on Python floats for one state and on the columns of
+a stack, so the two bodies round alike and call no BLAS kernel.
 """
 from __future__ import annotations
 
@@ -41,36 +46,31 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .core import (Barrier, ControlAffineSystem, EquilibriumPair,
-                   QuadraticCLF, SafeSet, as_vector, equilibrium_residual)
+                   QuadraticCLF, SafeSet, as_vector, columns, dot_of,
+                   equilibrium_residual, matvec_of)
 from .errors import ScenarioError
 
 SCENARIO_NAMES = ("linear2d", "tumor3d")
 
 
 def _linear2d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, int]:
-    def drift(x1, x2):
-        return [-x2, -x1]
-
-    def gain(x1, x2):
-        return [0.0, 1.0]
+    def fg(xs):
+        x1, x2 = xs
+        return [-x2, -x1], [[0.0, 1.0]]
 
     def f(x):
         if x.ndim == 1:
-            return np.array(drift(*x.tolist()))
+            return np.array(fg(x.tolist())[0])
         return np.stack([-x[:, 1], -x[:, 0]], axis=1)
 
-    g_mat = np.array(gain(0.0, 0.0))[:, None]
+    g_mat = np.array(fg([0.0, 0.0])[1]).T
 
     def g(x):
         if x.ndim == 1:
             return g_mat
         return np.broadcast_to(g_mat, (x.shape[0], 2, 1))
 
-    def rhs(xs, us):
-        (f1, f2), (g1, g2), (u,) = drift(*xs), gain(*xs), us
-        return [f1 + (0.0 + g1 * u), f2 + (0.0 + g2 * u)]
-
-    return f, g, rhs, 2, 1
+    return f, g, fg, 2, 1
 
 
 def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, int]:
@@ -84,19 +84,17 @@ def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, 
 
     # one state: Python floats, the same IEEE arithmetic as numpy scalars at
     # half the cost; a stack (N, 3): the same expressions on its columns
-    def drift(x1, x2, x3):
+    def fg(xs):
+        x1, x2, x3 = xs
         return [
             r_t * x1 - (r_t / k_t) * x1 * x1 - (a_tn * r_t / k_t) * x1 * x2,
             -a_nt * x2 * x1 + beta * x2 * x3,
             r_r * x3 - (r_r / k_r) * x3 * x3 - (beta * r_r / k_r) * x2 * x3,
-        ]
-
-    def gain(x1, x2, x3):
-        return [-(r_t / k_t) * x1 * x2, 0.0, 0.0]
+        ], [[-(r_t / k_t) * x1 * x2, 0.0, 0.0]]
 
     def f(x):
         if x.ndim == 1:
-            return np.array(drift(*x.tolist()))
+            return np.array(fg(x.tolist())[0])
         x1, x2, x3 = x.T
         return np.stack([
             r_t * x1 - (r_t / k_t) * x1 * x1 - (a_tn * r_t / k_t) * x1 * x2,
@@ -106,16 +104,12 @@ def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, 
 
     def g(x):
         if x.ndim == 1:
-            return np.array(gain(*x.tolist()))[:, None]
+            return np.array(fg(x.tolist())[1]).T
         G = np.zeros((x.shape[0], 3, 1))
         G[:, 0, 0] = -(r_t / k_t) * x[:, 0] * x[:, 1]
         return G
 
-    def rhs(xs, us):
-        (f1, f2, f3), (g1, g2, g3), (u,) = drift(*xs), gain(*xs), us
-        return [f1 + (0.0 + g1 * u), f2 + (0.0 + g2 * u), f3 + (0.0 + g3 * u)]
-
-    return f, g, rhs, 3, 1
+    return f, g, fg, 3, 1
 
 
 DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, Callable, Callable, int, int]]] = {
@@ -130,44 +124,51 @@ def _build_barrier(entry: dict, n: int) -> Barrier:
     name = entry.get("name", kind or "h")
     if kind == "quadratic":
         offset = float(entry.get("offset", 0.0))
-        lin = as_vector(entry.get("linear", np.zeros(n)), n)
+        lin = as_vector(entry.get("linear", np.zeros(n)), n).tolist()
         quad = np.asarray(entry["quad"], dtype=float).reshape(n, n)
-        quad = 0.5 * (quad + quad.T)
+        rows = (0.5 * (quad + quad.T)).tolist()
+        dot, qx_of = dot_of(n), matvec_of(n, n)
 
-        # a stack (N, n) takes stacked matmuls, which round as the 1-D
-        # products do (a single matrix-vector product does not)
-        def h(x, _o=offset, _l=lin, _q=quad):
+        # h = (offset + lin . x) + x . (Q x) and grad h = lin + 2 Q x, on
+        # floats or on columns
+        def hgrad(xs):
+            qx = qx_of(rows, xs)
+            return (offset + dot(lin, xs)) + dot(xs, qx), [l + 2.0 * v for l, v in zip(lin, qx)]
+
+        def h(x):
+            return hgrad(x.tolist() if x.ndim == 1 else columns(x))[0]
+
+        def grad_h(x):
             if x.ndim == 1:
-                return _o + float(_l @ x) + float(x @ _q @ x)
-            return (_o + (x[:, None, :] @ _l[:, None])[:, 0, 0]
-                    + (x[:, None, :] @ _q @ x[:, :, None])[:, 0, 0])
+                return np.array(hgrad(x.tolist())[1])
+            return np.stack(hgrad(columns(x))[1], axis=1)
 
-        def grad_h(x, _l=lin, _q=quad):
-            if x.ndim == 1:
-                return _l + 2.0 * (_q @ x)
-            return _l + 2.0 * (_q @ x[:, :, None])[:, :, 0]
-
-        return Barrier(h=h, alpha=alpha, grad_h=grad_h, name=name)
+        return Barrier(h=h, alpha=alpha, grad_h=grad_h, name=name, hgrad=hgrad)
     if kind == "exp_positivity":
         idx = int(entry["index"])
         if not 0 <= idx < n:
             raise ScenarioError(f"barrier index {idx} out of range for n={n}")
 
-        def h(x, _i=idx):
-            if x.ndim == 1:
-                return 1.0 - float(np.exp(-x[_i]))
-            return 1.0 - np.exp(-x[:, _i])
+        # h = 1 - e and grad h = e at idx (0 elsewhere), e = exp(-x[idx])
+        def hgrad(xs):
+            e = float(np.exp(-xs[idx]))
+            grad = [0.0] * n
+            grad[idx] = e
+            return 1.0 - e, grad
 
-        def grad_h(x, _i=idx, _n=n):
+        def h(x):
             if x.ndim == 1:
-                grad = np.zeros(_n)
-                grad[_i] = float(np.exp(-x[_i]))
-                return grad
+                return hgrad(x.tolist())[0]
+            return 1.0 - np.exp(-x[:, idx])
+
+        def grad_h(x):
+            if x.ndim == 1:
+                return np.array(hgrad(x.tolist())[1])
             grad = np.zeros(x.shape)
-            grad[:, _i] = np.exp(-x[:, _i])
+            grad[:, idx] = np.exp(-x[:, idx])
             return grad
 
-        return Barrier(h=h, alpha=alpha, grad_h=grad_h, name=name)
+        return Barrier(h=h, alpha=alpha, grad_h=grad_h, name=name, hgrad=hgrad)
     raise ScenarioError(f"unknown barrier kind {kind!r}")
 
 
@@ -189,8 +190,8 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         kind = dyn["kind"]
         if kind not in DYNAMICS_REGISTRY:
             raise ScenarioError(f"unknown dynamics kind {kind!r}")
-        f, g, rhs, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
-        sys = ControlAffineSystem(n=n, m=m, f=f, g=g, name=name, rhs=rhs)
+        f, g, fg, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
+        sys = ControlAffineSystem(n=n, m=m, f=f, g=g, name=name, fg=fg)
         eq = EquilibriumPair(as_vector(cfg["equilibrium"]["x"], n),
                              as_vector(cfg["equilibrium"]["u"], m))
         clf = QuadraticCLF(np.asarray(cfg["clf"]["P"], dtype=float), eq)

@@ -17,7 +17,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from .core import as_vector
-from .errors import InfeasibleQPError, QPIterationError, SimulationError
+from .errors import IndefiniteQPError, InfeasibleQPError, QPIterationError, SimulationError
 # cbf_rows and classify_region are unused here but stay bound: the
 # benchmark's tracer (bench/instrument.py) wraps them in this module
 from .filters import (Evaluation, FilterConfig, active_flags, cbf_rows,  # noqa: F401
@@ -29,6 +29,7 @@ STATUS_OK = "ok"
 STATUS_BLOWUP = "blowup"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_QP_ITERATION = "qp_iteration"
+STATUS_QP_INDEFINITE = "qp_indefinite"
 
 
 @dataclass
@@ -99,16 +100,18 @@ class Trajectory:
         return self.times.size
 
 
-def rk4_step(sys, x: np.ndarray, u: np.ndarray, dt: float) -> np.ndarray:
+def rk4_step(sys, x: np.ndarray, u: np.ndarray, dt: float, fg=None) -> np.ndarray:
     """One classical RK4 step of x' = sys.rhs(x, u) with u held, on Python
     floats. The stages keep the operation order of the numpy form
     x + 0.5*dt*k1, ..., x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), elementwise, so
     the result equals it bit for bit; only the result becomes an array.
+    fg, when given, is sys.fg at x (an Evaluation's fg): k1 is then
+    sys.rhs_from(*fg, u), the same bits as sys.rhs(x, u) without calling it.
     u must have sys.m entries (integrate checks it)."""
     rhs = sys.rhs
     xs, us = x.tolist(), u.tolist()
     half = 0.5 * dt
-    k1 = rhs(xs, us)
+    k1 = rhs(xs, us) if fg is None else sys.rhs_from(*fg, us)
     k2 = rhs([xi + half * ki for xi, ki in zip(xs, k1)], us)
     k3 = rhs([xi + half * ki for xi, ki in zip(xs, k2)], us)
     k4 = rhs([xi + dt * ki for xi, ki in zip(xs, k3)], us)
@@ -124,18 +127,24 @@ def integrate(cfg: FilterConfig,
     start of every step and holding its input through the RK4 stages.
 
     The initial state must lie in the safe set. Non-finite states, states
-    beyond the blow-up guard, controller infeasibility and a controller QP
-    that exceeds its iteration budget truncate the run with a diagnostic
-    instead of raising. A controller input whose shape is not (m,) raises
-    ValueError naming the step.
+    beyond the blow-up guard, controller infeasibility, a controller QP that
+    exceeds its iteration budget and a QP cost that is not positive definite
+    (the Sontag-weighted cost 2bb' with m >= 2 and a large |b|) truncate the
+    run with a status and a diagnostic naming t, x and the filter instead of
+    raising. A controller input whose shape is not (m,) raises ValueError
+    naming the step.
 
     The controller maps x to (u, ev) as make_controller's do; the logged
-    region, barrier values and rows come from the evaluation ev at x. Every
+    region, barrier values and rows come from the evaluation ev at x, and
+    when ev.x is x itself, the first RK4 stage takes f(x) and g(x) from
+    ev.fg. Every
     record_every-th step and the last one are written into arrays allocated
     for the run (trimmed when it stops early), and after the loop W and the
-    activation flags of all of them come from one stacked pass, which rounds
-    as one-state calls do. A switch event computes the flags of its two
-    steps one state at a time."""
+    activation flags of all of them come from one stacked pass. Its sums are
+    the one-state body's explicit sums on columns, so it gives the bits the
+    per-step calls would give, whatever BLAS kernel the CPU gets; only the
+    QP solves inside the controller call BLAS. A switch event computes the
+    flags of its two steps one state at a time."""
     sys = cfg.sys
     x = as_vector(simcfg.x0, sys.n)
     if cfg.safe_set.min_value(x) < 0.0:
@@ -169,6 +178,10 @@ def integrate(cfg: FilterConfig,
             status = STATUS_QP_ITERATION
             diagnostic = f"controller QP did not converge at t={t}, x={x.tolist()}: {exc}"
             break
+        except IndefiniteQPError as exc:
+            status = STATUS_QP_INDEFINITE
+            diagnostic = f"controller QP cost not positive definite at t={t}: {exc}"
+            break
         u = np.asarray(u, dtype=float)
         if u.shape != (sys.m,):
             raise ValueError(f"controller input at step {step} (t={t}) has shape "
@@ -192,7 +205,8 @@ def integrate(cfg: FilterConfig,
 
         if step == n_steps:
             break
-        x = rk4_step(sys, x, u, dt)
+        # ev.fg holds f and g at x when the controller evaluated x itself
+        x = rk4_step(sys, x, u, dt, ev.fg if ev.x is x else None)
         # the comparison is false for nan, so nan and inf both stop the run
         if not all(abs(v) <= BLOWUP_LIMIT for v in x.tolist()):
             status = STATUS_BLOWUP

@@ -15,29 +15,33 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import B_FLOOR, as_vector, sontag_terms
+from .core import B_FLOOR, as_vector, columns, dot_of, sontag_terms
 from .errors import DecreaseIdentityError
 
 if TYPE_CHECKING:
     from .filters import FilterConfig
 
 
-def sontag_kappa(gamma: float, a, b: np.ndarray) -> np.ndarray:
+def sontag_kappa(gamma: float, a, b):
     """Correction term of the universal formula with gain gamma for the terms
-    a and b (an m-array); zero when b (nearly) vanishes. For a stack, a is
-    (N,) and b (N, m)."""
-    if b.ndim == 2:
-        bb = (b[:, None, :] @ b[:, :, None])[:, 0, 0]
+    a and b; zero when b (nearly) vanishes. b is a list of m floats (and the
+    result a list), an m-array, or for a stack (N, m) with a of shape (N,).
+    |b|^2 is the explicit sum dot_of(m)(b, b) in every form."""
+    if isinstance(b, np.ndarray):
+        if b.ndim == 1:
+            return np.array(sontag_kappa(gamma, a, b.tolist()))
+        bb = dot_of(b.shape[1])(columns(b), columns(b))
         on = ~(np.sqrt(bb) <= B_FLOOR)   # NaN takes the formula, as below
         kappa = np.zeros_like(b)
         a_on, bb_on = a[on], bb[on]
         kappa[on] = b[on] * ((-a_on - gamma * np.sqrt(a_on * a_on + bb_on * bb_on))
                              / bb_on)[:, None]
         return kappa
-    bb = float(b @ b)
+    bb = dot_of(len(b))(b, b)
     if math.sqrt(bb) <= B_FLOOR:
-        return np.zeros_like(b)
-    return b * ((-a - gamma * math.sqrt(a * a + bb * bb)) / bb)
+        return [0.0] * len(b)
+    r = (-a - gamma * math.sqrt(a * a + bb * bb)) / bb
+    return [bj * r for bj in b]
 
 
 def sontag_control(cfg: FilterConfig, x) -> np.ndarray:
@@ -55,7 +59,7 @@ def sontag_decrease_rate(cfg: FilterConfig, x) -> float:
     """
     x = as_vector(x, cfg.sys.n)
     a, b = sontag_terms(cfg.sys, cfg.clf, x)
-    bb = float(b @ b)
+    bb = dot_of(b.size)(b.tolist(), b.tolist())
     if math.sqrt(bb) <= B_FLOOR:
         if np.linalg.norm(x - cfg.clf.equilibrium.x_e) <= 1e-9:
             return 0.0

@@ -4,16 +4,17 @@ import math
 import numpy as np
 import pytest
 
-from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
+from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, IndefiniteQPError,
                       InfeasibleQPError, QPIterationError, QuadraticCLF, SafeSet,
-                      SimConfig, SimulationError, compute_metrics, evaluate,
-                      integrate, read_trajectory_csv, write_trajectory_csv)
+                      SimConfig, SimulationError, build_scenario, compute_metrics,
+                      evaluate, integrate, read_trajectory_csv, write_trajectory_csv)
 from safestab.core import as_vector
 from safestab.filters import (CONTROLLER_NAMES, active_flags, make_controller,
                               make_filter_config)
+from safestab.qp import QPSpec
 from safestab.sim import (BLOWUP_LIMIT, STATUS_BLOWUP, STATUS_INFEASIBLE, STATUS_OK,
-                          STATUS_QP_ITERATION, SwitchEvent, Trajectory, csv_header,
-                          rk4_step)
+                          STATUS_QP_INDEFINITE, STATUS_QP_ITERATION, SwitchEvent,
+                          Trajectory, csv_header, rk4_step)
 
 
 def flat_config(n=2, m=1, f=None, g=None):
@@ -239,7 +240,8 @@ def test_simconfig_validation():
 
 def rk4_oracle(sys, x, u, dt):
     """The numpy RK4 step that rk4_step's float stages replaced; they must
-    equal it bit for bit."""
+    equal it bit for bit, with k1 from sys.rhs or from the float form fg
+    that an evaluation holds (assert_rk4_matches_oracle)."""
     f, g = sys.f, sys.g
     k1 = f(x) + g(x) @ u
     y = x + 0.5 * dt * k1
@@ -249,6 +251,12 @@ def rk4_oracle(sys, x, u, dt):
     y = x + dt * k3
     k4 = f(y) + g(y) @ u
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def assert_rk4_matches_oracle(sys, x, u, dt):
+    want = rk4_oracle(sys, x, u, dt).tobytes()
+    assert rk4_step(sys, x, u, dt).tobytes() == want, (x, u, dt)
+    assert rk4_step(sys, x, u, dt, sys.fg(x.tolist())).tobytes() == want, (x, u, dt)
 
 
 def rk4_draws(bundle, count, seed):
@@ -280,8 +288,7 @@ def rk4_draws(bundle, count, seed):
 def test_rk4_step_equals_numpy_oracle_bitwise(name, linear, tumor):
     bundle = {"linear2d": linear, "tumor3d": tumor}[name]
     for x, u, dt in rk4_draws(bundle, 2400, seed=7):
-        got = rk4_step(bundle.sys, x, u, dt)
-        assert got.tobytes() == rk4_oracle(bundle.sys, x, u, dt).tobytes(), (x, u, dt)
+        assert_rk4_matches_oracle(bundle.sys, x, u, dt)
 
 
 @pytest.mark.parametrize("name", ["linear2d", "tumor3d"])
@@ -295,6 +302,8 @@ def test_bundled_rhs_equals_f_plus_g_u_bitwise(name, linear, tumor):
         with np.errstate(invalid="ignore"):   # 0 * inf in the matmul
             want = sys.f(x) + sys.g(x) @ u
         got = np.array(sys.rhs(x.tolist(), u.tolist()))
+        assert got.tobytes() == want.tobytes(), (x, u)
+        got = np.array(sys.rhs_from(*sys.fg(x.tolist()), u.tolist()))
         assert got.tobytes() == want.tobytes(), (x, u)
 
 
@@ -312,8 +321,11 @@ def test_rk4_step_adapter_for_systems_built_from_f_and_g():
         u = rng.choice([-1.0, 1.0], 2) * 10.0 ** rng.uniform(-3.0, 5.0, 2)
         dt = (1e-4, 1e-3, 1e-2)[i % 3]
         assert rk4_step(sys, x, u, dt).tobytes() == rk4_oracle(sys, x, u, dt).tobytes()
+        assert_rk4_matches_oracle(sys, x, u, dt)
         want = sys.f(x) + sys.g(x) @ u
         assert np.array(sys.rhs(x.tolist(), u.tolist())).tobytes() == want.tobytes()
+        got = np.array(sys.rhs_from(*sys.fg(x.tolist()), u.tolist()))
+        assert got.tobytes() == want.tobytes()
 
 
 def test_rk4_step_order():
@@ -330,8 +342,10 @@ def test_rk4_step_order():
 
 def integrate_oracle(cfg, controller, simcfg):
     """The loop that integrate's preallocated records replaced: per-step
-    lists, W and the activation flags computed one state at every step.
-    integrate must give the same bits in every field and switch event."""
+    lists, W and the activation flags computed one state at every step, and
+    every RK4 step's k1 from sys.rhs, where integrate takes it from the
+    evaluation's fg. integrate must give the same bits in every field and
+    switch event."""
     x = as_vector(simcfg.x0, cfg.sys.n)
     if cfg.safe_set.min_value(x) < 0.0:
         raise SimulationError(f"x0 outside the safe set: min h = {cfg.safe_set.min_value(x)}")
@@ -350,6 +364,10 @@ def integrate_oracle(cfg, controller, simcfg):
         except QPIterationError as exc:
             status = STATUS_QP_ITERATION
             diagnostic = f"controller QP did not converge at t={t}, x={x.tolist()}: {exc}"
+            break
+        except IndefiniteQPError as exc:
+            status = STATUS_QP_INDEFINITE
+            diagnostic = f"controller QP cost not positive definite at t={t}: {exc}"
             break
         u = np.asarray(u, dtype=float)
         if u.shape != (cfg.sys.m,):
@@ -447,6 +465,27 @@ def test_integrate_matches_oracle_for_every_controller(scenario, controller, lin
         assert traj.switch_events and traj.active.any()
 
 
+def test_integrate_forms_the_first_stage_from_the_evaluation():
+    # three rhs calls a step, not four, when the controller evaluated x
+    # itself; a controller whose evaluation is of another array object gets
+    # k1 from rhs, with the same bits
+    bundle = build_scenario("linear2d")
+    cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set)
+    calls = {"rhs": 0, "rhs_from": 0}
+    for name in calls:
+        def counted(*args, fn=getattr(bundle.sys, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        setattr(bundle.sys, name, counted)
+    ctrl = make_controller(cfg, "hybrid")
+    simcfg = SimConfig(x0=bundle.defaults["x0"], t_final=0.01)
+    traj = integrate(cfg, ctrl, simcfg)
+    assert calls == {"rhs": 30, "rhs_from": 10}
+    copied = integrate(cfg, lambda x: ctrl(x.copy()), simcfg)
+    assert calls == {"rhs": 70, "rhs_from": 10}
+    assert_same_trajectory(copied, traj)
+
+
 @pytest.mark.parametrize("record_every", [1, 7, 11, 2100, 5000])
 def test_integrate_matches_oracle_when_decimating(record_every, linear_cfg, linear):
     # 2100 steps: 7 divides them, 11 does not, 2100 records the ends only and
@@ -505,6 +544,37 @@ def test_integrate_matches_oracle_on_truncated_runs(tumor_cfg):
         traj = assert_matches_integrate_oracle(
             cfg, stalls, SimConfig(x0=[0.4, -0.7], t_final=1.0, dt=1e-2, record_every=2))
         assert traj.status == "qp_iteration" and traj.n_samples == (stall_at + 1) // 2
+
+
+# the hybrid run from this safe start leaves the safe set, and its S-CBF-QP
+# at x = [-138.55, -15.76, -54.46] (|b|^2 = 2.5e11) used to raise ValueError
+# out of integrate; with m = 2 the cost 2bb' + 1e-9 I is positive definite
+# only to rounding there, so the run now ends either way with a status
+M2_INDEFINITE_X0 = [-1.437902014071811, 0.7621725515196371, -0.26732409520290634]
+# a start whose S-CBF-QP cost fails its Cholesky factorization at step 26
+M2_INDEFINITE_STEP26_X0 = [-1.8998625413692347, -1.2244389179435202, 0.44646461281690275]
+
+
+def test_indefinite_s_cbf_qp_cost_ends_the_run_with_a_status():
+    cfg = synthetic_m2_config()
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = integrate(cfg, make_controller(cfg, "hybrid"),
+                         SimConfig(x0=M2_INDEFINITE_X0, t_final=2.0))
+        assert traj.status in (STATUS_BLOWUP, STATUS_QP_INDEFINITE)
+        assert traj.n_samples == 262
+        traj = assert_matches_integrate_oracle(
+            cfg, lambda: make_controller(cfg, "hybrid"),
+            SimConfig(x0=M2_INDEFINITE_STEP26_X0, t_final=2.0))
+    assert traj.status == STATUS_QP_INDEFINITE and traj.n_samples == 26
+    assert traj.diagnostic.startswith(
+        "controller QP cost not positive definite at t=0.026000000000000002: "
+        "S-CBF-QP cost at x=[-365.56")
+    assert traj.diagnostic.endswith("H + reg*I must be positive definite")
+    # QPSpec's check is unchanged: 1e-9 is lost against 2^40, and the exact
+    # Cholesky pivot 2^40 - 2^20 * 2^20 is zero
+    with pytest.raises(IndefiniteQPError, match="positive definite"):
+        QPSpec(np.full((2, 2), 2.0 ** 40), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
+    assert issubclass(IndefiniteQPError, ValueError)
 
 
 def write_trajectory_csv_oracle(traj, path):
