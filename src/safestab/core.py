@@ -22,9 +22,12 @@ Conventions
   i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m) (affine_of), and
   rhs_from(f, G, us) is the same from an fg already evaluated. A bundled
   dynamics kind supplies fg; a system built from the numpy f and g alone
-  gets adapters: fg reads f and g, and rhs and rhs_from evaluate
-  f(y) + g(y) @ u in numpy. A barrier likewise has hgrad(xs), its value and
-  gradient (a list) from one body, or an adapter over h and grad_h.
+  gets adapters: fg reads f and g, and rhs_from evaluates f + g @ u in
+  numpy. A barrier likewise has hgrad(xs), its value and gradient (a list)
+  from one body, or an adapter over h and grad_h. An f, g, h, grad_h or
+  QuadraticCLF.grad assigned to an object after construction takes over its
+  float form through the adapter, so the per-step path calls what was
+  assigned; rhs_from keeps the sums the system was built with.
 * The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad and
   SafeSet.values/min_value/contains also accept a stack X of shape (N, n)
   and then return their results with a leading axis of N (g(X) is
@@ -33,8 +36,9 @@ Conventions
   verify, the simulator's records).
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
   vanishes at a non-zero equilibrium.
-* All objects are treated as immutable after construction and every operation
-  is a pure function of its arguments.
+* Apart from the assignments above, all objects are treated as immutable
+  after construction, and every operation is a pure function of its
+  arguments.
 """
 from __future__ import annotations
 
@@ -128,8 +132,10 @@ class ControlAffineSystem:
     """System x' = f(x) + g(x) u with state dimension n and input dimension m.
 
     fg(xs) gives f(x) and the m columns of g(x) on Python floats; when it is
-    not supplied, adapters over the numpy f and g serve fg, rhs and rhs_from
-    (see the module's Conventions)."""
+    not supplied, adapters over the numpy f and g serve fg and rhs_from, and
+    rhs is rhs_from(*fg(xs), us) either way (see the module's Conventions).
+    An f or g assigned after construction replaces fg by the adapter over
+    it."""
 
     n: int
     m: int
@@ -141,12 +147,22 @@ class ControlAffineSystem:
 
     def __post_init__(self):
         if self.fg is None:
-            self.fg = self._numpy_fg
-            self.rhs, self.rhs_from = self._affine_rhs, self._affine_rhs_from
+            self.fg, self.rhs_from = self._numpy_fg, self._numpy_rhs_from
         else:
-            fg = self.fg
-            rhs_from = self.rhs_from = affine_of(self.n, self.m)
-            self.rhs = lambda xs, us: rhs_from(*fg(xs), us)
+            self.rhs_from = affine_of(self.n, self.m)
+        self._sum = self.rhs_from
+        self.rhs = self._affine_rhs
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        # f or g assigned after construction takes over the float form, so
+        # that evaluate and the RK4 stages call what was assigned
+        if name in ("f", "g") and "rhs" in self.__dict__:
+            super().__setattr__("fg", self._numpy_fg)
+
+    def _affine_rhs(self, xs: List[float], us: List[float]) -> List[float]:
+        """f(x) + g(x) u from fg(xs), summed as rhs_from was at construction."""
+        return self._sum(*self.fg(xs), us)
 
     def _numpy_fg(self, xs: List[float]):
         y = np.array(xs)
@@ -155,13 +171,8 @@ class ControlAffineSystem:
             raise ValueError(f"g(x) must be ({self.n}, {self.m}), got {G.shape}")
         return np.asarray(self.f(y), dtype=float).tolist(), G.T.tolist()
 
-    def _affine_rhs(self, xs: List[float], us: List[float]) -> List[float]:
-        y = np.array(xs)
-        G = np.ascontiguousarray(self.g(y), dtype=float)
-        return (np.asarray(self.f(y), dtype=float) + G @ np.array(us)).tolist()
-
-    def _affine_rhs_from(self, fs, gcols, us) -> List[float]:
-        # the C-ordered G of _affine_rhs, so that numpy sums as it does there
+    def _numpy_rhs_from(self, fs, gcols, us) -> List[float]:
+        # f + G @ u in numpy, with G C-ordered as a g(x) built row by row is
         G = np.ascontiguousarray(np.array(gcols).T)
         return (np.array(fs) + G @ np.array(us)).tolist()
 
@@ -198,7 +209,8 @@ def equilibrium_residual(sys: ControlAffineSystem, eq: EquilibriumPair) -> float
 @dataclass
 class QuadraticCLF:
     """W(x) = (x - x_e)' P (x - x_e) with P symmetric positive definite,
-    summed as d . (P d) with d = x - x_e, and gradient 2 P d."""
+    summed as d . (P d) with d = x - x_e, and gradient 2 P d. lie_terms
+    takes the gradient from grad once grad is assigned to the instance."""
 
     P: np.ndarray
     equilibrium: EquilibriumPair
@@ -235,6 +247,19 @@ class QuadraticCLF:
         grad = [2.0 * v for v in self._offset_and_pd(xs)[1]]
         return (grad,) + lie_sums(grad, fs, gcols, self._u_e)
 
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        # a grad assigned to the instance gives lie_terms its gradient, as
+        # for ControlAffineSystem's f and g
+        if name == "grad":
+            super().__setattr__("lie_terms", self._numpy_lie_terms)
+
+    def _numpy_lie_terms(self, xs, fs, gcols):
+        x = np.array(xs)   # (n,) for one state, (n, N) for columns
+        grad_w = np.asarray(self.grad(x.T), dtype=float).T
+        grad = grad_w.tolist() if grad_w.ndim == 1 else list(grad_w)
+        return (grad,) + lie_sums(grad, fs, gcols, self._u_e)
+
 
 def validate_clf_matrix(P: np.ndarray) -> None:
     """Raise unless P is symmetric with strictly positive eigenvalues."""
@@ -253,7 +278,8 @@ class Barrier:
     alpha of the linear class-K function alpha * h in its barrier row.
 
     hgrad(xs) gives h(x) and its gradient (a list) on Python floats from one
-    body; when it is not supplied, an adapter reads h and grad_h."""
+    body; when it is not supplied, or h or grad_h is assigned after
+    construction, an adapter reads h and grad_h."""
 
     h: Callable[[np.ndarray], float]
     alpha: float
@@ -267,6 +293,12 @@ class Barrier:
             raise ScenarioError(f"class-K rate alpha must be positive and finite, got {self.alpha}")
         if self.hgrad is None:
             self.hgrad = self._numpy_hgrad
+
+    def __setattr__(self, name, value):
+        super().__setattr__(name, value)
+        # as for ControlAffineSystem's f and g
+        if name in ("h", "grad_h") and "hgrad" in self.__dict__:
+            super().__setattr__("hgrad", self._numpy_hgrad)
 
     def _numpy_hgrad(self, xs: List[float]):
         y = np.array(xs)
@@ -311,10 +343,13 @@ class SafeSet:
 
 
 def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
-    """Return (a, b) with a = gradW'(f + g u_e) and b = gradW' g (an m-row)."""
+    """Return (a, b) with a = gradW'(f + g u_e) and b = gradW' g (an m-array).
+    clf needs only grad and equilibrium: the checks that call this take any
+    such object, a QuadraticCLF's lie_terms being the per-step path."""
     x = as_vector(x, sys.n)
-    _, a, b = clf_lie_terms(clf, x, sys.drift(x), sys.input_map(x))
-    return a, b
+    a, b = lie_sums(clf.grad(x).tolist(), sys.drift(x).tolist(), sys.input_map(x).T.tolist(),
+                    clf.equilibrium.u_e.tolist())
+    return a, np.array(b)
 
 
 def lie_sums(grad, fs, gcols, u_e):
@@ -323,15 +358,6 @@ def lie_sums(grad, fs, gcols, u_e):
     n, m = len(grad), len(gcols)
     return (dot_of(n)(grad, affine_of(n, m)(fs, gcols, u_e)),
             matvec_of(m, n)(gcols, grad))
-
-
-def clf_lie_terms(clf: QuadraticCLF, x: np.ndarray, f: np.ndarray, G: np.ndarray):
-    """Return (gradW, a, b) at the state vector x from f = f(x) and G = g(x),
-    with a = gradW'(f + G u_e) and b = gradW' G: gradW is clf.grad(x), and a
-    and b are lie_sums on its floats."""
-    grad_w = clf.grad(x)
-    a, b = lie_sums(grad_w.tolist(), f.tolist(), G.T.tolist(), clf.equilibrium.u_e.tolist())
-    return grad_w, a, np.array(b)
 
 
 def linearize(sys: ControlAffineSystem, eq: EquilibriumPair) -> np.ndarray:

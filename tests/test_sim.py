@@ -9,7 +9,7 @@ from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, IndefiniteQ
                       SimConfig, SimulationError, build_scenario, compute_metrics,
                       evaluate, integrate, read_trajectory_csv, write_trajectory_csv)
 from safestab.core import as_vector
-from safestab.filters import (CONTROLLER_NAMES, active_flags, make_controller,
+from safestab.filters import (CONTROLLER_NAMES, Region, active_flags, make_controller,
                               make_filter_config)
 from safestab.qp import QPSpec
 from safestab.sim import (BLOWUP_LIMIT, STATUS_BLOWUP, STATUS_INFEASIBLE, STATUS_OK,
@@ -551,30 +551,60 @@ def test_integrate_matches_oracle_on_truncated_runs(tumor_cfg):
 # out of integrate; with m = 2 the cost 2bb' + 1e-9 I is positive definite
 # only to rounding there, so the run now ends either way with a status
 M2_INDEFINITE_X0 = [-1.437902014071811, 0.7621725515196371, -0.26732409520290634]
-# a start whose S-CBF-QP cost fails its Cholesky factorization at step 26
-M2_INDEFINITE_STEP26_X0 = [-1.8998625413692347, -1.2244389179435202, 0.44646461281690275]
+# a start whose S-CBF-QP cost fails its Cholesky factorization a few steps in,
+# where the products of the adapter and of the QP solver round as this CPU's
+# BLAS kernel does; another kernel may take the run to blowup instead
+M2_INDEFINITE_EARLY_X0 = [-1.8998625413692347, -1.2244389179435202, 0.44646461281690275]
+
+
+def assert_indefinite_diagnostic(traj):
+    assert traj.diagnostic.startswith("controller QP cost not positive definite at t=")
+    assert ": S-CBF-QP cost at x=[" in traj.diagnostic
+    assert traj.diagnostic.endswith("H + reg*I must be positive definite")
+
+
+def big_b_config():
+    """n = 2, m = 2 where every quantity at x0 = (0.5, 0) is exact: gradW =
+    (1, 0), f = 0, both columns of g are (5e5, 0), so b = (5e5, 5e5) and
+    u_son = -b, which violates the row of h = x_1 + 1 (R2). The Cholesky
+    pivot of 2bb' + 1e-9 I is negative whether the factorization divides or
+    multiplies by the reciprocal and whether its update is fused or not."""
+    sys = ControlAffineSystem(n=2, m=2, f=lambda x: np.zeros(2),
+                              g=lambda x: np.array([[5e5, 5e5], [0.0, 0.0]]), name="big-b")
+    clf = QuadraticCLF(np.eye(2), EquilibriumPair(np.zeros(2), np.zeros(2)))
+    wall = Barrier(h=lambda x: x[0] + 1.0, alpha=1.0, grad_h=lambda x: np.array([1.0, 0.0]),
+                   name="wall")
+    return make_filter_config(sys, clf, SafeSet((wall,)), gamma=1.0, p=10.0)
 
 
 def test_indefinite_s_cbf_qp_cost_ends_the_run_with_a_status():
-    cfg = synthetic_m2_config()
-    with np.errstate(over="ignore", invalid="ignore"):
-        traj = integrate(cfg, make_controller(cfg, "hybrid"),
-                         SimConfig(x0=M2_INDEFINITE_X0, t_final=2.0))
-        assert traj.status in (STATUS_BLOWUP, STATUS_QP_INDEFINITE)
-        assert traj.n_samples == 262
+    cfg = big_b_config()
+    ev = evaluate(cfg, np.array([0.5, 0.0]))
+    assert ev.b.tolist() == [5e5, 5e5] and ev.label.value == Region.R2
+    for controller in ("s-cbf-qp", "hybrid"):
         traj = assert_matches_integrate_oracle(
-            cfg, lambda: make_controller(cfg, "hybrid"),
-            SimConfig(x0=M2_INDEFINITE_STEP26_X0, t_final=2.0))
-    assert traj.status == STATUS_QP_INDEFINITE and traj.n_samples == 26
-    assert traj.diagnostic.startswith(
-        "controller QP cost not positive definite at t=0.026000000000000002: "
-        "S-CBF-QP cost at x=[-365.56")
-    assert traj.diagnostic.endswith("H + reg*I must be positive definite")
+            cfg, lambda: make_controller(cfg, controller), SimConfig(x0=[0.5, 0.0], t_final=1.0))
+        assert traj.status == STATUS_QP_INDEFINITE and traj.n_samples == 0
+        assert traj.diagnostic == (
+            "controller QP cost not positive definite at t=0.0: S-CBF-QP cost at "
+            "x=[0.5, 0.0], |b|^2=500000000000.0: H + reg*I must be positive definite")
     # QPSpec's check is unchanged: 1e-9 is lost against 2^40, and the exact
     # Cholesky pivot 2^40 - 2^20 * 2^20 is zero
     with pytest.raises(IndefiniteQPError, match="positive definite"):
         QPSpec(np.full((2, 2), 2.0 ** 40), np.zeros(2), np.zeros((0, 2)), np.zeros(0))
     assert issubclass(IndefiniteQPError, ValueError)
+
+
+def test_synthetic_m2_starts_that_reach_a_large_b_end_with_a_status():
+    # which of the two statuses a start gets is decided by rounding
+    cfg = synthetic_m2_config()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x0 in (M2_INDEFINITE_X0, M2_INDEFINITE_EARLY_X0):
+            traj = assert_matches_integrate_oracle(
+                cfg, lambda: make_controller(cfg, "hybrid"), SimConfig(x0=x0, t_final=2.0))
+            assert traj.status in (STATUS_BLOWUP, STATUS_QP_INDEFINITE), traj.diagnostic
+            if traj.status == STATUS_QP_INDEFINITE:
+                assert_indefinite_diagnostic(traj)
 
 
 def write_trajectory_csv_oracle(traj, path):

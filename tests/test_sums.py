@@ -25,11 +25,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, QuadraticCLF,
-                      SafeSet, evaluate)
+                      SafeSet, build_scenario, evaluate)
 from safestab.core import B_FLOOR
 from safestab.filters import (ACTIVE_TOL, Region, active_flags, make_filter_config,
                               row_margins)
+from safestab.sim import rk4_step
 
+from conftest import sample_safe_states
 from test_sim import synthetic_m2_config
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
@@ -311,3 +313,42 @@ def test_nan_margin_counts_as_r2_and_propagates_through_the_minimum(linear):
         ev = evaluate(cfg, np.array([0.3, -0.2]))
         assert math.isnan(ev.label.margin) and ev.label.value == Region.R2
         assert math.isnan(float(row_margins(ev.A, ev.lb, ev.u_son).min()))
+
+
+@pytest.mark.parametrize("name", ["linear2d", "tumor3d"])
+def test_assigned_closures_take_over_the_float_forms(name):
+    # f, g, h, grad h and grad W assigned to a built scenario are what the
+    # one-state evaluate and the RK4 stages then call; wrappers that return
+    # what they wrap give the bits of the float forms they replace
+    bundle = build_scenario(name)
+    sys, clf, barriers = bundle.sys, bundle.clf, bundle.safe_set.barriers
+    cfg = make_filter_config(sys, clf, bundle.safe_set, gamma=1.0)
+    X = sample_safe_states(bundle, 20, seed=3)
+    before = [evaluate(cfg, x) for x in X]
+    steps = [rk4_step(sys, x, ev.u_son, 1e-3) for x, ev in zip(X, before)]
+    stack = evaluate(cfg, X)
+    calls = {}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    sys.f, sys.g = counted("f", sys.f), counted("g", sys.g)
+    for bar in barriers:
+        bar.h, bar.grad_h = counted("h", bar.h), counted("grad_h", bar.grad_h)
+    clf.grad = counted("grad", clf.grad)
+    k = len(barriers)
+    for x, ev in zip(X, before):
+        assert_fields_equal(fields(evaluate(cfg, x)), fields(ev), x)
+    assert calls == {"f": 20, "g": 20, "h": 20 * k, "grad_h": 20 * k, "grad": 20}
+    for x, ev, want in zip(X, before, steps):
+        assert rk4_step(sys, x, ev.u_son, 1e-3).tobytes() == want.tobytes()
+    assert calls["f"] == calls["g"] == 20 + 4 * 20
+    again = evaluate(cfg, X)
+    for i in range(len(X)):
+        assert_fields_equal(fields(again, i), fields(stack, i), X[i])
+    f = sys.f
+    sys.f = lambda x: 2.0 * f(x)
+    assert evaluate(cfg, X[0]).f.tobytes() == (2.0 * before[0].f).tobytes()
