@@ -14,20 +14,21 @@ Conventions
   expressions on numpy columns, so the two agree bit for bit (up to the sign
   and payload of a NaN, which IEEE 754 leaves open), and neither depends on
   which kernel the CPU's BLAS dispatches to. BLAS is left to the QP solver
-  (solve_qp and the products that build its specs), to the numpy adapters
-  of a system built from f and g alone, and to checks off the per-step path
-  (xdot, linearize, closed_form_ustar, verify's decrease identity).
-* A system's float form fg(xs) gives f(x) as a list of n floats and g(x) as
-  a list of m columns of n floats; rhs(xs, us) is f(x) + g(x) u from it, row
-  i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m) (affine_of), and
-  rhs_from(f, G, us) is the same from an fg already evaluated. A bundled
-  dynamics kind supplies fg; a system built from the numpy f and g alone
-  gets adapters: fg reads f and g, and rhs_from evaluates f + g @ u in
-  numpy. A barrier likewise has hgrad(xs), its value and gradient (a list)
-  from one body, or an adapter over h and grad_h. An f, g, h, grad_h or
-  QuadraticCLF.grad assigned to an object after construction takes over its
-  float form through the adapter, so the per-step path calls what was
-  assigned; rhs_from keeps the sums the system was built with.
+  (solve_qp and the products that build its specs) and to checks off the
+  per-step path (xdot, linearize, closed_form_ustar, verify's decrease
+  identity).
+* The float forms are the only bodies a scenario writes: a system's fg(xs)
+  gives f(x) as a list of n floats and g(x) as a list of m columns of n
+  floats, a barrier's hgrad(xs) its value and gradient (a list).
+  ControlAffineSystem.from_fg and Barrier.from_hgrad derive the numpy f, g,
+  h and grad_h from them (_numpy_part). rhs(xs, us) is f(x) + g(x) u from
+  fg, row i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m), and
+  rhs_from = affine_of(n, m) is the same from an fg already evaluated, for
+  every system. A system or barrier built from numpy closures alone gets
+  adapters as float forms (fg reads f and g, hgrad reads h and grad_h). An
+  f, g, h, grad_h or QuadraticCLF.grad assigned to an object after
+  construction takes over its float form through the adapter, so the
+  per-step path calls what was assigned.
 * The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad and
   SafeSet.values/min_value/contains also accept a stack X of shape (N, n)
   and then return their results with a leading axis of N (g(X) is
@@ -107,6 +108,43 @@ def columns(X: np.ndarray) -> list:
     return list(X.T)
 
 
+def exp(v):
+    """np.exp on a Python float, as a Python float, or on a column: the same
+    bits either way, and a float body's sums stay on Python floats."""
+    e = np.exp(v)
+    return e if e.ndim else float(e)
+
+
+def _numpy_part(form, k: int) -> Callable:
+    """The numpy closure of part k of a float form (fg or hgrad), for one
+    state (n,) or a stack (N, n). A part is a float, a list, or a list of
+    columns (g's); the closure reverses its axes, after a leading N for a
+    stack, so that g(x) is (n, m) and g(X) is (N, n, m). On a stack the form
+    runs on the columns of X, and an entry that stays a float (a constant)
+    fills its column. The closure calls this form, not an instance's, so
+    that a closure assigned later may wrap it."""
+    def fill(out, part):
+        if isinstance(part, list):
+            for i, p in enumerate(part):
+                fill(out[..., i], p)
+        else:
+            out[...] = part
+
+    def closure(x):
+        if x.ndim == 1:
+            part = form(x.tolist())[k]
+            return np.array(part, dtype=float).T if isinstance(part, list) else part
+        part = form(columns(x))[k]
+        dims, p = [x.shape[0]], part
+        while isinstance(p, list):
+            dims.insert(1, len(p))
+            p = p[0]
+        out = np.empty(dims)
+        fill(out, part)
+        return out
+    return closure
+
+
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of a scalar map: the one row of
     fd_jacobian."""
@@ -131,11 +169,11 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nda
 class ControlAffineSystem:
     """System x' = f(x) + g(x) u with state dimension n and input dimension m.
 
-    fg(xs) gives f(x) and the m columns of g(x) on Python floats; when it is
-    not supplied, adapters over the numpy f and g serve fg and rhs_from, and
-    rhs is rhs_from(*fg(xs), us) either way (see the module's Conventions).
-    An f or g assigned after construction replaces fg by the adapter over
-    it."""
+    fg(xs) gives f(x) and the m columns of g(x) on Python floats; from_fg
+    builds a system from it alone. Built from f and g alone, fg is an
+    adapter over them. rhs is rhs_from(*fg(xs), us) either way (see the
+    module's Conventions). An f or g assigned after construction replaces
+    fg by the adapter over it."""
 
     n: int
     m: int
@@ -147,11 +185,16 @@ class ControlAffineSystem:
 
     def __post_init__(self):
         if self.fg is None:
-            self.fg, self.rhs_from = self._numpy_fg, self._numpy_rhs_from
-        else:
-            self.rhs_from = affine_of(self.n, self.m)
-        self._sum = self.rhs_from
-        self.rhs = self._affine_rhs
+            self.fg = self._numpy_fg
+        affine = self.rhs_from = affine_of(self.n, self.m)
+        # rhs reads fg at every call, so that an assigned f or g reaches it
+        self.rhs = lambda xs, us: affine(*self.fg(xs), us)
+
+    @classmethod
+    def from_fg(cls, fg, n: int, m: int, name: str = "system") -> "ControlAffineSystem":
+        """The system of the float form fg alone, with f and g derived from it
+        (_numpy_part)."""
+        return cls(n=n, m=m, f=_numpy_part(fg, 0), g=_numpy_part(fg, 1), name=name, fg=fg)
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
@@ -160,21 +203,12 @@ class ControlAffineSystem:
         if name in ("f", "g") and "rhs" in self.__dict__:
             super().__setattr__("fg", self._numpy_fg)
 
-    def _affine_rhs(self, xs: List[float], us: List[float]) -> List[float]:
-        """f(x) + g(x) u from fg(xs), summed as rhs_from was at construction."""
-        return self._sum(*self.fg(xs), us)
-
     def _numpy_fg(self, xs: List[float]):
         y = np.array(xs)
         G = np.asarray(self.g(y), dtype=float)
         if G.shape != (self.n, self.m):
             raise ValueError(f"g(x) must be ({self.n}, {self.m}), got {G.shape}")
         return np.asarray(self.f(y), dtype=float).tolist(), G.T.tolist()
-
-    def _numpy_rhs_from(self, fs, gcols, us) -> List[float]:
-        # f + G @ u in numpy, with G C-ordered as a g(x) built row by row is
-        G = np.ascontiguousarray(np.array(gcols).T)
-        return (np.array(fs) + G @ np.array(us)).tolist()
 
     def drift(self, x) -> np.ndarray:
         return as_vector(self.f(as_vector(x, self.n)), self.n)
@@ -294,6 +328,13 @@ class Barrier:
         if self.hgrad is None:
             self.hgrad = self._numpy_hgrad
 
+    @classmethod
+    def from_hgrad(cls, hgrad, alpha: float, name: str = "h") -> "Barrier":
+        """The barrier of the float form hgrad alone, with h and grad_h
+        derived from it (_numpy_part)."""
+        return cls(h=_numpy_part(hgrad, 0), alpha=alpha, grad_h=_numpy_part(hgrad, 1), name=name,
+                   hgrad=hgrad)
+
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
         # as for ControlAffineSystem's f and g
@@ -343,12 +384,12 @@ class SafeSet:
 
 
 def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
-    """Return (a, b) with a = gradW'(f + g u_e) and b = gradW' g (an m-array).
-    clf needs only grad and equilibrium: the checks that call this take any
-    such object, a QuadraticCLF's lie_terms being the per-step path."""
+    """Return (a, b) with a = gradW'(f + g u_e) and b = gradW' g (an m-array),
+    f and g from the system's float form. clf needs only grad and
+    equilibrium: the checks that call this take any such object, a
+    QuadraticCLF's lie_terms being the per-step path."""
     x = as_vector(x, sys.n)
-    a, b = lie_sums(clf.grad(x).tolist(), sys.drift(x).tolist(), sys.input_map(x).T.tolist(),
-                    clf.equilibrium.u_e.tolist())
+    a, b = lie_sums(clf.grad(x).tolist(), *sys.fg(x.tolist()), clf.equilibrium.u_e.tolist())
     return a, np.array(b)
 
 

@@ -21,20 +21,13 @@ barrier, and a 3D tumor/immune model with three positivity barriers. The 2D
 barrier carries a +1 offset making the printed quadratic a nonempty safe set;
 the offset is configurable in the file.
 
-A registered dynamics kind returns (f, g, fg, n, m). Its fg(xs) gives the
-one-state f(x) as a list of n floats and g(x) as a list of its m columns, and
-the system derives rhs, the float derivative the RK4 stages call, from it
-(core.affine_of: row i is f_i + (0.0 + g_i1 u_1 + ... + g_im u_m)); a kind
-that returns None for fg gets the numpy adapters of ControlAffineSystem
-instead. The bundled kinds (m = 1) write their one-state f and g column once,
-as the float expressions of fg, and build the numpy one-state f and g from
-it; their stack bodies take the same expressions on columns.
-
-The bundled barrier kinds compute h and its gradient together in hgrad, with
-one np.exp for exp_positivity. Every dot product and quadratic form in them
-is an explicit left-to-right sum (core.dot_of), and their numpy h and grad_h
-evaluate that one body on Python floats for one state and on the columns of
-a stack, so the two bodies round alike and call no BLAS kernel.
+A dynamics kind is one function of its params that returns (fg, n, m), and
+a barrier kind one function of its entry and n that returns hgrad; adding a
+kind takes that one function and its entry in DYNAMICS_REGISTRY or
+BARRIER_REGISTRY. Its float form is the only body written, every dot product
+and quadratic form in it an explicit left-to-right sum (core.dot_of), and
+core derives rhs and the numpy f, g, h and grad_h, for one state and for
+stacks, from it (see core's Conventions).
 """
 from __future__ import annotations
 
@@ -46,34 +39,22 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .core import (Barrier, ControlAffineSystem, EquilibriumPair,
-                   QuadraticCLF, SafeSet, as_vector, columns, dot_of,
-                   equilibrium_residual, matvec_of)
+                   QuadraticCLF, SafeSet, as_vector, dot_of,
+                   equilibrium_residual, exp, matvec_of)
 from .errors import ScenarioError
 
 SCENARIO_NAMES = ("linear2d", "tumor3d")
 
 
-def _linear2d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, int]:
+def _linear2d_dynamics(params: dict) -> Tuple[Callable, int, int]:
     def fg(xs):
         x1, x2 = xs
         return [-x2, -x1], [[0.0, 1.0]]
 
-    def f(x):
-        if x.ndim == 1:
-            return np.array(fg(x.tolist())[0])
-        return np.stack([-x[:, 1], -x[:, 0]], axis=1)
-
-    g_mat = np.array(fg([0.0, 0.0])[1]).T
-
-    def g(x):
-        if x.ndim == 1:
-            return g_mat
-        return np.broadcast_to(g_mat, (x.shape[0], 2, 1))
-
-    return f, g, fg, 2, 1
+    return fg, 2, 1
 
 
-def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, int]:
+def _tumor3d_dynamics(params: dict) -> Tuple[Callable, int, int]:
     a_nt = float(params["alpha_NT"])
     a_tn = float(params["alpha_TN"])
     beta = float(params["beta"])
@@ -82,8 +63,6 @@ def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, 
     r_r = float(params["R_R"])
     r_t = float(params["R_T"])
 
-    # one state: Python floats, the same IEEE arithmetic as numpy scalars at
-    # half the cost; a stack (N, 3): the same expressions on its columns
     def fg(xs):
         x1, x2, x3 = xs
         return [
@@ -92,29 +71,50 @@ def _tumor3d_dynamics(params: dict) -> Tuple[Callable, Callable, Callable, int, 
             r_r * x3 - (r_r / k_r) * x3 * x3 - (beta * r_r / k_r) * x2 * x3,
         ], [[-(r_t / k_t) * x1 * x2, 0.0, 0.0]]
 
-    def f(x):
-        if x.ndim == 1:
-            return np.array(fg(x.tolist())[0])
-        x1, x2, x3 = x.T
-        return np.stack([
-            r_t * x1 - (r_t / k_t) * x1 * x1 - (a_tn * r_t / k_t) * x1 * x2,
-            -a_nt * x2 * x1 + beta * x2 * x3,
-            r_r * x3 - (r_r / k_r) * x3 * x3 - (beta * r_r / k_r) * x2 * x3,
-        ], axis=1)
-
-    def g(x):
-        if x.ndim == 1:
-            return np.array(fg(x.tolist())[1]).T
-        G = np.zeros((x.shape[0], 3, 1))
-        G[:, 0, 0] = -(r_t / k_t) * x[:, 0] * x[:, 1]
-        return G
-
-    return f, g, fg, 3, 1
+    return fg, 3, 1
 
 
-DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, Callable, Callable, int, int]]] = {
+DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, int, int]]] = {
     "linear2d": _linear2d_dynamics,
     "tumor3d": _tumor3d_dynamics,
+}
+
+
+def _quadratic_barrier(entry: dict, n: int) -> Callable:
+    offset = float(entry.get("offset", 0.0))
+    lin = as_vector(entry.get("linear", np.zeros(n)), n).tolist()
+    quad = np.asarray(entry["quad"], dtype=float).reshape(n, n)
+    rows = (0.5 * (quad + quad.T)).tolist()
+    dot, qx_of = dot_of(n), matvec_of(n, n)
+
+    # h = (offset + lin . x) + x . (Q x) and grad h = lin + 2 Q x
+    def hgrad(xs):
+        qx = qx_of(rows, xs)
+        return (offset + dot(lin, xs)) + dot(xs, qx), [l + 2.0 * v for l, v in zip(lin, qx)]
+
+    return hgrad
+
+
+def _exp_positivity_barrier(entry: dict, n: int) -> Callable:
+    idx = entry["index"]
+    if type(idx) is not int:   # a JSON integer: not 1.5, true or "2"
+        raise ScenarioError(f"barrier index must be an integer, got {idx!r}")
+    if not 0 <= idx < n:
+        raise ScenarioError(f"barrier index {idx} out of range for n={n}")
+
+    # h = 1 - e and grad h = e at idx (0 elsewhere), e = exp(-x[idx])
+    def hgrad(xs):
+        e = exp(-xs[idx])
+        grad = [0.0] * n
+        grad[idx] = e
+        return 1.0 - e, grad
+
+    return hgrad
+
+
+BARRIER_REGISTRY: Dict[str, Callable[[dict, int], Callable]] = {
+    "quadratic": _quadratic_barrier,
+    "exp_positivity": _exp_positivity_barrier,
 }
 
 
@@ -122,54 +122,9 @@ def _build_barrier(entry: dict, n: int) -> Barrier:
     kind = entry.get("kind")
     alpha = float(entry.get("alpha", {}).get("lambda", 1.0))
     name = entry.get("name", kind or "h")
-    if kind == "quadratic":
-        offset = float(entry.get("offset", 0.0))
-        lin = as_vector(entry.get("linear", np.zeros(n)), n).tolist()
-        quad = np.asarray(entry["quad"], dtype=float).reshape(n, n)
-        rows = (0.5 * (quad + quad.T)).tolist()
-        dot, qx_of = dot_of(n), matvec_of(n, n)
-
-        # h = (offset + lin . x) + x . (Q x) and grad h = lin + 2 Q x, on
-        # floats or on columns
-        def hgrad(xs):
-            qx = qx_of(rows, xs)
-            return (offset + dot(lin, xs)) + dot(xs, qx), [l + 2.0 * v for l, v in zip(lin, qx)]
-
-        def h(x):
-            return hgrad(x.tolist() if x.ndim == 1 else columns(x))[0]
-
-        def grad_h(x):
-            if x.ndim == 1:
-                return np.array(hgrad(x.tolist())[1])
-            return np.stack(hgrad(columns(x))[1], axis=1)
-
-        return Barrier(h=h, alpha=alpha, grad_h=grad_h, name=name, hgrad=hgrad)
-    if kind == "exp_positivity":
-        idx = int(entry["index"])
-        if not 0 <= idx < n:
-            raise ScenarioError(f"barrier index {idx} out of range for n={n}")
-
-        # h = 1 - e and grad h = e at idx (0 elsewhere), e = exp(-x[idx])
-        def hgrad(xs):
-            e = float(np.exp(-xs[idx]))
-            grad = [0.0] * n
-            grad[idx] = e
-            return 1.0 - e, grad
-
-        def h(x):
-            if x.ndim == 1:
-                return hgrad(x.tolist())[0]
-            return 1.0 - np.exp(-x[:, idx])
-
-        def grad_h(x):
-            if x.ndim == 1:
-                return np.array(hgrad(x.tolist())[1])
-            grad = np.zeros(x.shape)
-            grad[:, idx] = np.exp(-x[:, idx])
-            return grad
-
-        return Barrier(h=h, alpha=alpha, grad_h=grad_h, name=name, hgrad=hgrad)
-    raise ScenarioError(f"unknown barrier kind {kind!r}")
+    if kind not in BARRIER_REGISTRY:
+        raise ScenarioError(f"unknown barrier kind {kind!r}")
+    return Barrier.from_hgrad(BARRIER_REGISTRY[kind](entry, n), alpha, name)
 
 
 @dataclass
@@ -190,8 +145,8 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         kind = dyn["kind"]
         if kind not in DYNAMICS_REGISTRY:
             raise ScenarioError(f"unknown dynamics kind {kind!r}")
-        f, g, fg, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
-        sys = ControlAffineSystem(n=n, m=m, f=f, g=g, name=name, fg=fg)
+        fg, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
+        sys = ControlAffineSystem.from_fg(fg, n, m, name)
         eq = EquilibriumPair(as_vector(cfg["equilibrium"]["x"], n),
                              as_vector(cfg["equilibrium"]["u"], m))
         clf = QuadraticCLF(np.asarray(cfg["clf"]["P"], dtype=float), eq)

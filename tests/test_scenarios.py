@@ -1,11 +1,15 @@
+import itertools
 import json
+import math
 
 import numpy as np
 import pytest
 
 from safestab import (ScenarioError, build_scenario, equilibrium_residual,
                       load_scenario)
-from safestab.scenarios import SCENARIO_NAMES, scenario_from_dict
+from safestab.scenarios import DYNAMICS_REGISTRY, SCENARIO_NAMES, scenario_from_dict
+
+from test_sums import same
 
 
 def test_bundled_names():
@@ -146,3 +150,66 @@ def test_exp_positivity_barrier_index_bounds():
     }
     with pytest.raises(ScenarioError):
         scenario_from_dict(cfg)
+    # an index that is not a JSON integer is rejected, not rounded or cast
+    for index in (1.5, True, "2"):
+        bad = dict(cfg, barriers=[dict(cfg["barriers"][0], index=index)])
+        with pytest.raises(ScenarioError, match="integer"):
+            scenario_from_dict(bad)
+    good = dict(cfg, barriers=[dict(cfg["barriers"][0], index=2)])
+    assert scenario_from_dict(good).safe_set.barriers[0].value([1.0, 1.0, 0.0]) == 0.0
+
+
+SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -2.5, 3.0, 1e200]
+
+
+def test_registered_kind_gets_its_numpy_closures_from_fg(monkeypatch):
+    # a dynamics kind is one function returning (fg, n, m); here n = 3,
+    # m = 2, and the second g column mixes constants with state terms
+    made = []
+
+    def kind(params):
+        k = float(params["k"])
+
+        def fg(xs):
+            x1, x2, x3 = xs
+            return [-k * x1 + x2 * x3, x1 - x2, -x3 * x3 * x3], [[1.0 + x2 * x2, x1, 0.5 * x3],
+                                                                 [0.0, 2.0, x1 * x2]]
+        made.append(fg)
+        return fg, 3, 2
+
+    monkeypatch.setitem(DYNAMICS_REGISTRY, "test-m2", kind)
+    bundle = scenario_from_dict({
+        "name": "test-m2",
+        "dynamics": {"kind": "test-m2", "params": {"k": 0.7}},
+        "equilibrium": {"x": [0.0, 0.0, 0.0], "u": [0.0, 0.0]},
+        "clf": {"P": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+        "barriers": [{"kind": "quadratic", "offset": 1.0,
+                      "quad": [[-0.1, 0.0, 0.0], [0.0, -0.1, 0.0], [0.0, 0.0, -0.1]]}],
+        "domain": [[-3, 3], [-3, 3], [-3, 3]],
+    })
+    sys = bundle.sys
+    assert sys.fg is made[-1]
+    X = np.array(list(itertools.product(SPECIAL, repeat=3)))
+    with np.errstate(all="ignore"):
+        F, G = sys.f(X), sys.g(X)
+        assert F.shape == (X.shape[0], 3) and G.shape == (X.shape[0], 3, 2)
+        for x, f_stack, g_stack in zip(X, F, G):
+            fs, gcols = sys.fg(x.tolist())
+            want_f, want_g = np.array(fs, dtype=float), np.array(gcols, dtype=float).T
+            assert sys.f(x).tobytes() == want_f.tobytes(), x
+            assert sys.g(x).shape == (3, 2) and sys.g(x).tobytes() == want_g.tobytes(), x
+            # the stack rows run fg on numpy columns: the same bytes, but for
+            # the sign and payload of a NaN (see test_sums)
+            assert same(f_stack, want_f) and same(g_stack, want_g), x
+
+
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_bundled_objects_carry_the_kinds_float_bodies(name):
+    # built from the float forms alone: fg and hgrad are the kinds' own
+    # bodies, not the adapters over f, g, h and grad h that would serve them
+    # had the construction assigned those closures afterwards
+    bundle = build_scenario(name)
+    assert bundle.sys.fg.__qualname__ == f"_{name}_dynamics.<locals>.fg"
+    for bar in bundle.safe_set.barriers:
+        assert bar.hgrad.__qualname__.endswith("_barrier.<locals>.hgrad")
+        assert bar.hgrad.__module__ == "safestab.scenarios"

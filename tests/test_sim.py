@@ -8,7 +8,7 @@ from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, IndefiniteQ
                       InfeasibleQPError, QPIterationError, QuadraticCLF, SafeSet,
                       SimConfig, SimulationError, build_scenario, compute_metrics,
                       evaluate, integrate, read_trajectory_csv, write_trajectory_csv)
-from safestab.core import as_vector
+from safestab.core import affine_of, as_vector
 from safestab.filters import (CONTROLLER_NAMES, Region, active_flags, make_controller,
                               make_filter_config)
 from safestab.qp import QPSpec
@@ -238,18 +238,31 @@ def test_simconfig_validation():
             SimConfig(x0=[0.0, bad], t_final=1.0)
 
 
+def explicit_rhs(sys, x, u):
+    """f(x) + g(x) u from the numpy f and g, row i summed from +0.0 left to
+    right: f_i + (0.0 + g_i1 u_1 + ... + g_im u_m)."""
+    f, G = sys.f(x), sys.g(x)
+    rows = []
+    for i in range(sys.n):
+        s = 0.0
+        for j in range(sys.m):
+            s = s + G[i, j] * u[j]
+        rows.append(f[i] + s)
+    return np.array(rows, dtype=float)
+
+
 def rk4_oracle(sys, x, u, dt):
-    """The numpy RK4 step that rk4_step's float stages replaced; they must
-    equal it bit for bit, with k1 from sys.rhs or from the float form fg
-    that an evaluation holds (assert_rk4_matches_oracle)."""
-    f, g = sys.f, sys.g
-    k1 = f(x) + g(x) @ u
+    """The numpy RK4 step that rk4_step's float stages replaced, its stage
+    derivatives summed as explicit_rhs does; they must equal it bit for bit,
+    with k1 from sys.rhs or from the float form fg that an evaluation holds
+    (assert_rk4_matches_oracle)."""
+    k1 = explicit_rhs(sys, x, u)
     y = x + 0.5 * dt * k1
-    k2 = f(y) + g(y) @ u
+    k2 = explicit_rhs(sys, y, u)
     y = x + 0.5 * dt * k2
-    k3 = f(y) + g(y) @ u
+    k3 = explicit_rhs(sys, y, u)
     y = x + dt * k3
-    k4 = f(y) + g(y) @ u
+    k4 = explicit_rhs(sys, y, u)
     return x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -308,13 +321,14 @@ def test_bundled_rhs_equals_f_plus_g_u_bitwise(name, linear, tumor):
 
 
 def test_rk4_step_adapter_for_systems_built_from_f_and_g():
-    # n = 2, m = 2: g(x) @ u has two terms a row, summed by numpy's matmul in
-    # the adapter exactly as in the oracle
+    # n = 2, m = 2: g(x) u has two terms a row, summed from +0.0 left to
+    # right by the adapter's rhs_from exactly as in the oracle, never by a
+    # BLAS matmul
     sys = ControlAffineSystem(
         n=2, m=2, f=lambda x: np.array([x[1] * x[0] - x[0], np.sin(x[0]) - x[1] ** 3]),
         g=lambda x: np.array([[1.0 + x[1] ** 2, x[0]], [0.5 * x[1], 2.0 - x[0]]]),
         name="synthetic")
-    assert sys.rhs == sys._affine_rhs
+    assert sys.rhs_from is affine_of(2, 2)
     rng = np.random.default_rng(9)
     for i in range(2000):
         x = rng.uniform(-3.0, 3.0, 2)
@@ -322,7 +336,7 @@ def test_rk4_step_adapter_for_systems_built_from_f_and_g():
         dt = (1e-4, 1e-3, 1e-2)[i % 3]
         assert rk4_step(sys, x, u, dt).tobytes() == rk4_oracle(sys, x, u, dt).tobytes()
         assert_rk4_matches_oracle(sys, x, u, dt)
-        want = sys.f(x) + sys.g(x) @ u
+        want = explicit_rhs(sys, x, u)
         assert np.array(sys.rhs(x.tolist(), u.tolist())).tobytes() == want.tobytes()
         got = np.array(sys.rhs_from(*sys.fg(x.tolist()), u.tolist()))
         assert got.tobytes() == want.tobytes()
@@ -551,9 +565,9 @@ def test_integrate_matches_oracle_on_truncated_runs(tumor_cfg):
 # out of integrate; with m = 2 the cost 2bb' + 1e-9 I is positive definite
 # only to rounding there, so the run now ends either way with a status
 M2_INDEFINITE_X0 = [-1.437902014071811, 0.7621725515196371, -0.26732409520290634]
-# a start whose S-CBF-QP cost fails its Cholesky factorization a few steps in,
-# where the products of the adapter and of the QP solver round as this CPU's
-# BLAS kernel does; another kernel may take the run to blowup instead
+# a start that reaches a large |b| a few steps in; whether its S-CBF-QP cost
+# fails its Cholesky factorization there (qp_indefinite) or the state blows
+# up first is decided by rounding
 M2_INDEFINITE_EARLY_X0 = [-1.8998625413692347, -1.2244389179435202, 0.44646461281690275]
 
 
