@@ -13,10 +13,10 @@ Conventions
   evaluates these sums on Python floats, the stack body evaluates the same
   expressions on numpy columns, so the two agree bit for bit (up to the sign
   and payload of a NaN, which IEEE 754 leaves open), and neither depends on
-  which kernel the CPU's BLAS dispatches to. BLAS is left to the QP solver
-  (solve_qp and the products that build its specs) and to checks off the
-  per-step path (xdot, linearize, closed_form_ustar, verify's decrease
-  identity).
+  which kernel the CPU's BLAS dispatches to. The QP layer sums the same way
+  (solve_qp, QPSpec's factor and the filters' per-step specs), so BLAS is
+  left to checks off the per-step path (xdot, linearize, closed_form_ustar,
+  verify's decrease identity, the KKT residual computed when read).
 * The float forms are the only bodies a scenario writes: a system's fg(xs)
   gives f(x) as a list of n floats and g(x) as a list of m columns of n
   floats, a barrier's hgrad(xs) its value and gradient (a list).

@@ -17,8 +17,11 @@ barrier row (region R1) and the Sontag-weighted QP elsewhere (region R2).
 The costs of cbf_qp (2I) and clf_cbf_qp (diag(2, .., 2, 2p)) do not depend on
 the state, so make_controller builds each one QPSpec, factored once, and every
 step adds its rows with QPSpec.with_rows; the Sontag-weighted cost 2 b'b
-changes with the state and is built at each solve. No controller reads the
-solution's KKT residual, which is computed only when read (verify does).
+changes with the state and is built at each solve. Each step's rows, bounds
+(lb - A u_nom) and weight 2 b'b are built on Python floats with the explicit
+sums of core, and solve_qp runs on floats too, so no BLAS call sits on the
+per-step path. No controller reads the solution's KKT residual, which is
+computed only when read (verify does).
 """
 from __future__ import annotations
 
@@ -248,8 +251,16 @@ def _cbf_qp_cost(m: int) -> QPSpec:
     return QPSpec(2.0 * np.eye(m), np.zeros(m), np.zeros((0, m)), np.zeros(0))
 
 
+def _shifted_bounds(ev: Evaluation, u: np.ndarray) -> list:
+    """lb - A u, the bounds of the barrier rows A v >= lb - A u on the shift
+    v of the input from u; each A_i . u is an explicit sum on floats."""
+    A = ev.A.tolist()
+    Au = matvec_of(len(A), u.size)(A, u.tolist())
+    return [lb_i - v for lb_i, v in zip(ev.lb.tolist(), Au)]
+
+
 def _cbf_qp(cost: QPSpec, ev: Evaluation, u_nom: np.ndarray) -> np.ndarray:
-    spec = cost.with_rows(ev.A, ev.lb - ev.A @ u_nom)
+    spec = cost.with_rows(ev.A, _shifted_bounds(ev, u_nom))
     return u_nom + _solve_or_raise(spec, "CBF-QP", ev.x).z_star
 
 
@@ -267,24 +278,17 @@ def cbf_qp_filter(cfg: FilterConfig, x, u_nom=None) -> np.ndarray:
 def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarray, float]]:
     """The CLF-CBF-QP as a map from an evaluation to (u, delta). Its cost
     diag(2, .., 2, 2p) does not depend on the state, so it is factored here
-    once, with cfg.p as it is now; each call fills a copy of the row
-    template, whose delta column (1 in the CLF row, 0 in the barrier rows)
-    never changes."""
-    m, k = cfg.sys.m, len(cfg.safe_set.barriers)
+    once, with cfg.p as it is now; each call builds its rows as floats, the
+    delta column being 1 in the CLF row and 0 in the barrier rows."""
+    m = cfg.sys.m
     H = np.zeros((m + 1, m + 1))
     H[:m, :m] = 2.0 * np.eye(m)
     H[m, m] = 2.0 * cfg.p
     cost = QPSpec(H, np.zeros(m + 1), np.zeros((0, m + 1)), np.zeros(0))
-    rows = np.zeros((k + 1, m + 1))
-    rows[0, m] = 1.0
 
     def clf_cbf_qp(ev: Evaluation) -> Tuple[np.ndarray, float]:
-        A = rows.copy()
-        A[0, :m] = -ev.b
-        A[1:, :m] = ev.A
-        lb = np.empty(k + 1)
-        lb[0] = ev.lfw + ALPHA_W * cfg.clf.value(ev.x)
-        lb[1:] = ev.lb
+        A = [[-v for v in ev.b.tolist()] + [1.0]] + [row + [0.0] for row in ev.A.tolist()]
+        lb = [ev.lfw + ALPHA_W * cfg.clf.value(ev.x)] + ev.lb.tolist()
         z = _solve_or_raise(cost.with_rows(A, lb), "CLF-CBF-QP", ev.x).z_star
         return z[:m], float(z[m])
 
@@ -305,8 +309,9 @@ def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
     """The Sontag-weighted filter QP in the shifted variable v = u - u_son:
     min v'(Q + reg*I)v with Q = b'b, s.t. A v >= lb - A u_son, where reg is
     QPSpec's default (1e-9), as in the other two filters."""
-    return QPSpec(2.0 * np.outer(ev.b, ev.b), np.zeros(cfg.sys.m),
-                  ev.A, ev.lb - ev.A @ ev.u_son)
+    b = ev.b.tolist()
+    return QPSpec([[2.0 * (b_i * b_j) for b_j in b] for b_i in b], np.zeros(cfg.sys.m),
+                  ev.A, _shifted_bounds(ev, ev.u_son))
 
 
 def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:

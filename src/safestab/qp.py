@@ -19,16 +19,15 @@ Problems here are tiny (a handful of variables, a handful of rows), so the
 active set is identified exactly (needed for the closed-form cross-checks)
 and the work per call is mostly fixed cost, which the solver keeps small:
 
-* a QPSpec factors its cost when built (Cholesky factor, its inverse, the
-  symmetry and definiteness checks); `QPSpec.with_rows` gives a spec with
-  new rows that shares that factor, so a controller whose cost does not
-  depend on the state factors it once;
+* a QPSpec factors its cost when built (the symmetry check, then a Cholesky
+  factor and its triangular inverse, both written out on Python floats);
+  `QPSpec.with_rows` gives a spec with new rows that shares that factor, so
+  a controller whose cost does not depend on the state factors it once;
 * `QPSolution.kkt_residual` is computed from the spec when first read;
-* the iteration's bookkeeping (violation test, choice of row, tolerances,
-  the largest |y| met) runs on Python floats, while every dot and matrix
-  product stays a numpy call of the shape it always had, so the results are
-  the same bits as an all-numpy body (a length-2 `a @ b` may round
-  differently from `a0*b0 + a1*b1`).
+* solve_qp runs on Python floats, with no BLAS or LAPACK call: every dot
+  and matrix product is an explicit sum from +0.0, added left to right
+  (core.dot_of, matvec_of, affine_of), so its bits do not depend on the
+  CPU's BLAS kernel, and a call costs no numpy dispatch per product.
 """
 from __future__ import annotations
 
@@ -39,6 +38,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from .core import affine_of, dot_of, matvec_of
 from .errors import IndefiniteQPError, QPIterationError
 
 STATUS_OPTIMAL = "optimal"
@@ -51,6 +51,32 @@ _TINY = float(np.finfo(float).tiny)
 # a row whose normal is within this sine of the active span adds no primal
 # step (the computed sine carries a rounding error of a few 1e-16)
 _DEP_TOL = 1e-14
+
+
+def _factor(Hr):
+    """(rows of L^-1, rows of L^-T) for Hr = LL', Hr given as d rows of
+    floats and read below its diagonal, as LAPACK's lower Cholesky does.
+    Like LAPACK it fails when a pivot is not > 0 (NaN included)."""
+    d = len(Hr)
+    L = [[0.0] * d for _ in range(d)]
+    for j in range(d):
+        Lj = L[j]
+        pivot = Hr[j][j] - dot_of(j)(Lj, Lj)
+        if not pivot > 0.0:
+            raise IndefiniteQPError("H + reg*I must be positive definite")
+        Lj[j] = math.sqrt(pivot)
+        for i in range(j + 1, d):
+            L[i][j] = (Hr[i][j] - dot_of(j)(L[i], Lj)) / Lj[j]
+    # column j of L^-1: 1/L_jj on the diagonal, then forward substitution
+    inv = [[0.0] * d for _ in range(d)]
+    for j in range(d):
+        inv[j][j] = 1.0 / L[j][j]
+        for i in range(j + 1, d):
+            acc = 0.0
+            for t in range(j, i):
+                acc += L[i][t] * inv[t][j]
+            inv[i][j] = -acc / L[i][i]
+    return inv, [list(col) for col in zip(*inv)]
 
 
 @dataclass
@@ -74,11 +100,7 @@ class QPSpec:
         # H + reg*I is positive definite exactly when its Cholesky factor
         # LL' exists; solve_qp works with L^-1
         self._Hr = self.H + self.reg * np.eye(d)
-        try:
-            chol = np.linalg.cholesky(self._Hr)
-        except np.linalg.LinAlgError:
-            raise IndefiniteQPError("H + reg*I must be positive definite") from None
-        self._L_inv = np.linalg.inv(chol)
+        self._factor = _factor(self._Hr.tolist())
 
     def _set_rows(self, A, b):
         self.A = np.asarray(A, dtype=float).reshape(-1, self.c.size)
@@ -149,14 +171,19 @@ def _kkt_residual(H, c, A, b, z, lam) -> float:
 
 
 def _split(Q, q, n):
-    """Coordinates of n in the orthonormal columns Q[:, :q] and the part of n
+    """Coordinates of n in the orthonormal columns Q[:q] and the part of n
     orthogonal to them, by two Gram-Schmidt passes (the second restores the
-    orthogonality that cancellation loses when n nearly lies in their span)."""
-    Qa = Q[:, :q]
-    d1 = Qa.T @ n
-    s = n - Qa @ d1
-    e = Qa.T @ s
-    return d1 + e, s - Qa @ e
+    orthogonality that cancellation loses when n nearly lies in their span);
+    the part is n_i + (0.0 + Q[0][i]*(-d_0) + ... + Q[q-1][i]*(-d_{q-1})).
+    For q = 0 that is n itself: n_i + 0.0 = n_i, as no entry of a normal, a
+    sum from +0.0, is -0.0."""
+    if not q:
+        return [], n
+    coords, part = matvec_of(q, len(n)), affine_of(len(n), q)
+    d1 = coords(Q, n)
+    s = part(n, Q, [-v for v in d1])
+    e = coords(Q, s)
+    return [a + b for a, b in zip(d1, e)], part(s, Q, [-v for v in e])
 
 
 def _append(Q, R_inv, q, r, s, ss):
@@ -164,10 +191,10 @@ def _append(Q, R_inv, q, r, s, ss):
     given r = R^-1 d1 and ss = s's: R gains the column (d1, |s|), so its
     inverse gains (-r, 1) / |s|."""
     rho = math.sqrt(ss)
-    Q[:, q] = s / rho
-    if q:
-        R_inv[:q, q] = r / -rho
-    R_inv[q, q] = 1.0 / rho
+    Q[q] = [v / rho for v in s]
+    for j, r_j in enumerate(r):
+        R_inv[j][q] = r_j / -rho
+    R_inv[q][q] = 1.0 / rho
 
 
 def _max_abs(values) -> float:
@@ -182,6 +209,14 @@ def _max_abs(values) -> float:
     return top
 
 
+def _row_scale(row) -> float:
+    """The power of two 2^-e with |row|_max = f * 2^e, 0.5 <= f < 1, which
+    scales the row exactly (1 when |row|_max is 0, inf or NaN); inf when
+    |row|_max < 2^-1024, where 2^-e overflows, as numpy's ldexp gives."""
+    e = math.frexp(_max_abs(row))[1]
+    return math.ldexp(1.0, -e) if e > -1024 else math.inf
+
+
 def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     """KKT-certified minimizer of the given problem, or status 'infeasible'
     when a violated row is a nonpositive combination of the active rows
@@ -191,31 +226,30 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     toward the chosen violated row p (adding p once it holds) or drops the
     active row whose multiplier reached zero first."""
     d = spec.dim
-    k = spec.n_rows
-    A, b = spec.A, spec.b
+    A, b = spec.A.tolist(), spec.b.tolist()
+    k = len(b)
     if max_iter is None:
         max_iter = 60 * (k + 2)
+    dot, lmul = dot_of(d), matvec_of(d, d)
+    L_inv, L_inv_T = spec._factor
 
     # rows scaled by powers of two, which is exact, so that their squared
     # norms below neither underflow nor overflow
-    w = np.ldexp(1.0, -np.frexp(np.abs(A).max(axis=1, initial=0.0))[1])
+    w = [_row_scale(row) for row in A]
     # y = L'z with H + reg*I = LL': the cost becomes 0.5|y|^2 + (L^-1 c)'y
-    # and row i reads N[:, i]'y >= bw_i with N = L^-1 A' diag(w)
-    L_inv = spec._L_inv
-    N = L_inv @ (A.T * w)
-    bw_arr = b * w
-    y = -(L_inv @ spec.c)
-    nrm_arr = np.sqrt(np.einsum("ij,ij->j", N, N))
-    nrm = nrm_arr.tolist()
-    w, bw = w.tolist(), bw_arr.tolist()
+    # and row i reads N[i]'y >= bw_i with N[i] = L^-1 A_i' w_i
+    N = [lmul(L_inv, [v * w_i for v in row]) for row, w_i in zip(A, w)]
+    bw = [b_i * w_i for b_i, w_i in zip(b, w)]
+    y = [-v for v in lmul(L_inv, spec.c.tolist())]
+    nrm = [math.sqrt(dot(n, n)) for n in N]
     # a slack's rounding grows with the largest point met, not the current one
-    y_max = _max_abs(y.tolist())
+    y_max = _max_abs(y)
     tol_b = [_FEAS_TOL * abs(v) + _TINY for v in bw]
     tol_n = [_FEAS_TOL * v for v in nrm]
     active: List[int] = []
     u: List[float] = []          # multipliers of the active rows, then p's
-    Q = np.empty((d, d))         # active normals = Q[:, :q] R[:q, :q]
-    R_inv = np.zeros((d, d))     # upper triangular, so zero below
+    Q = [None] * d               # columns; active normals = Q[:q] R[:q, :q]
+    R_inv = [[0.0] * d for _ in range(d)]   # rows, upper triangular
     p = -1
     for it in range(1, max_iter + 1):
         if p < 0:
@@ -225,55 +259,56 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
             # that made it hold and by later steps along s, orthogonal to it
             # to working precision, a few ulps of nrm[i] * y_max, far under
             # the threshold of about 450 ulps
-            slack = (y @ N - bw_arr).tolist()
             worst = math.inf
             for i in range(k):
-                s_i = slack[i]
+                s_i = dot(y, N[i]) - bw[i]
                 if s_i < -(tol_b[i] + tol_n[i] * y_max):
                     ratio = s_i / max(nrm[i], 1e-300)
                     if ratio < worst:
                         worst, p = ratio, i
             if p < 0:
-                z = L_inv.T @ y
-                lam = np.zeros(k)
+                z = lmul(L_inv_T, y)
+                lam = [0.0] * k
                 # a multiplier that reaches zero on the step adding a row
                 # (t1 == t2) can round to -1e-16; clamped as np.maximum(u, 0.0)
                 # would, since u starts at +0.0 and is never -0.0
                 for i, u_i in zip(active, u):
                     lam[i] = max(u_i, 0.0) * w[i]
-                tol = 1e-10 * (1.0 + _max_abs(b.tolist()))
+                # the largest |b_i| that is not NaN (a NaN fails a > top)
+                top = 0.0
+                for b_i in b:
+                    if abs(b_i) > top:
+                        top = abs(b_i)
+                tol = 1e-10 * (1.0 + top)
                 kept = [i for i in sorted(active)
-                        if lam[i] > 0.0 or abs(float(A[i] @ z - b[i])) <= tol]
-                return QPSolution(z, lam, kept, STATUS_OPTIMAL, it, spec)
+                        if lam[i] > 0.0 or abs(dot(A[i], z) - b[i]) <= tol]
+                return QPSolution(np.array(z), np.array(lam), kept, STATUS_OPTIMAL, it, spec)
             u.append(0.0)
         q = len(active)
-        n_p = N[:, p]
-        if q:
-            d1, s = _split(Q, q, n_p)
-            r = R_inv[:q, :q] @ d1
-            r_list = r.tolist()
-        else:   # nothing to project out
-            s, r, r_list = n_p, None, []
+        n_p = N[p]
+        d1, s = _split(Q, q, n_p)
+        r = matvec_of(q, q)(R_inv, d1)
         # dual step: the first active multiplier to reach zero
         t1, drop = math.inf, -1
-        for j, r_j in enumerate(r_list):
+        for j, r_j in enumerate(r):
             if r_j > 0.0 and u[j] / r_j < t1:
                 t1, drop = u[j] / r_j, j
         # primal step: the one making row p hold with equality; none when p's
         # normal lies in the span of the active normals (a full active set)
-        ss = float(s @ s)
+        ss = dot(s, s)
         t2 = math.inf
-        if q < d and ss > (_DEP_TOL * nrm_arr[p]) ** 2:   # x * x may round otherwise
-            t2 = (bw[p] - float(n_p @ y)) / ss
+        dep = _DEP_TOL * nrm[p]
+        if q < d and ss > dep * dep:
+            t2 = (bw[p] - dot(n_p, y)) / ss
         if t1 == math.inf and t2 == math.inf:
             return QPSolution(None, None, [], STATUS_INFEASIBLE, it, spec)
         t = min(t1, t2)
-        for j, r_j in enumerate(r_list):
+        for j, r_j in enumerate(r):
             u[j] -= t * r_j
         u[q] += t
         if t2 < math.inf:
-            y = y + t * s
-            y_max = max(y_max, _max_abs(y.tolist()))
+            y = [y_i + t * s_i for y_i, s_i in zip(y, s)]
+            y_max = max(y_max, _max_abs(y))
         if t2 <= t1:
             _append(Q, R_inv, q, r, s, ss)
             active.append(p)
@@ -281,8 +316,8 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
         else:
             del active[drop], u[drop]
             for j, i in enumerate(active):
-                d1, s = _split(Q, j, N[:, i])
-                _append(Q, R_inv, j, R_inv[:j, :j] @ d1, s, float(s @ s))
+                d1, s = _split(Q, j, N[i])
+                _append(Q, R_inv, j, matvec_of(j, j)(R_inv, d1), s, dot(s, s))
     raise QPIterationError(f"dual active set did not converge in {max_iter} iterations")
 
 

@@ -142,9 +142,9 @@ def integrate(cfg: FilterConfig,
     for the run (trimmed when it stops early), and after the loop W and the
     activation flags of all of them come from one stacked pass. Its sums are
     the one-state body's explicit sums on columns, so it gives the bits the
-    per-step calls would give, whatever BLAS kernel the CPU gets; only the
-    QP solves inside the controller call BLAS. A switch event computes the
-    flags of its two steps one state at a time."""
+    per-step calls would give, whatever BLAS kernel the CPU gets; the QP
+    solves inside the controller are explicit sums too. A switch event
+    computes the flags of its two steps one state at a time."""
     sys = cfg.sys
     x = as_vector(simcfg.x0, sys.n)
     if cfg.safe_set.min_value(x) < 0.0:

@@ -324,18 +324,52 @@ def test_zero_row_with_positive_bound_is_infeasible(spec, b_zero, pos):
     assert solve_qp(QPSpec(spec.H, spec.c, A, b)).status == "infeasible"
 
 
-# -- bit identity with the all-numpy body ------------------------------------
+# -- bit identity with the numpy-bookkeeping body -----------------------------
+
+def _dot(u, v):
+    """0.0 + u[0]*v[0] + ... + u[n-1]*v[n-1], added left to right: the order
+    of core.dot_of, written as a loop. It runs on Python floats, as the
+    solver does, so that a NaN keeps the same sign and payload."""
+    acc = 0.0
+    for a, b in zip(np.asarray(u).tolist(), np.asarray(v).tolist()):
+        acc = acc + a * b
+    return acc
+
+
+def _mv(M, v):
+    return np.array([_dot(row, v) for row in M], dtype=float)
+
+
+def _factor_oracle(H):
+    """L^-1 for H = LL', by the Cholesky recurrences on numpy arrays:
+    L_jj = sqrt(H_jj - sum_t<j L_jt^2), L_ij = (H_ij - sum_t<j L_it L_jt) / L_jj,
+    then L^-1 column by column, (L^-1)_ij = -sum_{j<=t<i} L_it (L^-1)_tj / L_ii."""
+    d = H.shape[0]
+    L = np.zeros((d, d))
+    for j in range(d):
+        pivot = H[j, j] - _dot(L[j, :j], L[j, :j])
+        assert pivot > 0.0
+        L[j, j] = math.sqrt(pivot)
+        for i in range(j + 1, d):
+            L[i, j] = (H[i, j] - _dot(L[i, :j], L[j, :j])) / L[j, j]
+    inv = np.zeros((d, d))
+    for j in range(d):
+        inv[j, j] = 1.0 / L[j, j]
+        for i in range(j + 1, d):
+            inv[i, j] = -_dot(L[i, j:i], inv[j:i, j]) / L[i, i]
+    return inv
+
 
 def _split_oracle(Q, q, n):
     Qa = Q[:, :q]
-    d1 = Qa.T @ n
-    s = n - Qa @ d1
-    e = Qa.T @ s
-    return d1 + e, s - Qa @ e
+    d1 = _mv(Qa.T, n)
+    s = n + _mv(Qa, -d1)
+    e = _mv(Qa.T, s)
+    return d1 + e, s + _mv(Qa, -e)
 
 
 def _append_oracle(Q, R_inv, q, r, s):
-    rho = math.sqrt(float(s @ s))
+    rho = math.sqrt(_dot(s, s))
     Q[:, q] = s / rho
     R_inv[:q, q] = r / -rho
     R_inv[q, q] = 1.0 / rho
@@ -344,9 +378,10 @@ def _append_oracle(Q, R_inv, q, r, s):
 def solve_qp_oracle(spec, max_iter=None):
     """The dual active-set method with all its bookkeeping in numpy arrays
     (violation mask, argmin, tolerances, y_max, a general split at q = 0),
-    its factor and KKT residual computed inside the call. solve_qp must give
-    the same bits: z_star, multipliers, active_set, status, iterations and
-    kkt_residual."""
+    its factor and KKT residual computed inside the call, and every product
+    an explicit left-to-right sum written as a loop (_dot). solve_qp must
+    give the same bits: z_star, multipliers, active_set, status, iterations
+    and kkt_residual."""
     d = spec.dim
     k = spec.n_rows
     H = spec.H + spec.reg * np.eye(d)
@@ -355,10 +390,10 @@ def solve_qp_oracle(spec, max_iter=None):
         max_iter = 60 * (k + 2)
     w = np.ldexp(1.0, -np.frexp(np.abs(A).max(axis=1, initial=0.0))[1])
     bw = b * w
-    L_inv = np.linalg.inv(np.linalg.cholesky(H))
-    N = L_inv @ (A.T * w)
-    y = -(L_inv @ c)
-    nrm = np.sqrt(np.einsum("ij,ij->j", N, N))
+    L_inv = _factor_oracle(H)
+    N = np.array([_mv(L_inv, A[i] * w[i]) for i in range(k)]).reshape(k, d).T
+    y = -_mv(L_inv, c)
+    nrm = np.sqrt([_dot(N[:, i], N[:, i]) for i in range(k)]).reshape(k)
     y_max = float(np.abs(y).max(initial=0.0))
     tol_b = _FEAS_TOL * np.abs(bw) + np.finfo(float).tiny
     tol_n = _FEAS_TOL * nrm
@@ -369,17 +404,18 @@ def solve_qp_oracle(spec, max_iter=None):
     p = -1
     for it in range(1, max_iter + 1):
         if p < 0:
-            slack = y @ N - bw
+            slack = _mv(N.T, y) - bw
             viol = slack < -(tol_b + tol_n * y_max)
             viol[active] = False
             if not viol.any():
-                z = L_inv.T @ y
+                z = _mv(L_inv.T, y)
                 lam = np.zeros(k)
                 lam[active] = np.maximum(u, 0.0) * w[active]
                 res = _kkt_residual(H, c, A, b, z, lam)
-                tol = 1e-10 * (1.0 + np.abs(b).max(initial=0.0))
+                # a NaN bound leaves the tolerance of the others as it is
+                tol = 1e-10 * (1.0 + np.abs(b[~np.isnan(b)]).max(initial=0.0))
                 kept = [i for i in sorted(active)
-                        if lam[i] > 0.0 or abs(float(A[i] @ z - b[i])) <= tol]
+                        if lam[i] > 0.0 or abs(float(_dot(A[i], z) - b[i])) <= tol]
                 return SimpleNamespace(z_star=z, multipliers=lam, active_set=kept,
                                        kkt_residual=res, status="optimal", iterations=it)
             p = int(np.argmin(np.where(viol, slack / nrm_safe, np.inf)))
@@ -387,16 +423,16 @@ def solve_qp_oracle(spec, max_iter=None):
         q = len(active)
         n_p = N[:, p]
         d1, s = _split_oracle(Q, q, n_p)
-        r = R_inv[:q, :q] @ d1
+        r = _mv(R_inv[:q, :q], d1)
         r_list = r.tolist()
         t1, drop = math.inf, -1
         for j, r_j in enumerate(r_list):
             if r_j > 0.0 and u[j] / r_j < t1:
                 t1, drop = u[j] / r_j, j
-        ss = float(s @ s)
+        ss = float(_dot(s, s))
         t2 = math.inf
         if q < d and ss > (_DEP_TOL * nrm[p]) ** 2:
-            t2 = (bw[p] - float(n_p @ y)) / ss
+            t2 = (bw[p] - float(_dot(n_p, y))) / ss
         if t1 == math.inf and t2 == math.inf:
             return SimpleNamespace(z_star=None, multipliers=None, active_set=[],
                                    kkt_residual=math.inf, status="infeasible", iterations=it)
@@ -415,7 +451,7 @@ def solve_qp_oracle(spec, max_iter=None):
             del active[drop], u[drop]
             for j, i in enumerate(active):
                 d1, s = _split_oracle(Q, j, N[:, i])
-                _append_oracle(Q, R_inv, j, R_inv[:j, :j] @ d1, s)
+                _append_oracle(Q, R_inv, j, _mv(R_inv[:j, :j], d1), s)
     raise QPIterationError(f"dual active set did not converge in {max_iter} iterations")
 
 
@@ -472,6 +508,19 @@ def test_solver_matches_numpy_bookkeeping_on_random_specs():
     assert statuses == {"optimal", "infeasible"}
 
 
+# two specs with a NaN bound in their last row; test_a_nan_bound_* pins them
+NAN_BOUND_SPECS = (
+    QPSpec(np.diag([1.0, 3.0]), np.array([3.0, 0.0]),
+           np.array([[2.0, -2.0], [2.0, 2.0], [0.0, -1.0]]), np.array([0.0, 0.0, math.nan]),
+           reg=0.0),
+    QPSpec(np.diag([2.0, 1.0, 2.0]), np.array([-3.0, 2.0, -3.0]),
+           np.array([[-2.0, 2.0, -2.0], [2.0, 1.0, 0.0], [-1.0, -1.0, -2.0],
+                     [1.0, 2.0, -2.0], [-2.0, -1.0, 1.0], [2.0, 1.0, -2.0],
+                     [2.0, 0.0, 2.0]]),
+           np.array([-3.0, -1.0, -3.0, -3.0, -1.0, 3.0, math.nan]), reg=0.0),
+)
+
+
 def _special_specs(rng):
     """Exact zeros, ties, nearly parallel rows, tiny and huge rows,
     infeasible systems."""
@@ -490,17 +539,11 @@ def _special_specs(rng):
     yield QPSpec(np.eye(1), np.zeros(1), np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
     yield QPSpec(np.eye(3), np.zeros(3), np.vstack([np.eye(3), -np.ones((1, 3))]),
                  np.array([1.0, 1.0, 1.0, -2.0]))
+    # each with a row whose bound is NaN, never violated and never active:
     # a row that holds only once the tolerance has grown with the largest
-    # |y| met, and one whose zero multiplier leaves it out of the active set
-    # unless the NaN bound of another row makes the tolerance NaN
-    yield QPSpec(2.0 * eye2, np.zeros(2), np.array([[1.0, -1.0], [-2.0, 2.0], [-1.0, -1.0],
-                                                    [0.0, -1.0]]),
-                 np.array([-1.0, 0.0, 1.0, math.nan]), reg=0.0)
-    yield QPSpec(np.diag([2.0, 1.0, 2.0]), np.array([-3.0, 2.0, -3.0]),
-                 np.array([[-2.0, 2.0, -2.0], [2.0, 1.0, 0.0], [-1.0, -1.0, -2.0],
-                           [1.0, 2.0, -2.0], [-2.0, -1.0, 1.0], [2.0, 1.0, -2.0],
-                           [2.0, 0.0, 2.0]]),
-                 np.array([-3.0, -1.0, -3.0, -3.0, -1.0, 3.0, math.nan]), reg=0.0)
+    # |y| met, and one whose zero multiplier keeps it in the active set
+    yield NAN_BOUND_SPECS[0]
+    yield NAN_BOUND_SPECS[1]
     # small integers: rows through common vertices, exact ties and zero
     # multipliers on active rows, half of them with a NaN bound added
     for i in range(1500):
@@ -619,17 +662,36 @@ def test_nan_iterate_and_nan_rows_are_pinned():
     assert_matches_oracle(spec)
 
 
+def test_a_nan_bound_leaves_the_other_rows_as_they_are():
+    # the finish tolerance 1e-10 * (1 + max|b|) is taken over the bounds
+    # that are not NaN, so the zero-multiplier row 0 of the second spec stays
+    # active; with the current |y| in place of the largest |y| met in the
+    # violation test, the first spec takes 9 iterations instead of 3
+    for spec, active, iterations in zip(NAN_BOUND_SPECS, ([0, 1], [0, 4, 5]), (3, 4)):
+        with np.errstate(all="ignore"):
+            sol = solve_qp(spec)
+            without = solve_qp(QPSpec(spec.H, spec.c, spec.A[:-1], spec.b[:-1], reg=0.0))
+        assert sol.status == "optimal" and sol.active_set == active
+        assert sol.iterations == iterations
+        assert sol.multipliers[-1] == 0.0
+        assert_same_solution(without, SimpleNamespace(
+            **{**vars(sol), "multipliers": sol.multipliers[:-1],
+               "kkt_residual": without.kkt_residual}))
+        assert_matches_oracle(spec)
+    assert solve_qp(NAN_BOUND_SPECS[1]).multipliers[0] == 0.0
+
+
 def test_multiplier_rounded_below_zero_is_clamped():
     # rows enter in the order 2, 1, 0; the step that adds row 0 brings row
-    # 2's multiplier to zero just as row 0 comes to hold (t1 == t2 = 16/3, so
-    # row 2 stays active), and u - t * r rounds to -1.1e-16 there; the clamp
-    # reports +0.0, as the oracle's np.maximum does
-    spec = QPSpec(np.eye(3), [0.7333333333333333, -2.0952380952380953, 1.333333333333333],
-                  [[0.2, 0.0, 5.0], [1.0, -1.6666666666666667, 0.0], [0.6, 0.0, 4.0]],
-                  [10.08, -0.3142857142857143, 8.24], reg=0.0)
+    # 1's multiplier to zero just as row 0 comes to hold (t1 == t2 =
+    # 4.000000000000001, so row 1 stays active), and u - t * r rounds to
+    # -1.1e-16 there; the clamp reports +0.0, as the oracle's np.maximum does
+    spec = QPSpec(np.eye(3), [1.0857142857142859, -0.6571428571428573, 1.1142857142857145],
+                  [[0.8, 1.2, -2.6], [3.6, 0.0, 0.0], [0.0, 0.0, 3.0]],
+                  [-1.3428571428571432, -1.0285714285714285, 3.8571428571428577], reg=0.0)
     sol = solve_qp(spec)
     assert sol.status == "optimal" and sol.active_set == [0, 1, 2]
-    assert sol.multipliers.tolist() == [0.6666666666666666, 1.0, 0.0]
+    assert sol.multipliers.tolist() == [1.0000000000000002, 0.0, 1.666666666666667]
     assert not np.signbit(sol.multipliers).any()
     assert_matches_oracle(spec)
 
@@ -643,7 +705,7 @@ def test_spec_sharing_a_factor_solves_as_a_fresh_spec():
         fresh = random_spec(rng, d, k)
         template = QPSpec(fresh.H, fresh.c, np.zeros((0, d)), np.zeros(0), reg=fresh.reg)
         shared = template.with_rows(fresh.A.tolist(), fresh.b.tolist())
-        assert shared._L_inv is template._L_inv and template.n_rows == 0
+        assert shared._factor is template._factor and template.n_rows == 0
         assert shared.A.tobytes() == fresh.A.tobytes()
         assert_same_solution(solve_qp(shared), solve_qp(fresh))
     with pytest.raises(ValueError):

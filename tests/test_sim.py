@@ -569,6 +569,10 @@ M2_INDEFINITE_X0 = [-1.437902014071811, 0.7621725515196371, -0.26732409520290634
 # fails its Cholesky factorization there (qp_indefinite) or the state blows
 # up first is decided by rounding
 M2_INDEFINITE_EARLY_X0 = [-1.8998625413692347, -1.2244389179435202, 0.44646461281690275]
+# the 63rd safe draw of np.random.default_rng(12).uniform(-3, 3, size=3): its
+# S-CBF-QP cost fails to factor at step 7 (|b|^2 = 4.5e10); of 1500 such
+# draws, 56 end qp_indefinite, 462 blowup and 982 ok
+M2_INDEFINITE_SEARCHED_X0 = [-2.0555525873905927, 0.1498164762333678, 0.9454002549763203]
 
 
 def assert_indefinite_diagnostic(traj):
@@ -610,15 +614,19 @@ def test_indefinite_s_cbf_qp_cost_ends_the_run_with_a_status():
 
 
 def test_synthetic_m2_starts_that_reach_a_large_b_end_with_a_status():
-    # which of the two statuses a start gets is decided by rounding
+    # which of the two statuses a start gets is decided by rounding, but
+    # with the explicit-sum factor at least one start gets qp_indefinite
     cfg = synthetic_m2_config()
+    statuses = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for x0 in (M2_INDEFINITE_X0, M2_INDEFINITE_EARLY_X0):
+        for x0 in (M2_INDEFINITE_X0, M2_INDEFINITE_EARLY_X0, M2_INDEFINITE_SEARCHED_X0):
             traj = assert_matches_integrate_oracle(
                 cfg, lambda: make_controller(cfg, "hybrid"), SimConfig(x0=x0, t_final=2.0))
             assert traj.status in (STATUS_BLOWUP, STATUS_QP_INDEFINITE), traj.diagnostic
             if traj.status == STATUS_QP_INDEFINITE:
                 assert_indefinite_diagnostic(traj)
+            statuses.append(traj.status)
+    assert STATUS_QP_INDEFINITE in statuses
 
 
 def write_trajectory_csv_oracle(traj, path):
