@@ -334,7 +334,7 @@ def cmd_plot(args) -> int:
     for path in args.csv:
         try:
             traj = read_trajectory_csv(path)
-        except SimulationError as exc:  # empty file or schema mismatch
+        except SimulationError as exc:  # empty, wrong header or malformed row
             print(f"error: {exc}", file=sys.stderr)
             return EXIT_RUNTIME
         if traj.states.shape[1] != bundle.sys.n:

@@ -9,31 +9,32 @@ Conventions
   pointwise quantities (W and its gradient, Sontag's a and b, the barrier
   values, gradients and rows, the row margins and activation flags) is an
   explicit sum that starts from +0.0 and adds its terms left to right
-  (dot_of, matvec_of, affine_of), with no BLAS call. The one-state body
-  evaluates these sums on Python floats, the stack body evaluates the same
-  expressions on numpy columns, so the two agree bit for bit (up to the sign
-  and payload of a NaN, which IEEE 754 leaves open), and neither depends on
-  which kernel the CPU's BLAS dispatches to. The QP layer sums the same way
+  (dot_of, matvec_of, affine_of), with no BLAS call. For one state these
+  sums run on Python floats, for a stack the same expressions run on numpy
+  columns, so the two agree bit for bit (up to the sign and payload of a
+  NaN, which IEEE 754 leaves open), and neither depends on which kernel the
+  CPU's BLAS dispatches to. The QP layer sums the same way
   (solve_qp, QPSpec's factor and the filters' per-step specs), so BLAS is
   left to checks off the per-step path (xdot, linearize, closed_form_ustar,
   verify's decrease identity, the KKT residual computed when read).
 * The float forms are the only bodies a scenario writes: a system's fg(xs)
   gives f(x) as a list of n floats and g(x) as a list of m columns of n
-  floats, a barrier's hgrad(xs) its value and gradient (a list).
+  floats, a barrier's hgrad(xs) its value and gradient (a list); on the
+  columns of a stack they give columns, a constant entry staying a float.
   ControlAffineSystem.from_fg and Barrier.from_hgrad derive the numpy f, g,
   h and grad_h from them (_numpy_part). rhs(xs, us) is f(x) + g(x) u from
   fg, row i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m), and
   rhs_from = affine_of(n, m) is the same from an fg already evaluated, for
   every system. A system or barrier built from numpy closures alone gets
-  adapters as float forms (fg reads f and g, hgrad reads h and grad_h). An
-  f, g, h, grad_h or QuadraticCLF.grad assigned to an object after
+  adapters as float forms (fg reads f and g, hgrad reads h and grad_h, on
+  one state or a stack). An f, g, h, grad_h or QuadraticCLF.grad assigned to an object after
   construction takes over its float form through the adapter, so the
   per-step path calls what was assigned.
 * The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad and
   SafeSet.values/min_value/contains also accept a stack X of shape (N, n)
   and then return their results with a leading axis of N (g(X) is
-  (N, n, m)). Each chooses its body from x.ndim: the one-state body
-  is the per-step path, the stack body serves the many-state callers (doa,
+  (N, n, m)). filters.evaluate runs the float forms on one state, the
+  per-step path, or on a stack's columns for the many-state callers (doa,
   verify, the simulator's records).
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
   vanishes at a non-zero equilibrium.
@@ -203,12 +204,16 @@ class ControlAffineSystem:
         if name in ("f", "g") and "rhs" in self.__dict__:
             super().__setattr__("fg", self._numpy_fg)
 
-    def _numpy_fg(self, xs: List[float]):
-        y = np.array(xs)
-        G = np.asarray(self.g(y), dtype=float)
-        if G.shape != (self.n, self.m):
-            raise ValueError(f"g(x) must be ({self.n}, {self.m}), got {G.shape}")
-        return np.asarray(self.f(y), dtype=float).tolist(), G.T.tolist()
+    def _numpy_fg(self, xs):
+        y = np.array(xs)   # (n,) for one state, (n, N) for a stack's columns
+        G = np.asarray(self.g(y.T), dtype=float)
+        shape = (self.n, self.m) if y.ndim == 1 else (y.shape[1], self.n, self.m)
+        if G.shape != shape:
+            raise ValueError(f"g({'x' if y.ndim == 1 else 'X'}) must be {shape}, got {G.shape}")
+        f = np.asarray(self.f(y.T), dtype=float)
+        if y.ndim == 1:
+            return f.tolist(), G.T.tolist()
+        return columns(f), [list(G_j) for G_j in G.T]
 
     def drift(self, x) -> np.ndarray:
         return as_vector(self.f(as_vector(x, self.n)), self.n)
@@ -341,9 +346,12 @@ class Barrier:
         if name in ("h", "grad_h") and "hgrad" in self.__dict__:
             super().__setattr__("hgrad", self._numpy_hgrad)
 
-    def _numpy_hgrad(self, xs: List[float]):
-        y = np.array(xs)
-        return float(self.h(y)), as_vector(self.grad_h(y)).tolist()
+    def _numpy_hgrad(self, xs):
+        y = np.array(xs)   # as in ControlAffineSystem._numpy_fg
+        if y.ndim == 1:
+            return float(self.h(y)), as_vector(self.grad_h(y)).tolist()
+        grad = np.asarray(self.grad_h(y.T), dtype=float)
+        return np.asarray(self.h(y.T), dtype=float), columns(grad)
 
     def value(self, x) -> float:
         return float(self.h(as_vector(x)))

@@ -2,9 +2,10 @@
 
 Every controller reads the same pointwise quantities, which `evaluate`
 computes from one call of the system's float form fg (f and the columns of
-g) on Python floats: Sontag's terms a, b and input u_son,
-the barrier rows L_f h_i + L_g h_i u >= -alpha_i(h_i) stacked as A u >= lb,
-the barrier values h, and the R1/R2 label. Three filters share the rows:
+g), on the Python floats of one state or the columns of a stack: Sontag's
+terms a, b and input u_son, the barrier rows L_f h_i + L_g h_i u >=
+-alpha_i(h_i) stacked as A u >= lb, the barrier values h, and the R1/R2
+label. Three filters share the rows:
 
 * cbf_qp_filter      minimizes |u - u_nom|^2 (nominal defaults to Sontag),
 * clf_cbf_qp_filter  minimizes |u|^2 + p*delta^2 with a slacked CLF row,
@@ -99,7 +100,7 @@ class Evaluation(NamedTuple):
     lb: np.ndarray       # and lb_i = -alpha_i(h_i) - L_f h_i
     h: np.ndarray        # barrier values h_i(x)
     label: RegionLabel   # R1 iff u_son satisfies every row
-    fg: tuple = None     # sys.fg(x), (f, columns of g) as floats; None for a stack
+    fg: tuple            # sys.fg(x), (f, columns of g): floats, or columns for a stack
 
     @property
     def lfw(self) -> float:
@@ -109,17 +110,20 @@ class Evaluation(NamedTuple):
         return dot_of(self.f.size)(self.grad_w.tolist(), self.f.tolist())
 
 
-def _barrier_rows(barriers, hgrads, FG):
-    """The rows A u >= lb of the barriers, from their (h, grad h) pairs and
-    FG = [f, G_1, ..., G_m]: A_i = (grad . G_1, ..., grad . G_m) and
-    lb_i = -alpha_i h_i - grad . f; on floats or on columns."""
+def _barrier_rows(barriers, xs, FG):
+    """The rows A u >= lb of the barriers and their values h, from one call
+    of each barrier's hgrad at xs and FG = [f, G_1, ..., G_m]:
+    A_i = (grad . G_1, ..., grad . G_m) and lb_i = -alpha_i h_i - grad . f;
+    on floats or on columns."""
     row_of = matvec_of(len(FG), len(FG[0]))
-    A, lb = [], []
-    for bar, (h, grad) in zip(barriers, hgrads):
+    A, lb, hs = [], [], []
+    for bar in barriers:
+        h, grad = bar.hgrad(xs)
         r = row_of(FG, grad)   # grad . f, grad . G_1, ..., grad . G_m
         A.append(r[1:])
         lb.append(-bar.alpha * h - r[0])
-    return A, lb
+        hs.append(h)
+    return A, lb, hs
 
 
 def _margins(A, lb, u):
@@ -128,11 +132,16 @@ def _margins(A, lb, u):
 
 
 def _min_first(values):
-    """The least value, NaN if any is NaN, as numpy's min; on floats."""
+    """The least value, NaN if any is NaN, as numpy's min; on floats or on
+    columns (elementwise)."""
     least = values[0]
+    if isinstance(least, float):
+        for v in values[1:]:
+            if v < least or v != v:
+                least = v
+        return least
     for v in values[1:]:
-        if v < least or v != v:
-            least = v
+        least = np.where((v < least) | (v != v), v, least)
     return least
 
 
@@ -140,59 +149,41 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
     """The one pointwise evaluation behind every controller, the simulator's
     bookkeeping, control sharing and verify.
 
-    This is the per-step hot path of the simulator: it runs on Python floats
-    from the system's float form fg and each barrier's hgrad, with every sum
-    written out (core.dot_of, matvec_of, affine_of), and makes arrays only of
-    the fields it returns. A stack x of shape (N, n) takes _evaluate_stack, which sums the
-    same expressions on numpy columns and so gives the same bits."""
+    It calls the system's fg and each barrier's hgrad once, on the Python
+    floats of one state (n,) or the columns of a stack (N, n), and runs
+    every sum written out (core.dot_of, matvec_of, affine_of) on what they
+    give, so a stack row has the bits of its one-state call. One state, the
+    simulator's per-step path, makes arrays only of the fields it returns; a
+    stack's fields get a leading axis of N, a float constant filling its
+    column."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return _evaluate_stack(cfg, x)
-    x = as_vector(x, cfg.sys.n)
-    xs = x.tolist()
+    stack = x.ndim == 2
+    if stack:
+        if x.shape[1] != cfg.sys.n:
+            raise ValueError(f"expected states of length {cfg.sys.n}, got {x.shape[1]}")
+        xs = columns(x)
+    else:
+        x = as_vector(x, cfg.sys.n)
+        xs = x.tolist()
     fg = fs, gcols = cfg.sys.fg(xs)
     grad_w, a, b = cfg.clf.lie_terms(xs, fs, gcols)
     u_son = [ue + k for ue, k in zip(cfg.clf.equilibrium.u_e.tolist(),
                                      sontag_kappa(cfg.gamma, a, b))]
-    barriers = cfg.safe_set.barriers
-    hgrads = [bar.hgrad(xs) for bar in barriers]
-    A, lb = _barrier_rows(barriers, hgrads, [fs] + gcols)
-    h = [h_i for h_i, _ in hgrads]
+    A, lb, h = _barrier_rows(cfg.safe_set.barriers, xs, [fs] + gcols)
     margin = _min_first(_margins(A, lb, u_son))
-    label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
-    return Evaluation(x, np.array(fs), np.array(grad_w), a, np.array(b), np.array(u_son),
-                      np.array(A), np.array(lb), np.array(h), label, fg)
+    if not stack:
+        label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
+        return Evaluation(x, np.array(fs), np.array(grad_w), a, np.array(b), np.array(u_son),
+                          np.array(A), np.array(lb), np.array(h), label, fg)
+    N = x.shape[0]
 
+    def stacked(values):
+        return np.stack([np.broadcast_to(v, (N,)) for v in values], axis=1)
 
-def _evaluate_stack(cfg: FilterConfig, X: np.ndarray) -> Evaluation:
-    """evaluate on the rows of X: f, g, h and grad h from the closures' stack
-    bodies, and every sum of the one-state body on their columns."""
-    n, m = cfg.sys.n, cfg.sys.m
-    N = X.shape[0]
-    if X.shape[1] != n:
-        raise ValueError(f"expected states of length {n}, got {X.shape[1]}")
-    f = np.asarray(cfg.sys.f(X), dtype=float)
-    G = np.asarray(cfg.sys.g(X), dtype=float)
-    if G.shape != (N, n, m):
-        raise ValueError(f"g(X) must be ({N}, {n}, {m}), got {G.shape}")
-    xs, fs = columns(X), columns(f)
-    gcols = [columns(G[:, :, j]) for j in range(m)]
-    grad_w, a, b = cfg.clf.lie_terms(xs, fs, gcols)
-    b = np.stack(b, axis=1)
-    u_son = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
-    barriers = cfg.safe_set.barriers
-    hgrads = [(np.broadcast_to(np.asarray(bar.h(X), dtype=float), (N,)), columns(bar.grad_h(X)))
-              for bar in barriers]
-    A, lb = _barrier_rows(barriers, hgrads, [fs] + gcols)
-    h = [h_i for h_i, _ in hgrads]
-    margins = _margins(A, lb, columns(u_son))
-    margin = margins[0]
-    for v in margins[1:]:   # _min_first on columns
-        margin = np.where((v < margin) | (v != v), v, margin)
     label = RegionLabel(np.where(margin >= 0.0, Region.R1, Region.R2), margin)
-    A = np.stack([np.stack(row, axis=1) for row in A], axis=1)
-    return Evaluation(X, f, np.stack(grad_w, axis=1), a, b, u_son, A,
-                      np.stack(lb, axis=1), np.stack(h, axis=1), label)
+    return Evaluation(x, stacked(fs), stacked(grad_w), a, stacked(b), stacked(u_son),
+                      np.stack([stacked(row) for row in A], axis=1), stacked(lb), stacked(h),
+                      label, fg)
 
 
 def cbf_rows(cfg: FilterConfig, x) -> Tuple[np.ndarray, np.ndarray]:

@@ -330,45 +330,27 @@ def _phase_one(A, b) -> bool:
 
 
 def lp_feasible(A, b):
-    """True iff some z satisfies A z >= b.
-
-    The one-variable case is decided by exact interval intersection; larger
-    systems by the dual method on the minimum-norm problem. A stack of N
-    systems, A (N, k, d) and b (N, k), gives a boolean array (N,): for d = 1
-    the interval test runs on all of them at once, with the same divisions
-    and comparisons; for d > 1 each system takes its own call.
-    """
+    """True iff some z satisfies A z >= b; for a stack of N systems, A
+    (N, k, d) and b (N, k), a boolean array (N,). One system, A (k, d) and
+    b (k,), is the stack of one. For d = 1 all systems are decided at once
+    by exact interval intersection (a row with a_i = 0 or NaN and b_i > 0
+    has no solution), for d > 1 each by the dual method on the minimum-norm
+    problem."""
     A = np.asarray(A, dtype=float)
-    if A.ndim == 3:
-        return _lp_feasible_stack(A, np.asarray(b, dtype=float))
-    b = np.asarray(b, dtype=float).ravel()
-    if b.size == 0:   # before the reshape, which cannot infer d from no rows
-        return True
-    A = A.reshape(b.size, -1)
-    d = A.shape[1]
-    if d == 1:
-        lo, hi = -math.inf, math.inf
-        for a_i, b_i in zip(A[:, 0], b):
-            if a_i > 0.0:
-                lo = max(lo, b_i / a_i)
-            elif a_i < 0.0:
-                hi = min(hi, b_i / a_i)
-            elif b_i > 0.0:
-                return False
-        return lo <= hi
-    return _phase_one(A, b)
-
-
-def _lp_feasible_stack(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if A.shape[2] != 1:
-        return np.array([lp_feasible(A_i, b_i) for A_i, b_i in zip(A, b)], dtype=bool)
-    a = A[:, :, 0]
-    pos, neg = a > 0.0, a < 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = b / a
-    # fmax/fmin skip a NaN bound as the scalar max/min above do
-    lo = np.fmax.reduce(np.where(pos, ratio, -math.inf), axis=1, initial=-math.inf)
-    hi = np.fmin.reduce(np.where(neg, ratio, math.inf), axis=1, initial=math.inf)
-    # a row with a = 0 (or NaN) and b > 0 has no solution
-    dead = (~pos & ~neg & (b > 0.0)).any(axis=1)
-    return ~dead & (lo <= hi)
+    b = np.asarray(b, dtype=float)
+    one = A.ndim < 3
+    if one:
+        # with no rows d cannot be inferred, and every z will do: take d = 1
+        A, b = A.reshape(1, b.size, -1 if b.size else 1), b.reshape(1, -1)
+    if A.shape[2] == 1:
+        a = A[:, :, 0]
+        pos, neg = a > 0.0, a < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = b / a
+        # fmax/fmin skip a NaN bound (inf / inf, or a NaN in a or b)
+        lo = np.fmax.reduce(np.where(pos, ratio, -math.inf), axis=1, initial=-math.inf)
+        hi = np.fmin.reduce(np.where(neg, ratio, math.inf), axis=1, initial=math.inf)
+        feasible = ~(~pos & ~neg & (b > 0.0)).any(axis=1) & (lo <= hi)
+    else:
+        feasible = np.array([_phase_one(A_i, b_i) for A_i, b_i in zip(A, b)], dtype=bool)
+    return bool(feasible[0]) if one else feasible

@@ -307,15 +307,23 @@ def read_trajectory_csv(path) -> Trajectory:
         header = next(reader, None)
         if header is None:
             raise SimulationError(f"{path}: empty CSV")
-        rows = [r for r in reader]
-    n = sum(1 for c in header if c.startswith("x_"))
-    m = sum(1 for c in header if c.startswith("u_"))
-    k = sum(1 for c in header if c.startswith("h_"))
-    if header != csv_header(n, m, k):
-        raise SimulationError(f"{path}: header does not match the trajectory schema")
+        n = sum(1 for c in header if c.startswith("x_"))
+        m = sum(1 for c in header if c.startswith("u_"))
+        k = sum(1 for c in header if c.startswith("h_"))
+        if header != csv_header(n, m, k):
+            raise SimulationError(f"{path}: header does not match the trajectory schema")
+        rows = []
+        for r in reader:
+            if len(r) != len(header):
+                raise SimulationError(f"{path}: line {reader.line_num}: {len(r)} fields, "
+                                      f"expected {len(header)}")
+            try:
+                rows.append([float(v) for v in r])
+            except ValueError as exc:
+                raise SimulationError(f"{path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise SimulationError(f"{path}: no data rows")
-    data = np.array([[float(v) for v in r] for r in rows])
+    data = np.array(rows)
     idx = 1
     states = data[:, idx:idx + n]; idx += n
     inputs = data[:, idx:idx + m]; idx += m

@@ -24,24 +24,26 @@ if TYPE_CHECKING:
 
 def sontag_kappa(gamma: float, a, b):
     """Correction term of the universal formula with gain gamma for the terms
-    a and b; zero when b (nearly) vanishes. b is a list of m floats (and the
-    result a list), an m-array, or for a stack (N, m) with a of shape (N,).
-    |b|^2 is the explicit sum dot_of(m)(b, b) in every form."""
+    a and b; zero when b (nearly) vanishes. b is a list of m floats, or of m
+    columns with a a column, and so is the result; an array b, (m,) or
+    (N, m), gives an array. |b|^2 is the explicit sum dot_of(m)(b, b)."""
     if isinstance(b, np.ndarray):
         if b.ndim == 1:
             return np.array(sontag_kappa(gamma, a, b.tolist()))
-        bb = dot_of(b.shape[1])(columns(b), columns(b))
-        on = ~(np.sqrt(bb) <= B_FLOOR)   # NaN takes the formula, as below
-        kappa = np.zeros_like(b)
-        a_on, bb_on = a[on], bb[on]
-        kappa[on] = b[on] * ((-a_on - gamma * np.sqrt(a_on * a_on + bb_on * bb_on))
-                             / bb_on)[:, None]
-        return kappa
+        return np.stack(sontag_kappa(gamma, a, columns(b)), axis=1)
     bb = dot_of(len(b))(b, b)
-    if math.sqrt(bb) <= B_FLOOR:
-        return [0.0] * len(b)
-    r = (-a - gamma * math.sqrt(a * a + bb * bb)) / bb
-    return [bj * r for bj in b]
+    if isinstance(bb, float):
+        if math.sqrt(bb) <= B_FLOOR:
+            return [0.0] * len(b)
+        r = (-a - gamma * math.sqrt(a * a + bb * bb)) / bb
+        return [bj * r for bj in b]
+    on = ~(np.sqrt(bb) <= B_FLOOR)   # NaN takes the formula, as above
+    a, bb = a[on], bb[on]
+    r = (-a - gamma * np.sqrt(a * a + bb * bb)) / bb
+    kappa = [np.zeros(on.shape) for _ in b]
+    for k, bj in zip(kappa, b):
+        k[on] = bj[on] * r
+    return kappa
 
 
 def sontag_control(cfg: FilterConfig, x) -> np.ndarray:

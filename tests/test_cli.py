@@ -1,11 +1,14 @@
 import csv
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import safestab
 from safestab import QPIterationError, build_scenario, cli, read_trajectory_csv
 from safestab.cli import main
 from safestab.verify import run_checks
@@ -229,6 +232,17 @@ def test_plot_schema_mismatch_exits_1(tmp_path):
     assert rc == 1
 
 
+def test_plot_malformed_row_exits_1_naming_the_file(tmp_path, capsys):
+    assert main(["simulate", "--scenario", "linear2d", "--t-final", "0.1",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "linear2d_hybrid_traj.csv"
+    with open(path, "a") as fh:
+        fh.write("0.2,abc\n")
+    rc = main(["plot", str(path), "--scenario", "linear2d", "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"{path}: line " in capsys.readouterr().err
+
+
 def test_determinism_same_manifest_identical_csv(tmp_path):
     for sub in ("one", "two"):
         rc = main(["simulate", "--scenario", "tumor3d", "--t-final", "1.0",
@@ -240,8 +254,12 @@ def test_determinism_same_manifest_identical_csv(tmp_path):
 
 
 def test_console_entry_point():
+    # the subprocess imports the safestab these tests import, installed or not
+    root = str(Path(safestab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [root, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run([sys.executable, "-m", "safestab.cli", "--version"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "safestab" in proc.stdout
 

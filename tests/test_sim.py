@@ -216,6 +216,14 @@ def test_csv_schema_validation(tmp_path):
     empty.write_text("")
     with pytest.raises(SimulationError):
         read_trajectory_csv(empty)
+    # a ragged row and a field that is not a number name the file and line
+    header = ",".join(csv_header(2, 1, 1))
+    row = ",".join(["0.0"] * len(csv_header(2, 1, 1)))
+    for name, line in (("ragged", "0.0,1.0"), ("word", row.replace("0.0", "abc", 1))):
+        path = tmp_path / f"{name}.csv"
+        path.write_text(f"{header}\n{row}\n{line}\n")
+        with pytest.raises(SimulationError, match=rf"{name}\.csv: line 3: "):
+            read_trajectory_csv(path)
 
 
 def test_simconfig_validation():

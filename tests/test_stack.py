@@ -150,8 +150,23 @@ def test_control_sharing_and_awc_membership_match_one_state(case):
     assert same(in_awc(est, cfg, X), np.array([in_awc(est, cfg, x) for x in X]))
 
 
+def interval_feasible(a, b):
+    """Some z with a_i z >= b_i for every row: the interval intersection one
+    row at a time on Python floats, where max and min skip a NaN bound."""
+    lo, hi = -math.inf, math.inf
+    for a_i, b_i in zip(a, b):
+        if a_i > 0.0:
+            lo = max(lo, b_i / a_i)
+        elif a_i < 0.0:
+            hi = min(hi, b_i / a_i)
+        elif b_i > 0.0:
+            return False
+    return lo <= hi
+
+
 def test_lp_feasible_stack_matches_per_system():
     rng = np.random.default_rng(3)
+    special = np.array([0.0, -0.0, math.inf, -math.inf, math.nan])
     for d, k in ((1, 4), (1, 0), (2, 3), (2, 0)):
         A = rng.normal(size=(300, k, d))
         b = rng.normal(size=(300, k))
@@ -161,10 +176,14 @@ def test_lp_feasible_stack_matches_per_system():
             A[::7, 1] = 0.0
             b[::14, 1] = 0.5
             A[5, :, 0], b[5] = [1.0, -1.0, math.inf, 1.0], [0.0, -1.0, math.inf, 0.5]
+            # +-0, +-inf and NaN in a and in b
+            A[200:, 2, 0] = rng.choice(special, 100)
+            b[250:, 3] = rng.choice(special, 50)
         got = lp_feasible(A, b)
-        with np.errstate(invalid="ignore"):   # the one-state inf / inf
-            want = np.array([lp_feasible(A_i, b_i) for A_i, b_i in zip(A, b)])
-        assert same(got, want), (d, k)
+        assert same(got, np.array([lp_feasible(A_i, b_i) for A_i, b_i in zip(A, b)])), (d, k)
+        if d == 1:
+            want = [interval_feasible(a, b_i) for a, b_i in zip(A[:, :, 0].tolist(), b.tolist())]
+            assert got.tolist() == want, (d, k)
         assert d > 1 or not k or got[5]
         if k:
             assert got.any() and not got.all(), (d, k)

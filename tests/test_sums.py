@@ -352,3 +352,45 @@ def test_assigned_closures_take_over_the_float_forms(name):
     f = sys.f
     sys.f = lambda x: 2.0 * f(x)
     assert evaluate(cfg, X[0]).f.tobytes() == (2.0 * before[0].f).tobytes()
+
+
+def test_a_stack_runs_each_form_once_and_the_adapters_take_columns():
+    # a bundled system's fg and each barrier's hgrad run once per stack; the
+    # numpy-built stackable-m2 reaches its closures through the adapters,
+    # which call f, g, h and grad h once on the whole stack; every stack row
+    # has the bits of its one-state call
+    calls = []
+    rng = np.random.default_rng(8)
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls.append(key)
+            return fn(*args)
+        return wrapper
+
+    def stack_calls(cfg):
+        X = rng.uniform(-3.0, 3.0, size=(50, cfg.sys.n))
+        want = [fields(evaluate(cfg, x)) for x in X]
+        calls.clear()
+        ev = evaluate(cfg, X)
+        for i, one in enumerate(want):
+            assert_fields_equal(fields(ev, i), one, X[i])
+        assert same(np.stack(ev.fg[0], axis=1), ev.f)
+        return sorted(calls)
+
+    bundle = build_scenario("tumor3d")
+    cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set)
+    cfg.sys.fg = counted("fg", cfg.sys.fg)
+    for bar in cfg.safe_set.barriers:
+        bar.hgrad = counted("hgrad", bar.hgrad)
+    assert stack_calls(cfg) == ["fg"] + ["hgrad"] * len(cfg.safe_set)
+    cfg = stackable_m2_config()
+    cfg.sys.f, cfg.sys.g = counted("f", cfg.sys.f), counted("g", cfg.sys.g)
+    for bar in cfg.safe_set.barriers:
+        bar.h, bar.grad_h = counted("h", bar.h), counted("grad_h", bar.grad_h)
+    assert stack_calls(cfg) == sorted(["f", "g"] + ["h", "grad_h"] * len(cfg.safe_set))
+    # a g that ignores the stack axis is caught on a stack
+    cfg.sys.g = lambda x: np.ones((3, 2))
+    evaluate(cfg, np.zeros(3))
+    with pytest.raises(ValueError, match=r"g\(X\) must be \(4, 3, 2\), got \(3, 2\)"):
+        evaluate(cfg, np.zeros((4, 3)))
