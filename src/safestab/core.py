@@ -14,9 +14,10 @@ Conventions
   columns, so the two agree bit for bit (up to the sign and payload of a
   NaN, which IEEE 754 leaves open), and neither depends on which kernel the
   CPU's BLAS dispatches to. The QP layer sums the same way
-  (solve_qp, QPSpec's factor and the filters' per-step specs), so BLAS is
-  left to checks off the per-step path (xdot, linearize, closed_form_ustar,
-  verify's decrease identity, the KKT residual computed when read).
+  (solve_qp, QPSpec's factor and the filters' per-step specs), and so does
+  verify's decrease identity (sontag_decrease_rate), so BLAS is left to
+  checks off the per-step path (xdot, linearize, closed_form_ustar, the KKT
+  residual computed when read).
 * The float forms are the only bodies a scenario writes: a system's fg(xs)
   gives f(x) as a list of n floats and g(x) as a list of m columns of n
   floats, a barrier's hgrad(xs) its value and gradient (a list); on the
@@ -35,7 +36,9 @@ Conventions
   and then return their results with a leading axis of N (g(X) is
   (N, n, m)). filters.evaluate runs the float forms on one state, the
   per-step path, or on a stack's columns for the many-state callers (doa,
-  verify, the simulator's records).
+  verify, the simulator's records). fd_jacobian/fd_gradient, sontag_terms
+  and sontag.sontag_decrease_rate take a stack too, so that verify runs
+  each sample set in one pass.
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
   vanishes at a non-zero equilibrium.
 * Apart from the assignments above, all objects are treated as immutable
@@ -148,22 +151,31 @@ def _numpy_part(form, k: int) -> Callable:
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     """Central finite-difference gradient of a scalar map: the one row of
-    fd_jacobian."""
-    return fd_jacobian(fn, x)[0]
+    fd_jacobian, (n,) for one state or (N, n) for a stack."""
+    return fd_jacobian(fn, x)[..., 0, :]
 
 
 def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian of a vector map, one column per axis."""
-    x = as_vector(x)
+    """Central finite-difference Jacobian of a vector map, one column per
+    axis: (r, n) for one state (n,), or (N, r, n) for a stack (N, n), on
+    which fn is called twice per axis. Each state steps by
+    FD_REL_STEP * max(1, |x_i|) along axis i, so a stack row has the bits
+    of its one-state call."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        x = as_vector(x)
+    steps = FD_REL_STEP * np.maximum(1.0, np.abs(x))
     cols = []
-    for i in range(x.size):
-        step = FD_REL_STEP * max(1.0, abs(x[i]))
+    for i in range(x.shape[-1]):
         xp = x.copy()
         xm = x.copy()
-        xp[i] += step
-        xm[i] -= step
-        cols.append((as_vector(fn(xp)) - as_vector(fn(xm))) / (2.0 * step))
-    return np.stack(cols, axis=1)
+        xp[..., i] += steps[..., i]
+        xm[..., i] -= steps[..., i]
+        diff = np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)
+        if diff.ndim < x.ndim:   # a scalar map's value per state
+            diff = diff[..., None]
+        cols.append(diff / (2.0 * steps[..., i:i + 1]))
+    return np.stack(cols, axis=-1)
 
 
 @dataclass
@@ -391,14 +403,27 @@ class SafeSet:
         return self.min_value(x) >= -tol
 
 
+def state_parts(sys: ControlAffineSystem, x):
+    """(x, part): x as one state (n,) or a stack (N, n), and the map from an
+    array of x's leading shape to what a float form reads, its Python floats
+    for one state or its columns for a stack."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2:
+        return as_vector(x, sys.n), np.ndarray.tolist
+    if x.shape[1] != sys.n:
+        raise ValueError(f"expected states of length {sys.n}, got {x.shape[1]}")
+    return x, columns
+
+
 def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
     """Return (a, b) with a = gradW'(f + g u_e) and b = gradW' g (an m-array),
-    f and g from the system's float form. clf needs only grad and
-    equilibrium: the checks that call this take any such object, a
-    QuadraticCLF's lie_terms being the per-step path."""
-    x = as_vector(x, sys.n)
-    a, b = lie_sums(clf.grad(x).tolist(), *sys.fg(x.tolist()), clf.equilibrium.u_e.tolist())
-    return a, np.array(b)
+    f and g from the system's float form; for a stack (N, n), a is (N,) and
+    b (N, m), from one call of clf.grad and one of fg on the stack. clf needs
+    only grad and equilibrium: the checks that call this take any such
+    object, a QuadraticCLF's lie_terms being the per-step path."""
+    x, part = state_parts(sys, x)
+    a, b = lie_sums(part(clf.grad(x)), *sys.fg(part(x)), clf.equilibrium.u_e.tolist())
+    return a, np.array(b) if x.ndim == 1 else np.stack(b, axis=1)
 
 
 def lie_sums(grad, fs, gcols, u_e):
@@ -455,22 +480,21 @@ def is_valid_local_clf(sys: ControlAffineSystem, clf: QuadraticCLF, radius: floa
     """Sample LOCAL_CLF_SAMPLES states of the ball around x_e and look for a state at which no input
     (searched through the Sontag feedback) strictly decreases W.
 
-    Returns (ok, witness); witness is the first failing state or None.
-    A state fails only when b(x) vanishes while a(x) >= 0, because otherwise
-    the Sontag input of any gain gamma > 0 already yields
-    dW/dt = -gamma*sqrt(a^2 + |b|^4) < 0.
+    Returns (ok, witness); witness is the first failing state in draw order,
+    or None. A state fails only when b(x) vanishes while a(x) >= 0, because
+    otherwise the Sontag input of any gain gamma > 0 already yields
+    dW/dt = -gamma*sqrt(a^2 + |b|^4) < 0. The samples are one stack, and
+    the terms come from one sontag_terms call on it.
     """
     if not radius > 0.0:
         raise ValueError("radius must be positive")
     rng = np.random.default_rng(seed)
     x_e = clf.equilibrium.x_e
     samples = sample_ball(x_e, radius, LOCAL_CLF_SAMPLES, rng)
-    for x in samples:
-        if np.linalg.norm(x - x_e) < 1e-12:
-            continue
-        a, b = sontag_terms(sys, clf, x)
-        if math.sqrt(dot_of(b.size)(b.tolist(), b.tolist())) > B_FLOOR:
-            continue
-        if a >= 0.0:
-            return False, x
+    samples = samples[~(np.linalg.norm(samples - x_e, axis=1) < 1e-12)]
+    a, b = sontag_terms(sys, clf, samples)
+    bcols = columns(b)
+    failed = ~(np.sqrt(dot_of(sys.m)(bcols, bcols)) > B_FLOOR) & (a >= 0.0)
+    if failed.any():
+        return False, samples[np.argmax(failed)]
     return True, None

@@ -109,6 +109,18 @@ class Evaluation(NamedTuple):
             return dot_of(self.f.shape[1])(columns(self.grad_w), columns(self.f))
         return dot_of(self.f.size)(self.grad_w.tolist(), self.f.tolist())
 
+    def row(self, i: int) -> "Evaluation":
+        """State i of a stack's evaluation, with the fields and bits that
+        evaluate gives for that state alone."""
+        def entry(v):   # a column's entry i; a float constant stays itself
+            return v if isinstance(v, float) else float(v[i])
+
+        fs, gcols = self.fg
+        label = RegionLabel(Region(int(self.label.value[i])), float(self.label.margin[i]))
+        return Evaluation(self.x[i], self.f[i], self.grad_w[i], float(self.a[i]), self.b[i],
+                          self.u_son[i], self.A[i], self.lb[i], self.h[i], label,
+                          ([entry(v) for v in fs], [[entry(v) for v in G] for G in gcols]))
+
 
 def _barrier_rows(barriers, xs, FG):
     """The rows A u >= lb of the barriers and their values h, from one call

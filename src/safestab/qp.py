@@ -46,7 +46,8 @@ STATUS_INFEASIBLE = "infeasible"
 
 # a row counts as violated when its slack is below -_FEAS_TOL times its scale
 _FEAS_TOL = 1e-13
-# slacks of subnormal size are rounding whatever the scale of the problem
+# slacks of subnormal size are rounding whatever the scale of the problem;
+# measured in the row's own units, before the row is scaled
 _TINY = float(np.finfo(float).tiny)
 # a row whose normal is within this sine of the active span adds no primal
 # step (the computed sine carries a rounding error of a few 1e-16)
@@ -244,7 +245,7 @@ def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     nrm = [math.sqrt(dot(n, n)) for n in N]
     # a slack's rounding grows with the largest point met, not the current one
     y_max = _max_abs(y)
-    tol_b = [_FEAS_TOL * abs(v) + _TINY for v in bw]
+    tol_b = [_FEAS_TOL * abs(v) + _TINY * w_i for v, w_i in zip(bw, w)]
     tol_n = [_FEAS_TOL * v for v in nrm]
     active: List[int] = []
     u: List[float] = []          # multipliers of the active rows, then p's

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
@@ -300,6 +301,9 @@ def write_trajectory_csv(traj: Trajectory, path) -> None:
         writer.writerows([a + b for a, b in zip(floats, ints)])
 
 
+_FLAG_VALUES = frozenset((0.0, 1.0))
+
+
 def read_trajectory_csv(path) -> Trajectory:
     """Read a trajectory CSV back (switch events are not serialized)."""
     with open(path, newline="") as fh:
@@ -312,18 +316,28 @@ def read_trajectory_csv(path) -> Trajectory:
         k = sum(1 for c in header if c.startswith("h_"))
         if header != csv_header(n, m, k):
             raise SimulationError(f"{path}: header does not match the trajectory schema")
-        rows = []
+        # the parsed fields, row after row, as doubles: a list of rows of
+        # Python floats would take about five times the memory
+        values = array("d")
+        flags = 1 + n + m + 1 + k   # the first of region, active_1, ..., active_k
         for r in reader:
             if len(r) != len(header):
                 raise SimulationError(f"{path}: line {reader.line_num}: {len(r)} fields, "
                                       f"expected {len(header)}")
             try:
-                rows.append([float(v) for v in r])
+                row = [float(v) for v in r]
             except ValueError as exc:
                 raise SimulationError(f"{path}: line {reader.line_num}: {exc}") from None
-    if not rows:
+            # region and the activation flags are 0 or 1; anything else (a
+            # NaN, a fraction) has no integer reading
+            if not _FLAG_VALUES.issuperset(row[flags:]):
+                c = next(c for c in range(flags, len(row)) if row[c] not in _FLAG_VALUES)
+                raise SimulationError(f"{path}: line {reader.line_num}: column {header[c]} is "
+                                      f"{row[c]!r}, expected 0 or 1")
+            values.extend(row)
+    if not values:
         raise SimulationError(f"{path}: no data rows")
-    data = np.array(rows)
+    data = np.frombuffer(values, dtype=float).reshape(-1, len(header))
     idx = 1
     states = data[:, idx:idx + n]; idx += n
     inputs = data[:, idx:idx + m]; idx += m

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import B_FLOOR, as_vector, columns, dot_of, sontag_terms
+from .core import B_FLOOR, affine_of, columns, dot_of, sontag_terms, state_parts
 from .errors import DecreaseIdentityError
 
 if TYPE_CHECKING:
@@ -51,26 +51,40 @@ def sontag_control(cfg: FilterConfig, x) -> np.ndarray:
     return cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
 
 
-def sontag_decrease_rate(cfg: FilterConfig, x) -> float:
-    """dW/dt along the closed loop, checked against -gamma*sqrt(a^2 + |b|^4).
+def sontag_decrease_rate(cfg: FilterConfig, x):
+    """dW/dt along the closed loop, checked against -gamma*sqrt(a^2 + |b|^4):
+    a float for one state, an (N,) array for a stack (N, n).
 
-    Raises DecreaseIdentityError when the algebraic identity from the
-    universal formula fails beyond rounding, and ValueError when evaluated
-    where b vanishes away from the equilibrium (the identity does not apply
-    there).
+    a and b come from sontag_terms; dW/dt from a second call of clf.grad and
+    of the system's fg, as the explicit sum gradW . (f + g u) on floats or
+    columns (from the gradient behind a and b, the identity would hold by
+    construction and check nothing). Raises DecreaseIdentityError when the algebraic identity from
+    the universal formula fails beyond rounding, and ValueError when
+    evaluated where b vanishes away from the equilibrium (the identity does
+    not apply there); on a stack, for the first such state in its order.
+    Either error names the state.
     """
-    x = as_vector(x, cfg.sys.n)
+    x, part = state_parts(cfg.sys, x)
+    n, m = cfg.sys.n, cfg.sys.m
     a, b = sontag_terms(cfg.sys, cfg.clf, x)
-    bb = dot_of(b.size)(b.tolist(), b.tolist())
-    if math.sqrt(bb) <= B_FLOOR:
-        if np.linalg.norm(x - cfg.clf.equilibrium.x_e) <= 1e-9:
-            return 0.0
-        raise ValueError("decrease rate undefined where b vanishes away from x_e")
-    u = cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
-    wdot = float(cfg.clf.grad(x) @ cfg.sys.xdot(x, u))
-    target = -cfg.gamma * math.sqrt(a * a + bb * bb)
-    tol = 1e-9 * (1.0 + abs(a) + bb) * max(1.0, cfg.gamma)
-    if abs(wdot - target) > tol:
+    b = part(b)
+    bb = dot_of(m)(b, b)
+    u = [ue + k for ue, k in zip(cfg.clf.equilibrium.u_e.tolist(), sontag_kappa(cfg.gamma, a, b))]
+    wdot = dot_of(n)(part(cfg.clf.grad(x)), affine_of(n, m)(*cfg.sys.fg(part(x)), u))
+    target = -cfg.gamma * np.sqrt(a * a + bb * bb)
+    tol = 1e-9 * (1.0 + np.abs(a) + bb) * max(1.0, cfg.gamma)
+    vanish = np.sqrt(bb) <= B_FLOOR
+    undefined = vanish & (np.linalg.norm(x - cfg.clf.equilibrium.x_e, axis=-1) > 1e-9)
+    violated = ~vanish & (np.abs(wdot - target) > tol)
+    failed = np.atleast_1d(undefined | violated)
+    if failed.any():
+        i = int(np.argmax(failed))
+        at = np.atleast_2d(x)[i].tolist()
+        if np.atleast_1d(undefined)[i]:
+            raise ValueError(f"decrease rate undefined where b vanishes away from x_e, "
+                             f"at x={at}")
+        w, t = (float(np.atleast_1d(v)[i]) for v in (wdot, target))
         raise DecreaseIdentityError(
-            f"decrease identity violated: dW/dt={wdot!r}, expected {target!r}")
-    return wdot
+            f"decrease identity violated at x={at}: dW/dt={w!r}, expected {t!r}")
+    rate = np.where(vanish, 0.0, wdot)
+    return rate if x.ndim == 2 else float(rate)

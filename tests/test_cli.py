@@ -243,6 +243,20 @@ def test_plot_malformed_row_exits_1_naming_the_file(tmp_path, capsys):
     assert f"{path}: line " in capsys.readouterr().err
 
 
+def test_plot_region_not_0_or_1_exits_1_naming_the_column(tmp_path, capsys):
+    assert main(["simulate", "--scenario", "linear2d", "--t-final", "0.1",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "linear2d_hybrid_traj.csv"
+    lines = path.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[-1].split(",")
+    fields[header.index("region")] = "nan"
+    path.write_text("\n".join(lines + [",".join(fields)]) + "\n")
+    rc = main(["plot", str(path), "--scenario", "linear2d", "--out", str(tmp_path)])
+    assert rc == 1
+    assert f"{path}: line {len(lines) + 1}: column region" in capsys.readouterr().err
+
+
 def test_determinism_same_manifest_identical_csv(tmp_path):
     for sub in ("one", "two"):
         rc = main(["simulate", "--scenario", "tumor3d", "--t-final", "1.0",

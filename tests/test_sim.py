@@ -224,6 +224,22 @@ def test_csv_schema_validation(tmp_path):
         path.write_text(f"{header}\n{row}\n{line}\n")
         with pytest.raises(SimulationError, match=rf"{name}\.csv: line 3: "):
             read_trajectory_csv(path)
+    # region and active_* are 0 or 1: a NaN, a fraction or a 2 names the
+    # file, the line and the column instead of casting to an integer
+    cols = csv_header(2, 1, 1)
+    for column, value in (("region", "nan"), ("region", "2.0"), ("active_1", "0.5"),
+                          ("active_1", "-1.0")):
+        fields = ["0.0"] * len(cols)
+        fields[cols.index(column)] = value
+        path = tmp_path / "flags.csv"
+        path.write_text(f"{header}\n{row}\n{','.join(fields)}\n")
+        with pytest.raises(SimulationError,
+                           match=rf"flags\.csv: line 3: column {column} is .*expected 0 or 1"):
+            read_trajectory_csv(path)
+    ones = ",".join("1.0" if c in ("t", "region", "active_1") else "0.0" for c in cols)
+    path.write_text(f"{header}\n{row}\n{ones}\n")
+    traj = read_trajectory_csv(path)
+    assert traj.regions.tolist() == [0, 1] and traj.active.tolist() == [[0], [1]]
 
 
 def test_simconfig_validation():

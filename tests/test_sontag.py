@@ -85,32 +85,47 @@ def test_decrease_identity_thousand_random_states(scenario_name, seed, linear, t
         tested += 1
 
 
+class FlickeringCLF:
+    """An injected fault: a gradient that flickers between calls breaks the
+    algebraic identity, which sontag_decrease_rate must report."""
+
+    def __init__(self, clf):
+        self._clf = clf
+        self.equilibrium = clf.equilibrium
+        self._calls = 0
+
+    def grad(self, x):
+        self._calls += 1
+        scale = 1.0 if self._calls % 2 else 1.5
+        return scale * self._clf.grad(x)
+
+    def value(self, x):
+        return self._clf.value(x)
+
+
 def test_decrease_rate_reports_identity_violation(linear):
-    # inject a fault: a gradient that flickers between calls breaks the
-    # algebraic identity and must be reported with both values
-    class FlickeringCLF:
-        def __init__(self, clf):
-            self._clf = clf
-            self.equilibrium = clf.equilibrium
-            self._calls = 0
-
-        def grad(self, x):
-            self._calls += 1
-            scale = 1.0 if self._calls % 2 else 1.5
-            return scale * self._clf.grad(x)
-
-        def value(self, x):
-            return self._clf.value(x)
-
+    # reported with the state and both values
     cfg = config(linear, FlickeringCLF(linear.clf))
-    with pytest.raises(DecreaseIdentityError):
+    with pytest.raises(DecreaseIdentityError,
+                       match=r"at x=\[1\.3, -0\.4\]: dW/dt=.*, expected "):
         sontag_decrease_rate(cfg, np.array([1.3, -0.4]))
+
+
+def test_decrease_rate_on_a_stack_names_the_first_violating_state(linear):
+    # x_e has rate 0 under any gradient scale; the first state after it fails
+    cfg = config(linear, FlickeringCLF(linear.clf))
+    X = np.array([linear.eq.x_e, linear.eq.x_e, [1.3, -0.4], [-2.0, 1.5]])
+    with pytest.raises(DecreaseIdentityError, match=r"at x=\[1\.3, -0\.4\]: "):
+        sontag_decrease_rate(cfg, X)
 
 
 def test_decrease_rate_rejects_b_vanishing_away_from_equilibrium(linear):
     cfg = config(linear)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"away from x_e, at x=\[0\.7, 0\.7\]"):
         sontag_decrease_rate(cfg, np.array([0.7, 0.7]))
+    X = np.array([linear.eq.x_e, [1.3, -0.4], [0.7, 0.7], [-0.7, -0.7]])
+    with pytest.raises(ValueError, match=r"away from x_e, at x=\[0\.7, 0\.7\]"):
+        sontag_decrease_rate(cfg, X)
 
 
 def test_continuity_at_equilibrium_shrinking_radii(linear, tumor):

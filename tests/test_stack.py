@@ -1,9 +1,10 @@
 """The stack path against the one-state path, bit for bit.
 
 The closures, QuadraticCLF, SafeSet, evaluate, active_flags,
-control_sharing_holds and lp_feasible take a stack of states (N, n) in one
-numpy pass; compute_c_star, the lockstep ray_exit and the block samplers are
-built on it. Each test
+control_sharing_holds, lp_feasible, the finite differences, sontag_terms and
+sontag_decrease_rate take a stack of states (N, n) in one numpy pass;
+compute_c_star, the lockstep ray_exit, the block samplers, is_valid_local_clf
+and verify's sampled checks are built on it. Each test
 compares bytes (`tobytes()`) with N one-state calls or with a per-item
 reference written here, on both bundled scenarios."""
 import math
@@ -12,11 +13,14 @@ import numpy as np
 import pytest
 
 from safestab import cli, doa, verify
-from safestab.core import SAMPLE_BLOCK
+from safestab.core import (B_FLOOR, LOCAL_CLF_SAMPLES, SAMPLE_BLOCK, ControlAffineSystem,
+                           QuadraticCLF, fd_gradient, fd_jacobian, is_valid_local_clf,
+                           sample_ball, sontag_terms)
 from safestab.doa import (SUBLEVEL_T_MAX, compute_c_star, control_sharing_holds,
                           in_awc, ray_exit, sample_states_in_awc)
 from safestab.filters import active_flags, evaluate
 from safestab.qp import lp_feasible
+from safestab.sontag import sontag_decrease_rate
 
 
 def same(a, b):
@@ -322,3 +326,54 @@ def test_block_drawn_safe_states_match_single_draws(case, monkeypatch):
                               SAMPLE_BLOCK + 50)
     got = verify._sample_safe(bundle, 10 ** 6, np.random.default_rng(7))
     assert same(got, ref) and len(got) <= SAMPLE_BLOCK + 50
+
+
+def test_finite_differences_match_one_state(case):
+    bundle, _ = case
+    X = probe_states(bundle, count=200)
+    maps = [bundle.clf.value] + [bar.h for bar in bundle.safe_set.barriers]
+    for fn in maps:
+        assert same(fd_gradient(fn, X), stack(fd_gradient(fn, x) for x in X))
+    # a vector map: one (r, n) Jacobian per row
+    assert same(fd_jacobian(bundle.sys.f, X), stack(fd_jacobian(bundle.sys.f, x) for x in X))
+
+
+def test_sontag_terms_and_decrease_rate_match_one_state(case):
+    bundle, cfg = case
+    X = probe_states(bundle)
+    a, b = sontag_terms(cfg.sys, cfg.clf, X)
+    terms = [sontag_terms(cfg.sys, cfg.clf, x) for x in X]
+    assert same(a, stack(t[0] for t in terms))
+    assert same(b, stack(t[1] for t in terms))
+    # the rate is defined where b does not vanish, and at x_e
+    at_eq = np.linalg.norm(X - bundle.eq.x_e, axis=1) <= 1e-9
+    X = X[(np.sqrt((b * b).sum(axis=1)) > B_FLOOR) | at_eq]
+    assert same(sontag_decrease_rate(cfg, X), stack(sontag_decrease_rate(cfg, x) for x in X))
+
+
+def local_clf_oracle(sys, clf, radius, seed):
+    """is_valid_local_clf one sample at a time, in draw order."""
+    x_e = clf.equilibrium.x_e
+    for x in sample_ball(x_e, radius, LOCAL_CLF_SAMPLES, np.random.default_rng(seed)):
+        if np.linalg.norm(x - x_e) < 1e-12:
+            continue
+        a, b = sontag_terms(sys, clf, x)
+        if not math.sqrt(b @ b) > B_FLOOR and a >= 0.0:
+            return False, x
+    return True, None
+
+
+def test_local_clf_witness_is_the_first_failing_sample(linear):
+    # g vanishes for x_1 <= -0.5 and f is zero, so every sample there has
+    # b = 0 and a = 0: the check fails, at draws 2, 6, 12, 7 and 0 of seeds 0-4
+    def g(x):
+        col = np.stack([np.where(x[..., 0] > -0.5, 1.0, 0.0), np.zeros(x.shape[:-1])], axis=-1)
+        return col[..., None]
+
+    sys = ControlAffineSystem(n=2, m=1, f=np.zeros_like, g=g, name="dead-zone")
+    clf = QuadraticCLF(np.eye(2), linear.eq)
+    for seed in range(5):
+        ok, witness = is_valid_local_clf(sys, clf, 1.0, seed=seed)
+        ref_ok, ref = local_clf_oracle(sys, clf, 1.0, seed)
+        assert not ok and not ref_ok
+        assert same(witness, ref)
