@@ -94,8 +94,12 @@ def _sim_args(p: argparse.ArgumentParser) -> None:
 
 def _resolve_manifest(bundle, args) -> RunManifest:
     defaults = bundle.defaults
-    x0 = args.x0 if args.x0 is not None else np.asarray(defaults.get("x0"), dtype=float)
-    if x0 is None or np.asarray(x0).size != bundle.sys.n:
+    x0 = args.x0
+    if x0 is None:
+        if defaults.get("x0") is None:
+            raise ScenarioError("no x0: give --x0 or defaults.x0 in the scenario")
+        x0 = np.asarray(defaults["x0"], dtype=float)
+    if x0.size != bundle.sys.n:
         raise ScenarioError(f"x0 must have {bundle.sys.n} components")
     return RunManifest(
         scenario=bundle.name,
@@ -131,6 +135,11 @@ def _run_one(bundle, manifest: RunManifest, cfg, simcfg):
     return traj, metrics
 
 
+def _r2_steps(traj) -> int:
+    """The recorded steps in region R2."""
+    return int((traj.regions == 1).sum())
+
+
 def cmd_simulate(args) -> int:
     bundle = _load_bundle(args)
     manifest = _resolve_manifest(bundle, args)
@@ -144,7 +153,8 @@ def cmd_simulate(args) -> int:
     # strict JSON has no inf or nan: a run that never settles or stopped at
     # its first step reports null for those metrics
     summary = dict(manifest.as_dict(), status=traj.status,
-                   diagnostic=traj.diagnostic, switches=len(traj.switch_events),
+                   diagnostic=traj.diagnostic, r2_steps=_r2_steps(traj),
+                   switches=len(traj.switch_events),
                    metrics={key: val if math.isfinite(val) else None
                             for key, val in asdict(metrics).items()})
     with open(out / f"{stem}_metrics.json", "w") as fh:
@@ -187,12 +197,12 @@ def cmd_sweep(args) -> int:
     with open(table, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow([args.param, "convergence_time", "input_tv", "min_h",
-                         "w_monotone_violation", "status", "csv"])
+                         "w_monotone_violation", "status", "r2_steps", "switches", "csv"])
         for value, traj, metrics, path in results:
             writer.writerow([repr(value), repr(metrics.convergence_time),
                              repr(metrics.input_tv), repr(metrics.min_h),
                              repr(metrics.w_monotone_violation), traj.status,
-                             path.name])
+                             _r2_steps(traj), len(traj.switch_events), path.name])
     print(f"wrote {table}")
     for value, traj, metrics, _ in results:
         print(f"  {args.param}={value:g}: conv_time={metrics.convergence_time:.4g} "

@@ -8,16 +8,20 @@ Conventions
 * Every dot product, matrix-vector product and quadratic form behind the
   pointwise quantities (W and its gradient, Sontag's a and b, the barrier
   values, gradients and rows, the row margins and activation flags) is an
-  explicit sum that starts from +0.0 and adds its terms left to right
-  (dot_of, matvec_of, affine_of), with no BLAS call. For one state these
-  sums run on Python floats, for a stack the same expressions run on numpy
-  columns, so the two agree bit for bit (up to the sign and payload of a
-  NaN, which IEEE 754 leaves open), and neither depends on which kernel the
-  CPU's BLAS dispatches to. The QP layer sums the same way
-  (solve_qp, QPSpec's factor and the filters' per-step specs), and so does
-  verify's decrease identity (sontag_decrease_rate), so BLAS is left to
-  checks off the per-step path (xdot, linearize, closed_form_ustar, the KKT
-  residual computed when read).
+  explicit sum that starts from +0.0 and adds its terms left to right, with
+  no BLAS call. Each is generated source, compiled once per size: dot_of,
+  matvec_of and affine_of, lie_of (grad W, a and b of QuadraticCLF.lie_terms
+  in one body) and lie_sums_of (a and b from a given gradient, the same
+  text), and the per-step kernels built on them, filters' evaluate kernel
+  and sim.rk4_of's stages. For one state these sums run on Python floats,
+  for a stack the same expressions run on numpy columns, so the two agree
+  bit for bit (up to the sign and payload of a NaN, which IEEE 754 leaves
+  open), and neither depends on which kernel the CPU's BLAS dispatches to.
+  The QP layer sums the same way (solve_qp, QPSpec's factor and the
+  filters' per-step specs), and so does verify's decrease identity
+  (sontag_decrease_rate), so BLAS is left to checks off the per-step path
+  (xdot, linearize, closed_form_ustar, the KKT residual computed when
+  read).
 * The float forms are the only bodies a scenario writes: a system's fg(xs)
   gives f(x) as a list of n floats and g(x) as a list of m columns of n
   floats, a barrier's hgrad(xs) its value and gradient (a list); on the
@@ -105,6 +109,44 @@ def affine_of(n: int, m: int) -> Callable:
     f[i] + (0.0 + G[0][i]*u[0] + ... + G[m-1][i]*u[m-1])."""
     rows = (f"f[{i}] + " + _sum(f"G[{j}][{i}] * u[{j}]" for j in range(m)) for i in range(n))
     return eval(f"lambda f, G, u: [{', '.join(rows)}]")
+
+
+def _def(args: str, lines, result: str, **names) -> Callable:
+    """The function of args that runs the statement lines and returns
+    result, compiled once; names are its globals."""
+    exec("def body(" + args + "):\n" + "".join(f"    {s}\n" for s in lines)
+         + f"    return {result}\n", names)
+    return names["body"]
+
+
+def _lie_ab(n: int, m: int, grad) -> str:
+    """a, [b_1, ..., b_m] from the gradient entries named in grad, f, the
+    columns G of g and u = u_e: a = grad . (f + G u), its factor a row of
+    affine_of, and b_j = G_j . grad."""
+    a = _sum(f"{grad[i]} * (f[{i}] + {_sum(f'G[{j}][{i}] * u[{j}]' for j in range(m))})"
+             for i in range(n))
+    b = (_sum(f"G[{j}][{i}] * {grad[i]}" for i in range(n)) for j in range(m))
+    return f"{a}, [{', '.join(b)}]"
+
+
+@lru_cache(maxsize=None)
+def lie_sums_of(n: int, m: int) -> Callable:
+    """grad, f, G, u_e -> (a, b), Sontag's terms from a given gradient (b a
+    list), summed as in lie_of."""
+    return eval(f"lambda g, f, G, u: ({_lie_ab(n, m, [f'g[{i}]' for i in range(n)])})")
+
+
+@lru_cache(maxsize=None)
+def lie_of(n: int, m: int) -> Callable:
+    """P, x_e, u_e, x, f, G -> (grad W, a, b) for P's rows: d = x - x_e,
+    grad W = 2 P d (rows of matvec_of), then (a, b) as lie_sums_of sums
+    them."""
+    g = [f"g{i}" for i in range(n)]
+    return _def("P, e, u, x, f, G",
+                [f"d{i} = x[{i}] - e[{i}]" for i in range(n)]
+                + [f"g{i} = 2.0 * {_sum(f'P[{i}][{l}] * d{l}' for l in range(n))}"
+                   for i in range(n)],
+                f"[{', '.join(g)}], {_lie_ab(n, m, g)}")
 
 
 def columns(X: np.ndarray) -> list:
@@ -261,7 +303,8 @@ def equilibrium_residual(sys: ControlAffineSystem, eq: EquilibriumPair) -> float
 class QuadraticCLF:
     """W(x) = (x - x_e)' P (x - x_e) with P symmetric positive definite,
     summed as d . (P d) with d = x - x_e, and gradient 2 P d. lie_terms
-    takes the gradient from grad once grad is assigned to the instance."""
+    gives the gradient and Sontag's terms from one body (lie_of), or takes
+    the gradient from grad once grad is assigned to the instance."""
 
     P: np.ndarray
     equilibrium: EquilibriumPair
@@ -276,6 +319,7 @@ class QuadraticCLF:
         self._x_e = self.equilibrium.x_e.tolist()
         self._u_e = self.equilibrium.u_e.tolist()
         self._dot, self._pd = dot_of(n), matvec_of(n, n)
+        self._lie = lie_of(n, len(self._u_e))
 
     def _offset_and_pd(self, xs):
         """d = x - x_e and P d, on floats or on columns."""
@@ -295,8 +339,7 @@ class QuadraticCLF:
 
     def lie_terms(self, xs, fs, gcols):
         """(gradW, a, b) from the float form at one state, or from columns."""
-        grad = [2.0 * v for v in self._offset_and_pd(xs)[1]]
-        return (grad,) + lie_sums(grad, fs, gcols, self._u_e)
+        return self._lie(self._rows, self._x_e, self._u_e, xs, fs, gcols)
 
     def __setattr__(self, name, value):
         super().__setattr__(name, value)
@@ -309,7 +352,7 @@ class QuadraticCLF:
         x = np.array(xs)   # (n,) for one state, (n, N) for columns
         grad_w = np.asarray(self.grad(x.T), dtype=float).T
         grad = grad_w.tolist() if grad_w.ndim == 1 else list(grad_w)
-        return (grad,) + lie_sums(grad, fs, gcols, self._u_e)
+        return (grad,) + lie_sums_of(len(grad), len(gcols))(grad, fs, gcols, self._u_e)
 
 
 def validate_clf_matrix(P: np.ndarray) -> None:
@@ -422,16 +465,9 @@ def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
     only grad and equilibrium: the checks that call this take any such
     object, a QuadraticCLF's lie_terms being the per-step path."""
     x, part = state_parts(sys, x)
-    a, b = lie_sums(part(clf.grad(x)), *sys.fg(part(x)), clf.equilibrium.u_e.tolist())
+    a, b = lie_sums_of(sys.n, sys.m)(part(clf.grad(x)), *sys.fg(part(x)),
+                                     clf.equilibrium.u_e.tolist())
     return a, np.array(b) if x.ndim == 1 else np.stack(b, axis=1)
-
-
-def lie_sums(grad, fs, gcols, u_e):
-    """(a, b) with a = grad . (f + G u_e) and b_j = grad . G_j, on floats or
-    on columns; b is a list."""
-    n, m = len(grad), len(gcols)
-    return (dot_of(n)(grad, affine_of(n, m)(fs, gcols, u_e)),
-            matvec_of(m, n)(gcols, grad))
 
 
 def linearize(sys: ControlAffineSystem, eq: EquilibriumPair) -> np.ndarray:

@@ -5,7 +5,10 @@ computes from one call of the system's float form fg (f and the columns of
 g), on the Python floats of one state or the columns of a stack: Sontag's
 terms a, b and input u_son, the barrier rows L_f h_i + L_g h_i u >=
 -alpha_i(h_i) stacked as A u >= lb, the barrier values h, and the R1/R2
-label. Three filters share the rows:
+label. Its body is one kernel written out for the sizes (n, m, k) of the
+configuration, the same for one state and for a stack; the Evaluation holds
+the floats (or columns) the kernel gives and builds an array field only when
+it is read, and the laws read the floats. Three filters share the rows:
 
 * cbf_qp_filter      minimizes |u - u_nom|^2 (nominal defaults to Sontag),
 * clf_cbf_qp_filter  minimizes |u|^2 + p*delta^2 with a slacked CLF row,
@@ -29,18 +32,19 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, NamedTuple, Tuple
+from functools import lru_cache
+from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, as_vector, columns, dot_of,
-                   matvec_of)
+from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum, as_vector, columns,
+                   dot_of, matvec_of)
 from .errors import (DegenerateConstraintError, IndefiniteQPError, InfeasibleQPError,
                      SafeStabError)
 from .qp import QPSpec, solve_qp
 # sontag_terms and sontag_control are unused here but stay bound: the
 # benchmark's tracer (bench/instrument.py) wraps them in this module
-from .sontag import sontag_control, sontag_kappa, sontag_terms  # noqa: F401
+from .sontag import kappa, sontag_control, sontag_terms  # noqa: F401
 
 CONTROLLER_NAMES = ("sontag", "cbf-qp", "clf-cbf-qp", "s-cbf-qp", "hybrid")
 
@@ -80,62 +84,101 @@ class FilterConfig:
         for name, val in (("gamma", self.gamma), ("slack weight p", self.p)):
             if not 0.0 < val < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {val}")
+        # evaluate's body for these sizes, looked up once
+        self._kernel = _kernel_of(self.sys.n, self.sys.m, len(self.safe_set))
 
 
 make_filter_config = FilterConfig
 
 
-class Evaluation(NamedTuple):
+class Evaluation:
     """Pointwise quantities at one state, from one call of the system's float
-    form fg; for a stack of N states, every array field has a leading axis of
-    N."""
+    form fg, held as the evaluate kernel gives them: Python floats for one
+    state, columns for a stack of N states (a float constant standing for
+    its column). fg is (f, columns of g); grad, a, bs, us, As, lbs and hs
+    are grad W, a = gradW'(f + g u_e), b = gradW' g, the Sontag input u_son
+    and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i) -
+    L_f h_i) with the barrier values h_i(x), as lists. The array fields f,
+    grad_w, b, u_son, A, lb and h are built from them when first read, with
+    a leading axis of N for a stack. label is R1 iff u_son satisfies every
+    row."""
 
-    x: np.ndarray
-    f: np.ndarray        # drift f(x)
-    grad_w: np.ndarray   # gradient of W
-    a: float             # gradW'(f + g u_e)
-    b: np.ndarray        # gradW' g, an m-row
-    u_son: np.ndarray    # Sontag input
-    A: np.ndarray        # barrier rows A u >= lb with A_i = L_g h_i
-    lb: np.ndarray       # and lb_i = -alpha_i(h_i) - L_f h_i
-    h: np.ndarray        # barrier values h_i(x)
-    label: RegionLabel   # R1 iff u_son satisfies every row
-    fg: tuple            # sys.fg(x), (f, columns of g): floats, or columns for a stack
+    __slots__ = ("x", "fg", "grad", "a", "bs", "us", "As", "lbs", "hs", "label", "_arrays")
+
+    def __init__(self, x, fg, grad, a, bs, us, As, lbs, hs, margin):
+        self.x, self.fg, self.grad, self.a, self.bs, self.us = x, fg, grad, a, bs, us
+        self.As, self.lbs, self.hs, self._arrays = As, lbs, hs, {}
+        if x.ndim == 1:
+            self.label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
+        else:
+            self.label = RegionLabel(np.where(margin >= 0.0, Region.R1, Region.R2), margin)
+
+    def _built(self, name, values):
+        """The array field name of the floats or columns values, kept once
+        built."""
+        if name not in self._arrays:
+            if self.x.ndim == 1:
+                self._arrays[name] = np.array(values)
+            else:
+                N = self.x.shape[0]
+
+                def stacked(v):
+                    if isinstance(v, list):
+                        return np.stack([stacked(e) for e in v], axis=1)
+                    return np.broadcast_to(v, (N,))
+                self._arrays[name] = stacked(values)
+        return self._arrays[name]
+
+    f = property(lambda self: self._built("f", self.fg[0]))
+    grad_w = property(lambda self: self._built("grad_w", self.grad))
+    b = property(lambda self: self._built("b", self.bs))
+    u_son = property(lambda self: self._built("u_son", self.us))
+    A = property(lambda self: self._built("A", self.As))
+    lb = property(lambda self: self._built("lb", self.lbs))
+    h = property(lambda self: self._built("h", self.hs))
 
     @property
     def lfw(self) -> float:
         """L_f W = gradW' f, the drift term of the CLF-decrease row."""
-        if self.f.ndim == 2:
-            return dot_of(self.f.shape[1])(columns(self.grad_w), columns(self.f))
-        return dot_of(self.f.size)(self.grad_w.tolist(), self.f.tolist())
+        return dot_of(len(self.grad))(self.grad, self.fg[0])
 
     def row(self, i: int) -> "Evaluation":
         """State i of a stack's evaluation, with the fields and bits that
         evaluate gives for that state alone."""
         def entry(v):   # a column's entry i; a float constant stays itself
+            if isinstance(v, list):
+                return [entry(e) for e in v]
             return v if isinstance(v, float) else float(v[i])
 
         fs, gcols = self.fg
-        label = RegionLabel(Region(int(self.label.value[i])), float(self.label.margin[i]))
-        return Evaluation(self.x[i], self.f[i], self.grad_w[i], float(self.a[i]), self.b[i],
-                          self.u_son[i], self.A[i], self.lb[i], self.h[i], label,
-                          ([entry(v) for v in fs], [[entry(v) for v in G] for G in gcols]))
+        return Evaluation(self.x[i], (entry(fs), entry(gcols)), entry(self.grad),
+                          float(self.a[i]), *entry([self.bs, self.us, self.As, self.lbs, self.hs]),
+                          float(self.label.margin[i]))
 
 
-def _barrier_rows(barriers, xs, FG):
-    """The rows A u >= lb of the barriers and their values h, from one call
-    of each barrier's hgrad at xs and FG = [f, G_1, ..., G_m]:
-    A_i = (grad . G_1, ..., grad . G_m) and lb_i = -alpha_i h_i - grad . f;
-    on floats or on columns."""
-    row_of = matvec_of(len(FG), len(FG[0]))
-    A, lb, hs = [], [], []
-    for bar in barriers:
-        h, grad = bar.hgrad(xs)
-        r = row_of(FG, grad)   # grad . f, grad . G_1, ..., grad . G_m
-        A.append(r[1:])
-        lb.append(-bar.alpha * h - r[0])
-        hs.append(h)
-    return A, lb, hs
+@lru_cache(maxsize=None)
+def _kernel_of(n: int, m: int, k: int) -> Callable:
+    """evaluate's body for n states, m inputs and k barriers, written out
+    once: sys, clf, barriers, gamma, x -> Evaluation's fields after x and
+    the least row margin. sys.fg, clf.lie_terms and each hgrad are read from
+    the objects at every call, so that a form assigned later runs. With
+    (h_i, q) = hgrad_i(x): A_i = (G_1 . q, ..., G_m . q), lb_i = -alpha_i h_i
+    - f . q and margin_i = A_i . u_son - lb_i, explicit sums as in core;
+    kappa and _min_first branch on floats or columns."""
+    lines = ["fg = f, G = sys.fg(x)", "grad, a, b = clf.lie_terms(x, f, G)",
+             f"c = kappa(gamma, a, b, {_sum(f'b[{j}] * b[{j}]' for j in range(m))})",
+             "e = clf._u_e", f"u = [{', '.join(f'e[{j}] + c[{j}]' for j in range(m))}]"]
+    row = ", ".join(_sum(f"G[{j}][{l}] * q[{l}]" for l in range(n)) for j in range(m))
+    lfh = _sum(f"f[{l}] * q[{l}]" for l in range(n))
+    for i in range(k):
+        lines += [f"h{i}, q = bars[{i}].hgrad(x)", f"A{i} = [{row}]",
+                  f"lb{i} = -bars[{i}].alpha * h{i} - {lfh}"]
+    margins = ", ".join(_sum(f"A{i}[{j}] * u[{j}]" for j in range(m)) + f" - lb{i}"
+                        for i in range(k))
+    A, lb, h = ("[" + ", ".join(f"{name}{i}" for i in range(k)) + "]" for name in ("A", "lb", "h"))
+    return _def("sys, clf, bars, gamma, x", lines,
+                f"fg, grad, a, b, u, {A}, {lb}, {h}, _min_first([{margins}])",
+                kappa=kappa, _min_first=_min_first)
 
 
 def _margins(A, lb, u):
@@ -161,41 +204,20 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
     """The one pointwise evaluation behind every controller, the simulator's
     bookkeeping, control sharing and verify.
 
-    It calls the system's fg and each barrier's hgrad once, on the Python
-    floats of one state (n,) or the columns of a stack (N, n), and runs
-    every sum written out (core.dot_of, matvec_of, affine_of) on what they
-    give, so a stack row has the bits of its one-state call. One state, the
-    simulator's per-step path, makes arrays only of the fields it returns; a
-    stack's fields get a leading axis of N, a float constant filling its
-    column."""
+    It runs cfg's kernel (_kernel_of), which calls the system's fg and each
+    barrier's hgrad once, on the Python floats of one state (n,) or the
+    columns of a stack (N, n), and sums every product written out, so a
+    stack row has the bits of its one-state call. The Evaluation holds what
+    the kernel gives and builds its array fields on read."""
     x = np.asarray(x, dtype=float)
-    stack = x.ndim == 2
-    if stack:
+    if x.ndim == 2:
         if x.shape[1] != cfg.sys.n:
             raise ValueError(f"expected states of length {cfg.sys.n}, got {x.shape[1]}")
         xs = columns(x)
     else:
         x = as_vector(x, cfg.sys.n)
         xs = x.tolist()
-    fg = fs, gcols = cfg.sys.fg(xs)
-    grad_w, a, b = cfg.clf.lie_terms(xs, fs, gcols)
-    u_son = [ue + k for ue, k in zip(cfg.clf.equilibrium.u_e.tolist(),
-                                     sontag_kappa(cfg.gamma, a, b))]
-    A, lb, h = _barrier_rows(cfg.safe_set.barriers, xs, [fs] + gcols)
-    margin = _min_first(_margins(A, lb, u_son))
-    if not stack:
-        label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
-        return Evaluation(x, np.array(fs), np.array(grad_w), a, np.array(b), np.array(u_son),
-                          np.array(A), np.array(lb), np.array(h), label, fg)
-    N = x.shape[0]
-
-    def stacked(values):
-        return np.stack([np.broadcast_to(v, (N,)) for v in values], axis=1)
-
-    label = RegionLabel(np.where(margin >= 0.0, Region.R1, Region.R2), margin)
-    return Evaluation(x, stacked(fs), stacked(grad_w), a, stacked(b), stacked(u_son),
-                      np.stack([stacked(row) for row in A], axis=1), stacked(lb), stacked(h),
-                      label, fg)
+    return Evaluation(x, *cfg._kernel(cfg.sys, cfg.clf, cfg.safe_set.barriers, cfg.gamma, xs))
 
 
 def cbf_rows(cfg: FilterConfig, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -254,16 +276,14 @@ def _cbf_qp_cost(m: int) -> QPSpec:
     return QPSpec(2.0 * np.eye(m), np.zeros(m), np.zeros((0, m)), np.zeros(0))
 
 
-def _shifted_bounds(ev: Evaluation, u: np.ndarray) -> list:
+def _shifted_bounds(ev: Evaluation, u: list) -> list:
     """lb - A u, the bounds of the barrier rows A v >= lb - A u on the shift
-    v of the input from u; each A_i . u is an explicit sum on floats."""
-    A = ev.A.tolist()
-    Au = matvec_of(len(A), u.size)(A, u.tolist())
-    return [lb_i - v for lb_i, v in zip(ev.lb.tolist(), Au)]
+    v of the input from u (floats); each A_i . u is an explicit sum."""
+    return [lb_i - v for lb_i, v in zip(ev.lbs, matvec_of(len(ev.As), len(u))(ev.As, u))]
 
 
 def _cbf_qp(cost: QPSpec, ev: Evaluation, u_nom: np.ndarray) -> np.ndarray:
-    spec = cost.with_rows(ev.A, _shifted_bounds(ev, u_nom))
+    spec = cost.with_rows(ev.As, _shifted_bounds(ev, u_nom.tolist()))
     return u_nom + _solve_or_raise(spec, "CBF-QP", ev.x).z_star
 
 
@@ -290,8 +310,8 @@ def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarra
     cost = QPSpec(H, np.zeros(m + 1), np.zeros((0, m + 1)), np.zeros(0))
 
     def clf_cbf_qp(ev: Evaluation) -> Tuple[np.ndarray, float]:
-        A = [[-v for v in ev.b.tolist()] + [1.0]] + [row + [0.0] for row in ev.A.tolist()]
-        lb = [ev.lfw + ALPHA_W * cfg.clf.value(ev.x)] + ev.lb.tolist()
+        A = [[-v for v in ev.bs] + [1.0]] + [row + [0.0] for row in ev.As]
+        lb = [ev.lfw + ALPHA_W * cfg.clf.value(ev.x)] + ev.lbs
         z = _solve_or_raise(cost.with_rows(A, lb), "CLF-CBF-QP", ev.x).z_star
         return z[:m], float(z[m])
 
@@ -312,9 +332,9 @@ def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
     """The Sontag-weighted filter QP in the shifted variable v = u - u_son:
     min v'(Q + reg*I)v with Q = b'b, s.t. A v >= lb - A u_son, where reg is
     QPSpec's default (1e-9), as in the other two filters."""
-    b = ev.b.tolist()
+    b = ev.bs
     return QPSpec([[2.0 * (b_i * b_j) for b_j in b] for b_i in b], np.zeros(cfg.sys.m),
-                  ev.A, _shifted_bounds(ev, ev.u_son))
+                  ev.As, _shifted_bounds(ev, ev.us))
 
 
 def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
@@ -322,7 +342,7 @@ def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
         spec = s_cbf_qp_spec(cfg, ev)
     except IndefiniteQPError as exc:
         raise IndefiniteQPError(f"S-CBF-QP cost at x={ev.x.tolist()}, |b|^2="
-                                f"{dot_of(ev.b.size)(ev.b.tolist(), ev.b.tolist())!r}: "
+                                f"{dot_of(len(ev.bs))(ev.bs, ev.bs)!r}: "
                                 f"{exc}") from None
     return ev.u_son + _solve_or_raise(spec, "S-CBF-QP", ev.x).z_star
 

@@ -1,6 +1,9 @@
 """Closed-loop integration (fixed-step classical RK4, input held over each
 step), trajectory logging with region/switch bookkeeping, and scalar metrics.
 
+integrate carries the state as Python floats between its RK4 steps (rk4_of)
+and writes each record from floats.
+
 CSV schema (column order is part of the contract):
     t, x_1..x_n, u_1..u_m, W, h_1..h_k, region, active_1..active_k
 with region 0 = R1 and 1 = R2, activation flags 0/1, and full double
@@ -13,11 +16,12 @@ import math
 import numbers
 from array import array
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, List, Tuple
 
 import numpy as np
 
-from .core import as_vector
+from .core import _def, as_vector
 from .errors import IndefiniteQPError, InfeasibleQPError, QPIterationError, SimulationError
 # cbf_rows and classify_region are unused here but stay bound: the
 # benchmark's tracer (bench/instrument.py) wraps them in this module
@@ -101,24 +105,32 @@ class Trajectory:
         return self.times.size
 
 
+@lru_cache(maxsize=None)
+def rk4_of(n: int) -> Callable:
+    """sys, xs, us, dt, fg -> one classical RK4 step of x' = sys.rhs(x, u)
+    on n floats with us held: the stages written out in the operation order
+    of the numpy form x + 0.5*dt*k1, ..., x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4),
+    so that the result equals it bit for bit. k1 is sys.rhs_from(*fg, us)
+    when fg (sys.fg at x) is given, else sys.rhs(xs, us), like k2..k4; both
+    are read from sys at every call."""
+    def stage(k, step):
+        return f"[{', '.join(f'x[{i}] + {step} * {k}[{i}]' for i in range(n))}]"
+
+    sixth = ", ".join(f"x[{i}] + sixth * (((a[{i}] + 2.0 * b[{i}]) + 2.0 * c[{i}]) + d[{i}])"
+                      for i in range(n))
+    return _def("sys, x, u, dt, fg",
+                ["half = 0.5 * dt",
+                 "a = sys.rhs(x, u) if fg is None else sys.rhs_from(*fg, u)",
+                 f"b = sys.rhs({stage('a', 'half')}, u)", f"c = sys.rhs({stage('b', 'half')}, u)",
+                 f"d = sys.rhs({stage('c', 'dt')}, u)", "sixth = dt / 6.0"], f"[{sixth}]")
+
+
 def rk4_step(sys, x: np.ndarray, u: np.ndarray, dt: float, fg=None) -> np.ndarray:
-    """One classical RK4 step of x' = sys.rhs(x, u) with u held, on Python
-    floats. The stages keep the operation order of the numpy form
-    x + 0.5*dt*k1, ..., x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), elementwise, so
-    the result equals it bit for bit; only the result becomes an array.
-    fg, when given, is sys.fg at x (an Evaluation's fg): k1 is then
-    sys.rhs_from(*fg, u), the same bits as sys.rhs(x, u) without calling it.
-    u must have sys.m entries (integrate checks it)."""
-    rhs = sys.rhs
-    xs, us = x.tolist(), u.tolist()
-    half = 0.5 * dt
-    k1 = rhs(xs, us) if fg is None else sys.rhs_from(*fg, us)
-    k2 = rhs([xi + half * ki for xi, ki in zip(xs, k1)], us)
-    k3 = rhs([xi + half * ki for xi, ki in zip(xs, k2)], us)
-    k4 = rhs([xi + dt * ki for xi, ki in zip(xs, k3)], us)
-    sixth = dt / 6.0
-    return np.array([xi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-                     for xi, a, b, c, d in zip(xs, k1, k2, k3, k4)])
+    """One classical RK4 step of x' = sys.rhs(x, u) with u held: rk4_of(n)
+    on the floats of x and u, the result as an array. fg, when given, is
+    sys.fg at x (an Evaluation's fg), from which k1 is formed without
+    calling rhs. u must have sys.m entries (integrate checks it)."""
+    return np.array(rk4_of(x.size)(sys, x.tolist(), u.tolist(), dt, fg))
 
 
 def integrate(cfg: FilterConfig,
@@ -135,17 +147,19 @@ def integrate(cfg: FilterConfig,
     raising. A controller input whose shape is not (m,) raises ValueError
     naming the step.
 
-    The controller maps x to (u, ev) as make_controller's do; the logged
-    region, barrier values and rows come from the evaluation ev at x, and
-    when ev.x is x itself, the first RK4 stage takes f(x) and g(x) from
-    ev.fg. Every
-    record_every-th step and the last one are written into arrays allocated
-    for the run (trimmed when it stops early), and after the loop W and the
-    activation flags of all of them come from one stacked pass. Its sums are
-    the one-state body's explicit sums on columns, so it gives the bits the
-    per-step calls would give, whatever BLAS kernel the CPU gets; the QP
-    solves inside the controller are explicit sums too. A switch event
-    computes the flags of its two steps one state at a time."""
+    The state is carried as Python floats from one rk4_of step to the next,
+    and the controller gets it as one array a step. The controller maps x to
+    (u, ev) as make_controller's do; the logged region, barrier values and
+    rows come from the floats of the evaluation ev at x, and when ev.x is x
+    itself, the first RK4 stage takes f(x) and g(x) from ev.fg. Every
+    record_every-th step and the last one are written from floats into
+    arrays allocated for the run (trimmed when it stops early), and after
+    the loop W and the activation flags of all of them come from one
+    stacked pass. Its sums are the one-state body's explicit sums on
+    columns, so it gives the bits the per-step calls would give, whatever
+    BLAS kernel the CPU gets; the QP solves inside the controller are
+    explicit sums too. A switch event computes the flags of its two steps
+    one state at a time."""
     sys = cfg.sys
     x = as_vector(simcfg.x0, sys.n)
     if cfg.safe_set.min_value(x) < 0.0:
@@ -166,9 +180,11 @@ def integrate(cfg: FilterConfig,
     status = STATUS_OK
     diagnostic = ""
     prev_region = prev_u = prev_ev = None
+    rk4, xs = rk4_of(sys.n), x.tolist()
 
     for step in range(n_steps + 1):
         t = step * dt
+        x = np.array(xs)
         try:
             u, ev = controller(x)
         except InfeasibleQPError as exc:
@@ -196,20 +212,20 @@ def integrate(cfg: FilterConfig,
 
         if step % every == 0 or step == n_steps:
             times[rec] = t
-            states[rec] = x
+            states[rec] = xs
             inputs[rec] = u
             regions[rec] = region
-            h_values[rec] = ev.h
-            rows_A[rec] = ev.A
-            rows_lb[rec] = ev.lb
+            h_values[rec] = ev.hs
+            rows_A[rec] = ev.As
+            rows_lb[rec] = ev.lbs
             rec += 1
 
         if step == n_steps:
             break
         # ev.fg holds f and g at x when the controller evaluated x itself
-        x = rk4_step(sys, x, u, dt, ev.fg if ev.x is x else None)
+        xs = rk4(sys, xs, u.tolist(), dt, ev.fg if ev.x is x else None)
         # the comparison is false for nan, so nan and inf both stop the run
-        if not all(abs(v) <= BLOWUP_LIMIT for v in x.tolist()):
+        if not all(abs(v) <= BLOWUP_LIMIT for v in xs):
             status = STATUS_BLOWUP
             diagnostic = f"state blew up at t={t + dt}"
             break

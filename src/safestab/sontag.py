@@ -31,7 +31,11 @@ def sontag_kappa(gamma: float, a, b):
         if b.ndim == 1:
             return np.array(sontag_kappa(gamma, a, b.tolist()))
         return np.stack(sontag_kappa(gamma, a, columns(b)), axis=1)
-    bb = dot_of(len(b))(b, b)
+    return kappa(gamma, a, b, dot_of(len(b))(b, b))
+
+
+def kappa(gamma: float, a, b, bb):
+    """sontag_kappa for a list b whose |b|^2 bb is already summed."""
     if isinstance(bb, float):
         if math.sqrt(bb) <= B_FLOOR:
             return [0.0] * len(b)
@@ -40,10 +44,10 @@ def sontag_kappa(gamma: float, a, b):
     on = ~(np.sqrt(bb) <= B_FLOOR)   # NaN takes the formula, as above
     a, bb = a[on], bb[on]
     r = (-a - gamma * np.sqrt(a * a + bb * bb)) / bb
-    kappa = [np.zeros(on.shape) for _ in b]
-    for k, bj in zip(kappa, b):
+    out = [np.zeros(on.shape) for _ in b]
+    for k, bj in zip(out, b):
         k[on] = bj[on] * r
-    return kappa
+    return out
 
 
 def sontag_control(cfg: FilterConfig, x) -> np.ndarray:
@@ -69,7 +73,7 @@ def sontag_decrease_rate(cfg: FilterConfig, x):
     a, b = sontag_terms(cfg.sys, cfg.clf, x)
     b = part(b)
     bb = dot_of(m)(b, b)
-    u = [ue + k for ue, k in zip(cfg.clf.equilibrium.u_e.tolist(), sontag_kappa(cfg.gamma, a, b))]
+    u = [ue + k for ue, k in zip(cfg.clf.equilibrium.u_e.tolist(), kappa(cfg.gamma, a, b, bb))]
     wdot = dot_of(n)(part(cfg.clf.grad(x)), affine_of(n, m)(*cfg.sys.fg(part(x)), u))
     target = -cfg.gamma * np.sqrt(a * a + bb * bb)
     tol = 1e-9 * (1.0 + np.abs(a) + bb) * max(1.0, cfg.gamma)

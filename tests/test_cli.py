@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -30,6 +31,8 @@ def test_simulate_writes_csv_and_metrics(tmp_path):
     summary = json.loads((tmp_path / "linear2d_hybrid_metrics.json").read_text())
     assert summary["status"] == "ok"
     assert summary["metrics"]["min_h"] > 0.0
+    assert summary["r2_steps"] == int((traj.regions == 1).sum()) > 0
+    assert summary["switches"] > 0
 
 
 def test_simulate_tumor_keeps_barriers_positive(tmp_path):
@@ -56,6 +59,22 @@ def test_simulate_bad_x0_exits_2(tmp_path):
     rc = main(["simulate", "--scenario", "linear2d", "--x0", "4.0,4.0",
                "--t-final", "1.0", "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_simulate_without_any_x0_exits_2_saying_so(tmp_path, capsys):
+    text = resources.files("safestab.data").joinpath("linear2d.json").read_text()
+    scenario = json.loads(text)
+    del scenario["defaults"]["x0"]
+    path = tmp_path / "no_x0.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    rc = main(["simulate", "--scenario", str(path), "--t-final", "0.01", "--out", str(out)])
+    assert rc == 2
+    assert "no x0: give --x0 or defaults.x0 in the scenario" in capsys.readouterr().err
+    assert not out.exists()
+    rc = main(["simulate", "--scenario", str(path), "--x0", "0.5,0.5", "--t-final", "0.01",
+               "--out", str(out)])
+    assert rc == 0
 
 
 def test_sweep_single_value_exits_2(tmp_path):
@@ -91,10 +110,18 @@ def test_sweep_writes_table_and_cell_csvs(tmp_path):
     table = tmp_path / "linear2d_hybrid_gamma_sweep.csv"
     with open(table) as fh:
         rows = list(csv.DictReader(fh))
+    with open(table) as fh:
+        # status stays column 5; the region counts follow it
+        assert next(csv.reader(fh)) == ["gamma", "convergence_time", "input_tv", "min_h",
+                                        "w_monotone_violation", "status", "r2_steps",
+                                        "switches", "csv"]
     assert [r["gamma"] for r in rows] == ["0.5", "2.0"]
     for r in rows:
         assert (tmp_path / r["csv"]).exists()
         assert r["status"] == "ok"
+        traj = read_trajectory_csv(tmp_path / r["csv"])
+        assert int(r["r2_steps"]) == int((traj.regions == 1).sum()) > 0
+        assert int(r["switches"]) > 0
 
 
 def test_sweep_gamma_speeds_up_tumor_convergence(tmp_path):

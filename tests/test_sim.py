@@ -486,6 +486,33 @@ def synthetic_m2_config():
     return make_filter_config(sys, clf, SafeSet((ball, wall)), gamma=1.0, p=10.0)
 
 
+def wide_m3_config():
+    """n = 2, m = 3 and k = 3, sizes the bundled scenarios lack, built from
+    numpy closures that also take a stack (N, 2): a ball, a wall and an
+    exponential barrier, and a non-zero u_e."""
+    def f(x):
+        x1, x2 = np.moveaxis(x, -1, 0)
+        return np.stack([x2 - 0.5 * x1 + 0.3, 0.2 * x1 * x2 - x1], -1)
+
+    def g(x):
+        x1, x2 = np.moveaxis(x, -1, 0)
+        return np.stack([np.stack([1.0 + x2 * x2, 0.4 * x1, 0.5 + 0.0 * x1], -1),
+                         np.stack([0.3 + 0.0 * x1, 1.0 - x1, x1 * x2], -1)], -2)
+
+    sys = ControlAffineSystem(n=2, m=3, f=f, g=g, name="wide-m3")
+    clf = QuadraticCLF(np.array([[1.5, 0.2], [0.2, 1.0]]),
+                       EquilibriumPair(np.zeros(2), np.array([0.1, -0.2, 0.05])))
+    ball = Barrier(h=lambda x: 4.0 - (x[..., 0] * x[..., 0] + x[..., 1] * x[..., 1]),
+                   alpha=1.0, grad_h=lambda x: -2.0 * x, name="ball")
+    wall = Barrier(h=lambda x: 1.5 - x[..., 0], alpha=0.5,
+                   grad_h=lambda x: np.broadcast_to(np.array([-1.0, 0.0]), x.shape).copy(),
+                   name="wall")
+    floor = Barrier(h=lambda x: 1.0 - np.exp(-(x[..., 1] + 2.0)), alpha=2.0,
+                    grad_h=lambda x: np.stack([0.0 * x[..., 0], np.exp(-(x[..., 1] + 2.0))], -1),
+                    name="floor")
+    return make_filter_config(sys, clf, SafeSet((ball, wall, floor)), gamma=1.5, p=10.0)
+
+
 # the tumor3d start lies in A_WC; its hybrid run switches into R2 and back
 TUMOR_SWITCH_X0 = [1.5332973949760351, 4.258482076721906, 4.8267385751631195]
 
@@ -545,6 +572,19 @@ def test_integrate_matches_oracle_on_a_synthetic_m2_system(record_every):
         assert traj.status == "ok"
         if controller == "hybrid":
             assert traj.switch_events and traj.active.any()
+
+
+def test_integrate_matches_oracle_on_a_wide_m3_system():
+    cfg = wide_m3_config()
+    statuses = {}
+    for controller in CONTROLLER_NAMES:
+        traj = assert_matches_integrate_oracle(
+            cfg, lambda: make_controller(cfg, controller),
+            SimConfig(x0=[-0.4, 1.5], t_final=1.0, record_every=3))
+        statuses[controller] = traj.status
+        if controller == "hybrid":
+            assert traj.switch_events and traj.active.any()
+    assert statuses == dict.fromkeys(CONTROLLER_NAMES, STATUS_OK)
 
 
 def test_integrate_matches_oracle_on_truncated_runs(tumor_cfg):

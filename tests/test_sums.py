@@ -27,12 +27,12 @@ from hypothesis import strategies as st
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, QuadraticCLF,
                       SafeSet, build_scenario, evaluate)
 from safestab.core import B_FLOOR
-from safestab.filters import (ACTIVE_TOL, Region, active_flags, make_filter_config,
-                              row_margins)
-from safestab.sim import rk4_step
+from safestab.filters import (ACTIVE_TOL, Region, active_flags, make_controller,
+                              make_filter_config, row_margins)
+from safestab.sim import SimConfig, integrate, rk4_step
 
 from conftest import sample_safe_states
-from test_sim import synthetic_m2_config
+from test_sim import synthetic_m2_config, wide_m3_config
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, 2.2250738585072014e-308,
            1e150, -1e150, 3.7e200, -1e300, 1.7976931348623157e308]
@@ -195,10 +195,12 @@ def cases(linear_cfg, tumor_cfg, linear):
     m2 = stackable_m2_config()
     synthetic = synthetic_m2_config()
     flat = flat_barrier_config(linear)
+    wide = wide_m3_config()
     return {
         "linear2d": (linear_cfg, bundled_barrier_forms("linear2d", 2), True),
         "tumor3d": (tumor_cfg, bundled_barrier_forms("tumor3d", 3), True),
         "stackable-m2": (m2, closure_barrier_forms(m2), True),
+        "wide-m3": (wide, closure_barrier_forms(wide), True),
         "synthetic-m2": (synthetic, closure_barrier_forms(synthetic), False),
         "flat-barrier": (flat, closure_barrier_forms(flat), False),
     }
@@ -233,7 +235,7 @@ def check_states(case, X):
         assert same(cfg.safe_set.values(X), [cfg.safe_set.values(x) for x in X])
 
 
-@pytest.mark.parametrize("name", ["linear2d", "tumor3d", "stackable-m2"])
+@pytest.mark.parametrize("name", ["linear2d", "tumor3d", "stackable-m2", "wide-m3"])
 def test_stack_one_state_and_reference_agree(name, cases):
     case = cases[name]
 
@@ -318,8 +320,9 @@ def test_nan_margin_counts_as_r2_and_propagates_through_the_minimum(linear):
 @pytest.mark.parametrize("name", ["linear2d", "tumor3d"])
 def test_assigned_closures_take_over_the_float_forms(name):
     # f, g, h, grad h and grad W assigned to a built scenario are what the
-    # one-state evaluate and the RK4 stages then call; wrappers that return
-    # what they wrap give the bits of the float forms they replace
+    # one-state evaluate, the RK4 stages and integrate's steps then call;
+    # wrappers that return what they wrap give the bits of the float forms
+    # they replace
     bundle = build_scenario(name)
     sys, clf, barriers = bundle.sys, bundle.clf, bundle.safe_set.barriers
     cfg = make_filter_config(sys, clf, bundle.safe_set, gamma=1.0)
@@ -327,6 +330,8 @@ def test_assigned_closures_take_over_the_float_forms(name):
     before = [evaluate(cfg, x) for x in X]
     steps = [rk4_step(sys, x, ev.u_son, 1e-3) for x, ev in zip(X, before)]
     stack = evaluate(cfg, X)
+    simcfg = SimConfig(x0=X[0], t_final=0.01)   # 10 RK4 steps, 11 evaluations
+    run = integrate(cfg, make_controller(cfg, "hybrid"), simcfg)
     calls = {}
 
     def counted(key, fn):
@@ -349,6 +354,15 @@ def test_assigned_closures_take_over_the_float_forms(name):
     again = evaluate(cfg, X)
     for i in range(len(X)):
         assert_fields_equal(fields(again, i), fields(stack, i), X[i])
+    # every step runs what was assigned, nothing cached by a kernel: fg
+    # (f and g) once in evaluate and once in each of the 3 rhs stages after
+    # the first, each barrier's hgrad (h and grad h) and grad W once in
+    # evaluate; the safe-set check of x0 adds one h per barrier
+    calls.clear()
+    assert integrate(cfg, make_controller(cfg, "hybrid"), simcfg).states.tobytes() == \
+        run.states.tobytes()
+    assert calls == {"f": 10 * 4 + 1, "g": 10 * 4 + 1, "h": 11 * k + k, "grad_h": 11 * k,
+                     "grad": 11}
     f = sys.f
     sys.f = lambda x: 2.0 * f(x)
     assert evaluate(cfg, X[0]).f.tobytes() == (2.0 * before[0].f).tobytes()
