@@ -45,7 +45,6 @@ class RunManifest:
     dt: float
     t_final: float
     x0: np.ndarray
-    seed: int
     out_dir: Path
     record_every: int = 1
 
@@ -60,8 +59,7 @@ class RunManifest:
             "scenario": self.scenario, "controller": self.controller,
             "gamma": self.gamma, "p": self.p, "dt": self.dt,
             "t_final": self.t_final, "x0": self.x0.tolist(),
-            "seed": self.seed, "out": str(self.out_dir),
-            "record_every": self.record_every,
+            "out": str(self.out_dir), "record_every": self.record_every,
         }
 
 
@@ -87,7 +85,6 @@ def _sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dt", type=float, default=1e-3)
     p.add_argument("--t-final", type=float, default=None)
     p.add_argument("--x0", type=_parse_floats, default=None, help="initial state a,b,...")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--record-every", type=int, default=1)
     p.add_argument("--out", default=".", help="output directory")
 
@@ -109,7 +106,6 @@ def _resolve_manifest(bundle, args) -> RunManifest:
         dt=args.dt,
         t_final=args.t_final if args.t_final is not None else float(defaults.get("t_final", 10.0)),
         x0=x0,
-        seed=args.seed,
         out_dir=args.out,
         record_every=args.record_every,
     )
@@ -256,15 +252,15 @@ def cmd_verify(args) -> int:
     bundle = _load_bundle(args)
     gamma = args.gamma if args.gamma is not None else float(bundle.defaults.get("gamma", 1.0))
     results = run_checks(bundle, seed=args.seed, gamma=gamma)
-    failed = 0
     for res in results:
-        tag = "PASS" if res.passed else "FAIL"
+        tag = "SKIP" if res.skipped else "PASS" if res.passed else "FAIL"
         print(f"[{tag}] {res.name}: {res.detail}")
-        failed += 0 if res.passed else 1
+    failed = sum(not res.passed for res in results)
     if failed:
         print(f"{failed} check(s) failed", file=sys.stderr)
         return EXIT_RUNTIME
-    print(f"all {len(results)} checks passed")
+    skipped = sum(res.skipped for res in results)
+    print(f"all {len(results) - skipped} checks passed" + (f", {skipped} skipped" if skipped else ""))
     return EXIT_OK
 
 

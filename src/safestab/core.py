@@ -1,5 +1,5 @@
-"""Control-affine systems, quadratic CLFs, barriers, and Sontag's scalar
-terms (a, b); filters.evaluate combines them with the barrier rows
+"""Control-affine systems, quadratic CLFs, barriers, Sontag's terms (a, b)
+and formula (kappa); filters.evaluate combines them with the barrier rows
 (L_f h, L_g h) that every controller downstream consumes.
 
 Conventions
@@ -8,20 +8,19 @@ Conventions
 * Every dot product, matrix-vector product and quadratic form behind the
   pointwise quantities (W and its gradient, Sontag's a and b, the barrier
   values, gradients and rows, the row margins and activation flags) is an
-  explicit sum that starts from +0.0 and adds its terms left to right, with
-  no BLAS call. Each is generated source, compiled once per size: dot_of,
-  matvec_of and affine_of, lie_of (grad W, a and b of QuadraticCLF.lie_terms
-  in one body) and lie_sums_of (a and b from a given gradient, the same
-  text), and the per-step kernels built on them, filters' evaluate kernel
-  and sim.rk4_of's stages. For one state these sums run on Python floats,
-  for a stack the same expressions run on numpy columns, so the two agree
-  bit for bit (up to the sign and payload of a NaN, which IEEE 754 leaves
-  open), and neither depends on which kernel the CPU's BLAS dispatches to.
-  The QP layer sums the same way (solve_qp, QPSpec's factor and the
+  explicit sum that starts from +0.0 and adds its terms left to right, with no
+  BLAS call. Each is generated source, compiled once per size: dot_of,
+  matvec_of and affine_of, lie_of (grad W, W, a and b of
+  QuadraticCLF.lie_terms in one body) and lie_sums_of (a and b from a given
+  gradient, the same text), and the per-step kernels built on them, filters'
+  evaluate kernel and sim.rk4_of's stages. For one state these sums run on
+  Python floats, for a stack the same expressions run on numpy columns, so the
+  two agree bit for bit (up to the sign and payload of a NaN, which IEEE 754
+  leaves open), and neither depends on which kernel the CPU's BLAS dispatches
+  to. The QP layer sums the same way (solve_qp, QPSpec's factor and the
   filters' per-step specs), and so does verify's decrease identity
   (sontag_decrease_rate), so BLAS is left to checks off the per-step path
-  (xdot, linearize, closed_form_ustar, the KKT residual computed when
-  read).
+  (xdot, linearize, closed_form_ustar, the KKT residual computed when read).
 * The float forms are the only bodies a scenario writes: a system's fg(xs)
   gives f(x) as a list of n floats and g(x) as a list of m columns of n
   floats, a barrier's hgrad(xs) its value and gradient (a list); on the
@@ -44,7 +43,9 @@ Conventions
   and sontag.sontag_decrease_rate take a stack too, so that verify runs
   each sample set in one pass.
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
-  vanishes at a non-zero equilibrium.
+  vanishes at a non-zero equilibrium. lie_of sums W as QuadraticCLF.value
+  does, so the W of filters.evaluate, which every layer reads, has its bits.
+  Sontag's universal formula has one body too, kappa, beside B_FLOOR.
 * Apart from the assignments above, all objects are treated as immutable
   after construction, and every operation is a pure function of its
   arguments.
@@ -79,6 +80,24 @@ B_FLOOR = 1e-10
 LOCAL_CLF_SAMPLES = 200
 # largest stack of states one rejection_sample draw makes
 SAMPLE_BLOCK = 1024
+
+
+def kappa(gamma: float, a, b, bb):
+    """Sontag's correction b' (-a - gamma sqrt(a^2 + |b|^4)) / |b|^2, zero
+    where sqrt(|b|^2) <= B_FLOOR, for b a list of m floats (or of m columns,
+    a a column) whose |b|^2 bb is already summed; a list like b."""
+    if isinstance(bb, float):
+        if math.sqrt(bb) <= B_FLOOR:
+            return [0.0] * len(b)
+        r = (-a - gamma * math.sqrt(a * a + bb * bb)) / bb
+        return [bj * r for bj in b]
+    on = ~(np.sqrt(bb) <= B_FLOOR)   # NaN takes the formula, as above
+    a, bb = a[on], bb[on]
+    r = (-a - gamma * np.sqrt(a * a + bb * bb)) / bb
+    out = [np.zeros(on.shape) for _ in b]
+    for k, bj in zip(out, b):
+        k[on] = bj[on] * r
+    return out
 
 
 def _sum(terms) -> str:
@@ -138,15 +157,16 @@ def lie_sums_of(n: int, m: int) -> Callable:
 
 @lru_cache(maxsize=None)
 def lie_of(n: int, m: int) -> Callable:
-    """P, x_e, u_e, x, f, G -> (grad W, a, b) for P's rows: d = x - x_e,
-    grad W = 2 P d (rows of matvec_of), then (a, b) as lie_sums_of sums
-    them."""
+    """P, x_e, u_e, x, f, G -> (grad W, W, a, b) for P's rows: d = x - x_e,
+    p = P d (rows of matvec_of), grad W = 2 p, W = d . p (dot_of, as
+    QuadraticCLF.value sums it), then (a, b) as lie_sums_of sums them."""
     g = [f"g{i}" for i in range(n)]
     return _def("P, e, u, x, f, G",
                 [f"d{i} = x[{i}] - e[{i}]" for i in range(n)]
-                + [f"g{i} = 2.0 * {_sum(f'P[{i}][{l}] * d{l}' for l in range(n))}"
-                   for i in range(n)],
-                f"[{', '.join(g)}], {_lie_ab(n, m, g)}")
+                + [f"p{i} = {_sum(f'P[{i}][{l}] * d{l}' for l in range(n))}" for i in range(n)]
+                + [f"g{i} = 2.0 * p{i}" for i in range(n)],
+                f"[{', '.join(g)}], {_sum(f'd{i} * p{i}' for i in range(n))}, "
+                f"{_lie_ab(n, m, g)}")
 
 
 def columns(X: np.ndarray) -> list:
@@ -303,8 +323,8 @@ def equilibrium_residual(sys: ControlAffineSystem, eq: EquilibriumPair) -> float
 class QuadraticCLF:
     """W(x) = (x - x_e)' P (x - x_e) with P symmetric positive definite,
     summed as d . (P d) with d = x - x_e, and gradient 2 P d. lie_terms
-    gives the gradient and Sontag's terms from one body (lie_of), or takes
-    the gradient from grad once grad is assigned to the instance."""
+    gives the gradient, W and Sontag's terms from one body (lie_of), or
+    takes the gradient from grad once grad is assigned to the instance."""
 
     P: np.ndarray
     equilibrium: EquilibriumPair
@@ -338,7 +358,7 @@ class QuadraticCLF:
         return np.array([2.0 * v for v in self._offset_and_pd(as_vector(x).tolist())[1]])
 
     def lie_terms(self, xs, fs, gcols):
-        """(gradW, a, b) from the float form at one state, or from columns."""
+        """(gradW, W, a, b) from the float form at one state, or from columns."""
         return self._lie(self._rows, self._x_e, self._u_e, xs, fs, gcols)
 
     def __setattr__(self, name, value):
@@ -352,7 +372,8 @@ class QuadraticCLF:
         x = np.array(xs)   # (n,) for one state, (n, N) for columns
         grad_w = np.asarray(self.grad(x.T), dtype=float).T
         grad = grad_w.tolist() if grad_w.ndim == 1 else list(grad_w)
-        return (grad,) + lie_sums_of(len(grad), len(gcols))(grad, fs, gcols, self._u_e)
+        return (grad, self._dot(*self._offset_and_pd(xs))) + lie_sums_of(
+            len(grad), len(gcols))(grad, fs, gcols, self._u_e)
 
 
 def validate_clf_matrix(P: np.ndarray) -> None:

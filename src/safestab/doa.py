@@ -37,17 +37,15 @@ SUBLEVEL_T_MAX = 1e3
 AWC_MAX_TRIES = 100000
 
 
-def control_sharing_holds(cfg: FilterConfig, x, eps_share: Optional[float] = None):
+def control_sharing_holds(cfg: FilterConfig, x):
     """True iff one input satisfies every barrier row and gives
-    gradW'(f + g u) <= -eps_share (strict decrease surrogate). For a stack
-    of states (N, n), a boolean array (N,) from one evaluation and one
-    stacked LP test."""
+    gradW'(f + g u) <= -eps with eps = 1e-9 * (1 + W(x)) (strict decrease
+    surrogate). For a stack of states (N, n), a boolean array (N,) from one
+    evaluation and one stacked LP test."""
     ev = evaluate(cfg, x)
-    if eps_share is None:
-        eps_share = 1e-9 * (1.0 + cfg.clf.value(ev.x))
-    # the CLF row -b u >= L_f W + eps_share below the barrier rows
+    # the CLF row -b u >= L_f W + eps below the barrier rows
     A = np.concatenate([ev.A, -ev.b[..., None, :]], axis=-2)
-    lb = np.concatenate([ev.lb, np.expand_dims(ev.lfw + eps_share, -1)], axis=-1)
+    lb = np.concatenate([ev.lb, np.expand_dims(ev.lfw + 1e-9 * (1.0 + ev.w), -1)], axis=-1)
     return lp_feasible(A, lb)
 
 

@@ -2,7 +2,7 @@
 
 Every controller reads the same pointwise quantities, which `evaluate`
 computes from one call of the system's float form fg (f and the columns of
-g), on the Python floats of one state or the columns of a stack: Sontag's
+g), on the Python floats of one state or the columns of a stack: W, Sontag's
 terms a, b and input u_son, the barrier rows L_f h_i + L_g h_i u >=
 -alpha_i(h_i) stacked as A u >= lb, the barrier values h, and the R1/R2
 label. Its body is one kernel written out for the sizes (n, m, k) of the
@@ -37,14 +37,13 @@ from typing import Callable, Tuple
 
 import numpy as np
 
-from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum, as_vector, columns,
-                   dot_of, matvec_of)
+# sontag_terms is unused here but stays bound: the benchmark's tracer
+# (bench/instrument.py) wraps it in this module, as it does sontag_control
+from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum, as_vector,  # noqa: F401
+                   columns, dot_of, kappa, matvec_of, sontag_terms)
 from .errors import (DegenerateConstraintError, IndefiniteQPError, InfeasibleQPError,
                      SafeStabError)
 from .qp import QPSpec, solve_qp
-# sontag_terms and sontag_control are unused here but stay bound: the
-# benchmark's tracer (bench/instrument.py) wraps them in this module
-from .sontag import kappa, sontag_control, sontag_terms  # noqa: F401
 
 CONTROLLER_NAMES = ("sontag", "cbf-qp", "clf-cbf-qp", "s-cbf-qp", "hybrid")
 
@@ -95,18 +94,18 @@ class Evaluation:
     """Pointwise quantities at one state, from one call of the system's float
     form fg, held as the evaluate kernel gives them: Python floats for one
     state, columns for a stack of N states (a float constant standing for
-    its column). fg is (f, columns of g); grad, a, bs, us, As, lbs and hs
-    are grad W, a = gradW'(f + g u_e), b = gradW' g, the Sontag input u_son
-    and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i) -
-    L_f h_i) with the barrier values h_i(x), as lists. The array fields f,
+    its column). fg is (f, columns of g); w, grad, a, bs, us, As, lbs and hs
+    are W, grad W, a = gradW'(f + g u_e), b = gradW' g, the Sontag input
+    u_son and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i)
+    - L_f h_i) with the barrier values h_i(x), as lists. The array fields f,
     grad_w, b, u_son, A, lb and h are built from them when first read, with
     a leading axis of N for a stack. label is R1 iff u_son satisfies every
     row."""
 
-    __slots__ = ("x", "fg", "grad", "a", "bs", "us", "As", "lbs", "hs", "label", "_arrays")
+    __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "label", "_arrays")
 
-    def __init__(self, x, fg, grad, a, bs, us, As, lbs, hs, margin):
-        self.x, self.fg, self.grad, self.a, self.bs, self.us = x, fg, grad, a, bs, us
+    def __init__(self, x, fg, grad, w, a, bs, us, As, lbs, hs, margin):
+        self.x, self.fg, self.grad, self.w, self.a, self.bs, self.us = x, fg, grad, w, a, bs, us
         self.As, self.lbs, self.hs, self._arrays = As, lbs, hs, {}
         if x.ndim == 1:
             self.label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
@@ -152,7 +151,7 @@ class Evaluation:
 
         fs, gcols = self.fg
         return Evaluation(self.x[i], (entry(fs), entry(gcols)), entry(self.grad),
-                          float(self.a[i]), *entry([self.bs, self.us, self.As, self.lbs, self.hs]),
+                          *entry([self.w, self.a, self.bs, self.us, self.As, self.lbs, self.hs]),
                           float(self.label.margin[i]))
 
 
@@ -165,7 +164,7 @@ def _kernel_of(n: int, m: int, k: int) -> Callable:
     (h_i, q) = hgrad_i(x): A_i = (G_1 . q, ..., G_m . q), lb_i = -alpha_i h_i
     - f . q and margin_i = A_i . u_son - lb_i, explicit sums as in core;
     kappa and _min_first branch on floats or columns."""
-    lines = ["fg = f, G = sys.fg(x)", "grad, a, b = clf.lie_terms(x, f, G)",
+    lines = ["fg = f, G = sys.fg(x)", "grad, w, a, b = clf.lie_terms(x, f, G)",
              f"c = kappa(gamma, a, b, {_sum(f'b[{j}] * b[{j}]' for j in range(m))})",
              "e = clf._u_e", f"u = [{', '.join(f'e[{j}] + c[{j}]' for j in range(m))}]"]
     row = ", ".join(_sum(f"G[{j}][{l}] * q[{l}]" for l in range(n)) for j in range(m))
@@ -177,7 +176,7 @@ def _kernel_of(n: int, m: int, k: int) -> Callable:
                         for i in range(k))
     A, lb, h = ("[" + ", ".join(f"{name}{i}" for i in range(k)) + "]" for name in ("A", "lb", "h"))
     return _def("sys, clf, bars, gamma, x", lines,
-                f"fg, grad, a, b, u, {A}, {lb}, {h}, _min_first([{margins}])",
+                f"fg, grad, w, a, b, u, {A}, {lb}, {h}, _min_first([{margins}])",
                 kappa=kappa, _min_first=_min_first)
 
 
@@ -218,6 +217,11 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
         x = as_vector(x, cfg.sys.n)
         xs = x.tolist()
     return Evaluation(x, *cfg._kernel(cfg.sys, cfg.clf, cfg.safe_set.barriers, cfg.gamma, xs))
+
+
+def sontag_control(cfg: FilterConfig, x) -> np.ndarray:
+    """Sontag's input at one state (m,) or a stack (N, m): evaluate's u_son."""
+    return evaluate(cfg, x).u_son
 
 
 def cbf_rows(cfg: FilterConfig, x) -> Tuple[np.ndarray, np.ndarray]:
@@ -311,7 +315,7 @@ def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarra
 
     def clf_cbf_qp(ev: Evaluation) -> Tuple[np.ndarray, float]:
         A = [[-v for v in ev.bs] + [1.0]] + [row + [0.0] for row in ev.As]
-        lb = [ev.lfw + ALPHA_W * cfg.clf.value(ev.x)] + ev.lbs
+        lb = [ev.lfw + ALPHA_W * ev.w] + ev.lbs
         z = _solve_or_raise(cost.with_rows(A, lb), "CLF-CBF-QP", ev.x).z_star
         return z[:m], float(z[m])
 
@@ -364,7 +368,12 @@ def closed_form_ustar(cfg: FilterConfig, x, barrier_index: int = 0
 
     Raises DegenerateConstraintError when L_g h vanishes, and SafeStabError
     when the multiplier comes out negative at a state classified R2."""
-    ev = evaluate(cfg, x)
+    return closed_form_of(cfg, evaluate(cfg, x), barrier_index)
+
+
+def closed_form_of(cfg: FilterConfig, ev: Evaluation, barrier_index: int = 0
+                   ) -> Tuple[np.ndarray, float]:
+    """closed_form_ustar at the state of the one-state evaluation ev."""
     lgh = ev.A[barrier_index]
     nrm2 = float(lgh @ lgh)
     if math.sqrt(nrm2) <= 1e-12:

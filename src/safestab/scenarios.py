@@ -118,9 +118,15 @@ BARRIER_REGISTRY: Dict[str, Callable[[dict, int], Callable]] = {
 }
 
 
+def _object(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError(f"{what} must be a JSON object, got {value!r}")
+    return value
+
+
 def _build_barrier(entry: dict, n: int) -> Barrier:
-    kind = entry.get("kind")
-    alpha = float(entry.get("alpha", {}).get("lambda", 1.0))
+    kind = _object(entry, "a barrier entry").get("kind")
+    alpha = float(_object(entry.get("alpha", {}), "a barrier's alpha").get("lambda", 1.0))
     name = entry.get("name", kind or "h")
     if kind not in BARRIER_REGISTRY:
         raise ScenarioError(f"unknown barrier kind {kind!r}")
@@ -153,10 +159,11 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         barriers = tuple(_build_barrier(b, n) for b in cfg["barriers"])
         safe_set = SafeSet(barriers)
         domain = np.asarray(cfg["domain"], dtype=float).reshape(n, 2)
+        eq_tol = float(cfg.get("eq_tol", 1e-3))
+        defaults = dict(_object(cfg.get("defaults", {}), "defaults"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
-    eq_tol = float(cfg.get("eq_tol", 1e-3))
     residual = equilibrium_residual(sys, eq)
     if residual > eq_tol:
         raise ScenarioError(
@@ -165,7 +172,7 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         if bar.value(eq.x_e) <= 0.0:
             raise ScenarioError(f"barrier {bar.name!r} not positive at x_e")
     return ScenarioBundle(name=name, sys=sys, clf=clf, safe_set=safe_set,
-                          eq=eq, domain=domain, defaults=dict(cfg.get("defaults", {})))
+                          eq=eq, domain=domain, defaults=defaults)
 
 
 def load_scenario(path) -> ScenarioBundle:

@@ -2,7 +2,7 @@
 step), trajectory logging with region/switch bookkeeping, and scalar metrics.
 
 integrate carries the state as Python floats between its RK4 steps (rk4_of)
-and writes each record from floats.
+and writes each record, W included, from the floats of the step's evaluation.
 
 CSV schema (column order is part of the contract):
     t, x_1..x_n, u_1..u_m, W, h_1..h_k, region, active_1..active_k
@@ -149,17 +149,16 @@ def integrate(cfg: FilterConfig,
 
     The state is carried as Python floats from one rk4_of step to the next,
     and the controller gets it as one array a step. The controller maps x to
-    (u, ev) as make_controller's do; the logged region, barrier values and
-    rows come from the floats of the evaluation ev at x, and when ev.x is x
-    itself, the first RK4 stage takes f(x) and g(x) from ev.fg. Every
+    (u, ev) as make_controller's do; the logged W, region, barrier values
+    and rows come from the floats of the evaluation ev at x, and when ev.x
+    is x itself, the first RK4 stage takes f(x) and g(x) from ev.fg. Every
     record_every-th step and the last one are written from floats into
     arrays allocated for the run (trimmed when it stops early), and after
-    the loop W and the activation flags of all of them come from one
-    stacked pass. Its sums are the one-state body's explicit sums on
-    columns, so it gives the bits the per-step calls would give, whatever
-    BLAS kernel the CPU gets; the QP solves inside the controller are
-    explicit sums too. A switch event computes the flags of its two steps
-    one state at a time."""
+    the loop the activation flags of all of them come from one stacked
+    pass. Its sums are the one-state body's explicit sums on columns, so it
+    gives the bits the per-step calls would give, whatever BLAS kernel the
+    CPU gets; the QP solves inside the controller are explicit sums too. A
+    switch event computes the flags of its two steps one state at a time."""
     sys = cfg.sys
     x = as_vector(simcfg.x0, sys.n)
     if cfg.safe_set.min_value(x) < 0.0:
@@ -172,6 +171,7 @@ def integrate(cfg: FilterConfig,
     states = np.empty((n_rec, sys.n))
     inputs = np.empty((n_rec, sys.m))
     regions = np.empty(n_rec, dtype=int)
+    w_values = np.empty(n_rec)
     h_values = np.empty((n_rec, k))
     rows_A = np.empty((n_rec, k, sys.m))
     rows_lb = np.empty((n_rec, k))
@@ -215,6 +215,7 @@ def integrate(cfg: FilterConfig,
             states[rec] = xs
             inputs[rec] = u
             regions[rec] = region
+            w_values[rec] = ev.w
             h_values[rec] = ev.hs
             rows_A[rec] = ev.As
             rows_lb[rec] = ev.lbs
@@ -231,15 +232,15 @@ def integrate(cfg: FilterConfig,
             break
 
     if rec < n_rec:   # copies, so that a short run keeps no full-size buffer
-        times, states, inputs, regions, h_values, rows_A, rows_lb = (
-            a[:rec].copy() for a in (times, states, inputs, regions, h_values,
+        times, states, inputs, regions, w_values, h_values, rows_A, rows_lb = (
+            a[:rec].copy() for a in (times, states, inputs, regions, w_values, h_values,
                                      rows_A, rows_lb))
     return Trajectory(
         times=times,
         states=states,
         inputs=inputs,
         regions=regions,
-        w_values=cfg.clf.value(states),
+        w_values=w_values,
         h_values=h_values,
         active=active_flags(rows_A, rows_lb, inputs).astype(int),
         switch_events=events,

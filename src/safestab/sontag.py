@@ -5,54 +5,19 @@ u(x) = u_e + kappa(x),   kappa = b' * (-a - gamma*sqrt(a^2 + |b'|^4)) / |b'|^2,
 
 with a = gradW'(f + g u_e), b = gradW' g, and kappa := 0 wherever |b| falls
 to core.B_FLOOR or below (the small-control convention at the equilibrium).
-sontag_control and sontag_decrease_rate read the system, the CLF and gamma
-from a filters.FilterConfig.
+The formula has one body, core.kappa, which filters.evaluate applies and
+sontag_control reads. sontag_decrease_rate checks its decrease identity on an
+independent path (sontag_terms, clf.grad), so it takes any CLF-like object.
 """
 from __future__ import annotations
 
-import math
-from typing import TYPE_CHECKING
-
 import numpy as np
 
-from .core import B_FLOOR, affine_of, columns, dot_of, sontag_terms, state_parts
+from .core import B_FLOOR, affine_of, dot_of, kappa, sontag_terms, state_parts
 from .errors import DecreaseIdentityError
-
-if TYPE_CHECKING:
-    from .filters import FilterConfig
-
-
-def sontag_kappa(gamma: float, a, b):
-    """Correction term of the universal formula with gain gamma for the terms
-    a and b; zero when b (nearly) vanishes. b is a list of m floats, or of m
-    columns with a a column, and so is the result; an array b, (m,) or
-    (N, m), gives an array. |b|^2 is the explicit sum dot_of(m)(b, b)."""
-    if isinstance(b, np.ndarray):
-        if b.ndim == 1:
-            return np.array(sontag_kappa(gamma, a, b.tolist()))
-        return np.stack(sontag_kappa(gamma, a, columns(b)), axis=1)
-    return kappa(gamma, a, b, dot_of(len(b))(b, b))
-
-
-def kappa(gamma: float, a, b, bb):
-    """sontag_kappa for a list b whose |b|^2 bb is already summed."""
-    if isinstance(bb, float):
-        if math.sqrt(bb) <= B_FLOOR:
-            return [0.0] * len(b)
-        r = (-a - gamma * math.sqrt(a * a + bb * bb)) / bb
-        return [bj * r for bj in b]
-    on = ~(np.sqrt(bb) <= B_FLOOR)   # NaN takes the formula, as above
-    a, bb = a[on], bb[on]
-    r = (-a - gamma * np.sqrt(a * a + bb * bb)) / bb
-    out = [np.zeros(on.shape) for _ in b]
-    for k, bj in zip(out, b):
-        k[on] = bj[on] * r
-    return out
-
-
-def sontag_control(cfg: FilterConfig, x) -> np.ndarray:
-    a, b = sontag_terms(cfg.sys, cfg.clf, x)
-    return cfg.clf.equilibrium.u_e + sontag_kappa(cfg.gamma, a, b)
+# sontag_control, defined in filters, stays bound: the package exports it from
+# here, and the benchmark's tracer (bench/instrument.py) wraps it in this module
+from .filters import FilterConfig, sontag_control  # noqa: F401
 
 
 def sontag_decrease_rate(cfg: FilterConfig, x):
@@ -62,11 +27,12 @@ def sontag_decrease_rate(cfg: FilterConfig, x):
     a and b come from sontag_terms; dW/dt from a second call of clf.grad and
     of the system's fg, as the explicit sum gradW . (f + g u) on floats or
     columns (from the gradient behind a and b, the identity would hold by
-    construction and check nothing). Raises DecreaseIdentityError when the algebraic identity from
-    the universal formula fails beyond rounding, and ValueError when
-    evaluated where b vanishes away from the equilibrium (the identity does
-    not apply there); on a stack, for the first such state in its order.
-    Either error names the state.
+    construction and check nothing), with u from core.kappa. Raises
+    DecreaseIdentityError when the algebraic identity from the universal
+    formula fails beyond rounding, and ValueError when evaluated where b
+    vanishes away from the equilibrium (the identity does not apply there);
+    on a stack, for the first such state in its order. Either error names
+    the state.
     """
     x, part = state_parts(cfg.sys, x)
     n, m = cfg.sys.n, cfg.sys.m

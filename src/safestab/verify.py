@@ -1,6 +1,6 @@
 """Runtime verification suite: gradient checks, decrease identity, KKT
 residuals, closed-form equivalence, and scenario invariants, reported as one
-pass/fail result per check.
+pass, fail or skip (the check does not apply to the scenario) per check.
 """
 from __future__ import annotations
 
@@ -12,8 +12,8 @@ import numpy as np
 from .core import (equilibrium_residual, fd_gradient, is_valid_local_clf,
                    rejection_sample, sample_ball, sontag_terms, validate_clf_matrix)
 from .errors import DecreaseIdentityError, SafeStabError, ScenarioError
-from .filters import (FilterConfig, Region, closed_form_ustar, evaluate,
-                      make_filter_config, s_cbf_qp_filter, s_cbf_qp_spec)
+from .filters import (FilterConfig, Region, closed_form_of, evaluate, make_filter_config,
+                      s_cbf_qp_filter, s_cbf_qp_spec)
 # QPSpec is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module
 from .qp import QPSpec, solve_qp  # noqa: F401
@@ -36,6 +36,7 @@ class CheckResult:
     name: str
     passed: bool
     detail: str = ""
+    skipped: bool = False   # a skipped check passes, so that it fails nothing
 
 
 def _sample_domain(bundle: ScenarioBundle, count: int, rng) -> np.ndarray:
@@ -117,16 +118,17 @@ def check_kkt_residuals(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) ->
 def check_closed_form(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> CheckResult:
     if cfg.sys.m != 1 or len(cfg.safe_set) != 1:
         return CheckResult("closed_form_equivalence", True,
-                           "skipped (needs m=1 and a single barrier)")
+                           "needs m=1 and a single barrier", skipped=True)
     rng = np.random.default_rng(seed)
     errs = []
     pts = _sample_safe(bundle, 20 * CLOSED_FORM_SAMPLES, rng)
-    for x in pts[evaluate(cfg, pts).label.value == Region.R2]:
+    ev = evaluate(cfg, pts)
+    for i in np.flatnonzero(ev.label.value == Region.R2):
         if len(errs) >= CLOSED_FORM_SAMPLES:
             break
         try:
-            u_formula, _ = closed_form_ustar(cfg, x)
-            u_qp = s_cbf_qp_filter(cfg, x)
+            u_formula, _ = closed_form_of(cfg, ev.row(i))
+            u_qp = s_cbf_qp_filter(cfg, pts[i])
         except SafeStabError:
             continue
         errs.append(np.abs(u_formula - u_qp).max())
@@ -148,9 +150,8 @@ def check_r1_proper(cfg: FilterConfig, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     x_e = cfg.clf.equilibrium.x_e
     pts = sample_ball(x_e, R1_RADIUS, R1_SAMPLES, rng)
-    unsafe = cfg.safe_set.min_value(pts) < 0.0
-    r2 = evaluate(cfg, pts).label.value != Region.R1
-    for x, x_unsafe, x_r2 in zip(pts, unsafe, r2):
+    ev = evaluate(cfg, pts)
+    for x, x_unsafe, x_r2 in zip(pts, ev.h.min(axis=1) < 0.0, ev.label.value != Region.R1):
         if x_unsafe:
             return CheckResult("r1_proper", False, f"safe set excludes {x}")
         if x_r2:

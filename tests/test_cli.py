@@ -14,6 +14,8 @@ from safestab import QPIterationError, build_scenario, cli, read_trajectory_csv
 from safestab.cli import main
 from safestab.verify import run_checks
 
+from test_scenarios import MALFORMED, linear2d_file
+
 
 def read_strict_json(path):
     """Parse with the non-standard NaN/Infinity/-Infinity tokens rejected."""
@@ -206,6 +208,32 @@ def test_verify_passes_for_bundled_scenarios(capsys):
         assert "FAIL" not in out
 
 
+def test_verify_prints_a_skipped_check_as_skip(capsys):
+    # tumor3d's closed-form check does not apply: [SKIP], counted neither
+    # passed nor failed, and the exit code stays 0
+    rc = main(["verify", "--scenario", "tumor3d"])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert "[SKIP] closed_form_equivalence: needs m=1 and a single barrier" in lines
+    assert sum(line.startswith("[PASS]") for line in lines) == 9
+    assert lines[-1] == "all 9 checks passed, 1 skipped"
+    rc = main(["verify", "--scenario", "linear2d"])
+    out = capsys.readouterr().out
+    assert rc == 0 and "[SKIP]" not in out
+    assert out.splitlines()[-1] == "all 10 checks passed"
+
+
+def test_verify_malformed_scenario_file_exits_2(tmp_path, capsys):
+    for name, edit in MALFORMED.items():
+        cfg = linear2d_file()
+        edit(cfg)
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cfg))
+        rc = main(["verify", "--scenario", str(path)])
+        assert rc == 2, name
+        assert "error: malformed scenario: " in capsys.readouterr().err, name
+
+
 def test_verify_detects_corrupted_clf_matrix(linear):
     bundle = build_scenario("linear2d")
     bundle.clf.P = np.array([[3.4142, -2.4142], [-2.0, 2.4142]])  # injected fault
@@ -287,7 +315,7 @@ def test_plot_region_not_0_or_1_exits_1_naming_the_column(tmp_path, capsys):
 def test_determinism_same_manifest_identical_csv(tmp_path):
     for sub in ("one", "two"):
         rc = main(["simulate", "--scenario", "tumor3d", "--t-final", "1.0",
-                   "--seed", "3", "--out", str(tmp_path / sub)])
+                   "--out", str(tmp_path / sub)])
         assert rc == 0
     a = (tmp_path / "one" / "tumor3d_hybrid_traj.csv").read_bytes()
     b = (tmp_path / "two" / "tumor3d_hybrid_traj.csv").read_bytes()

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -133,6 +134,28 @@ def test_scenario_validation_errors(tmp_path):
         bad_rate = dict(base, barriers=[dict(base["barriers"][0], alpha={"lambda": rate})])
         with pytest.raises(ScenarioError, match="alpha"):
             scenario_from_dict(bad_rate)
+
+
+def linear2d_file():
+    return json.loads(resources.files("safestab.data").joinpath("linear2d.json").read_text())
+
+
+# edits of the bundled linear2d file that leave it malformed
+MALFORMED = {
+    "alpha-not-an-object": lambda d: d["barriers"][0].update(alpha=2.0),
+    "barrier-entry-a-string": lambda d: d.update(barriers=["quadratic"]),
+    "defaults-a-list": lambda d: d.update(defaults=[1, 2]),
+    "eq_tol-null": lambda d: d.update(eq_tol=None),
+}
+
+
+@pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_scenario_raises_scenario_error(edit):
+    cfg = linear2d_file()
+    scenario_from_dict(cfg)
+    edit(cfg)
+    with pytest.raises(ScenarioError, match="^malformed scenario: "):
+        scenario_from_dict(cfg)
 
 
 def test_exp_positivity_barrier_index_bounds():

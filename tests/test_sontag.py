@@ -26,6 +26,19 @@ def test_control_at_equilibrium_returns_ue(linear, tumor):
         assert np.abs(u - bundle.eq.u_e).max() == 0.0
 
 
+def test_control_on_a_stack_equals_its_one_state_rows(linear, tumor):
+    # x_e and, for linear2d, the diagonal x1 = x2 take the b = 0 branch
+    for bundle in (linear, tumor):
+        cfg = config(bundle)
+        X = np.vstack([sample_safe_states(bundle, 30, 5), bundle.eq.x_e])
+        if bundle is linear:
+            X = np.vstack([X, [0.7, 0.7]])
+        U = sontag_control(cfg, X)
+        assert U.shape == (len(X), bundle.sys.m)
+        for x, u in zip(X, U):
+            assert u.tobytes() == sontag_control(cfg, x).tobytes()
+
+
 def test_linear_example_value(linear):
     cfg = config(linear, gamma=1.0)
     x = np.array([1.0, 0.0])

@@ -25,7 +25,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, QuadraticCLF,
-                      SafeSet, build_scenario, evaluate)
+                      SafeSet, build_scenario, control_sharing_holds, evaluate)
 from safestab.core import B_FLOOR
 from safestab.filters import (ACTIVE_TOL, Region, active_flags, make_controller,
                               make_filter_config, row_margins)
@@ -106,7 +106,7 @@ def closure_barrier_forms(cfg):
 
 
 def reference(cfg, forms, x):
-    """Every field of evaluate at the state x, and W, from explicit loops."""
+    """Every field of evaluate at the state x, from explicit loops."""
     xs = [float(v) for v in x]
     n, m = cfg.sys.n, cfg.sys.m
     f = np.asarray(cfg.sys.f(np.array(xs)), dtype=float).tolist()
@@ -135,13 +135,13 @@ def reference(cfg, forms, x):
     margin = omin([odot(A_i, u_son) - lb_i for A_i, lb_i in zip(A, lb)])
     return {"x": xs, "f": f, "grad_w": grad, "a": a, "b": b, "u_son": u_son, "A": A,
             "lb": lb, "h": h, "lfw": odot(grad, f), "margin": margin,
-            "region": int(Region.R1 if margin >= 0.0 else Region.R2), "W": odot(d, pd)}
+            "region": int(Region.R1 if margin >= 0.0 else Region.R2), "w": odot(d, pd)}
 
 
 def fields(ev, i=None):
     """The reference's keys read off an evaluation (row i of a stack)."""
     pick = (lambda v: v) if i is None else (lambda v: np.asarray(v)[i])
-    out = {k: pick(getattr(ev, k)) for k in ("x", "f", "grad_w", "a", "b", "u_son", "A",
+    out = {k: pick(getattr(ev, k)) for k in ("x", "f", "grad_w", "w", "a", "b", "u_son", "A",
                                               "lb", "h", "lfw")}
     out["margin"] = pick(ev.label.margin)
     out["region"] = int(pick(ev.label.value))
@@ -150,8 +150,7 @@ def fields(ev, i=None):
 
 def assert_fields_equal(got, want, x):
     for key, value in want.items():
-        if key != "W":
-            assert same(got[key], value), (key, x, got[key], value)
+        assert same(got[key], value), (key, x, got[key], value)
 
 
 # ------------------------------------------------------------- the systems
@@ -221,7 +220,7 @@ def check_states(case, X):
         for x, ev in zip(X, evs):
             want = reference(cfg, forms, x)
             assert_fields_equal(fields(ev), want, x)
-            assert same(cfg.clf.value(x), want["W"])
+            assert same(cfg.clf.value(x), want["w"])
             assert same(cfg.clf.grad(x), want["grad_w"])
             for bar, (h_i, _) in zip(cfg.safe_set.barriers, (form(x.tolist()) for form in forms)):
                 assert same(bar.value(x), h_i)
@@ -366,6 +365,28 @@ def test_assigned_closures_take_over_the_float_forms(name):
     f = sys.f
     sys.f = lambda x: 2.0 * f(x)
     assert evaluate(cfg, X[0]).f.tobytes() == (2.0 * before[0].f).tobytes()
+
+
+@pytest.mark.parametrize("name", ["linear2d", "tumor3d"])
+def test_w_is_read_from_the_evaluation_with_no_clf_value_call(name):
+    # the CLF-CBF-QP's decrease row, integrate's records and control
+    # sharing's margin read ev.w: value, wrapped on the instance, is not
+    # called, and the recorded W has the bits of value
+    bundle = build_scenario(name)
+    cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set, gamma=1.0)
+    X = sample_safe_states(bundle, 20, seed=4)
+    value, calls = bundle.clf.value, []
+
+    def counted(x):
+        calls.append(x)
+        return value(x)
+
+    bundle.clf.value = counted
+    run = integrate(cfg, make_controller(cfg, "clf-cbf-qp"), SimConfig(x0=X[0], t_final=0.01))
+    shared = control_sharing_holds(cfg, X)
+    assert calls == []
+    assert run.status == "ok" and run.n_samples == 11 and shared.shape == (20,)
+    assert same(run.w_values, value(run.states))
 
 
 def test_a_stack_runs_each_form_once_and_the_adapters_take_columns():

@@ -65,3 +65,14 @@ def test_closed_form_check_fails_on_nan_input(monkeypatch):
 
     monkeypatch.setattr(verify, "s_cbf_qp_filter", filter_with_a_nan_input)
     assert_fails_with_nan(verify.check_closed_form(cfg, bundle, 4))
+
+
+def test_closed_form_check_is_skipped_where_it_does_not_apply():
+    # tumor3d has three barriers: the check is skipped and fails nothing;
+    # on linear2d it runs
+    bundle = build_scenario("tumor3d")
+    result = verify.check_closed_form(linear_config(bundle), bundle, 4)
+    assert result.skipped and result.passed
+    bundle = build_scenario("linear2d")
+    result = verify.check_closed_form(linear_config(bundle), bundle, 4)
+    assert result.passed and not result.skipped
