@@ -1,14 +1,12 @@
 """Pointwise QP controllers and the hybrid switching law.
 
-Every controller reads the same pointwise quantities, which `evaluate`
-computes from one call of the system's float form fg (f and the columns of
-g), on the Python floats of one state or the columns of a stack: W, Sontag's
-terms a, b and input u_son, the barrier rows L_f h_i + L_g h_i u >=
--alpha_i(h_i) stacked as A u >= lb, the barrier values h, and the R1/R2
-label. Its body is one kernel written out for the sizes (n, m, k) of the
-configuration, the same for one state and for a stack; the Evaluation holds
-the floats (or columns) the kernel gives and builds an array field only when
-it is read, and the laws read the floats. Three filters share the rows:
+Every controller reads what `evaluate` computes from one call of the
+system's float form fg, on the Python floats of one state or the columns of
+a stack: W, Sontag's terms a, b and input u_son, the barrier rows L_f h_i +
+L_g h_i u >= -alpha_i(h_i) stacked as A u >= lb, the barrier values h and
+the R1/R2 label. Its body is one kernel written out for the sizes (n, m, k);
+the Evaluation holds the kernel's floats (or columns) and builds an array
+field only when it is read. Three filters share the rows:
 
 * cbf_qp_filter      minimizes |u - u_nom|^2 (nominal defaults to Sontag),
 * clf_cbf_qp_filter  minimizes |u|^2 + p*delta^2 with a slacked CLF row,
@@ -18,14 +16,14 @@ it is read, and the laws read the floats. Three filters share the rows:
 The hybrid law applies Sontag's input wherever it already satisfies every
 barrier row (region R1) and the Sontag-weighted QP elsewhere (region R2).
 
-The costs of cbf_qp (2I) and clf_cbf_qp (diag(2, .., 2, 2p)) do not depend on
-the state, so make_controller builds each one QPSpec, factored once, and every
-step adds its rows with QPSpec.with_rows; the Sontag-weighted cost 2 b'b
-changes with the state and is built at each solve. Each step's rows, bounds
-(lb - A u_nom) and weight 2 b'b are built on Python floats with the explicit
-sums of core, and solve_qp runs on floats too, so no BLAS call sits on the
-per-step path. No controller reads the solution's KKT residual, which is
-computed only when read (verify does).
+The laws run on floats from the evaluation to the input: the costs 2I and
+diag(2, .., 2, 2p) do not depend on the state, so make_controller builds
+each as one QPSpec of float lists, factored once, to which every step adds
+its rows with QPSpec.with_rows; the Sontag-weighted spec, whose cost 2 b'b
+changes with the state, is built from floats at each R2 step. Rows, bounds
+lb - A u_nom and weights are explicit sums (core), solve_qp returns floats,
+and u_nom + z becomes the step's one array. No controller reads a spec's
+arrays or the solution's KKT residual, which are built only when read.
 """
 from __future__ import annotations
 
@@ -91,16 +89,14 @@ make_filter_config = FilterConfig
 
 
 class Evaluation:
-    """Pointwise quantities at one state, from one call of the system's float
-    form fg, held as the evaluate kernel gives them: Python floats for one
-    state, columns for a stack of N states (a float constant standing for
-    its column). fg is (f, columns of g); w, grad, a, bs, us, As, lbs and hs
-    are W, grad W, a = gradW'(f + g u_e), b = gradW' g, the Sontag input
-    u_son and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i)
-    - L_f h_i) with the barrier values h_i(x), as lists. The array fields f,
-    grad_w, b, u_son, A, lb and h are built from them when first read, with
-    a leading axis of N for a stack. label is R1 iff u_son satisfies every
-    row."""
+    """Pointwise quantities as the evaluate kernel gives them: Python floats
+    for one state, columns for a stack of N states (a float constant
+    standing for its column). fg is (f, columns of g); w, grad, a, bs, us,
+    As, lbs and hs are W, grad W, a = gradW'(f + g u_e), b = gradW' g, u_son
+    and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i) -
+    L_f h_i) with the barrier values h_i(x). The arrays f, grad_w, b, u_son,
+    A, lb and h are built from them when first read, with a leading axis of
+    N for a stack. label is R1 iff u_son satisfies every row."""
 
     __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "label", "_arrays")
 
@@ -274,10 +270,14 @@ def _solve_or_raise(spec: QPSpec, what: str, x):
     return sol
 
 
+def _diag(values: list) -> list:   # as rows of floats
+    return [[v if i == j else 0.0 for j in range(len(values))] for i, v in enumerate(values)]
+
+
 def _cbf_qp_cost(m: int) -> QPSpec:
     """min |v|^2 over the shift v = u - u_nom, factored once; each step adds
     its rows with QPSpec.with_rows."""
-    return QPSpec(2.0 * np.eye(m), np.zeros(m), np.zeros((0, m)), np.zeros(0))
+    return QPSpec(_diag([2.0] * m), [0.0] * m, [], [])
 
 
 def _shifted_bounds(ev: Evaluation, u: list) -> list:
@@ -286,9 +286,13 @@ def _shifted_bounds(ev: Evaluation, u: list) -> list:
     return [lb_i - v for lb_i, v in zip(ev.lbs, matvec_of(len(ev.As), len(u))(ev.As, u))]
 
 
-def _cbf_qp(cost: QPSpec, ev: Evaluation, u_nom: np.ndarray) -> np.ndarray:
-    spec = cost.with_rows(ev.As, _shifted_bounds(ev, u_nom.tolist()))
-    return u_nom + _solve_or_raise(spec, "CBF-QP", ev.x).z_star
+def _plus(u: list, v: list) -> np.ndarray:
+    return np.array([a + b for a, b in zip(u, v)])
+
+
+def _cbf_qp(cost: QPSpec, ev: Evaluation, u_nom: list) -> np.ndarray:
+    spec = cost.with_rows(ev.As, _shifted_bounds(ev, u_nom))
+    return _plus(u_nom, _solve_or_raise(spec, "CBF-QP", ev.x).zs)
 
 
 def cbf_qp_filter(cfg: FilterConfig, x, u_nom=None) -> np.ndarray:
@@ -298,7 +302,7 @@ def cbf_qp_filter(cfg: FilterConfig, x, u_nom=None) -> np.ndarray:
     centered at the nominal input and a feasible nominal is returned
     unchanged."""
     ev = evaluate(cfg, x)
-    u_nom = ev.u_son if u_nom is None else as_vector(u_nom, cfg.sys.m)
+    u_nom = ev.us if u_nom is None else as_vector(u_nom, cfg.sys.m).tolist()
     return _cbf_qp(_cbf_qp_cost(cfg.sys.m), ev, u_nom)
 
 
@@ -308,16 +312,13 @@ def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarra
     once, with cfg.p as it is now; each call builds its rows as floats, the
     delta column being 1 in the CLF row and 0 in the barrier rows."""
     m = cfg.sys.m
-    H = np.zeros((m + 1, m + 1))
-    H[:m, :m] = 2.0 * np.eye(m)
-    H[m, m] = 2.0 * cfg.p
-    cost = QPSpec(H, np.zeros(m + 1), np.zeros((0, m + 1)), np.zeros(0))
+    cost = QPSpec(_diag([2.0] * m + [2.0 * cfg.p]), [0.0] * (m + 1), [], [])
 
     def clf_cbf_qp(ev: Evaluation) -> Tuple[np.ndarray, float]:
         A = [[-v for v in ev.bs] + [1.0]] + [row + [0.0] for row in ev.As]
         lb = [ev.lfw + ALPHA_W * ev.w] + ev.lbs
-        z = _solve_or_raise(cost.with_rows(A, lb), "CLF-CBF-QP", ev.x).z_star
-        return z[:m], float(z[m])
+        z = _solve_or_raise(cost.with_rows(A, lb), "CLF-CBF-QP", ev.x).zs
+        return np.array(z[:m]), z[m]
 
     return clf_cbf_qp
 
@@ -337,7 +338,7 @@ def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
     min v'(Q + reg*I)v with Q = b'b, s.t. A v >= lb - A u_son, where reg is
     QPSpec's default (1e-9), as in the other two filters."""
     b = ev.bs
-    return QPSpec([[2.0 * (b_i * b_j) for b_j in b] for b_i in b], np.zeros(cfg.sys.m),
+    return QPSpec([[2.0 * (b_i * b_j) for b_j in b] for b_i in b], [0.0] * cfg.sys.m,
                   ev.As, _shifted_bounds(ev, ev.us))
 
 
@@ -348,7 +349,7 @@ def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
         raise IndefiniteQPError(f"S-CBF-QP cost at x={ev.x.tolist()}, |b|^2="
                                 f"{dot_of(len(ev.bs))(ev.bs, ev.bs)!r}: "
                                 f"{exc}") from None
-    return ev.u_son + _solve_or_raise(spec, "S-CBF-QP", ev.x).z_star
+    return _plus(ev.us, _solve_or_raise(spec, "S-CBF-QP", ev.x).zs)
 
 
 def s_cbf_qp_filter(cfg: FilterConfig, x) -> np.ndarray:
@@ -406,7 +407,7 @@ def _law(cfg: FilterConfig, name: str) -> Callable[[Evaluation], np.ndarray]:
         return lambda ev: ev.u_son
     if name == "cbf-qp":
         cost = _cbf_qp_cost(cfg.sys.m)
-        return lambda ev: _cbf_qp(cost, ev, ev.u_son)
+        return lambda ev: _cbf_qp(cost, ev, ev.us)
     if name == "clf-cbf-qp":
         clf_cbf_qp = _clf_cbf_qp_law(cfg)
         return lambda ev: clf_cbf_qp(ev)[0]

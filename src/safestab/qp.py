@@ -12,33 +12,26 @@ violated row that is a nonpositive combination of the active rows proves the
 rows inconsistent.
 
 With H + reg*I = LL' it works in y = L'z, where the cost is a shifted
-|y|^2 / 2, and projects through a QR factorization of the active normals.
-That stays accurate when two rows are nearly parallel in the cost metric,
-where the normal equations of the active normals lose their rank.
-Problems here are tiny (a handful of variables, a handful of rows), so the
-active set is identified exactly (needed for the closed-form cross-checks)
-and the work per call is mostly fixed cost, which the solver keeps small:
-
-* a QPSpec factors its cost when built (the symmetry check, then a Cholesky
-  factor and its triangular inverse, both written out on Python floats);
-  `QPSpec.with_rows` gives a spec with new rows that shares that factor, so
-  a controller whose cost does not depend on the state factors it once;
-* `QPSolution.kkt_residual` is computed from the spec when first read;
-* solve_qp runs on Python floats, with no BLAS or LAPACK call: every dot
-  and matrix product is an explicit sum from +0.0, added left to right
-  (core.dot_of, matvec_of, affine_of), so its bits do not depend on the
-  CPU's BLAS kernel, and a call costs no numpy dispatch per product.
+|y|^2 / 2, and projects through a QR factorization of the active normals,
+which stays accurate when two rows are nearly parallel in the cost metric.
+Problems here are tiny, so the active set is identified exactly (as the
+closed-form cross-checks need) and a call is mostly fixed cost, kept small
+on Python floats from the filters' rows to the returned point: a QPSpec and
+a QPSolution hold floats and build their arrays only when read, a spec's
+cost is factored once and shared by `with_rows`, and the factor and
+solve_qp run bodies written out once per number of variables d, every
+product an explicit sum from +0.0 added left to right, with no BLAS call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, Optional
 
 import numpy as np
 
-from .core import affine_of, dot_of, matvec_of
+from .core import _def, _sum
 from .errors import IndefiniteQPError, QPIterationError
 
 STATUS_OPTIMAL = "optimal"
@@ -54,103 +47,121 @@ _TINY = float(np.finfo(float).tiny)
 _DEP_TOL = 1e-14
 
 
-def _factor(Hr):
-    """(rows of L^-1, rows of L^-T) for Hr = LL', Hr given as d rows of
-    floats and read below its diagonal, as LAPACK's lower Cholesky does.
-    Like LAPACK it fails when a pivot is not > 0 (NaN included)."""
-    d = len(Hr)
-    L = [[0.0] * d for _ in range(d)]
-    for j in range(d):
-        Lj = L[j]
-        pivot = Hr[j][j] - dot_of(j)(Lj, Lj)
-        if not pivot > 0.0:
-            raise IndefiniteQPError("H + reg*I must be positive definite")
-        Lj[j] = math.sqrt(pivot)
-        for i in range(j + 1, d):
-            L[i][j] = (Hr[i][j] - dot_of(j)(L[i], Lj)) / Lj[j]
-    # column j of L^-1: 1/L_jj on the diagonal, then forward substitution
-    inv = [[0.0] * d for _ in range(d)]
-    for j in range(d):
-        inv[j][j] = 1.0 / L[j][j]
-        for i in range(j + 1, d):
-            acc = 0.0
-            for t in range(j, i):
-                acc += L[i][t] * inv[t][j]
-            inv[i][j] = -acc / L[i][i]
-    return inv, [list(col) for col in zip(*inv)]
+def _vec(items) -> str:
+    return "[" + ", ".join(items) + "]"
 
 
-@dataclass
+def _dot(u, v) -> str:
+    return _sum(f"{a} * {b}" for a, b in zip(u, v))
+
+
+def _max_abs(target: str, terms) -> str:
+    """A line setting target to float(np.abs(terms).max()), NaN if any
+    term is NaN, on floats (0.0 for no terms)."""
+    return "; ".join([f"{target} = {f'abs({terms[0]})' if terms else '0.0'}"] + [
+        f"{target} = ab if (ab := abs({v})) > {target} or ab != ab else {target}"
+        for v in terms[1:]])
+
+
+@lru_cache(maxsize=None)
+def _factor_of(d: int):
+    """H, reg -> the rows of L^-1 for H + reg*I = LL', written out for d.
+    H is not symmetric when max|H - H'| > 1e-9 (1 + max|H|), a NaN passing
+    as in numpy. H + reg*I is read below its diagonal, as LAPACK's lower
+    Cholesky reads it, and fails on a pivot that is not > 0, NaN included."""
+    def l(i, ts):
+        return [f"l{i}{t}" for t in ts]
+
+    D = range(d)
+    lines = [_vec(_vec(f"H{i}{j}" for j in D) for i in D) + " = H"]
+    if d > 1:
+        lines += [_max_abs("top", [f"H{i}{j}" for i in D for j in D]),
+                  _max_abs("asym", [f"H{i}{j} - H{j}{i}" for i in D for j in range(i)]),
+                  "if asym > 1e-9 * (1.0 + top): raise ValueError('H must be symmetric')"]
+    for j in D:
+        lines += [f"p = H{j}{j} + reg * 1.0 - {_dot(l(j, range(j)), l(j, range(j)))}",
+                  "if not p > 0.0: raise IndefiniteQPError('H + reg*I must be positive definite')",
+                  f"l{j}{j} = sqrt(p)"]
+        lines += [f"l{i}{j} = (H{i}{j} + reg * 0.0 - {_dot(l(i, range(j)), l(j, range(j)))})"
+                  f" / l{j}{j}" for i in range(j + 1, d)]
+    for j in D:
+        lines += [f"v{j}{j} = 1.0 / l{j}{j}"] + [
+            f"v{i}{j} = -{_dot(l(i, range(j, i)), [f'v{t}{j}' for t in range(j, i)])} / l{i}{i}"
+            for i in range(j + 1, d)]
+    return _def("H, reg", lines, _vec(_vec(f"v{i}{j}" if j <= i else "0.0" for j in D) for i in D),
+                **globals(), sqrt=math.sqrt)
+
+
 class QPSpec:
-    """Cost (H, c) with Tikhonov parameter reg and inequality rows A z >= b."""
+    """Cost (H, c) with Tikhonov parameter reg and inequality rows A z >= b,
+    each given as an array or as lists of Python floats in its shape. The
+    spec keeps them as floats, Hs, cs, As and bs, with the factor of H +
+    reg*I, and builds the arrays H, c, A, b and _Hr = H + reg*I read-only
+    when first read: solve_qp reads the floats."""
 
-    H: np.ndarray
-    c: np.ndarray
-    A: np.ndarray
-    b: np.ndarray
-    reg: float = 1e-9
-
-    def __post_init__(self):
-        self.c = np.asarray(self.c, dtype=float).ravel()
-        d = self.c.size
-        self.H = np.asarray(self.H, dtype=float).reshape(d, d)
-        self._set_rows(self.A, self.b)
-        scale = 1.0 + np.abs(self.H).max(initial=0.0)
-        if np.abs(self.H - self.H.T).max(initial=0.0) > 1e-9 * scale:
-            raise ValueError("H must be symmetric")
-        # H + reg*I is positive definite exactly when its Cholesky factor
-        # LL' exists; solve_qp works with L^-1
-        self._Hr = self.H + self.reg * np.eye(d)
-        self._factor = _factor(self._Hr.tolist())
+    def __init__(self, H, c, A, b, reg: float = 1e-9):
+        self.cs = c if type(c) is list else np.asarray(c, dtype=float).ravel().tolist()
+        d = len(self.cs)
+        self.Hs = H if type(H) is list else np.asarray(H, dtype=float).reshape(d, d).tolist()
+        self.reg = reg
+        self._set_rows(A, b)
+        self._factor = _factor_of(d)(self.Hs, reg)
 
     def _set_rows(self, A, b):
-        self.A = np.asarray(A, dtype=float).reshape(-1, self.c.size)
-        self.b = np.asarray(b, dtype=float).ravel()
-        if self.A.shape[0] != self.b.size:
+        self.As = A if type(A) is list else (
+            np.asarray(A, dtype=float).reshape(-1, len(self.cs)).tolist())
+        self.bs = b if type(b) is list else np.asarray(b, dtype=float).ravel().tolist()
+        if len(self.As) != len(self.bs):
             raise ValueError("row count of A and length of b disagree")
 
     def with_rows(self, A, b) -> "QPSpec":
         """The same cost with the rows A z >= b, sharing this spec's factor:
         it solves exactly as QPSpec(H, c, A, b, reg) would."""
         spec = object.__new__(QPSpec)
-        spec.__dict__.update(self.__dict__)
+        spec.Hs, spec.cs, spec.reg, spec._factor = self.Hs, self.cs, self.reg, self._factor
         spec._set_rows(A, b)
         return spec
 
-    @property
-    def dim(self) -> int:
-        return self.c.size
-
-    @property
-    def n_rows(self) -> int:
-        return self.b.size
+    H = cached_property(lambda self: _frozen(self.Hs, (self.dim, self.dim)))
+    c = cached_property(lambda self: _frozen(self.cs, -1))
+    A = cached_property(lambda self: _frozen(self.As, (-1, self.dim)))
+    b = cached_property(lambda self: _frozen(self.bs, -1))
+    _Hr = cached_property(lambda self: _frozen(self.H + self.reg * np.eye(self.dim), self.H.shape))
+    dim = property(lambda self: len(self.cs))
+    n_rows = property(lambda self: len(self.bs))
 
     def objective(self, z) -> float:
         z = np.asarray(z, dtype=float).ravel()
         return float(0.5 * z @ self._Hr @ z + self.c @ z)
 
 
+def _frozen(values, shape) -> np.ndarray:
+    a = np.array(values, dtype=float).reshape(shape)
+    a.flags.writeable = False
+    return a
+
+
 @dataclass
 class QPSolution:
-    """Outcome of solve_qp (z_star and multipliers None when infeasible).
-    kkt_residual is computed from spec when first read, so the spec's
-    arrays must not change before then."""
+    """Outcome of solve_qp: the point zs and multipliers lams as floats (None
+    when infeasible); z_star, multipliers and kkt_residual are computed when
+    first read."""
 
-    z_star: Optional[np.ndarray]
-    multipliers: Optional[np.ndarray]
+    zs: Optional[List[float]]
+    lams: Optional[List[float]]
     active_set: List[int]
     status: str
     iterations: int = 0
     spec: Optional[QPSpec] = field(default=None, repr=False, compare=False)
 
-    @property
-    def optimal(self) -> bool:
-        return self.status == STATUS_OPTIMAL
+    optimal = property(lambda self: self.status == STATUS_OPTIMAL)
+    z_star = cached_property(lambda self: None if self.zs is None else np.array(self.zs))
+    multipliers = cached_property(lambda self: None if self.lams is None else np.array(self.lams))
 
     @cached_property
     def kkt_residual(self) -> float:
         """Largest scaled KKT residual; inf when infeasible."""
-        if self.z_star is None:
+        if self.zs is None:
             return math.inf
         s = self.spec
         return _kkt_residual(s._Hr, s.c, s.A, s.b, self.z_star, self.multipliers)
@@ -171,155 +182,139 @@ def _kkt_residual(H, c, A, b, z, lam) -> float:
     return float(max(r_stat, r_pri, r_dual, r_comp, 0.0))
 
 
-def _split(Q, q, n):
-    """Coordinates of n in the orthonormal columns Q[:q] and the part of n
-    orthogonal to them, by two Gram-Schmidt passes (the second restores the
-    orthogonality that cancellation loses when n nearly lies in their span);
-    the part is n_i + (0.0 + Q[0][i]*(-d_0) + ... + Q[q-1][i]*(-d_{q-1})).
-    For q = 0 that is n itself: n_i + 0.0 = n_i, as no entry of a normal, a
-    sum from +0.0, is -0.0."""
-    if not q:
-        return [], n
-    coords, part = matvec_of(q, len(n)), affine_of(len(n), q)
-    d1 = coords(Q, n)
-    s = part(n, Q, [-v for v in d1])
-    e = coords(Q, s)
-    return [a + b for a, b in zip(d1, e)], part(s, Q, [-v for v in e])
+def _step_of(d: int, q: int):
+    """(split, add) for q active rows of d variables, written out. split(Q,
+    R, n) gives (R d1, s, s's) for the coordinates d1 of n in the columns
+    Q[:q] and its part s orthogonal to them, n_i + (0.0 + Q[0][i]*(-d1_0) +
+    ...), by two Gram-Schmidt passes; R holds the rows of R^-1 of the active
+    normals' thin QR, and add grows it: R^-1 gains the column (-r, 1)/|s|."""
+    D, Qs = range(d), range(q)
+    Q = [[f"Q{j}_{i}" for i in D] for j in Qs]
+    n, s = ([f"{x}{i}" for i in D] for x in "ns")
+    c, e = ([f"{x}{j}" for j in Qs] for x in "ce")
+
+    def part(v, coef):
+        return _vec(f"{v[i]} + " + _dot([Qj[i] for Qj in Q], ["-" + x for x in coef]) for i in D)
+
+    lines = [f"{_vec(n)} = n"] + ([
+        f"{_vec(map(_vec, Q))} = Q[:{q}]", f"{_vec(c)} = {_vec(_dot(Qj, n) for Qj in Q)}",
+        f"{_vec(s)} = {part(n, c)}", f"{_vec(e)} = {_vec(_dot(Qj, s) for Qj in Q)}",
+        f"{_vec(s)} = {part(s, e)}"] if q else [])
+    r = _vec(_dot([f"R[{j}][{l}]" for l in Qs], [f"({c[l]} + {e[l]})" for l in Qs]) for j in Qs)
+    t = s if q else n
+    add = [f"{_vec(s)} = s", "rho = sqrt(ss)", f"Q[{q}] = {_vec(x + ' / rho' for x in s)}"]
+    return (_def("Q, R, n", lines, f"{r}, {_vec(t)}, {_dot(t, t)}"),
+            _def("Q, R, r, s, ss", add + [f"R[{j}][{q}] = r[{j}] / -rho" for j in Qs]
+                 + [f"R[{q}][{q}] = 1.0 / rho"], None, sqrt=math.sqrt))
 
 
-def _append(Q, R_inv, q, r, s, ss):
-    """Grow the thin QR of the active normals by a column with split (d1, s),
-    given r = R^-1 d1 and ss = s's: R gains the column (d1, |s|), so its
-    inverse gains (-r, 1) / |s|."""
-    rho = math.sqrt(ss)
-    Q[q] = [v / rho for v in s]
+# solve_qp's body; _solver_of writes out its {...} for d. Row i is scaled
+# exactly by w_i = 2^-e, |row|_max = f 2^e with 0.5 <= f < 1 (1 for 0, inf or
+# NaN), so its squared norm neither underflows nor overflows, and reads
+# N_i'y >= bw_i, N_i = L^-1 A_i' w_i, in y = L'z. The scan takes the most
+# violated row relative to its norm, the first on ties; a NaN violates
+# nothing, and the tolerance grows with the largest |y| met, so an active
+# row is never violated. A multiplier clamped at 0.0 may have rounded to
+# -1e-16 on the step adding a row; the finish tolerance skips a NaN b_i.
+_SOLVER = """\
+{L} = spec._factor
+{c} = spec.cs
+A, b = spec.As, spec.bs
+k = len(b)
+if max_iter is None:
+    max_iter = 60 * (k + 2)
+w, N, bw, nrm, rows = [], [], [], [], []
+for {a}, b_i in zip(A, b):
+    {m_a}
+    e = frexp(m)[1]
+    s = ldexp(1.0, -e) if e > -1024 else inf
+    {n} = {L_a}
+    nr, bs = sqrt({n_n}), b_i * s
+    w.append(s), N.append({n}), bw.append(bs), nrm.append(nr)
+    rows.append(({n_}bs, _FEAS_TOL * abs(bs) + _TINY * s, _FEAS_TOL * nr, max(nr, 1e-300)))
+{y} = {L_c}
+{y_max}
+active, u, Q, R, p = [], [], [None] * {d}, [[0.0] * {d} for _ in range({d})], -1
+for it in range(1, max_iter + 1):
+    if p < 0:
+        worst = inf
+        for i, ({n_}bwi, tb, tn, ns) in enumerate(rows):
+            s_i = {y_n} - bwi
+            if s_i < -(tb + tn * y_max):
+                ratio = s_i / ns
+                if ratio < worst:
+                    worst, p = ratio, i
+        if p < 0:
+            {z} = {LT_y}
+            lam = [0.0] * k
+            for i, u_i in zip(active, u):
+                lam[i] = max(u_i, 0.0) * w[i]
+            top = 0.0
+            for b_i in b:
+                if abs(b_i) > top:
+                    top = abs(b_i)
+            tol = 1e-10 * (1.0 + top)
+            kept = [i for i in sorted(active) if lam[i] > 0.0 or abs({A_z} - b[i]) <= tol]
+            return QPSolution({z}, lam, kept, STATUS_OPTIMAL, it, spec)
+        u.append(0.0)
+    q = len(active)
+    n = N[p]
+    r, s, ss = SPLIT[q](Q, R, n)
+    t1, drop, t2, dep = inf, -1, inf, _DEP_TOL * nrm[p]
     for j, r_j in enumerate(r):
-        R_inv[j][q] = r_j / -rho
-    R_inv[q][q] = 1.0 / rho
+        if r_j > 0.0 and u[j] / r_j < t1:
+            t1, drop = u[j] / r_j, j
+    if q < {d} and ss > dep * dep:
+        t2 = (bw[p] - {n_y}) / ss
+    if t1 == inf and t2 == inf:
+        return QPSolution(None, None, [], STATUS_INFEASIBLE, it, spec)
+    t = min(t1, t2)
+    for j, r_j in enumerate(r):
+        u[j] -= t * r_j
+    u[q] += t
+    if t2 < inf:
+        {y} = {y_step}
+        {m_y}
+        if m > y_max:
+            y_max = m
+    if t2 <= t1:
+        ADD[q](Q, R, r, s, ss)
+        active.append(p)
+        p = -1
+    else:
+        del active[drop], u[drop]
+        for j, i in enumerate(active):
+            ADD[j](Q, R, *SPLIT[j](Q, R, N[i]))
+raise QPIterationError('dual active set did not converge in %d iterations' % max_iter)"""
 
 
-def _max_abs(values) -> float:
-    """float(np.abs(values).max()) on floats: NaN when any value is NaN."""
-    top = 0.0
-    for v in values:
-        a = abs(v)
-        if not a <= top:   # larger, or NaN
-            if a != a:
-                return a
-            top = a
-    return top
-
-
-def _row_scale(row) -> float:
-    """The power of two 2^-e with |row|_max = f * 2^e, 0.5 <= f < 1, which
-    scales the row exactly (1 when |row|_max is 0, inf or NaN); inf when
-    |row|_max < 2^-1024, where 2^-e overflows, as numpy's ldexp gives."""
-    e = math.frexp(_max_abs(row))[1]
-    return math.ldexp(1.0, -e) if e > -1024 else math.inf
+@lru_cache(maxsize=None)
+def _solver_of(d: int):
+    """solve_qp's body for d variables: _SOLVER with its sums written out
+    as core.dot_of writes them; L^-T y is read off the rows of L^-1."""
+    D = range(d)
+    L = [[f"L{i}{j}" for j in D] for i in D]
+    a, c, n, y, z = ([f"{x}{i}" for i in D] for x in "acnyz")
+    SPLIT, ADD = zip(*(_step_of(d, q) for q in range(d + 1)))
+    src = _SOLVER.format(
+        d=d, L=_vec(map(_vec, L)), a=_vec(a), c=_vec(c), n=_vec(n), y=_vec(y), z=_vec(z),
+        n_="".join(f"{x}, " for x in n), m_a=_max_abs("m", a),
+        L_a=_vec(_dot(row, [f"({x} * s)" for x in a]) for row in L), n_n=_dot(n, n),
+        L_c=_vec(f"-{_dot(row, c)}" for row in L), y_max=_max_abs("y_max", y),
+        y_n=_dot(y, n), LT_y=_vec(_dot([row[i] for row in L], y) for i in D),
+        A_z=_dot([f"A[i][{j}]" for j in D], z), n_y=_dot([f"n[{i}]" for i in D], y),
+        y_step=_vec(f"{x} + t * s[{i}]" for i, x in enumerate(y)), m_y=_max_abs("m", y))
+    return _def("spec, max_iter", src.splitlines(), None, **globals(), SPLIT=SPLIT, ADD=ADD,
+                inf=math.inf, sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp)
 
 
 def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
     """KKT-certified minimizer of the given problem, or status 'infeasible'
-    when a violated row is a nonpositive combination of the active rows
-    (a Farkas certificate from the dual).
-
-    Each iteration either certifies the current point optimal, takes a step
-    toward the chosen violated row p (adding p once it holds) or drops the
-    active row whose multiplier reached zero first."""
-    d = spec.dim
-    A, b = spec.A.tolist(), spec.b.tolist()
-    k = len(b)
-    if max_iter is None:
-        max_iter = 60 * (k + 2)
-    dot, lmul = dot_of(d), matvec_of(d, d)
-    L_inv, L_inv_T = spec._factor
-
-    # rows scaled by powers of two, which is exact, so that their squared
-    # norms below neither underflow nor overflow
-    w = [_row_scale(row) for row in A]
-    # y = L'z with H + reg*I = LL': the cost becomes 0.5|y|^2 + (L^-1 c)'y
-    # and row i reads N[i]'y >= bw_i with N[i] = L^-1 A_i' w_i
-    N = [lmul(L_inv, [v * w_i for v in row]) for row, w_i in zip(A, w)]
-    bw = [b_i * w_i for b_i, w_i in zip(b, w)]
-    y = [-v for v in lmul(L_inv, spec.c.tolist())]
-    nrm = [math.sqrt(dot(n, n)) for n in N]
-    # a slack's rounding grows with the largest point met, not the current one
-    y_max = _max_abs(y)
-    tol_b = [_FEAS_TOL * abs(v) + _TINY * w_i for v, w_i in zip(bw, w)]
-    tol_n = [_FEAS_TOL * v for v in nrm]
-    active: List[int] = []
-    u: List[float] = []          # multipliers of the active rows, then p's
-    Q = [None] * d               # columns; active normals = Q[:q] R[:q, :q]
-    R_inv = [[0.0] * d for _ in range(d)]   # rows, upper triangular
-    p = -1
-    for it in range(1, max_iter + 1):
-        if p < 0:
-            # the most violated row relative to its norm, the first one on
-            # ties; a NaN slack or tolerance violates nothing. An active row
-            # is never violated: its slack is the rounding left by the step
-            # that made it hold and by later steps along s, orthogonal to it
-            # to working precision, a few ulps of nrm[i] * y_max, far under
-            # the threshold of about 450 ulps
-            worst = math.inf
-            for i in range(k):
-                s_i = dot(y, N[i]) - bw[i]
-                if s_i < -(tol_b[i] + tol_n[i] * y_max):
-                    ratio = s_i / max(nrm[i], 1e-300)
-                    if ratio < worst:
-                        worst, p = ratio, i
-            if p < 0:
-                z = lmul(L_inv_T, y)
-                lam = [0.0] * k
-                # a multiplier that reaches zero on the step adding a row
-                # (t1 == t2) can round to -1e-16; clamped as np.maximum(u, 0.0)
-                # would, since u starts at +0.0 and is never -0.0
-                for i, u_i in zip(active, u):
-                    lam[i] = max(u_i, 0.0) * w[i]
-                # the largest |b_i| that is not NaN (a NaN fails a > top)
-                top = 0.0
-                for b_i in b:
-                    if abs(b_i) > top:
-                        top = abs(b_i)
-                tol = 1e-10 * (1.0 + top)
-                kept = [i for i in sorted(active)
-                        if lam[i] > 0.0 or abs(dot(A[i], z) - b[i]) <= tol]
-                return QPSolution(np.array(z), np.array(lam), kept, STATUS_OPTIMAL, it, spec)
-            u.append(0.0)
-        q = len(active)
-        n_p = N[p]
-        d1, s = _split(Q, q, n_p)
-        r = matvec_of(q, q)(R_inv, d1)
-        # dual step: the first active multiplier to reach zero
-        t1, drop = math.inf, -1
-        for j, r_j in enumerate(r):
-            if r_j > 0.0 and u[j] / r_j < t1:
-                t1, drop = u[j] / r_j, j
-        # primal step: the one making row p hold with equality; none when p's
-        # normal lies in the span of the active normals (a full active set)
-        ss = dot(s, s)
-        t2 = math.inf
-        dep = _DEP_TOL * nrm[p]
-        if q < d and ss > dep * dep:
-            t2 = (bw[p] - dot(n_p, y)) / ss
-        if t1 == math.inf and t2 == math.inf:
-            return QPSolution(None, None, [], STATUS_INFEASIBLE, it, spec)
-        t = min(t1, t2)
-        for j, r_j in enumerate(r):
-            u[j] -= t * r_j
-        u[q] += t
-        if t2 < math.inf:
-            y = [y_i + t * s_i for y_i, s_i in zip(y, s)]
-            y_max = max(y_max, _max_abs(y))
-        if t2 <= t1:
-            _append(Q, R_inv, q, r, s, ss)
-            active.append(p)
-            p = -1
-        else:
-            del active[drop], u[drop]
-            for j, i in enumerate(active):
-                d1, s = _split(Q, j, N[i])
-                _append(Q, R_inv, j, matvec_of(j, j)(R_inv, d1), s, dot(s, s))
-    raise QPIterationError(f"dual active set did not converge in {max_iter} iterations")
+    when a violated row is a nonpositive combination of the active rows (a
+    Farkas certificate from the dual). Each iteration certifies the point
+    optimal, steps toward the chosen violated row p (adding p once it
+    holds) or drops the active row whose multiplier reached zero first."""
+    return _solver_of(len(spec.cs))(spec, max_iter)
 
 
 def _phase_one(A, b) -> bool:

@@ -21,13 +21,11 @@ barrier, and a 3D tumor/immune model with three positivity barriers. The 2D
 barrier carries a +1 offset making the printed quadratic a nonempty safe set;
 the offset is configurable in the file.
 
-A dynamics kind is one function of its params that returns (fg, n, m), and
-a barrier kind one function of its entry and n that returns hgrad; adding a
-kind takes that one function and its entry in DYNAMICS_REGISTRY or
-BARRIER_REGISTRY. Its float form is the only body written, every dot product
-and quadratic form in it an explicit left-to-right sum (core.dot_of), and
-core derives rhs and the numpy f, g, h and grad_h, for one state and for
-stacks, from it (see core's Conventions).
+A dynamics kind is one function of its params returning (fg, n, m), a
+barrier kind one function of its entry and n returning hgrad, each with its
+entry in DYNAMICS_REGISTRY or BARRIER_REGISTRY. That float form, its sums
+explicit (core.dot_of), is the only body written; core derives the rest
+from it (see core's Conventions).
 """
 from __future__ import annotations
 
@@ -133,6 +131,21 @@ def _build_barrier(entry: dict, n: int) -> Barrier:
     return Barrier.from_hgrad(BARRIER_REGISTRY[kind](entry, n), alpha, name)
 
 
+def _check_defaults(defaults: dict) -> None:
+    """Convert each known default as the CLI reads it, so that a value of
+    the wrong type makes the file malformed."""
+    for key in ("t_final", "gamma", "p"):
+        if key in defaults:
+            float(defaults[key])
+    if defaults.get("x0") is not None:   # a null x0 is none, as if left out
+        np.asarray(defaults["x0"], dtype=float)
+    if "doa_c_bounds" in defaults:
+        lo, hi = defaults["doa_c_bounds"]
+        float(lo), float(hi)
+    for v in defaults.get("doa_grid", ()):
+        int(v)
+
+
 @dataclass
 class ScenarioBundle:
     name: str
@@ -161,7 +174,8 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         domain = np.asarray(cfg["domain"], dtype=float).reshape(n, 2)
         eq_tol = float(cfg.get("eq_tol", 1e-3))
         defaults = dict(_object(cfg.get("defaults", {}), "defaults"))
-    except (KeyError, TypeError, ValueError) as exc:
+        _check_defaults(defaults)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
     residual = equilibrium_residual(sys, eq)

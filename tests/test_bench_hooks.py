@@ -20,3 +20,49 @@ def test_tracer_finds_every_name_it_wraps():
     assert pairs
     for mod, attr, wrapper in pairs:
         assert callable(getattr(mod, attr)) and callable(wrapper)
+
+
+TUMOR_SWITCH_X0 = [1.5332973949760351, 4.258482076721906, 4.8267385751631195]
+
+
+def _outputs():
+    """Short runs of every QP law (hybrid into R2 on both scenarios,
+    clf-cbf-qp and cbf-qp on linear2d) and verify's checks on linear2d."""
+    from safestab import SimConfig, build_scenario, integrate, make_controller, make_filter_config
+    from safestab.verify import run_checks
+    out = []
+    for name, controller, x0, t_final in (("linear2d", "hybrid", None, 0.3),
+                                          ("tumor3d", "hybrid", TUMOR_SWITCH_X0, 0.3),
+                                          ("linear2d", "clf-cbf-qp", None, 0.3),
+                                          ("linear2d", "cbf-qp", None, 0.3)):
+        bundle = build_scenario(name)
+        cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set, gamma=1.0)
+        traj = integrate(cfg, make_controller(cfg, controller),
+                         SimConfig(x0=x0 or bundle.defaults["x0"], t_final=t_final))
+        assert traj.status == "ok" and (controller != "hybrid" or traj.regions.any())
+        out.append((traj.states.tobytes(), traj.inputs.tobytes(), traj.regions.tobytes()))
+    out += [(r.name, r.passed, r.detail, r.skipped) for r in run_checks(build_scenario("linear2d"))]
+    return out
+
+
+def test_forwarding_functions_in_place_of_the_qp_names_change_no_output(monkeypatch):
+    # the tracer replaces QPSpec and solve_qp where filters and verify bind
+    # them with plain functions, so both modules must build and solve
+    # through those names; verify builds no spec itself (filters'
+    # s_cbf_qp_spec does), so its QPSpec only has to stay bound
+    want = _outputs()
+    calls = {}
+
+    def forwarding(key, fn):
+        def forward(*args, **kwargs):
+            calls[key] = calls.get(key, 0) + 1
+            return fn(*args, **kwargs)
+        return forward
+
+    for m in ("filters", "verify"):
+        mod = importlib.import_module(f"safestab.{m}")
+        for attr in ("QPSpec", "solve_qp"):
+            monkeypatch.setattr(mod, attr, forwarding(f"{m}.{attr}", getattr(mod, attr)))
+    assert _outputs() == want
+    assert {key for key, n in calls.items() if n} == {
+        "filters.QPSpec", "filters.solve_qp", "verify.solve_qp"}

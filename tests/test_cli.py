@@ -234,6 +234,22 @@ def test_verify_malformed_scenario_file_exits_2(tmp_path, capsys):
         assert "error: malformed scenario: " in capsys.readouterr().err, name
 
 
+def test_defaults_of_the_wrong_type_exit_2_in_every_command_reading_them(tmp_path, capsys):
+    # a null gamma once escaped float() in simulate, doa and verify, and a
+    # number for doa_c_bounds the unpacking in doa, each as a traceback
+    for key, value in (("gamma", None), ("doa_c_bounds", 3)):
+        cfg = linear2d_file()
+        cfg["defaults"][key] = value
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(cfg))
+        out = ["--out", str(tmp_path / "out")]
+        for argv in (["simulate"] + out, ["doa", "--grid", "5,5"] + out, ["verify"]):
+            rc = main(argv + ["--scenario", str(path)])
+            assert rc == 2, (key, argv)
+            assert "error: malformed scenario: " in capsys.readouterr().err, (key, argv)
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_detects_corrupted_clf_matrix(linear):
     bundle = build_scenario("linear2d")
     bundle.clf.P = np.array([[3.4142, -2.4142], [-2.0, 2.4142]])  # injected fault

@@ -636,10 +636,13 @@ def test_non_finite_inputs_keep_the_numpy_outcome(where, value):
     for _ in range(80):
         d, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         spec = random_spec(rng, d, k)
-        arr = getattr(spec, where)
+        # a spec's arrays are read-only views of its floats: edit copies
+        # and build the spec again
+        arrays = {name: getattr(spec, name).copy() for name in "HcAb"}
+        arr = arrays[where]
         for _ in range(int(rng.integers(1, 3))):
             arr.flat[int(rng.integers(arr.size))] = value
-        assert_matches_oracle(spec)
+        assert_matches_oracle(QPSpec(**arrays, reg=spec.reg))
 
 
 def test_nan_iterate_and_nan_rows_are_pinned():
@@ -679,8 +682,9 @@ def test_a_nan_bound_leaves_the_other_rows_as_they_are():
         assert sol.iterations == iterations
         assert sol.multipliers[-1] == 0.0
         assert_same_solution(without, SimpleNamespace(
-            **{**vars(sol), "multipliers": sol.multipliers[:-1],
-               "kkt_residual": without.kkt_residual}))
+            status=sol.status, iterations=sol.iterations, active_set=sol.active_set,
+            z_star=sol.z_star, multipliers=sol.multipliers[:-1],
+            kkt_residual=without.kkt_residual))
         assert_matches_oracle(spec)
     assert solve_qp(NAN_BOUND_SPECS[1]).multipliers[0] == 0.0
 
@@ -762,3 +766,91 @@ def test_integrate_never_computes_the_kkt_residual(linear, monkeypatch):
         traj = integrate(cfg, make_controller(cfg, name),
                          SimConfig(x0=linear.defaults["x0"], t_final=0.2))
         assert traj.status == "ok"
+
+
+# -- specs of floats ------------------------------------------------------------
+
+def _as_lists(spec):
+    return QPSpec(spec.H.tolist(), spec.c.tolist(), spec.A.tolist(), spec.b.tolist(),
+                  reg=spec.reg)
+
+
+def _non_finite_specs(rng):
+    """random_spec draws with one to two entries of A, b or c set to NaN,
+    inf or -inf."""
+    for where in "Abc":
+        for value in (math.nan, math.inf, -math.inf):
+            for _ in range(30):
+                spec = random_spec(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
+                arrays = {name: getattr(spec, name).copy() for name in "HcAb"}
+                for _ in range(int(rng.integers(1, 3))):
+                    arrays[where].flat[int(rng.integers(arrays[where].size))] = value
+                yield QPSpec(**arrays, reg=spec.reg)
+
+
+def test_specs_of_float_lists_solve_as_specs_of_arrays():
+    rng = np.random.default_rng(1717)
+    specs = [random_spec(rng, d, k) for d in (1, 2, 3) for k in range(7) for _ in range(20)]
+    specs += list(_special_specs(rng)) + list(_non_finite_specs(rng))
+    with np.errstate(all="ignore"):
+        for spec in specs:
+            listed = _as_lists(spec)
+            assert type(listed.As) is list and listed.A.tobytes() == spec.A.tobytes()
+            assert_same_solution(solve_qp(listed), solve_qp(spec))
+            for max_iter in (1, 2):
+                try:
+                    want = solve_qp(spec, max_iter)
+                except QPIterationError:
+                    with pytest.raises(QPIterationError):
+                        solve_qp(listed, max_iter)
+                    continue
+                assert_same_solution(solve_qp(listed, max_iter), want)
+
+
+def test_with_rows_of_float_lists_reads_back_the_arrays_of_a_fresh_spec():
+    rng = np.random.default_rng(1818)
+    for d in (1, 2, 3):
+        for k in range(5):
+            fresh = random_spec(rng, d, k)
+            template = QPSpec(fresh.H.tolist(), fresh.c.tolist(), [], [], reg=fresh.reg)
+            shared = template.with_rows(fresh.A.tolist(), fresh.b.tolist())
+            for name in "HcAb":
+                got, want = getattr(shared, name), getattr(fresh, name)
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+                assert not got.flags.writeable
+            assert shared._Hr.tobytes() == (fresh.H + fresh.reg * np.eye(d)).tobytes()
+
+
+SPEC_ARRAYS = ("H", "c", "A", "b", "_Hr")
+
+
+@pytest.mark.parametrize("controller,state", [("clf-cbf-qp", 0), ("hybrid", 1)])
+def test_a_controller_step_builds_no_qp_array(controller, state, linear_cfg, linear,
+                                              monkeypatch):
+    # a state the hybrid law takes to R2, 12 steps into its run from x0
+    x = np.array(linear.defaults["x0"]) if not state else integrate(
+        linear_cfg, make_controller(linear_cfg, "hybrid"),
+        SimConfig(x0=linear.defaults["x0"], t_final=0.012)).states[-1]
+    built, solved = [], []
+
+    def spec(*args, **kwargs):
+        built.append(QPSpec(*args, **kwargs))
+        return built[-1]
+
+    def solve(spec, *args):
+        solved.append((spec, solve_qp(spec, *args)))
+        return solved[-1][1]
+
+    monkeypatch.setattr(safestab.filters, "QPSpec", spec)
+    monkeypatch.setattr(safestab.filters, "solve_qp", solve)
+    u, ev = make_controller(linear_cfg, controller)(x)
+    assert ev.label.value == state and len(solved) == 1 and built
+    for spec, sol in solved:
+        assert not any(name in vars(spec) for name in SPEC_ARRAYS)
+        assert not any(name in vars(sol) for name in ("z_star", "multipliers", "kkt_residual"))
+    assert not any(name in vars(spec) for spec in built for name in SPEC_ARRAYS)
+    # reading builds them, with the bits the step used
+    spec, sol = solved[0]
+    assert spec.A.tolist() == spec.As and "A" in vars(spec)
+    assert sol.z_star.tolist() == sol.zs

@@ -146,6 +146,15 @@ MALFORMED = {
     "barrier-entry-a-string": lambda d: d.update(barriers=["quadratic"]),
     "defaults-a-list": lambda d: d.update(defaults=[1, 2]),
     "eq_tol-null": lambda d: d.update(eq_tol=None),
+    # each known default converts as the CLI reads it, or the file is malformed
+    "defaults-gamma-null": lambda d: d["defaults"].update(gamma=None),
+    "defaults-t_final-a-word": lambda d: d["defaults"].update(t_final="ten"),
+    "defaults-p-a-list": lambda d: d["defaults"].update(p=[1.0, 2.0]),
+    "defaults-x0-an-object": lambda d: d["defaults"].update(x0={"a": 1.0}),
+    "defaults-doa_c_bounds-a-number": lambda d: d["defaults"].update(doa_c_bounds=3),
+    "defaults-doa_c_bounds-one-value": lambda d: d["defaults"].update(doa_c_bounds=[1.0]),
+    "defaults-doa_grid-null": lambda d: d["defaults"].update(doa_grid=None),
+    "defaults-doa_grid-infinite": lambda d: d["defaults"].update(doa_grid=[math.inf, 41]),
 }
 
 
