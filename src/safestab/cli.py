@@ -95,16 +95,16 @@ def _resolve_manifest(bundle, args) -> RunManifest:
     if x0 is None:
         if defaults.get("x0") is None:
             raise ScenarioError("no x0: give --x0 or defaults.x0 in the scenario")
-        x0 = np.asarray(defaults["x0"], dtype=float)
+        x0 = defaults["x0"]
     if x0.size != bundle.sys.n:
         raise ScenarioError(f"x0 must have {bundle.sys.n} components")
     return RunManifest(
         scenario=bundle.name,
         controller=args.controller,
-        gamma=args.gamma if args.gamma is not None else float(defaults.get("gamma", 1.0)),
-        p=args.p if args.p is not None else float(defaults.get("p", 10.0)),
+        gamma=args.gamma if args.gamma is not None else defaults.get("gamma", 1.0),
+        p=args.p if args.p is not None else defaults.get("p", 10.0),
         dt=args.dt,
-        t_final=args.t_final if args.t_final is not None else float(defaults.get("t_final", 10.0)),
+        t_final=args.t_final if args.t_final is not None else defaults.get("t_final", 10.0),
         x0=x0,
         out_dir=args.out,
         record_every=args.record_every,
@@ -211,17 +211,17 @@ def cmd_sweep(args) -> int:
 def cmd_doa(args) -> int:
     bundle = _load_bundle(args)
     defaults = bundle.defaults
-    gamma = args.gamma if args.gamma is not None else float(defaults.get("gamma", 1.0))
+    gamma = args.gamma if args.gamma is not None else defaults.get("gamma", 1.0)
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set, gamma=gamma)
     if args.grid is not None:
         grid = tuple(int(v) for v in args.grid.split(","))
     else:
-        grid = tuple(int(v) for v in defaults.get("doa_grid", [41] * bundle.sys.n))
+        grid = defaults.get("doa_grid", (41,) * bundle.sys.n)
     c_lo, c_hi = args.c_lo, args.c_hi
     if c_lo is None or c_hi is None:
-        lo_default, hi_default = defaults.get("doa_c_bounds", [0.1, 100.0])
-        c_lo = c_lo if c_lo is not None else float(lo_default)
-        c_hi = c_hi if c_hi is not None else float(hi_default)
+        lo_default, hi_default = defaults.get("doa_c_bounds", (0.1, 100.0))
+        c_lo = c_lo if c_lo is not None else lo_default
+        c_hi = c_hi if c_hi is not None else hi_default
     est = compute_c_star(cfg, grid, (c_lo, c_hi))
     c_triv = largest_clf_sublevel_inside(cfg, seed=args.seed)
     out = Path(args.out)
@@ -250,7 +250,7 @@ def cmd_doa(args) -> int:
 
 def cmd_verify(args) -> int:
     bundle = _load_bundle(args)
-    gamma = args.gamma if args.gamma is not None else float(bundle.defaults.get("gamma", 1.0))
+    gamma = args.gamma if args.gamma is not None else bundle.defaults.get("gamma", 1.0)
     results = run_checks(bundle, seed=args.seed, gamma=gamma)
     for res in results:
         tag = "SKIP" if res.skipped else "PASS" if res.passed else "FAIL"

@@ -5,34 +5,47 @@ and formula (kappa); filters.evaluate combines them with the barrier rows
 Conventions
 -----------
 * States, inputs and gradients are 1-D float arrays; g(x) is (n, m).
-* Every dot product, matrix-vector product and quadratic form on the
-  per-step path is an explicit sum from +0.0, its terms added left to
-  right, with no BLAS call: generated source compiled once per size
-  (dot_of, matvec_of, affine_of, lie_of, lie_sums_of, and the kernels built
-  like them: filters' evaluate, sim.rk4_of, the QP layer's factor and
-  solver; verify's decrease identity, sontag_decrease_rate, sums the same
-  way). On one state the sums run on Python floats and on a stack the same
-  expressions run on numpy columns, so the two agree bit for bit (up to the
-  sign and payload of a NaN) whatever kernel the CPU's BLAS dispatches to.
-  BLAS is left to checks off that path (xdot, linearize, closed_form_ustar,
-  the KKT residual).
+* Every dot product, matrix-vector product and quadratic form behind the
+  pointwise quantities (W and its gradient, Sontag's a and b, the barrier
+  values, gradients and rows, the row margins and activation flags) is an
+  explicit sum that starts from +0.0 and adds its terms left to right, with no
+  BLAS call. Each is generated source, compiled once per size: dot_of,
+  matvec_of and affine_of, lie_of (grad W, W, a and b of
+  QuadraticCLF.lie_terms in one body) and lie_sums_of (a and b from a given
+  gradient, the same text), and the per-step kernels built on them, filters'
+  evaluate kernel and sim.rk4_of's stages. For one state these sums run on
+  Python floats, for a stack the same expressions run on numpy columns, so the
+  two agree bit for bit (up to the sign and payload of a NaN, which IEEE 754
+  leaves open), and neither depends on which kernel the CPU's BLAS dispatches
+  to. The QP layer sums the same way (solve_qp, QPSpec's factor and the
+  filters' per-step specs), and so does verify's decrease identity
+  (sontag_decrease_rate), so BLAS is left to checks off the per-step path
+  (xdot, linearize, closed_form_ustar, the KKT residual computed when read).
 * The float forms are the only bodies a scenario writes: a system's fg(xs)
-  gives f(x) as n floats and g(x) as m columns of n floats, a barrier's
-  hgrad(xs) its value and gradient; on a stack's columns they give columns,
-  a constant entry staying a float. from_fg and from_hgrad derive the numpy
-  f, g, h and grad_h from them (_numpy_part), and rhs(xs, us), f + g u, is
-  rhs_from = affine_of(n, m) on fg's parts. A system or barrier built from
-  numpy closures alone gets adapters as float forms, and an f, g, h, grad_h
-  or QuadraticCLF.grad assigned after construction takes over through
-  them, so that the per-step path calls what was assigned.
-* The scenario closures, QuadraticCLF.value/grad, SafeSet.values/min_value/
-  contains, fd_jacobian/fd_gradient, sontag_terms and
-  sontag.sontag_decrease_rate also take a stack X (N, n) and give results
-  with a leading axis of N (g(X) is (N, n, m)), so that doa and verify run
+  gives f(x) as a list of n floats and g(x) as a list of m columns of n
+  floats, a barrier's hgrad(xs) its value and gradient (a list); on the
+  columns of a stack they give columns, a constant entry staying a float.
+  ControlAffineSystem.from_fg and Barrier.from_hgrad derive the numpy f, g,
+  h and grad_h from them (_numpy_part). rhs(xs, us) is f(x) + g(x) u from
+  fg, row i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m), and
+  rhs_from = affine_of(n, m) is the same from an fg already evaluated, for
+  every system. A system or barrier built from numpy closures alone gets
+  adapters as float forms (fg reads f and g, hgrad reads h and grad_h, on
+  one state or a stack). An f, g, h, grad_h or QuadraticCLF.grad assigned to an object after
+  construction takes over its float form through the adapter, so the
+  per-step path calls what was assigned.
+* The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad and
+  SafeSet.values/min_value/contains also accept a stack X of shape (N, n)
+  and then return their results with a leading axis of N (g(X) is
+  (N, n, m)). filters.evaluate runs the float forms on one state, the
+  per-step path, or on a stack's columns for the many-state callers (doa,
+  verify, the simulator's records). fd_jacobian/fd_gradient, sontag_terms
+  and sontag.sontag_decrease_rate take a stack too, so that verify runs
   each sample set in one pass.
-* W(x) = (x - x_e)' P (x - x_e), so that its gradient vanishes at a
-  non-zero equilibrium; lie_of sums W as QuadraticCLF.value does. Sontag's
-  formula has one body too, kappa, beside B_FLOOR.
+* The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
+  vanishes at a non-zero equilibrium. lie_of sums W as QuadraticCLF.value
+  does, so the W of filters.evaluate, which every layer reads, has its bits.
+  Sontag's universal formula has one body too, kappa, beside B_FLOOR.
 * Apart from the assignments above, all objects are treated as immutable
   after construction, and every operation is a pure function of its
   arguments.

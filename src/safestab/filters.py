@@ -1,12 +1,14 @@
 """Pointwise QP controllers and the hybrid switching law.
 
-Every controller reads what `evaluate` computes from one call of the
-system's float form fg, on the Python floats of one state or the columns of
-a stack: W, Sontag's terms a, b and input u_son, the barrier rows L_f h_i +
-L_g h_i u >= -alpha_i(h_i) stacked as A u >= lb, the barrier values h and
-the R1/R2 label. Its body is one kernel written out for the sizes (n, m, k);
-the Evaluation holds the kernel's floats (or columns) and builds an array
-field only when it is read. Three filters share the rows:
+Every controller reads the same pointwise quantities, which `evaluate`
+computes from one call of the system's float form fg (f and the columns of
+g), on the Python floats of one state or the columns of a stack: W, Sontag's
+terms a, b and input u_son, the barrier rows L_f h_i + L_g h_i u >=
+-alpha_i(h_i) stacked as A u >= lb, the barrier values h, and the R1/R2
+label. Its body is one kernel written out for the sizes (n, m, k) of the
+configuration, the same for one state and for a stack; the Evaluation holds
+the floats (or columns) the kernel gives and builds an array field only when
+it is read, and the laws read the floats. Three filters share the rows:
 
 * cbf_qp_filter      minimizes |u - u_nom|^2 (nominal defaults to Sontag),
 * clf_cbf_qp_filter  minimizes |u|^2 + p*delta^2 with a slacked CLF row,
@@ -89,14 +91,16 @@ make_filter_config = FilterConfig
 
 
 class Evaluation:
-    """Pointwise quantities as the evaluate kernel gives them: Python floats
-    for one state, columns for a stack of N states (a float constant
-    standing for its column). fg is (f, columns of g); w, grad, a, bs, us,
-    As, lbs and hs are W, grad W, a = gradW'(f + g u_e), b = gradW' g, u_son
-    and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i) -
-    L_f h_i) with the barrier values h_i(x). The arrays f, grad_w, b, u_son,
-    A, lb and h are built from them when first read, with a leading axis of
-    N for a stack. label is R1 iff u_son satisfies every row."""
+    """Pointwise quantities at one state, from one call of the system's float
+    form fg, held as the evaluate kernel gives them: Python floats for one
+    state, columns for a stack of N states (a float constant standing for
+    its column). fg is (f, columns of g); w, grad, a, bs, us, As, lbs and hs
+    are W, grad W, a = gradW'(f + g u_e), b = gradW' g, the Sontag input
+    u_son and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i)
+    - L_f h_i) with the barrier values h_i(x), as lists. The array fields f,
+    grad_w, b, u_son, A, lb and h are built from them when first read, with
+    a leading axis of N for a stack. label is R1 iff u_son satisfies every
+    row."""
 
     __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "label", "_arrays")
 

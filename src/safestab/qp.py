@@ -70,25 +70,25 @@ def _factor_of(d: int):
     as in numpy. H + reg*I is read below its diagonal, as LAPACK's lower
     Cholesky reads it, and fails on a pivot that is not > 0, NaN included."""
     def l(i, ts):
-        return [f"l{i}{t}" for t in ts]
+        return [f"l{i}_{t}" for t in ts]
 
     D = range(d)
-    lines = [_vec(_vec(f"H{i}{j}" for j in D) for i in D) + " = H"]
+    lines = [_vec(_vec(f"H{i}_{j}" for j in D) for i in D) + " = H"]
     if d > 1:
-        lines += [_max_abs("top", [f"H{i}{j}" for i in D for j in D]),
-                  _max_abs("asym", [f"H{i}{j} - H{j}{i}" for i in D for j in range(i)]),
+        lines += [_max_abs("top", [f"H{i}_{j}" for i in D for j in D]),
+                  _max_abs("asym", [f"H{i}_{j} - H{j}_{i}" for i in D for j in range(i)]),
                   "if asym > 1e-9 * (1.0 + top): raise ValueError('H must be symmetric')"]
     for j in D:
-        lines += [f"p = H{j}{j} + reg * 1.0 - {_dot(l(j, range(j)), l(j, range(j)))}",
+        lines += [f"p = H{j}_{j} + reg * 1.0 - {_dot(l(j, range(j)), l(j, range(j)))}",
                   "if not p > 0.0: raise IndefiniteQPError('H + reg*I must be positive definite')",
-                  f"l{j}{j} = sqrt(p)"]
-        lines += [f"l{i}{j} = (H{i}{j} + reg * 0.0 - {_dot(l(i, range(j)), l(j, range(j)))})"
-                  f" / l{j}{j}" for i in range(j + 1, d)]
+                  f"l{j}_{j} = sqrt(p)"]
+        lines += [f"l{i}_{j} = (H{i}_{j} + reg * 0.0 - {_dot(l(i, range(j)), l(j, range(j)))})"
+                  f" / l{j}_{j}" for i in range(j + 1, d)]
     for j in D:
-        lines += [f"v{j}{j} = 1.0 / l{j}{j}"] + [
-            f"v{i}{j} = -{_dot(l(i, range(j, i)), [f'v{t}{j}' for t in range(j, i)])} / l{i}{i}"
+        lines += [f"v{j}_{j} = 1.0 / l{j}_{j}"] + [
+            f"v{i}_{j} = -{_dot(l(i, range(j, i)), [f'v{t}_{j}' for t in range(j, i)])} / l{i}_{i}"
             for i in range(j + 1, d)]
-    return _def("H, reg", lines, _vec(_vec(f"v{i}{j}" if j <= i else "0.0" for j in D) for i in D),
+    return _def("H, reg", lines, _vec(_vec(f"v{i}_{j}" if j <= i else "0.0" for j in D) for i in D),
                 **globals(), sqrt=math.sqrt)
 
 
@@ -208,14 +208,7 @@ def _step_of(d: int, q: int):
                  + [f"R[{q}][{q}] = 1.0 / rho"], None, sqrt=math.sqrt))
 
 
-# solve_qp's body; _solver_of writes out its {...} for d. Row i is scaled
-# exactly by w_i = 2^-e, |row|_max = f 2^e with 0.5 <= f < 1 (1 for 0, inf or
-# NaN), so its squared norm neither underflows nor overflows, and reads
-# N_i'y >= bw_i, N_i = L^-1 A_i' w_i, in y = L'z. The scan takes the most
-# violated row relative to its norm, the first on ties; a NaN violates
-# nothing, and the tolerance grows with the largest |y| met, so an active
-# row is never violated. A multiplier clamped at 0.0 may have rounded to
-# -1e-16 on the step adding a row; the finish tolerance skips a NaN b_i.
+# solve_qp's body; _solver_of writes out its {...} for d
 _SOLVER = """\
 {L} = spec._factor
 {c} = spec.cs
@@ -223,6 +216,11 @@ A, b = spec.As, spec.bs
 k = len(b)
 if max_iter is None:
     max_iter = 60 * (k + 2)
+# row i is scaled by w_i = 2^-e, |row|_max = f 2^e with 0.5 <= f < 1 (1 when
+# |row|_max is 0, inf or NaN, inf below 2^-1024), which is exact, so that
+# its squared norm neither underflows nor overflows; in y = L'z with H +
+# reg*I = LL' the cost becomes 0.5|y|^2 + (L^-1 c)'y and row i reads
+# N_i'y >= bw_i with N_i = L^-1 A_i' w_i
 w, N, bw, nrm, rows = [], [], [], [], []
 for {a}, b_i in zip(A, b):
     {m_a}
@@ -233,10 +231,19 @@ for {a}, b_i in zip(A, b):
     w.append(s), N.append({n}), bw.append(bs), nrm.append(nr)
     rows.append(({n_}bs, _FEAS_TOL * abs(bs) + _TINY * s, _FEAS_TOL * nr, max(nr, 1e-300)))
 {y} = {L_c}
+# a slack's rounding grows with the largest point met, not the current one
 {y_max}
+# u: multipliers of the active rows, then p's; Q: columns, the active
+# normals being Q[:q] R[:q, :q]; R: rows of R^-1, upper triangular
 active, u, Q, R, p = [], [], [None] * {d}, [[0.0] * {d} for _ in range({d})], -1
 for it in range(1, max_iter + 1):
     if p < 0:
+        # the most violated row relative to its norm, the first one on
+        # ties; a NaN slack or tolerance violates nothing. An active row
+        # is never violated: its slack is the rounding left by the step
+        # that made it hold and by later steps along s, orthogonal to it
+        # to working precision, a few ulps of nrm[i] * y_max, far under
+        # the threshold of about 450 ulps
         worst = inf
         for i, ({n_}bwi, tb, tn, ns) in enumerate(rows):
             s_i = {y_n} - bwi
@@ -247,8 +254,12 @@ for it in range(1, max_iter + 1):
         if p < 0:
             {z} = {LT_y}
             lam = [0.0] * k
+            # a multiplier that reaches zero on the step adding a row
+            # (t1 == t2) can round to -1e-16; clamped as np.maximum(u, 0.0)
+            # would, since u starts at +0.0 and is never -0.0
             for i, u_i in zip(active, u):
                 lam[i] = max(u_i, 0.0) * w[i]
+            # the largest |b_i| that is not NaN (a NaN fails a > top)
             top = 0.0
             for b_i in b:
                 if abs(b_i) > top:
@@ -260,10 +271,13 @@ for it in range(1, max_iter + 1):
     q = len(active)
     n = N[p]
     r, s, ss = SPLIT[q](Q, R, n)
+    # dual step: the first active multiplier to reach zero
     t1, drop, t2, dep = inf, -1, inf, _DEP_TOL * nrm[p]
     for j, r_j in enumerate(r):
         if r_j > 0.0 and u[j] / r_j < t1:
             t1, drop = u[j] / r_j, j
+    # primal step: the one making row p hold with equality; none when p's
+    # normal lies in the span of the active normals (a full active set)
     if q < {d} and ss > dep * dep:
         t2 = (bw[p] - {n_y}) / ss
     if t1 == inf and t2 == inf:
@@ -293,7 +307,7 @@ def _solver_of(d: int):
     """solve_qp's body for d variables: _SOLVER with its sums written out
     as core.dot_of writes them; L^-T y is read off the rows of L^-1."""
     D = range(d)
-    L = [[f"L{i}{j}" for j in D] for i in D]
+    L = [[f"L{i}_{j}" for j in D] for i in D]
     a, c, n, y, z = ([f"{x}{i}" for i in D] for x in "acnyz")
     SPLIT, ADD = zip(*(_step_of(d, q) for q in range(d + 1)))
     src = _SOLVER.format(

@@ -21,11 +21,13 @@ barrier, and a 3D tumor/immune model with three positivity barriers. The 2D
 barrier carries a +1 offset making the printed quadratic a nonempty safe set;
 the offset is configurable in the file.
 
-A dynamics kind is one function of its params returning (fg, n, m), a
-barrier kind one function of its entry and n returning hgrad, each with its
-entry in DYNAMICS_REGISTRY or BARRIER_REGISTRY. That float form, its sums
-explicit (core.dot_of), is the only body written; core derives the rest
-from it (see core's Conventions).
+A dynamics kind is one function of its params that returns (fg, n, m), and
+a barrier kind one function of its entry and n that returns hgrad; adding a
+kind takes that one function and its entry in DYNAMICS_REGISTRY or
+BARRIER_REGISTRY. Its float form is the only body written, every dot product
+and quadratic form in it an explicit left-to-right sum (core.dot_of), and
+core derives rhs and the numpy f, g, h and grad_h, for one state and for
+stacks, from it (see core's Conventions).
 """
 from __future__ import annotations
 
@@ -131,19 +133,23 @@ def _build_barrier(entry: dict, n: int) -> Barrier:
     return Barrier.from_hgrad(BARRIER_REGISTRY[kind](entry, n), alpha, name)
 
 
-def _check_defaults(defaults: dict) -> None:
-    """Convert each known default as the CLI reads it, so that a value of
-    the wrong type makes the file malformed."""
+def _typed_defaults(defaults: dict) -> dict:
+    """defaults with each known key in the type it is read as, so that a
+    value of the wrong type makes the file malformed: floats t_final, gamma
+    and p, an array x0 (a null x0 is none, as if left out), the float pair
+    doa_c_bounds and the ints of doa_grid."""
+    out = dict(defaults)
     for key in ("t_final", "gamma", "p"):
-        if key in defaults:
-            float(defaults[key])
-    if defaults.get("x0") is not None:   # a null x0 is none, as if left out
-        np.asarray(defaults["x0"], dtype=float)
-    if "doa_c_bounds" in defaults:
-        lo, hi = defaults["doa_c_bounds"]
-        float(lo), float(hi)
-    for v in defaults.get("doa_grid", ()):
-        int(v)
+        if key in out:
+            out[key] = float(out[key])
+    if out.get("x0") is not None:
+        out["x0"] = np.asarray(out["x0"], dtype=float)
+    if "doa_c_bounds" in out:
+        lo, hi = out["doa_c_bounds"]
+        out["doa_c_bounds"] = (float(lo), float(hi))
+    if "doa_grid" in out:
+        out["doa_grid"] = tuple(int(v) for v in out["doa_grid"])
+    return out
 
 
 @dataclass
@@ -173,8 +179,7 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         safe_set = SafeSet(barriers)
         domain = np.asarray(cfg["domain"], dtype=float).reshape(n, 2)
         eq_tol = float(cfg.get("eq_tol", 1e-3))
-        defaults = dict(_object(cfg.get("defaults", {}), "defaults"))
-        _check_defaults(defaults)
+        defaults = _typed_defaults(_object(cfg.get("defaults", {}), "defaults"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 

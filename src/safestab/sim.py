@@ -140,21 +140,25 @@ def integrate(cfg: FilterConfig,
     start of every step and holding its input through the RK4 stages.
 
     The initial state must lie in the safe set. Non-finite states, states
-    beyond the blow-up guard, an infeasible controller QP, one over its
-    iteration budget and one whose cost is not positive definite (2bb' with
-    m >= 2 and a large |b|) end the run with a status and a diagnostic
-    naming t, x and the filter. A controller input whose shape is not (m,)
-    raises ValueError naming the step.
+    beyond the blow-up guard, controller infeasibility, a controller QP that
+    exceeds its iteration budget and a QP cost that is not positive definite
+    (the Sontag-weighted cost 2bb' with m >= 2 and a large |b|) truncate the
+    run with a status and a diagnostic naming t, x and the filter instead of
+    raising. A controller input whose shape is not (m,) raises ValueError
+    naming the step.
 
-    The state is carried as Python floats from one rk4_of step to the next
-    and given to the controller as one array a step. The controller maps x
-    to (u, ev) as make_controller's do; the logged W, region, barrier values
-    and rows are ev's floats, and when ev.x is x itself the first RK4 stage
-    takes f(x) and g(x) from ev.fg. Every record_every-th step and the last
-    are written into arrays allocated for the run (trimmed when it stops
-    early), and their activation flags come from one stacked pass after the
-    loop, whose explicit sums give the bits of per-step calls; a switch
-    event computes the flags of its two steps one state at a time."""
+    The state is carried as Python floats from one rk4_of step to the next,
+    and the controller gets it as one array a step. The controller maps x to
+    (u, ev) as make_controller's do; the logged W, region, barrier values
+    and rows come from the floats of the evaluation ev at x, and when ev.x
+    is x itself, the first RK4 stage takes f(x) and g(x) from ev.fg. Every
+    record_every-th step and the last one are written from floats into
+    arrays allocated for the run (trimmed when it stops early), and after
+    the loop the activation flags of all of them come from one stacked
+    pass. Its sums are the one-state body's explicit sums on columns, so it
+    gives the bits the per-step calls would give, whatever BLAS kernel the
+    CPU gets; the QP solves inside the controller are explicit sums too. A
+    switch event computes the flags of its two steps one state at a time."""
     sys = cfg.sys
     x = as_vector(simcfg.x0, sys.n)
     if cfg.safe_set.min_value(x) < 0.0:

@@ -11,7 +11,7 @@ import safestab.filters
 import safestab.qp
 from safestab import (QPSpec, SimConfig, cbf_qp_filter, clf_cbf_qp_filter, evaluate,
                       integrate, lp_feasible, make_controller, make_filter_config, solve_qp)
-from safestab.errors import InfeasibleQPError, QPIterationError
+from safestab.errors import IndefiniteQPError, InfeasibleQPError, QPIterationError
 from safestab.filters import ALPHA_W
 from safestab.qp import _DEP_TOL, _FEAS_TOL, _kkt_residual
 
@@ -594,6 +594,50 @@ def test_solver_matches_numpy_bookkeeping_under_a_tight_budget():
     rng = np.random.default_rng(17)
     for _ in range(100):
         assert_matches_oracle(random_spec(rng, 3, 6), max_iter=int(rng.integers(1, 4)))
+
+
+def _specs_of_many_variables(rng, d):
+    """random_spec draws, small-integer specs, and duplicated, nearly
+    parallel and inconsistent rows, in d variables."""
+    for k in (0, 1, 3, d - 1, d, d + 3):
+        for _ in range(4):
+            yield random_spec(rng, d, k)
+    for _ in range(20):
+        k = int(rng.integers(2, d + 4))
+        yield QPSpec(np.diag(rng.integers(1, 4, size=d).astype(float)),
+                     rng.integers(-3, 4, size=d).astype(float),
+                     rng.integers(-2, 3, size=(k, d)).astype(float),
+                     rng.integers(-3, 4, size=k).astype(float), reg=0.0)
+    H, c, a = random_spec(rng, d, 0).H, rng.normal(size=d), rng.normal(size=d)
+    yield QPSpec(H, c, np.vstack([a, a, -a]), np.array([1.0, 1.0, -3.0]))
+    yield QPSpec(H, c, np.vstack([a, a + rng.normal(size=d) * 1e-9, rng.normal(size=d)]),
+                 rng.normal(size=3) + np.array([2.0, 2.0, 0.0]))
+    yield QPSpec(H, c, np.vstack([a, -a, rng.normal(size=(2, d))]),
+                 np.array([1.0, -0.5, -5.0, -5.0]))
+
+
+@pytest.mark.parametrize("d", [12, 13, 21])
+def test_solver_matches_numpy_bookkeeping_with_many_variables(d):
+    # from d = 12 on, index pairs such as (1, 10) and (11, 0) read alike
+    # when written side by side with no separator
+    rng = np.random.default_rng(1200 + d)
+    specs = list(_specs_of_many_variables(rng, d))
+    outcomes = [assert_matches_oracle(spec) for spec in specs]
+    assert {o.status for o in outcomes if o is not None} == {"optimal", "infeasible"}
+    for spec in specs[:12]:
+        assert_same_solution(solve_qp(QPSpec(spec.H.tolist(), spec.c.tolist(), spec.A.tolist(),
+                                             spec.b.tolist(), reg=spec.reg)), solve_qp(spec))
+    H = specs[0].H.copy()
+    for i, j in ((11, 0), (0, 11), (1, 10), (10, 1), (1, 11), (11, 1)):
+        asym = H.copy()
+        asym[i, j] += 1e-6 * (1.0 + np.abs(H).max())
+        with pytest.raises(ValueError, match="symmetric"):
+            QPSpec(asym, np.zeros(d), [], [])
+    for i in (10, 11, d - 1):
+        indefinite = H.copy()
+        indefinite[i, i] = -1.0
+        with pytest.raises(IndefiniteQPError):
+            QPSpec(indefinite, np.zeros(d), [], [])
 
 
 def _recorded_filter_specs(monkeypatch, cfg, controller, x0, t_final):

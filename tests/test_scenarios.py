@@ -167,6 +167,21 @@ def test_malformed_scenario_raises_scenario_error(edit):
         scenario_from_dict(cfg)
 
 
+def test_known_defaults_are_stored_in_the_type_they_are_read_as():
+    cfg = linear2d_file()
+    cfg["defaults"].update(x0=[2, -1], t_final=3, gamma=1, p=10, doa_c_bounds=[1, 50],
+                           doa_grid=[21.0, 31], note="kept")
+    defaults = scenario_from_dict(cfg).defaults
+    assert defaults["x0"].dtype == float and defaults["x0"].tolist() == [2.0, -1.0]
+    assert [type(defaults[k]) for k in ("t_final", "gamma", "p")] == [float] * 3
+    assert defaults["doa_c_bounds"] == (1.0, 50.0)
+    assert all(type(v) is float for v in defaults["doa_c_bounds"])
+    assert defaults["doa_grid"] == (21, 31) and all(type(v) is int for v in defaults["doa_grid"])
+    assert defaults["note"] == "kept"
+    cfg["defaults"]["x0"] = None   # a null x0 is none, as if left out
+    assert scenario_from_dict(cfg).defaults["x0"] is None
+
+
 def test_exp_positivity_barrier_index_bounds():
     cfg = {
         "name": "broken",
