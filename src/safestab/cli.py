@@ -22,7 +22,7 @@ from .doa import (awc_boundary_points, compute_c_star, largest_clf_sublevel_insi
 from .errors import SafeStabError, ScenarioError, SimulationError
 from .filters import CONTROLLER_NAMES, make_controller, make_filter_config
 from .scenarios import SCENARIO_NAMES, build_scenario, load_scenario
-from .sim import (SimConfig, compute_metrics, integrate, read_trajectory_csv,
+from .sim import (SimConfig, compute_metrics, first_unsafe, integrate, read_trajectory_csv,
                   write_trajectory_csv)
 from .verify import run_checks
 
@@ -152,7 +152,8 @@ def cmd_simulate(args) -> int:
                    diagnostic=traj.diagnostic, r2_steps=_r2_steps(traj),
                    switches=len(traj.switch_events),
                    metrics={key: val if math.isfinite(val) else None
-                            for key, val in asdict(metrics).items()})
+                            for key, val in asdict(metrics).items()},
+                   first_unsafe=first_unsafe(traj, bundle.safe_set, manifest.dt))
     with open(out / f"{stem}_metrics.json", "w") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
     print(f"wrote {csv_path} ({traj.n_samples} samples, status {traj.status})")

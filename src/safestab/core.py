@@ -27,10 +27,11 @@ Conventions
   columns of a stack they give columns, a constant entry staying a float.
   ControlAffineSystem.from_fg and Barrier.from_hgrad derive the numpy f, g,
   h and grad_h from them (_numpy_part). rhs(xs, us) is f(x) + g(x) u from
-  fg, row i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m), and
+  fg, row i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m) (affine_row), and
   rhs_from = affine_of(n, m) is the same from an fg already evaluated, for
-  every system. A system or barrier built from numpy closures alone gets
-  adapters as float forms (fg reads f and g, hgrad reads h and grad_h, on
+  every system (sim.rk4_of's stages call fg and sum these rows themselves).
+  A system or barrier built from numpy closures alone gets adapters as float
+  forms (fg reads f and g, hgrad reads h and grad_h, on
   one state or a stack). An f, g, h, grad_h or QuadraticCLF.grad assigned to an object after
   construction takes over its float form through the adapter, so the
   per-step path calls what was assigned.
@@ -122,12 +123,18 @@ def matvec_of(r: int, n: int) -> Callable:
     return eval(f"lambda M, v: [{', '.join(rows)}]")
 
 
+def affine_row(i: int, m: int) -> str:
+    """Row i of f + G u, G given as its m columns, in the names f, G and u:
+    f[i] + (0.0 + G[0][i]*u[0] + ... + G[m-1][i]*u[m-1]). affine_of, the
+    RK4 stages (sim.rk4_of) and Sontag's a (lie_of) all sum it so."""
+    return f"f[{i}] + " + _sum(f"G[{j}][{i}] * u[{j}]" for j in range(m))
+
+
 @lru_cache(maxsize=None)
 def affine_of(n: int, m: int) -> Callable:
-    """f, G, u -> f + G u for G given as its m columns of n entries: row i is
-    f[i] + (0.0 + G[0][i]*u[0] + ... + G[m-1][i]*u[m-1])."""
-    rows = (f"f[{i}] + " + _sum(f"G[{j}][{i}] * u[{j}]" for j in range(m)) for i in range(n))
-    return eval(f"lambda f, G, u: [{', '.join(rows)}]")
+    """f, G, u -> f + G u for G given as its m columns of n entries, the
+    rows of affine_row."""
+    return eval(f"lambda f, G, u: [{', '.join(affine_row(i, m) for i in range(n))}]")
 
 
 def _def(args: str, lines, result: Optional[str], **names) -> Callable:
@@ -143,8 +150,7 @@ def _lie_ab(n: int, m: int, grad) -> str:
     """a, [b_1, ..., b_m] from the gradient entries named in grad, f, the
     columns G of g and u = u_e: a = grad . (f + G u), its factor a row of
     affine_of, and b_j = G_j . grad."""
-    a = _sum(f"{grad[i]} * (f[{i}] + {_sum(f'G[{j}][{i}] * u[{j}]' for j in range(m))})"
-             for i in range(n))
+    a = _sum(f"{grad[i]} * ({affine_row(i, m)})" for i in range(n))
     b = (_sum(f"G[{j}][{i}] * {grad[i]}" for i in range(n)) for j in range(m))
     return f"{a}, [{', '.join(b)}]"
 

@@ -99,18 +99,26 @@ class Evaluation:
     u_son and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i)
     - L_f h_i) with the barrier values h_i(x), as lists. The array fields f,
     grad_w, b, u_son, A, lb and h are built from them when first read, with
-    a leading axis of N for a stack. label is R1 iff u_son satisfies every
-    row."""
+    a leading axis of N for a stack. margin is the least row slack at
+    u_son (a float, or a column), and label, built from it when first read,
+    is R1 iff u_son satisfies every row."""
 
-    __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "label", "_arrays")
+    __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "margin", "_arrays")
 
     def __init__(self, x, fg, grad, w, a, bs, us, As, lbs, hs, margin):
         self.x, self.fg, self.grad, self.w, self.a, self.bs, self.us = x, fg, grad, w, a, bs, us
-        self.As, self.lbs, self.hs, self._arrays = As, lbs, hs, {}
-        if x.ndim == 1:
-            self.label = RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
-        else:
-            self.label = RegionLabel(np.where(margin >= 0.0, Region.R1, Region.R2), margin)
+        self.As, self.lbs, self.hs, self.margin, self._arrays = As, lbs, hs, margin, {}
+
+    @property
+    def label(self) -> RegionLabel:
+        """R1 where margin >= 0 (NaN on R2) and the margin; for a stack,
+        arrays of Region values and of margins."""
+        if "label" not in self._arrays:
+            margin = self.margin
+            self._arrays["label"] = RegionLabel(
+                (Region.R1 if margin >= 0.0 else Region.R2) if self.x.ndim == 1
+                else np.where(margin >= 0.0, Region.R1, Region.R2), margin)
+        return self._arrays["label"]
 
     def _built(self, name, values):
         """The array field name of the floats or columns values, kept once
@@ -152,7 +160,7 @@ class Evaluation:
         fs, gcols = self.fg
         return Evaluation(self.x[i], (entry(fs), entry(gcols)), entry(self.grad),
                           *entry([self.w, self.a, self.bs, self.us, self.As, self.lbs, self.hs]),
-                          float(self.label.margin[i]))
+                          float(self.margin[i]))
 
 
 @lru_cache(maxsize=None)
@@ -214,7 +222,10 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
             raise ValueError(f"expected states of length {cfg.sys.n}, got {x.shape[1]}")
         xs = columns(x)
     else:
-        x = as_vector(x, cfg.sys.n)
+        if x.ndim != 1:
+            x = x.ravel()
+        if x.size != cfg.sys.n:
+            raise ValueError(f"expected vector of length {cfg.sys.n}, got {x.size}")
         xs = x.tolist()
     return Evaluation(x, *cfg._kernel(cfg.sys, cfg.clf, cfg.safe_set.barriers, cfg.gamma, xs))
 
@@ -395,7 +406,7 @@ def closed_form_of(cfg: FilterConfig, ev: Evaluation, barrier_index: int = 0
 
 
 def _hybrid(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
-    return ev.u_son if ev.label.value == Region.R1 else _s_cbf_qp(cfg, ev)
+    return np.array(ev.us, float) if ev.margin >= 0.0 else _s_cbf_qp(cfg, ev)
 
 
 def hybrid_control(cfg: FilterConfig, x) -> Tuple[np.ndarray, RegionLabel]:

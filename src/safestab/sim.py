@@ -1,8 +1,11 @@
 """Closed-loop integration (fixed-step classical RK4, input held over each
 step), trajectory logging with region/switch bookkeeping, and scalar metrics.
 
-integrate carries the state as Python floats between its RK4 steps (rk4_of)
-and writes each record, W included, from the floats of the step's evaluation.
+integrate carries the state as Python floats between its RK4 steps (rk4_of,
+whose stages call the system's float form fg and sum f + g u as
+core.affine_row does, not through sys.rhs) and writes each record, W
+included, from the floats of the step's evaluation as scalar stores into
+arrays allocated for the run. first_unsafe reads the records after a run.
 
 CSV schema (column order is part of the contract):
     t, x_1..x_n, u_1..u_m, W, h_1..h_k, region, active_1..active_k
@@ -17,11 +20,11 @@ import numbers
 from array import array
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import _def, as_vector
+from .core import _def, affine_row, as_vector
 from .errors import IndefiniteQPError, InfeasibleQPError, QPIterationError, SimulationError
 # cbf_rows and classify_region are unused here but stay bound: the
 # benchmark's tracer (bench/instrument.py) wraps them in this module
@@ -106,31 +109,64 @@ class Trajectory:
 
 
 @lru_cache(maxsize=None)
-def rk4_of(n: int) -> Callable:
-    """sys, xs, us, dt, fg -> one classical RK4 step of x' = sys.rhs(x, u)
-    on n floats with us held: the stages written out in the operation order
-    of the numpy form x + 0.5*dt*k1, ..., x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4),
-    so that the result equals it bit for bit. k1 is sys.rhs_from(*fg, us)
-    when fg (sys.fg at x) is given, else sys.rhs(xs, us), like k2..k4; both
-    are read from sys at every call."""
-    def stage(k, step):
-        return f"[{', '.join(f'x[{i}] + {step} * {k}[{i}]' for i in range(n))}]"
+def rk4_of(n: int, m: int) -> Callable:
+    """sys, xs, us, dt, fg -> one classical RK4 step of x' = f(x) + g(x) u on
+    n floats with the m floats us held: the stages written out on sys.fg,
+    each derivative summed as core.affine_row sums it (the bits of
+    sys.rhs), in the operation order of the numpy form x + 0.5*dt*k1, ...,
+    x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), so that the result equals it bit
+    for bit. k1 is formed from fg (sys.fg at x, an Evaluation's fg) when it
+    is given, else from sys.fg(xs), like k2..k4; sys.fg is read at every
+    call, so that an assigned f or g reaches the stages."""
+    def rates(k):
+        return [f"{k}{i} = {affine_row(i, m)}" for i in range(n)]
 
-    sixth = ", ".join(f"x[{i}] + sixth * (((a[{i}] + 2.0 * b[{i}]) + 2.0 * c[{i}]) + d[{i}])"
+    def at(k, step):   # f and G at x + step * k
+        return f"f, G = form([{', '.join(f'x[{i}] + {step} * {k}{i}' for i in range(n))}])"
+
+    sixth = ", ".join(f"x[{i}] + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})"
                       for i in range(n))
     return _def("sys, x, u, dt, fg",
-                ["half = 0.5 * dt",
-                 "a = sys.rhs(x, u) if fg is None else sys.rhs_from(*fg, u)",
-                 f"b = sys.rhs({stage('a', 'half')}, u)", f"c = sys.rhs({stage('b', 'half')}, u)",
-                 f"d = sys.rhs({stage('c', 'dt')}, u)", "sixth = dt / 6.0"], f"[{sixth}]")
+                ["half = 0.5 * dt", "form = sys.fg", "f, G = form(x) if fg is None else fg"]
+                + rates("a") + [at("a", "half")] + rates("b") + [at("b", "half")] + rates("c")
+                + [at("c", "dt")] + rates("d") + ["sixth = dt / 6.0"], f"[{sixth}]")
 
 
 def rk4_step(sys, x: np.ndarray, u: np.ndarray, dt: float, fg=None) -> np.ndarray:
-    """One classical RK4 step of x' = sys.rhs(x, u) with u held: rk4_of(n)
-    on the floats of x and u, the result as an array. fg, when given, is
+    """One classical RK4 step of x' = f(x) + g(x) u with u held: rk4_of on
+    the floats of x and u, the result as an array. fg, when given, is
     sys.fg at x (an Evaluation's fg), from which k1 is formed without
-    calling rhs. u must have sys.m entries (integrate checks it)."""
-    return np.array(rk4_of(x.size)(sys, x.tolist(), u.tolist(), dt, fg))
+    calling sys.fg again. u must have sys.m entries (integrate checks it)."""
+    return np.array(rk4_of(x.size, sys.m)(sys, x.tolist(), u.tolist(), dt, fg))
+
+
+@lru_cache(maxsize=None)
+def _within_of(n: int) -> Callable:
+    """xs -> whether |x_i| <= BLOWUP_LIMIT for each of the n floats; the
+    comparison is false for NaN, so NaN and +-inf both fail it."""
+    return eval(f"lambda x: {' and '.join(f'abs(x[{i}]) <= {BLOWUP_LIMIT!r}' for i in range(n))}")
+
+
+@lru_cache(maxsize=None)
+def _recorder_of(n: int, m: int, k: int) -> Callable:
+    """T, S, U, R, W, H, A, L, the flat views of integrate's record arrays ->
+    record(rec, t, xs, us, region, ev), which writes record rec as scalar
+    stores: t, the n floats of x, the m of u, the region, ev's W, its k
+    barrier values, its k rows A_i of m floats and their bounds lb_i."""
+    def stores(view, values):   # into a view of len(values) entries a record
+        return [f"o = {len(values)} * rec"] + [f"{view}[o + {c}] = {v}"
+                                                for c, v in enumerate(values)]
+
+    body = (["T[rec] = t", "R[rec] = region", "W[rec] = ev.w",
+             "hs, As, lbs = ev.hs, ev.As, ev.lbs"]
+            + stores("S", [f"x[{i}]" for i in range(n)])
+            + stores("U", [f"u[{j}]" for j in range(m)])
+            + stores("H", [f"hs[{i}]" for i in range(k)])
+            + stores("A", [f"As[{i}][{j}]" for i in range(k) for j in range(m)])
+            + stores("L", [f"lbs[{i}]" for i in range(k)]))
+    return _def("T, S, U, R, W, H, A, L",
+                ["def record(rec, t, x, u, region, ev):"] + [f"    {line}" for line in body],
+                "record")
 
 
 def integrate(cfg: FilterConfig,
@@ -139,52 +175,61 @@ def integrate(cfg: FilterConfig,
     """Run the closed loop from simcfg.x0, re-evaluating the controller at the
     start of every step and holding its input through the RK4 stages.
 
-    The initial state must lie in the safe set. Non-finite states, states
-    beyond the blow-up guard, controller infeasibility, a controller QP that
-    exceeds its iteration budget and a QP cost that is not positive definite
-    (the Sontag-weighted cost 2bb' with m >= 2 and a large |b|) truncate the
-    run with a status and a diagnostic naming t, x and the filter instead of
+    The initial state must lie in the safe set, and the records of the run
+    must fit in memory (else SimulationError naming t_final, dt, the record
+    count and record_every). Non-finite states, states beyond the blow-up
+    guard, controller infeasibility, a controller QP that exceeds its
+    iteration budget and a QP cost that is not positive definite (the
+    Sontag-weighted cost 2bb' with m >= 2 and a large |b|) truncate the run
+    with a status and a diagnostic naming t, x and the filter instead of
     raising. A controller input whose shape is not (m,) raises ValueError
     naming the step.
 
-    The state is carried as Python floats from one rk4_of step to the next,
-    and the controller gets it as one array a step. The controller maps x to
-    (u, ev) as make_controller's do; the logged W, region, barrier values
-    and rows come from the floats of the evaluation ev at x, and when ev.x
-    is x itself, the first RK4 stage takes f(x) and g(x) from ev.fg. Every
-    record_every-th step and the last one are written from floats into
-    arrays allocated for the run (trimmed when it stops early), and after
-    the loop the activation flags of all of them come from one stacked
-    pass. Its sums are the one-state body's explicit sums on columns, so it
-    gives the bits the per-step calls would give, whatever BLAS kernel the
-    CPU gets; the QP solves inside the controller are explicit sums too. A
-    switch event computes the flags of its two steps one state at a time."""
+    A step runs the controller call, rk4_of's stages and scalar stores.
+    The state is carried as Python floats from one step to the next, and
+    the controller gets it as one array a step. The controller maps x to
+    (u, ev) as make_controller's do; the region is read from ev.margin
+    (R1 iff it is >= 0, as ev.label), the logged W, barrier values and rows
+    are the floats of ev, and when ev.x is x itself, the first RK4 stage
+    takes f(x) and g(x) from ev.fg. Every record_every-th step and the last
+    one are written by _recorder_of's stores through flat views of arrays
+    allocated for the run (trimmed by a copy when it stops early), and
+    after the loop the activation flags of all of them come from one
+    stacked pass. Its sums are the one-state body's explicit sums on
+    columns, so it gives the bits the per-step calls would give, whatever
+    BLAS kernel the CPU gets; the QP solves inside the controller are
+    explicit sums too. A switch event computes the flags of its two steps
+    one state at a time."""
     sys = cfg.sys
-    x = as_vector(simcfg.x0, sys.n)
+    n, m, k = sys.n, sys.m, len(cfg.safe_set.barriers)
+    x = as_vector(simcfg.x0, n)
     if cfg.safe_set.min_value(x) < 0.0:
         raise SimulationError(f"x0 outside the safe set: min h = {cfg.safe_set.min_value(x)}")
     dt, every = simcfg.dt, simcfg.record_every
-    n_steps = int(round(simcfg.t_final / dt))
-    k = len(cfg.safe_set.barriers)
-    n_rec = n_steps // every + 1 + (n_steps % every != 0)
-    times = np.empty(n_rec)
-    states = np.empty((n_rec, sys.n))
-    inputs = np.empty((n_rec, sys.m))
-    regions = np.empty(n_rec, dtype=int)
-    w_values = np.empty(n_rec)
-    h_values = np.empty((n_rec, k))
-    rows_A = np.empty((n_rec, k, sys.m))
-    rows_lb = np.empty((n_rec, k))
+    n_rec = simcfg.t_final / dt / every   # for the message, until the count is known
+    try:
+        n_steps = int(round(simcfg.t_final / dt))
+        n_rec = n_steps // every + 1 + (n_steps % every != 0)
+        arrays = (np.empty(n_rec), np.empty((n_rec, n)), np.empty((n_rec, m)),
+                  np.empty(n_rec, dtype=int), np.empty(n_rec), np.empty((n_rec, k)),
+                  np.empty((n_rec, k, m)), np.empty((n_rec, k)))
+    except (OverflowError, ValueError, MemoryError) as exc:
+        raise SimulationError(
+            f"cannot allocate {n_rec:.6g} records for t_final={simcfg.t_final!r}, dt={dt!r}, "
+            f"record_every={every} ({type(exc).__name__}: {exc}); a larger dt or "
+            f"record_every (--record-every) makes fewer") from None
+    record = _recorder_of(n, m, k)(*(memoryview(a).cast("B").cast(a.dtype.char)
+                                     for a in arrays))
     rec = 0
     events: List[SwitchEvent] = []
     status = STATUS_OK
     diagnostic = ""
     prev_region = prev_u = prev_ev = None
-    rk4, xs = rk4_of(sys.n), x.tolist()
+    rk4, within, shape, xs = rk4_of(n, m), _within_of(n), (m,), x.tolist()
 
     for step in range(n_steps + 1):
         t = step * dt
-        x = np.array(xs)
+        x = np.array(xs, float)
         try:
             u, ev = controller(x)
         except InfeasibleQPError as exc:
@@ -200,10 +245,11 @@ def integrate(cfg: FilterConfig,
             diagnostic = f"controller QP cost not positive definite at t={t}: {exc}"
             break
         u = np.asarray(u, dtype=float)
-        if u.shape != (sys.m,):
+        if u.shape != shape:
             raise ValueError(f"controller input at step {step} (t={t}) has shape "
-                             f"{u.shape}, expected ({sys.m},)")
-        region = int(ev.label.value)
+                             f"{u.shape}, expected ({m},)")
+        us = u.tolist()
+        region = 0 if ev.margin >= 0.0 else 1   # Region.R1 or R2, the value of ev.label
         if prev_region is not None and region != prev_region:
             events.append(SwitchEvent(t, prev_region, region, prev_u, u,
                                       active_flags(prev_ev.A, prev_ev.lb, prev_u),
@@ -211,30 +257,21 @@ def integrate(cfg: FilterConfig,
         prev_region, prev_u, prev_ev = region, u, ev
 
         if step % every == 0 or step == n_steps:
-            times[rec] = t
-            states[rec] = xs
-            inputs[rec] = u
-            regions[rec] = region
-            w_values[rec] = ev.w
-            h_values[rec] = ev.hs
-            rows_A[rec] = ev.As
-            rows_lb[rec] = ev.lbs
+            record(rec, t, xs, us, region, ev)
             rec += 1
 
         if step == n_steps:
             break
         # ev.fg holds f and g at x when the controller evaluated x itself
-        xs = rk4(sys, xs, u.tolist(), dt, ev.fg if ev.x is x else None)
-        # the comparison is false for nan, so nan and inf both stop the run
-        if not all(abs(v) <= BLOWUP_LIMIT for v in xs):
+        xs = rk4(sys, xs, us, dt, ev.fg if ev.x is x else None)
+        if not within(xs):
             status = STATUS_BLOWUP
             diagnostic = f"state blew up at t={t + dt}"
             break
 
     if rec < n_rec:   # copies, so that a short run keeps no full-size buffer
-        times, states, inputs, regions, w_values, h_values, rows_A, rows_lb = (
-            a[:rec].copy() for a in (times, states, inputs, regions, w_values, h_values,
-                                     rows_A, rows_lb))
+        arrays = tuple(a[:rec].copy() for a in arrays)
+    times, states, inputs, regions, w_values, h_values, rows_A, rows_lb = arrays
     return Trajectory(
         times=times,
         states=states,
@@ -289,6 +326,28 @@ def compute_metrics(traj: Trajectory, eq, eps: float = 1e-2) -> Metrics:
         final_distance=float(dist[-1]),
         eps=eps,
     )
+
+
+# the least barrier value below -UNSAFE_TOL counts as unsafe, as acceptance
+# criteria 5 and 7 count it
+UNSAFE_TOL = 1e-6
+
+
+def first_unsafe(traj: Trajectory, safe_set, dt: float) -> Optional[dict]:
+    """The first recorded sample whose least barrier value is below
+    -UNSAFE_TOL, as {step, t, x, barrier, h}: its step (t / dt), time and
+    state, and the name and value of its least barrier; None when there is
+    none. A sample whose least value is NaN is not counted (the compare
+    is false), as the criteria's test of min_h does not count it."""
+    below = np.flatnonzero(traj.h_values.min(axis=1) < -UNSAFE_TOL)
+    if below.size == 0:
+        return None
+    i = int(below[0])
+    j = int(np.argmin(traj.h_values[i]))
+    h = float(traj.h_values[i, j])
+    return {"step": int(round(traj.times[i] / dt)), "t": float(traj.times[i]),
+            "x": traj.states[i].tolist(), "barrier": safe_set.barriers[j].name,
+            "h": h if math.isfinite(h) else None}
 
 
 def csv_header(n: int, m: int, k: int) -> List[str]:

@@ -35,6 +35,7 @@ def test_simulate_writes_csv_and_metrics(tmp_path):
     assert summary["metrics"]["min_h"] > 0.0
     assert summary["r2_steps"] == int((traj.regions == 1).sum()) > 0
     assert summary["switches"] > 0
+    assert summary["first_unsafe"] is None
 
 
 def test_simulate_tumor_keeps_barriers_positive(tmp_path):
@@ -371,6 +372,38 @@ def test_simulate_metrics_json_is_strict_when_the_run_never_settles(tmp_path):
     metrics = read_strict_json(tmp_path / "linear2d_hybrid_metrics.json")["metrics"]
     assert metrics["convergence_time"] is None
     assert metrics["min_h"] > 0.0
+
+
+@pytest.mark.parametrize("record_every", [1, 7])
+def test_metrics_name_the_first_unsafe_sample(tmp_path, record_every):
+    # the clf-cbf-qp leaves linear2d's safe set at t ~ 2.3 s, near the
+    # boundary points where L_g h = 0 and L_f h < 0; the report is the first
+    # recorded sample whose least barrier value is below -1e-6
+    rc = main(["simulate", "--scenario", "linear2d", "--controller", "clf-cbf-qp",
+               "--t-final", "3.0", "--record-every", str(record_every), "--out", str(tmp_path)])
+    assert rc == 0
+    first = read_strict_json(tmp_path / "linear2d_clf-cbf-qp_metrics.json")["first_unsafe"]
+    traj = read_trajectory_csv(tmp_path / "linear2d_clf-cbf-qp_traj.csv")
+    least = traj.h_values.min(axis=1)
+    i = int(np.argmax(least < -1e-6))
+    assert least[i] < -1e-6 and (least[:i] >= -1e-6).all()
+    assert first == {"step": round(traj.times[i] / 1e-3), "t": traj.times[i],
+                     "x": traj.states[i].tolist(), "barrier": "ellipse", "h": least[i]}
+    assert first["step"] % record_every == 0 and 2.2 < first["t"] < 2.4
+
+
+@pytest.mark.parametrize("flag,value,count", [("--t-final", "1e12", "1e+15"),
+                                              ("--dt", "1e-300", "1e+301")])
+def test_simulate_whose_records_cannot_be_allocated_exits_2(tmp_path, capsys, flag, value,
+                                                            count):
+    rc = main(["simulate", "--scenario", "linear2d", flag, value, "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot allocate") and "Traceback" not in err
+    for text in (f"{count} records", f"{flag[2:].replace('-', '_')}={float(value)!r}",
+                 "record_every=1", "--record-every"):
+        assert text in err
+    assert not list(tmp_path.iterdir())
 
 
 def test_simulate_rejects_non_finite_parameters(tmp_path):

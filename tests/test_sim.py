@@ -4,17 +4,18 @@ import math
 import numpy as np
 import pytest
 
+import safestab.filters
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, IndefiniteQPError,
                       InfeasibleQPError, QPIterationError, QuadraticCLF, SafeSet,
                       SimConfig, SimulationError, build_scenario, compute_metrics,
                       evaluate, integrate, read_trajectory_csv, write_trajectory_csv)
 from safestab.core import affine_of, as_vector
-from safestab.filters import (CONTROLLER_NAMES, Region, active_flags, make_controller,
-                              make_filter_config)
+from safestab.filters import (CONTROLLER_NAMES, Region, RegionLabel, active_flags,
+                              make_controller, make_filter_config)
 from safestab.qp import QPSpec
 from safestab.sim import (BLOWUP_LIMIT, STATUS_BLOWUP, STATUS_INFEASIBLE, STATUS_OK,
                           STATUS_QP_INDEFINITE, STATUS_QP_ITERATION, SwitchEvent,
-                          Trajectory, csv_header, rk4_step)
+                          Trajectory, csv_header, rk4_of, rk4_step)
 
 
 def flat_config(n=2, m=1, f=None, g=None):
@@ -344,14 +345,19 @@ def test_bundled_rhs_equals_f_plus_g_u_bitwise(name, linear, tumor):
         assert got.tobytes() == want.tobytes(), (x, u)
 
 
+def adapter_2x2_system():
+    """n = 2, m = 2 from numpy f and g alone, so that fg is the adapter."""
+    return ControlAffineSystem(
+        n=2, m=2, f=lambda x: np.array([x[1] * x[0] - x[0], np.sin(x[0]) - x[1] ** 3]),
+        g=lambda x: np.array([[1.0 + x[1] ** 2, x[0]], [0.5 * x[1], 2.0 - x[0]]]),
+        name="synthetic")
+
+
 def test_rk4_step_adapter_for_systems_built_from_f_and_g():
     # n = 2, m = 2: g(x) u has two terms a row, summed from +0.0 left to
     # right by the adapter's rhs_from exactly as in the oracle, never by a
     # BLAS matmul
-    sys = ControlAffineSystem(
-        n=2, m=2, f=lambda x: np.array([x[1] * x[0] - x[0], np.sin(x[0]) - x[1] ** 3]),
-        g=lambda x: np.array([[1.0 + x[1] ** 2, x[0]], [0.5 * x[1], 2.0 - x[0]]]),
-        name="synthetic")
+    sys = adapter_2x2_system()
     assert sys.rhs_from is affine_of(2, 2)
     rng = np.random.default_rng(9)
     for i in range(2000):
@@ -513,6 +519,25 @@ def wide_m3_config():
     return make_filter_config(sys, clf, SafeSet((ball, wall, floor)), gamma=1.5, p=10.0)
 
 
+@pytest.mark.parametrize("make_sys", [lambda: synthetic_m2_config().sys,
+                                      lambda: wide_m3_config().sys, adapter_2x2_system],
+                         ids=["synthetic-m2", "wide-m3", "adapter-2x2"])
+def test_rk4_of_equals_the_oracle_bitwise(make_sys):
+    # rk4_of's stages, called on floats as integrate calls them, with k1
+    # from sys.fg and from a given fg, against the numpy RK4 on f and g
+    sys = make_sys()
+    rk4 = rk4_of(sys.n, sys.m)
+    rng = np.random.default_rng(10)
+    for i in range(600):
+        x = rng.uniform(-2.0, 2.0, sys.n)
+        u = rng.choice([-1.0, 1.0], sys.m) * 10.0 ** rng.uniform(-3.0, 3.0, sys.m)
+        dt = (1e-4, 1e-3, 1e-2)[i % 3]
+        want = rk4_oracle(sys, x, u, dt).tobytes()
+        xs, us = x.tolist(), u.tolist()
+        assert np.array(rk4(sys, xs, us, dt, None)).tobytes() == want, (x, u, dt)
+        assert np.array(rk4(sys, xs, us, dt, sys.fg(xs))).tobytes() == want, (x, u, dt)
+
+
 # the tumor3d start lies in A_WC; its hybrid run switches into R2 and back
 TUMOR_SWITCH_X0 = [1.5332973949760351, 4.258482076721906, 4.8267385751631195]
 
@@ -531,24 +556,58 @@ def test_integrate_matches_oracle_for_every_controller(scenario, controller, lin
 
 
 def test_integrate_forms_the_first_stage_from_the_evaluation():
-    # three rhs calls a step, not four, when the controller evaluated x
-    # itself; a controller whose evaluation is of another array object gets
-    # k1 from rhs, with the same bits
+    # three RK4 calls of fg a step, not four, when the controller evaluated
+    # x itself; a controller whose evaluation is of another array object
+    # gets k1 from a fourth fg call, with the same bits. evaluate adds one
+    # fg call for each of the 11 states of the 10 steps
     bundle = build_scenario("linear2d")
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set)
-    calls = {"rhs": 0, "rhs_from": 0}
-    for name in calls:
-        def counted(*args, fn=getattr(bundle.sys, name), name=name):
-            calls[name] += 1
-            return fn(*args)
-        setattr(bundle.sys, name, counted)
+    calls = []
+
+    def counted(xs, fg=bundle.sys.fg):
+        calls.append(xs)
+        return fg(xs)
+    bundle.sys.fg = counted
     ctrl = make_controller(cfg, "hybrid")
     simcfg = SimConfig(x0=bundle.defaults["x0"], t_final=0.01)
     traj = integrate(cfg, ctrl, simcfg)
-    assert calls == {"rhs": 30, "rhs_from": 10}
+    assert len(calls) == 11 + 3 * 10
     copied = integrate(cfg, lambda x: ctrl(x.copy()), simcfg)
-    assert calls == {"rhs": 70, "rhs_from": 10}
+    assert len(calls) == 2 * 11 + (3 + 4) * 10
     assert_same_trajectory(copied, traj)
+
+
+def test_an_r1_hybrid_run_builds_no_region_label(tumor_cfg, tumor, monkeypatch):
+    # integrate reads the region from the evaluation's margin and the hybrid
+    # law its R1 input from the floats: no step builds a label
+    built = []
+
+    def label(*args):
+        built.append(args)
+        return RegionLabel(*args)
+    monkeypatch.setattr(safestab.filters, "RegionLabel", label)
+    x0 = tumor.eq.x_e + np.array([0.8, -0.5, 0.3])
+    traj = integrate(tumor_cfg, make_controller(tumor_cfg, "hybrid"),
+                     SimConfig(x0=x0, t_final=0.01))
+    assert traj.n_samples == 11 and not traj.regions.any()
+    assert built == []
+
+
+@pytest.mark.parametrize("t_final,dt,every,count", [
+    (1e12, 1e-3, 1, "1e+15"), (1e12, 1e-3, 1000, "1e+12"), (10.0, 1e-300, 1, "1e+301"),
+    (1e10, 1e-300, 1, "inf")])
+def test_records_that_cannot_be_allocated_raise_simulation_error(t_final, dt, every, count,
+                                                                 linear_cfg, linear):
+    # numpy's MemoryError, its ValueError for too large a dimension and the
+    # OverflowError of a step count that is not finite become one error
+    # naming the run; nothing is integrated
+    simcfg = SimConfig(x0=linear.defaults["x0"], t_final=t_final, dt=dt, record_every=every)
+    with pytest.raises(SimulationError) as exc:
+        integrate(linear_cfg, make_controller(linear_cfg, "hybrid"), simcfg)
+    msg = str(exc.value)
+    for text in (f"cannot allocate {count} records", f"t_final={t_final!r}", f"dt={dt!r}",
+                 f"record_every={every}", "--record-every"):
+        assert text in msg
 
 
 @pytest.mark.parametrize("record_every", [1, 7, 11, 2100, 5000])

@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 
 from safestab import cli, doa, verify
-from safestab.core import (B_FLOOR, LOCAL_CLF_SAMPLES, SAMPLE_BLOCK, ControlAffineSystem,
-                           QuadraticCLF, fd_gradient, fd_jacobian, is_valid_local_clf,
-                           sample_ball, sontag_terms)
+from safestab.core import (B_FLOOR, LOCAL_CLF_SAMPLES, SAMPLE_BLOCK, Barrier,
+                           ControlAffineSystem, QuadraticCLF, SafeSet, fd_gradient,
+                           fd_jacobian, is_valid_local_clf, sample_ball, sontag_terms)
 from safestab.doa import (SUBLEVEL_T_MAX, compute_c_star, control_sharing_holds,
                           in_awc, ray_exit, sample_states_in_awc)
-from safestab.filters import active_flags, evaluate
+from safestab.filters import (Region, RegionLabel, active_flags, evaluate,
+                              make_filter_config)
 from safestab.qp import lp_feasible
 from safestab.sontag import sontag_decrease_rate
 
@@ -92,6 +93,41 @@ def test_evaluate_matches_one_state(case):
     assert (ev.u_son == cfg.clf.equilibrium.u_e).all(axis=1).any()
     if bundle.sys.n == 3:
         assert ((ev.A[:, :, 0] == 0.0) & (ev.lb > 0.0)).any()
+
+
+def eager_label(margin, one_state):
+    """The label as an Evaluation built it on construction: R1 iff the
+    margin is >= 0, NaN on R2."""
+    if one_state:
+        return RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
+    return RegionLabel(np.where(margin >= 0.0, Region.R1, Region.R2), margin)
+
+
+def assert_same_label(got, want):
+    assert type(got) is RegionLabel and type(got.value) is type(want.value)
+    assert same(got.value, want.value) and same(got.margin, want.margin)
+
+
+def test_the_label_built_on_read_equals_the_eager_label(case):
+    bundle, cfg = case
+    X = probe_states(bundle, count=200)
+    ev = evaluate(cfg, X)
+    assert_same_label(ev.label, eager_label(ev.margin, one_state=False))
+    assert ev.label is ev.label and ev.label.margin is ev.margin
+    for i, x in enumerate(X):
+        for one in (evaluate(cfg, x), ev.row(i)):
+            assert_same_label(one.label, eager_label(one.margin, one_state=True))
+            assert one.label.value == ev.label.value[i]
+    # a NaN margin falls on R2, for one state and for a stack
+    nan_row = Barrier.from_hgrad(lambda xs: (math.nan, [0.0] * bundle.sys.n), alpha=1.0)
+    cfg = make_filter_config(bundle.sys, bundle.clf, SafeSet((nan_row,)))
+    ev = evaluate(cfg, X[:5])
+    assert np.isnan(ev.margin).all()
+    assert_same_label(ev.label, eager_label(ev.margin, one_state=False))
+    assert (ev.label.value == Region.R2).all()
+    for one in (evaluate(cfg, X[0]), ev.row(0)):
+        assert math.isnan(one.margin) and one.label.value is Region.R2
+        assert_same_label(one.label, eager_label(one.margin, one_state=True))
 
 
 def flag_inputs(rng, A, lb, u):
