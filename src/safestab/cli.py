@@ -111,24 +111,17 @@ def _resolve_manifest(bundle, args) -> RunManifest:
     )
 
 
-def _configs(bundle, manifest: RunManifest):
-    """The run's filter and simulation configs; built, and x0 checked against
-    the safe set as integrate does, before anything is written, so that a bad
-    parameter leaves no output behind."""
+def _run_one(bundle, manifest: RunManifest):
+    """The run's trajectory and metrics. Its configs and integrate refuse a
+    bad parameter, an x0 outside the safe set or records that do not fit
+    before the run; the callers write nothing until it returns, so that a
+    refused run leaves no output behind."""
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set,
                              gamma=manifest.gamma, p=manifest.p)
     simcfg = SimConfig(x0=manifest.x0, t_final=manifest.t_final, dt=manifest.dt,
                        record_every=manifest.record_every)
-    min_h = bundle.safe_set.min_value(simcfg.x0)
-    if min_h < 0.0:
-        raise SimulationError(f"x0 outside the safe set: min h = {min_h}")
-    return cfg, simcfg
-
-
-def _run_one(bundle, manifest: RunManifest, cfg, simcfg):
     traj = integrate(cfg, make_controller(cfg, manifest.controller), simcfg)
-    metrics = compute_metrics(traj, bundle.eq)
-    return traj, metrics
+    return traj, compute_metrics(traj, bundle.eq)
 
 
 def _r2_steps(traj) -> int:
@@ -139,10 +132,9 @@ def _r2_steps(traj) -> int:
 def cmd_simulate(args) -> int:
     bundle = _load_bundle(args)
     manifest = _resolve_manifest(bundle, args)
-    cfg, simcfg = _configs(bundle, manifest)
+    traj, metrics = _run_one(bundle, manifest)
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
-    traj, metrics = _run_one(bundle, manifest, cfg, simcfg)
     stem = f"{bundle.name}_{manifest.controller}"
     csv_path = out / f"{stem}_traj.csv"
     write_trajectory_csv(traj, csv_path)
@@ -178,14 +170,13 @@ def cmd_sweep(args) -> int:
         print(f"sweep values {args.values!r} repeat the cell name(s) {', '.join(clash)} "
               f"(values are named to 6 significant digits)", file=sys.stderr)
         return EXIT_USAGE
-    cells = [replace(manifest, **{args.param: value}) for value in values]
-    configs = [_configs(bundle, cell) for cell in cells]
+    # every cell runs before anything is written
+    runs = [_run_one(bundle, replace(manifest, **{args.param: value})) for value in values]
     out = manifest.out_dir
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
-    for value, cell, (cfg, simcfg) in zip(values, cells, configs):
-        traj, metrics = _run_one(bundle, cell, cfg, simcfg)
+    for value, (traj, metrics) in zip(values, runs):
         path = out / f"{bundle.name}_{manifest.controller}_{args.param}_{value:g}_traj.csv"
         write_trajectory_csv(traj, path)
         results.append((value, traj, metrics, path))

@@ -20,21 +20,21 @@ Conventions
   to. The QP layer sums the same way (solve_qp, QPSpec's factor and the
   filters' per-step specs), and so does verify's decrease identity
   (sontag_decrease_rate), so BLAS is left to checks off the per-step path
-  (xdot, linearize, closed_form_ustar, the KKT residual computed when read).
+  (closed_form_ustar, the KKT residual computed when read).
 * The float forms are the only bodies a scenario writes: a system's fg(xs)
   gives f(x) as a list of n floats and g(x) as a list of m columns of n
   floats, a barrier's hgrad(xs) its value and gradient (a list); on the
   columns of a stack they give columns, a constant entry staying a float.
   ControlAffineSystem.from_fg and Barrier.from_hgrad derive the numpy f, g,
-  h and grad_h from them (_numpy_part). rhs(xs, us) is f(x) + g(x) u from
-  fg, row i being f_i + (0.0 + g_i1 u_1 + ... + g_im u_m) (affine_row), and
-  rhs_from = affine_of(n, m) is the same from an fg already evaluated, for
-  every system (sim.rk4_of's stages call fg and sum these rows themselves).
-  A system or barrier built from numpy closures alone gets adapters as float
-  forms (fg reads f and g, hgrad reads h and grad_h, on
-  one state or a stack). An f, g, h, grad_h or QuadraticCLF.grad assigned to an object after
-  construction takes over its float form through the adapter, so the
-  per-step path calls what was assigned.
+  h and grad_h from them (_numpy_part). f(x) + g(x) u has one row text,
+  f_i + (0.0 + g_i1 u_1 + ... + g_im u_m) (affine_row), which
+  ControlAffineSystem.xdot sums on fg's floats (affine_of) and
+  sim.rk4_of's stages write out. A system or barrier built from numpy
+  closures alone gets adapters as float forms (fg reads f and g, hgrad
+  reads h and grad_h, on one state or a stack). An f, g, h, grad_h or
+  QuadraticCLF.grad assigned to an object after construction takes over its
+  float form through the adapter, so the per-step path calls what was
+  assigned.
 * The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad and
   SafeSet.values/min_value/contains also accept a stack X of shape (N, n)
   and then return their results with a leading axis of N (g(X) is
@@ -253,9 +253,9 @@ class ControlAffineSystem:
 
     fg(xs) gives f(x) and the m columns of g(x) on Python floats; from_fg
     builds a system from it alone. Built from f and g alone, fg is an
-    adapter over them. rhs is rhs_from(*fg(xs), us) either way (see the
-    module's Conventions). An f or g assigned after construction replaces
-    fg by the adapter over it."""
+    adapter over them, which checks g's shape. xdot(x, u) sums f + g u on
+    fg's floats either way (see the module's Conventions). An f or g
+    assigned after construction replaces fg by the adapter over it."""
 
     n: int
     m: int
@@ -268,9 +268,6 @@ class ControlAffineSystem:
     def __post_init__(self):
         if self.fg is None:
             self.fg = self._numpy_fg
-        affine = self.rhs_from = affine_of(self.n, self.m)
-        # rhs reads fg at every call, so that an assigned f or g reaches it
-        self.rhs = lambda xs, us: affine(*self.fg(xs), us)
 
     @classmethod
     def from_fg(cls, fg, n: int, m: int, name: str = "system") -> "ControlAffineSystem":
@@ -282,7 +279,7 @@ class ControlAffineSystem:
         super().__setattr__(name, value)
         # f or g assigned after construction takes over the float form, so
         # that evaluate and the RK4 stages call what was assigned
-        if name in ("f", "g") and "rhs" in self.__dict__:
+        if name in ("f", "g") and "fg" in self.__dict__:
             super().__setattr__("fg", self._numpy_fg)
 
     def _numpy_fg(self, xs):
@@ -296,17 +293,11 @@ class ControlAffineSystem:
             return f.tolist(), G.T.tolist()
         return columns(f), [list(G_j) for G_j in G.T]
 
-    def drift(self, x) -> np.ndarray:
-        return as_vector(self.f(as_vector(x, self.n)), self.n)
-
-    def input_map(self, x) -> np.ndarray:
-        G = np.asarray(self.g(as_vector(x, self.n)), dtype=float)
-        if G.shape != (self.n, self.m):
-            raise ValueError(f"g(x) must be ({self.n}, {self.m}), got {G.shape}")
-        return G
-
     def xdot(self, x, u) -> np.ndarray:
-        return self.drift(x) + self.input_map(x) @ as_vector(u, self.m)
+        """f(x) + g(x) u at one state, from fg's floats as the RK4 stages
+        sum it (affine_row)."""
+        return np.array(affine_of(self.n, self.m)(*self.fg(as_vector(x, self.n).tolist()),
+                                                  as_vector(u, self.m).tolist()), float)
 
 
 @dataclass
@@ -436,12 +427,6 @@ class Barrier:
         grad = np.asarray(self.grad_h(y.T), dtype=float)
         return np.asarray(self.h(y.T), dtype=float), columns(grad)
 
-    def value(self, x) -> float:
-        return float(self.h(as_vector(x)))
-
-    def gradient(self, x) -> np.ndarray:
-        return as_vector(self.grad_h(as_vector(x)))
-
 
 @dataclass
 class SafeSet:
@@ -462,7 +447,7 @@ class SafeSet:
         if x.ndim == 2:
             return np.stack([b.h(x) for b in self.barriers], axis=1)
         x = as_vector(x)
-        return np.array([b.value(x) for b in self.barriers])
+        return np.array([float(b.h(x)) for b in self.barriers])
 
     def min_value(self, x):
         vals = self.values(x)
@@ -499,11 +484,9 @@ def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
 
 
 def linearize(sys: ControlAffineSystem, eq: EquilibriumPair) -> np.ndarray:
-    """Jacobian of x -> f(x) + g(x) u_e at x_e by central differences."""
-    def closed(x):
-        return sys.drift(x) + sys.input_map(x) @ eq.u_e
-
-    jac = fd_jacobian(closed, eq.x_e)
+    """Jacobian of x -> f(x) + g(x) u_e (sys.xdot) at x_e by central
+    differences."""
+    jac = fd_jacobian(lambda x: sys.xdot(x, eq.u_e), eq.x_e)
     if not np.all(np.isfinite(jac)):
         raise ScenarioError("linearization produced non-finite entries")
     return jac

@@ -149,19 +149,6 @@ class Evaluation:
         """L_f W = gradW' f, the drift term of the CLF-decrease row."""
         return dot_of(len(self.grad))(self.grad, self.fg[0])
 
-    def row(self, i: int) -> "Evaluation":
-        """State i of a stack's evaluation, with the fields and bits that
-        evaluate gives for that state alone."""
-        def entry(v):   # a column's entry i; a float constant stays itself
-            if isinstance(v, list):
-                return [entry(e) for e in v]
-            return v if isinstance(v, float) else float(v[i])
-
-        fs, gcols = self.fg
-        return Evaluation(self.x[i], (entry(fs), entry(gcols)), entry(self.grad),
-                          *entry([self.w, self.a, self.bs, self.us, self.As, self.lbs, self.hs]),
-                          float(self.margin[i]))
-
 
 @lru_cache(maxsize=None)
 def _kernel_of(n: int, m: int, k: int) -> Callable:
@@ -384,12 +371,7 @@ def closed_form_ustar(cfg: FilterConfig, x, barrier_index: int = 0
 
     Raises DegenerateConstraintError when L_g h vanishes, and SafeStabError
     when the multiplier comes out negative at a state classified R2."""
-    return closed_form_of(cfg, evaluate(cfg, x), barrier_index)
-
-
-def closed_form_of(cfg: FilterConfig, ev: Evaluation, barrier_index: int = 0
-                   ) -> Tuple[np.ndarray, float]:
-    """closed_form_ustar at the state of the one-state evaluation ev."""
+    ev = evaluate(cfg, x)
     lgh = ev.A[barrier_index]
     nrm2 = float(lgh @ lgh)
     if math.sqrt(nrm2) <= 1e-12:

@@ -26,8 +26,8 @@ a barrier kind one function of its entry and n that returns hgrad; adding a
 kind takes that one function and its entry in DYNAMICS_REGISTRY or
 BARRIER_REGISTRY. Its float form is the only body written, every dot product
 and quadratic form in it an explicit left-to-right sum (core.dot_of), and
-core derives rhs and the numpy f, g, h and grad_h, for one state and for
-stacks, from it (see core's Conventions).
+core derives the numpy f, g, h and grad_h, for one state and for stacks,
+from it (see core's Conventions).
 """
 from __future__ import annotations
 
@@ -188,7 +188,7 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         raise ScenarioError(
             f"equilibrium residual {residual:.3e} exceeds eq_tol {eq_tol:.1e}")
     for bar in barriers:
-        if bar.value(eq.x_e) <= 0.0:
+        if bar.h(eq.x_e) <= 0.0:
             raise ScenarioError(f"barrier {bar.name!r} not positive at x_e")
     return ScenarioBundle(name=name, sys=sys, clf=clf, safe_set=safe_set,
                           eq=eq, domain=domain, defaults=defaults)

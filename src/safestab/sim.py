@@ -3,9 +3,9 @@ step), trajectory logging with region/switch bookkeeping, and scalar metrics.
 
 integrate carries the state as Python floats between its RK4 steps (rk4_of,
 whose stages call the system's float form fg and sum f + g u as
-core.affine_row does, not through sys.rhs) and writes each record, W
-included, from the floats of the step's evaluation as scalar stores into
-arrays allocated for the run. first_unsafe reads the records after a run.
+core.affine_row does) and writes each record, W included, from the floats
+of the step's evaluation as scalar stores into arrays allocated for the
+run. first_unsafe reads the records after a run.
 
 CSV schema (column order is part of the contract):
     t, x_1..x_n, u_1..u_m, W, h_1..h_k, region, active_1..active_k
@@ -113,7 +113,7 @@ def rk4_of(n: int, m: int) -> Callable:
     """sys, xs, us, dt, fg -> one classical RK4 step of x' = f(x) + g(x) u on
     n floats with the m floats us held: the stages written out on sys.fg,
     each derivative summed as core.affine_row sums it (the bits of
-    sys.rhs), in the operation order of the numpy form x + 0.5*dt*k1, ...,
+    sys.xdot), in the operation order of the numpy form x + 0.5*dt*k1, ...,
     x + (dt/6)*(k1 + 2*k2 + 2*k3 + k4), so that the result equals it bit
     for bit. k1 is formed from fg (sys.fg at x, an Evaluation's fg) when it
     is given, else from sys.fg(xs), like k2..k4; sys.fg is read at every
@@ -382,7 +382,10 @@ _FLAG_VALUES = frozenset((0.0, 1.0))
 
 
 def read_trajectory_csv(path) -> Trajectory:
-    """Read a trajectory CSV back (switch events are not serialized)."""
+    """Read a trajectory CSV back (switch events are not serialized). A
+    header without rows, as a run stopped before its first sample writes,
+    gives the 0-sample Trajectory with the shapes and dtypes integrate
+    gives."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -412,8 +415,6 @@ def read_trajectory_csv(path) -> Trajectory:
                 raise SimulationError(f"{path}: line {reader.line_num}: column {header[c]} is "
                                       f"{row[c]!r}, expected 0 or 1")
             values.extend(row)
-    if not values:
-        raise SimulationError(f"{path}: no data rows")
     data = np.frombuffer(values, dtype=float).reshape(-1, len(header))
     idx = 1
     states = data[:, idx:idx + n]; idx += n

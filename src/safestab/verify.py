@@ -12,7 +12,7 @@ import numpy as np
 from .core import (equilibrium_residual, fd_gradient, is_valid_local_clf,
                    rejection_sample, sample_ball, sontag_terms, validate_clf_matrix)
 from .errors import DecreaseIdentityError, SafeStabError, ScenarioError
-from .filters import (FilterConfig, Region, closed_form_of, evaluate, make_filter_config,
+from .filters import (FilterConfig, Region, closed_form_ustar, evaluate, make_filter_config,
                       s_cbf_qp_filter, s_cbf_qp_spec)
 # QPSpec is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module
@@ -102,10 +102,9 @@ def check_decrease_identity(cfg: FilterConfig, bundle: ScenarioBundle, seed: int
 
 def check_kkt_residuals(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
-    ev = evaluate(cfg, _sample_safe(bundle, KKT_SAMPLES, rng))
     residuals, active = [], 0
-    for i in range(ev.x.shape[0]):
-        sol = solve_qp(s_cbf_qp_spec(cfg, ev.row(i)))
+    for x in _sample_safe(bundle, KKT_SAMPLES, rng):
+        sol = solve_qp(s_cbf_qp_spec(cfg, evaluate(cfg, x)))
         if sol.optimal:
             active += bool(sol.active_set)
             residuals.append(sol.kkt_residual)
@@ -122,12 +121,11 @@ def check_closed_form(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> C
     rng = np.random.default_rng(seed)
     errs = []
     pts = _sample_safe(bundle, 20 * CLOSED_FORM_SAMPLES, rng)
-    ev = evaluate(cfg, pts)
-    for i in np.flatnonzero(ev.label.value == Region.R2):
+    for i in np.flatnonzero(evaluate(cfg, pts).label.value == Region.R2):
         if len(errs) >= CLOSED_FORM_SAMPLES:
             break
         try:
-            u_formula, _ = closed_form_of(cfg, ev.row(i))
+            u_formula, _ = closed_form_ustar(cfg, pts[i])
             u_qp = s_cbf_qp_filter(cfg, pts[i])
         except SafeStabError:
             continue

@@ -44,7 +44,7 @@ def sample_safe_states(bundle, count, seed, w_cap=None):
 def lie_derivative_fd(bar, x, direction, eps=1e-6):
     """Central finite difference of the barrier value along a direction: the
     oracle for L_f h (direction f(x)) and L_g h (a column of g(x))."""
-    return (bar.value(x + eps * direction) - bar.value(x - eps * direction)) / (2 * eps)
+    return (bar.h(x + eps * direction) - bar.h(x - eps * direction)) / (2 * eps)
 
 
 def lie_derivatives(cfg, x, i):

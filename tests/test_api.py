@@ -1,10 +1,12 @@
-"""The settable surface of the main entry points. Every value below has
-callers that need it; a new parameter or field should be a deliberate edit
-here, not a default nobody sets."""
+"""The settable surface of the main entry points, and the public attributes
+of the objects every layer reads. Every value below has callers that need
+it; a new parameter or field, or a second body of a quantity, should be a
+deliberate edit here, not a default nobody sets."""
 import dataclasses
 import inspect
 
-from safestab import SimConfig, compute_c_star, control_sharing_holds, make_filter_config
+from safestab import (SimConfig, build_scenario, compute_c_star, control_sharing_holds,
+                      evaluate, make_filter_config)
 from safestab.cli import RunManifest
 
 
@@ -31,3 +33,20 @@ def test_run_manifest_fields():
     assert [f.name for f in dataclasses.fields(RunManifest)] == \
         ["scenario", "controller", "gamma", "p", "dt", "t_final", "x0", "out_dir",
          "record_every"]
+
+
+def public(obj):
+    return sorted(name for name in dir(obj) if not name.startswith("_"))
+
+
+def test_system_barrier_and_evaluation_attributes():
+    # f + g u is summed by xdot alone, h and its gradient are read from h
+    # and grad_h, and a stack's row is evaluated as its own state
+    bundle = build_scenario("tumor3d")
+    assert public(bundle.sys) == ["f", "fg", "from_fg", "g", "m", "n", "name", "xdot"]
+    for bar in bundle.safe_set.barriers:
+        assert public(bar) == ["alpha", "from_hgrad", "grad_h", "h", "hgrad", "name"]
+    cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set)
+    assert public(evaluate(cfg, bundle.eq.x_e)) == \
+        ["A", "As", "a", "b", "bs", "f", "fg", "grad", "grad_w", "h", "hs", "label", "lb",
+         "lbs", "lfw", "margin", "u_son", "us", "w", "x"]

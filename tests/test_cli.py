@@ -460,3 +460,27 @@ def test_simulate_and_sweep_reject_an_unsafe_x0_before_writing(tmp_path):
                "--values", "1,10", "--t-final", "1", "--out", str(out)])
     assert rc == 2
     assert not (tmp_path / "o1").exists()
+
+
+def test_simulate_and_sweep_whose_records_cannot_be_allocated_leave_no_out_directory(tmp_path):
+    # a fresh nested --out: the refused run must not create it
+    out = tmp_path / "new" / "sub"
+    rc = main(["simulate", "--scenario", "linear2d", "--t-final", "1e12", "--out", str(out)])
+    assert rc == 2
+    rc = main(["sweep", "--scenario", "linear2d", "--param", "p", "--values", "1,10",
+               "--t-final", "1e12", "--out", str(out)])
+    assert rc == 2
+    assert not (tmp_path / "new").exists()
+
+
+def test_plot_reads_the_header_only_csv_of_a_run_stopped_at_its_first_step(tmp_path, capsys):
+    # the CBF-QP is infeasible at this start, so simulate writes no data row
+    rc = main(["simulate", "--scenario", "tumor3d", "--controller", "cbf-qp",
+               "--x0", "9.5,0.5,0.5", "--t-final", "0.1", "--out", str(tmp_path)])
+    assert rc == 1
+    path = tmp_path / "tumor3d_cbf-qp_traj.csv"
+    assert len(path.read_text().splitlines()) == 1
+    capsys.readouterr()
+    rc = main(["plot", str(path), "--scenario", "tumor3d", "--out", str(tmp_path)])
+    assert rc == 0, capsys.readouterr().err
+    assert (tmp_path / "plot_tumor3d.py").exists()

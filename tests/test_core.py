@@ -79,8 +79,8 @@ def test_barrier_lie_derivatives_match_finite_difference_oracle(tumor_cfg, tumor
     bar = tumor.safe_set.barriers[0]
     lfh, lgh = lie_derivatives(tumor_cfg, x, 0)
     # central finite differences of h along the drift / input directions
-    lfh_fd = lie_derivative_fd(bar, x, tumor.sys.drift(x))
-    lgh_fd = lie_derivative_fd(bar, x, tumor.sys.input_map(x)[:, 0])
+    lfh_fd = lie_derivative_fd(bar, x, tumor.sys.f(x))
+    lgh_fd = lie_derivative_fd(bar, x, tumor.sys.g(x)[:, 0])
     assert lfh == pytest.approx(lfh_fd, rel=1e-5, abs=1e-5)
     assert lgh[0] == pytest.approx(lgh_fd, rel=1e-5, abs=1e-5)
 
@@ -90,8 +90,8 @@ def test_barrier_gradients_match_fd_on_safe_samples(linear, tumor):
         pts = sample_safe_states(bundle, 100, seed)
         for bar in bundle.safe_set.barriers:
             for x in pts:
-                g = bar.gradient(x)
-                g_fd = fd_gradient(bar.value, x)
+                g = bar.grad_h(x)
+                g_fd = fd_gradient(bar.h, x)
                 assert np.abs(g - g_fd).max() <= 1e-5 * (1.0 + np.abs(g).max())
 
 
@@ -101,7 +101,7 @@ def test_zero_gradient_gives_zero_lie_derivatives(linear):
     cfg = make_filter_config(linear.sys, linear.clf, SafeSet((flat,)))
     x = np.array([0.3, -0.8])
     lfh, lgh = lie_derivatives(cfg, x, 0)
-    assert lfh == 0.0 == lie_derivative_fd(flat, x, linear.sys.drift(x))
+    assert lfh == 0.0 == lie_derivative_fd(flat, x, linear.sys.f(x))
     assert np.all(lgh == 0.0)
 
 

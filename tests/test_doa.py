@@ -21,8 +21,8 @@ def sharing_grid_oracle(cfg, x, u_lo=-50.0, u_hi=50.0, n=20001):
     None when the margin is too thin for the grid to decide."""
     A, lb = cbf_rows(cfg, x)
     grad_w = cfg.clf.grad(x)
-    f = cfg.sys.drift(x)
-    G = cfg.sys.input_map(x)
+    f = cfg.sys.f(x)
+    G = cfg.sys.g(x)
     us = np.linspace(u_lo, u_hi, n)
     rows_ok = (np.outer(us, A[:, 0]) - lb).min(axis=1)
     wdot = grad_w @ f + float(grad_w @ G[:, 0]) * us
@@ -174,7 +174,7 @@ def test_clf_decrease_under_hybrid_on_awc(linear_cfg, linear_estimate, linear):
         if np.linalg.norm(x - linear.eq.x_e) <= 1e-3:
             continue
         u, _ = hybrid_control(linear_cfg, x)
-        wdot = float(linear_cfg.clf.grad(x) @ linear.sys.xdot(x, u))
+        wdot = float(linear_cfg.clf.grad(x) @ (linear.sys.f(x) + linear.sys.g(x) @ u))
         assert wdot < 0.0
 
 

@@ -66,10 +66,10 @@ def test_cbf_qp_single_active_row_closed_form(linear_cfg, linear):
     x = np.array([1.5, -2.2])
     bar = linear.safe_set.barriers[0]
     lfh, lgh = lie_derivatives(linear_cfg, x, 0)
-    assert lfh == pytest.approx(lie_derivative_fd(bar, x, linear.sys.drift(x)), rel=1e-6)
-    assert lgh[0] == pytest.approx(lie_derivative_fd(bar, x, linear.sys.input_map(x)[:, 0]),
+    assert lfh == pytest.approx(lie_derivative_fd(bar, x, linear.sys.f(x)), rel=1e-6)
+    assert lgh[0] == pytest.approx(lie_derivative_fd(bar, x, linear.sys.g(x)[:, 0]),
                                    rel=1e-6)
-    u_expected = -(lfh + bar.alpha * bar.value(x)) / lgh[0]
+    u_expected = -(lfh + bar.alpha * bar.h(x)) / lgh[0]
     u_nom = np.array([u_expected - 50.0 * np.sign(lgh[0])])
     u = cbf_qp_filter(linear_cfg, x, u_nom)
     assert u[0] == pytest.approx(u_expected, rel=1e-10, abs=1e-10)
@@ -120,7 +120,7 @@ def test_clf_cbf_qp_satisfies_rows(linear_cfg, linear):
         A, lb = cbf_rows(linear_cfg, x)
         assert row_margins(A, lb, u).min() >= -1e-8
         grad_w = linear_cfg.clf.grad(x)
-        lhs = float(grad_w @ linear.sys.xdot(x, u))
+        lhs = float(grad_w @ (linear.sys.f(x) + linear.sys.g(x) @ u))
         rhs = -ALPHA_W * linear_cfg.clf.value(x) + delta
         assert lhs <= rhs + 1e-7 * (1.0 + abs(rhs))
 
@@ -179,8 +179,9 @@ def test_s_cbf_qp_cost_identity(linear_cfg, tumor_cfg, linear, tumor):
             Q = np.outer(b_row, b_row)
             lhs = float((u - u_son) @ Q @ (u - u_son))
             grad_w = cfg.clf.grad(x)
-            wdot_u = float(grad_w @ bundle.sys.xdot(x, u))
-            wdot_son = float(grad_w @ bundle.sys.xdot(x, u_son))
+            f, G = bundle.sys.f(x), bundle.sys.g(x)
+            wdot_u = float(grad_w @ (f + G @ u))
+            wdot_son = float(grad_w @ (f + G @ u_son))
             assert lhs == pytest.approx((wdot_u - wdot_son) ** 2,
                                         rel=1e-9, abs=1e-9 * (1.0 + lhs))
 
@@ -348,10 +349,10 @@ def test_decision_carries_the_standalone_quantities(name, scenario, request):
         checked += 1
         A_ref, lb_ref = cbf_rows(cfg, x)
         assert ev.A.tobytes() == A_ref.tobytes() and ev.lb.tobytes() == lb_ref.tobytes()
-        G = cfg.sys.input_map(x)
+        G = cfg.sys.g(x)
         for i, bar in enumerate(cfg.safe_set.barriers):
             lfh, lgh = lie_derivatives(cfg, x, i)
-            assert lfh == pytest.approx(lie_derivative_fd(bar, x, cfg.sys.drift(x)),
+            assert lfh == pytest.approx(lie_derivative_fd(bar, x, cfg.sys.f(x)),
                                         rel=1e-5, abs=1e-5)
             assert lgh[0] == pytest.approx(lie_derivative_fd(bar, x, G[:, 0]),
                                            rel=1e-5, abs=1e-5)
@@ -382,6 +383,8 @@ def test_evaluate_rejects_misshapen_input_map():
     cfg = make_filter_config(sys, clf, SafeSet((bar,)))
     with pytest.raises(ValueError, match=r"g\(x\) must be \(2, 1\)"):
         make_controller(cfg, "hybrid")(np.ones(2))
+    with pytest.raises(ValueError, match=r"g\(x\) must be \(2, 1\)"):
+        sys.xdot(np.ones(2), np.zeros(1))
 
 
 def test_make_controller_rejects_unknown(linear_cfg):

@@ -34,17 +34,17 @@ def test_linear_scenario_shape(linear):
 def test_linear_barrier_offset_reconstruction(linear):
     # printed quadratic plus the +1 offset: h(0) = 1 and h is concave
     bar = linear.safe_set.barriers[0]
-    assert bar.value([0.0, 0.0]) == 1.0
-    assert bar.value([1.0, 1.0]) == pytest.approx(1.0 - 0.1 - 0.15 - 0.1)
-    assert bar.value([1.0, -1.0]) == pytest.approx(1.0 - 0.1 + 0.15 - 0.1)
+    assert bar.h(np.array([0.0, 0.0])) == 1.0
+    assert bar.h(np.array([1.0, 1.0])) == pytest.approx(1.0 - 0.1 - 0.15 - 0.1)
+    assert bar.h(np.array([1.0, -1.0])) == pytest.approx(1.0 - 0.1 + 0.15 - 0.1)
 
 
 def test_linear_dynamics_match_definition(linear):
     rng = np.random.default_rng(0)
     for _ in range(10):
         x = rng.normal(size=2)
-        assert np.all(linear.sys.drift(x) == np.array([-x[1], -x[0]]))
-        assert np.all(linear.sys.input_map(x) == np.array([[0.0], [1.0]]))
+        assert np.all(linear.sys.f(x) == np.array([-x[1], -x[0]]))
+        assert np.all(linear.sys.g(x) == np.array([[0.0], [1.0]]))
 
 
 def test_tumor_equilibrium_and_barriers(tumor):
@@ -56,16 +56,16 @@ def test_tumor_equilibrium_and_barriers(tumor):
     assert np.all(vals > 0.0)
     # h1 caps the tumor load at 10
     h1 = tumor.safe_set.barriers[0]
-    assert h1.value([10.0, 5.0, 5.0]) == pytest.approx(0.0, abs=1e-12)
-    assert h1.value([0.0, 5.0, 5.0]) == pytest.approx(0.0, abs=1e-12)
-    assert h1.value([5.0, 5.0, 5.0]) == pytest.approx(25.0)
+    assert h1.h(np.array([10.0, 5.0, 5.0])) == pytest.approx(0.0, abs=1e-12)
+    assert h1.h(np.array([0.0, 5.0, 5.0])) == pytest.approx(0.0, abs=1e-12)
+    assert h1.h(np.array([5.0, 5.0, 5.0])) == pytest.approx(25.0)
 
 
 def test_tumor_input_enters_first_equation_only(tumor):
     rng = np.random.default_rng(1)
     for _ in range(10):
         x = rng.uniform(0.5, 9.0, size=3)
-        G = tumor.sys.input_map(x)
+        G = tumor.sys.g(x)
         assert G[1, 0] == 0.0 and G[2, 0] == 0.0
         assert G[0, 0] == pytest.approx(-0.09 * x[0] * x[1])
 
@@ -77,7 +77,7 @@ def test_tumor_drift_positivity_structure(tumor):
         for _ in range(10):
             x = rng.uniform(0.5, 9.0, size=3)
             x[i] = 0.0
-            assert tumor.sys.drift(x)[i] == 0.0
+            assert tumor.sys.f(x)[i] == 0.0
 
 
 def test_load_scenario_from_file(tmp_path, linear):
@@ -203,7 +203,7 @@ def test_exp_positivity_barrier_index_bounds():
         with pytest.raises(ScenarioError, match="integer"):
             scenario_from_dict(bad)
     good = dict(cfg, barriers=[dict(cfg["barriers"][0], index=2)])
-    assert scenario_from_dict(good).safe_set.barriers[0].value([1.0, 1.0, 0.0]) == 0.0
+    assert scenario_from_dict(good).safe_set.barriers[0].h(np.array([1.0, 1.0, 0.0])) == 0.0
 
 
 SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e-300, -2.5, 3.0, 1e200]

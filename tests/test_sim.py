@@ -9,7 +9,7 @@ from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, IndefiniteQ
                       InfeasibleQPError, QPIterationError, QuadraticCLF, SafeSet,
                       SimConfig, SimulationError, build_scenario, compute_metrics,
                       evaluate, integrate, read_trajectory_csv, write_trajectory_csv)
-from safestab.core import affine_of, as_vector
+from safestab.core import as_vector
 from safestab.filters import (CONTROLLER_NAMES, Region, RegionLabel, active_flags,
                               make_controller, make_filter_config)
 from safestab.qp import QPSpec
@@ -208,6 +208,20 @@ def test_csv_round_trip_bitwise(tmp_path, linear_cfg):
     assert np.all(back.active == traj.active)
 
 
+def test_csv_round_trip_of_a_run_stopped_at_its_first_step(tmp_path, tumor_cfg):
+    # the CBF-QP is infeasible at this start: a header-only CSV reads back
+    # as the 0-sample trajectory integrate returned, shapes and dtypes too
+    traj = integrate(tumor_cfg, make_controller(tumor_cfg, "cbf-qp"),
+                     SimConfig(x0=[9.5, 0.5, 0.5], t_final=0.1))
+    assert traj.status == "infeasible" and traj.n_samples == 0
+    path = tmp_path / "stopped.csv"
+    write_trajectory_csv(traj, path)
+    back = read_trajectory_csv(path)
+    for name in ("times", "states", "inputs", "regions", "w_values", "h_values", "active"):
+        got, want = getattr(back, name), getattr(traj, name)
+        assert (got.shape, got.dtype) == (want.shape, want.dtype), name
+
+
 def test_csv_schema_validation(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("a,b,c\n1,2,3\n")
@@ -279,7 +293,7 @@ def explicit_rhs(sys, x, u):
 def rk4_oracle(sys, x, u, dt):
     """The numpy RK4 step that rk4_step's float stages replaced, its stage
     derivatives summed as explicit_rhs does; they must equal it bit for bit,
-    with k1 from sys.rhs or from the float form fg that an evaluation holds
+    with k1 from sys.fg or from the float form fg that an evaluation holds
     (assert_rk4_matches_oracle)."""
     k1 = explicit_rhs(sys, x, u)
     y = x + 0.5 * dt * k1
@@ -339,10 +353,7 @@ def test_bundled_rhs_equals_f_plus_g_u_bitwise(name, linear, tumor):
     for x, u, _ in draws + extra:
         with np.errstate(invalid="ignore"):   # 0 * inf in the matmul
             want = sys.f(x) + sys.g(x) @ u
-        got = np.array(sys.rhs(x.tolist(), u.tolist()))
-        assert got.tobytes() == want.tobytes(), (x, u)
-        got = np.array(sys.rhs_from(*sys.fg(x.tolist()), u.tolist()))
-        assert got.tobytes() == want.tobytes(), (x, u)
+        assert sys.xdot(x, u).tobytes() == want.tobytes(), (x, u)
 
 
 def adapter_2x2_system():
@@ -355,10 +366,9 @@ def adapter_2x2_system():
 
 def test_rk4_step_adapter_for_systems_built_from_f_and_g():
     # n = 2, m = 2: g(x) u has two terms a row, summed from +0.0 left to
-    # right by the adapter's rhs_from exactly as in the oracle, never by a
+    # right by the RK4 stages and xdot exactly as in the oracle, never by a
     # BLAS matmul
     sys = adapter_2x2_system()
-    assert sys.rhs_from is affine_of(2, 2)
     rng = np.random.default_rng(9)
     for i in range(2000):
         x = rng.uniform(-3.0, 3.0, 2)
@@ -366,10 +376,7 @@ def test_rk4_step_adapter_for_systems_built_from_f_and_g():
         dt = (1e-4, 1e-3, 1e-2)[i % 3]
         assert rk4_step(sys, x, u, dt).tobytes() == rk4_oracle(sys, x, u, dt).tobytes()
         assert_rk4_matches_oracle(sys, x, u, dt)
-        want = explicit_rhs(sys, x, u)
-        assert np.array(sys.rhs(x.tolist(), u.tolist())).tobytes() == want.tobytes()
-        got = np.array(sys.rhs_from(*sys.fg(x.tolist()), u.tolist()))
-        assert got.tobytes() == want.tobytes()
+        assert sys.xdot(x, u).tobytes() == explicit_rhs(sys, x, u).tobytes()
 
 
 def test_rk4_step_order():
@@ -387,7 +394,7 @@ def test_rk4_step_order():
 def integrate_oracle(cfg, controller, simcfg):
     """The loop that integrate's preallocated records replaced: per-step
     lists, W and the activation flags computed one state at every step, and
-    every RK4 step's k1 from sys.rhs, where integrate takes it from the
+    every RK4 step's k1 from sys.fg, where integrate takes it from the
     evaluation's fg. integrate must give the same bits in every field and
     switch event."""
     x = as_vector(simcfg.x0, cfg.sys.n)

@@ -91,7 +91,7 @@ def test_decrease_identity_thousand_random_states(scenario_name, seed, linear, t
         if math.sqrt(bb) <= 1e-8:
             continue
         u = sontag_control(cfg, x)
-        wdot = float(bundle.clf.grad(x) @ bundle.sys.xdot(x, u))
+        wdot = float(bundle.clf.grad(x) @ (bundle.sys.f(x) + bundle.sys.g(x) @ u))
         target = -math.sqrt(a * a + bb * bb)
         assert abs(wdot - target) <= 1e-9 * (1.0 + abs(a) + bb)
         assert wdot < 0.0  # strict decrease away from x_e

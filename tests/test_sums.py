@@ -223,7 +223,7 @@ def check_states(case, X):
             assert same(cfg.clf.value(x), want["w"])
             assert same(cfg.clf.grad(x), want["grad_w"])
             for bar, (h_i, _) in zip(cfg.safe_set.barriers, (form(x.tolist()) for form in forms)):
-                assert same(bar.value(x), h_i)
+                assert same(bar.h(x), h_i)
         if not stackable:
             return
         ev = evaluate(cfg, X)
