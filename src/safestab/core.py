@@ -17,10 +17,9 @@ Conventions
   Python floats, for a stack the same expressions run on numpy columns, so the
   two agree bit for bit (up to the sign and payload of a NaN, which IEEE 754
   leaves open), and neither depends on which kernel the CPU's BLAS dispatches
-  to. The QP layer sums the same way (solve_qp, QPSpec's factor and the
-  filters' per-step specs), and so does verify's decrease identity
-  (sontag_decrease_rate), so BLAS is left to checks off the per-step path
-  (closed_form_ustar, the KKT residual computed when read).
+  to. The QP layer sums the same way (solve_qp, QPSpec's factor, the KKT
+  residual computed when read and the filters' per-step specs), and so do
+  closed_form_ustar and verify's decrease identity (sontag_decrease_rate).
 * The float forms are the only bodies a scenario writes: a system's fg(xs)
   gives f(x) as a list of n floats and g(x) as a list of m columns of n
   floats, a barrier's hgrad(xs) its value and gradient (a list); on the

@@ -26,6 +26,7 @@ changes with the state, is built from floats at each R2 step. Rows, bounds
 lb - A u_nom and weights are explicit sums (core), solve_qp returns floats,
 and u_nom + z becomes the step's one array. No controller reads a spec's
 arrays or the solution's KKT residual, which are built only when read.
+closed_form_ustar, verify's cross-check, reads the evaluation's floats too.
 """
 from __future__ import annotations
 
@@ -370,21 +371,27 @@ def closed_form_ustar(cfg: FilterConfig, x, barrier_index: int = 0
         lam = (u* - u_son)' Q L_g h' / |L_g h'|^2.
 
     Raises DegenerateConstraintError when L_g h vanishes, and SafeStabError
-    when the multiplier comes out negative at a state classified R2."""
+    when the multiplier comes out negative at a state classified R2. It
+    reads the evaluation's floats and sums each product left to right from
+    +0.0, in the order of the numpy expression: |L_g h|^2, then v = (u* -
+    u_son)' Q with Q_rj = b_r b_j, then lam = v L_g h' / |L_g h|^2."""
     ev = evaluate(cfg, x)
-    lgh = ev.A[barrier_index]
-    nrm2 = float(lgh @ lgh)
+    lgh, m = ev.As[barrier_index], cfg.sys.m
+    nrm2 = dot_of(m)(lgh, lgh)
     if math.sqrt(nrm2) <= 1e-12:
         name = cfg.safe_set.barriers[barrier_index].name
         raise DegenerateConstraintError(
             f"L_g h ~ 0 for barrier {name!r}; closed form undefined")
-    rate = -ev.lb[barrier_index]   # L_f h + alpha(h)
-    u_star = -(rate / nrm2) * lgh
-    Q = np.outer(ev.b, ev.b)
-    lam = float((u_star - ev.u_son) @ Q @ lgh) / nrm2
-    if ev.label.value == Region.R2 and lam < -1e-9 * (1.0 + abs(lam)):
+    rate = -ev.lbs[barrier_index]   # L_f h + alpha(h)
+    k = -(rate / nrm2)
+    u_star = [k * v for v in lgh]
+    b = ev.bs
+    shift = [u - v for u, v in zip(u_star, ev.us)]
+    Qt = [[b_r * b_j for b_r in b] for b_j in b]   # the columns of Q as rows
+    lam = dot_of(m)(matvec_of(m, m)(Qt, shift), lgh) / nrm2
+    if not ev.margin >= 0.0 and lam < -1e-9 * (1.0 + abs(lam)):
         raise SafeStabError(f"negative multiplier {lam} on R2 at x={ev.x.tolist()}")
-    return u_star, lam
+    return np.array(u_star), lam
 
 
 def _hybrid(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:

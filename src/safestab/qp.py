@@ -18,9 +18,10 @@ Problems here are tiny, so the active set is identified exactly (as the
 closed-form cross-checks need) and a call is mostly fixed cost, kept small
 on Python floats from the filters' rows to the returned point: a QPSpec and
 a QPSolution hold floats and build their arrays only when read, a spec's
-cost is factored once and shared by `with_rows`, and the factor and
-solve_qp run bodies written out once per number of variables d, every
-product an explicit sum from +0.0 added left to right, with no BLAS call.
+cost is factored once and shared by `with_rows`, and the factor, solve_qp
+and the KKT residual run bodies written out once per number of variables d,
+every product an explicit sum from +0.0 added left to right, with no BLAS
+call.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from .core import _def, _sum
+from .core import _def, _sum, dot_of, matvec_of
 from .errors import IndefiniteQPError, QPIterationError
 
 STATUS_OPTIMAL = "optimal"
@@ -96,8 +97,8 @@ class QPSpec:
     """Cost (H, c) with Tikhonov parameter reg and inequality rows A z >= b,
     each given as an array or as lists of Python floats in its shape. The
     spec keeps them as floats, Hs, cs, As and bs, with the factor of H +
-    reg*I, and builds the arrays H, c, A, b and _Hr = H + reg*I read-only
-    when first read: solve_qp reads the floats."""
+    reg*I, and builds the arrays H, c, A and b read-only when first read:
+    solve_qp and the KKT residual read the floats."""
 
     def __init__(self, H, c, A, b, reg: float = 1e-9):
         self.cs = c if type(c) is list else np.asarray(c, dtype=float).ravel().tolist()
@@ -126,13 +127,15 @@ class QPSpec:
     c = cached_property(lambda self: _frozen(self.cs, -1))
     A = cached_property(lambda self: _frozen(self.As, (-1, self.dim)))
     b = cached_property(lambda self: _frozen(self.bs, -1))
-    _Hr = cached_property(lambda self: _frozen(self.H + self.reg * np.eye(self.dim), self.H.shape))
     dim = property(lambda self: len(self.cs))
     n_rows = property(lambda self: len(self.bs))
 
     def objective(self, z) -> float:
-        z = np.asarray(z, dtype=float).ravel()
-        return float(0.5 * z @ self._Hr @ z + self.c @ z)
+        """0.5 z'(H + reg*I)z + c'z, explicit sums on floats."""
+        z, d = np.asarray(z, dtype=float).ravel().tolist(), self.dim
+        Hr = [[h + self.reg * float(i == j) for j, h in enumerate(row)]
+              for i, row in enumerate(self.Hs)]
+        return 0.5 * dot_of(d)(z, matvec_of(d, d)(Hr, z)) + dot_of(d)(self.cs, z)
 
 
 def _frozen(values, shape) -> np.ndarray:
@@ -163,23 +166,47 @@ class QPSolution:
         """Largest scaled KKT residual; inf when infeasible."""
         if self.zs is None:
             return math.inf
-        s = self.spec
-        return _kkt_residual(s._Hr, s.c, s.A, s.b, self.z_star, self.multipliers)
+        return _kkt_of(len(self.zs))(self.spec, self.zs, self.lams)
 
 
-def _kkt_residual(H, c, A, b, z, lam) -> float:
-    """Max of the four (scaled) KKT residuals: stationarity, primal, dual,
-    complementarity."""
-    Hz = H @ z
-    r_stat = np.abs(Hz + c - lam @ A).max() / (1.0 + np.abs(Hz).max() + np.abs(c).max())
-    if not b.size:
-        return float(r_stat)
-    slack = A @ z - b
-    lam_max = np.abs(lam).max()
-    r_pri = -slack.min() / (1.0 + np.abs(b).max())
-    r_dual = -lam.min() / (1.0 + lam_max)
-    r_comp = np.abs(lam * slack).max() / (1.0 + lam_max * (1.0 + np.abs(slack).max()))
-    return float(max(r_stat, r_pri, r_dual, r_comp, 0.0))
+@lru_cache(maxsize=None)
+def _kkt_of(d: int):
+    """spec, z, lam -> the largest of the four scaled KKT residuals of the
+    point z with multipliers lam, written out for d: stationarity |(H +
+    reg*I)z + c - A'lam|_max / (1 + |(H + reg*I)z|_max + |c|_max), and with
+    rows primal -min(Az - b) / (1 + |b|_max), dual -min(lam) / (1 +
+    |lam|_max) and complementarity |lam * (Az - b)|_max / (1 + |lam|_max (1
+    + |Az - b|_max)). Each max and min is NaN if a term is NaN, as in numpy;
+    H + reg*I is read as _factor_of reads it."""
+    D = range(d)
+    z, c, a, g, h = ([f"{x}{i}" for i in D] for x in "zcagh")
+    Hr = [[f"(H{i}_{j} + reg * {float(i == j)})" for j in D] for i in D]
+
+    def fold(target, v, op):   # target = v if v op target, or v is NaN
+        return f"if {v} {op} {target} or {v} != {v}: {target} = {v}"
+
+    lines = [f"{_vec(_vec(f'H{i}_{j}' for j in D) for i in D)} = spec.Hs", "reg = spec.reg",
+             f"{_vec(c)} = spec.cs", f"{_vec(z)} = z",
+             *(f"{h[i]} = {_dot(row, z)}" for i, row in enumerate(Hr)),
+             *(f"{g[j]} = 0.0" for j in D),
+             f"for {_vec(a)}, l in zip(spec.As, lam):",
+             *(f"    {g[j]} = {g[j]} + l * {a[j]}" for j in D),
+             _max_abs("r", [f"{h[i]} + {c[i]} - {g[i]}" for i in D]),
+             _max_abs("h", h), _max_abs("c", c),
+             "r_stat = r / (1.0 + h + c)",
+             "if not lam: return r_stat",
+             "s_min = l_min = inf",
+             "s_max = l_max = ls_max = b_max = 0.0",
+             f"for {_vec(a)}, b_i, l in zip(spec.As, spec.bs, lam):",
+             f"    s = {_dot(a, z)} - b_i",
+             "    " + fold("s_min", "s", "<"), "    " + fold("l_min", "l", "<"),
+             "    s_abs, l_abs, ls_abs, b_abs = abs(s), abs(l), abs(l * s), abs(b_i)",
+             "    " + fold("s_max", "s_abs", ">"), "    " + fold("l_max", "l_abs", ">"),
+             "    " + fold("ls_max", "ls_abs", ">"), "    " + fold("b_max", "b_abs", ">"),
+             "r_pri = -s_min / (1.0 + b_max)",
+             "r_dual = -l_min / (1.0 + l_max)",
+             "r_comp = ls_max / (1.0 + l_max * (1.0 + s_max))"]
+    return _def("spec, z, lam", lines, "max(r_stat, r_pri, r_dual, r_comp, 0.0)", inf=math.inf)
 
 
 def _step_of(d: int, q: int):

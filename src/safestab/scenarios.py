@@ -133,22 +133,36 @@ def _build_barrier(entry: dict, n: int) -> Barrier:
     return Barrier.from_hgrad(BARRIER_REGISTRY[kind](entry, n), alpha, name)
 
 
+def _number(v, key: str) -> float:
+    """A JSON number (not true or false) as a float."""
+    if type(v) not in (int, float):
+        raise TypeError(f"defaults.{key}: expected a number, got {v!r}")
+    return float(v)
+
+
+def _count(v, key: str) -> int:
+    """A JSON integer (not 41.9, true or "41")."""
+    if type(v) is not int:
+        raise TypeError(f"defaults.{key}: expected an integer, got {v!r}")
+    return v
+
+
 def _typed_defaults(defaults: dict) -> dict:
     """defaults with each known key in the type it is read as, so that a
-    value of the wrong type makes the file malformed: floats t_final, gamma
-    and p, an array x0 (a null x0 is none, as if left out), the float pair
-    doa_c_bounds and the ints of doa_grid."""
+    value of the wrong type makes the file malformed: the numbers t_final,
+    gamma and p as floats, an array x0 (a null x0 is none, as if left out),
+    the number pair doa_c_bounds as floats and the integers of doa_grid."""
     out = dict(defaults)
     for key in ("t_final", "gamma", "p"):
         if key in out:
-            out[key] = float(out[key])
+            out[key] = _number(out[key], key)
     if out.get("x0") is not None:
         out["x0"] = np.asarray(out["x0"], dtype=float)
     if "doa_c_bounds" in out:
         lo, hi = out["doa_c_bounds"]
-        out["doa_c_bounds"] = (float(lo), float(hi))
+        out["doa_c_bounds"] = (_number(lo, "doa_c_bounds"), _number(hi, "doa_c_bounds"))
     if "doa_grid" in out:
-        out["doa_grid"] = tuple(int(v) for v in out["doa_grid"])
+        out["doa_grid"] = tuple(_count(v, "doa_grid") for v in out["doa_grid"])
     return out
 
 

@@ -49,6 +49,16 @@ def _sample_safe(bundle: ScenarioBundle, count: int, rng) -> np.ndarray:
                             count, SAFE_MAX_TRIES)
 
 
+def _worst(values) -> float:
+    """The largest of values, 0.0 for none, NaN if any is NaN, on floats:
+    np.max(values, initial=0.0), which, unlike max, keeps a NaN."""
+    worst = 0.0
+    for v in values:
+        if v > worst or v != v:
+            worst = v
+    return worst
+
+
 def check_equilibrium(bundle: ScenarioBundle) -> CheckResult:
     res = equilibrium_residual(bundle.sys, bundle.eq)
     return CheckResult("equilibrium_residual", res <= EQ_TOL,
@@ -108,7 +118,7 @@ def check_kkt_residuals(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) ->
         if sol.optimal:
             active += bool(sol.active_set)
             residuals.append(sol.kkt_residual)
-    worst = float(np.max(residuals, initial=0.0))
+    worst = _worst(residuals)
     return CheckResult("kkt_residuals", bool(residuals) and worst <= 1e-7,
                        f"{len(residuals)} filter QPs ({active} with an active row), "
                        f"worst residual {worst:.2e}")
@@ -129,9 +139,8 @@ def check_closed_form(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> C
             u_qp = s_cbf_qp_filter(cfg, pts[i])
         except SafeStabError:
             continue
-        errs.append(np.abs(u_formula - u_qp).max())
-    # np.max, unlike max, keeps a NaN error
-    worst = float(np.max(errs, initial=0.0))
+        errs.append(_worst(abs(a - b) for a, b in zip(u_formula.tolist(), u_qp.tolist())))
+    worst = _worst(errs)
     return CheckResult("closed_form_equivalence", bool(errs) and worst <= 1e-8,
                        f"{len(errs)} R2 states, worst |u_formula - u_qp| = {worst:.2e}")
 

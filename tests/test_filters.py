@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
                       InfeasibleQPError, QuadraticCLF, SafeSet, SimConfig,
                       cbf_qp_filter, classify_region, clf_cbf_qp_filter,
-                      closed_form_ustar, hybrid_control, integrate,
+                      closed_form_ustar, evaluate, hybrid_control, integrate,
                       s_cbf_qp_filter, sontag_control, sontag_terms)
-from safestab.errors import DegenerateConstraintError
+from safestab.errors import DegenerateConstraintError, SafeStabError
 from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, Region, active_flags,
                               cbf_rows, make_controller, make_filter_config,
                               row_margins)
@@ -240,6 +242,47 @@ def test_closed_form_multiplier_matches_qp(linear_cfg, linear):
         sol = solve_qp(spec)
         # Lagrangians differ by the factor 2 on the quadratic form
         assert sol.multipliers[0] / 2.0 == pytest.approx(lam_cf, rel=1e-6, abs=1e-9)
+
+
+def closed_form_numpy(cfg, x, barrier_index):
+    """closed_form_ustar's numpy expression, kept as the reference for the
+    bits of its float sums: (u*, lam), None for a vanishing L_g h."""
+    ev = evaluate(cfg, x)
+    lgh = ev.A[barrier_index]
+    nrm2 = float(lgh @ lgh)
+    if math.sqrt(nrm2) <= 1e-12:
+        return None
+    u_star = -(-ev.lb[barrier_index] / nrm2) * lgh
+    return u_star, float((u_star - ev.u_son) @ np.outer(ev.b, ev.b) @ lgh) / nrm2
+
+
+def test_closed_form_keeps_the_bits_of_its_numpy_expression(linear_cfg, linear, tumor_cfg,
+                                                            tumor):
+    cases = [(linear_cfg, x, 0) for x in find_r2_states(linear_cfg, linear, 100, 41)]
+    tumor_states = np.vstack([find_r2_states(tumor_cfg, tumor, 30, 43),
+                              sample_safe_states(tumor, 30, 47)])
+    cases += [(tumor_cfg, x, i) for x in tumor_states for i in range(len(tumor.safe_set))]
+    outcomes = set()
+    for cfg, x, i in cases:
+        want = closed_form_numpy(cfg, x, i)
+        if want is None:
+            with pytest.raises(DegenerateConstraintError):
+                closed_form_ustar(cfg, x, barrier_index=i)
+            outcomes.add("degenerate")
+            continue
+        try:
+            u_star, lam = closed_form_ustar(cfg, x, barrier_index=i)
+        except SafeStabError as exc:
+            # a negative multiplier on R2, reported with the numpy bits
+            assert want[1] < 0.0 and repr(want[1]) in str(exc)
+            assert classify_region(cfg, x).value == Region.R2
+            outcomes.add("negative")
+            continue
+        assert u_star.dtype == want[0].dtype and u_star.tobytes() == want[0].tobytes()
+        assert type(lam) is float and np.float64(lam).tobytes() == np.float64(want[1]).tobytes()
+        outcomes.add(i)
+    # tumor3d's positivity rows 1 and 2 have L_g h = 0 everywhere
+    assert outcomes >= {0, "degenerate"}
 
 
 # ---------------------------------------------------------------- regions

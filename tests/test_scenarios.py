@@ -155,6 +155,17 @@ MALFORMED = {
     "defaults-doa_c_bounds-one-value": lambda d: d["defaults"].update(doa_c_bounds=[1.0]),
     "defaults-doa_grid-null": lambda d: d["defaults"].update(doa_grid=None),
     "defaults-doa_grid-infinite": lambda d: d["defaults"].update(doa_grid=[math.inf, 41]),
+    # grid counts are JSON integers and the other numbers JSON numbers, not
+    # values that int() or float() would turn into one
+    "defaults-doa_grid-a-fraction": lambda d: d["defaults"].update(doa_grid=[41.9, 41]),
+    "defaults-doa_grid-a-string": lambda d: d["defaults"].update(doa_grid=["41", 41]),
+    "defaults-doa_grid-a-bool": lambda d: d["defaults"].update(doa_grid=[True, 41]),
+    "defaults-t_final-a-string": lambda d: d["defaults"].update(t_final="10"),
+    "defaults-t_final-a-bool": lambda d: d["defaults"].update(t_final=True),
+    "defaults-gamma-a-bool": lambda d: d["defaults"].update(gamma=False),
+    "defaults-p-a-string": lambda d: d["defaults"].update(p="10"),
+    "defaults-doa_c_bounds-a-bool": lambda d: d["defaults"].update(doa_c_bounds=[True, 120.0]),
+    "defaults-doa_c_bounds-a-string": lambda d: d["defaults"].update(doa_c_bounds=[0.5, "120"]),
 }
 
 
@@ -170,7 +181,7 @@ def test_malformed_scenario_raises_scenario_error(edit):
 def test_known_defaults_are_stored_in_the_type_they_are_read_as():
     cfg = linear2d_file()
     cfg["defaults"].update(x0=[2, -1], t_final=3, gamma=1, p=10, doa_c_bounds=[1, 50],
-                           doa_grid=[21.0, 31], note="kept")
+                           doa_grid=[21, 31], note="kept")
     defaults = scenario_from_dict(cfg).defaults
     assert defaults["x0"].dtype == float and defaults["x0"].tolist() == [2.0, -1.0]
     assert [type(defaults[k]) for k in ("t_final", "gamma", "p")] == [float] * 3
@@ -180,6 +191,18 @@ def test_known_defaults_are_stored_in_the_type_they_are_read_as():
     assert defaults["note"] == "kept"
     cfg["defaults"]["x0"] = None   # a null x0 is none, as if left out
     assert scenario_from_dict(cfg).defaults["x0"] is None
+
+
+def test_bundled_defaults_load_as_written():
+    for name in ("linear2d", "tumor3d"):
+        written = json.loads(resources.files("safestab.data").joinpath(f"{name}.json")
+                             .read_text())["defaults"]
+        defaults = build_scenario(name).defaults
+        assert defaults["x0"].tolist() == written["x0"]
+        assert defaults["doa_grid"] == tuple(written["doa_grid"])
+        assert defaults["doa_c_bounds"] == tuple(written["doa_c_bounds"])
+        assert [defaults[k] for k in ("t_final", "gamma", "p")] == [
+            written[k] for k in ("t_final", "gamma", "p")]
 
 
 def test_exp_positivity_barrier_index_bounds():

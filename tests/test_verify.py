@@ -1,11 +1,12 @@
 """verify's checks fail on a NaN error instead of dropping it: each test
 injects a NaN into what one check compares and expects [FAIL] with nan in
-the detail."""
+the detail. The QP checks read floats and build no QP array."""
 import math
 
 import numpy as np
+import pytest
 
-from safestab import build_scenario, make_filter_config, verify
+from safestab import build_scenario, make_filter_config, qp, verify
 
 
 def nan_like(x):
@@ -76,3 +77,18 @@ def test_closed_form_check_is_skipped_where_it_does_not_apply():
     bundle = build_scenario("linear2d")
     result = verify.check_closed_form(linear_config(bundle), bundle, 4)
     assert result.passed and not result.skipped
+
+
+@pytest.mark.parametrize("scenario", ["linear2d", "tumor3d"])
+def test_run_checks_builds_no_qp_array(scenario, monkeypatch):
+    # the KKT residual and the closed-form comparison read the floats of
+    # the specs and solutions; every QPSpec array goes through qp._frozen
+    def refuse(*args):
+        raise AssertionError("a QP array was built")
+
+    monkeypatch.setattr(qp, "_frozen", refuse)
+    for name in ("z_star", "multipliers"):
+        monkeypatch.setattr(qp.QPSolution, name, property(refuse))
+    results = verify.run_checks(build_scenario(scenario), seed=0)
+    # a KKT or closed-form check passes only with at least one sample
+    assert len(results) == 10 and all(r.passed for r in results)
