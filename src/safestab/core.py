@@ -39,7 +39,7 @@ Conventions
   and then return their results with a leading axis of N (g(X) is
   (N, n, m)). filters.evaluate runs the float forms on one state, the
   per-step path, or on a stack's columns for the many-state callers (doa,
-  verify, the simulator's records). fd_jacobian/fd_gradient, sontag_terms
+  verify, the simulator's records). fd_gradient, sontag_terms
   and sontag.sontag_decrease_rate take a stack too, so that verify runs
   each sample set in one pass.
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
@@ -218,17 +218,11 @@ def _numpy_part(form, k: int) -> Callable:
 
 
 def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
-    """Central finite-difference gradient of a scalar map: the one row of
-    fd_jacobian, (n,) for one state or (N, n) for a stack."""
-    return fd_jacobian(fn, x)[..., 0, :]
-
-
-def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.ndarray:
-    """Central finite-difference Jacobian of a vector map, one column per
-    axis: (r, n) for one state (n,), or (N, r, n) for a stack (N, n), on
-    which fn is called twice per axis. Each state steps by
-    FD_REL_STEP * max(1, |x_i|) along axis i, so a stack row has the bits
-    of its one-state call."""
+    """Central finite-difference gradient of a scalar map: (n,) for one state
+    (n,), or (N, n) for a stack (N, n), on which fn is called twice per axis
+    and gives one value per state. Each state steps by
+    FD_REL_STEP * max(1, |x_i|) along axis i, so a stack row has the bits of
+    its one-state call."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         x = as_vector(x)
@@ -240,9 +234,7 @@ def fd_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.ndarray) -> np.nda
         xp[..., i] += steps[..., i]
         xm[..., i] -= steps[..., i]
         diff = np.asarray(fn(xp), dtype=float) - np.asarray(fn(xm), dtype=float)
-        if diff.ndim < x.ndim:   # a scalar map's value per state
-            diff = diff[..., None]
-        cols.append(diff / (2.0 * steps[..., i:i + 1]))
+        cols.append(diff / (2.0 * steps[..., i]))
     return np.stack(cols, axis=-1)
 
 
@@ -367,8 +359,8 @@ class QuadraticCLF:
 
     def _numpy_lie_terms(self, xs, fs, gcols):
         x = np.array(xs)   # (n,) for one state, (n, N) for columns
-        grad_w = np.asarray(self.grad(x.T), dtype=float).T
-        grad = grad_w.tolist() if grad_w.ndim == 1 else list(grad_w)
+        grad = np.asarray(self.grad(x.T), dtype=float).T
+        grad = grad.tolist() if grad.ndim == 1 else list(grad)
         return (grad, self._dot(*self._offset_and_pd(xs))) + lie_sums_of(
             len(grad), len(gcols))(grad, fs, gcols, self._u_e)
 
@@ -480,15 +472,6 @@ def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
     a, b = lie_sums_of(sys.n, sys.m)(part(clf.grad(x)), *sys.fg(part(x)),
                                      clf.equilibrium.u_e.tolist())
     return a, np.array(b) if x.ndim == 1 else np.stack(b, axis=1)
-
-
-def linearize(sys: ControlAffineSystem, eq: EquilibriumPair) -> np.ndarray:
-    """Jacobian of x -> f(x) + g(x) u_e (sys.xdot) at x_e by central
-    differences."""
-    jac = fd_jacobian(lambda x: sys.xdot(x, eq.u_e), eq.x_e)
-    if not np.all(np.isfinite(jac)):
-        raise ScenarioError("linearization produced non-finite entries")
-    return jac
 
 
 def sample_ball(center: np.ndarray, radius: float, count: int,

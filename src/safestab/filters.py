@@ -8,23 +8,27 @@ terms a, b and input u_son, the barrier rows L_f h_i + L_g h_i u >=
 label. Its body is one kernel written out for the sizes (n, m, k) of the
 configuration, the same for one state and for a stack; the Evaluation holds
 the floats (or columns) the kernel gives and builds an array field only when
-it is read, and the laws read the floats. Three filters share the rows:
+it is read, and the laws read the floats.
 
-* cbf_qp_filter      minimizes |u - u_nom|^2 (nominal defaults to Sontag),
-* clf_cbf_qp_filter  minimizes |u|^2 + p*delta^2 with a slacked CLF row,
-* s_cbf_qp_filter    minimizes |u - u_son|^2 weighted by Q(x) = b'b,
-                     the rank-one Gram matrix of b = gradW' g.
+make_controller(cfg, name)(x) is the one pointwise entry of each law; three
+of them filter Sontag's input through QPs on the shared rows:
 
-The hybrid law applies Sontag's input wherever it already satisfies every
-barrier row (region R1) and the Sontag-weighted QP elsewhere (region R2).
+* cbf-qp      minimizes |u - u_son|^2,
+* clf-cbf-qp  minimizes |u|^2 + p*delta^2 with a slacked CLF row,
+* s-cbf-qp    minimizes |u - u_son|^2 weighted by Q(x) = b'b,
+              the rank-one Gram matrix of b = gradW' g,
+
+and the hybrid law applies Sontag's input wherever it already satisfies
+every barrier row (region R1) and the Sontag-weighted QP elsewhere (region
+R2). s_cbf_qp_filter, the S-CBF-QP at one state, is verify's reference.
 
 The laws run on floats from the evaluation to the input: the costs 2I and
 diag(2, .., 2, 2p) do not depend on the state, so make_controller builds
 each as one QPSpec of float lists, factored once, to which every step adds
 its rows with QPSpec.with_rows; the Sontag-weighted spec, whose cost 2 b'b
 changes with the state, is built from floats at each R2 step. Rows, bounds
-lb - A u_nom and weights are explicit sums (core), solve_qp returns floats,
-and u_nom + z becomes the step's one array. No controller reads a spec's
+lb - A u_son and weights are explicit sums (core), solve_qp returns floats,
+and u_son + z becomes the step's one array. No controller reads a spec's
 arrays or the solution's KKT residual, which are built only when read.
 closed_form_ustar, verify's cross-check, reads the evaluation's floats too.
 """
@@ -40,8 +44,8 @@ import numpy as np
 
 # sontag_terms is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module, as it does sontag_control
-from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum, as_vector,  # noqa: F401
-                   columns, dot_of, kappa, matvec_of, sontag_terms)
+from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum, columns,  # noqa: F401
+                   dot_of, kappa, matvec_of, sontag_terms)
 from .errors import (DegenerateConstraintError, IndefiniteQPError, InfeasibleQPError,
                      SafeStabError)
 from .qp import QPSpec, solve_qp
@@ -99,7 +103,7 @@ class Evaluation:
     are W, grad W, a = gradW'(f + g u_e), b = gradW' g, the Sontag input
     u_son and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i)
     - L_f h_i) with the barrier values h_i(x), as lists. The array fields f,
-    grad_w, b, u_son, A, lb and h are built from them when first read, with
+    b, u_son, A, lb and h are built from them when first read, with
     a leading axis of N for a stack. margin is the least row slack at
     u_son (a float, or a column), and label, built from it when first read,
     is R1 iff u_son satisfies every row."""
@@ -138,7 +142,6 @@ class Evaluation:
         return self._arrays[name]
 
     f = property(lambda self: self._built("f", self.fg[0]))
-    grad_w = property(lambda self: self._built("grad_w", self.grad))
     b = property(lambda self: self._built("b", self.bs))
     u_son = property(lambda self: self._built("u_son", self.us))
     A = property(lambda self: self._built("A", self.As))
@@ -236,17 +239,6 @@ def classify_region(cfg: FilterConfig, x) -> RegionLabel:
     return evaluate(cfg, x).label
 
 
-def row_margins(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Slack of each barrier row at the input u (nonnegative means satisfied);
-    for stacks A (N, k, m), lb (N, k) and u (N, m), an (N, k) array. Each
-    A_i . u is an explicit sum, on floats for one state and on columns for a
-    stack, so a stack row equals its one-state call bit for bit."""
-    if A.ndim == 3:
-        return np.stack(_margins([columns(A_i) for A_i in A.transpose(1, 0, 2)],
-                                 columns(lb), columns(u)), axis=1)
-    return np.array(_margins(A.tolist(), lb.tolist(), u.tolist()))
-
-
 def _flags(A, lb, u):
     """_margins_i <= ACTIVE_TOL * ((1 + |lb_i|) + |A_i| . |u|), on floats or
     on columns."""
@@ -258,8 +250,9 @@ def _flags(A, lb, u):
 def active_flags(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Rows whose slack at u is at most ACTIVE_TOL relative to the row scale
     1 + |lb_i| + |A_i| . |u|; for stacks A (N, k, m), lb (N, k) and u (N, m),
-    an (N, k) array. The sums are explicit, as in row_margins, so a stack row
-    equals its one-state call bit for bit."""
+    an (N, k) array. The sums are explicit, on floats for one state and on
+    columns for a stack, so a stack row equals its one-state call bit for
+    bit."""
     if A.ndim == 3:
         return np.stack(_flags([columns(A_i) for A_i in A.transpose(1, 0, 2)],
                                columns(lb), columns(u)), axis=1)
@@ -277,15 +270,10 @@ def _diag(values: list) -> list:   # as rows of floats
     return [[v if i == j else 0.0 for j in range(len(values))] for i, v in enumerate(values)]
 
 
-def _cbf_qp_cost(m: int) -> QPSpec:
-    """min |v|^2 over the shift v = u - u_nom, factored once; each step adds
-    its rows with QPSpec.with_rows."""
-    return QPSpec(_diag([2.0] * m), [0.0] * m, [], [])
-
-
-def _shifted_bounds(ev: Evaluation, u: list) -> list:
-    """lb - A u, the bounds of the barrier rows A v >= lb - A u on the shift
-    v of the input from u (floats); each A_i . u is an explicit sum."""
+def _shifted_bounds(ev: Evaluation) -> list:
+    """lb - A u_son, the bounds of the barrier rows A v >= lb - A u_son on
+    the shift v = u - u_son (floats); each A_i . u_son is an explicit sum."""
+    u = ev.us
     return [lb_i - v for lb_i, v in zip(ev.lbs, matvec_of(len(ev.As), len(u))(ev.As, u))]
 
 
@@ -293,27 +281,24 @@ def _plus(u: list, v: list) -> np.ndarray:
     return np.array([a + b for a, b in zip(u, v)])
 
 
-def _cbf_qp(cost: QPSpec, ev: Evaluation, u_nom: list) -> np.ndarray:
-    spec = cost.with_rows(ev.As, _shifted_bounds(ev, u_nom))
-    return _plus(u_nom, _solve_or_raise(spec, "CBF-QP", ev.x).zs)
-
-
-def cbf_qp_filter(cfg: FilterConfig, x, u_nom=None) -> np.ndarray:
-    """Minimum-deviation safety filter: min |u - u_nom|^2 s.t. barrier rows.
-
-    Solved in the shifted variable v = u - u_nom so the Tikhonov term is
-    centered at the nominal input and a feasible nominal is returned
-    unchanged."""
-    ev = evaluate(cfg, x)
-    u_nom = ev.us if u_nom is None else as_vector(u_nom, cfg.sys.m).tolist()
-    return _cbf_qp(_cbf_qp_cost(cfg.sys.m), ev, u_nom)
+def _cbf_qp(cost: QPSpec, ev: Evaluation) -> np.ndarray:
+    """min |u - u_son|^2 s.t. the barrier rows, solved in the shift
+    v = u - u_son so that a feasible Sontag input is returned unchanged;
+    cost is min |v|^2, factored once."""
+    spec = cost.with_rows(ev.As, _shifted_bounds(ev))
+    return _plus(ev.us, _solve_or_raise(spec, "CBF-QP", ev.x).zs)
 
 
 def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarray, float]]:
-    """The CLF-CBF-QP as a map from an evaluation to (u, delta). Its cost
-    diag(2, .., 2, 2p) does not depend on the state, so it is factored here
-    once, with cfg.p as it is now; each call builds its rows as floats, the
-    delta column being 1 in the CLF row and 0 in the barrier rows."""
+    """The CLF-CBF-QP as a map from an evaluation to (u, delta):
+
+        min |u|^2 + p*delta^2
+        s.t. gradW'f + gradW'g u <= -alpha_W(W) + delta,  barrier rows.
+
+    Its cost diag(2, .., 2, 2p) does not depend on the state, so it is
+    factored here once, with cfg.p as it is now; each call builds its rows
+    as floats, the delta column being 1 in the CLF row and 0 in the barrier
+    rows."""
     m = cfg.sys.m
     cost = QPSpec(_diag([2.0] * m + [2.0 * cfg.p]), [0.0] * (m + 1), [], [])
 
@@ -326,23 +311,13 @@ def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarra
     return clf_cbf_qp
 
 
-def clf_cbf_qp_filter(cfg: FilterConfig, x) -> Tuple[np.ndarray, float]:
-    """Slack-relaxed combined filter over (u, delta):
-
-        min |u|^2 + p*delta^2
-        s.t. gradW'f + gradW'g u <= -alpha_W(W) + delta,  barrier rows.
-
-    Returns (u, delta)."""
-    return _clf_cbf_qp_law(cfg)(evaluate(cfg, x))
-
-
 def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
     """The Sontag-weighted filter QP in the shifted variable v = u - u_son:
     min v'(Q + reg*I)v with Q = b'b, s.t. A v >= lb - A u_son, where reg is
-    QPSpec's default (1e-9), as in the other two filters."""
+    QPSpec's default (1e-9), as in the other two QPs."""
     b = ev.bs
     return QPSpec([[2.0 * (b_i * b_j) for b_j in b] for b_i in b], [0.0] * cfg.sys.m,
-                  ev.As, _shifted_bounds(ev, ev.us))
+                  ev.As, _shifted_bounds(ev))
 
 
 def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
@@ -356,9 +331,10 @@ def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
 
 
 def s_cbf_qp_filter(cfg: FilterConfig, x) -> np.ndarray:
-    """Sontag-weighted safety filter: min |u - u_son|^2_{Q+reg*I} s.t. barrier
-    rows, with Q = b'b. Solved in the shifted variable v = u - u_son so the
-    Tikhonov term is centered at the nominal input."""
+    """The S-CBF-QP's input at one state: min |u - u_son|^2_{Q+reg*I} s.t.
+    barrier rows, with Q = b'b, solved in the shifted variable v = u - u_son
+    so the Tikhonov term is centered at Sontag's input. make_controller's
+    "s-cbf-qp" runs the same body; verify calls this one."""
     return _s_cbf_qp(cfg, evaluate(cfg, x))
 
 
@@ -398,20 +374,14 @@ def _hybrid(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
     return np.array(ev.us, float) if ev.margin >= 0.0 else _s_cbf_qp(cfg, ev)
 
 
-def hybrid_control(cfg: FilterConfig, x) -> Tuple[np.ndarray, RegionLabel]:
-    """Sontag input on R1, Sontag-weighted QP on R2."""
-    ev = evaluate(cfg, x)
-    return _hybrid(cfg, ev), ev.label
-
-
 def _law(cfg: FilterConfig, name: str) -> Callable[[Evaluation], np.ndarray]:
     """The map from an evaluation to the input u of controller `name`; the
     filters whose cost does not depend on the state factor it here, once."""
     if name == "sontag":
         return lambda ev: ev.u_son
     if name == "cbf-qp":
-        cost = _cbf_qp_cost(cfg.sys.m)
-        return lambda ev: _cbf_qp(cost, ev, ev.us)
+        cost = QPSpec(_diag([2.0] * cfg.sys.m), [0.0] * cfg.sys.m, [], [])
+        return lambda ev: _cbf_qp(cost, ev)
     if name == "clf-cbf-qp":
         clf_cbf_qp = _clf_cbf_qp_law(cfg)
         return lambda ev: clf_cbf_qp(ev)[0]

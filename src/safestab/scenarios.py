@@ -22,7 +22,9 @@ barrier carries a +1 offset making the printed quadratic a nonempty safe set;
 the offset is configurable in the file.
 
 A dynamics kind is one function of its params that returns (fg, n, m), and
-a barrier kind one function of its entry and n that returns hgrad; adding a
+a barrier kind one function of its entry, n and the entry's key path (for
+messages) that returns hgrad; every number either reads goes through
+_number, which makes a string or a boolean a malformed file. Adding a
 kind takes that one function and its entry in DYNAMICS_REGISTRY or
 BARRIER_REGISTRY. Its float form is the only body written, every dot product
 and quadratic form in it an explicit left-to-right sum (core.dot_of), and
@@ -46,6 +48,22 @@ from .errors import ScenarioError
 SCENARIO_NAMES = ("linear2d", "tumor3d")
 
 
+def _number(v, path: str) -> float:
+    """A JSON number (not true, false or "1.0") as a float; path names the
+    key (and index) of v in the file, for the message."""
+    if type(v) not in (int, float):
+        raise TypeError(f"{path}: expected a number, got {v!r}")
+    return float(v)
+
+
+def _numbers(v, path: str):
+    """An array of JSON numbers, nested to any depth, as lists of floats (a
+    bare number as a float), each entry read by _number."""
+    if isinstance(v, list):
+        return [_numbers(e, f"{path}[{i}]") for i, e in enumerate(v)]
+    return _number(v, path)
+
+
 def _linear2d_dynamics(params: dict) -> Tuple[Callable, int, int]:
     def fg(xs):
         x1, x2 = xs
@@ -55,13 +73,9 @@ def _linear2d_dynamics(params: dict) -> Tuple[Callable, int, int]:
 
 
 def _tumor3d_dynamics(params: dict) -> Tuple[Callable, int, int]:
-    a_nt = float(params["alpha_NT"])
-    a_tn = float(params["alpha_TN"])
-    beta = float(params["beta"])
-    k_r = float(params["K_R"])
-    k_t = float(params["K_T"])
-    r_r = float(params["R_R"])
-    r_t = float(params["R_T"])
+    a_nt, a_tn, beta, k_r, k_t, r_r, r_t = (
+        _number(params[key], f"dynamics.params.{key}")
+        for key in ("alpha_NT", "alpha_TN", "beta", "K_R", "K_T", "R_R", "R_T"))
 
     def fg(xs):
         x1, x2, x3 = xs
@@ -80,10 +94,10 @@ DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, int, int]]] = {
 }
 
 
-def _quadratic_barrier(entry: dict, n: int) -> Callable:
-    offset = float(entry.get("offset", 0.0))
-    lin = as_vector(entry.get("linear", np.zeros(n)), n).tolist()
-    quad = np.asarray(entry["quad"], dtype=float).reshape(n, n)
+def _quadratic_barrier(entry: dict, n: int, path: str) -> Callable:
+    offset = _number(entry.get("offset", 0.0), f"{path}.offset")
+    lin = as_vector(_numbers(entry.get("linear", [0.0] * n), f"{path}.linear"), n).tolist()
+    quad = np.asarray(_numbers(entry["quad"], f"{path}.quad"), dtype=float).reshape(n, n)
     rows = (0.5 * (quad + quad.T)).tolist()
     dot, qx_of = dot_of(n), matvec_of(n, n)
 
@@ -95,10 +109,8 @@ def _quadratic_barrier(entry: dict, n: int) -> Callable:
     return hgrad
 
 
-def _exp_positivity_barrier(entry: dict, n: int) -> Callable:
-    idx = entry["index"]
-    if type(idx) is not int:   # a JSON integer: not 1.5, true or "2"
-        raise ScenarioError(f"barrier index must be an integer, got {idx!r}")
+def _exp_positivity_barrier(entry: dict, n: int, path: str) -> Callable:
+    idx = _count(entry["index"], f"{path}.index")
     if not 0 <= idx < n:
         raise ScenarioError(f"barrier index {idx} out of range for n={n}")
 
@@ -112,7 +124,7 @@ def _exp_positivity_barrier(entry: dict, n: int) -> Callable:
     return hgrad
 
 
-BARRIER_REGISTRY: Dict[str, Callable[[dict, int], Callable]] = {
+BARRIER_REGISTRY: Dict[str, Callable[[dict, int, str], Callable]] = {
     "quadratic": _quadratic_barrier,
     "exp_positivity": _exp_positivity_barrier,
 }
@@ -124,26 +136,20 @@ def _object(value, what: str) -> dict:
     return value
 
 
-def _build_barrier(entry: dict, n: int) -> Barrier:
+def _build_barrier(entry: dict, n: int, path: str) -> Barrier:
     kind = _object(entry, "a barrier entry").get("kind")
-    alpha = float(_object(entry.get("alpha", {}), "a barrier's alpha").get("lambda", 1.0))
+    alpha = _number(_object(entry.get("alpha", {}), "a barrier's alpha").get("lambda", 1.0),
+                    f"{path}.alpha.lambda")
     name = entry.get("name", kind or "h")
     if kind not in BARRIER_REGISTRY:
         raise ScenarioError(f"unknown barrier kind {kind!r}")
-    return Barrier.from_hgrad(BARRIER_REGISTRY[kind](entry, n), alpha, name)
+    return Barrier.from_hgrad(BARRIER_REGISTRY[kind](entry, n, path), alpha, name)
 
 
-def _number(v, key: str) -> float:
-    """A JSON number (not true or false) as a float."""
-    if type(v) not in (int, float):
-        raise TypeError(f"defaults.{key}: expected a number, got {v!r}")
-    return float(v)
-
-
-def _count(v, key: str) -> int:
+def _count(v, path: str) -> int:
     """A JSON integer (not 41.9, true or "41")."""
     if type(v) is not int:
-        raise TypeError(f"defaults.{key}: expected an integer, got {v!r}")
+        raise TypeError(f"{path}: expected an integer, got {v!r}")
     return v
 
 
@@ -155,14 +161,16 @@ def _typed_defaults(defaults: dict) -> dict:
     out = dict(defaults)
     for key in ("t_final", "gamma", "p"):
         if key in out:
-            out[key] = _number(out[key], key)
+            out[key] = _number(out[key], f"defaults.{key}")
     if out.get("x0") is not None:
-        out["x0"] = np.asarray(out["x0"], dtype=float)
+        out["x0"] = np.asarray(_numbers(out["x0"], "defaults.x0"), dtype=float)
     if "doa_c_bounds" in out:
         lo, hi = out["doa_c_bounds"]
-        out["doa_c_bounds"] = (_number(lo, "doa_c_bounds"), _number(hi, "doa_c_bounds"))
+        out["doa_c_bounds"] = (_number(lo, "defaults.doa_c_bounds[0]"),
+                               _number(hi, "defaults.doa_c_bounds[1]"))
     if "doa_grid" in out:
-        out["doa_grid"] = tuple(_count(v, "doa_grid") for v in out["doa_grid"])
+        out["doa_grid"] = tuple(_count(v, f"defaults.doa_grid[{i}]")
+                                for i, v in enumerate(out["doa_grid"]))
     return out
 
 
@@ -186,13 +194,14 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
             raise ScenarioError(f"unknown dynamics kind {kind!r}")
         fg, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
         sys = ControlAffineSystem.from_fg(fg, n, m, name)
-        eq = EquilibriumPair(as_vector(cfg["equilibrium"]["x"], n),
-                             as_vector(cfg["equilibrium"]["u"], m))
-        clf = QuadraticCLF(np.asarray(cfg["clf"]["P"], dtype=float), eq)
-        barriers = tuple(_build_barrier(b, n) for b in cfg["barriers"])
+        eq = EquilibriumPair(as_vector(_numbers(cfg["equilibrium"]["x"], "equilibrium.x"), n),
+                             as_vector(_numbers(cfg["equilibrium"]["u"], "equilibrium.u"), m))
+        clf = QuadraticCLF(np.asarray(_numbers(cfg["clf"]["P"], "clf.P"), dtype=float), eq)
+        barriers = tuple(_build_barrier(b, n, f"barriers[{i}]")
+                         for i, b in enumerate(cfg["barriers"]))
         safe_set = SafeSet(barriers)
-        domain = np.asarray(cfg["domain"], dtype=float).reshape(n, 2)
-        eq_tol = float(cfg.get("eq_tol", 1e-3))
+        domain = np.asarray(_numbers(cfg["domain"], "domain"), dtype=float).reshape(n, 2)
+        eq_tol = _number(cfg.get("eq_tol", 1e-3), "eq_tol")
         defaults = _typed_defaults(_object(cfg.get("defaults", {}), "defaults"))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc

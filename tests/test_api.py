@@ -5,6 +5,7 @@ deliberate edit here, not a default nobody sets."""
 import dataclasses
 import inspect
 
+import safestab
 from safestab import (SimConfig, build_scenario, compute_c_star, control_sharing_holds,
                       evaluate, make_filter_config)
 from safestab.cli import RunManifest
@@ -48,5 +49,24 @@ def test_system_barrier_and_evaluation_attributes():
         assert public(bar) == ["alpha", "from_hgrad", "grad_h", "h", "hgrad", "name"]
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set)
     assert public(evaluate(cfg, bundle.eq.x_e)) == \
-        ["A", "As", "a", "b", "bs", "f", "fg", "grad", "grad_w", "h", "hs", "label", "lb",
-         "lbs", "lfw", "margin", "u_son", "us", "w", "x"]
+        ["A", "As", "a", "b", "bs", "f", "fg", "grad", "h", "hs", "label", "lb", "lbs", "lfw",
+         "margin", "u_son", "us", "w", "x"]
+
+
+def test_package_exports():
+    # make_controller(cfg, name)(x) runs each law; s_cbf_qp_filter is
+    # verify's one-state reference. Submodules become attributes of the
+    # package as they are imported, so they are left out.
+    names = [name for name in public(safestab) if not inspect.ismodule(getattr(safestab, name))]
+    assert names == [
+        "Barrier", "CONTROLLER_NAMES", "ControlAffineSystem", "DecreaseIdentityError",
+        "DegenerateConstraintError", "DoaEstimate", "EquilibriumPair", "FilterConfig",
+        "IndefiniteQPError", "InfeasibleQPError", "Metrics", "QPIterationError", "QPSolution",
+        "QPSpec", "QuadraticCLF", "Region", "RegionLabel", "SCENARIO_NAMES", "SafeSet",
+        "SafeStabError", "ScenarioBundle", "ScenarioError", "SharingInfeasibleError",
+        "SimConfig", "SimulationError", "Trajectory", "build_scenario", "classify_region",
+        "closed_form_ustar", "compute_c_star", "compute_metrics", "control_sharing_holds",
+        "equilibrium_residual", "evaluate", "in_awc", "integrate", "is_valid_local_clf",
+        "largest_clf_sublevel_inside", "load_scenario", "lp_feasible", "make_controller",
+        "make_filter_config", "read_trajectory_csv", "s_cbf_qp_filter", "solve_qp",
+        "sontag_control", "sontag_decrease_rate", "sontag_terms", "write_trajectory_csv"]

@@ -235,6 +235,15 @@ def test_verify_malformed_scenario_file_exits_2(tmp_path, capsys):
         assert "error: malformed scenario: " in capsys.readouterr().err, name
 
 
+def test_a_number_written_as_a_string_exits_2(tmp_path, capsys):
+    cfg = linear2d_file()
+    cfg["barriers"][0]["offset"] = "1.0"
+    path = tmp_path / "offset.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["verify", "--scenario", str(path)]) == 2
+    assert "error: malformed scenario: barriers[0].offset: " in capsys.readouterr().err
+
+
 def test_defaults_of_the_wrong_type_exit_2_in_every_command_reading_them(tmp_path, capsys):
     # a null gamma once escaped float() in simulate, doa and verify, and a
     # number for doa_c_bounds the unpacking in doa, each as a traceback

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
-                      QuadraticCLF, SafeSet, ScenarioError, equilibrium_residual,
-                      is_valid_local_clf, linearize, make_filter_config,
+from safestab import (Barrier, QuadraticCLF, SafeSet, ScenarioError,
+                      equilibrium_residual, is_valid_local_clf, make_filter_config,
                       sontag_terms)
 from safestab.core import LOCAL_CLF_SAMPLES, fd_gradient, sample_ball
 
@@ -103,18 +102,6 @@ def test_zero_gradient_gives_zero_lie_derivatives(linear):
     lfh, lgh = lie_derivatives(cfg, x, 0)
     assert lfh == 0.0 == lie_derivative_fd(flat, x, linear.sys.f(x))
     assert np.all(lgh == 0.0)
-
-
-def test_linearize_linear_example_exact(linear):
-    jac = linearize(linear.sys, linear.eq)
-    assert np.abs(jac - np.array([[0.0, -1.0], [-1.0, 0.0]])).max() <= 1e-8
-
-
-def test_linearize_zero_drift_constant_input_map():
-    sys = ControlAffineSystem(n=2, m=1, f=lambda x: np.zeros(2),
-                              g=lambda x: np.array([[1.0], [2.0]]), name="still")
-    eq = EquilibriumPair([0.0, 0.0], [0.0])
-    assert np.abs(linearize(sys, eq)).max() == 0.0
 
 
 def test_tumor_equilibrium_residual(tumor):

@@ -168,12 +168,13 @@ def test_sample_negative_awc_count_raises(linear_cfg, linear_estimate):
 
 def test_clf_decrease_under_hybrid_on_awc(linear_cfg, linear_estimate, linear):
     # W strictly decreases along the hybrid field everywhere sampled in A_WC
-    from safestab.filters import hybrid_control
+    from safestab.filters import make_controller
+    hybrid = make_controller(linear_cfg, "hybrid")
     xs = sample_states_in_awc(linear_estimate, linear_cfg, 100, seed=15)
     for x in xs:
         if np.linalg.norm(x - linear.eq.x_e) <= 1e-3:
             continue
-        u, _ = hybrid_control(linear_cfg, x)
+        u, _ = hybrid(x)
         wdot = float(linear_cfg.clf.grad(x) @ (linear.sys.f(x) + linear.sys.g(x) @ u))
         assert wdot < 0.0
 

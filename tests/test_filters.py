@@ -5,15 +5,29 @@ import pytest
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
                       InfeasibleQPError, QuadraticCLF, SafeSet, SimConfig,
-                      cbf_qp_filter, classify_region, clf_cbf_qp_filter,
-                      closed_form_ustar, evaluate, hybrid_control, integrate,
+                      classify_region, closed_form_ustar, evaluate, integrate,
                       s_cbf_qp_filter, sontag_control, sontag_terms)
 from safestab.errors import DegenerateConstraintError, SafeStabError
-from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, Region, active_flags,
-                              cbf_rows, make_controller, make_filter_config,
-                              row_margins)
+from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, Region, _clf_cbf_qp_law,
+                              active_flags, cbf_rows, make_controller, make_filter_config)
 
 from conftest import lie_derivative_fd, lie_derivatives, sample_safe_states
+
+
+def control(cfg, name, x):
+    """The input of controller name at x."""
+    return make_controller(cfg, name)(x)[0]
+
+
+def clf_cbf_qp(cfg, x):
+    """(u, delta) of the CLF-CBF-QP at x: the law clf-cbf-qp runs, with
+    its slack."""
+    return _clf_cbf_qp_law(cfg)(evaluate(cfg, x))
+
+
+def row_slacks(A, lb, u):
+    """A u - lb, the slack of each barrier row at u."""
+    return A @ u - lb
 
 
 def qp_grid_oracle_1d(cfg, x, u_nom, weight, lo=-80.0, hi=80.0):
@@ -55,26 +69,26 @@ def find_r2_states(cfg, bundle, count, seed, w_cap=None):
 
 
 def test_cbf_qp_returns_nominal_when_slack(linear_cfg):
+    # the nominal is Sontag's input, returned unchanged where it meets the row
     x = np.array([0.2, 0.1])
-    u_nom = np.array([0.3])
+    u_son = sontag_control(linear_cfg, x)
     A, lb = cbf_rows(linear_cfg, x)
-    assert row_margins(A, lb, u_nom).min() > 0.0
-    u = cbf_qp_filter(linear_cfg, x, u_nom)
-    assert u[0] == u_nom[0]
+    assert row_slacks(A, lb, u_son).min() > 0.0
+    u = control(linear_cfg, "cbf-qp", x)
+    assert u[0] == u_son[0]
 
 
 def test_cbf_qp_single_active_row_closed_form(linear_cfg, linear):
-    # force the row active with a nominal far on the infeasible side
-    x = np.array([1.5, -2.2])
+    # on R2 Sontag's input violates the one row, which the QP makes active
     bar = linear.safe_set.barriers[0]
-    lfh, lgh = lie_derivatives(linear_cfg, x, 0)
-    assert lfh == pytest.approx(lie_derivative_fd(bar, x, linear.sys.f(x)), rel=1e-6)
-    assert lgh[0] == pytest.approx(lie_derivative_fd(bar, x, linear.sys.g(x)[:, 0]),
-                                   rel=1e-6)
-    u_expected = -(lfh + bar.alpha * bar.h(x)) / lgh[0]
-    u_nom = np.array([u_expected - 50.0 * np.sign(lgh[0])])
-    u = cbf_qp_filter(linear_cfg, x, u_nom)
-    assert u[0] == pytest.approx(u_expected, rel=1e-10, abs=1e-10)
+    for x in find_r2_states(linear_cfg, linear, 10, 37, w_cap=34.0):
+        lfh, lgh = lie_derivatives(linear_cfg, x, 0)
+        assert lfh == pytest.approx(lie_derivative_fd(bar, x, linear.sys.f(x)), rel=1e-6)
+        assert lgh[0] == pytest.approx(lie_derivative_fd(bar, x, linear.sys.g(x)[:, 0]),
+                                       rel=1e-6)
+        u_expected = -(lfh + bar.alpha * bar.h(x)) / lgh[0]
+        u = control(linear_cfg, "cbf-qp", x)
+        assert u[0] == pytest.approx(u_expected, rel=1e-10, abs=1e-10)
 
 
 def test_cbf_qp_matches_grid_oracle_near_boundary(linear_cfg, linear):
@@ -87,7 +101,7 @@ def test_cbf_qp_matches_grid_oracle_near_boundary(linear_cfg, linear):
             continue
         u_son = sontag_control(linear_cfg, x)
         try:
-            u = cbf_qp_filter(linear_cfg, x, u_son)
+            u = control(linear_cfg, "cbf-qp", x)
         except InfeasibleQPError:
             continue
         oracle = qp_grid_oracle_1d(linear_cfg, x, u_son[0], 1.0)
@@ -103,14 +117,14 @@ def test_cbf_qp_infeasible_outside_sharing_region(tumor_cfg):
     x = np.array([9.5, 0.5, 0.5])
     assert tumor_cfg.safe_set.min_value(x) >= 0.0
     with pytest.raises(InfeasibleQPError):
-        cbf_qp_filter(tumor_cfg, x, np.array([0.0]))
+        control(tumor_cfg, "cbf-qp", x)
 
 
 # ---------------------------------------------------------------- clf_cbf_qp
 
 
 def test_clf_cbf_qp_at_equilibrium_is_zero(linear_cfg):
-    u, delta = clf_cbf_qp_filter(linear_cfg, np.zeros(2))
+    u, delta = clf_cbf_qp(linear_cfg, np.zeros(2))
     assert np.abs(u).max() <= 1e-12
     assert abs(delta) <= 1e-12
 
@@ -118,9 +132,10 @@ def test_clf_cbf_qp_at_equilibrium_is_zero(linear_cfg):
 def test_clf_cbf_qp_satisfies_rows(linear_cfg, linear):
     pts = sample_safe_states(linear, 100, 23, w_cap=30.0)
     for x in pts:
-        u, delta = clf_cbf_qp_filter(linear_cfg, x)
+        u, delta = clf_cbf_qp(linear_cfg, x)
+        assert u.tobytes() == control(linear_cfg, "clf-cbf-qp", x).tobytes()
         A, lb = cbf_rows(linear_cfg, x)
-        assert row_margins(A, lb, u).min() >= -1e-8
+        assert row_slacks(A, lb, u).min() >= -1e-8
         grad_w = linear_cfg.clf.grad(x)
         lhs = float(grad_w @ (linear.sys.f(x) + linear.sys.g(x) @ u))
         rhs = -ALPHA_W * linear_cfg.clf.value(x) + delta
@@ -130,7 +145,7 @@ def test_clf_cbf_qp_satisfies_rows(linear_cfg, linear):
 def test_clf_cbf_qp_delta_positive_when_rows_conflict(linear_cfg, linear):
     # deep in R2 the demanded decrease clashes with the barrier row
     xs = find_r2_states(linear_cfg, linear, 20, 5, w_cap=34.0)
-    assert any(clf_cbf_qp_filter(linear_cfg, x)[1] > 1e-6 for x in xs)
+    assert any(clf_cbf_qp(linear_cfg, x)[1] > 1e-6 for x in xs)
 
 
 # ---------------------------------------------------------------- s_cbf_qp
@@ -322,17 +337,18 @@ def test_multi_barrier_margin_is_minimum(tumor_cfg, tumor):
         u_son = sontag_control(tumor_cfg, x)
         A, lb = cbf_rows(tumor_cfg, x)
         label = classify_region(tumor_cfg, x)
-        assert label.margin == pytest.approx(float(row_margins(A, lb, u_son).min()), rel=1e-12)
+        assert label.margin == pytest.approx(float(row_slacks(A, lb, u_son).min()), rel=1e-12)
 
 
 # ---------------------------------------------------------------- hybrid
 
 
 def test_hybrid_selects_branch(linear_cfg, linear):
+    hybrid = make_controller(linear_cfg, "hybrid")
     pts = sample_safe_states(linear, 100, 53, w_cap=34.0)
     for x in pts:
-        u, label = hybrid_control(linear_cfg, x)
-        if label.value == Region.R1:
+        u, ev = hybrid(x)
+        if ev.label.value == Region.R1:
             assert np.all(u == sontag_control(linear_cfg, x))
         else:
             assert np.abs(u - s_cbf_qp_filter(linear_cfg, x)).max() <= 1e-12
@@ -340,6 +356,7 @@ def test_hybrid_selects_branch(linear_cfg, linear):
 
 def test_hybrid_continuity_across_region_boundary(linear_cfg, linear):
     # state pairs straddling the boundary at distance 1e-6
+    hybrid = make_controller(linear_cfg, "hybrid")
     x_r1 = np.array([0.3, -0.2])
     xs = find_r2_states(linear_cfg, linear, 10, 61, w_cap=34.0)
     for x_r2 in xs:
@@ -355,23 +372,49 @@ def test_hybrid_continuity_across_region_boundary(linear_cfg, linear):
             d = gap / np.linalg.norm(gap)
             x_minus = lo - 0.5e-6 * d
             x_plus = hi + 0.5e-6 * d
-            u_minus, _ = hybrid_control(linear_cfg, x_minus)
-            u_plus, _ = hybrid_control(linear_cfg, x_plus)
+            u_minus, _ = hybrid(x_minus)
+            u_plus, _ = hybrid(x_plus)
             assert np.abs(u_plus - u_minus).max() <= 1e-4
 
 
 def test_safety_rows_hold_for_all_filters(linear_cfg, linear):
+    ctrls = [make_controller(linear_cfg, name)
+             for name in ("cbf-qp", "clf-cbf-qp", "s-cbf-qp", "hybrid")]
     pts = sample_safe_states(linear, 50, 71, w_cap=34.0)
     for x in pts:
         A, lb = cbf_rows(linear_cfg, x)
-        candidates = [
-            cbf_qp_filter(linear_cfg, x),
-            clf_cbf_qp_filter(linear_cfg, x)[0],
-            s_cbf_qp_filter(linear_cfg, x),
-            hybrid_control(linear_cfg, x)[0],
-        ]
-        for u in candidates:
-            assert row_margins(A, lb, u).min() >= -1e-8
+        for ctrl in ctrls:
+            assert row_slacks(A, lb, ctrl(x)[0]).min() >= -1e-8
+
+
+@pytest.mark.parametrize("scenario", ["linear2d", "tumor3d"])
+def test_one_input_cbf_qp_s_cbf_qp_and_hybrid_are_one_map(scenario, request):
+    # for m = 1, in v = u - u_son both QPs minimize a positive multiple of
+    # v^2 under the same rows, so both give the point of the rows' interval
+    # nearest 0, which on R1 is v = 0: the Sontag weight does not change the
+    # input, and the three laws fail on the same states
+    bundle = request.getfixturevalue("linear" if scenario == "linear2d" else "tumor")
+    cfg = request.getfixturevalue("linear_cfg" if scenario == "linear2d" else "tumor_cfg")
+    assert cfg.sys.m == 1
+    ctrls = [make_controller(cfg, name) for name in ("cbf-qp", "s-cbf-qp", "hybrid")]
+    r2 = infeasible = 0
+    for x in sample_safe_states(bundle, 4000, 97):
+        inputs = []
+        for ctrl in ctrls:
+            try:
+                inputs.append(ctrl(x)[0][0])
+            except InfeasibleQPError:
+                inputs.append(None)
+        if inputs[0] is None:
+            assert inputs == [None] * 3, x
+            infeasible += 1
+            continue
+        assert None not in inputs, x
+        ref = inputs[0]
+        assert max(abs(u - ref) for u in inputs) <= 1e-12 * max(1.0, abs(ref)), x
+        r2 += not evaluate(cfg, x).margin >= 0.0
+    assert r2 > 100
+    assert (infeasible > 0) == (scenario == "tumor3d")
 
 
 @pytest.mark.parametrize("scenario", ["linear2d", "tumor3d"])
@@ -401,7 +444,7 @@ def test_decision_carries_the_standalone_quantities(name, scenario, request):
                                            rel=1e-5, abs=1e-5)
         label = classify_region(cfg, x)
         assert ev.label.value == label.value and ev.label.margin == label.margin
-        margin = float(row_margins(ev.A, ev.lb, sontag_control(cfg, x)).min())
+        margin = float(row_slacks(ev.A, ev.lb, sontag_control(cfg, x)).min())
         assert ev.label.margin == margin
         assert ev.h.tobytes() == cfg.safe_set.values(x).tobytes()
     assert checked > 0

@@ -9,10 +9,10 @@ from hypothesis.extra import numpy as hnp
 
 import safestab.filters
 import safestab.qp
-from safestab import (QPSpec, SimConfig, cbf_qp_filter, clf_cbf_qp_filter, evaluate,
-                      integrate, lp_feasible, make_controller, make_filter_config, solve_qp)
-from safestab.errors import IndefiniteQPError, InfeasibleQPError, QPIterationError
-from safestab.filters import ALPHA_W
+from safestab import (QPSpec, SimConfig, evaluate, integrate, lp_feasible, make_controller,
+                      make_filter_config, solve_qp)
+from safestab.errors import IndefiniteQPError, QPIterationError
+from safestab.filters import ALPHA_W, _clf_cbf_qp_law
 from safestab.qp import _DEP_TOL, _FEAS_TOL
 
 
@@ -200,14 +200,20 @@ def test_lp_feasible_interval_cases():
     assert not lp_feasible(np.array([[0.0]]), np.array([0.5]))
 
 
+def lattice(axis):
+    """The points (z1, z2) of axis x axis, z2 varying fastest, as rows."""
+    return np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def test_lp_feasible_random_systems_match_grid_oracle():
     rng = np.random.default_rng(31)
+    grid = lattice(np.linspace(-60.0, 60.0, 241))
+    fine = lattice(np.linspace(-1.0, 1.0, 81))
     for _ in range(200):
         A = rng.normal(size=(3, 2))
         b = rng.normal(size=3)
-        grid = np.linspace(-60.0, 60.0, 241)
-        oracle = any((A @ np.array([z1, z2]) - b).min() >= 0.0
-                     for z1 in grid for z2 in grid)
+        slack = (grid @ A.T - b).min(axis=1)   # least row slack per grid point
+        oracle = bool((slack >= 0.0).any())
         got = lp_feasible(A, b)
         if oracle:
             assert got  # a feasible grid point certifies feasibility
@@ -215,11 +221,8 @@ def test_lp_feasible_random_systems_match_grid_oracle():
             # grid may just miss a thin feasible wedge; verify disagreements
             # by a fine local search around the least-violating grid point
             if got:
-                best = min(((A @ np.array([z1, z2]) - b).min(), z1, z2)
-                           for z1 in grid for z2 in grid)
-                fine = np.linspace(-1.0, 1.0, 81)
-                near = any((A @ np.array([best[1] + d1, best[2] + d2]) - b).min() >= -1e-9
-                           for d1 in fine for d2 in fine)
+                best = grid[np.argmax(slack)]
+                near = (((best + fine) @ A.T - b).min(axis=1) >= -1e-9).any()
                 assert near, "lp_feasible says feasible but no point found nearby"
 
 
@@ -229,8 +232,8 @@ def test_clf_cbf_qp_nearly_parallel_rows_match_hand_solution(linear):
     # both hold with equality: u from the barrier row, delta from the CLF row
     cfg = make_filter_config(linear.sys, linear.clf, linear.safe_set, gamma=1.0, p=1000.0)
     x = np.array([34225.97160832805, 3260.4241165073945])
-    u, delta = clf_cbf_qp_filter(cfg, x)
     ev = evaluate(cfg, x)
+    u, delta = _clf_cbf_qp_law(cfg)(ev)
     u_hand = ev.lb[0] / ev.A[0, 0]
     delta_hand = ev.lfw + ALPHA_W * cfg.clf.value(x) + float(ev.b[0]) * u_hand
     assert u_hand == pytest.approx(15036.37468839, rel=1e-9)
@@ -784,27 +787,6 @@ def test_spec_sharing_a_factor_solves_as_a_fresh_spec():
         assert_same_solution(solve_qp(shared), solve_qp(fresh))
     with pytest.raises(ValueError):
         template.with_rows(np.ones((2, d)), np.ones(3))
-
-
-def test_controllers_with_a_shared_factor_match_the_standalone_filters(linear_cfg,
-                                                                      linear):
-    cbf = make_controller(linear_cfg, "cbf-qp")
-    clf_cbf = make_controller(linear_cfg, "clf-cbf-qp")
-    rng = np.random.default_rng(3)
-    checked = 0
-    for x in rng.uniform(linear.domain[:, 0], linear.domain[:, 1], size=(60, 2)):
-        if linear.safe_set.min_value(x) < 0.0:
-            continue
-        checked += 1
-        assert clf_cbf(x)[0].tobytes() == clf_cbf_qp_filter(linear_cfg, x)[0].tobytes()
-        try:
-            want = cbf_qp_filter(linear_cfg, x)
-        except InfeasibleQPError:
-            with pytest.raises(InfeasibleQPError):
-                cbf(x)
-            continue
-        assert cbf(x)[0].tobytes() == want.tobytes()
-    assert checked > 10
 
 
 def test_kkt_residual_is_computed_from_the_spec_when_read():

@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 from importlib import resources
 
 import numpy as np
@@ -136,8 +137,12 @@ def test_scenario_validation_errors(tmp_path):
             scenario_from_dict(bad_rate)
 
 
+def scenario_file(name):
+    return json.loads(resources.files("safestab.data").joinpath(f"{name}.json").read_text())
+
+
 def linear2d_file():
-    return json.loads(resources.files("safestab.data").joinpath("linear2d.json").read_text())
+    return scenario_file("linear2d")
 
 
 # edits of the bundled linear2d file that leave it malformed
@@ -175,6 +180,38 @@ def test_malformed_scenario_raises_scenario_error(edit):
     scenario_from_dict(cfg)
     edit(cfg)
     with pytest.raises(ScenarioError, match="^malformed scenario: "):
+        scenario_from_dict(cfg)
+
+
+# every number a bundled file holds outside defaults' scalars, by its key
+# path in the messages: (file, the keys and indices down to it)
+NUMBERS = {
+    "eq_tol": ("linear2d", ["eq_tol"]),
+    "barriers[0].alpha.lambda": ("linear2d", ["barriers", 0, "alpha", "lambda"]),
+    "barriers[0].offset": ("linear2d", ["barriers", 0, "offset"]),
+    "barriers[0].linear[1]": ("linear2d", ["barriers", 0, "linear", 1]),
+    "barriers[0].quad[1][0]": ("linear2d", ["barriers", 0, "quad", 1, 0]),
+    "equilibrium.x[1]": ("linear2d", ["equilibrium", "x", 1]),
+    "equilibrium.u[0]": ("linear2d", ["equilibrium", "u", 0]),
+    "clf.P[0][1]": ("linear2d", ["clf", "P", 0, 1]),
+    "domain[1][0]": ("linear2d", ["domain", 1, 0]),
+    "defaults.x0[0]": ("linear2d", ["defaults", "x0", 0]),
+    "barriers[2].alpha.lambda": ("tumor3d", ["barriers", 2, "alpha", "lambda"]),
+    "dynamics.params.K_T": ("tumor3d", ["dynamics", "params", "K_T"]),
+}
+
+
+@pytest.mark.parametrize("kind", ["string", "bool"])
+@pytest.mark.parametrize("path", NUMBERS)
+def test_a_number_written_as_a_string_or_a_bool_is_malformed(path, kind):
+    name, keys = NUMBERS[path]
+    cfg = scenario_file(name)
+    parent = cfg
+    for key in keys[:-1]:
+        parent = parent[key]
+    # "1.0" and true once loaded as the numbers float() makes of them
+    parent[keys[-1]] = str(parent[keys[-1]]) if kind == "string" else True
+    with pytest.raises(ScenarioError, match=re.escape(f"malformed scenario: {path}: ")):
         scenario_from_dict(cfg)
 
 

@@ -15,7 +15,7 @@ import pytest
 from safestab import cli, doa, verify
 from safestab.core import (B_FLOOR, LOCAL_CLF_SAMPLES, SAMPLE_BLOCK, Barrier,
                            ControlAffineSystem, QuadraticCLF, SafeSet, fd_gradient,
-                           fd_jacobian, is_valid_local_clf, sample_ball, sontag_terms)
+                           is_valid_local_clf, sample_ball, sontag_terms)
 from safestab.doa import (SUBLEVEL_T_MAX, compute_c_star, control_sharing_holds,
                           in_awc, ray_exit, sample_states_in_awc)
 from safestab.filters import (Region, RegionLabel, active_flags, evaluate,
@@ -83,8 +83,9 @@ def test_evaluate_matches_one_state(case):
     X = probe_states(bundle)
     ev = evaluate(cfg, X)
     evs = [evaluate(cfg, x) for x in X]
-    for name in ("x", "f", "grad_w", "a", "b", "u_son", "A", "lb", "h", "lfw"):
+    for name in ("x", "f", "a", "b", "u_son", "A", "lb", "h", "lfw"):
         assert same(getattr(ev, name), stack(getattr(e, name) for e in evs)), name
+    assert same(np.stack(ev.grad, axis=1), stack(e.grad for e in evs))
     assert same(ev.label.value, np.array([int(e.label.value) for e in evs]))
     assert same(ev.label.margin, stack(e.label.margin for e in evs))
     # the probes reach both regions, zero Sontag corrections, and for tumor3d
@@ -370,8 +371,6 @@ def test_finite_differences_match_one_state(case):
     maps = [bundle.clf.value] + [bar.h for bar in bundle.safe_set.barriers]
     for fn in maps:
         assert same(fd_gradient(fn, X), stack(fd_gradient(fn, x) for x in X))
-    # a vector map: one (r, n) Jacobian per row
-    assert same(fd_jacobian(bundle.sys.f, X), stack(fd_jacobian(bundle.sys.f, x) for x in X))
 
 
 def test_sontag_terms_and_decrease_rate_match_one_state(case):
