@@ -14,9 +14,9 @@ from .doa import (DoaEstimate, compute_c_star, control_sharing_holds, in_awc,
 from .errors import (DecreaseIdentityError, DegenerateConstraintError,
                      IndefiniteQPError, InfeasibleQPError, QPIterationError, SafeStabError,
                      ScenarioError, SharingInfeasibleError, SimulationError)
-from .filters import (CONTROLLER_NAMES, FilterConfig, Region, RegionLabel,
-                      classify_region, closed_form_ustar, evaluate,
-                      make_controller, make_filter_config, s_cbf_qp_filter)
+from .filters import (CONTROLLER_NAMES, FilterConfig, Region, classify_region,
+                      closed_form_ustar, evaluate, make_controller, make_filter_config,
+                      s_cbf_qp_filter)
 from .qp import QPSolution, QPSpec, lp_feasible, solve_qp
 from .scenarios import (SCENARIO_NAMES, ScenarioBundle, build_scenario,
                         load_scenario)

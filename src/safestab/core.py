@@ -421,7 +421,9 @@ class Barrier:
 
 @dataclass
 class SafeSet:
-    """Intersection of h_i >= 0 over an ordered list of barriers."""
+    """Intersection of h_i >= 0 over an ordered list of barriers. contains
+    is the one membership test: min_i h_i >= 0, false where the least value
+    is NaN."""
 
     barriers: tuple
 
@@ -446,20 +448,25 @@ class SafeSet:
             return vals.min(axis=1)
         return float(vals.min())
 
-    def contains(self, x, tol: float = 0.0):
-        return self.min_value(x) >= -tol
+    def contains(self, x):
+        return self.min_value(x) >= 0.0
 
 
 def state_parts(sys: ControlAffineSystem, x):
     """(x, part): x as one state (n,) or a stack (N, n), and the map from an
     array of x's leading shape to what a float form reads, its Python floats
-    for one state or its columns for a stack."""
+    for one state or its columns for a stack. A float (n,) array is returned
+    as it is."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        return as_vector(x, sys.n), np.ndarray.tolist
-    if x.shape[1] != sys.n:
-        raise ValueError(f"expected states of length {sys.n}, got {x.shape[1]}")
-    return x, columns
+    if x.ndim == 2:
+        if x.shape[1] != sys.n:
+            raise ValueError(f"expected states of length {sys.n}, got {x.shape[1]}")
+        return x, columns
+    if x.ndim != 1:
+        x = x.ravel()
+    if x.size != sys.n:
+        raise ValueError(f"expected vector of length {sys.n}, got {x.size}")
+    return x, np.ndarray.tolist
 
 
 def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):

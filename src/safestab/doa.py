@@ -133,7 +133,7 @@ def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
     w_vals = cfg.clf.value(points)
     near_eq = np.linalg.norm(points - x_e, axis=1) <= EXCLUDE_RADIUS
     cands = np.flatnonzero(~near_eq & (w_vals <= c_hi))
-    idxs = cands[cfg.safe_set.min_value(points[cands]) >= 0.0]
+    idxs = cands[cfg.safe_set.contains(points[cands])]
     if not idxs.size:
         raise ValueError(
             f"no grid point of {{W <= {c_hi}}} inside the safe set to verify at "
@@ -174,10 +174,10 @@ def in_awc(estimate: DoaEstimate, cfg: FilterConfig, x):
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         inside = cfg.clf.value(x) <= estimate.c_star
-        inside[inside] = cfg.safe_set.min_value(x[inside]) >= 0.0
+        inside[inside] = cfg.safe_set.contains(x[inside])
         return inside
     x = as_vector(x, cfg.sys.n)
-    return cfg.clf.value(x) <= estimate.c_star and cfg.safe_set.min_value(x) >= 0.0
+    return cfg.clf.value(x) <= estimate.c_star and cfg.safe_set.contains(x)
 
 
 def _directions(n: int, seed: int) -> np.ndarray:

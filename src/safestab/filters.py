@@ -4,11 +4,12 @@ Every controller reads the same pointwise quantities, which `evaluate`
 computes from one call of the system's float form fg (f and the columns of
 g), on the Python floats of one state or the columns of a stack: W, Sontag's
 terms a, b and input u_son, the barrier rows L_f h_i + L_g h_i u >=
--alpha_i(h_i) stacked as A u >= lb, the barrier values h, and the R1/R2
-label. Its body is one kernel written out for the sizes (n, m, k) of the
-configuration, the same for one state and for a stack; the Evaluation holds
-the floats (or columns) the kernel gives and builds an array field only when
-it is read, and the laws read the floats.
+-alpha_i(h_i) stacked as A u >= lb, the barrier values h, each row's slack
+at u_son and the least of them, which decides the R1/R2 region. Its body is
+one kernel written out for the sizes (n, m, k) of the configuration, the
+same for one state and for a stack; the Evaluation holds the floats (or
+columns) the kernel gives and builds an array field only when it is read,
+and the laws read the floats.
 
 make_controller(cfg, name)(x) is the one pointwise entry of each law; three
 of them filter Sontag's input through QPs on the shared rows:
@@ -26,10 +27,11 @@ The laws run on floats from the evaluation to the input: the costs 2I and
 diag(2, .., 2, 2p) do not depend on the state, so make_controller builds
 each as one QPSpec of float lists, factored once, to which every step adds
 its rows with QPSpec.with_rows; the Sontag-weighted spec, whose cost 2 b'b
-changes with the state, is built from floats at each R2 step. Rows, bounds
-lb - A u_son and weights are explicit sums (core), solve_qp returns floats,
-and u_son + z becomes the step's one array. No controller reads a spec's
-arrays or the solution's KKT residual, which are built only when read.
+changes with the state, is built from floats at each R2 step. Rows and
+weights are explicit sums (core), the bounds lb - A u_son are the negated
+slacks of the evaluation, solve_qp returns floats, and u_son + z becomes the
+step's one array. No controller reads the solution's KKT residual, which is
+computed only when read.
 closed_form_ustar, verify's cross-check, reads the evaluation's floats too.
 """
 from __future__ import annotations
@@ -45,7 +47,7 @@ import numpy as np
 # sontag_terms is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module, as it does sontag_control
 from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum, columns,  # noqa: F401
-                   dot_of, kappa, matvec_of, sontag_terms)
+                   dot_of, kappa, matvec_of, sontag_terms, state_parts)
 from .errors import (DegenerateConstraintError, IndefiniteQPError, InfeasibleQPError,
                      SafeStabError)
 from .qp import QPSpec, solve_qp
@@ -62,15 +64,6 @@ ACTIVE_TOL = 1e-6
 class Region(IntEnum):
     R1 = 0
     R2 = 1
-
-
-@dataclass
-class RegionLabel:
-    """R1/R2 and the smallest row slack at u_son; for a stack, arrays of
-    Region values and of slacks."""
-
-    value: Region
-    margin: float
 
 
 @dataclass
@@ -102,28 +95,26 @@ class Evaluation:
     its column). fg is (f, columns of g); w, grad, a, bs, us, As, lbs and hs
     are W, grad W, a = gradW'(f + g u_e), b = gradW' g, the Sontag input
     u_son and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i)
-    - L_f h_i) with the barrier values h_i(x), as lists. The array fields f,
-    b, u_son, A, lb and h are built from them when first read, with
-    a leading axis of N for a stack. margin is the least row slack at
-    u_son (a float, or a column), and label, built from it when first read,
-    is R1 iff u_son satisfies every row."""
+    - L_f h_i) with the barrier values h_i(x), as lists. slacks are the row
+    slacks s_i = A_i . u_son - lb_i, and margin the least of them (a float,
+    or a column). The array fields f, b, u_son, A, lb and h are built from
+    them when first read, with a leading axis of N for a stack."""
 
-    __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "margin", "_arrays")
+    __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "slacks", "margin",
+                 "_arrays")
 
-    def __init__(self, x, fg, grad, w, a, bs, us, As, lbs, hs, margin):
+    def __init__(self, x, fg, grad, w, a, bs, us, As, lbs, hs, slacks, margin):
         self.x, self.fg, self.grad, self.w, self.a, self.bs, self.us = x, fg, grad, w, a, bs, us
-        self.As, self.lbs, self.hs, self.margin, self._arrays = As, lbs, hs, margin, {}
+        self.As, self.lbs, self.hs, self.slacks, self.margin = As, lbs, hs, slacks, margin
+        self._arrays = {}
 
     @property
-    def label(self) -> RegionLabel:
-        """R1 where margin >= 0 (NaN on R2) and the margin; for a stack,
-        arrays of Region values and of margins."""
-        if "label" not in self._arrays:
-            margin = self.margin
-            self._arrays["label"] = RegionLabel(
-                (Region.R1 if margin >= 0.0 else Region.R2) if self.x.ndim == 1
-                else np.where(margin >= 0.0, Region.R1, Region.R2), margin)
-        return self._arrays["label"]
+    def region(self):
+        """Region.R1 iff u_son satisfies every row, margin >= 0 (a NaN margin
+        is R2); for a stack, the array of Region values."""
+        if self.x.ndim == 1:
+            return Region.R1 if self.margin >= 0.0 else Region.R2
+        return np.where(self.margin >= 0.0, Region.R1, Region.R2)
 
     def _built(self, name, values):
         """The array field name of the floats or columns values, kept once
@@ -158,11 +149,11 @@ class Evaluation:
 def _kernel_of(n: int, m: int, k: int) -> Callable:
     """evaluate's body for n states, m inputs and k barriers, written out
     once: sys, clf, barriers, gamma, x -> Evaluation's fields after x and
-    the least row margin. sys.fg, clf.lie_terms and each hgrad are read from
-    the objects at every call, so that a form assigned later runs. With
-    (h_i, q) = hgrad_i(x): A_i = (G_1 . q, ..., G_m . q), lb_i = -alpha_i h_i
-    - f . q and margin_i = A_i . u_son - lb_i, explicit sums as in core;
-    kappa and _min_first branch on floats or columns."""
+    the row slacks and the least of them. sys.fg, clf.lie_terms and each
+    hgrad are read from the objects at every call, so that a form assigned
+    later runs. With (h_i, q) = hgrad_i(x): A_i = (G_1 . q, ..., G_m . q),
+    lb_i = -alpha_i h_i - f . q and s_i = A_i . u_son - lb_i, explicit sums
+    as in core; kappa and _min_first branch on floats or columns."""
     lines = ["fg = f, G = sys.fg(x)", "grad, w, a, b = clf.lie_terms(x, f, G)",
              f"c = kappa(gamma, a, b, {_sum(f'b[{j}] * b[{j}]' for j in range(m))})",
              "e = clf._u_e", f"u = [{', '.join(f'e[{j}] + c[{j}]' for j in range(m))}]"]
@@ -171,11 +162,11 @@ def _kernel_of(n: int, m: int, k: int) -> Callable:
     for i in range(k):
         lines += [f"h{i}, q = bars[{i}].hgrad(x)", f"A{i} = [{row}]",
                   f"lb{i} = -bars[{i}].alpha * h{i} - {lfh}"]
-    margins = ", ".join(_sum(f"A{i}[{j}] * u[{j}]" for j in range(m)) + f" - lb{i}"
-                        for i in range(k))
+    slacks = ", ".join(_sum(f"A{i}[{j}] * u[{j}]" for j in range(m)) + f" - lb{i}"
+                       for i in range(k))
     A, lb, h = ("[" + ", ".join(f"{name}{i}" for i in range(k)) + "]" for name in ("A", "lb", "h"))
-    return _def("sys, clf, bars, gamma, x", lines,
-                f"fg, grad, w, a, b, u, {A}, {lb}, {h}, _min_first([{margins}])",
+    return _def("sys, clf, bars, gamma, x", lines + [f"s = [{slacks}]"],
+                f"fg, grad, w, a, b, u, {A}, {lb}, {h}, s, _min_first(s)",
                 kappa=kappa, _min_first=_min_first)
 
 
@@ -207,18 +198,8 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
     columns of a stack (N, n), and sums every product written out, so a
     stack row has the bits of its one-state call. The Evaluation holds what
     the kernel gives and builds its array fields on read."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        if x.shape[1] != cfg.sys.n:
-            raise ValueError(f"expected states of length {cfg.sys.n}, got {x.shape[1]}")
-        xs = columns(x)
-    else:
-        if x.ndim != 1:
-            x = x.ravel()
-        if x.size != cfg.sys.n:
-            raise ValueError(f"expected vector of length {cfg.sys.n}, got {x.size}")
-        xs = x.tolist()
-    return Evaluation(x, *cfg._kernel(cfg.sys, cfg.clf, cfg.safe_set.barriers, cfg.gamma, xs))
+    x, part = state_parts(cfg.sys, x)
+    return Evaluation(x, *cfg._kernel(cfg.sys, cfg.clf, cfg.safe_set.barriers, cfg.gamma, part(x)))
 
 
 def sontag_control(cfg: FilterConfig, x) -> np.ndarray:
@@ -233,10 +214,11 @@ def cbf_rows(cfg: FilterConfig, x) -> Tuple[np.ndarray, np.ndarray]:
     return ev.A, ev.lb
 
 
-def classify_region(cfg: FilterConfig, x) -> RegionLabel:
+def classify_region(cfg: FilterConfig, x):
     """R1 where the Sontag input satisfies every barrier row (minimum slack
-    >= 0, ties assigned to R1), R2 otherwise."""
-    return evaluate(cfg, x).label
+    >= 0, ties assigned to R1), R2 otherwise: evaluate's region, a Region
+    for one state and an array of Region values for a stack."""
+    return evaluate(cfg, x).region
 
 
 def _flags(A, lb, u):
@@ -272,9 +254,9 @@ def _diag(values: list) -> list:   # as rows of floats
 
 def _shifted_bounds(ev: Evaluation) -> list:
     """lb - A u_son, the bounds of the barrier rows A v >= lb - A u_son on
-    the shift v = u - u_son (floats); each A_i . u_son is an explicit sum."""
-    u = ev.us
-    return [lb_i - v for lb_i, v in zip(ev.lbs, matvec_of(len(ev.As), len(u))(ev.As, u))]
+    the shift v = u - u_son (floats): the negated slacks, equal to lb_i -
+    A_i . u_son, since a difference rounds the same either way round."""
+    return [0.0 - s for s in ev.slacks]
 
 
 def _plus(u: list, v: list) -> np.ndarray:
@@ -396,7 +378,7 @@ def make_controller(cfg: FilterConfig, name: str
                     ) -> Callable[[np.ndarray], Tuple[np.ndarray, Evaluation]]:
     """Controller factory for the tags accepted by the CLI. The controller
     maps a state x to (u, ev): its input and the evaluation it was computed
-    from, whose rows, label and barrier values the simulator logs."""
+    from, whose rows, margin and barrier values the simulator logs."""
     law = _law(cfg, name)
 
     def control(x):

@@ -17,11 +17,10 @@ which stays accurate when two rows are nearly parallel in the cost metric.
 Problems here are tiny, so the active set is identified exactly (as the
 closed-form cross-checks need) and a call is mostly fixed cost, kept small
 on Python floats from the filters' rows to the returned point: a QPSpec and
-a QPSolution hold floats and build their arrays only when read, a spec's
-cost is factored once and shared by `with_rows`, and the factor, solve_qp
-and the KKT residual run bodies written out once per number of variables d,
-every product an explicit sum from +0.0 added left to right, with no BLAS
-call.
+a QPSolution hold floats only, a spec's cost is factored once and shared by
+`with_rows`, and the factor, solve_qp and the KKT residual run bodies
+written out once per number of variables d, every product an explicit sum
+from +0.0 added left to right, with no BLAS call.
 """
 from __future__ import annotations
 
@@ -96,9 +95,8 @@ def _factor_of(d: int):
 class QPSpec:
     """Cost (H, c) with Tikhonov parameter reg and inequality rows A z >= b,
     each given as an array or as lists of Python floats in its shape. The
-    spec keeps them as floats, Hs, cs, As and bs, with the factor of H +
-    reg*I, and builds the arrays H, c, A and b read-only when first read:
-    solve_qp and the KKT residual read the floats."""
+    spec keeps them as floats only, Hs, cs, As and bs, with the factor of H
+    + reg*I."""
 
     def __init__(self, H, c, A, b, reg: float = 1e-9):
         self.cs = c if type(c) is list else np.asarray(c, dtype=float).ravel().tolist()
@@ -123,10 +121,6 @@ class QPSpec:
         spec._set_rows(A, b)
         return spec
 
-    H = cached_property(lambda self: _frozen(self.Hs, (self.dim, self.dim)))
-    c = cached_property(lambda self: _frozen(self.cs, -1))
-    A = cached_property(lambda self: _frozen(self.As, (-1, self.dim)))
-    b = cached_property(lambda self: _frozen(self.bs, -1))
     dim = property(lambda self: len(self.cs))
     n_rows = property(lambda self: len(self.bs))
 
@@ -138,17 +132,11 @@ class QPSpec:
         return 0.5 * dot_of(d)(z, matvec_of(d, d)(Hr, z)) + dot_of(d)(self.cs, z)
 
 
-def _frozen(values, shape) -> np.ndarray:
-    a = np.array(values, dtype=float).reshape(shape)
-    a.flags.writeable = False
-    return a
-
-
 @dataclass
 class QPSolution:
-    """Outcome of solve_qp: the point zs and multipliers lams as floats (None
-    when infeasible); z_star, multipliers and kkt_residual are computed when
-    first read."""
+    """Outcome of solve_qp: the point zs and each row's multiplier lams, as
+    floats (None when infeasible); kkt_residual is computed when first
+    read."""
 
     zs: Optional[List[float]]
     lams: Optional[List[float]]
@@ -158,8 +146,6 @@ class QPSolution:
     spec: Optional[QPSpec] = field(default=None, repr=False, compare=False)
 
     optimal = property(lambda self: self.status == STATUS_OPTIMAL)
-    z_star = cached_property(lambda self: None if self.zs is None else np.array(self.zs))
-    multipliers = cached_property(lambda self: None if self.lams is None else np.array(self.lams))
 
     @cached_property
     def kkt_residual(self) -> float:
@@ -172,7 +158,7 @@ class QPSolution:
 @lru_cache(maxsize=None)
 def _kkt_of(d: int):
     """spec, z, lam -> the largest of the four scaled KKT residuals of the
-    point z with multipliers lam, written out for d: stationarity |(H +
+    point z with the row multiplier list lam, written out for d: stationarity |(H +
     reg*I)z + c - A'lam|_max / (1 + |(H + reg*I)z|_max + |c|_max), and with
     rows primal -min(Az - b) / (1 + |b|_max), dual -min(lam) / (1 +
     |lam|_max) and complementarity |lam * (Az - b)|_max / (1 + |lam|_max (1
@@ -260,7 +246,7 @@ for {a}, b_i in zip(A, b):
 {y} = {L_c}
 # a slack's rounding grows with the largest point met, not the current one
 {y_max}
-# u: multipliers of the active rows, then p's; Q: columns, the active
+# u: the multiplier of each active row, then p's; Q: columns, the active
 # normals being Q[:q] R[:q, :q]; R: rows of R^-1, upper triangular
 active, u, Q, R, p = [], [], [None] * {d}, [[0.0] * {d} for _ in range({d})], -1
 for it in range(1, max_iter + 1):

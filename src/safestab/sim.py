@@ -175,9 +175,10 @@ def integrate(cfg: FilterConfig,
     """Run the closed loop from simcfg.x0, re-evaluating the controller at the
     start of every step and holding its input through the RK4 stages.
 
-    The initial state must lie in the safe set, and the records of the run
-    must fit in memory (else SimulationError naming t_final, dt, the record
-    count and record_every). Non-finite states, states beyond the blow-up
+    The initial state must lie in the safe set (SafeSet.contains, which a
+    NaN barrier value fails), and the records of the run must fit in memory
+    (else SimulationError naming t_final, dt, the record count and
+    record_every). Non-finite states, states beyond the blow-up
     guard, controller infeasibility, a controller QP that exceeds its
     iteration budget and a QP cost that is not positive definite (the
     Sontag-weighted cost 2bb' with m >= 2 and a large |b|) truncate the run
@@ -189,7 +190,7 @@ def integrate(cfg: FilterConfig,
     The state is carried as Python floats from one step to the next, and
     the controller gets it as one array a step. The controller maps x to
     (u, ev) as make_controller's do; the region is read from ev.margin
-    (R1 iff it is >= 0, as ev.label), the logged W, barrier values and rows
+    (R1 iff it is >= 0, as ev.region), the logged W, barrier values and rows
     are the floats of ev, and when ev.x is x itself, the first RK4 stage
     takes f(x) and g(x) from ev.fg. Every record_every-th step and the last
     one are written by _recorder_of's stores through flat views of arrays
@@ -203,7 +204,7 @@ def integrate(cfg: FilterConfig,
     sys = cfg.sys
     n, m, k = sys.n, sys.m, len(cfg.safe_set.barriers)
     x = as_vector(simcfg.x0, n)
-    if cfg.safe_set.min_value(x) < 0.0:
+    if not cfg.safe_set.contains(x):
         raise SimulationError(f"x0 outside the safe set: min h = {cfg.safe_set.min_value(x)}")
     dt, every = simcfg.dt, simcfg.record_every
     n_rec = simcfg.t_final / dt / every   # for the message, until the count is known
@@ -249,7 +250,7 @@ def integrate(cfg: FilterConfig,
             raise ValueError(f"controller input at step {step} (t={t}) has shape "
                              f"{u.shape}, expected ({m},)")
         us = u.tolist()
-        region = 0 if ev.margin >= 0.0 else 1   # Region.R1 or R2, the value of ev.label
+        region = 0 if ev.margin >= 0.0 else 1   # Region.R1 or R2, as ev.region
         if prev_region is not None and region != prev_region:
             events.append(SwitchEvent(t, prev_region, region, prev_u, u,
                                       active_flags(prev_ev.A, prev_ev.lb, prev_u),

@@ -45,8 +45,7 @@ def _sample_domain(bundle: ScenarioBundle, count: int, rng) -> np.ndarray:
 
 def _sample_safe(bundle: ScenarioBundle, count: int, rng) -> np.ndarray:
     return rejection_sample(rng, bundle.domain[:, 0], bundle.domain[:, 1],
-                            lambda X: bundle.safe_set.min_value(X) >= 0.0,
-                            count, SAFE_MAX_TRIES)
+                            bundle.safe_set.contains, count, SAFE_MAX_TRIES)
 
 
 def _worst(values) -> float:
@@ -90,6 +89,9 @@ def check_clf_gradient(bundle: ScenarioBundle, seed: int) -> CheckResult:
 def check_barrier_gradients(bundle: ScenarioBundle, seed: int) -> CheckResult:
     rng = np.random.default_rng(seed)
     X = _sample_safe(bundle, GRADIENT_SAMPLES, rng)
+    if not len(X):
+        return CheckResult("barrier_gradient_fd", False,
+                           f"no safe state drawn in {SAFE_MAX_TRIES} draws")
     worst = float(np.max([_worst_rel_err(bar.grad_h(X), fd_gradient(bar.h, X))
                           for bar in bundle.safe_set.barriers]))
     return CheckResult("barrier_gradient_fd", worst <= 1e-5, f"worst rel err {worst:.2e}")
@@ -131,7 +133,7 @@ def check_closed_form(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> C
     rng = np.random.default_rng(seed)
     errs = []
     pts = _sample_safe(bundle, 20 * CLOSED_FORM_SAMPLES, rng)
-    for i in np.flatnonzero(evaluate(cfg, pts).label.value == Region.R2):
+    for i in np.flatnonzero(evaluate(cfg, pts).region == Region.R2):
         if len(errs) >= CLOSED_FORM_SAMPLES:
             break
         try:
@@ -158,7 +160,7 @@ def check_r1_proper(cfg: FilterConfig, seed: int) -> CheckResult:
     x_e = cfg.clf.equilibrium.x_e
     pts = sample_ball(x_e, R1_RADIUS, R1_SAMPLES, rng)
     ev = evaluate(cfg, pts)
-    for x, x_unsafe, x_r2 in zip(pts, ev.h.min(axis=1) < 0.0, ev.label.value != Region.R1):
+    for x, x_unsafe, x_r2 in zip(pts, ~(ev.h.min(axis=1) >= 0.0), ev.region != Region.R1):
         if x_unsafe:
             return CheckResult("r1_proper", False, f"safe set excludes {x}")
         if x_r2:

@@ -123,7 +123,7 @@ def test_criterion_03_closed_form_qp_equivalence(linear_bundle):
         x = rng.uniform(linear_bundle.domain[:, 0], linear_bundle.domain[:, 1])
         if linear_bundle.safe_set.min_value(x) < 0.0:
             continue
-        if classify_region(cfg, x).value != Region.R2:
+        if classify_region(cfg, x) != Region.R2:
             continue
         try:
             u_cf, _ = closed_form_ustar(cfg, x)
@@ -151,7 +151,7 @@ def test_criterion_04_qp_oracle_equivalence():
         assert sol.optimal
         worst_kkt = max(worst_kkt, sol.kkt_residual)
         _, oracle_obj = grid_search_oracle(spec)
-        worst_obj = max(worst_obj, abs(spec.objective(sol.z_star) - oracle_obj))
+        worst_obj = max(worst_obj, abs(spec.objective(sol.zs) - oracle_obj))
     elapsed = time.perf_counter() - t0
     report(4, worst_obj <= 1e-6 and worst_kkt <= 1e-7 and elapsed < 30.0, elapsed,
            f"50 random QPs: |obj - oracle| <= {worst_obj:.2e} (tol 1e-6), "

@@ -49,8 +49,17 @@ def test_system_barrier_and_evaluation_attributes():
         assert public(bar) == ["alpha", "from_hgrad", "grad_h", "h", "hgrad", "name"]
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set)
     assert public(evaluate(cfg, bundle.eq.x_e)) == \
-        ["A", "As", "a", "b", "bs", "f", "fg", "grad", "h", "hs", "label", "lb", "lbs", "lfw",
-         "margin", "u_son", "us", "w", "x"]
+        ["A", "As", "a", "b", "bs", "f", "fg", "grad", "h", "hs", "lb", "lbs", "lfw", "margin",
+         "region", "slacks", "u_son", "us", "w", "x"]
+
+
+def test_qp_spec_and_solution_attributes():
+    # a spec and a solution hold floats only; no second form of them is kept
+    spec = safestab.QPSpec([[1.0]], [0.0], [[1.0]], [2.0])
+    assert public(spec) == ["As", "Hs", "bs", "cs", "dim", "n_rows", "objective", "reg",
+                            "with_rows"]
+    assert public(safestab.solve_qp(spec)) == \
+        ["active_set", "iterations", "kkt_residual", "lams", "optimal", "spec", "status", "zs"]
 
 
 def test_package_exports():
@@ -62,7 +71,7 @@ def test_package_exports():
         "Barrier", "CONTROLLER_NAMES", "ControlAffineSystem", "DecreaseIdentityError",
         "DegenerateConstraintError", "DoaEstimate", "EquilibriumPair", "FilterConfig",
         "IndefiniteQPError", "InfeasibleQPError", "Metrics", "QPIterationError", "QPSolution",
-        "QPSpec", "QuadraticCLF", "Region", "RegionLabel", "SCENARIO_NAMES", "SafeSet",
+        "QPSpec", "QuadraticCLF", "Region", "SCENARIO_NAMES", "SafeSet",
         "SafeStabError", "ScenarioBundle", "ScenarioError", "SharingInfeasibleError",
         "SimConfig", "SimulationError", "Trajectory", "build_scenario", "classify_region",
         "closed_form_ustar", "compute_c_star", "compute_metrics", "control_sharing_holds",

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -62,6 +63,26 @@ def test_simulate_bad_x0_exits_2(tmp_path):
     rc = main(["simulate", "--scenario", "linear2d", "--x0", "4.0,4.0",
                "--t-final", "1.0", "--out", str(tmp_path)])
     assert rc == 2
+
+
+def test_simulate_from_a_nan_barrier_value_exits_2(tmp_path, capsys):
+    # with the saddle quad diag(1, -1), h = 1 + x_1^2 - x_2^2 is inf - inf =
+    # NaN at (1e200, 1e200), a start outside the safe set as h = -inf is
+    scenario = linear2d_file()
+    scenario["barriers"][0]["quad"] = [[1.0, 0.0], [0.0, -1.0]]
+    path = tmp_path / "saddle.json"
+    path.write_text(json.dumps(scenario))
+    bundle = safestab.load_scenario(path)
+    cfg = safestab.make_filter_config(bundle.sys, bundle.clf, bundle.safe_set)
+    with pytest.raises(safestab.SimulationError, match="min h = nan"):
+        safestab.integrate(cfg, safestab.make_controller(cfg, "hybrid"),
+                           safestab.SimConfig(x0=[1e200, 1e200], t_final=0.01))
+    out = tmp_path / "o"
+    for x0 in ("1e200,1e200", "0,1e200"):
+        rc = main(["simulate", "--scenario", str(path), "--x0", x0, "--t-final", "0.01",
+                   "--out", str(out)])
+        assert rc == 2 and not out.exists()
+    assert "x0 outside the safe set: min h = nan" in capsys.readouterr().err
 
 
 def test_simulate_without_any_x0_exits_2_saying_so(tmp_path, capsys):
@@ -493,3 +514,26 @@ def test_plot_reads_the_header_only_csv_of_a_run_stopped_at_its_first_step(tmp_p
     rc = main(["plot", str(path), "--scenario", "tumor3d", "--out", str(tmp_path)])
     assert rc == 0, capsys.readouterr().err
     assert (tmp_path / "plot_tumor3d.py").exists()
+
+
+# SHA-256 of each linear2d trajectory CSV at the bundled defaults (10 001
+# rows). linear2d's step path uses only + - * /, math.sqrt, frexp and ldexp,
+# with no exp and no BLAS call, so these bytes do not depend on the CPU;
+# tumor3d goes through np.exp, whose last bits may, and is left out. A
+# change that alters these bits on purpose updates the pins and says so.
+LINEAR2D_TRAJ_SHA256 = {
+    "sontag": "4d6a4024310036a7d7bf88088933242c68e942b123f7f1f38512faad1bb31a15",
+    "cbf-qp": "59f1d0c235f102d82bc3a4fbf9f43e928a4edba87e7049e4ed0aaff252052402",
+    "clf-cbf-qp": "f786ecd4c6522738fe4eed30fd349fbf3e726d3dfa61477f6ac77ea4b462e7e6",
+    "s-cbf-qp": "4b3772c8eb50ecd112130fa7e91c4d8854c5918a6cfb01189fccd8d09cc85953",
+    "hybrid": "4b3772c8eb50ecd112130fa7e91c4d8854c5918a6cfb01189fccd8d09cc85953",
+}
+
+
+@pytest.mark.parametrize("controller", safestab.CONTROLLER_NAMES)
+def test_linear2d_trajectory_bytes_are_pinned(controller, tmp_path):
+    assert main(["simulate", "--scenario", "linear2d", "--controller", controller,
+                 "--out", str(tmp_path)]) == 0
+    data = (tmp_path / f"linear2d_{controller}_traj.csv").read_bytes()
+    assert data.count(b"\r\n") == 1 + 10001
+    assert hashlib.sha256(data).hexdigest() == LINEAR2D_TRAJ_SHA256[controller]

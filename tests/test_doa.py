@@ -40,7 +40,7 @@ def test_sharing_holds_on_r1_away_from_equilibrium(linear_cfg, linear):
     for x in pts:
         if np.linalg.norm(x) < 1e-3:
             continue
-        if classify_region(linear_cfg, x).value == Region.R1:
+        if classify_region(linear_cfg, x) == Region.R1:
             assert control_sharing_holds(linear_cfg, x)
 
 

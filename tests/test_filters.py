@@ -58,7 +58,7 @@ def find_r2_states(cfg, bundle, count, seed, w_cap=None):
             continue
         if w_cap is not None and bundle.clf.value(x) > w_cap:
             continue
-        if classify_region(cfg, x).value == Region.R2:
+        if classify_region(cfg, x) == Region.R2:
             out.append(x)
             if len(out) == count:
                 return np.array(out)
@@ -155,7 +155,7 @@ def test_s_cbf_qp_returns_sontag_on_r1(linear_cfg, linear):
     pts = sample_safe_states(linear, 200, 31, w_cap=30.0)
     checked = 0
     for x in pts:
-        if classify_region(linear_cfg, x).value != Region.R1:
+        if classify_region(linear_cfg, x) != Region.R1:
             continue
         u = s_cbf_qp_filter(linear_cfg, x)
         u_son = sontag_control(linear_cfg, x)
@@ -228,7 +228,7 @@ def test_closed_form_equals_sontag_on_region_boundary(linear_cfg, linear):
         lo, hi = x_r1.copy(), x_r2.copy()
         for _ in range(60):
             mid = 0.5 * (lo + hi)
-            if classify_region(linear_cfg, mid).value == Region.R1:
+            if classify_region(linear_cfg, mid) == Region.R1:
                 lo = mid
             else:
                 hi = mid
@@ -256,7 +256,7 @@ def test_closed_form_multiplier_matches_qp(linear_cfg, linear):
                       A, lb - A @ u_son)   # the filters' reg, QPSpec's default
         sol = solve_qp(spec)
         # Lagrangians differ by the factor 2 on the quadratic form
-        assert sol.multipliers[0] / 2.0 == pytest.approx(lam_cf, rel=1e-6, abs=1e-9)
+        assert sol.lams[0] / 2.0 == pytest.approx(lam_cf, rel=1e-6, abs=1e-9)
 
 
 def closed_form_numpy(cfg, x, barrier_index):
@@ -290,7 +290,7 @@ def test_closed_form_keeps_the_bits_of_its_numpy_expression(linear_cfg, linear, 
         except SafeStabError as exc:
             # a negative multiplier on R2, reported with the numpy bits
             assert want[1] < 0.0 and repr(want[1]) in str(exc)
-            assert classify_region(cfg, x).value == Region.R2
+            assert classify_region(cfg, x) == Region.R2
             outcomes.add("negative")
             continue
         assert u_star.dtype == want[0].dtype and u_star.tobytes() == want[0].tobytes()
@@ -305,16 +305,14 @@ def test_closed_form_keeps_the_bits_of_its_numpy_expression(linear_cfg, linear, 
 
 def test_equilibrium_classifies_r1(linear_cfg, tumor_cfg, linear, tumor):
     for cfg, bundle in ((linear_cfg, linear), (tumor_cfg, tumor)):
-        label = classify_region(cfg, bundle.eq.x_e)
-        assert label.value == Region.R1
-        assert label.margin > 0.0
+        assert classify_region(cfg, bundle.eq.x_e) == Region.R1
+        assert evaluate(cfg, bundle.eq.x_e).margin > 0.0
 
 
 def test_boundary_approach_state_classifies_r2(linear_cfg, linear):
     xs = find_r2_states(linear_cfg, linear, 1, 43, w_cap=34.0)
-    label = classify_region(linear_cfg, xs[0])
-    assert label.value == Region.R2
-    assert label.margin < 0.0
+    assert classify_region(linear_cfg, xs[0]) == Region.R2
+    assert evaluate(linear_cfg, xs[0]).margin < 0.0
 
 
 def test_exact_zero_margin_assigned_r1():
@@ -326,9 +324,8 @@ def test_exact_zero_margin_assigned_r1():
     bar = Barrier(h=lambda x: 0.0, alpha=1.0,
                   grad_h=lambda x: np.zeros(1), name="flat")
     cfg = make_filter_config(sys, clf, SafeSet((bar,)))
-    label = classify_region(cfg, np.array([0.5]))
-    assert label.margin == 0.0
-    assert label.value == Region.R1
+    assert evaluate(cfg, np.array([0.5])).margin == 0.0
+    assert classify_region(cfg, np.array([0.5])) == Region.R1
 
 
 def test_multi_barrier_margin_is_minimum(tumor_cfg, tumor):
@@ -336,8 +333,8 @@ def test_multi_barrier_margin_is_minimum(tumor_cfg, tumor):
     for x in pts:
         u_son = sontag_control(tumor_cfg, x)
         A, lb = cbf_rows(tumor_cfg, x)
-        label = classify_region(tumor_cfg, x)
-        assert label.margin == pytest.approx(float(row_slacks(A, lb, u_son).min()), rel=1e-12)
+        margin = evaluate(tumor_cfg, x).margin
+        assert margin == pytest.approx(float(row_slacks(A, lb, u_son).min()), rel=1e-12)
 
 
 # ---------------------------------------------------------------- hybrid
@@ -348,7 +345,7 @@ def test_hybrid_selects_branch(linear_cfg, linear):
     pts = sample_safe_states(linear, 100, 53, w_cap=34.0)
     for x in pts:
         u, ev = hybrid(x)
-        if ev.label.value == Region.R1:
+        if ev.region == Region.R1:
             assert np.all(u == sontag_control(linear_cfg, x))
         else:
             assert np.abs(u - s_cbf_qp_filter(linear_cfg, x)).max() <= 1e-12
@@ -363,7 +360,7 @@ def test_hybrid_continuity_across_region_boundary(linear_cfg, linear):
         lo, hi = x_r1.copy(), x_r2.copy()
         for _ in range(80):
             mid = 0.5 * (lo + hi)
-            if classify_region(linear_cfg, mid).value == Region.R1:
+            if classify_region(linear_cfg, mid) == Region.R1:
                 lo = mid
             else:
                 hi = mid
@@ -442,10 +439,10 @@ def test_decision_carries_the_standalone_quantities(name, scenario, request):
                                         rel=1e-5, abs=1e-5)
             assert lgh[0] == pytest.approx(lie_derivative_fd(bar, x, G[:, 0]),
                                            rel=1e-5, abs=1e-5)
-        label = classify_region(cfg, x)
-        assert ev.label.value == label.value and ev.label.margin == label.margin
-        margin = float(row_slacks(ev.A, ev.lb, sontag_control(cfg, x)).min())
-        assert ev.label.margin == margin
+        assert ev.region == classify_region(cfg, x)
+        # m = 1: each slack A_i u_son - lb_i is one product and one difference
+        slacks = row_slacks(ev.A, ev.lb, sontag_control(cfg, x))
+        assert ev.slacks == slacks.tolist() and ev.margin == float(slacks.min())
         assert ev.h.tobytes() == cfg.safe_set.values(x).tobytes()
     assert checked > 0
 
@@ -456,7 +453,7 @@ def test_decision_carries_the_standalone_quantities(name, scenario, request):
         u, ev = ctrl(x)
         assert traj.inputs[i].tobytes() == u.tobytes()
         assert traj.h_values[i].tobytes() == ev.h.tobytes()
-        assert traj.regions[i] == int(ev.label.value)
+        assert traj.regions[i] == int(ev.region)
         assert np.all(traj.active[i] == active_flags(ev.A, ev.lb, u))
 
 

@@ -16,15 +16,23 @@ from safestab.filters import ALPHA_W, _clf_cbf_qp_law
 from safestab.qp import _DEP_TOL, _FEAS_TOL
 
 
+def spec_arrays(spec):
+    """A spec's floats as new numpy arrays H, c, A and b, A of shape
+    (n_rows, dim), for the numpy oracles."""
+    return (np.array(spec.Hs), np.array(spec.cs),
+            np.array(spec.As, dtype=float).reshape(-1, spec.dim), np.array(spec.bs))
+
+
 def grid_search_oracle(spec, box_half=None, points=15, rounds=18):
     """Brute-force refinement oracle: best feasible point among the box
     lattice and the lattice's cyclic projections onto violated half-spaces
     (an axis-aligned lattice alone cannot track an oblique active row),
     recentered and shrunk around the incumbent each round."""
     d = spec.dim
-    Hr = spec.H + spec.reg * np.eye(d)
+    H, c, A, b = spec_arrays(spec)
+    Hr = H + spec.reg * np.eye(d)
     if box_half is None:
-        z_unc = np.linalg.solve(Hr, -spec.c)
+        z_unc = np.linalg.solve(Hr, -c)
         box_half = 2.0 * (1.0 + float(np.abs(z_unc).max()))
     center = np.zeros(d)
     half = box_half
@@ -33,12 +41,12 @@ def grid_search_oracle(spec, box_half=None, points=15, rounds=18):
     def halfspace_project(Z):
         Z = Z.copy()
         for _ in range(6):
-            viol = spec.b - Z @ spec.A.T
+            viol = b - Z @ A.T
             if viol.max(initial=0.0) <= 0.0:
                 break
             for i in range(spec.n_rows):
-                push = np.clip(spec.b[i] - Z @ spec.A[i], 0.0, None)
-                Z += np.outer(push / float(spec.A[i] @ spec.A[i] + 1e-300), spec.A[i])
+                push = np.clip(b[i] - Z @ A[i], 0.0, None)
+                Z += np.outer(push / float(A[i] @ A[i] + 1e-300), A[i])
         return Z
 
     for _ in range(rounds):
@@ -48,12 +56,12 @@ def grid_search_oracle(spec, box_half=None, points=15, rounds=18):
         Z = np.stack([m.ravel() for m in mesh], axis=1)
         if spec.n_rows:
             cands = np.vstack([Z, halfspace_project(Z)])
-            feas = (cands @ spec.A.T - spec.b).min(axis=1) >= -1e-12
+            feas = (cands @ A.T - b).min(axis=1) >= -1e-12
             cands = cands[feas]
         else:
             cands = Z
         if cands.size:
-            obj = 0.5 * np.einsum("ij,jk,ik->i", cands, Hr, cands) + cands @ spec.c
+            obj = 0.5 * np.einsum("ij,jk,ik->i", cands, Hr, cands) + cands @ c
             i = int(np.argmin(obj))
             if obj[i] < best_obj:
                 best_obj, best_z = float(obj[i]), cands[i]
@@ -82,8 +90,8 @@ def test_scalar_active_constraint_by_hand():
     sol = solve_qp(QPSpec(np.array([[1.0]]), np.zeros(1),
                           np.array([[1.0]]), np.array([2.0]), reg=0.0))
     assert sol.optimal
-    assert sol.z_star[0] == pytest.approx(2.0, abs=1e-12)
-    assert sol.multipliers[0] == pytest.approx(2.0, abs=1e-9)
+    assert sol.zs[0] == pytest.approx(2.0, abs=1e-12)
+    assert sol.lams[0] == pytest.approx(2.0, abs=1e-9)
     assert sol.active_set == [0]
 
 
@@ -96,7 +104,7 @@ def test_unconstrained_matches_linear_solve():
         c = rng.normal(size=d)
         sol = solve_qp(QPSpec(H, c, np.zeros((0, d)), np.zeros(0), reg=0.0))
         assert sol.optimal
-        assert np.abs(sol.z_star - np.linalg.solve(H, -c)).max() <= 1e-10
+        assert np.abs(np.array(sol.zs) - np.linalg.solve(H, -c)).max() <= 1e-10
 
 
 def test_fifty_random_qps_against_grid_oracle():
@@ -109,7 +117,7 @@ def test_fifty_random_qps_against_grid_oracle():
         assert sol.optimal, f"trial {trial} infeasible"
         assert sol.kkt_residual <= 1e-7
         _, oracle_obj = grid_search_oracle(spec)
-        qp_obj = spec.objective(sol.z_star)
+        qp_obj = spec.objective(sol.zs)
         assert qp_obj <= oracle_obj + 1e-9          # never worse than the oracle
         assert abs(qp_obj - oracle_obj) <= 1e-6     # and the oracle confirms it
 
@@ -120,7 +128,7 @@ def test_infeasible_rows_detected():
                   np.array([[1.0], [-1.0]]), np.array([1.0, 0.0]))
     sol = solve_qp(spec)
     assert sol.status == "infeasible"
-    assert sol.z_star is None
+    assert sol.zs is None
 
 
 def test_zero_rows_handled():
@@ -137,14 +145,15 @@ def test_kkt_residual_components_bounded():
         spec = random_feasible_spec(rng, int(rng.integers(1, 4)), int(rng.integers(1, 5)))
         sol = solve_qp(spec)
         assert sol.optimal
-        z, lam = sol.z_star, sol.multipliers
-        Hr = spec.H + spec.reg * np.eye(spec.dim)
-        stat = np.abs(Hr @ z + spec.c - spec.A.T @ lam).max()
-        assert stat <= 1e-7 * (1.0 + np.abs(Hr @ z).max() + np.abs(spec.c).max())
-        assert (spec.A @ z - spec.b).min() >= -1e-9 * (1.0 + np.abs(spec.b).max())
+        z, lam = np.array(sol.zs), np.array(sol.lams)
+        H, c, A, b = spec_arrays(spec)
+        Hr = H + spec.reg * np.eye(spec.dim)
+        stat = np.abs(Hr @ z + c - A.T @ lam).max()
+        assert stat <= 1e-7 * (1.0 + np.abs(Hr @ z).max() + np.abs(c).max())
+        assert (A @ z - b).min() >= -1e-9 * (1.0 + np.abs(b).max())
         assert lam.min() >= 0.0
-        comp = np.abs(lam * (spec.A @ z - spec.b)).max()
-        assert comp <= 1e-6 * (1.0 + np.abs(lam).max() * (1.0 + np.abs(spec.A @ z - spec.b).max()))
+        comp = np.abs(lam * (A @ z - b)).max()
+        assert comp <= 1e-6 * (1.0 + np.abs(lam).max() * (1.0 + np.abs(A @ z - b).max()))
 
 
 def test_regularization_perturbs_strictly_convex_optimum_mildly():
@@ -154,8 +163,8 @@ def test_regularization_perturbs_strictly_convex_optimum_mildly():
         spec0 = random_feasible_spec(rng, d, k)
         solutions = {}
         for reg in (0.0, 1e-9, 1e-6):
-            spec = QPSpec(spec0.H, spec0.c, spec0.A, spec0.b, reg=reg)
-            solutions[reg] = solve_qp(spec).z_star
+            spec = QPSpec(*spec_arrays(spec0), reg=reg)
+            solutions[reg] = np.array(solve_qp(spec).zs)
         scale = 1.0 + np.abs(solutions[0.0]).max()
         assert np.abs(solutions[1e-9] - solutions[0.0]).max() <= 1e-6 * scale
         assert np.abs(solutions[1e-6] - solutions[0.0]).max() <= 1e-4 * scale
@@ -164,10 +173,10 @@ def test_regularization_perturbs_strictly_convex_optimum_mildly():
 def test_determinism_bitwise():
     rng = np.random.default_rng(99)
     spec_args = random_feasible_spec(rng, 3, 4)
-    a = solve_qp(QPSpec(spec_args.H, spec_args.c, spec_args.A, spec_args.b))
-    b = solve_qp(QPSpec(spec_args.H, spec_args.c, spec_args.A, spec_args.b))
-    assert a.z_star.tobytes() == b.z_star.tobytes()
-    assert a.multipliers.tobytes() == b.multipliers.tobytes()
+    a = solve_qp(QPSpec(*spec_arrays(spec_args)))
+    b = solve_qp(QPSpec(*spec_arrays(spec_args)))
+    assert _bits(a.zs) == _bits(b.zs)
+    assert _bits(a.lams) == _bits(b.lams)
     assert a.active_set == b.active_set
 
 
@@ -248,7 +257,7 @@ def test_rows_meeting_in_one_point():
                   np.array([[0.0, -1.0], [-0.5, 1.0], [1.0, 1.0]]), np.zeros(3))
     sol = solve_qp(spec)
     assert sol.optimal
-    assert np.abs(sol.z_star).max() <= 1e-15
+    assert np.abs(sol.zs).max() <= 1e-15
 
 
 def test_row_below_the_square_root_of_the_smallest_double():
@@ -257,8 +266,8 @@ def test_row_below_the_square_root_of_the_smallest_double():
                   np.array([1e-170]), reg=0.0)
     sol = solve_qp(spec)
     assert sol.optimal
-    assert sol.z_star == pytest.approx([1.0, 0.0], abs=1e-15)
-    assert sol.multipliers[0] == pytest.approx(1e170, rel=1e-12)
+    assert sol.zs == pytest.approx([1.0, 0.0], abs=1e-15)
+    assert sol.lams[0] == pytest.approx(1e170, rel=1e-12)
 
 
 def test_lp_feasible_three_dependent_rows_in_2d():
@@ -315,20 +324,22 @@ def test_feasible_specs_solve_to_kkt_points(spec):
     # each row relative to the size of its terms at the unconstrained
     # minimizer the solver starts from and at the solution; a subnormal
     # violation is rounding at any scale
-    z = sol.z_star
-    z_unc = np.linalg.solve(spec.H + spec.reg * np.eye(spec.dim), -spec.c)
+    z = np.array(sol.zs)
+    H, c, A, b = spec_arrays(spec)
+    z_unc = np.linalg.solve(H + spec.reg * np.eye(spec.dim), -c)
     size = np.abs(z).sum() + np.abs(z_unc).sum()
-    row_scale = np.abs(spec.b) + np.abs(spec.A).max(axis=1) * size
-    assert (spec.A @ z - spec.b >= -(1e-9 * row_scale + np.finfo(float).tiny)).all()
+    row_scale = np.abs(b) + np.abs(A).max(axis=1) * size
+    assert (A @ z - b >= -(1e-9 * row_scale + np.finfo(float).tiny)).all()
 
 
 @settings(max_examples=100, deadline=None)
 @given(strictly_convex_specs(), st.floats(1e-6, 1e3), st.integers(0, 4))
 def test_zero_row_with_positive_bound_is_infeasible(spec, b_zero, pos):
     pos = min(pos, spec.n_rows)
-    A = np.insert(spec.A, pos, 0.0, axis=0)
-    b = np.insert(spec.b, pos, b_zero)
-    assert solve_qp(QPSpec(spec.H, spec.c, A, b)).status == "infeasible"
+    H, c, A, b = spec_arrays(spec)
+    A = np.insert(A, pos, 0.0, axis=0)
+    b = np.insert(b, pos, b_zero)
+    assert solve_qp(QPSpec(H, c, A, b)).status == "infeasible"
 
 
 # -- bit identity with the numpy-bookkeeping body -----------------------------
@@ -367,6 +378,12 @@ def _kkt_oracle(H, c, A, b, z, lam, mv=_mv):
 
 def _kkt_numpy(*args):
     return _kkt_oracle(*args, mv=np.matmul)
+
+
+def _kkt_args(spec, sol):
+    """_kkt_oracle's arguments for the solution sol of spec."""
+    H, c, A, b = spec_arrays(spec)
+    return H + spec.reg * np.eye(spec.dim), c, A, b, np.array(sol.zs), np.array(sol.lams)
 
 
 def _factor_oracle(H):
@@ -409,12 +426,12 @@ def solve_qp_oracle(spec, max_iter=None):
     (violation mask, argmin, tolerances, y_max, a general split at q = 0),
     its factor and KKT residual (_kkt_oracle) computed inside the call, and
     every product an explicit left-to-right sum written as a loop (_dot).
-    solve_qp must give the same bits: z_star, multipliers, active_set,
-    status, iterations and kkt_residual."""
+    solve_qp must give the same bits: zs, lams, active_set, status,
+    iterations and kkt_residual."""
     d = spec.dim
     k = spec.n_rows
-    H = spec.H + spec.reg * np.eye(d)
-    A, b, c = spec.A, spec.b, spec.c
+    H, c, A, b = spec_arrays(spec)
+    H = H + spec.reg * np.eye(d)
     if max_iter is None:
         max_iter = 60 * (k + 2)
     w = np.ldexp(1.0, -np.frexp(np.abs(A).max(axis=1, initial=0.0))[1])
@@ -445,7 +462,7 @@ def solve_qp_oracle(spec, max_iter=None):
                 tol = 1e-10 * (1.0 + np.abs(b[~np.isnan(b)]).max(initial=0.0))
                 kept = [i for i in sorted(active)
                         if lam[i] > 0.0 or abs(float(_dot(A[i], z) - b[i])) <= tol]
-                return SimpleNamespace(z_star=z, multipliers=lam, active_set=kept,
+                return SimpleNamespace(zs=z, lams=lam, active_set=kept,
                                        kkt_residual=res, status="optimal", iterations=it)
             p = int(np.argmin(np.where(viol, slack / nrm_safe, np.inf)))
             u.append(0.0)
@@ -463,7 +480,7 @@ def solve_qp_oracle(spec, max_iter=None):
         if q < d and ss > (_DEP_TOL * nrm[p]) ** 2:
             t2 = (bw[p] - float(_dot(n_p, y))) / ss
         if t1 == math.inf and t2 == math.inf:
-            return SimpleNamespace(z_star=None, multipliers=None, active_set=[],
+            return SimpleNamespace(zs=None, lams=None, active_set=[],
                                    kkt_residual=math.inf, status="infeasible", iterations=it)
         t = min(t1, t2)
         for j, r_j in enumerate(r_list):
@@ -492,8 +509,8 @@ def assert_same_solution(got, want):
     assert got.status == want.status
     assert got.iterations == want.iterations
     assert got.active_set == want.active_set
-    assert _bits(got.z_star) == _bits(want.z_star)
-    assert _bits(got.multipliers) == _bits(want.multipliers)
+    assert _bits(got.zs) == _bits(want.zs)
+    assert _bits(got.lams) == _bits(want.lams)
     assert _bits(got.kkt_residual) == _bits(want.kkt_residual)
 
 
@@ -586,7 +603,7 @@ def _special_specs(rng):
                      rng.integers(-3, 4, size=d).astype(float), A, b, reg=0.0)
     for _ in range(150):
         d = int(rng.integers(1, 4))
-        H = random_spec(rng, d, 0).H
+        H = np.array(random_spec(rng, d, 0).Hs)
         c = rng.normal(size=d)
         a = rng.normal(size=d)
         scale = 10.0 ** rng.uniform(-170.0, 170.0)
@@ -633,7 +650,7 @@ def _specs_of_many_variables(rng, d):
                      rng.integers(-3, 4, size=d).astype(float),
                      rng.integers(-2, 3, size=(k, d)).astype(float),
                      rng.integers(-3, 4, size=k).astype(float), reg=0.0)
-    H, c, a = random_spec(rng, d, 0).H, rng.normal(size=d), rng.normal(size=d)
+    H, c, a = np.array(random_spec(rng, d, 0).Hs), rng.normal(size=d), rng.normal(size=d)
     yield QPSpec(H, c, np.vstack([a, a, -a]), np.array([1.0, 1.0, -3.0]))
     yield QPSpec(H, c, np.vstack([a, a + rng.normal(size=d) * 1e-9, rng.normal(size=d)]),
                  rng.normal(size=3) + np.array([2.0, 2.0, 0.0]))
@@ -650,9 +667,8 @@ def test_solver_matches_numpy_bookkeeping_with_many_variables(d):
     outcomes = [assert_matches_oracle(spec) for spec in specs]
     assert {o.status for o in outcomes if o is not None} == {"optimal", "infeasible"}
     for spec in specs[:12]:
-        assert_same_solution(solve_qp(QPSpec(spec.H.tolist(), spec.c.tolist(), spec.A.tolist(),
-                                             spec.b.tolist(), reg=spec.reg)), solve_qp(spec))
-    H = specs[0].H.copy()
+        assert_same_solution(solve_qp(_as_lists(spec)), solve_qp(spec))
+    H = np.array(specs[0].Hs)
     for i, j in ((11, 0), (0, 11), (1, 10), (10, 1), (1, 11), (11, 1)):
         asym = H.copy()
         asym[i, j] += 1e-6 * (1.0 + np.abs(H).max())
@@ -705,9 +721,7 @@ def test_non_finite_inputs_keep_the_numpy_outcome(where, value):
     for _ in range(80):
         d, k = int(rng.integers(1, 4)), int(rng.integers(1, 6))
         spec = random_spec(rng, d, k)
-        # a spec's arrays are read-only views of its floats: edit copies
-        # and build the spec again
-        arrays = {name: getattr(spec, name).copy() for name in "HcAb"}
+        arrays = dict(zip("HcAb", spec_arrays(spec)))
         arr = arrays[where]
         for _ in range(int(rng.integers(1, 3))):
             arr.flat[int(rng.integers(arr.size))] = value
@@ -722,7 +736,7 @@ def test_nan_iterate_and_nan_rows_are_pinned():
     with np.errstate(all="ignore"):
         sol = solve_qp(spec)
     assert sol.status == "optimal" and sol.iterations == 1 and sol.active_set == []
-    assert np.isnan(sol.z_star).all() and math.isnan(sol.kkt_residual)
+    assert np.isnan(sol.zs).all() and math.isnan(sol.kkt_residual)
     assert_matches_oracle(spec)
     # a NaN row has a NaN tolerance and is never chosen; the other row is
     spec = QPSpec(np.eye(2), np.zeros(2), np.array([[math.nan, 1.0], [1.0, 0.0]]),
@@ -730,11 +744,11 @@ def test_nan_iterate_and_nan_rows_are_pinned():
     with np.errstate(all="ignore"):
         sol = solve_qp(spec)
     assert sol.status == "optimal" and sol.active_set == [1]
-    assert sol.z_star.tolist() == [2.0, 0.0]
+    assert sol.zs == [2.0, 0.0]
     assert_matches_oracle(spec)
     # an infinite bound makes its row's tolerance infinite: never violated
     spec = QPSpec(np.eye(1), np.zeros(1), np.array([[1.0]]), np.array([math.inf]))
-    assert solve_qp(spec).z_star.tolist() == [0.0]
+    assert solve_qp(spec).zs == [0.0]
     assert_matches_oracle(spec)
 
 
@@ -746,16 +760,16 @@ def test_a_nan_bound_leaves_the_other_rows_as_they_are():
     for spec, active, iterations in zip(NAN_BOUND_SPECS, ([0, 1], [0, 4, 5]), (3, 4)):
         with np.errstate(all="ignore"):
             sol = solve_qp(spec)
-            without = solve_qp(QPSpec(spec.H, spec.c, spec.A[:-1], spec.b[:-1], reg=0.0))
+            H, c, A, b = spec_arrays(spec)
+            without = solve_qp(QPSpec(H, c, A[:-1], b[:-1], reg=0.0))
         assert sol.status == "optimal" and sol.active_set == active
         assert sol.iterations == iterations
-        assert sol.multipliers[-1] == 0.0
+        assert sol.lams[-1] == 0.0
         assert_same_solution(without, SimpleNamespace(
             status=sol.status, iterations=sol.iterations, active_set=sol.active_set,
-            z_star=sol.z_star, multipliers=sol.multipliers[:-1],
-            kkt_residual=without.kkt_residual))
+            zs=sol.zs, lams=sol.lams[:-1], kkt_residual=without.kkt_residual))
         assert_matches_oracle(spec)
-    assert solve_qp(NAN_BOUND_SPECS[1]).multipliers[0] == 0.0
+    assert solve_qp(NAN_BOUND_SPECS[1]).lams[0] == 0.0
 
 
 def test_multiplier_rounded_below_zero_is_clamped():
@@ -768,8 +782,8 @@ def test_multiplier_rounded_below_zero_is_clamped():
                   [-1.3428571428571432, -1.0285714285714285, 3.8571428571428577], reg=0.0)
     sol = solve_qp(spec)
     assert sol.status == "optimal" and sol.active_set == [0, 1, 2]
-    assert sol.multipliers.tolist() == [1.0000000000000002, 0.0, 1.666666666666667]
-    assert not np.signbit(sol.multipliers).any()
+    assert sol.lams == [1.0000000000000002, 0.0, 1.666666666666667]
+    assert not np.signbit(sol.lams).any()
     assert_matches_oracle(spec)
 
 
@@ -780,10 +794,11 @@ def test_spec_sharing_a_factor_solves_as_a_fresh_spec():
     for _ in range(300):
         d, k = int(rng.integers(1, 4)), int(rng.integers(0, 7))
         fresh = random_spec(rng, d, k)
-        template = QPSpec(fresh.H, fresh.c, np.zeros((0, d)), np.zeros(0), reg=fresh.reg)
-        shared = template.with_rows(fresh.A.tolist(), fresh.b.tolist())
+        H, c, A, b = spec_arrays(fresh)
+        template = QPSpec(H, c, np.zeros((0, d)), np.zeros(0), reg=fresh.reg)
+        shared = template.with_rows(A.tolist(), b.tolist())
         assert shared._factor is template._factor and template.n_rows == 0
-        assert shared.A.tobytes() == fresh.A.tobytes()
+        assert _bits(shared.As) == _bits(fresh.As)
         assert_same_solution(solve_qp(shared), solve_qp(fresh))
     with pytest.raises(ValueError):
         template.with_rows(np.ones((2, d)), np.ones(3))
@@ -799,8 +814,7 @@ def test_kkt_residual_is_computed_from_the_spec_when_read():
         if not sol.optimal:
             assert sol.kkt_residual == math.inf
             continue
-        want = _kkt_oracle(spec.H + spec.reg * np.eye(d), spec.c, spec.A, spec.b,
-                           sol.z_star, sol.multipliers)
+        want = _kkt_oracle(*_kkt_args(spec, sol))
         assert _bits(sol.kkt_residual) == _bits(want)
 
 
@@ -827,8 +841,7 @@ def test_kkt_residual_matches_the_numpy_form_within_a_bound():
                 assert sol.kkt_residual == math.inf
                 seen.add("infeasible")
                 continue
-            args = (spec.H + spec.reg * np.eye(spec.dim), spec.c, spec.A, spec.b,
-                    sol.z_star, sol.multipliers)
+            args = _kkt_args(spec, sol)
             got, want = sol.kkt_residual, _kkt_numpy(*args)
             assert _bits(got) == _bits(_kkt_oracle(*args))
             if math.isnan(want):
@@ -860,8 +873,7 @@ def test_integrate_never_computes_the_kkt_residual(linear, monkeypatch):
 # -- specs of floats ------------------------------------------------------------
 
 def _as_lists(spec):
-    return QPSpec(spec.H.tolist(), spec.c.tolist(), spec.A.tolist(), spec.b.tolist(),
-                  reg=spec.reg)
+    return QPSpec(*(a.tolist() for a in spec_arrays(spec)), reg=spec.reg)
 
 
 def _non_finite_specs(rng):
@@ -871,7 +883,7 @@ def _non_finite_specs(rng):
         for value in (math.nan, math.inf, -math.inf):
             for _ in range(30):
                 spec = random_spec(rng, int(rng.integers(1, 4)), int(rng.integers(1, 6)))
-                arrays = {name: getattr(spec, name).copy() for name in "HcAb"}
+                arrays = dict(zip("HcAb", spec_arrays(spec)))
                 for _ in range(int(rng.integers(1, 3))):
                     arrays[where].flat[int(rng.integers(arrays[where].size))] = value
                 yield QPSpec(**arrays, reg=spec.reg)
@@ -884,7 +896,7 @@ def test_specs_of_float_lists_solve_as_specs_of_arrays():
     with np.errstate(all="ignore"):
         for spec in specs:
             listed = _as_lists(spec)
-            assert type(listed.As) is list and listed.A.tobytes() == spec.A.tobytes()
+            assert type(listed.As) is list and _bits(listed.As) == _bits(spec.As)
             assert_same_solution(solve_qp(listed), solve_qp(spec))
             for max_iter in (1, 2):
                 try:
@@ -901,16 +913,10 @@ def test_with_rows_of_float_lists_reads_back_the_arrays_of_a_fresh_spec():
     for d in (1, 2, 3):
         for k in range(5):
             fresh = random_spec(rng, d, k)
-            template = QPSpec(fresh.H.tolist(), fresh.c.tolist(), [], [], reg=fresh.reg)
-            shared = template.with_rows(fresh.A.tolist(), fresh.b.tolist())
-            for name in "HcAb":
-                got, want = getattr(shared, name), getattr(fresh, name)
-                assert got.shape == want.shape and got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
-                assert not got.flags.writeable
-
-
-SPEC_ARRAYS = ("H", "c", "A", "b")
+            H, c, A, b = (a.tolist() for a in spec_arrays(fresh))
+            shared = QPSpec(H, c, [], [], reg=fresh.reg).with_rows(A, b)
+            for got, want in zip(spec_arrays(shared), spec_arrays(fresh)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("controller,state", [("clf-cbf-qp", 0), ("hybrid", 1)])
@@ -933,12 +939,8 @@ def test_a_controller_step_builds_no_qp_array(controller, state, linear_cfg, lin
     monkeypatch.setattr(safestab.filters, "QPSpec", spec)
     monkeypatch.setattr(safestab.filters, "solve_qp", solve)
     u, ev = make_controller(linear_cfg, controller)(x)
-    assert ev.label.value == state and len(solved) == 1 and built
-    for spec, sol in solved:
-        assert not any(name in vars(spec) for name in SPEC_ARRAYS)
-        assert not any(name in vars(sol) for name in ("z_star", "multipliers", "kkt_residual"))
-    assert not any(name in vars(spec) for spec in built for name in SPEC_ARRAYS)
-    # reading builds them, with the bits the step used
-    spec, sol = solved[0]
-    assert spec.A.tolist() == spec.As and "A" in vars(spec)
-    assert sol.z_star.tolist() == sol.zs
+    assert ev.region == state and len(solved) == 1 and built
+    # the specs and the solution hold floats, and no residual is computed
+    held = [v for obj in built + [o for pair in solved for o in pair] for v in vars(obj).values()]
+    assert not any(isinstance(v, np.ndarray) for v in held)
+    assert "kkt_residual" not in vars(solved[0][1])

@@ -10,8 +10,8 @@ from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, IndefiniteQ
                       SimConfig, SimulationError, build_scenario, compute_metrics,
                       evaluate, integrate, read_trajectory_csv, write_trajectory_csv)
 from safestab.core import as_vector
-from safestab.filters import (CONTROLLER_NAMES, Region, RegionLabel, active_flags,
-                              make_controller, make_filter_config)
+from safestab.filters import (CONTROLLER_NAMES, Region, active_flags, make_controller,
+                              make_filter_config)
 from safestab.qp import QPSpec
 from safestab.sim import (BLOWUP_LIMIT, STATUS_BLOWUP, STATUS_INFEASIBLE, STATUS_OK,
                           STATUS_QP_INDEFINITE, STATUS_QP_ITERATION, SwitchEvent,
@@ -425,7 +425,7 @@ def integrate_oracle(cfg, controller, simcfg):
             raise ValueError(f"controller input at step {step} (t={t}) has shape "
                              f"{u.shape}, expected ({cfg.sys.m},)")
         flags = active_flags(ev.A, ev.lb, u)
-        region = int(ev.label.value)
+        region = int(ev.region)
         if prev_region is not None and region != prev_region:
             events.append(SwitchEvent(t, prev_region, region, prev_u, u, prev_flags, flags))
         prev_region, prev_u, prev_flags = region, u, flags
@@ -584,20 +584,21 @@ def test_integrate_forms_the_first_stage_from_the_evaluation():
     assert_same_trajectory(copied, traj)
 
 
-def test_an_r1_hybrid_run_builds_no_region_label(tumor_cfg, tumor, monkeypatch):
+def test_an_r1_hybrid_run_reads_no_region(tumor_cfg, tumor, monkeypatch):
     # integrate reads the region from the evaluation's margin and the hybrid
-    # law its R1 input from the floats: no step builds a label
-    built = []
+    # law its R1 input from the floats: no step reads Evaluation.region
+    reads = []
+    region = safestab.filters.Evaluation.region
 
-    def label(*args):
-        built.append(args)
-        return RegionLabel(*args)
-    monkeypatch.setattr(safestab.filters, "RegionLabel", label)
+    def counted(ev):
+        reads.append(ev)
+        return region.fget(ev)
+    monkeypatch.setattr(safestab.filters.Evaluation, "region", property(counted))
     x0 = tumor.eq.x_e + np.array([0.8, -0.5, 0.3])
     traj = integrate(tumor_cfg, make_controller(tumor_cfg, "hybrid"),
                      SimConfig(x0=x0, t_final=0.01))
     assert traj.n_samples == 11 and not traj.regions.any()
-    assert built == []
+    assert reads == []
 
 
 @pytest.mark.parametrize("t_final,dt,every,count", [
@@ -728,7 +729,7 @@ def big_b_config():
 def test_indefinite_s_cbf_qp_cost_ends_the_run_with_a_status():
     cfg = big_b_config()
     ev = evaluate(cfg, np.array([0.5, 0.0]))
-    assert ev.b.tolist() == [5e5, 5e5] and ev.label.value == Region.R2
+    assert ev.b.tolist() == [5e5, 5e5] and ev.region == Region.R2
     for controller in ("s-cbf-qp", "hybrid"):
         traj = assert_matches_integrate_oracle(
             cfg, lambda: make_controller(cfg, controller), SimConfig(x0=[0.5, 0.0], t_final=1.0))

@@ -18,8 +18,7 @@ from safestab.core import (B_FLOOR, LOCAL_CLF_SAMPLES, SAMPLE_BLOCK, Barrier,
                            is_valid_local_clf, sample_ball, sontag_terms)
 from safestab.doa import (SUBLEVEL_T_MAX, compute_c_star, control_sharing_holds,
                           in_awc, ray_exit, sample_states_in_awc)
-from safestab.filters import (Region, RegionLabel, active_flags, evaluate,
-                              make_filter_config)
+from safestab.filters import Region, active_flags, evaluate, make_filter_config
 from safestab.qp import lp_feasible
 from safestab.sontag import sontag_decrease_rate
 
@@ -86,49 +85,34 @@ def test_evaluate_matches_one_state(case):
     for name in ("x", "f", "a", "b", "u_son", "A", "lb", "h", "lfw"):
         assert same(getattr(ev, name), stack(getattr(e, name) for e in evs)), name
     assert same(np.stack(ev.grad, axis=1), stack(e.grad for e in evs))
-    assert same(ev.label.value, np.array([int(e.label.value) for e in evs]))
-    assert same(ev.label.margin, stack(e.label.margin for e in evs))
+    assert same(np.stack(ev.slacks, axis=1), stack(e.slacks for e in evs))
+    assert same(ev.margin, stack(e.margin for e in evs))
+    assert same(ev.region, np.array([int(e.region) for e in evs]))
     # the probes reach both regions, zero Sontag corrections, and for tumor3d
     # the row L_g h = 0 with lb > 0
-    assert set(ev.label.value.tolist()) == {0, 1}
+    assert set(ev.region.tolist()) == {0, 1}
     assert (ev.u_son == cfg.clf.equilibrium.u_e).all(axis=1).any()
     if bundle.sys.n == 3:
         assert ((ev.A[:, :, 0] == 0.0) & (ev.lb > 0.0)).any()
 
 
-def eager_label(margin, one_state):
-    """The label as an Evaluation built it on construction: R1 iff the
-    margin is >= 0, NaN on R2."""
-    if one_state:
-        return RegionLabel(Region.R1 if margin >= 0.0 else Region.R2, margin)
-    return RegionLabel(np.where(margin >= 0.0, Region.R1, Region.R2), margin)
-
-
-def assert_same_label(got, want):
-    assert type(got) is RegionLabel and type(got.value) is type(want.value)
-    assert same(got.value, want.value) and same(got.margin, want.margin)
-
-
-def test_the_label_built_on_read_equals_the_eager_label(case):
+def test_the_region_is_r1_iff_the_margin_is_nonnegative(case):
+    # a Region for one state, an array of Region values for a stack
     bundle, cfg = case
     X = probe_states(bundle, count=200)
     ev = evaluate(cfg, X)
-    assert_same_label(ev.label, eager_label(ev.margin, one_state=False))
-    assert ev.label is ev.label and ev.label.margin is ev.margin
+    assert same(ev.region, np.where(ev.margin >= 0.0, Region.R1, Region.R2))
     for i, x in enumerate(X):
         one = evaluate(cfg, x)
-        assert_same_label(one.label, eager_label(one.margin, one_state=True))
-        assert one.label.value == ev.label.value[i]
+        assert one.region is (Region.R1 if one.margin >= 0.0 else Region.R2)
+        assert one.region == ev.region[i]
     # a NaN margin falls on R2, for one state and for a stack
     nan_row = Barrier.from_hgrad(lambda xs: (math.nan, [0.0] * bundle.sys.n), alpha=1.0)
     cfg = make_filter_config(bundle.sys, bundle.clf, SafeSet((nan_row,)))
     ev = evaluate(cfg, X[:5])
-    assert np.isnan(ev.margin).all()
-    assert_same_label(ev.label, eager_label(ev.margin, one_state=False))
-    assert (ev.label.value == Region.R2).all()
+    assert np.isnan(ev.margin).all() and (ev.region == Region.R2).all()
     one = evaluate(cfg, X[0])
-    assert math.isnan(one.margin) and one.label.value is Region.R2
-    assert_same_label(one.label, eager_label(one.margin, one_state=True))
+    assert math.isnan(one.margin) and one.region is Region.R2
 
 
 def flag_inputs(rng, A, lb, u):

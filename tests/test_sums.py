@@ -132,9 +132,10 @@ def reference(cfg, forms, x):
         A.append([odot(gh, [G[i][j] for i in range(n)]) for j in range(m)])
         lb.append(-bar.alpha * h_i - odot(gh, f))
         h.append(h_i)
-    margin = omin([odot(A_i, u_son) - lb_i for A_i, lb_i in zip(A, lb)])
+    slacks = [odot(A_i, u_son) - lb_i for A_i, lb_i in zip(A, lb)]
+    margin = omin(slacks)
     return {"x": xs, "f": f, "grad": grad, "a": a, "b": b, "u_son": u_son, "A": A,
-            "lb": lb, "h": h, "lfw": odot(grad, f), "margin": margin,
+            "lb": lb, "h": h, "lfw": odot(grad, f), "slacks": slacks, "margin": margin,
             "region": int(Region.R1 if margin >= 0.0 else Region.R2), "w": odot(d, pd)}
 
 
@@ -144,8 +145,9 @@ def fields(ev, i=None):
     out = {k: pick(getattr(ev, k)) for k in ("x", "f", "w", "a", "b", "u_son", "A", "lb", "h",
                                               "lfw")}
     out["grad"] = pick(np.stack(ev.grad, axis=-1))
-    out["margin"] = pick(ev.label.margin)
-    out["region"] = int(pick(ev.label.value))
+    out["slacks"] = pick(np.stack(ev.slacks, axis=-1))
+    out["margin"] = pick(ev.margin)
+    out["region"] = int(pick(ev.region))
     return out
 
 
@@ -312,7 +314,7 @@ def test_nan_margin_counts_as_r2_and_propagates_through_the_minimum(linear):
     for barriers in ((nan_row, violated), (violated, nan_row)):
         cfg = make_filter_config(linear.sys, linear.clf, SafeSet(barriers))
         ev = evaluate(cfg, np.array([0.3, -0.2]))
-        assert math.isnan(ev.label.margin) and ev.label.value == Region.R2
+        assert math.isnan(ev.margin) and ev.region == Region.R2
         assert any(math.isnan(r) for r in _margins(ev.As, ev.lbs, ev.us))
 
 

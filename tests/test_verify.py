@@ -6,7 +6,10 @@ import math
 import numpy as np
 import pytest
 
-from safestab import build_scenario, make_filter_config, qp, verify
+from safestab import build_scenario, make_filter_config, verify
+from safestab.scenarios import scenario_from_dict
+
+from test_scenarios import linear2d_file
 
 
 def nan_like(x):
@@ -34,6 +37,20 @@ def test_barrier_gradient_check_fails_on_nan_gradient():
     assert verify.check_barrier_gradients(bundle, 1).passed
     bundle.safe_set.barriers[1].grad_h = nan_like
     assert_fails_with_nan(verify.check_barrier_gradients(bundle, 1))
+
+
+def test_sampled_checks_fail_when_no_safe_state_is_drawn():
+    # the safe ellipse covers about 1e-7 of this domain: none of the
+    # SAFE_MAX_TRIES draws lands in it
+    scenario = linear2d_file()
+    scenario["domain"] = [[-1e4, 1e4], [-1e4, 1e4]]
+    bundle = scenario_from_dict(scenario)
+    result = verify.check_barrier_gradients(bundle, 1)
+    assert not result.passed
+    assert result.detail == f"no safe state drawn in {verify.SAFE_MAX_TRIES} draws"
+    cfg = linear_config(bundle)
+    assert not verify.check_kkt_residuals(cfg, bundle, 3).passed
+    assert not verify.check_closed_form(cfg, bundle, 4).passed
 
 
 def test_kkt_check_fails_on_nan_residual(monkeypatch):
@@ -80,15 +97,9 @@ def test_closed_form_check_is_skipped_where_it_does_not_apply():
 
 
 @pytest.mark.parametrize("scenario", ["linear2d", "tumor3d"])
-def test_run_checks_builds_no_qp_array(scenario, monkeypatch):
+def test_run_checks_builds_no_qp_array(scenario):
     # the KKT residual and the closed-form comparison read the floats of
-    # the specs and solutions; every QPSpec array goes through qp._frozen
-    def refuse(*args):
-        raise AssertionError("a QP array was built")
-
-    monkeypatch.setattr(qp, "_frozen", refuse)
-    for name in ("z_star", "multipliers"):
-        monkeypatch.setattr(qp.QPSolution, name, property(refuse))
+    # the specs and solutions, the only form they hold
     results = verify.run_checks(build_scenario(scenario), seed=0)
     # a KKT or closed-form check passes only with at least one sample
     assert len(results) == 10 and all(r.passed for r in results)
