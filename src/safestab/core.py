@@ -24,8 +24,10 @@ Conventions
   gives f(x) as a list of n floats and g(x) as a list of m columns of n
   floats, a barrier's hgrad(xs) its value and gradient (a list); on the
   columns of a stack they give columns, a constant entry staying a float.
-  ControlAffineSystem.from_fg and Barrier.from_hgrad derive the numpy f, g,
-  h and grad_h from them (_numpy_part). f(x) + g(x) u has one row text,
+  array_of is the one rule by which such outputs become arrays (a stack's
+  columns on a leading axis of N); ControlAffineSystem.from_fg and
+  Barrier.from_hgrad derive the numpy f, g, h and grad_h from the forms
+  through it (_numpy_part). f(x) + g(x) u has one row text,
   f_i + (0.0 + g_i1 u_1 + ... + g_im u_m) (affine_row), which
   ControlAffineSystem.xdot sums on fg's floats (affine_of) and
   sim.rk4_of's stages write out. A system or barrier built from numpy
@@ -187,33 +189,35 @@ def exp(v):
     return e if e.ndim else float(e)
 
 
+def array_of(x, values) -> np.ndarray:
+    """What a float form gave at x as an array: np.array(values) for one
+    state x (n,); for a stack x (N, n), its columns on a leading axis of N,
+    a float filling its column (a bare column or float as a read-only (N,)
+    view). The one rule by which float-form outputs become arrays."""
+    if x.ndim == 1:
+        return np.array(values)
+    N = x.shape[0]
+
+    def stacked(v):
+        if isinstance(v, list):
+            return np.stack([stacked(e) for e in v], axis=1)
+        return np.broadcast_to(v, (N,))
+    return stacked(values)
+
+
 def _numpy_part(form, k: int) -> Callable:
     """The numpy closure of part k of a float form (fg or hgrad), for one
-    state (n,) or a stack (N, n). A part is a float, a list, or a list of
-    columns (g's); the closure reverses its axes, after a leading N for a
-    stack, so that g(x) is (n, m) and g(X) is (N, n, m). On a stack the form
-    runs on the columns of X, and an entry that stays a float (a constant)
-    fills its column. The closure calls this form, not an instance's, so
+    state (n,) or a stack (N, n): array_of's array of the part as a fresh
+    float array, its axes after a leading N for a stack reversed, so that
+    g(x) is (n, m) and g(X) is (N, n, m); a float part at one state is
+    returned as it is. The closure calls this form, not an instance's, so
     that a closure assigned later may wrap it."""
-    def fill(out, part):
-        if isinstance(part, list):
-            for i, p in enumerate(part):
-                fill(out[..., i], p)
-        else:
-            out[...] = part
-
     def closure(x):
-        if x.ndim == 1:
-            part = form(x.tolist())[k]
-            return np.array(part, dtype=float).T if isinstance(part, list) else part
-        part = form(columns(x))[k]
-        dims, p = [x.shape[0]], part
-        while isinstance(p, list):
-            dims.insert(1, len(p))
-            p = p[0]
-        out = np.empty(dims)
-        fill(out, part)
-        return out
+        part = form(x.tolist() if x.ndim == 1 else columns(x))[k]
+        if x.ndim == 1 and not isinstance(part, list):
+            return part
+        out = np.array(array_of(x, part), dtype=float)
+        return out.T if x.ndim == 1 else out.transpose(0, *range(out.ndim - 1, 0, -1))
     return closure
 
 
@@ -342,9 +346,9 @@ class QuadraticCLF:
 
     def grad(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.stack([2.0 * v for v in self._offset_and_pd(columns(x))[1]], axis=1)
-        return np.array([2.0 * v for v in self._offset_and_pd(as_vector(x).tolist())[1]])
+        x = x if x.ndim == 2 else as_vector(x)
+        pd = self._offset_and_pd(columns(x) if x.ndim == 2 else x.tolist())[1]
+        return array_of(x, [2.0 * v for v in pd])
 
     def lie_terms(self, xs, fs, gcols):
         """(gradW, W, a, b) from the float form at one state, or from columns."""
@@ -478,7 +482,7 @@ def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
     x, part = state_parts(sys, x)
     a, b = lie_sums_of(sys.n, sys.m)(part(clf.grad(x)), *sys.fg(part(x)),
                                      clf.equilibrium.u_e.tolist())
-    return a, np.array(b) if x.ndim == 1 else np.stack(b, axis=1)
+    return a, array_of(x, b)
 
 
 def sample_ball(center: np.ndarray, radius: float, count: int,

@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import as_vector, rejection_sample
+from .core import array_of, as_vector, rejection_sample
 from .errors import SharingInfeasibleError
 # cbf_rows is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module
@@ -44,9 +44,8 @@ def control_sharing_holds(cfg: FilterConfig, x):
     evaluation and one stacked LP test."""
     ev = evaluate(cfg, x)
     # the CLF row -b u >= L_f W + eps below the barrier rows
-    A = np.concatenate([ev.A, -ev.b[..., None, :]], axis=-2)
-    lb = np.concatenate([ev.lb, np.expand_dims(ev.lfw + 1e-9 * (1.0 + ev.w), -1)], axis=-1)
-    return lp_feasible(A, lb)
+    return lp_feasible(array_of(ev.x, ev.As + [[-b for b in ev.bs]]),
+                       array_of(ev.x, ev.lbs + [ev.lfw + 1e-9 * (1.0 + ev.w)]))
 
 
 def ray_exit(inside: Callable[[np.ndarray], np.ndarray], origin: np.ndarray,
@@ -82,15 +81,13 @@ def ray_exit(inside: Callable[[np.ndarray], np.ndarray], origin: np.ndarray,
 @dataclass
 class DoaEstimate:
     """Result of the bisection. first_infeasible_c is the smallest level
-    found infeasible (None when c_hi passed), and first_infeasible_violations
-    the grid states at or below it that fail control sharing."""
+    found infeasible (None when c_hi passed)."""
 
     c_star: float
     grid_resolution: Tuple[int, ...]
     verified_points: int
     tested: List[Tuple[float, bool]] = field(default_factory=list)
     first_infeasible_c: Optional[float] = None
-    first_infeasible_violations: List[np.ndarray] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.c_star > 0.0:
@@ -154,16 +151,12 @@ def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
         else:
             hi = mid
     # hi is now the smallest level tested infeasible, unless c_hi passed
-    first_bad_c = None if c_hi < w_fail else hi
-    first_bad_states = [] if first_bad_c is None else \
-        list(points[failing[w_vals[failing] <= first_bad_c]])
     return DoaEstimate(
         c_star=lo,
         grid_resolution=resolution,
         verified_points=int(idxs.size),
         tested=tested,
-        first_infeasible_c=first_bad_c,
-        first_infeasible_violations=first_bad_states,
+        first_infeasible_c=None if c_hi < w_fail else hi,
     )
 
 

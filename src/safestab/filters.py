@@ -7,9 +7,9 @@ terms a, b and input u_son, the barrier rows L_f h_i + L_g h_i u >=
 -alpha_i(h_i) stacked as A u >= lb, the barrier values h, each row's slack
 at u_son and the least of them, which decides the R1/R2 region. Its body is
 one kernel written out for the sizes (n, m, k) of the configuration, the
-same for one state and for a stack; the Evaluation holds the floats (or
-columns) the kernel gives and builds an array field only when it is read,
-and the laws read the floats.
+same for one state and for a stack; the Evaluation holds only the floats
+(or columns) the kernel gives, the laws read them, and a caller that needs
+an array builds it with core.array_of.
 
 make_controller(cfg, name)(x) is the one pointwise entry of each law; three
 of them filter Sontag's input through QPs on the shared rows:
@@ -46,8 +46,8 @@ import numpy as np
 
 # sontag_terms is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module, as it does sontag_control
-from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum, columns,  # noqa: F401
-                   dot_of, kappa, matvec_of, sontag_terms, state_parts)
+from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum,  # noqa: F401
+                   array_of, columns, dot_of, kappa, matvec_of, sontag_terms, state_parts)
 from .errors import (DegenerateConstraintError, IndefiniteQPError, InfeasibleQPError,
                      SafeStabError)
 from .qp import QPSpec, solve_qp
@@ -97,16 +97,14 @@ class Evaluation:
     u_son and the barrier rows A u >= lb (A_i = L_g h_i, lb_i = -alpha_i(h_i)
     - L_f h_i) with the barrier values h_i(x), as lists. slacks are the row
     slacks s_i = A_i . u_son - lb_i, and margin the least of them (a float,
-    or a column). The array fields f, b, u_son, A, lb and h are built from
-    them when first read, with a leading axis of N for a stack."""
+    or a column). No array form is kept: array_of(ev.x, ev.As), for one,
+    builds the rows as an array, with a leading axis of N for a stack."""
 
-    __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "slacks", "margin",
-                 "_arrays")
+    __slots__ = ("x", "fg", "grad", "w", "a", "bs", "us", "As", "lbs", "hs", "slacks", "margin")
 
     def __init__(self, x, fg, grad, w, a, bs, us, As, lbs, hs, slacks, margin):
         self.x, self.fg, self.grad, self.w, self.a, self.bs, self.us = x, fg, grad, w, a, bs, us
         self.As, self.lbs, self.hs, self.slacks, self.margin = As, lbs, hs, slacks, margin
-        self._arrays = {}
 
     @property
     def region(self):
@@ -115,29 +113,6 @@ class Evaluation:
         if self.x.ndim == 1:
             return Region.R1 if self.margin >= 0.0 else Region.R2
         return np.where(self.margin >= 0.0, Region.R1, Region.R2)
-
-    def _built(self, name, values):
-        """The array field name of the floats or columns values, kept once
-        built."""
-        if name not in self._arrays:
-            if self.x.ndim == 1:
-                self._arrays[name] = np.array(values)
-            else:
-                N = self.x.shape[0]
-
-                def stacked(v):
-                    if isinstance(v, list):
-                        return np.stack([stacked(e) for e in v], axis=1)
-                    return np.broadcast_to(v, (N,))
-                self._arrays[name] = stacked(values)
-        return self._arrays[name]
-
-    f = property(lambda self: self._built("f", self.fg[0]))
-    b = property(lambda self: self._built("b", self.bs))
-    u_son = property(lambda self: self._built("u_son", self.us))
-    A = property(lambda self: self._built("A", self.As))
-    lb = property(lambda self: self._built("lb", self.lbs))
-    h = property(lambda self: self._built("h", self.hs))
 
     @property
     def lfw(self) -> float:
@@ -197,21 +172,22 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
     barrier's hgrad once, on the Python floats of one state (n,) or the
     columns of a stack (N, n), and sums every product written out, so a
     stack row has the bits of its one-state call. The Evaluation holds what
-    the kernel gives and builds its array fields on read."""
+    the kernel gives."""
     x, part = state_parts(cfg.sys, x)
     return Evaluation(x, *cfg._kernel(cfg.sys, cfg.clf, cfg.safe_set.barriers, cfg.gamma, part(x)))
 
 
 def sontag_control(cfg: FilterConfig, x) -> np.ndarray:
     """Sontag's input at one state (m,) or a stack (N, m): evaluate's u_son."""
-    return evaluate(cfg, x).u_son
+    ev = evaluate(cfg, x)
+    return array_of(ev.x, ev.us)
 
 
 def cbf_rows(cfg: FilterConfig, x) -> Tuple[np.ndarray, np.ndarray]:
     """Stack the barrier rows as A u >= lb with A_i = L_g h_i and
     lb_i = -alpha_i(h_i) - L_f h_i."""
     ev = evaluate(cfg, x)
-    return ev.A, ev.lb
+    return array_of(ev.x, ev.As), array_of(ev.x, ev.lbs)
 
 
 def classify_region(cfg: FilterConfig, x):
@@ -235,10 +211,9 @@ def active_flags(A: np.ndarray, lb: np.ndarray, u: np.ndarray) -> np.ndarray:
     an (N, k) array. The sums are explicit, on floats for one state and on
     columns for a stack, so a stack row equals its one-state call bit for
     bit."""
-    if A.ndim == 3:
-        return np.stack(_flags([columns(A_i) for A_i in A.transpose(1, 0, 2)],
-                               columns(lb), columns(u)), axis=1)
-    return np.array(_flags(A.tolist(), lb.tolist(), u.tolist()))
+    part = columns if A.ndim == 3 else np.ndarray.tolist
+    rows = [columns(A_i) for A_i in A.transpose(1, 0, 2)] if A.ndim == 3 else A.tolist()
+    return array_of(u, _flags(rows, part(lb), part(u)))
 
 
 def _solve_or_raise(spec: QPSpec, what: str, x):
@@ -360,7 +335,7 @@ def _law(cfg: FilterConfig, name: str) -> Callable[[Evaluation], np.ndarray]:
     """The map from an evaluation to the input u of controller `name`; the
     filters whose cost does not depend on the state factor it here, once."""
     if name == "sontag":
-        return lambda ev: ev.u_son
+        return lambda ev: np.array(ev.us)
     if name == "cbf-qp":
         cost = QPSpec(_diag([2.0] * cfg.sys.m), [0.0] * cfg.sys.m, [], [])
         return lambda ev: _cbf_qp(cost, ev)

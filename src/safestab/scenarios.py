@@ -2,7 +2,7 @@
 
 A scenario file is JSON with the following keys (matrices row-major):
 
-    name          identifier
+    name          identifier and output-file prefix: no / or \\, not . or ..
     dynamics      {"kind": <registered kind>, "params": {...}}
     equilibrium   {"x": [...], "u": [...]}
     eq_tol        residual bound on |f(x_e) + g(x_e) u_e|_inf (default 1e-3)
@@ -10,7 +10,7 @@ A scenario file is JSON with the following keys (matrices row-major):
     barriers      list; kinds:
                     "quadratic":      h = offset + linear.x + x' quad x
                     "exp_positivity": h = 1 - exp(-x[index])
-                  each with {"alpha": {"lambda": ...}, "name": ...}
+                  each with {"alpha": {"lambda": ...}, "name": <string>}
     domain        per-axis sampling box [[lo, hi], ...]
     defaults      harness defaults (x0, t_final, gamma, p, doa_c_bounds,
                   doa_grid, x0 is a documented reconstruction, not a value
@@ -24,18 +24,20 @@ the offset is configurable in the file.
 A dynamics kind is one function of its params that returns (fg, n, m), and
 a barrier kind one function of its entry, n and the entry's key path (for
 messages) that returns hgrad; every number either reads goes through
-_number, which makes a string or a boolean a malformed file. Adding a
-kind takes that one function and its entry in DYNAMICS_REGISTRY or
-BARRIER_REGISTRY. Its float form is the only body written, every dot product
-and quadratic form in it an explicit left-to-right sum (core.dot_of), and
-core derives the numpy f, g, h and grad_h, for one state and for stacks,
-from it (see core's Conventions).
+_number, which makes a string, a boolean, NaN or an infinity (Python's
+json reads both) a malformed file. Adding a kind takes that one function
+and its entry in DYNAMICS_REGISTRY or BARRIER_REGISTRY. Its float form is
+the only body written, every dot product and quadratic form in it an
+explicit left-to-right sum (core.dot_of), and core derives the numpy f, g,
+h and grad_h, for one state and for stacks, from it (see core's
+Conventions).
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
 from importlib import resources
+from sys import float_info
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -49,11 +51,18 @@ SCENARIO_NAMES = ("linear2d", "tumor3d")
 
 
 def _number(v, path: str) -> float:
-    """A JSON number (not true, false or "1.0") as a float; path names the
-    key (and index) of v in the file, for the message."""
-    if type(v) not in (int, float):
-        raise TypeError(f"{path}: expected a number, got {v!r}")
+    """A JSON number in a double's finite range (not true, "1.0", NaN,
+    Infinity or 10**400) as a float; path names the key (and index) of v in
+    the file, for the message."""
+    if type(v) not in (int, float) or not abs(v) <= float_info.max:
+        raise TypeError(f"{path}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _string(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"{path}: expected a string, got {v!r}")
+    return v
 
 
 def _numbers(v, path: str):
@@ -140,9 +149,9 @@ def _build_barrier(entry: dict, n: int, path: str) -> Barrier:
     kind = _object(entry, "a barrier entry").get("kind")
     alpha = _number(_object(entry.get("alpha", {}), "a barrier's alpha").get("lambda", 1.0),
                     f"{path}.alpha.lambda")
-    name = entry.get("name", kind or "h")
     if kind not in BARRIER_REGISTRY:
         raise ScenarioError(f"unknown barrier kind {kind!r}")
+    name = _string(entry.get("name", kind), f"{path}.name")
     return Barrier.from_hgrad(BARRIER_REGISTRY[kind](entry, n, path), alpha, name)
 
 
@@ -187,7 +196,9 @@ class ScenarioBundle:
 
 def scenario_from_dict(cfg: dict) -> ScenarioBundle:
     try:
-        name = cfg["name"]
+        name = _string(cfg["name"], "name")   # it prefixes the output files' names
+        if name in ("", ".", "..") or "/" in name or "\\" in name:
+            raise ValueError(f"name: expected a file name (no / or \\, not . or ..), got {name!r}")
         dyn = cfg["dynamics"]
         kind = dyn["kind"]
         if kind not in DYNAMICS_REGISTRY:
@@ -207,11 +218,11 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 
     residual = equilibrium_residual(sys, eq)
-    if residual > eq_tol:
+    if not residual <= eq_tol:
         raise ScenarioError(
             f"equilibrium residual {residual:.3e} exceeds eq_tol {eq_tol:.1e}")
     for bar in barriers:
-        if bar.h(eq.x_e) <= 0.0:
+        if not bar.h(eq.x_e) > 0.0:
             raise ScenarioError(f"barrier {bar.name!r} not positive at x_e")
     return ScenarioBundle(name=name, sys=sys, clf=clf, safe_set=safe_set,
                           eq=eq, domain=domain, defaults=defaults)

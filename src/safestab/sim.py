@@ -24,11 +24,11 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import _def, affine_row, as_vector
+from .core import _def, affine_row, array_of, as_vector
 from .errors import IndefiniteQPError, InfeasibleQPError, QPIterationError, SimulationError
 # cbf_rows and classify_region are unused here but stay bound: the
 # benchmark's tracer (bench/instrument.py) wraps them in this module
-from .filters import (Evaluation, FilterConfig, active_flags, cbf_rows,  # noqa: F401
+from .filters import (Evaluation, FilterConfig, _flags, active_flags, cbf_rows,  # noqa: F401
                       classify_region)
 
 BLOWUP_LIMIT = 1e6
@@ -200,7 +200,7 @@ def integrate(cfg: FilterConfig,
     columns, so it gives the bits the per-step calls would give, whatever
     BLAS kernel the CPU gets; the QP solves inside the controller are
     explicit sums too. A switch event computes the flags of its two steps
-    one state at a time."""
+    from their evaluations' floats (filters._flags)."""
     sys = cfg.sys
     n, m, k = sys.n, sys.m, len(cfg.safe_set.barriers)
     x = as_vector(simcfg.x0, n)
@@ -252,9 +252,9 @@ def integrate(cfg: FilterConfig,
         us = u.tolist()
         region = 0 if ev.margin >= 0.0 else 1   # Region.R1 or R2, as ev.region
         if prev_region is not None and region != prev_region:
-            events.append(SwitchEvent(t, prev_region, region, prev_u, u,
-                                      active_flags(prev_ev.A, prev_ev.lb, prev_u),
-                                      active_flags(ev.A, ev.lb, u)))
+            pair = ((prev_ev, prev_u), (ev, u))
+            flags = [array_of(e.x, _flags(e.As, e.lbs, v.tolist())) for e, v in pair]
+            events.append(SwitchEvent(t, prev_region, region, prev_u, u, *flags))
         prev_region, prev_u, prev_ev = region, u, ev
 
         if step % every == 0 or step == n_steps:

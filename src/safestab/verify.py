@@ -9,7 +9,7 @@ from typing import List
 
 import numpy as np
 
-from .core import (equilibrium_residual, fd_gradient, is_valid_local_clf,
+from .core import (array_of, equilibrium_residual, fd_gradient, is_valid_local_clf,
                    rejection_sample, sample_ball, sontag_terms, validate_clf_matrix)
 from .errors import DecreaseIdentityError, SafeStabError, ScenarioError
 from .filters import (FilterConfig, Region, closed_form_ustar, evaluate, make_filter_config,
@@ -160,7 +160,8 @@ def check_r1_proper(cfg: FilterConfig, seed: int) -> CheckResult:
     x_e = cfg.clf.equilibrium.x_e
     pts = sample_ball(x_e, R1_RADIUS, R1_SAMPLES, rng)
     ev = evaluate(cfg, pts)
-    for x, x_unsafe, x_r2 in zip(pts, ~(ev.h.min(axis=1) >= 0.0), ev.region != Region.R1):
+    unsafe = ~(array_of(ev.x, ev.hs).min(axis=1) >= 0.0)
+    for x, x_unsafe, x_r2 in zip(pts, unsafe, ev.region != Region.R1):
         if x_unsafe:
             return CheckResult("r1_proper", False, f"safe set excludes {x}")
         if x_r2:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from safestab import build_scenario, evaluate
+from safestab.core import array_of
 from safestab.filters import make_filter_config
 
 
@@ -52,4 +53,4 @@ def lie_derivatives(cfg, x, i):
     with A_i = L_g h_i and lb_i = -alpha_i h_i - L_f h_i."""
     ev = evaluate(cfg, x)
     alpha = cfg.safe_set.barriers[i].alpha
-    return -ev.lb[i] - alpha * ev.h[i], ev.A[i]
+    return -ev.lbs[i] - alpha * ev.hs[i], array_of(ev.x, ev.As[i])

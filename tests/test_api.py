@@ -49,8 +49,8 @@ def test_system_barrier_and_evaluation_attributes():
         assert public(bar) == ["alpha", "from_hgrad", "grad_h", "h", "hgrad", "name"]
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set)
     assert public(evaluate(cfg, bundle.eq.x_e)) == \
-        ["A", "As", "a", "b", "bs", "f", "fg", "grad", "h", "hs", "lb", "lbs", "lfw", "margin",
-         "region", "slacks", "u_son", "us", "w", "x"]
+        ["As", "a", "bs", "fg", "grad", "hs", "lbs", "lfw", "margin", "region", "slacks", "us",
+         "w", "x"]
 
 
 def test_qp_spec_and_solution_attributes():

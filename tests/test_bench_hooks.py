@@ -1,13 +1,18 @@
 """The benchmark's tracer (bench/instrument.py) wraps safestab's functions by
 name in the module that calls them. Renaming or deleting one of those names
 breaks the benchmark, not the library's own tests, so this checks that every
-name the tracer patches is still bound."""
+name the tracer patches is still bound. The benchmark also marks a pass
+wrong when c* moves from the value it pins, which is checked here too."""
 import importlib
 import importlib.util
 import pathlib
+import sys
 from types import SimpleNamespace
 
-INSTRUMENT = pathlib.Path(__file__).resolve().parents[1] / "bench" / "instrument.py"
+import pytest
+
+BENCH = pathlib.Path(__file__).resolve().parents[1] / "bench"
+INSTRUMENT = BENCH / "instrument.py"
 MODULES = ("core", "sontag", "qp", "filters", "doa", "sim", "scenarios", "verify", "cli")
 
 
@@ -66,3 +71,33 @@ def test_forwarding_functions_in_place_of_the_qp_names_change_no_output(monkeypa
     assert _outputs() == want
     assert {key for key, n in calls.items() if n} == {
         "filters.QPSpec", "filters.solve_qp", "verify.solve_qp"}
+
+
+def bench_c_star_cases():
+    """(scenario, grid, c_bounds, c*, tolerance) of each c* the benchmark
+    pins: the tumor gate's level, and doa's through the CLI at the certify
+    workload's tumor3d grid and at linear2d's bundled grid and bounds; the
+    tolerance is the benchmark's, 1e-3 times the bisection's c_hi."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(BENCH))
+    from safestab import build_scenario
+    gate, certify = workloads.TumorGate, workloads.Certify
+    cases = [("tumor3d", gate.GRID, gate.C_BOUNDS, gate.C_STAR, 1e-3 * gate.C_BOUNDS[1])]
+    for name, grid in (("tumor3d", certify().tumor_grid), ("linear2d", None)):
+        defaults = build_scenario(name).defaults
+        c_star, c_hi = certify.C_STAR[name]
+        cases.append((name, grid or defaults["doa_grid"], defaults["doa_c_bounds"], c_star,
+                      1e-3 * c_hi))
+    return cases
+
+
+@pytest.mark.parametrize("scenario, grid, c_bounds, want, tol", bench_c_star_cases(),
+                         ids=["tumor-gate", "certify-tumor3d", "certify-linear2d"])
+def test_c_star_stays_within_the_benchmark_tolerance(scenario, grid, c_bounds, want, tol):
+    from safestab import build_scenario, compute_c_star, make_filter_config
+    bundle = build_scenario(scenario)
+    cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set, gamma=1.0)
+    assert abs(compute_c_star(cfg, grid, c_bounds).c_star - want) <= tol

@@ -281,6 +281,35 @@ def test_defaults_of_the_wrong_type_exit_2_in_every_command_reading_them(tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_a_scenario_name_that_leaves_out_exits_2_and_writes_nothing(tmp_path, capsys):
+    # the name prefixes each output file: "../escaped" once wrote
+    # escaped_hybrid_traj.csv beside --out and exited 0
+    cfg = linear2d_file()
+    cfg["name"] = "../escaped"
+    path = tmp_path / "escaped.json"
+    path.write_text(json.dumps(cfg))
+    run = tmp_path / "run"
+    for argv in (["simulate", "--t-final", "0.01"], ["doa", "--grid", "5,5"],
+                 ["sweep", "--t-final", "0.01", "--param", "p", "--values", "1,2"]):
+        rc = main(argv + ["--scenario", str(path), "--out", str(run / "out")])
+        assert rc == 2, argv
+        assert "error: malformed scenario: name: " in capsys.readouterr().err, argv
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_an_infinite_domain_bound_exits_2_without_a_traceback(tmp_path, capsys):
+    # a -Infinity bound once reached verify's samplers as an OverflowError
+    cfg = linear2d_file()
+    cfg["domain"][0][0] = -float("inf")
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(cfg))
+    assert "-Infinity" in path.read_text()
+    assert main(["verify", "--scenario", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: malformed scenario: domain[0][0]: expected a finite number, "
+                   "got -inf\n")
+
+
 def test_verify_detects_corrupted_clf_matrix(linear):
     bundle = build_scenario("linear2d")
     bundle.clf.P = np.array([[3.4142, -2.4142], [-2.0, 2.4142]])  # injected fault

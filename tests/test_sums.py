@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair, QuadraticCLF,
                       SafeSet, build_scenario, control_sharing_holds, evaluate)
-from safestab.core import B_FLOOR
+from safestab.core import B_FLOOR, array_of
 from safestab.filters import (ACTIVE_TOL, Region, _margins, active_flags, make_controller,
                               make_filter_config)
 from safestab.sim import SimConfig, integrate, rk4_step
@@ -142,8 +142,10 @@ def reference(cfg, forms, x):
 def fields(ev, i=None):
     """The reference's keys read off an evaluation (row i of a stack)."""
     pick = (lambda v: v) if i is None else (lambda v: np.asarray(v)[i])
-    out = {k: pick(getattr(ev, k)) for k in ("x", "f", "w", "a", "b", "u_son", "A", "lb", "h",
-                                              "lfw")}
+    out = {k: pick(getattr(ev, k)) for k in ("x", "w", "a", "lfw")}
+    for k, values in (("f", ev.fg[0]), ("b", ev.bs), ("u_son", ev.us), ("A", ev.As),
+                      ("lb", ev.lbs), ("h", ev.hs)):
+        out[k] = pick(array_of(ev.x, values))
     out["grad"] = pick(np.stack(ev.grad, axis=-1))
     out["slacks"] = pick(np.stack(ev.slacks, axis=-1))
     out["margin"] = pick(ev.margin)
@@ -329,7 +331,7 @@ def test_assigned_closures_take_over_the_float_forms(name):
     cfg = make_filter_config(sys, clf, bundle.safe_set, gamma=1.0)
     X = sample_safe_states(bundle, 20, seed=3)
     before = [evaluate(cfg, x) for x in X]
-    steps = [rk4_step(sys, x, ev.u_son, 1e-3) for x, ev in zip(X, before)]
+    steps = [rk4_step(sys, x, array_of(x, ev.us), 1e-3) for x, ev in zip(X, before)]
     stack = evaluate(cfg, X)
     simcfg = SimConfig(x0=X[0], t_final=0.01)   # 10 RK4 steps, 11 evaluations
     run = integrate(cfg, make_controller(cfg, "hybrid"), simcfg)
@@ -350,7 +352,7 @@ def test_assigned_closures_take_over_the_float_forms(name):
         assert_fields_equal(fields(evaluate(cfg, x)), fields(ev), x)
     assert calls == {"f": 20, "g": 20, "h": 20 * k, "grad_h": 20 * k, "grad": 20}
     for x, ev, want in zip(X, before, steps):
-        assert rk4_step(sys, x, ev.u_son, 1e-3).tobytes() == want.tobytes()
+        assert rk4_step(sys, x, array_of(x, ev.us), 1e-3).tobytes() == want.tobytes()
     assert calls["f"] == calls["g"] == 20 + 4 * 20
     again = evaluate(cfg, X)
     for i in range(len(X)):
@@ -366,7 +368,8 @@ def test_assigned_closures_take_over_the_float_forms(name):
                      "grad": 11}
     f = sys.f
     sys.f = lambda x: 2.0 * f(x)
-    assert evaluate(cfg, X[0]).f.tobytes() == (2.0 * before[0].f).tobytes()
+    assert array_of(X[0], evaluate(cfg, X[0]).fg[0]).tobytes() == \
+        (2.0 * array_of(X[0], before[0].fg[0])).tobytes()
 
 
 @pytest.mark.parametrize("name", ["linear2d", "tumor3d"])
@@ -412,7 +415,7 @@ def test_a_stack_runs_each_form_once_and_the_adapters_take_columns():
         ev = evaluate(cfg, X)
         for i, one in enumerate(want):
             assert_fields_equal(fields(ev, i), one, X[i])
-        assert same(np.stack(ev.fg[0], axis=1), ev.f)
+        assert same(np.stack(ev.fg[0], axis=1), array_of(ev.x, ev.fg[0]))
         return sorted(calls)
 
     bundle = build_scenario("tumor3d")
