@@ -11,7 +11,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -32,35 +32,6 @@ EXIT_USAGE = 2
 
 # vertices of the safe-set boundary polyline in a 2D plot script
 BOUNDARY_POINTS = 256
-
-
-@dataclass
-class RunManifest:
-    """Fully resolved parameters of one simulation run."""
-
-    scenario: str
-    controller: str
-    gamma: float
-    p: float
-    dt: float
-    t_final: float
-    x0: np.ndarray
-    out_dir: Path
-    record_every: int = 1
-
-    def __post_init__(self):
-        # the values are checked where they are used: gamma and p by
-        # FilterConfig, dt, t_final and x0 by SimConfig
-        self.x0 = np.asarray(self.x0, dtype=float)
-        self.out_dir = Path(self.out_dir)
-
-    def as_dict(self) -> dict:
-        return {
-            "scenario": self.scenario, "controller": self.controller,
-            "gamma": self.gamma, "p": self.p, "dt": self.dt,
-            "t_final": self.t_final, "x0": self.x0.tolist(),
-            "out": str(self.out_dir), "record_every": self.record_every,
-        }
 
 
 def _parse_floats(text: str) -> np.ndarray:
@@ -89,38 +60,37 @@ def _sim_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
 
 
-def _resolve_manifest(bundle, args) -> RunManifest:
-    defaults = bundle.defaults
-    x0 = args.x0
+def _option(args, bundle, key):
+    """The command line's value of key, or else the scenario's default."""
+    value = getattr(args, key)
+    return bundle.defaults[key] if value is None else value
+
+
+def _run_params(bundle, args) -> dict:
+    """The run's parameters, as *_metrics.json writes them. They are checked
+    where they are used: gamma and p by FilterConfig, dt, t_final and x0 by
+    SimConfig."""
+    x0 = _option(args, bundle, "x0")
     if x0 is None:
-        if defaults.get("x0") is None:
-            raise ScenarioError("no x0: give --x0 or defaults.x0 in the scenario")
-        x0 = defaults["x0"]
+        raise ScenarioError("no x0: give --x0 or defaults.x0 in the scenario")
     if x0.size != bundle.sys.n:
         raise ScenarioError(f"x0 must have {bundle.sys.n} components")
-    return RunManifest(
-        scenario=bundle.name,
-        controller=args.controller,
-        gamma=args.gamma if args.gamma is not None else defaults.get("gamma", 1.0),
-        p=args.p if args.p is not None else defaults.get("p", 10.0),
-        dt=args.dt,
-        t_final=args.t_final if args.t_final is not None else defaults.get("t_final", 10.0),
-        x0=x0,
-        out_dir=args.out,
-        record_every=args.record_every,
-    )
+    return {"scenario": bundle.name, "controller": args.controller,
+            "gamma": _option(args, bundle, "gamma"), "p": _option(args, bundle, "p"),
+            "dt": args.dt, "t_final": _option(args, bundle, "t_final"), "x0": x0.tolist(),
+            "out": str(Path(args.out)), "record_every": args.record_every}
 
 
-def _run_one(bundle, manifest: RunManifest):
+def _run_one(bundle, run: dict):
     """The run's trajectory and metrics. Its configs and integrate refuse a
     bad parameter, an x0 outside the safe set or records that do not fit
     before the run; the callers write nothing until it returns, so that a
     refused run leaves no output behind."""
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set,
-                             gamma=manifest.gamma, p=manifest.p)
-    simcfg = SimConfig(x0=manifest.x0, t_final=manifest.t_final, dt=manifest.dt,
-                       record_every=manifest.record_every)
-    traj = integrate(cfg, make_controller(cfg, manifest.controller), simcfg)
+                             gamma=run["gamma"], p=run["p"])
+    simcfg = SimConfig(x0=run["x0"], t_final=run["t_final"], dt=run["dt"],
+                       record_every=run["record_every"])
+    traj = integrate(cfg, make_controller(cfg, run["controller"]), simcfg)
     return traj, compute_metrics(traj, bundle.eq)
 
 
@@ -131,21 +101,21 @@ def _r2_steps(traj) -> int:
 
 def cmd_simulate(args) -> int:
     bundle = _load_bundle(args)
-    manifest = _resolve_manifest(bundle, args)
-    traj, metrics = _run_one(bundle, manifest)
-    out = manifest.out_dir
+    run = _run_params(bundle, args)
+    traj, metrics = _run_one(bundle, run)
+    out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
-    stem = f"{bundle.name}_{manifest.controller}"
+    stem = f"{bundle.name}_{args.controller}"
     csv_path = out / f"{stem}_traj.csv"
     write_trajectory_csv(traj, csv_path)
     # strict JSON has no inf or nan: a run that never settles or stopped at
     # its first step reports null for those metrics
-    summary = dict(manifest.as_dict(), status=traj.status,
+    summary = dict(run, status=traj.status,
                    diagnostic=traj.diagnostic, r2_steps=_r2_steps(traj),
                    switches=len(traj.switch_events),
                    metrics={key: val if math.isfinite(val) else None
                             for key, val in asdict(metrics).items()},
-                   first_unsafe=first_unsafe(traj, bundle.safe_set, manifest.dt))
+                   first_unsafe=first_unsafe(traj, bundle.safe_set, run["dt"]))
     with open(out / f"{stem}_metrics.json", "w") as fh:
         json.dump(summary, fh, indent=2, allow_nan=False)
     print(f"wrote {csv_path} ({traj.n_samples} samples, status {traj.status})")
@@ -157,7 +127,7 @@ def cmd_simulate(args) -> int:
 
 def cmd_sweep(args) -> int:
     bundle = _load_bundle(args)
-    manifest = _resolve_manifest(bundle, args)
+    run = _run_params(bundle, args)
     values = [float(v) for v in args.values.split(",") if v.strip() != ""]
     if len(values) < 2:
         print("sweep needs at least two --values", file=sys.stderr)
@@ -171,13 +141,13 @@ def cmd_sweep(args) -> int:
               f"(values are named to 6 significant digits)", file=sys.stderr)
         return EXIT_USAGE
     # every cell runs before anything is written
-    runs = [_run_one(bundle, replace(manifest, **{args.param: value})) for value in values]
-    out = manifest.out_dir
+    runs = [_run_one(bundle, dict(run, **{args.param: value})) for value in values]
+    out = Path(run["out"])
     out.mkdir(parents=True, exist_ok=True)
 
     results = []
     for value, (traj, metrics) in zip(values, runs):
-        path = out / f"{bundle.name}_{manifest.controller}_{args.param}_{value:g}_traj.csv"
+        path = out / f"{bundle.name}_{args.controller}_{args.param}_{value:g}_traj.csv"
         write_trajectory_csv(traj, path)
         results.append((value, traj, metrics, path))
 
@@ -202,19 +172,13 @@ def cmd_sweep(args) -> int:
 
 def cmd_doa(args) -> int:
     bundle = _load_bundle(args)
-    defaults = bundle.defaults
-    gamma = args.gamma if args.gamma is not None else defaults.get("gamma", 1.0)
+    gamma = _option(args, bundle, "gamma")
     cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set, gamma=gamma)
-    if args.grid is not None:
-        grid = tuple(int(v) for v in args.grid.split(","))
-    else:
-        grid = defaults.get("doa_grid", (41,) * bundle.sys.n)
-    c_lo, c_hi = args.c_lo, args.c_hi
-    if c_lo is None or c_hi is None:
-        lo_default, hi_default = defaults.get("doa_c_bounds", (0.1, 100.0))
-        c_lo = c_lo if c_lo is not None else lo_default
-        c_hi = c_hi if c_hi is not None else hi_default
-    est = compute_c_star(cfg, grid, (c_lo, c_hi))
+    grid = (bundle.defaults["doa_grid"] if args.grid is None
+            else tuple(int(v) for v in args.grid.split(",")))
+    c_lo, c_hi = bundle.defaults["doa_c_bounds"]
+    est = compute_c_star(cfg, grid, (c_lo if args.c_lo is None else args.c_lo,
+                                     c_hi if args.c_hi is None else args.c_hi))
     c_triv = largest_clf_sublevel_inside(cfg, seed=args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,8 +206,7 @@ def cmd_doa(args) -> int:
 
 def cmd_verify(args) -> int:
     bundle = _load_bundle(args)
-    gamma = args.gamma if args.gamma is not None else bundle.defaults.get("gamma", 1.0)
-    results = run_checks(bundle, seed=args.seed, gamma=gamma)
+    results = run_checks(bundle, seed=args.seed, gamma=_option(args, bundle, "gamma"))
     for res in results:
         tag = "SKIP" if res.skipped else "PASS" if res.passed else "FAIL"
         print(f"[{tag}] {res.name}: {res.detail}")

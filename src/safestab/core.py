@@ -208,16 +208,19 @@ def array_of(x, values) -> np.ndarray:
 def _numpy_part(form, k: int) -> Callable:
     """The numpy closure of part k of a float form (fg or hgrad), for one
     state (n,) or a stack (N, n): array_of's array of the part as a fresh
-    float array, its axes after a leading N for a stack reversed, so that
-    g(x) is (n, m) and g(X) is (N, n, m); a float part at one state is
-    returned as it is. The closure calls this form, not an instance's, so
-    that a closure assigned later may wrap it."""
+    float array, converted once, its axes after a leading N for a stack
+    reversed, so that g(x) is (n, m) and g(X) is (N, n, m); a float part at
+    one state is returned as it is. The closure calls this form, not an
+    instance's, so that a closure assigned later may wrap it."""
     def closure(x):
-        part = form(x.tolist() if x.ndim == 1 else columns(x))[k]
-        if x.ndim == 1 and not isinstance(part, list):
-            return part
-        out = np.array(array_of(x, part), dtype=float)
-        return out.T if x.ndim == 1 else out.transpose(0, *range(out.ndim - 1, 0, -1))
+        if x.ndim == 1:
+            part = form(x.tolist())[k]
+            return np.array(part, dtype=float).T if isinstance(part, list) else part
+        out = array_of(x, form(columns(x))[k])
+        # np.stack's array is fresh; array_of's read-only view of a bare
+        # column (perhaps one of x's) or float is copied
+        out = out.astype(float, copy=not out.flags.writeable)
+        return out.transpose(0, *range(out.ndim - 1, 0, -1))
     return closure
 
 
@@ -466,11 +469,7 @@ def state_parts(sys: ControlAffineSystem, x):
         if x.shape[1] != sys.n:
             raise ValueError(f"expected states of length {sys.n}, got {x.shape[1]}")
         return x, columns
-    if x.ndim != 1:
-        x = x.ravel()
-    if x.size != sys.n:
-        raise ValueError(f"expected vector of length {sys.n}, got {x.size}")
-    return x, np.ndarray.tolist
+    return as_vector(x, sys.n), np.ndarray.tolist
 
 
 def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):

@@ -12,9 +12,11 @@ A scenario file is JSON with the following keys (matrices row-major):
                     "exp_positivity": h = 1 - exp(-x[index])
                   each with {"alpha": {"lambda": ...}, "name": <string>}
     domain        per-axis sampling box [[lo, hi], ...]
-    defaults      harness defaults (x0, t_final, gamma, p, doa_c_bounds,
-                  doa_grid, x0 is a documented reconstruction, not a value
-                  from the source material)
+    defaults      harness defaults, each key optional, a missing one taken
+                  from the fallback table: x0 (none), t_final (10), gamma
+                  (1), p (10), doa_c_bounds ([0.1, 100]), doa_grid (41 per
+                  axis); the bundled x0 is a documented reconstruction, not
+                  a value from the source material
 
 Two scenarios ship with the package: a 2D linear system with one elliptic
 barrier, and a 3D tumor/immune model with three positivity barriers. The 2D
@@ -162,24 +164,24 @@ def _count(v, path: str) -> int:
     return v
 
 
-def _typed_defaults(defaults: dict) -> dict:
-    """defaults with each known key in the type it is read as, so that a
-    value of the wrong type makes the file malformed: the numbers t_final,
-    gamma and p as floats, an array x0 (a null x0 is none, as if left out),
-    the number pair doa_c_bounds as floats and the integers of doa_grid."""
-    out = dict(defaults)
+def _typed_defaults(defaults: dict, n: int) -> dict:
+    """The fallback table updated by the file's defaults, so that every key
+    the CLI reads is there, each in the type it is read as and a value of
+    the wrong type making the file malformed: the numbers t_final, gamma and
+    p as floats, an array x0 (a null x0 is none, as if left out), the number
+    pair doa_c_bounds as floats and the integers of doa_grid. A key the table
+    lacks is kept as written."""
+    out = {"x0": None, "t_final": 10.0, "gamma": 1.0, "p": 10.0,
+           "doa_c_bounds": (0.1, 100.0), "doa_grid": (41,) * n, **defaults}
     for key in ("t_final", "gamma", "p"):
-        if key in out:
-            out[key] = _number(out[key], f"defaults.{key}")
-    if out.get("x0") is not None:
+        out[key] = _number(out[key], f"defaults.{key}")
+    if out["x0"] is not None:
         out["x0"] = np.asarray(_numbers(out["x0"], "defaults.x0"), dtype=float)
-    if "doa_c_bounds" in out:
-        lo, hi = out["doa_c_bounds"]
-        out["doa_c_bounds"] = (_number(lo, "defaults.doa_c_bounds[0]"),
-                               _number(hi, "defaults.doa_c_bounds[1]"))
-    if "doa_grid" in out:
-        out["doa_grid"] = tuple(_count(v, f"defaults.doa_grid[{i}]")
-                                for i, v in enumerate(out["doa_grid"]))
+    lo, hi = out["doa_c_bounds"]
+    out["doa_c_bounds"] = (_number(lo, "defaults.doa_c_bounds[0]"),
+                           _number(hi, "defaults.doa_c_bounds[1]"))
+    out["doa_grid"] = tuple(_count(v, f"defaults.doa_grid[{i}]")
+                            for i, v in enumerate(out["doa_grid"]))
     return out
 
 
@@ -213,7 +215,7 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         safe_set = SafeSet(barriers)
         domain = np.asarray(_numbers(cfg["domain"], "domain"), dtype=float).reshape(n, 2)
         eq_tol = _number(cfg.get("eq_tol", 1e-3), "eq_tol")
-        defaults = _typed_defaults(_object(cfg.get("defaults", {}), "defaults"))
+        defaults = _typed_defaults(_object(cfg.get("defaults", {}), "defaults"), n)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(f"malformed scenario: {exc}") from exc
 

@@ -4,11 +4,12 @@ it; a new parameter or field, or a second body of a quantity, should be a
 deliberate edit here, not a default nobody sets."""
 import dataclasses
 import inspect
+import json
 
 import safestab
 from safestab import (SimConfig, build_scenario, compute_c_star, control_sharing_holds,
                       evaluate, make_filter_config)
-from safestab.cli import RunManifest
+from safestab.cli import main
 
 
 def test_make_filter_config_parameters():
@@ -30,10 +31,13 @@ def test_control_sharing_holds_parameters():
     assert list(inspect.signature(control_sharing_holds).parameters) == ["cfg", "x"]
 
 
-def test_run_manifest_fields():
-    assert [f.name for f in dataclasses.fields(RunManifest)] == \
-        ["scenario", "controller", "gamma", "p", "dt", "t_final", "x0", "out_dir",
-         "record_every"]
+def test_metrics_json_leads_with_the_run_parameters(tmp_path):
+    # a run's parameters are held only as these keys of *_metrics.json
+    assert main(["simulate", "--scenario", "linear2d", "--t-final", "0.01",
+                 "--out", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "linear2d_hybrid_metrics.json").read_text())
+    assert list(summary)[:9] == ["scenario", "controller", "gamma", "p", "dt", "t_final",
+                                 "x0", "out", "record_every"]
 
 
 def public(obj):

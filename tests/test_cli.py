@@ -101,6 +101,48 @@ def test_simulate_without_any_x0_exits_2_saying_so(tmp_path, capsys):
     assert rc == 0
 
 
+def test_a_file_with_only_x0_in_defaults_runs_on_the_fallback_table(tmp_path, capsys):
+    scenario = linear2d_file()
+    scenario["defaults"] = {"x0": scenario["defaults"]["x0"]}
+    path = tmp_path / "only_x0.json"
+    path.write_text(json.dumps(scenario))
+    out = tmp_path / "o"
+    assert main(["simulate", "--scenario", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "linear2d_hybrid_metrics.json").read_text())
+    assert (summary["gamma"], summary["p"], summary["t_final"]) == (1.0, 10.0, 10.0)
+    assert main(["doa", "--scenario", str(path), "--out", str(out)]) == 0
+    report = json.loads((out / "linear2d_doa.json").read_text())
+    assert report["grid_resolution"] == [41, 41]
+    assert [c for c, _ in report["tested"][:2]] == [0.1, 100.0]
+    assert main(["verify", "--scenario", str(path)]) == 0
+    assert "checks passed" in capsys.readouterr().out
+
+
+def test_sweep_checks_each_cells_own_gamma(tmp_path):
+    # --gamma -1 is replaced by each cell's value before any config is built
+    rc = main(["sweep", "--scenario", "linear2d", "--gamma", "-1", "--param", "gamma",
+               "--values", "1,2", "--t-final", "0.05", "--out", str(tmp_path)])
+    assert rc == 0
+    assert sorted(f.name for f in tmp_path.iterdir()) == [
+        "linear2d_hybrid_gamma_1_traj.csv", "linear2d_hybrid_gamma_2_traj.csv",
+        "linear2d_hybrid_gamma_sweep.csv"]
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "doa", "verify", "plot"])
+def test_each_subcommand_prints_its_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: safestab {command}")
+
+
+def test_version_prints_the_package_version(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == "safestab 0.1.0\n"
+
+
 def test_sweep_single_value_exits_2(tmp_path):
     rc = main(["sweep", "--scenario", "linear2d", "--param", "gamma",
                "--values", "1.0", "--out", str(tmp_path)])

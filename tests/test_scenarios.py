@@ -290,6 +290,16 @@ def test_known_defaults_are_stored_in_the_type_they_are_read_as():
     assert scenario_from_dict(cfg).defaults["x0"] is None
 
 
+def test_a_file_without_defaults_gets_the_fallback_table():
+    for name in ("linear2d", "tumor3d"):
+        cfg = scenario_file(name)
+        del cfg["defaults"]
+        n = len(cfg["equilibrium"]["x"])
+        assert scenario_from_dict(cfg).defaults == {
+            "x0": None, "t_final": 10.0, "gamma": 1.0, "p": 10.0,
+            "doa_c_bounds": (0.1, 100.0), "doa_grid": (41,) * n}
+
+
 def test_bundled_defaults_load_as_written():
     for name in ("linear2d", "tumor3d"):
         written = json.loads(resources.files("safestab.data").joinpath(f"{name}.json")

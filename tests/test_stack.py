@@ -85,6 +85,28 @@ def test_closures_clf_and_safe_set_match_one_state(case):
     assert same(safe.contains(X), np.array([safe.contains(x) for x in X]))
 
 
+def test_closures_return_fresh_writable_float_arrays(case):
+    # a caller may write into what f, g, h and grad_h return: it is a float
+    # array of its own, also from a form that returns x's columns unchanged
+    # (a one-state h is a Python float)
+    bundle, _ = case
+    n = bundle.sys.n
+    echo_sys = ControlAffineSystem.from_fg(lambda xs: (list(xs), [list(xs)]), n, 1)
+    echo_bar = Barrier.from_hgrad(lambda xs: (xs[0], list(xs)), alpha=1.0)
+    systems, bars = (bundle.sys, echo_sys), bundle.safe_set.barriers + (echo_bar,)
+    X = probe_states(bundle, count=5)
+    for x in (X[0], X):
+        outs = [s.f(x) for s in systems] + [s.g(x) for s in systems] + \
+            [bar.grad_h(x) for bar in bars]
+        if x.ndim == 1:
+            assert all(type(bar.h(x)) is float for bar in bars)
+        else:
+            outs += [bar.h(x) for bar in bars]
+        for out in outs:
+            assert out.dtype == np.float64 and out.flags.writeable
+            assert not np.shares_memory(out, x)
+
+
 def test_evaluate_matches_one_state(case):
     bundle, cfg = case
     X = probe_states(bundle)
