@@ -39,11 +39,14 @@ Conventions
 * The scenario closures (f, g, h, grad h), QuadraticCLF.value/grad and
   SafeSet.values/min_value/contains also accept a stack X of shape (N, n)
   and then return their results with a leading axis of N (g(X) is
-  (N, n, m)). filters.evaluate runs the float forms on one state, the
-  per-step path, or on a stack's columns for the many-state callers (doa,
-  verify, the simulator's records). fd_gradient, sontag_terms
-  and sontag.sontag_decrease_rate take a stack too, so that verify runs
-  each sample set in one pass.
+  (N, n, m)). state_parts(n, x) is the one rule by which every reader and
+  numpy adapter tells one state from a stack: a 2-D x is a stack, any other
+  x one state, and where the reader knows the state length n, a state or
+  stack of another length raises ValueError. filters.evaluate runs the
+  float forms on one state, the per-step path, or on a stack's columns for
+  the many-state callers (doa, verify, the simulator's records).
+  fd_gradient, sontag_terms and sontag.sontag_decrease_rate take a stack
+  too, so that verify runs each sample set in one pass.
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
   vanishes at a non-zero equilibrium. lie_of sums W as QuadraticCLF.value
   does, so the W of filters.evaluate, which every layer reads, has its bits.
@@ -205,6 +208,23 @@ def array_of(x, values) -> np.ndarray:
     return stacked(values)
 
 
+def state_parts(n: Optional[int], x):
+    """(x, part): x as one state (n,) or a stack (N, n), and the map from an
+    array of x's leading shape to what a float form reads, its Python floats
+    for one state or its columns for a stack. The one rule by which a
+    caller's x is told apart: a 2-D x is a stack, any other x one state,
+    raveled as as_vector does. n is the length of a state, and a state or
+    stack of another length raises ValueError naming both; None, where the
+    reader does not know it, checks none. A float (n,) array is returned as
+    it is."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        if n is not None and x.shape[1] != n:
+            raise ValueError(f"expected states of length {n}, got {x.shape[1]}")
+        return x, columns
+    return as_vector(x, n), np.ndarray.tolist
+
+
 def _numpy_part(form, k: int) -> Callable:
     """The numpy closure of part k of a float form (fg or hgrad), for one
     state (n,) or a stack (N, n): array_of's array of the part as a fresh
@@ -213,10 +233,11 @@ def _numpy_part(form, k: int) -> Callable:
     one state is returned as it is. The closure calls this form, not an
     instance's, so that a closure assigned later may wrap it."""
     def closure(x):
+        x, part = state_parts(None, x)
+        out = form(part(x))[k]
         if x.ndim == 1:
-            part = form(x.tolist())[k]
-            return np.array(part, dtype=float).T if isinstance(part, list) else part
-        out = array_of(x, form(columns(x))[k])
+            return np.array(out, dtype=float).T if isinstance(out, list) else out
+        out = array_of(x, out)
         # np.stack's array is fresh; array_of's read-only view of a bare
         # column (perhaps one of x's) or float is copied
         out = out.astype(float, copy=not out.flags.writeable)
@@ -230,9 +251,7 @@ def fd_gradient(fn: Callable[[np.ndarray], float], x: np.ndarray) -> np.ndarray:
     and gives one value per state. Each state steps by
     FD_REL_STEP * max(1, |x_i|) along axis i, so a stack row has the bits of
     its one-state call."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2:
-        x = as_vector(x)
+    x, _ = state_parts(None, x)
     steps = FD_REL_STEP * np.maximum(1.0, np.abs(x))
     cols = []
     for i in range(x.shape[-1]):
@@ -281,15 +300,13 @@ class ControlAffineSystem:
             super().__setattr__("fg", self._numpy_fg)
 
     def _numpy_fg(self, xs):
-        y = np.array(xs)   # (n,) for one state, (n, N) for a stack's columns
-        G = np.asarray(self.g(y.T), dtype=float)
-        shape = (self.n, self.m) if y.ndim == 1 else (y.shape[1], self.n, self.m)
+        x, part = state_parts(self.n, np.array(xs).T)   # xs: floats or columns
+        G = np.asarray(self.g(x), dtype=float)
+        shape = x.shape[:-1] + (self.n, self.m)
         if G.shape != shape:
-            raise ValueError(f"g({'x' if y.ndim == 1 else 'X'}) must be {shape}, got {G.shape}")
-        f = np.asarray(self.f(y.T), dtype=float)
-        if y.ndim == 1:
-            return f.tolist(), G.T.tolist()
-        return columns(f), [list(G_j) for G_j in G.T]
+            raise ValueError(f"g({'x' if x.ndim == 1 else 'X'}) must be {shape}, got {G.shape}")
+        return (part(np.asarray(self.f(x), dtype=float)),
+                [part(G_j) for G_j in np.moveaxis(G, -1, 0)])
 
     def xdot(self, x, u) -> np.ndarray:
         """f(x) + g(x) u at one state, from fg's floats as the RK4 stages
@@ -343,15 +360,12 @@ class QuadraticCLF:
         return d, self._pd(self._rows, d)
 
     def value(self, x):
-        x = np.asarray(x, dtype=float)
-        d, pd = self._offset_and_pd(columns(x) if x.ndim == 2 else as_vector(x).tolist())
-        return self._dot(d, pd)
+        x, part = state_parts(len(self._x_e), x)
+        return self._dot(*self._offset_and_pd(part(x)))
 
     def grad(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        x = x if x.ndim == 2 else as_vector(x)
-        pd = self._offset_and_pd(columns(x) if x.ndim == 2 else x.tolist())[1]
-        return array_of(x, [2.0 * v for v in pd])
+        x, part = state_parts(len(self._x_e), x)
+        return array_of(x, [2.0 * v for v in self._offset_and_pd(part(x))[1]])
 
     def lie_terms(self, xs, fs, gcols):
         """(gradW, W, a, b) from the float form at one state, or from columns."""
@@ -365,9 +379,8 @@ class QuadraticCLF:
             super().__setattr__("lie_terms", self._numpy_lie_terms)
 
     def _numpy_lie_terms(self, xs, fs, gcols):
-        x = np.array(xs)   # (n,) for one state, (n, N) for columns
-        grad = np.asarray(self.grad(x.T), dtype=float).T
-        grad = grad.tolist() if grad.ndim == 1 else list(grad)
+        x, part = state_parts(len(self._x_e), np.array(xs).T)   # as in _numpy_fg
+        grad = part(np.asarray(self.grad(x), dtype=float))
         return (grad, self._dot(*self._offset_and_pd(xs))) + lie_sums_of(
             len(grad), len(gcols))(grad, fs, gcols, self._u_e)
 
@@ -419,11 +432,9 @@ class Barrier:
             super().__setattr__("hgrad", self._numpy_hgrad)
 
     def _numpy_hgrad(self, xs):
-        y = np.array(xs)   # as in ControlAffineSystem._numpy_fg
-        if y.ndim == 1:
-            return float(self.h(y)), as_vector(self.grad_h(y)).tolist()
-        grad = np.asarray(self.grad_h(y.T), dtype=float)
-        return np.asarray(self.h(y.T), dtype=float), columns(grad)
+        x, part = state_parts(None, np.array(xs).T)   # as in ControlAffineSystem._numpy_fg
+        h = np.asarray(self.h(x), dtype=float)
+        return (float(h) if x.ndim == 1 else h), part(np.asarray(self.grad_h(x), dtype=float))
 
 
 @dataclass
@@ -443,33 +454,15 @@ class SafeSet:
         return len(self.barriers)
 
     def values(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.stack([b.h(x) for b in self.barriers], axis=1)
-        x = as_vector(x)
-        return np.array([float(b.h(x)) for b in self.barriers])
+        x, _ = state_parts(None, x)
+        return np.stack([b.h(x) for b in self.barriers], axis=-1)
 
     def min_value(self, x):
-        vals = self.values(x)
-        if vals.ndim == 2:
-            return vals.min(axis=1)
-        return float(vals.min())
+        least = self.values(x).min(axis=-1)
+        return least if least.ndim else float(least)
 
     def contains(self, x):
         return self.min_value(x) >= 0.0
-
-
-def state_parts(sys: ControlAffineSystem, x):
-    """(x, part): x as one state (n,) or a stack (N, n), and the map from an
-    array of x's leading shape to what a float form reads, its Python floats
-    for one state or its columns for a stack. A float (n,) array is returned
-    as it is."""
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        if x.shape[1] != sys.n:
-            raise ValueError(f"expected states of length {sys.n}, got {x.shape[1]}")
-        return x, columns
-    return as_vector(x, sys.n), np.ndarray.tolist
 
 
 def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
@@ -478,7 +471,7 @@ def sontag_terms(sys: ControlAffineSystem, clf: QuadraticCLF, x):
     b (N, m), from one call of clf.grad and one of fg on the stack. clf needs
     only grad and equilibrium: the checks that call this take any such
     object, a QuadraticCLF's lie_terms being the per-step path."""
-    x, part = state_parts(sys, x)
+    x, part = state_parts(sys.n, x)
     a, b = lie_sums_of(sys.n, sys.m)(part(clf.grad(x)), *sys.fg(part(x)),
                                      clf.equilibrium.u_e.tolist())
     return a, array_of(x, b)

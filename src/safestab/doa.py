@@ -16,7 +16,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import array_of, as_vector, rejection_sample
+from .core import array_of, rejection_sample, state_parts
 from .errors import SharingInfeasibleError
 # cbf_rows is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module
@@ -164,12 +164,11 @@ def in_awc(estimate: DoaEstimate, cfg: FilterConfig, x):
     """Membership in the closed set {W <= c*} intersect {min_i h_i >= 0}; for
     a stack (N, n), a boolean array whose barriers are evaluated only where
     W <= c*, as the one-state test does."""
-    x = np.asarray(x, dtype=float)
+    x, _ = state_parts(cfg.sys.n, x)
     if x.ndim == 2:
         inside = cfg.clf.value(x) <= estimate.c_star
         inside[inside] = cfg.safe_set.contains(x[inside])
         return inside
-    x = as_vector(x, cfg.sys.n)
     return cfg.clf.value(x) <= estimate.c_star and cfg.safe_set.contains(x)
 
 

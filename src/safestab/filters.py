@@ -32,7 +32,8 @@ weights are explicit sums (core), the bounds lb - A u_son are the negated
 slacks of the evaluation, solve_qp returns floats, and u_son + z becomes the
 step's one array. No controller reads the solution's KKT residual, which is
 computed only when read.
-closed_form_ustar, verify's cross-check, reads the evaluation's floats too.
+closed_form_ustar, verify's cross-check for m = 1, reads the evaluation's
+floats too.
 """
 from __future__ import annotations
 
@@ -173,7 +174,7 @@ def evaluate(cfg: FilterConfig, x) -> Evaluation:
     columns of a stack (N, n), and sums every product written out, so a
     stack row has the bits of its one-state call. The Evaluation holds what
     the kernel gives."""
-    x, part = state_parts(cfg.sys, x)
+    x, part = state_parts(cfg.sys.n, x)
     return Evaluation(x, *cfg._kernel(cfg.sys, cfg.clf, cfg.safe_set.barriers, cfg.gamma, part(x)))
 
 
@@ -297,34 +298,35 @@ def s_cbf_qp_filter(cfg: FilterConfig, x) -> np.ndarray:
 
 def closed_form_ustar(cfg: FilterConfig, x, barrier_index: int = 0
                       ) -> Tuple[np.ndarray, float]:
-    """Single-active-row solution of the Sontag-weighted filter and its
-    multiplier:
+    """The S-CBF-QP's solution for a single input (m = 1) when one barrier
+    row is active, and the row's multiplier:
 
-        u* = -(L_f h + alpha(h)) / |L_g h'|^2 * L_g h',
-        lam = (u* - u_son)' Q L_g h' / |L_g h'|^2.
+        u* = -(L_f h + alpha(h)) / (L_g h)^2 * L_g h,
+        lam = (u* - u_son) b^2 L_g h / (L_g h)^2.
 
+    With m = 1 the binding row holds the single point u*, whatever the
+    weight b^2. For m >= 2 the weighted QP's solution is in general not the
+    least-norm point on the row, so any m other than 1 raises ValueError.
     Raises DegenerateConstraintError when L_g h vanishes, and SafeStabError
     when the multiplier comes out negative at a state classified R2. It
-    reads the evaluation's floats and sums each product left to right from
-    +0.0, in the order of the numpy expression: |L_g h|^2, then v = (u* -
-    u_son)' Q with Q_rj = b_r b_j, then lam = v L_g h' / |L_g h|^2."""
+    reads the evaluation's floats and sums each product from +0.0, in the
+    order of the numpy expression: (L_g h)^2, then v = b^2 (u* - u_son),
+    then lam = v L_g h / (L_g h)^2."""
+    if cfg.sys.m != 1:
+        raise ValueError(f"closed form holds for m = 1 only, got m = {cfg.sys.m}")
     ev = evaluate(cfg, x)
-    lgh, m = ev.As[barrier_index], cfg.sys.m
-    nrm2 = dot_of(m)(lgh, lgh)
+    lgh = ev.As[barrier_index][0]
+    nrm2 = 0.0 + lgh * lgh
     if math.sqrt(nrm2) <= 1e-12:
         name = cfg.safe_set.barriers[barrier_index].name
         raise DegenerateConstraintError(
             f"L_g h ~ 0 for barrier {name!r}; closed form undefined")
-    rate = -ev.lbs[barrier_index]   # L_f h + alpha(h)
-    k = -(rate / nrm2)
-    u_star = [k * v for v in lgh]
-    b = ev.bs
-    shift = [u - v for u, v in zip(u_star, ev.us)]
-    Qt = [[b_r * b_j for b_r in b] for b_j in b]   # the columns of Q as rows
-    lam = dot_of(m)(matvec_of(m, m)(Qt, shift), lgh) / nrm2
+    u_star = -(-ev.lbs[barrier_index] / nrm2) * lgh   # lbs: -(L_f h + alpha(h))
+    b = ev.bs[0]
+    lam = (0.0 + (0.0 + b * b * (u_star - ev.us[0])) * lgh) / nrm2
     if not ev.margin >= 0.0 and lam < -1e-9 * (1.0 + abs(lam)):
         raise SafeStabError(f"negative multiplier {lam} on R2 at x={ev.x.tolist()}")
-    return np.array(u_star), lam
+    return np.array([u_star]), lam
 
 
 def _hybrid(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:

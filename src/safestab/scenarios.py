@@ -27,16 +27,19 @@ A dynamics kind is one function of its params that returns (fg, n, m), and
 a barrier kind one function of its entry, n and the entry's key path (for
 messages) that returns hgrad; every number either reads goes through
 _number, which makes a string, a boolean, NaN or an infinity (Python's
-json reads both) a malformed file. Adding a kind takes that one function
-and its entry in DYNAMICS_REGISTRY or BARRIER_REGISTRY. Its float form is
-the only body written, every dot product and quadratic form in it an
-explicit left-to-right sum (core.dot_of), and core derives the numpy f, g,
-h and grad_h, for one state and for stacks, from it (see core's
-Conventions).
+json reads both) a malformed file. An array is read through _array, flat
+or nested, and a ragged one or one of another size is malformed too, named
+by its key path; so are an x0 or doa_grid in defaults without one entry per
+state axis. Adding a kind takes that one function and its entry in
+DYNAMICS_REGISTRY or BARRIER_REGISTRY. Its float form is the only body
+written, every dot product and quadratic form in it an explicit
+left-to-right sum (core.dot_of), and core derives the numpy f, g, h and
+grad_h, for one state and for stacks, from it (see core's Conventions).
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from importlib import resources
 from sys import float_info
@@ -45,7 +48,7 @@ from typing import Callable, Dict, Tuple
 import numpy as np
 
 from .core import (Barrier, ControlAffineSystem, EquilibriumPair,
-                   QuadraticCLF, SafeSet, as_vector, dot_of,
+                   QuadraticCLF, SafeSet, dot_of,
                    equilibrium_residual, exp, matvec_of)
 from .errors import ScenarioError
 
@@ -73,6 +76,21 @@ def _numbers(v, path: str):
     if isinstance(v, list):
         return [_numbers(e, f"{path}[{i}]") for i, e in enumerate(v)]
     return _number(v, path)
+
+
+def _array(v, shape: Tuple[int, ...], path: str) -> np.ndarray:
+    """The numbers of v (_numbers) as a float array of the given shape,
+    written flat or nested; a ragged array, or another count of numbers,
+    makes the file malformed, named by path."""
+    want = " x ".join(map(str, shape))
+    nums = _numbers(v, path)
+    try:
+        a = np.array(nums, dtype=float)
+    except ValueError:   # numpy's "inhomogeneous shape"
+        raise ValueError(f"{path}: expected {want} numbers, got a ragged array") from None
+    if a.size != math.prod(shape):
+        raise ValueError(f"{path}: expected {want} numbers, got {a.size}")
+    return a.reshape(shape)
 
 
 def _linear2d_dynamics(params: dict) -> Tuple[Callable, int, int]:
@@ -107,8 +125,8 @@ DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, int, int]]] = {
 
 def _quadratic_barrier(entry: dict, n: int, path: str) -> Callable:
     offset = _number(entry.get("offset", 0.0), f"{path}.offset")
-    lin = as_vector(_numbers(entry.get("linear", [0.0] * n), f"{path}.linear"), n).tolist()
-    quad = np.asarray(_numbers(entry["quad"], f"{path}.quad"), dtype=float).reshape(n, n)
+    lin = _array(entry.get("linear", [0.0] * n), (n,), f"{path}.linear").tolist()
+    quad = _array(entry["quad"], (n, n), f"{path}.quad")
     rows = (0.5 * (quad + quad.T)).tolist()
     dot, qx_of = dot_of(n), matvec_of(n, n)
 
@@ -170,18 +188,20 @@ def _typed_defaults(defaults: dict, n: int) -> dict:
     the wrong type making the file malformed: the numbers t_final, gamma and
     p as floats, an array x0 (a null x0 is none, as if left out), the number
     pair doa_c_bounds as floats and the integers of doa_grid. A key the table
-    lacks is kept as written."""
+    lacks is kept as written. x0 and doa_grid need n entries, one per state
+    axis."""
     out = {"x0": None, "t_final": 10.0, "gamma": 1.0, "p": 10.0,
-           "doa_c_bounds": (0.1, 100.0), "doa_grid": (41,) * n, **defaults}
+           "doa_c_bounds": [0.1, 100.0], "doa_grid": (41,) * n, **defaults}
     for key in ("t_final", "gamma", "p"):
         out[key] = _number(out[key], f"defaults.{key}")
     if out["x0"] is not None:
-        out["x0"] = np.asarray(_numbers(out["x0"], "defaults.x0"), dtype=float)
-    lo, hi = out["doa_c_bounds"]
-    out["doa_c_bounds"] = (_number(lo, "defaults.doa_c_bounds[0]"),
-                           _number(hi, "defaults.doa_c_bounds[1]"))
+        out["x0"] = _array(out["x0"], (n,), "defaults.x0")
+    out["doa_c_bounds"] = tuple(
+        _array(out["doa_c_bounds"], (2,), "defaults.doa_c_bounds").tolist())
     out["doa_grid"] = tuple(_count(v, f"defaults.doa_grid[{i}]")
                             for i, v in enumerate(out["doa_grid"]))
+    if len(out["doa_grid"]) != n:
+        raise ValueError(f"defaults.doa_grid: expected {n} integers, got {len(out['doa_grid'])}")
     return out
 
 
@@ -207,13 +227,13 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
             raise ScenarioError(f"unknown dynamics kind {kind!r}")
         fg, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
         sys = ControlAffineSystem.from_fg(fg, n, m, name)
-        eq = EquilibriumPair(as_vector(_numbers(cfg["equilibrium"]["x"], "equilibrium.x"), n),
-                             as_vector(_numbers(cfg["equilibrium"]["u"], "equilibrium.u"), m))
-        clf = QuadraticCLF(np.asarray(_numbers(cfg["clf"]["P"], "clf.P"), dtype=float), eq)
+        eq = EquilibriumPair(_array(cfg["equilibrium"]["x"], (n,), "equilibrium.x"),
+                             _array(cfg["equilibrium"]["u"], (m,), "equilibrium.u"))
+        clf = QuadraticCLF(_array(cfg["clf"]["P"], (n, n), "clf.P"), eq)
         barriers = tuple(_build_barrier(b, n, f"barriers[{i}]")
                          for i, b in enumerate(cfg["barriers"]))
         safe_set = SafeSet(barriers)
-        domain = np.asarray(_numbers(cfg["domain"], "domain"), dtype=float).reshape(n, 2)
+        domain = _array(cfg["domain"], (n, 2), "domain")
         eq_tol = _number(cfg.get("eq_tol", 1e-3), "eq_tol")
         defaults = _typed_defaults(_object(cfg.get("defaults", {}), "defaults"), n)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

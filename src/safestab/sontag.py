@@ -34,7 +34,7 @@ def sontag_decrease_rate(cfg: FilterConfig, x):
     on a stack, for the first such state in its order. Either error names
     the state.
     """
-    x, part = state_parts(cfg.sys, x)
+    x, part = state_parts(cfg.sys.n, x)
     n, m = cfg.sys.n, cfg.sys.m
     a, b = sontag_terms(cfg.sys, cfg.clf, x)
     b = part(b)

@@ -16,12 +16,19 @@ INSTRUMENT = BENCH / "instrument.py"
 MODULES = ("core", "sontag", "qp", "filters", "doa", "sim", "scenarios", "verify", "cli")
 
 
-def test_tracer_finds_every_name_it_wraps():
+def tracer_patches():
+    """The (module, name, wrapper) triples of the tracer's patches, from
+    bench/instrument.py loaded as a file; getattr raises for a missing
+    name."""
     spec = importlib.util.spec_from_file_location("safestab_bench_instrument", INSTRUMENT)
     instrument = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(instrument)
     mods = SimpleNamespace(**{m: importlib.import_module(f"safestab.{m}") for m in MODULES})
-    pairs = instrument.Tracer().patches(mods)   # getattr raises for a missing name
+    return instrument.Tracer().patches(mods)
+
+
+def test_tracer_finds_every_name_it_wraps():
+    pairs = tracer_patches()
     assert pairs
     for mod, attr, wrapper in pairs:
         assert callable(getattr(mod, attr)) and callable(wrapper)

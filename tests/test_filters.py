@@ -13,6 +13,7 @@ from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, Region, _clf_cbf_qp_law
                               active_flags, cbf_rows, make_controller, make_filter_config)
 
 from conftest import lie_derivative_fd, lie_derivatives, sample_safe_states
+from test_sim import synthetic_m2_config
 
 
 def control(cfg, name, x):
@@ -237,6 +238,13 @@ def test_closed_form_equals_sontag_on_region_boundary(linear_cfg, linear):
         u_star, _ = closed_form_ustar(linear_cfg, x_b)
         u_son = sontag_control(linear_cfg, x_b)
         assert np.abs(u_star - u_son).max() <= 1e-6 * (1.0 + np.abs(u_son).max())
+
+
+def test_closed_form_refuses_more_than_one_input():
+    # for m >= 2 the S-CBF-QP's solution is in general not the least-norm
+    # point on the active row, which the formula gives
+    with pytest.raises(ValueError, match="m = 1 only, got m = 2"):
+        closed_form_ustar(synthetic_m2_config(), np.array([1.1, 0.2, -0.3]))
 
 
 def test_closed_form_degenerate_row_raises(tumor_cfg):

@@ -188,6 +188,31 @@ MALFORMED = {
     "barrier-name-null": lambda d: d["barriers"][0].update(name=None),
 }
 
+# an array with the wrong count of numbers, or ragged, by the key path its
+# message names: (path, edit of linear2d's file)
+MISSIZED = {
+    "quad-3x3": ("barriers[0].quad: expected 2 x 2 numbers, got 9",
+                 lambda d: d["barriers"][0].update(quad=[[1.0, 0.0, 0.0]] * 3)),
+    "quad-ragged": ("barriers[0].quad: expected 2 x 2 numbers, got a ragged array",
+                    lambda d: d["barriers"][0].update(quad=[[-0.1, -0.075], [-0.1]])),
+    "linear-length-3": ("barriers[0].linear: expected 2 numbers, got 3",
+                        lambda d: d["barriers"][0].update(linear=[0.0, 0.0, 0.0])),
+    "domain-3-rows": ("domain: expected 2 x 2 numbers, got 6",
+                      lambda d: d.update(domain=[[-5.0, 5.0]] * 3)),
+    "equilibrium-x-length-3": ("equilibrium.x: expected 2 numbers, got 3",
+                               lambda d: d["equilibrium"].update(x=[0.0, 0.0, 0.0])),
+    "clf-P-3x3": ("clf.P: expected 2 x 2 numbers, got 9",
+                  lambda d: d["clf"].update(P=np.eye(3).tolist())),
+    "defaults-x0-length-3": ("defaults.x0: expected 2 numbers, got 3",
+                             lambda d: d["defaults"].update(x0=[2.2, -1.8, 0.0])),
+    "defaults-doa_grid-length-3": ("defaults.doa_grid: expected 2 integers, got 3",
+                                   lambda d: d["defaults"].update(doa_grid=[41, 41, 41])),
+    "defaults-doa_c_bounds-three-values": (
+        "defaults.doa_c_bounds: expected 2 numbers, got 3",
+        lambda d: d["defaults"].update(doa_c_bounds=[0.5, 60.0, 120.0])),
+}
+MALFORMED.update({name: edit for name, (_, edit) in MISSIZED.items()})
+
 
 @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_scenario_raises_scenario_error(edit):
@@ -196,6 +221,32 @@ def test_malformed_scenario_raises_scenario_error(edit):
     edit(cfg)
     with pytest.raises(ScenarioError, match="^malformed scenario: "):
         scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("message, edit", MISSIZED.values(), ids=MISSIZED.keys())
+def test_a_missized_array_names_its_key_path(message, edit):
+    # x0 and doa_grid fail at load, not first in simulate or doa
+    cfg = linear2d_file()
+    edit(cfg)
+    with pytest.raises(ScenarioError, match=re.escape(f"malformed scenario: {message}") + "$"):
+        scenario_from_dict(cfg)
+
+
+def test_arrays_load_flat_or_nested():
+    flat, nested = linear2d_file(), linear2d_file()
+    flat["clf"]["P"] = np.ravel(flat["clf"]["P"]).tolist()
+    flat["barriers"][0]["quad"] = np.ravel(flat["barriers"][0]["quad"]).tolist()
+    flat["domain"] = np.ravel(flat["domain"]).tolist()
+    nested["equilibrium"]["x"] = [nested["equilibrium"]["x"]]
+    nested["defaults"]["x0"] = [nested["defaults"]["x0"]]
+    nested["defaults"]["doa_c_bounds"] = [nested["defaults"]["doa_c_bounds"]]
+    want = scenario_from_dict(linear2d_file())
+    for cfg in (flat, nested):
+        got = scenario_from_dict(cfg)
+        assert same(got.clf.P, want.clf.P) and same(got.domain, want.domain)
+        assert same(got.eq.x_e, want.eq.x_e) and same(got.defaults["x0"], want.defaults["x0"])
+        assert got.defaults["doa_c_bounds"] == want.defaults["doa_c_bounds"]
+        assert same(got.safe_set.values(got.domain[:, 0]), want.safe_set.values(want.domain[:, 0]))
 
 
 # every number a bundled file holds outside defaults' scalars, by its key

@@ -208,6 +208,21 @@ def test_control_sharing_and_awc_membership_match_one_state(case):
     assert same(in_awc(est, cfg, X), np.array([in_awc(est, cfg, x) for x in X]))
 
 
+@pytest.mark.parametrize("x", [[1.0, 2.0, 3.0, 4.0], [1.0], np.ones((2, 4)), np.ones((3, 1))],
+                         ids=["long-state", "short-state", "wide-stack", "narrow-stack"])
+def test_the_clf_refuses_a_state_or_stack_of_the_wrong_length(linear, x):
+    # a longer state is not read as its first two entries, nor a stack's
+    for read in (linear.clf.value, linear.clf.grad):
+        with pytest.raises(ValueError, match=f"length 2, got {np.shape(x)[-1]}$"):
+            read(x)
+
+
+def test_awc_membership_refuses_a_stack_of_the_wrong_width(linear_cfg):
+    est = doa.DoaEstimate(c_star=1.0, grid_resolution=(2, 2), verified_points=1)
+    with pytest.raises(ValueError, match="length 2, got 3$"):
+        in_awc(est, linear_cfg, np.zeros((4, 3)))
+
+
 def interval_feasible(a, b):
     """Some z with a_i z >= b_i for every row: the interval intersection one
     row at a time on Python floats, where max and min skip a NaN bound."""
