@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +322,10 @@ def cmd_plot(args) -> int:
     return EXIT_OK
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parse_args leaves
+    it as it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="safestab",
         description="CLF/CBF safe stabilization: simulation, sweeps, DOA estimation, verification")

@@ -44,9 +44,13 @@ Conventions
   x one state, and where the reader knows the state length n, a state or
   stack of another length raises ValueError. filters.evaluate runs the
   float forms on one state, the per-step path, or on a stack's columns for
-  the many-state callers (doa, verify, the simulator's records).
-  fd_gradient, sontag_terms and sontag.sontag_decrease_rate take a stack
-  too, so that verify runs each sample set in one pass.
+  the many-state callers (doa, verify, the simulator's records). SafeSet's
+  membership reads the float forms the same way: each barrier's hgrad once
+  on the floats or columns, the least value by min_first, evaluate's rule
+  for its least slack, so doa's grids and ray casts and verify's samplers
+  call no numpy closure. fd_gradient, sontag_terms and
+  sontag.sontag_decrease_rate take a stack too, so that verify runs each
+  sample set in one pass.
 * The Lyapunov candidate is W(x) = (x - x_e)' P (x - x_e) so that its gradient
   vanishes at a non-zero equilibrium. lie_of sums W as QuadraticCLF.value
   does, so the W of filters.evaluate, which every layer reads, has its bits.
@@ -437,11 +441,29 @@ class Barrier:
         return (float(h) if x.ndim == 1 else h), part(np.asarray(self.grad_h(x), dtype=float))
 
 
+def min_first(values):
+    """The least value, NaN if any is NaN, as numpy's min; on floats or on
+    columns (elementwise). The first value decides which: a float first
+    value is compared as a float."""
+    least = values[0]
+    if isinstance(least, float):
+        for v in values[1:]:
+            if v < least or v != v:
+                least = v
+        return least
+    for v in values[1:]:
+        least = np.where((v < least) | (v != v), v, least)
+    return least
+
+
 @dataclass
 class SafeSet:
     """Intersection of h_i >= 0 over an ordered list of barriers. contains
     is the one membership test: min_i h_i >= 0, false where the least value
-    is NaN."""
+    is NaN. values, min_value and contains read the float forms: each
+    barrier's hgrad runs once, on the Python floats of one state or the
+    columns of a stack, and min_first takes the least value, so a stack row
+    has the bits of its one-state call."""
 
     barriers: tuple
 
@@ -453,13 +475,23 @@ class SafeSet:
     def __len__(self) -> int:
         return len(self.barriers)
 
+    def _values(self, x):
+        """x and h_i(x) from each barrier's hgrad, as floats for one state,
+        as (N,) columns for a stack (a float h filling its column)."""
+        x, part = state_parts(None, x)
+        xs = part(x)
+        hs = [b.hgrad(xs)[0] for b in self.barriers]
+        if x.ndim == 2:
+            hs = [np.full(x.shape[:1], h) if isinstance(h, float) else h for h in hs]
+        return x, hs
+
     def values(self, x) -> np.ndarray:
-        x, _ = state_parts(None, x)
-        return np.stack([b.h(x) for b in self.barriers], axis=-1)
+        return array_of(*self._values(x))
 
     def min_value(self, x):
-        least = self.values(x).min(axis=-1)
-        return least if least.ndim else float(least)
+        x, hs = self._values(x)
+        least = min_first(hs)
+        return least if x.ndim == 1 else np.array(least, dtype=float)
 
     def contains(self, x):
         return self.min_value(x) >= 0.0

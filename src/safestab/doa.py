@@ -54,9 +54,15 @@ def ray_exit(inside: Callable[[np.ndarray], np.ndarray], origin: np.ndarray,
     """Brackets (lo, hi) of the first exit of origin + t*d from the set
     `inside`, for each row d of directions (R, n), all rays in lockstep.
     `inside` maps a stack of states to a boolean array. Along each ray t
-    doubles from 1 while the point stays inside, up to t_max, then 60
-    bisection steps keep lo inside and hi outside. hi is inf, and lo the last
-    inside t, for a ray with no outside point up to t_max."""
+    doubles from 1 while the point stays inside, up to t_max, then at most
+    60 bisection steps keep lo inside and hi outside. hi is inf, and lo the
+    last inside t, for a ray with no outside point up to t_max.
+
+    The bisection stops early, once every midpoint equals its lo or its hi:
+    each later step would test a point already tested, and change nothing.
+    So the brackets are those of all 60 steps, provided that `inside`
+    depends on the point alone (the same answer for the same bits), as
+    every membership test here does."""
     R = directions.shape[0]
     lo = np.zeros(R)
     hi = np.full(R, math.inf)
@@ -70,11 +76,15 @@ def ray_exit(inside: Callable[[np.ndarray], np.ndarray], origin: np.ndarray,
         t *= 2.0
     ends = np.flatnonzero(hi < math.inf)
     d_end = directions[ends]
+    a, b = lo[ends], hi[ends]   # the brackets of the rays that end
     for _ in range(60):
-        mid = 0.5 * (lo[ends] + hi[ends])
+        mid = 0.5 * (a + b)
+        if ((mid == a) | (mid == b)).all():
+            break
         inn = inside(origin + mid[:, None] * d_end)
-        lo[ends[inn]] = mid[inn]
-        hi[ends[~inn]] = mid[~inn]
+        a = np.where(inn, mid, a)
+        b = np.where(inn, b, mid)
+    lo[ends], hi[ends] = a, b
     return lo, hi
 
 
@@ -126,10 +136,10 @@ def compute_c_star(cfg: FilterConfig, grid_resolution: Sequence[int],
     mesh = np.meshgrid(*axes, indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)
 
-    x_e = cfg.clf.equilibrium.x_e
     w_vals = cfg.clf.value(points)
-    near_eq = np.linalg.norm(points - x_e, axis=1) <= EXCLUDE_RADIUS
-    cands = np.flatnonzero(~near_eq & (w_vals <= c_hi))
+    cands = np.flatnonzero(w_vals <= c_hi)
+    near_eq = np.linalg.norm(points[cands] - cfg.clf.equilibrium.x_e, axis=1) <= EXCLUDE_RADIUS
+    cands = cands[~near_eq]
     idxs = cands[cfg.safe_set.contains(points[cands])]
     if not idxs.size:
         raise ValueError(

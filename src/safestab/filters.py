@@ -33,7 +33,8 @@ slacks of the evaluation, solve_qp returns floats, and u_son + z becomes the
 step's one array. No controller reads the solution's KKT residual, which is
 computed only when read.
 closed_form_ustar, verify's cross-check for m = 1, reads the evaluation's
-floats too.
+floats too, through closed_form_floats, which verify also calls on the rows
+of a stacked evaluation.
 """
 from __future__ import annotations
 
@@ -48,7 +49,8 @@ import numpy as np
 # sontag_terms is unused here but stays bound: the benchmark's tracer
 # (bench/instrument.py) wraps it in this module, as it does sontag_control
 from .core import (ControlAffineSystem, QuadraticCLF, SafeSet, _def, _sum,  # noqa: F401
-                   array_of, columns, dot_of, kappa, matvec_of, sontag_terms, state_parts)
+                   array_of, columns, dot_of, kappa, matvec_of, min_first, sontag_terms,
+                   state_parts)
 from .errors import (DegenerateConstraintError, IndefiniteQPError, InfeasibleQPError,
                      SafeStabError)
 from .qp import QPSpec, solve_qp
@@ -129,7 +131,7 @@ def _kernel_of(n: int, m: int, k: int) -> Callable:
     hgrad are read from the objects at every call, so that a form assigned
     later runs. With (h_i, q) = hgrad_i(x): A_i = (G_1 . q, ..., G_m . q),
     lb_i = -alpha_i h_i - f . q and s_i = A_i . u_son - lb_i, explicit sums
-    as in core; kappa and _min_first branch on floats or columns."""
+    as in core; kappa and core.min_first branch on floats or columns."""
     lines = ["fg = f, G = sys.fg(x)", "grad, w, a, b = clf.lie_terms(x, f, G)",
              f"c = kappa(gamma, a, b, {_sum(f'b[{j}] * b[{j}]' for j in range(m))})",
              "e = clf._u_e", f"u = [{', '.join(f'e[{j}] + c[{j}]' for j in range(m))}]"]
@@ -142,27 +144,13 @@ def _kernel_of(n: int, m: int, k: int) -> Callable:
                        for i in range(k))
     A, lb, h = ("[" + ", ".join(f"{name}{i}" for i in range(k)) + "]" for name in ("A", "lb", "h"))
     return _def("sys, clf, bars, gamma, x", lines + [f"s = [{slacks}]"],
-                f"fg, grad, w, a, b, u, {A}, {lb}, {h}, s, _min_first(s)",
-                kappa=kappa, _min_first=_min_first)
+                f"fg, grad, w, a, b, u, {A}, {lb}, {h}, s, min_first(s)",
+                kappa=kappa, min_first=min_first)
 
 
 def _margins(A, lb, u):
     """The slack A_i . u - lb_i of each row, on floats or on columns."""
     return [v - lb_i for v, lb_i in zip(matvec_of(len(A), len(u))(A, u), lb)]
-
-
-def _min_first(values):
-    """The least value, NaN if any is NaN, as numpy's min; on floats or on
-    columns (elementwise)."""
-    least = values[0]
-    if isinstance(least, float):
-        for v in values[1:]:
-            if v < least or v != v:
-                least = v
-        return least
-    for v in values[1:]:
-        least = np.where((v < least) | (v != v), v, least)
-    return least
 
 
 def evaluate(cfg: FilterConfig, x) -> Evaluation:
@@ -309,24 +297,33 @@ def closed_form_ustar(cfg: FilterConfig, x, barrier_index: int = 0
     least-norm point on the row, so any m other than 1 raises ValueError.
     Raises DegenerateConstraintError when L_g h vanishes, and SafeStabError
     when the multiplier comes out negative at a state classified R2. It
-    reads the evaluation's floats and sums each product from +0.0, in the
-    order of the numpy expression: (L_g h)^2, then v = b^2 (u* - u_son),
-    then lam = v L_g h / (L_g h)^2."""
+    reads the evaluation's floats, which closed_form_floats turns into u*
+    and lam."""
     if cfg.sys.m != 1:
         raise ValueError(f"closed form holds for m = 1 only, got m = {cfg.sys.m}")
     ev = evaluate(cfg, x)
-    lgh = ev.As[barrier_index][0]
+    u_star, lam = closed_form_floats(ev.As[barrier_index][0], ev.lbs[barrier_index], ev.bs[0],
+                                     ev.us[0], ev.margin,
+                                     cfg.safe_set.barriers[barrier_index].name, ev.x)
+    return np.array([u_star]), lam
+
+
+def closed_form_floats(lgh: float, lb: float, b: float, u_son: float, margin: float,
+                       name: str, x) -> Tuple[float, float]:
+    """(u*, lam) of closed_form_ustar from the floats of one state's
+    evaluation: the row's L_g h and lb = -(L_f h + alpha(h)), b, u_son and
+    the margin; name (the barrier's) and x are for the messages. Each
+    product is summed from +0.0, in the order of the numpy expression:
+    (L_g h)^2, then v = b^2 (u* - u_son), then lam = v L_g h / (L_g h)^2."""
     nrm2 = 0.0 + lgh * lgh
     if math.sqrt(nrm2) <= 1e-12:
-        name = cfg.safe_set.barriers[barrier_index].name
         raise DegenerateConstraintError(
             f"L_g h ~ 0 for barrier {name!r}; closed form undefined")
-    u_star = -(-ev.lbs[barrier_index] / nrm2) * lgh   # lbs: -(L_f h + alpha(h))
-    b = ev.bs[0]
-    lam = (0.0 + (0.0 + b * b * (u_star - ev.us[0])) * lgh) / nrm2
-    if not ev.margin >= 0.0 and lam < -1e-9 * (1.0 + abs(lam)):
-        raise SafeStabError(f"negative multiplier {lam} on R2 at x={ev.x.tolist()}")
-    return np.array([u_star]), lam
+    u_star = -(-lb / nrm2) * lgh
+    lam = (0.0 + (0.0 + b * b * (u_star - u_son)) * lgh) / nrm2
+    if not margin >= 0.0 and lam < -1e-9 * (1.0 + abs(lam)):
+        raise SafeStabError(f"negative multiplier {lam} on R2 at x={np.asarray(x).tolist()}")
+    return u_star, lam
 
 
 def _hybrid(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:

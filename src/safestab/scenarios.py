@@ -30,11 +30,12 @@ _number, which makes a string, a boolean, NaN or an infinity (Python's
 json reads both) a malformed file. An array is read through _array, flat
 or nested, and a ragged one or one of another size is malformed too, named
 by its key path; so are an x0 or doa_grid in defaults without one entry per
-state axis. Adding a kind takes that one function and its entry in
-DYNAMICS_REGISTRY or BARRIER_REGISTRY. Its float form is the only body
-written, every dot product and quadratic form in it an explicit
-left-to-right sum (core.dot_of), and core derives the numpy f, g, h and
-grad_h, for one state and for stacks, from it (see core's Conventions).
+state axis, and a missing key (_key). Adding a kind takes that one function
+and its entry in DYNAMICS_REGISTRY or BARRIER_REGISTRY. Its float form is
+the only body written, every dot product and quadratic form in it an
+explicit left-to-right sum (core.dot_of), and core derives the numpy f, g,
+h and grad_h, for one state and for stacks, from it (see core's
+Conventions).
 """
 from __future__ import annotations
 
@@ -62,6 +63,15 @@ def _number(v, path: str) -> float:
     if type(v) not in (int, float) or not abs(v) <= float_info.max:
         raise TypeError(f"{path}: expected a finite number, got {v!r}")
     return float(v)
+
+
+def _key(obj: dict, key: str, path: str):
+    """obj[key]; a missing key makes the file malformed, named by its key
+    path."""
+    try:
+        return obj[key]
+    except KeyError:
+        raise ValueError(f"{path}: missing") from None
 
 
 def _string(v, path: str) -> str:
@@ -103,7 +113,7 @@ def _linear2d_dynamics(params: dict) -> Tuple[Callable, int, int]:
 
 def _tumor3d_dynamics(params: dict) -> Tuple[Callable, int, int]:
     a_nt, a_tn, beta, k_r, k_t, r_r, r_t = (
-        _number(params[key], f"dynamics.params.{key}")
+        _number(_key(params, key, f"dynamics.params.{key}"), f"dynamics.params.{key}")
         for key in ("alpha_NT", "alpha_TN", "beta", "K_R", "K_T", "R_R", "R_T"))
 
     def fg(xs):
@@ -126,7 +136,7 @@ DYNAMICS_REGISTRY: Dict[str, Callable[[dict], Tuple[Callable, int, int]]] = {
 def _quadratic_barrier(entry: dict, n: int, path: str) -> Callable:
     offset = _number(entry.get("offset", 0.0), f"{path}.offset")
     lin = _array(entry.get("linear", [0.0] * n), (n,), f"{path}.linear").tolist()
-    quad = _array(entry["quad"], (n, n), f"{path}.quad")
+    quad = _array(_key(entry, "quad", f"{path}.quad"), (n, n), f"{path}.quad")
     rows = (0.5 * (quad + quad.T)).tolist()
     dot, qx_of = dot_of(n), matvec_of(n, n)
 
@@ -139,7 +149,7 @@ def _quadratic_barrier(entry: dict, n: int, path: str) -> Callable:
 
 
 def _exp_positivity_barrier(entry: dict, n: int, path: str) -> Callable:
-    idx = _count(entry["index"], f"{path}.index")
+    idx = _count(_key(entry, "index", f"{path}.index"), f"{path}.index")
     if not 0 <= idx < n:
         raise ScenarioError(f"barrier index {idx} out of range for n={n}")
 
@@ -198,6 +208,8 @@ def _typed_defaults(defaults: dict, n: int) -> dict:
         out["x0"] = _array(out["x0"], (n,), "defaults.x0")
     out["doa_c_bounds"] = tuple(
         _array(out["doa_c_bounds"], (2,), "defaults.doa_c_bounds").tolist())
+    if not isinstance(out["doa_grid"], (list, tuple)):
+        raise TypeError(f"defaults.doa_grid: expected {n} integers, got {out['doa_grid']!r}")
     out["doa_grid"] = tuple(_count(v, f"defaults.doa_grid[{i}]")
                             for i, v in enumerate(out["doa_grid"]))
     if len(out["doa_grid"]) != n:
@@ -214,26 +226,29 @@ class ScenarioBundle:
     eq: EquilibriumPair
     domain: np.ndarray
     defaults: dict
+    eq_tol: float   # the bound on |f(x_e) + g(x_e) u_e|_inf, which verify checks
 
 
 def scenario_from_dict(cfg: dict) -> ScenarioBundle:
     try:
-        name = _string(cfg["name"], "name")   # it prefixes the output files' names
+        name = _string(_key(cfg, "name", "name"), "name")   # it prefixes the output files' names
         if name in ("", ".", "..") or "/" in name or "\\" in name:
             raise ValueError(f"name: expected a file name (no / or \\, not . or ..), got {name!r}")
-        dyn = cfg["dynamics"]
-        kind = dyn["kind"]
+        dyn = _key(cfg, "dynamics", "dynamics")
+        kind = _key(dyn, "kind", "dynamics.kind")
         if kind not in DYNAMICS_REGISTRY:
             raise ScenarioError(f"unknown dynamics kind {kind!r}")
         fg, n, m = DYNAMICS_REGISTRY[kind](dyn.get("params", {}))
         sys = ControlAffineSystem.from_fg(fg, n, m, name)
-        eq = EquilibriumPair(_array(cfg["equilibrium"]["x"], (n,), "equilibrium.x"),
-                             _array(cfg["equilibrium"]["u"], (m,), "equilibrium.u"))
-        clf = QuadraticCLF(_array(cfg["clf"]["P"], (n, n), "clf.P"), eq)
+        eq_cfg = _key(cfg, "equilibrium", "equilibrium")
+        eq = EquilibriumPair(_array(_key(eq_cfg, "x", "equilibrium.x"), (n,), "equilibrium.x"),
+                             _array(_key(eq_cfg, "u", "equilibrium.u"), (m,), "equilibrium.u"))
+        clf = QuadraticCLF(_array(_key(_key(cfg, "clf", "clf"), "P", "clf.P"), (n, n), "clf.P"),
+                           eq)
         barriers = tuple(_build_barrier(b, n, f"barriers[{i}]")
-                         for i, b in enumerate(cfg["barriers"]))
+                         for i, b in enumerate(_key(cfg, "barriers", "barriers")))
         safe_set = SafeSet(barriers)
-        domain = _array(cfg["domain"], (n, 2), "domain")
+        domain = _array(_key(cfg, "domain", "domain"), (n, 2), "domain")
         eq_tol = _number(cfg.get("eq_tol", 1e-3), "eq_tol")
         defaults = _typed_defaults(_object(cfg.get("defaults", {}), "defaults"), n)
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -247,7 +262,7 @@ def scenario_from_dict(cfg: dict) -> ScenarioBundle:
         if not bar.h(eq.x_e) > 0.0:
             raise ScenarioError(f"barrier {bar.name!r} not positive at x_e")
     return ScenarioBundle(name=name, sys=sys, clf=clf, safe_set=safe_set,
-                          eq=eq, domain=domain, defaults=defaults)
+                          eq=eq, domain=domain, defaults=defaults, eq_tol=eq_tol)
 
 
 def load_scenario(path) -> ScenarioBundle:

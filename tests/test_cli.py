@@ -143,6 +143,22 @@ def test_version_prints_the_package_version(capsys):
     assert capsys.readouterr().out == "safestab 0.1.0\n"
 
 
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    # the parser is built once per process; a usage error or another
+    # command in between leaves the next call's arguments as they would be
+    # from a fresh parser
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit):
+        main(["verify", "--scenario", "linear2d", "--seed", "x"])
+    assert main(["verify", "--scenario", "linear2d", "--seed", "1"]) == 0
+    first = capsys.readouterr().out
+    assert main(["doa", "--scenario", "linear2d", "--out", str(tmp_path)]) == 0
+    assert main(["verify", "--scenario", "linear2d", "--seed", "1"]) == 0
+    assert capsys.readouterr().out.split("\n")[1:] == first.split("\n")
+    args = cli.build_parser().parse_args(["doa", "--scenario", "tumor3d"])
+    assert (args.grid, args.seed, args.c_lo, args.out) == (None, 0, None, ".")
+
+
 def test_sweep_single_value_exits_2(tmp_path):
     rc = main(["sweep", "--scenario", "linear2d", "--param", "gamma",
                "--values", "1.0", "--out", str(tmp_path)])

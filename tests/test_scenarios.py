@@ -159,7 +159,6 @@ MALFORMED = {
     "defaults-x0-an-object": lambda d: d["defaults"].update(x0={"a": 1.0}),
     "defaults-doa_c_bounds-a-number": lambda d: d["defaults"].update(doa_c_bounds=3),
     "defaults-doa_c_bounds-one-value": lambda d: d["defaults"].update(doa_c_bounds=[1.0]),
-    "defaults-doa_grid-null": lambda d: d["defaults"].update(doa_grid=None),
     "defaults-doa_grid-infinite": lambda d: d["defaults"].update(doa_grid=[math.inf, 41]),
     # grid counts are JSON integers and the other numbers JSON numbers, not
     # values that int() or float() would turn into one
@@ -211,7 +210,15 @@ MISSIZED = {
         "defaults.doa_c_bounds: expected 2 numbers, got 3",
         lambda d: d["defaults"].update(doa_c_bounds=[0.5, 60.0, 120.0])),
 }
-MALFORMED.update({name: edit for name, (_, edit) in MISSIZED.items()})
+# a missing key, or a doa_grid that is no array, by the key path its
+# message names: (message, edit of linear2d's file)
+MISSING = {
+    "quad-deleted": ("barriers[0].quad: missing", lambda d: d["barriers"][0].pop("quad")),
+    "equilibrium-u-deleted": ("equilibrium.u: missing", lambda d: d["equilibrium"].pop("u")),
+    "defaults-doa_grid-null": ("defaults.doa_grid: expected 2 integers, got None",
+                               lambda d: d["defaults"].update(doa_grid=None)),
+}
+MALFORMED.update({name: edit for name, (_, edit) in {**MISSIZED, **MISSING}.items()})
 
 
 @pytest.mark.parametrize("edit", MALFORMED.values(), ids=MALFORMED.keys())
@@ -226,6 +233,14 @@ def test_malformed_scenario_raises_scenario_error(edit):
 @pytest.mark.parametrize("message, edit", MISSIZED.values(), ids=MISSIZED.keys())
 def test_a_missized_array_names_its_key_path(message, edit):
     # x0 and doa_grid fail at load, not first in simulate or doa
+    cfg = linear2d_file()
+    edit(cfg)
+    with pytest.raises(ScenarioError, match=re.escape(f"malformed scenario: {message}") + "$"):
+        scenario_from_dict(cfg)
+
+
+@pytest.mark.parametrize("message, edit", MISSING.values(), ids=MISSING.keys())
+def test_a_missing_key_names_its_key_path(message, edit):
     cfg = linear2d_file()
     edit(cfg)
     with pytest.raises(ScenarioError, match=re.escape(f"malformed scenario: {message}") + "$"):

@@ -85,6 +85,47 @@ def test_closures_clf_and_safe_set_match_one_state(case):
     assert same(safe.contains(X), np.array([safe.contains(x) for x in X]))
 
 
+def test_safe_set_membership_keeps_the_bits_of_the_numpy_closures(case):
+    # values, min_value and contains run each barrier's hgrad once on the
+    # columns; they have the bits of stacking the numpy h closures and
+    # taking numpy's min, also on rows with a NaN in the first or last
+    # coordinate (a NaN value of some barriers or of all), where contains
+    # is false; a least value that is NaN may differ in its sign, which
+    # IEEE 754 leaves open
+    bundle, _ = case
+    safe = bundle.safe_set
+    X = probe_states(bundle)
+    X[3, 0] = X[4, -1] = math.nan
+    old = np.stack([bar.h(X) for bar in safe.barriers], axis=-1)
+    assert same(safe.values(X), old)
+    least, nan = safe.min_value(X), np.isnan(old).any(axis=1)
+    assert same(np.isnan(least), nan) and nan[3] and nan[4]
+    assert same(least[~nan], old.min(axis=-1)[~nan])
+    assert same(safe.contains(X), old.min(axis=-1) >= 0.0)
+    assert not safe.contains(X[3:5]).any()
+    finite = ~np.isnan(X).any(axis=1)
+    assert same(safe.values(X)[finite], stack(safe.values(x) for x in X[finite]))
+    assert same(safe.min_value(X)[finite], stack(safe.min_value(x) for x in X[finite]))
+    assert same(safe.contains(X), np.array([safe.contains(x) for x in X]))
+    assert all(type(safe.min_value(x)) is float and type(safe.contains(x)) is bool
+               for x in X[:5])
+
+
+def test_a_constant_barrier_fills_its_column_of_the_safe_set(case):
+    # a body that gives a float h for a stack still gives (N,) results
+    bundle, _ = case
+    n = bundle.sys.n
+    const = Barrier.from_hgrad(lambda xs: (0.25, [0.0] * n), alpha=1.0)
+    X = probe_states(bundle, count=50)
+    for barriers in ((const,), bundle.safe_set.barriers + (const,),
+                     (const,) + bundle.safe_set.barriers):
+        safe = SafeSet(barriers)
+        assert same(safe.values(X), stack(safe.values(x) for x in X))
+        assert same(safe.min_value(X), stack(safe.min_value(x) for x in X))
+        assert same(safe.contains(X), np.array([safe.contains(x) for x in X]))
+        assert safe.min_value(X).flags.writeable
+
+
 def test_closures_return_fresh_writable_float_arrays(case):
     # a caller may write into what f, g, h and grad_h return: it is a float
     # array of its own, also from a form that returns x's columns unchanged
@@ -344,6 +385,56 @@ def test_lockstep_ray_exit_matches_per_ray_loop(case):
     est = compute_c_star(cfg, (21,) * cfg.sys.n, (0.2, 60.0))
     assert assert_rays_match(lambda x: in_awc(est, cfg, x), x_e, dirs, 1e6).all()
     assert not assert_rays_match(cfg.safe_set.contains, x_e, dirs, 0.5).any()
+
+
+def ray_exit_sixty_steps(inside, origin, directions, t_max):
+    """ray_exit with all 60 bisection steps and no early stop, the brackets
+    written back by index; (lo, hi, calls of inside in the bisection)."""
+    R = directions.shape[0]
+    lo, hi = np.zeros(R), np.full(R, math.inf)
+    going, t = np.arange(R), 1.0
+    while t <= t_max and going.size:
+        inn = inside(origin + t * directions[going])
+        hi[going[~inn]] = t
+        going = going[inn]
+        lo[going] = t
+        t *= 2.0
+    ends = np.flatnonzero(hi < math.inf)
+    for _ in range(60):
+        mid = 0.5 * (lo[ends] + hi[ends])
+        inn = inside(origin + mid[:, None] * directions[ends])
+        lo[ends[inn]] = mid[inn]
+        hi[ends[~inn]] = mid[~inn]
+    return lo, hi
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_ray_exit_stops_early_with_the_bits_of_sixty_steps(case, seed):
+    # the bisection stops once every midpoint equals its lo or hi; its
+    # brackets are those of all 60 steps, for the safe set and for A_WC,
+    # with a ray that leaves at t = 1 (lo = 0) among them
+    bundle, cfg = case
+    n, x_e = cfg.sys.n, cfg.clf.equilibrium.x_e
+    est = compute_c_star(cfg, (11,) * n, (0.2, 60.0))
+    dirs = np.vstack([doa._directions(n, seed), -1e3 * np.eye(n)[0]])
+    for inside, t_max in ((cfg.safe_set.contains, SUBLEVEL_T_MAX),
+                          (lambda X: in_awc(est, cfg, X), 1e6)):
+        lo, hi = ray_exit(inside, x_e, dirs, t_max)
+        want_lo, want_hi = ray_exit_sixty_steps(inside, x_e, dirs, t_max)
+        assert same(lo, want_lo) and same(hi, want_hi)
+        assert hi[-1] <= 1.0   # the bisection of this ray starts from lo = 0
+
+
+def test_ray_exit_stops_before_sixty_bisection_steps_on_the_bundled_rays(case):
+    bundle, cfg = case
+    calls = {ray_exit: 0, ray_exit_sixty_steps: 0}
+    for cast in calls:
+        def counted(X):
+            calls[cast] += 1
+            return cfg.safe_set.contains(X)
+
+        cast(counted, cfg.clf.equilibrium.x_e, doa._directions(cfg.sys.n, 0), SUBLEVEL_T_MAX)
+    assert calls[ray_exit] <= calls[ray_exit_sixty_steps] - 5
 
 
 def test_plot_polyline_matches_per_ray_loop(linear):

@@ -360,11 +360,12 @@ def test_assigned_closures_take_over_the_float_forms(name):
     # every step runs what was assigned, nothing cached by a kernel: fg
     # (f and g) once in evaluate and once in each of the 3 rhs stages after
     # the first, each barrier's hgrad (h and grad h) and grad W once in
-    # evaluate; the safe-set check of x0 adds one h per barrier
+    # evaluate; the safe-set check of x0 adds one hgrad (h and grad h) per
+    # barrier
     calls.clear()
     assert integrate(cfg, make_controller(cfg, "hybrid"), simcfg).states.tobytes() == \
         run.states.tobytes()
-    assert calls == {"f": 10 * 4 + 1, "g": 10 * 4 + 1, "h": 11 * k + k, "grad_h": 11 * k,
+    assert calls == {"f": 10 * 4 + 1, "g": 10 * 4 + 1, "h": 11 * k + k, "grad_h": 11 * k + k,
                      "grad": 11}
     f = sys.f
     sys.f = lambda x: 2.0 * f(x)

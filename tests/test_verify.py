@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from safestab import build_scenario, make_filter_config, verify
+from safestab import build_scenario, closed_form_ustar, filters, make_filter_config, verify
+from safestab.filters import Region, closed_form_floats, evaluate
 from safestab.scenarios import scenario_from_dict
 
-from test_scenarios import linear2d_file
+from test_scenarios import linear2d_file, scenario_file
 
 
 def nan_like(x):
@@ -103,3 +104,46 @@ def test_run_checks_builds_no_qp_array(scenario):
     results = verify.run_checks(build_scenario(scenario), seed=0)
     # a KKT or closed-form check passes only with at least one sample
     assert len(results) == 10 and all(r.passed for r in results)
+
+
+def test_closed_form_check_reads_the_rows_of_its_stacked_evaluation(monkeypatch):
+    # the closed form at row i of the stacked evaluation has the bits of
+    # closed_form_ustar at state i, and the check evaluates each compared
+    # R2 state once more, inside s_cbf_qp_filter
+    bundle = build_scenario("linear2d")
+    cfg = linear_config(bundle)
+    pts = verify._sample_safe(bundle, 400, np.random.default_rng(5))
+    ev = evaluate(cfg, pts)
+    r2 = np.flatnonzero(ev.region == Region.R2)
+    assert r2.size
+    for i in r2:
+        got = closed_form_floats(*(verify._row(v, i) for v in
+                                   (ev.As[0][0], ev.lbs[0], ev.bs[0], ev.us[0], ev.margin)),
+                                 "h", pts[i])
+        u_star, lam = closed_form_ustar(cfg, pts[i])
+        assert got == (u_star.tolist()[0], lam)
+    one_state, evaluate_one = [], filters.evaluate
+
+    def counted(cfg, x):
+        one_state.append(np.ndim(x) == 1)
+        return evaluate_one(cfg, x)
+
+    monkeypatch.setattr(filters, "evaluate", counted)
+    result = verify.check_closed_form(cfg, bundle, 4)
+    assert result.passed and result.detail.startswith(f"{len(one_state)} R2 states")
+    assert all(one_state)
+
+
+def test_equilibrium_check_reads_the_bundle_tolerance():
+    # a residual of 4.1e-3 (u_e moved by 1e-3) passes under a file's
+    # eq_tol of 1e-2, where the fixed 1e-3 of before failed it
+    cfg = scenario_file("tumor3d")
+    cfg["equilibrium"]["u"] = [-0.399]
+    cfg["eq_tol"] = 1e-2
+    bundle = scenario_from_dict(cfg)
+    result = verify.check_equilibrium(bundle)
+    assert result.passed and result.detail.endswith("(tol 1e-02)")
+    assert 1e-3 < float(result.detail.split()[2]) <= 1e-2
+    results = verify.run_checks(bundle, seed=0)
+    assert len(results) == 10
+    assert [r.passed for r in results if r.name == "equilibrium_residual"] == [True]
