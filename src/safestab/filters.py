@@ -27,7 +27,9 @@ The laws run on floats from the evaluation to the input: the costs 2I and
 diag(2, .., 2, 2p) do not depend on the state, so make_controller builds
 each as one QPSpec of float lists, factored once, to which every step adds
 its rows with QPSpec.with_rows; the Sontag-weighted spec, whose cost 2 b'b
-changes with the state, is built from floats at each R2 step. Rows and
+changes with the state, is built from floats at each R2 step. With m = 1
+both specs have one variable, which solve_qp projects onto the rows'
+interval, unfactored, so cbf-qp, s-cbf-qp and hybrid are one map. Rows and
 weights are explicit sums (core), the bounds lb - A u_son are the negated
 slacks of the evaluation, solve_qp returns floats, and u_son + z becomes the
 step's one array. No controller reads the solution's KKT residual, which is
@@ -216,11 +218,11 @@ def _diag(values: list) -> list:   # as rows of floats
     return [[v if i == j else 0.0 for j in range(len(values))] for i, v in enumerate(values)]
 
 
-def _shifted_bounds(ev: Evaluation) -> list:
+def _shifted_bounds(slacks: list) -> list:
     """lb - A u_son, the bounds of the barrier rows A v >= lb - A u_son on
     the shift v = u - u_son (floats): the negated slacks, equal to lb_i -
     A_i . u_son, since a difference rounds the same either way round."""
-    return [0.0 - s for s in ev.slacks]
+    return [0.0 - s for s in slacks]
 
 
 def _plus(u: list, v: list) -> np.ndarray:
@@ -231,7 +233,7 @@ def _cbf_qp(cost: QPSpec, ev: Evaluation) -> np.ndarray:
     """min |u - u_son|^2 s.t. the barrier rows, solved in the shift
     v = u - u_son so that a feasible Sontag input is returned unchanged;
     cost is min |v|^2, factored once."""
-    spec = cost.with_rows(ev.As, _shifted_bounds(ev))
+    spec = cost.with_rows(ev.As, _shifted_bounds(ev.slacks))
     return _plus(ev.us, _solve_or_raise(spec, "CBF-QP", ev.x).zs)
 
 
@@ -257,18 +259,18 @@ def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarra
     return clf_cbf_qp
 
 
-def s_cbf_qp_spec(cfg: FilterConfig, ev: Evaluation) -> QPSpec:
-    """The Sontag-weighted filter QP in the shifted variable v = u - u_son:
-    min v'(Q + reg*I)v with Q = b'b, s.t. A v >= lb - A u_son, where reg is
-    QPSpec's default (1e-9), as in the other two QPs."""
-    b = ev.bs
-    return QPSpec([[2.0 * (b_i * b_j) for b_j in b] for b_i in b], [0.0] * cfg.sys.m,
-                  ev.As, _shifted_bounds(ev))
+def s_cbf_qp_spec(b: list, A: list, slacks: list) -> QPSpec:
+    """The Sontag-weighted filter QP in the shifted variable v = u - u_son,
+    from one state's floats b, rows A and slacks at u_son: min v'(Q +
+    reg*I)v with Q = b'b, s.t. A v >= lb - A u_son, where reg is QPSpec's
+    default (1e-9), as in the other two QPs."""
+    return QPSpec([[2.0 * (b_i * b_j) for b_j in b] for b_i in b], [0.0] * len(b),
+                  A, _shifted_bounds(slacks))
 
 
 def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
     try:
-        spec = s_cbf_qp_spec(cfg, ev)
+        spec = s_cbf_qp_spec(ev.bs, ev.As, ev.slacks)
     except IndefiniteQPError as exc:
         raise IndefiniteQPError(f"S-CBF-QP cost at x={ev.x.tolist()}, |b|^2="
                                 f"{dot_of(len(ev.bs))(ev.bs, ev.bs)!r}: "

@@ -1,12 +1,14 @@
-"""Dual active-set solver for small strictly convex QPs, plus an LP
-feasibility check used by the control-sharing test.
+"""Small strictly convex QPs, plus an LP feasibility check used by the
+control-sharing test.
 
 Problem shape:  minimize 0.5 z'(H + reg*I)z + c'z  subject to  A z >= b.
 
-The method is that of Goldfarb and Idnani ("A numerically stable dual method
-for solving strictly convex quadratic programs", Math. Programming 27, 1983).
-It starts from the unconstrained minimizer, which is optimal for the dual
-with every multiplier zero, and adds violated rows one at a time while every
+With one variable (d = 1) the solution is -c/(H + reg) projected onto the
+interval of the rows (_project). For d >= 2 the method is the dual one of
+Goldfarb and Idnani ("A numerically stable dual method for solving strictly
+convex quadratic programs", Math. Programming 27, 1983). It starts from the
+unconstrained minimizer, which is optimal for the dual with every
+multiplier zero, and adds violated rows one at a time while every
 multiplier stays nonnegative, so it needs no feasible starting point. A
 violated row that is a nonpositive combination of the active rows proves the
 rows inconsistent.
@@ -18,15 +20,16 @@ Problems here are tiny, so the active set is identified exactly (as the
 closed-form cross-checks need) and a call is mostly fixed cost, kept small
 on Python floats from the filters' rows to the returned point: a QPSpec and
 a QPSolution hold floats only, a spec's cost is factored once and shared by
-`with_rows`, and the factor, solve_qp and the KKT residual run bodies
-written out once per number of variables d, every product an explicit sum
-from +0.0 added left to right, with no BLAS call.
+`with_rows`, and the factor, the dual method and the KKT residual run
+bodies written out once per number of variables d, every product an
+explicit sum from +0.0 added left to right, with no BLAS call.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from math import inf
 from typing import List, Optional
 
 import numpy as np
@@ -73,11 +76,10 @@ def _factor_of(d: int):
         return [f"l{i}_{t}" for t in ts]
 
     D = range(d)
-    lines = [_vec(_vec(f"H{i}_{j}" for j in D) for i in D) + " = H"]
-    if d > 1:
-        lines += [_max_abs("top", [f"H{i}_{j}" for i in D for j in D]),
-                  _max_abs("asym", [f"H{i}_{j} - H{j}_{i}" for i in D for j in range(i)]),
-                  "if asym > 1e-9 * (1.0 + top): raise ValueError('H must be symmetric')"]
+    lines = [_vec(_vec(f"H{i}_{j}" for j in D) for i in D) + " = H",
+             _max_abs("top", [f"H{i}_{j}" for i in D for j in D]),
+             _max_abs("asym", [f"H{i}_{j} - H{j}_{i}" for i in D for j in range(i)]),
+             "if asym > 1e-9 * (1.0 + top): raise ValueError('H must be symmetric')"]
     for j in D:
         lines += [f"p = H{j}_{j} + reg * 1.0 - {_dot(l(j, range(j)), l(j, range(j)))}",
                   "if not p > 0.0: raise IndefiniteQPError('H + reg*I must be positive definite')",
@@ -96,7 +98,7 @@ class QPSpec:
     """Cost (H, c) with Tikhonov parameter reg and inequality rows A z >= b,
     each given as an array or as lists of Python floats in its shape. The
     spec keeps them as floats only, Hs, cs, As and bs, with the factor of H
-    + reg*I."""
+    + reg*I, or for d = 1 H + reg itself, which must pass the pivot test."""
 
     def __init__(self, H, c, A, b, reg: float = 1e-9):
         self.cs = c if type(c) is list else np.asarray(c, dtype=float).ravel().tolist()
@@ -104,7 +106,9 @@ class QPSpec:
         self.Hs = H if type(H) is list else np.asarray(H, dtype=float).reshape(d, d).tolist()
         self.reg = reg
         self._set_rows(A, b)
-        self._factor = _factor_of(d)(self.Hs, reg)
+        self._factor = self.Hs[0][0] + reg if d == 1 else _factor_of(d)(self.Hs, reg)
+        if d == 1 and not self._factor > 0.0:
+            raise IndefiniteQPError("H + reg*I must be positive definite")
 
     def _set_rows(self, A, b):
         self.As = A if type(A) is list else (
@@ -332,16 +336,47 @@ def _solver_of(d: int):
         A_z=_dot([f"A[i][{j}]" for j in D], z), n_y=_dot([f"n[{i}]" for i in D], y),
         y_step=_vec(f"{x} + t * s[{i}]" for i, x in enumerate(y)), m_y=_max_abs("m", y))
     return _def("spec, max_iter", src.splitlines(), None, **globals(), SPLIT=SPLIT, ADD=ADD,
-                inf=math.inf, sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp)
+                sqrt=math.sqrt, frexp=math.frexp, ldexp=math.ldexp)
+
+
+def _project(spec: QPSpec) -> QPSolution:
+    """solve_qp for d = 1: z0 = -c/(H + reg) projected onto the interval of
+    the rows a z >= b, b/a bounding z below where 0 < a < inf and above
+    where -inf < a < 0, the first row binding on ties, with the multiplier
+    ((H + reg) z + c) / a. As in the dual method, a NaN or infinite z0, row
+    or b/a violates nothing; a zero row with finite b > 0 is infeasible."""
+    hr, c = spec._factor, spec.cs[0]
+    z, lam, active = -c / hr, [0.0] * len(spec.bs), []
+    if not -inf < z < inf:
+        return QPSolution([z], lam, active, STATUS_OPTIMAL, 1, spec)
+    lo, hi = -inf, inf
+    for i, ([a], b_i) in enumerate(zip(spec.As, spec.bs)):
+        if 0.0 < a < inf:
+            if lo < (r := b_i / a) < inf:
+                lo, i_lo = r, i
+        elif -inf < a < 0.0:
+            if -inf < (r := b_i / a) < hi:
+                hi, i_hi = r, i
+        elif a == 0.0 and 0.0 < b_i < inf:
+            return QPSolution(None, None, [], STATUS_INFEASIBLE, 1, spec)
+    if lo > hi:
+        return QPSolution(None, None, [], STATUS_INFEASIBLE, 1, spec)
+    if z < lo or z > hi:
+        z, i = (lo, i_lo) if z < lo else (hi, i_hi)
+        lam[i], active = (hr * z + c) / spec.As[i][0], [i]
+    return QPSolution([z], lam, active, STATUS_OPTIMAL, 1, spec)
 
 
 def solve_qp(spec: QPSpec, max_iter: Optional[int] = None) -> QPSolution:
-    """KKT-certified minimizer of the given problem, or status 'infeasible'
-    when a violated row is a nonpositive combination of the active rows (a
-    Farkas certificate from the dual). Each iteration certifies the point
-    optimal, steps toward the chosen violated row p (adding p once it
-    holds) or drops the active row whose multiplier reached zero first."""
-    return _solver_of(len(spec.cs))(spec, max_iter)
+    """KKT-certified minimizer of the given problem, or status 'infeasible':
+    for d = 1 _project's, in one iteration, and for d >= 2 the dual
+    method's, infeasible when a violated row is a nonpositive combination
+    of the active rows (a Farkas certificate from the dual). Each of its
+    iterations certifies the point optimal, steps toward the chosen violated
+    row p (adding p once it holds) or drops the active row whose multiplier
+    reached zero first; max_iter bounds them."""
+    d = len(spec.cs)
+    return _project(spec) if d == 1 else _solver_of(d)(spec, max_iter)
 
 
 def _phase_one(A, b) -> bool:

@@ -112,10 +112,16 @@ def check_decrease_identity(cfg: FilterConfig, bundle: ScenarioBundle, seed: int
 
 
 def check_kkt_residuals(cfg: FilterConfig, bundle: ScenarioBundle, seed: int) -> CheckResult:
+    """The S-CBF-QP's KKT residual (for m = 1 the projection's, against the
+    optimality conditions) at safe states. State i's spec is built from row
+    i of one stacked evaluation, which has the bits of the state's own."""
     rng = np.random.default_rng(seed)
+    X = _sample_safe(bundle, KKT_SAMPLES, rng)
+    ev = evaluate(cfg, X)
     residuals, active = [], 0
-    for x in _sample_safe(bundle, KKT_SAMPLES, rng):
-        sol = solve_qp(s_cbf_qp_spec(cfg, evaluate(cfg, x)))
+    for i in range(len(X)):
+        b, slacks = ([_row(v, i) for v in vs] for vs in (ev.bs, ev.slacks))
+        sol = solve_qp(s_cbf_qp_spec(b, [[_row(v, i) for v in A] for A in ev.As], slacks))
         if sol.optimal:
             active += bool(sol.active_set)
             residuals.append(sol.kkt_residual)

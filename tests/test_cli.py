@@ -610,10 +610,10 @@ def test_plot_reads_the_header_only_csv_of_a_run_stopped_at_its_first_step(tmp_p
 # change that alters these bits on purpose updates the pins and says so.
 LINEAR2D_TRAJ_SHA256 = {
     "sontag": "4d6a4024310036a7d7bf88088933242c68e942b123f7f1f38512faad1bb31a15",
-    "cbf-qp": "59f1d0c235f102d82bc3a4fbf9f43e928a4edba87e7049e4ed0aaff252052402",
+    "cbf-qp": "decdab6f7b3e1fe163ff25c7d5b910f42115e27827a75228a5c846335f31e228",
     "clf-cbf-qp": "f786ecd4c6522738fe4eed30fd349fbf3e726d3dfa61477f6ac77ea4b462e7e6",
-    "s-cbf-qp": "4b3772c8eb50ecd112130fa7e91c4d8854c5918a6cfb01189fccd8d09cc85953",
-    "hybrid": "4b3772c8eb50ecd112130fa7e91c4d8854c5918a6cfb01189fccd8d09cc85953",
+    "s-cbf-qp": "decdab6f7b3e1fe163ff25c7d5b910f42115e27827a75228a5c846335f31e228",
+    "hybrid": "decdab6f7b3e1fe163ff25c7d5b910f42115e27827a75228a5c846335f31e228",
 }
 
 

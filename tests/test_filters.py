@@ -399,7 +399,8 @@ def test_one_input_cbf_qp_s_cbf_qp_and_hybrid_are_one_map(scenario, request):
     # for m = 1, in v = u - u_son both QPs minimize a positive multiple of
     # v^2 under the same rows, so both give the point of the rows' interval
     # nearest 0, which on R1 is v = 0: the Sontag weight does not change the
-    # input, and the three laws fail on the same states
+    # input, and the three laws fail on the same states. The projection of
+    # 0 does not read the weight, so the inputs agree bit for bit
     bundle = request.getfixturevalue("linear" if scenario == "linear2d" else "tumor")
     cfg = request.getfixturevalue("linear_cfg" if scenario == "linear2d" else "tumor_cfg")
     assert cfg.sys.m == 1
@@ -418,7 +419,7 @@ def test_one_input_cbf_qp_s_cbf_qp_and_hybrid_are_one_map(scenario, request):
             continue
         assert None not in inputs, x
         ref = inputs[0]
-        assert max(abs(u - ref) for u in inputs) <= 1e-12 * max(1.0, abs(ref)), x
+        assert [float(u).hex() for u in inputs] == [float(ref).hex()] * 3, x
         r2 += not evaluate(cfg, x).margin >= 0.0
     assert r2 > 100
     assert (infeasible > 0) == (scenario == "tumor3d")

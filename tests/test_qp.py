@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 import safestab.filters
 import safestab.qp
+import safestab.verify
 from safestab import (QPSpec, SimConfig, evaluate, integrate, lp_feasible, make_controller,
                       make_filter_config, solve_qp)
 from safestab.errors import IndefiniteQPError, QPIterationError
@@ -514,10 +515,78 @@ def assert_same_solution(got, want):
     assert _bits(got.kkt_residual) == _bits(want.kkt_residual)
 
 
+def project_oracle(spec):
+    """The one-variable solution in numpy: z0 = -c/(H + reg) clipped to the
+    interval of the rows, each row a z >= b with 0 < a < inf a lower bound
+    b/a and with -inf < a < 0 an upper one, the first row binding on ties,
+    its multiplier ((H + reg) z + c) / a. A NaN or infinite z0, row or
+    bound violates nothing; a zero row with a finite positive bound is
+    infeasible. solve_qp must give the same bits for d = 1."""
+    H, c, A, b = spec_arrays(spec)
+    hr, a = H[0, 0] + spec.reg, A[:, 0]
+    z, lam, active = -c[0] / hr, np.zeros(b.size), []
+    ratio = b / a
+    lo = np.where((0.0 < a) & (a < math.inf) & np.isfinite(ratio), ratio, -math.inf)
+    hi = np.where((-math.inf < a) & (a < 0.0) & np.isfinite(ratio), ratio, math.inf)
+    if np.isfinite(z):
+        if (((a == 0.0) & (0.0 < b) & (b < math.inf)).any()
+                or lo.max(initial=-math.inf) > hi.min(initial=math.inf)):
+            return SimpleNamespace(zs=None, lams=None, active_set=[], kkt_residual=math.inf,
+                                   status="infeasible", iterations=1)
+        if z < lo.max(initial=-math.inf):
+            active = [int(np.argmax(lo))]
+            z = lo[active[0]]
+        elif z > hi.min(initial=math.inf):
+            active = [int(np.argmin(hi))]
+            z = hi[active[0]]
+        lam[active] = (hr * z + c[0]) / a[active]
+    zs = np.array([z])
+    return SimpleNamespace(zs=zs, lams=lam, active_set=active, status="optimal", iterations=1,
+                           kkt_residual=_kkt_oracle(np.array([[hr]]), c, A, b, zs, lam))
+
+
+# the largest |z - z_dual| / max(1, |z_dual|, |z0|) that a one-variable
+# solution may differ by from the dual method's, z0 = -c/(H + reg) being
+# where that method starts: its rounding grows with the largest |y| met,
+# and the projection's z = b/a is correctly rounded. Measured: 6.3e-16 on
+# 14 000 random_spec draws with k = 0..6, 2.3e-16 on the special specs
+PROJECTION_Z_BOUND = 1e-15
+# the KKT residual every finite one-variable solution keeps; measured at
+# most 9.1e-13 on those draws
+PROJECTION_KKT_BOUND = 1e-12
+
+
+def assert_agrees_with_the_dual_method(spec, got):
+    """A one-variable solution against solve_qp_oracle: the same status, z
+    within PROJECTION_Z_BOUND (the same NaN or infinity), and a KKT
+    residual of at most PROJECTION_KKT_BOUND where the dual method's is not
+    NaN."""
+    want = solve_qp_oracle(spec)
+    assert got.status == want.status
+    if not got.optimal:
+        return
+    z, z_dual = got.zs[0], float(want.zs[0])
+    if math.isfinite(z_dual):
+        z0 = -spec.cs[0] / (spec.Hs[0][0] + spec.reg)
+        assert abs(z - z_dual) <= PROJECTION_Z_BOUND * max(1.0, abs(z_dual), abs(z0))
+        assert math.isnan(want.kkt_residual) or got.kkt_residual <= PROJECTION_KKT_BOUND
+    else:
+        assert _bits(z) == _bits(z_dual) or math.isnan(z) and math.isnan(z_dual)
+
+
 def assert_matches_oracle(spec, max_iter=None):
-    """solve_qp(spec) against solve_qp_oracle(spec), bit for bit, including
-    whether the iteration budget runs out; returns the oracle's outcome."""
+    """solve_qp(spec) against solve_qp_oracle(spec) for d >= 2, bit for bit,
+    including whether the iteration budget runs out, and for d = 1 against
+    project_oracle(spec), bit for bit, and the dual method, within
+    assert_agrees_with_the_dual_method's bounds; returns the bit-for-bit
+    oracle's outcome."""
     with np.errstate(all="ignore"):
+        if spec.dim == 1:
+            want = project_oracle(spec)
+            got = solve_qp(spec, max_iter)
+            assert_same_solution(got, want)
+            assert_agrees_with_the_dual_method(spec, got)
+            return want
         try:
             want = solve_qp_oracle(spec, max_iter)
         except QPIterationError:
@@ -856,6 +925,53 @@ def test_kkt_residual_matches_the_numpy_form_within_a_bound():
             if not spec.n_rows:
                 seen.add("no rows")
     assert seen >= {"infeasible", "nan", "no rows", 12, 13}
+
+
+def test_one_variable_rows_that_violate_nothing_and_zero_rows():
+    # z >= 1 from a cost whose minimizer is -1; NaN and infinite bounds and
+    # rows, and zero rows with a bound that is not positive, change nothing
+    rows = [([1.0], 1.0), ([math.nan], 5.0), ([2.0], math.nan), ([1.0], math.inf),
+            ([-1.0], math.inf), ([math.inf], 3.0), ([0.0], 0.0), ([0.0], -1.0),
+            ([0.0], math.inf), ([-0.0], math.nan)]
+    sol = solve_qp(QPSpec([[1.0]], [1.0], [r for r, _ in rows], [b for _, b in rows], reg=0.0))
+    assert (sol.status, sol.zs, sol.lams, sol.active_set) == (
+        "optimal", [1.0], [2.0] + [0.0] * 9, [0])
+    # a zero row with a finite positive bound is infeasible, whatever the rest
+    for bound in (1e-300, 1.0):
+        spec = QPSpec([[1.0]], [0.0], [[1.0], [0.0]], [-1.0, bound])
+        assert solve_qp(spec).status == "infeasible"
+    # a NaN or infinite minimizer violates nothing, the zero row included
+    for c in (math.nan, math.inf, -math.inf):
+        with np.errstate(all="ignore"):
+            sol = solve_qp(QPSpec([[1.0]], [c], [[1.0], [0.0]], [5.0, 1.0], reg=0.0))
+            assert sol.status == "optimal" and sol.active_set == [] and sol.lams == [0.0, 0.0]
+            assert _bits(sol.zs) == _bits([-c])
+            assert_matches_oracle(QPSpec([[1.0]], [c], [[1.0], [0.0]], [5.0, 1.0], reg=0.0))
+    # tied rows: the first binds; rows meeting in one point
+    sol = solve_qp(QPSpec([[2.0]], [0.0], [[1.0], [2.0], [1.0]], [1.0, 2.0, 1.0], reg=0.0))
+    assert (sol.zs, sol.lams, sol.active_set) == ([1.0], [2.0, 0.0, 0.0], [0])
+    sol = solve_qp(QPSpec([[2.0]], [0.0], [[1.0], [-1.0]], [3.0, -3.0], reg=0.0))
+    assert (sol.zs, sol.active_set) == ([3.0], [0])
+    assert solve_qp(QPSpec([[2.0]], [0.0], [[1.0], [-1.0]], [3.0, -2.0])).status == "infeasible"
+
+
+def test_one_input_filters_and_verify_never_reach_the_dual_method(linear, tumor, monkeypatch):
+    # every QP of a one-input filter, of the hybrid law's R2 step and of
+    # verify's KKT check has one variable: none may fall back to the dual
+    # method. Each run visits both regions
+    solver_of = safestab.qp._solver_of
+
+    def no_one_variable_dual(d):
+        assert d != 1, "a one-variable QP reached the dual method"
+        return solver_of(d)
+
+    monkeypatch.setattr(safestab.qp, "_solver_of", no_one_variable_dual)
+    for bundle, x0 in ((linear, linear.defaults["x0"]), (tumor, [6.75, 9.88, 3.54])):
+        cfg = make_filter_config(bundle.sys, bundle.clf, bundle.safe_set, gamma=1.0)
+        for name in ("cbf-qp", "s-cbf-qp", "hybrid"):
+            traj = integrate(cfg, make_controller(cfg, name), SimConfig(x0=x0, t_final=0.2))
+            assert traj.status == "ok" and 0 < (traj.regions == 1).sum() < traj.times.size
+        assert all(r.passed for r in safestab.verify.run_checks(bundle, seed=1))
 
 
 def test_integrate_never_computes_the_kkt_residual(linear, monkeypatch):

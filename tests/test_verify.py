@@ -134,6 +134,42 @@ def test_closed_form_check_reads_the_rows_of_its_stacked_evaluation(monkeypatch)
     assert all(one_state)
 
 
+@pytest.mark.parametrize("scenario,detail", [
+    ("linear2d", "200 filter QPs (62 with an active row)"),
+    ("tumor3d", "197 filter QPs (27 with an active row)"),
+])
+def test_kkt_check_reads_the_rows_of_one_stacked_evaluation(scenario, detail, monkeypatch):
+    # the check evaluates its safe states once, as a stack, and the spec it
+    # builds from row i solves as the spec of state i's own evaluation: the
+    # same status, point and residual, bit for bit
+    bundle = build_scenario(scenario)
+    cfg = linear_config(bundle)
+    X = verify._sample_safe(bundle, verify.KKT_SAMPLES, np.random.default_rng(4))
+    want = [verify.solve_qp(filters.s_cbf_qp_spec(ev.bs, ev.As, ev.slacks))
+            for ev in (evaluate(cfg, x) for x in X)]
+    shapes, got = [], []
+    evaluate_stack, solve = verify.evaluate, verify.solve_qp
+
+    def counted(cfg, x):
+        shapes.append(np.shape(x))
+        return evaluate_stack(cfg, x)
+
+    def recorded(spec):
+        got.append(solve(spec))
+        return got[-1]
+
+    monkeypatch.setattr(verify, "evaluate", counted)
+    monkeypatch.setattr(verify, "solve_qp", recorded)
+    result = verify.check_kkt_residuals(cfg, bundle, 4)
+    assert result.passed and result.detail.startswith(detail)
+    assert shapes == [X.shape] and len(got) == len(want) == len(X)
+    for g, w in zip(got, want):
+        assert (g.status, g.active_set) == (w.status, w.active_set)
+        if w.optimal:
+            assert [v.hex() for v in g.zs + g.lams + [g.kkt_residual]] == [
+                v.hex() for v in w.zs + w.lams + [w.kkt_residual]]
+
+
 def test_equilibrium_check_reads_the_bundle_tolerance():
     # a residual of 4.1e-3 (u_e moved by 1e-3) passes under a file's
     # eq_tol of 1e-2, where the fixed 1e-3 of before failed it
