@@ -341,13 +341,17 @@ class QuadraticCLF:
     """W(x) = (x - x_e)' P (x - x_e) with P symmetric positive definite,
     summed as d . (P d) with d = x - x_e, and gradient 2 P d. lie_terms
     gives the gradient, W and Sontag's terms from one body (lie_of), or
-    takes the gradient from grad once grad is assigned to the instance."""
+    takes the gradient from grad once grad is assigned to the instance.
+    P (a read-only copy) and the equilibrium are fixed at construction, so
+    that what W sums is what P says."""
 
     P: np.ndarray
     equilibrium: EquilibriumPair
 
     def __post_init__(self):
-        self.P = np.asarray(self.P, dtype=float)
+        P = np.array(self.P, dtype=float)
+        P.flags.writeable = False
+        object.__setattr__(self, "P", P)
         n = self.equilibrium.x_e.size
         if self.P.shape != (n, n):
             raise ScenarioError(f"P must be ({n}, {n}), got {self.P.shape}")
@@ -376,6 +380,8 @@ class QuadraticCLF:
         return self._lie(self._rows, self._x_e, self._u_e, xs, fs, gcols)
 
     def __setattr__(self, name, value):
+        if name in ("P", "equilibrium") and name in vars(self):
+            raise AttributeError(f"QuadraticCLF.{name} is fixed at construction")
         super().__setattr__(name, value)
         # a grad assigned to the instance gives lie_terms its gradient, as
         # for ControlAffineSystem's f and g

@@ -11,32 +11,33 @@ same for one state and for a stack; the Evaluation holds only the floats
 (or columns) the kernel gives, the laws read them, and a caller that needs
 an array builds it with core.array_of.
 
-make_controller(cfg, name)(x) is the one pointwise entry of each law; three
-of them filter Sontag's input through QPs on the shared rows:
+make_controller(cfg, name)(x) is the one pointwise entry of each law:
 
+* sontag      Sontag's input u_son,
 * cbf-qp      minimizes |u - u_son|^2,
 * clf-cbf-qp  minimizes |u|^2 + p*delta^2 with a slacked CLF row,
-* s-cbf-qp    minimizes |u - u_son|^2 weighted by Q(x) = b'b,
-              the rank-one Gram matrix of b = gradW' g,
+* s-cbf-qp    minimizes |u - u_son|^2 weighted by Q(x) = b'b, the
+              rank-one Gram matrix of b = gradW' g,
+* hybrid      u_son in R1, where it satisfies every barrier row, and the
+              S-CBF-QP in R2,
 
-and the hybrid law applies Sontag's input wherever it already satisfies
-every barrier row (region R1) and the Sontag-weighted QP elsewhere (region
-R2). s_cbf_qp_filter, the S-CBF-QP at one state, is verify's reference.
+the QPs under the barrier rows. cbf-qp and s-cbf-qp are posed in the shift
+v = u - u_son, with no linear term and QPSpec's Tikhonov term reg*I (1e-9),
+so in R1 v = 0 is their unique minimizer, and one body (_around_sontag)
+returns u_son there without a solve. So hybrid and s-cbf-qp are one law
+(s_cbf_qp_filter at one state): the paper switches because the
+unregularized weight b'b vanishes near x_e, leaving many minimizers; the
+Tikhonov term leaves one, u_son in R1.
 
-The laws run on floats from the evaluation to the input: the costs 2I and
-diag(2, .., 2, 2p) do not depend on the state, so make_controller builds
-each as one QPSpec of float lists, factored once, to which every step adds
-its rows with QPSpec.with_rows; the Sontag-weighted spec, whose cost 2 b'b
-changes with the state, is built from floats at each R2 step. With m = 1
-both specs have one variable, which solve_qp projects onto the rows'
-interval, unfactored, so cbf-qp, s-cbf-qp and hybrid are one map. Rows and
-weights are explicit sums (core), the bounds lb - A u_son are the negated
-slacks of the evaluation, solve_qp returns floats, and u_son + z becomes the
-step's one array. No controller reads the solution's KKT residual, which is
-computed only when read.
-closed_form_ustar, verify's cross-check for m = 1, reads the evaluation's
-floats too, through closed_form_floats, which verify also calls on the rows
-of a stacked evaluation.
+The laws run on floats from the evaluation to the input: make_controller
+factors the state-independent costs 2I and diag(2, .., 2, 2p) once, as
+QPSpecs of float lists to which each step adds its rows (with_rows); the
+Sontag-weighted spec is built from floats at each R2 step. With m = 1 both
+filter specs have one variable, which solve_qp projects onto the rows'
+interval, so cbf-qp and s-cbf-qp are one map. The bounds lb - A u_son are
+the evaluation's negated slacks, and u_son + z becomes the step's one
+array. closed_form_ustar, verify's cross-check for m = 1, reads the
+evaluation's floats through closed_form_floats.
 """
 from __future__ import annotations
 
@@ -219,22 +220,23 @@ def _diag(values: list) -> list:   # as rows of floats
 
 
 def _shifted_bounds(slacks: list) -> list:
-    """lb - A u_son, the bounds of the barrier rows A v >= lb - A u_son on
-    the shift v = u - u_son (floats): the negated slacks, equal to lb_i -
-    A_i . u_son, since a difference rounds the same either way round."""
+    """lb - A u_son, the bounds of the barrier rows on v = u - u_son: the
+    negated slacks, since a difference rounds the same either way round."""
     return [0.0 - s for s in slacks]
 
 
-def _plus(u: list, v: list) -> np.ndarray:
-    return np.array([a + b for a, b in zip(u, v)])
+def _around_sontag(what: str, spec_of: Callable[[Evaluation], QPSpec]
+                   ) -> Callable[[Evaluation], np.ndarray]:
+    """The filter law of the QP spec_of(ev), posed in the shift v = u - u_son:
+    u_son where it satisfies every barrier row (R1: margin >= 0, which a NaN
+    margin is not), else u_son + z with z the QP's solution."""
+    def law(ev: Evaluation) -> np.ndarray:
+        if ev.margin >= 0.0:
+            return np.array(ev.us, float)
+        return np.array([a + b for a, b in
+                         zip(ev.us, _solve_or_raise(spec_of(ev), what, ev.x).zs)])
 
-
-def _cbf_qp(cost: QPSpec, ev: Evaluation) -> np.ndarray:
-    """min |u - u_son|^2 s.t. the barrier rows, solved in the shift
-    v = u - u_son so that a feasible Sontag input is returned unchanged;
-    cost is min |v|^2, factored once."""
-    spec = cost.with_rows(ev.As, _shifted_bounds(ev.slacks))
-    return _plus(ev.us, _solve_or_raise(spec, "CBF-QP", ev.x).zs)
+    return law
 
 
 def _clf_cbf_qp_law(cfg: FilterConfig) -> Callable[[Evaluation], Tuple[np.ndarray, float]]:
@@ -268,22 +270,22 @@ def s_cbf_qp_spec(b: list, A: list, slacks: list) -> QPSpec:
                   A, _shifted_bounds(slacks))
 
 
-def _s_cbf_qp(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
+def _weighted_spec(ev: Evaluation) -> QPSpec:
     try:
-        spec = s_cbf_qp_spec(ev.bs, ev.As, ev.slacks)
+        return s_cbf_qp_spec(ev.bs, ev.As, ev.slacks)
     except IndefiniteQPError as exc:
         raise IndefiniteQPError(f"S-CBF-QP cost at x={ev.x.tolist()}, |b|^2="
                                 f"{dot_of(len(ev.bs))(ev.bs, ev.bs)!r}: "
                                 f"{exc}") from None
-    return _plus(ev.us, _solve_or_raise(spec, "S-CBF-QP", ev.x).zs)
+
+
+_s_cbf_qp = _around_sontag("S-CBF-QP", _weighted_spec)
 
 
 def s_cbf_qp_filter(cfg: FilterConfig, x) -> np.ndarray:
-    """The S-CBF-QP's input at one state: min |u - u_son|^2_{Q+reg*I} s.t.
-    barrier rows, with Q = b'b, solved in the shifted variable v = u - u_son
-    so the Tikhonov term is centered at Sontag's input. make_controller's
-    "s-cbf-qp" runs the same body; verify calls this one."""
-    return _s_cbf_qp(cfg, evaluate(cfg, x))
+    """The S-CBF-QP's input at one state: the law of make_controller's
+    "s-cbf-qp" and "hybrid"."""
+    return _s_cbf_qp(evaluate(cfg, x))
 
 
 def closed_form_ustar(cfg: FilterConfig, x, barrier_index: int = 0
@@ -328,10 +330,6 @@ def closed_form_floats(lgh: float, lb: float, b: float, u_son: float, margin: fl
     return u_star, lam
 
 
-def _hybrid(cfg: FilterConfig, ev: Evaluation) -> np.ndarray:
-    return np.array(ev.us, float) if ev.margin >= 0.0 else _s_cbf_qp(cfg, ev)
-
-
 def _law(cfg: FilterConfig, name: str) -> Callable[[Evaluation], np.ndarray]:
     """The map from an evaluation to the input u of controller `name`; the
     filters whose cost does not depend on the state factor it here, once."""
@@ -339,14 +337,13 @@ def _law(cfg: FilterConfig, name: str) -> Callable[[Evaluation], np.ndarray]:
         return lambda ev: np.array(ev.us)
     if name == "cbf-qp":
         cost = QPSpec(_diag([2.0] * cfg.sys.m), [0.0] * cfg.sys.m, [], [])
-        return lambda ev: _cbf_qp(cost, ev)
+        return _around_sontag("CBF-QP",
+                              lambda ev: cost.with_rows(ev.As, _shifted_bounds(ev.slacks)))
     if name == "clf-cbf-qp":
         clf_cbf_qp = _clf_cbf_qp_law(cfg)
         return lambda ev: clf_cbf_qp(ev)[0]
-    if name == "s-cbf-qp":
-        return lambda ev: _s_cbf_qp(cfg, ev)
-    if name == "hybrid":
-        return lambda ev: _hybrid(cfg, ev)
+    if name in ("s-cbf-qp", "hybrid"):
+        return _s_cbf_qp
     raise ValueError(f"unknown controller {name!r}; choose from {CONTROLLER_NAMES}")
 
 

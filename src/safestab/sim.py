@@ -181,7 +181,8 @@ def integrate(cfg: FilterConfig,
     record_every). Non-finite states, states beyond the blow-up
     guard, controller infeasibility, a controller QP that exceeds its
     iteration budget and a QP cost that is not positive definite (the
-    Sontag-weighted cost 2bb' with m >= 2 and a large |b|) truncate the run
+    Sontag-weighted cost 2bb' with m >= 2 and a large |b|, built at R2
+    steps only, since the filter laws solve no QP in R1) truncate the run
     with a status and a diagnostic naming t, x and the filter instead of
     raising. A controller input whose shape is not (m,) raises ValueError
     naming the step.

@@ -370,7 +370,9 @@ def test_an_infinite_domain_bound_exits_2_without_a_traceback(tmp_path, capsys):
 
 def test_verify_detects_corrupted_clf_matrix(linear):
     bundle = build_scenario("linear2d")
-    bundle.clf.P = np.array([[3.4142, -2.4142], [-2.0, 2.4142]])  # injected fault
+    # injected fault: QuadraticCLF refuses a new P, so it is written past
+    # the guard, as a corrupted bundle would hold it
+    object.__setattr__(bundle.clf, "P", np.array([[3.4142, -2.4142], [-2.0, 2.4142]]))
     results = run_checks(bundle, seed=0)
     assert len(results) == 10
     failed = {r.name: r.detail for r in results if not r.passed}

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from safestab import (Barrier, QuadraticCLF, SafeSet, ScenarioError,
+from safestab import (Barrier, EquilibriumPair, QuadraticCLF, SafeSet, ScenarioError,
                       equilibrium_residual, is_valid_local_clf, make_filter_config,
                       sontag_terms)
 from safestab.core import LOCAL_CLF_SAMPLES, fd_gradient, sample_ball
@@ -137,6 +137,25 @@ def test_quadratic_clf_rejects_asymmetric_or_indefinite(linear):
         QuadraticCLF(np.array([[1.0, 0.5], [0.0, 1.0]]), linear.eq)
     with pytest.raises(ScenarioError):
         QuadraticCLF(np.array([[1.0, 2.0], [2.0, 1.0]]), linear.eq)
+
+
+def test_quadratic_clf_matrix_and_equilibrium_are_fixed_at_construction(linear):
+    # W sums the rows of P and the equilibrium copied at construction, so P
+    # is held as a read-only copy and neither can be reassigned: W stays
+    # x'Px for the P that doa and verify read
+    P = linear.clf.P.copy()
+    clf = QuadraticCLF(P, linear.eq)
+    P[0, 0] = 100.0
+    x = np.array([1.0, 0.5])
+    with pytest.raises(ValueError, match="read-only"):
+        clf.P[0, 0] = 100.0
+    with pytest.raises(AttributeError, match="P is fixed at construction"):
+        clf.P = 100.0 * np.eye(2)
+    with pytest.raises(AttributeError, match="equilibrium is fixed at construction"):
+        clf.equilibrium = EquilibriumPair([1.0, 0.0], [0.0])
+    assert clf.P.tolist() == linear.clf.P.tolist() and clf.equilibrium is linear.eq
+    assert clf.value(x) == pytest.approx(1.60355, abs=1e-12)
+    assert clf.value(x) == pytest.approx(float(x @ clf.P @ x), rel=1e-14)
 
 
 def test_extended_class_k_is_linear_and_increasing():

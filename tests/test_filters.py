@@ -1,19 +1,21 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import safestab.filters
 from safestab import (Barrier, ControlAffineSystem, EquilibriumPair,
                       InfeasibleQPError, QuadraticCLF, SafeSet, SimConfig,
                       classify_region, closed_form_ustar, evaluate, integrate,
-                      s_cbf_qp_filter, sontag_control, sontag_terms)
+                      s_cbf_qp_filter, solve_qp, sontag_control, sontag_terms)
 from safestab.core import array_of
 from safestab.errors import DegenerateConstraintError, SafeStabError
 from safestab.filters import (ALPHA_W, CONTROLLER_NAMES, Region, _clf_cbf_qp_law,
                               active_flags, cbf_rows, make_controller, make_filter_config)
 
 from conftest import lie_derivative_fd, lie_derivatives, sample_safe_states
-from test_sim import synthetic_m2_config
+from test_sim import synthetic_m2_config, wide_m3_config
 
 
 def control(cfg, name, x):
@@ -394,34 +396,58 @@ def test_safety_rows_hold_for_all_filters(linear_cfg, linear):
             assert row_slacks(A, lb, ctrl(x)[0]).min() >= -1e-8
 
 
-@pytest.mark.parametrize("scenario", ["linear2d", "tumor3d"])
-def test_one_input_cbf_qp_s_cbf_qp_and_hybrid_are_one_map(scenario, request):
-    # for m = 1, in v = u - u_son both QPs minimize a positive multiple of
-    # v^2 under the same rows, so both give the point of the rows' interval
-    # nearest 0, which on R1 is v = 0: the Sontag weight does not change the
-    # input, and the three laws fail on the same states. The projection of
-    # 0 does not read the weight, so the inputs agree bit for bit
-    bundle = request.getfixturevalue("linear" if scenario == "linear2d" else "tumor")
-    cfg = request.getfixturevalue("linear_cfg" if scenario == "linear2d" else "tumor_cfg")
-    assert cfg.sys.m == 1
+# the m >= 2 test systems and the half-width of the box they are sampled in
+WIDE_CONFIGS = {"synthetic-m2": (synthetic_m2_config, 3.0), "wide-m3": (wide_m3_config, 2.5)}
+
+
+def _outcome(ctrl, x):
+    """The input's bytes, or the type and message of the error raised."""
+    try:
+        return ctrl(x)[0].tobytes()
+    except SafeStabError as exc:   # IndefiniteQPError too
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("scenario", ["linear2d", "tumor3d", *WIDE_CONFIGS])
+def test_one_input_cbf_qp_s_cbf_qp_and_hybrid_are_one_map(scenario, request, monkeypatch):
+    # both filter QPs are posed in v = u - u_son with no linear term and a
+    # Tikhonov term, so in R1 v = 0 is their unique minimizer: all three
+    # laws return u_son there without a solve, and s-cbf-qp and hybrid are
+    # one law, errors included. For m = 1 both QPs minimize a positive
+    # multiple of v^2 under the same rows, so in R2 too they give the point
+    # of the rows' interval nearest 0, which does not read the weight: the
+    # three laws agree bit for bit and fail on the same states
+    if scenario in WIDE_CONFIGS:
+        make, r = WIDE_CONFIGS[scenario]
+        cfg = make()
+        xs = sample_safe_states(SimpleNamespace(domain=np.array([[-r, r]] * cfg.sys.n),
+                                                safe_set=cfg.safe_set), 4000, 97)
+    else:
+        bundle = request.getfixturevalue("linear" if scenario == "linear2d" else "tumor")
+        cfg = request.getfixturevalue("linear_cfg" if scenario == "linear2d" else "tumor_cfg")
+        xs = sample_safe_states(bundle, 4000, 97)
+    assert (cfg.sys.m == 1) == (scenario not in WIDE_CONFIGS)
     ctrls = [make_controller(cfg, name) for name in ("cbf-qp", "s-cbf-qp", "hybrid")]
-    r2 = infeasible = 0
-    for x in sample_safe_states(bundle, 4000, 97):
-        inputs = []
-        for ctrl in ctrls:
-            try:
-                inputs.append(ctrl(x)[0][0])
-            except InfeasibleQPError:
-                inputs.append(None)
-        if inputs[0] is None:
-            assert inputs == [None] * 3, x
-            infeasible += 1
+    solves = []
+    monkeypatch.setattr(safestab.filters, "solve_qp", lambda spec: solves.append(1) or
+                        solve_qp(spec))
+    r1 = r2 = infeasible = 0
+    for x in xs:
+        ev = evaluate(cfg, x)
+        before = len(solves)
+        outcomes = [_outcome(ctrl, x) for ctrl in ctrls]
+        assert outcomes[1] == outcomes[2], x
+        if ev.margin >= 0.0:
+            assert outcomes == [np.array(ev.us, float).tobytes()] * 3, x
+            assert len(solves) == before, x
+            r1 += 1
             continue
-        assert None not in inputs, x
-        ref = inputs[0]
-        assert [float(u).hex() for u in inputs] == [float(ref).hex()] * 3, x
-        r2 += not evaluate(cfg, x).margin >= 0.0
-    assert r2 > 100
+        r2 += 1
+        if cfg.sys.m == 1:
+            kinds = [v if isinstance(v, bytes) else v[0] for v in outcomes]
+            assert kinds == [kinds[0]] * 3, x
+            infeasible += kinds[0] == "InfeasibleQPError"
+    assert r1 > 100 and r2 > 100
     assert (infeasible > 0) == (scenario == "tumor3d")
 
 

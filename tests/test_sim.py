@@ -744,6 +744,23 @@ def test_indefinite_s_cbf_qp_cost_ends_the_run_with_a_status():
     assert issubclass(IndefiniteQPError, ValueError)
 
 
+def test_s_cbf_qp_builds_no_cost_where_sontags_input_is_feasible():
+    # at x = (-0.5, 0) b = (-5e5, -5e5), so 2bb' + 1e-9 I has no Cholesky
+    # factor, as at (0.5, 0); but u_son = (5e5, 5e5) satisfies the wall's
+    # row (R1), so every filter law returns it bit for bit without a QP, and
+    # the run takes its step (and blows up) rather than end qp_indefinite
+    cfg = big_b_config()
+    x = np.array([-0.5, 0.0])
+    ev = evaluate(cfg, x)
+    assert ev.bs == [-5e5, -5e5] and ev.us == [5e5, 5e5] and ev.region == Region.R1
+    for controller in ("s-cbf-qp", "hybrid", "cbf-qp"):
+        assert make_controller(cfg, controller)(x)[0].tobytes() == np.array(ev.us).tobytes()
+        traj = assert_matches_integrate_oracle(
+            cfg, lambda: make_controller(cfg, controller), SimConfig(x0=x, t_final=1.0))
+        assert traj.status == STATUS_BLOWUP and traj.n_samples == 1, traj.diagnostic
+        assert traj.inputs[0].tolist() == [5e5, 5e5]
+
+
 def test_synthetic_m2_starts_that_reach_a_large_b_end_with_a_status():
     # which of the two statuses a start gets is decided by rounding, but
     # with the explicit-sum factor at least one start gets qp_indefinite
